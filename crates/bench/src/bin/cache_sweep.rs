@@ -13,6 +13,7 @@
 
 use systrace::kernel::{build_system, KernelConfig};
 use systrace::store::{replay, FarmCfg, StoreObs, TraceStore, DEFAULT_BLOCK_WORDS};
+use systrace::trace::SeamHooks;
 use wrl_bench::{sweep_geometries, CacheStudy};
 
 fn main() {
@@ -47,7 +48,7 @@ fn main() {
         workers,
         ..FarmCfg::default()
     };
-    let (report, sinks) = replay(&store, sinks, cfg).expect("replay");
+    let (report, sinks) = replay(&store, sinks, cfg, &SeamHooks::default()).expect("replay");
     let obs = StoreObs::register();
     obs.export_store(&store);
     obs.export_farm(&report);

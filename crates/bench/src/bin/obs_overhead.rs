@@ -7,9 +7,8 @@
 //! and disabled, so the difference is exactly the cost of the atomic
 //! updates and clock reads — not of a different build.
 //!
-//! Like `streaming.rs`, the two modes are interleaved with their
-//! order flipped every iteration and the minimum kept, so host drift
-//! hits both equally.
+//! The two modes are interleaved with their order flipped every
+//! iteration, so host drift hits both equally.
 //!
 //! Usage: `obs_overhead [workload ...]` (default: sed yacc).
 
@@ -17,7 +16,8 @@ use std::time::{Duration, Instant};
 
 use systrace::kernel::KernelConfig;
 use systrace::obs;
-use systrace::trace::PipelineCfg;
+use systrace::tracer::Stack;
+use systrace::AnalyzeCfg;
 
 fn timed<T>(mut f: impl FnMut() -> T) -> (Duration, T) {
     let t0 = Instant::now();
@@ -36,19 +36,13 @@ fn main() {
         args.iter().map(|s| s.as_str()).collect()
     };
     const RUNS: u32 = 31;
-    let pcfg = PipelineCfg {
-        chunk_words: 4096,
-        depth: 2,
-        workers: 2,
-        batch_events: 8192,
-    };
 
     obs::register_all();
     if !obs::compiled_with_recording() {
         println!("note: wrl-obs built without the `record` feature;");
         println!("both columns measure the compiled-out no-op path.");
     }
-    println!("Metrics recording overhead (Ultrix, metered pipeline, best of {RUNS})");
+    println!("Metrics recording overhead (Ultrix, metered harness run, best of {RUNS})");
     println!(
         "{:9} | {:>9} | {:>9} | {:>9} | {:>9}",
         "", "off", "on", "delta", "overhead"
@@ -58,16 +52,17 @@ fn main() {
         let w =
             systrace::workloads::by_name(name).unwrap_or_else(|| panic!("unknown workload {name}"));
         let cfg = KernelConfig::ultrix().traced();
-        let arith = systrace::pixie_arith_stalls(&w);
+        let acfg = AnalyzeCfg {
+            arith_stalls: systrace::pixie_arith_stalls(&w),
+            metered: true,
+            ..AnalyzeCfg::default()
+        };
 
         let run_mode = |on: bool| {
             obs::set_recording(on);
             obs::global().reset();
             let (t, p) = timed(|| {
-                let b = systrace::run_predicted_metered(&cfg, &w, arith);
-                let s = systrace::run_predicted_streaming_metered(&cfg, &w, arith, pcfg);
-                assert_eq!(b.prediction, s.prediction);
-                b
+                systrace::run_analyzed(&cfg, &w, acfg.clone(), Stack::new(), None).predicted
             });
             assert_eq!(p.parse_errors, 0);
             t
@@ -110,8 +105,8 @@ fn main() {
     println!("{:-<60}", "");
     println!("off/on: best of {RUNS} per mode. delta: median of the {RUNS} paired");
     println!("per-iteration (on - off) differences; overhead = delta / off.");
-    println!("The full metered pipeline is timed (traced machine run + parse");
-    println!("+ simulate + predict, batch and streaming back to back).");
+    println!("The full metered harness run is timed (traced machine run +");
+    println!("parse + simulate + predict).");
     println!("Values near zero (either sign) mean recording costs less than");
     println!("the host's run-to-run noise.");
 }

@@ -14,8 +14,8 @@
 //!    path and the v4 columnar path via the whole-file block reader.
 //! 3. **Farm scaling** — the fifteen-geometry cache sweep replayed
 //!    from the store: sequentially (each geometry decodes and parses
-//!    the store itself — the non-farm workflow) and on the shared-
-//!    parse farm at 1, 2 and 4 workers. Results are asserted
+//!    the store itself — the non-farm workflow) and on the farm
+//!    (one shared parse) at 1, 2 and 4 workers. Results are asserted
 //!    bit-identical to the sequential sweep; configurations are
 //!    rotated across repetitions and the minimum kept.
 //!
@@ -25,8 +25,10 @@
 use std::time::{Duration, Instant};
 
 use systrace::kernel::{build_system, KernelConfig};
-use systrace::store::{replay, BlockFormat, FarmCfg, StoreObs, TraceStore, DEFAULT_BLOCK_WORDS};
-use systrace::trace::TraceArchive;
+use systrace::store::{
+    drive, replay, BlockFormat, FarmCfg, StoreObs, TraceStore, DEFAULT_BLOCK_WORDS,
+};
+use systrace::trace::{SeamHooks, TraceArchive};
 use wrl_bench::{sweep_geometries, CacheStudy};
 
 fn timed<T>(mut f: impl FnMut() -> T) -> (Duration, T) {
@@ -49,13 +51,8 @@ fn sequential_sweep(store: &TraceStore, pagemap: &systrace::memsim::PageMap) -> 
     sweep_geometries()
         .into_iter()
         .map(|(size, ways)| {
-            let mut study = CacheStudy::new(size, ways, pagemap.clone());
-            let mut parser = store.parser();
-            for i in 0..store.n_blocks() {
-                let words = store.decode_block(i).expect("block decodes");
-                parser.push_words(&words, &mut study);
-            }
-            parser.finish(&mut study);
+            let study = CacheStudy::new(size, ways, pagemap.clone());
+            let (_, study) = drive(store, study, &SeamHooks::default()).expect("block decodes");
             study
         })
         .collect()
@@ -74,7 +71,7 @@ fn farm_sweep(
         workers,
         ..FarmCfg::default()
     };
-    let (_, sinks) = replay(store, sinks, cfg).expect("replay");
+    let (_, sinks) = replay(store, sinks, cfg, &SeamHooks::default()).expect("replay");
     sinks
 }
 
@@ -247,8 +244,8 @@ fn main() {
     }
     println!("{:-<47}", "");
     println!("sequential: every geometry decodes + parses the store itself.");
-    println!("farm (shared parse): one decode + parse feeds all fifteen sinks,");
-    println!("so the speedup comes from work amortisation and holds even on a");
-    println!("single CPU; per-worker decode adds on machines with spare cores.");
+    println!("farm: one decode + parse feeds all fifteen sinks, so the 1-worker");
+    println!("row is pure work amortisation and holds even on a single CPU;");
+    println!("more workers add only what the host's spare CPUs allow.");
     println!("Farm results are asserted identical to the sequential sweep.");
 }

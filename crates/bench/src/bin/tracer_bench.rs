@@ -7,8 +7,8 @@
 //!
 //! For each workload: one traced run, then the three window analyses
 //! (sampled duty-cycle, working set, phase detection) run two ways —
-//! three dedicated passes (decode+parse per analysis, the old
-//! `run_predicted_*` shape) vs one composed three-sink pass. The
+//! three dedicated passes (a decode+parse per analysis) vs one
+//! composed three-sink pass. The
 //! acceptance bar is a >= 2x aggregate speedup.
 
 use std::time::{Duration, Instant};

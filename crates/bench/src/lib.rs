@@ -4,6 +4,8 @@
 //! the paper (see DESIGN.md's experiment index). The helpers here
 //! keep their output formats consistent.
 
+#![forbid(unsafe_code)]
+
 use systrace::kernel::KernelConfig;
 use systrace::memsim::{AssocCache, PageMap, SpaceKey};
 use systrace::trace::{Space, TraceSink};

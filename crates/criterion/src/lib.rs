@@ -7,6 +7,8 @@
 //! warmup + timed-batch loop reporting mean wall time per iteration —
 //! no statistics, plots or comparison against saved baselines.
 
+#![forbid(unsafe_code)]
+
 use std::time::{Duration, Instant};
 
 /// Throughput annotation for a benchmark group.

@@ -9,6 +9,8 @@
 //! trace-parsing tables, a bare-machine [`harness`], and the
 //! executable-level [`mod@pixie`] baseline the paper compares against.
 
+#![forbid(unsafe_code)]
+
 pub mod bbscan;
 pub mod build;
 pub mod harness;

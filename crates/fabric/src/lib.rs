@@ -31,6 +31,7 @@
 //! named in the message, never as a severed connection.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod coord;
 pub mod manifest;

@@ -7,15 +7,15 @@
 //!   parse-error tally, or a lost-chunk count. The §4.3 discipline at
 //!   work: damage you can name.
 //! * **Harmless** — the fault demonstrably changed nothing: results
-//!   are bit-identical to the unfaulted baseline. Stalls and
-//!   reorderings *must* land here (they may only cost throughput).
+//!   are bit-identical to the unfaulted baseline. Stalls *must* land
+//!   here (they may only cost throughput).
 //! * **Absorbed** — the corrupted input happens to be a well-formed
 //!   trace in its own right (a flip forging a valid word, a
 //!   truncation at a record boundary). Indistinguishable from a
 //!   different trace, so no detector can fire — but the stack must
 //!   still process it deterministically, which the engine verifies by
-//!   comparing a batch parse against a streaming parse of the same
-//!   corrupted words.
+//!   comparing a batch parse against a chunk-fed driver parse of the
+//!   same corrupted words.
 //! * **Forbidden** — a panic, or a silently wrong answer (different
 //!   results with no error raised, or nondeterminism). The campaign's
 //!   invariant is that this set is empty.
@@ -33,11 +33,9 @@ use crate::plan::{FaultPlan, FaultSite, Layer};
 use crate::SplitMix64;
 use wrl_fabric::{split_store, Coordinator, FabricCfg, Manifest, PlanKind};
 use wrl_serve::{Catalog, Client, ClientCfg, ServeCfg, ServeHooks, Server, TailItem, WireFate};
-use wrl_store::{
-    filter_stream, replay_with_hooks, BlockFormat, FarmCfg, FarmHooks, Predicate, TraceStore,
-};
+use wrl_store::{filter_stream, replay, BlockFormat, FarmCfg, Predicate, TraceStore};
 use wrl_trace::{
-    ChaosHooks, ChunkFate, CollectSink, ParseStats, Pipeline, PipelineCfg, StageSite, TraceArchive,
+    ChunkFate, CollectSink, DriveReport, Driver, ParseStats, Seam, SeamHooks, TraceArchive,
 };
 use wrl_tracer::{analyze_words, AnalysisSink, DefenseSink, DilationSink, SinkError, Stack};
 
@@ -98,7 +96,7 @@ impl ChaosInput {
     /// Words per store block — small enough that the golden trace
     /// spans tens of blocks, so block-granular faults have targets.
     pub const BLOCK_WORDS: usize = 256;
-    /// Words per pipeline chunk, matching the block size so stream
+    /// Words per driver chunk, matching the block size so stream
     /// faults likewise have tens of chunks to pick from.
     pub const CHUNK_WORDS: usize = 256;
 
@@ -142,22 +140,14 @@ fn batch(input: &ChaosInput, words: &[u32]) -> (ParseStats, CollectSink) {
     (parser.stats, sink)
 }
 
-/// Streams `words` through a hooked pipeline at the given worker
-/// count and chunk size, returning the report and sink.
-fn stream(
-    input: &ChaosInput,
-    words: &[u32],
-    workers: usize,
-    hooks: ChaosHooks,
-) -> (wrl_trace::PipelineReport, CollectSink) {
-    let cfg = PipelineCfg {
-        chunk_words: ChaosInput::CHUNK_WORDS,
-        workers,
-        ..PipelineCfg::default()
-    };
-    let mut pipe = Pipeline::with_hooks(input.archive.parser(), CollectSink::default(), cfg, hooks);
-    pipe.feed(words);
-    pipe.finish()
+/// Feeds `words` to a hooked driver in [`ChaosInput::CHUNK_WORDS`]
+/// chunks, returning the report and sink.
+fn stream(input: &ChaosInput, words: &[u32], hooks: SeamHooks) -> (DriveReport, CollectSink) {
+    let mut driver = Driver::with_hooks(input.archive.parser(), CollectSink::default(), hooks);
+    for chunk in words.chunks(ChaosInput::CHUNK_WORDS) {
+        driver.feed(chunk);
+    }
+    driver.finish()
 }
 
 /// Classifies a corrupted word stream: errors ⇒ detected; identical
@@ -175,7 +165,7 @@ fn classify_words(input: &ChaosInput, words: &[u32]) -> Outcome {
     if stats == input.baseline_stats && input.sinks_equal(&sink) {
         return Outcome::Harmless;
     }
-    let (report, ssink) = stream(input, words, 2, ChaosHooks::default());
+    let (report, ssink) = stream(input, words, SeamHooks::default());
     if report.parse == stats
         && report.lost_chunks == 0
         && ssink.irefs == sink.irefs
@@ -185,7 +175,7 @@ fn classify_words(input: &ChaosInput, words: &[u32]) -> Outcome {
         Outcome::Absorbed
     } else {
         Outcome::Forbidden {
-            why: "batch and streaming parses of the corrupted words disagree".into(),
+            why: "batch and chunk-fed parses of the corrupted words disagree".into(),
         }
     }
 }
@@ -322,18 +312,17 @@ fn run_site(input: &ChaosInput, plan: FaultPlan) -> Outcome {
             classify_store_v4(input, &bytes)
         }
         FaultSite::StreamStall => {
-            // Stall every k-th chunk at the parse boundary; by
-            // contract this may only cost throughput.
-            let workers = 1 + rng.below(4) as usize;
+            // Stall every k-th chunk at the source seam; by contract
+            // this may only cost throughput.
             let every = 1 + u64::from(intensity);
-            let hooks = ChaosHooks::on_chunk(move |_, seq| {
+            let hooks = SeamHooks::new(move |_, seq| {
                 if seq % every == 0 {
                     ChunkFate::Stall(Duration::from_micros(200))
                 } else {
                     ChunkFate::Deliver
                 }
             });
-            let (report, sink) = stream(input, &input.archive.words, workers, hooks);
+            let (report, sink) = stream(input, &input.archive.words, hooks);
             if report.lost_chunks == 0
                 && report.parse == input.baseline_stats
                 && input.sinks_equal(&sink)
@@ -341,49 +330,24 @@ fn run_site(input: &ChaosInput, plan: FaultPlan) -> Outcome {
                 Outcome::Harmless
             } else {
                 Outcome::Forbidden {
-                    why: format!("stalls changed results (workers {workers})"),
-                }
-            }
-        }
-        FaultSite::StreamReorder => {
-            // Stall one of the two decode workers (workers = 4 is the
-            // only topology with parallel decoders) so chunks finish
-            // out of order; the parse stage's sequence reordering must
-            // make this invisible.
-            let hooks = ChaosHooks::on_chunk(move |site, seq| {
-                if site == StageSite::Decode && seq % 2 == 0 {
-                    ChunkFate::Stall(Duration::from_micros(300))
-                } else {
-                    ChunkFate::Deliver
-                }
-            });
-            let (report, sink) = stream(input, &input.archive.words, 4, hooks);
-            if report.lost_chunks == 0
-                && report.parse == input.baseline_stats
-                && input.sinks_equal(&sink)
-            {
-                Outcome::Harmless
-            } else {
-                Outcome::Forbidden {
-                    why: "reordering changed results".into(),
+                    why: "stalls changed results".into(),
                 }
             }
         }
         FaultSite::StreamDrop => {
-            // Drop chunks at the parse boundary; every drop must be
+            // Drop chunks at the source seam; every drop must be
             // counted in `lost_chunks`, never silently shorten the
             // stream.
-            let workers = 1 + rng.below(4) as usize;
             let dropped = pick_distinct(&mut rng, input.n_chunks(), u64::from(intensity));
             let n_dropped = dropped.len() as u64;
-            let hooks = ChaosHooks::on_chunk(move |site, seq| {
-                if site == StageSite::Parse && dropped.contains(&seq) {
+            let hooks = SeamHooks::new(move |_, seq| {
+                if dropped.contains(&seq) {
                     ChunkFate::Drop
                 } else {
                     ChunkFate::Deliver
                 }
             });
-            let (report, _) = stream(input, &input.archive.words, workers, hooks);
+            let (report, _) = stream(input, &input.archive.words, hooks);
             if report.lost_chunks == n_dropped {
                 Outcome::Detected {
                     what: format!("stream.chunks.lost = {n_dropped}"),
@@ -391,7 +355,7 @@ fn run_site(input: &ChaosInput, plan: FaultPlan) -> Outcome {
             } else {
                 Outcome::Forbidden {
                     why: format!(
-                        "dropped {n_dropped} chunks but lost_chunks = {} (workers {workers})",
+                        "dropped {n_dropped} chunks but lost_chunks = {}",
                         report.lost_chunks
                     ),
                 }
@@ -399,31 +363,26 @@ fn run_site(input: &ChaosInput, plan: FaultPlan) -> Outcome {
         }
         FaultSite::FarmStall | FaultSite::FarmDrop => {
             let store = TraceStore::decode_any(&input.store_bytes).expect("golden store decodes");
-            let shared_parse = rng.chance(1, 2);
             let cfg = FarmCfg {
                 workers: 2,
-                shared_parse,
                 batch_events: 512,
-                ..FarmCfg::default()
             };
             let hooks = if plan.site == FaultSite::FarmStall {
                 let every = 1 + u64::from(intensity);
-                FarmHooks::on_item(move |worker, seq| {
-                    if worker == 0 && seq % every == 0 {
+                SeamHooks::new(move |seam, seq| {
+                    if seam == Seam::Worker(0) && seq % every == 0 {
                         ChunkFate::Stall(Duration::from_micros(200))
                     } else {
                         ChunkFate::Deliver
                     }
                 })
             } else {
-                // Drop one early item on one worker; item sequences
-                // are blocks (per-worker mode) or batches (shared
-                // mode), and both streams have more than four items
-                // for the golden input.
+                // Drop one early batch on one worker; the golden
+                // input broadcasts more than four.
                 let worker = rng.below(2) as usize;
-                let seq = rng.below(4);
-                FarmHooks::on_item(move |w, s| {
-                    if w == worker && s == seq {
+                let batch = rng.below(4);
+                SeamHooks::new(move |seam, seq| {
+                    if seam == Seam::Worker(worker) && seq == batch {
                         ChunkFate::Drop
                     } else {
                         ChunkFate::Deliver
@@ -431,15 +390,15 @@ fn run_site(input: &ChaosInput, plan: FaultPlan) -> Outcome {
                 })
             };
             let sinks = vec![CollectSink::default(); 2];
-            match (plan.site, replay_with_hooks(&store, sinks, cfg, hooks)) {
+            match (plan.site, replay(&store, sinks, cfg, &hooks)) {
                 (FaultSite::FarmStall, Ok((report, sinks))) => {
-                    if report.stats == input.baseline_stats
+                    if report.run.parse == input.baseline_stats
                         && sinks.iter().all(|s| input.sinks_equal(s))
                     {
                         Outcome::Harmless
                     } else {
                         Outcome::Forbidden {
-                            why: format!("farm stalls changed results (shared {shared_parse})"),
+                            why: "farm stalls changed results".into(),
                         }
                     }
                 }

@@ -7,8 +7,8 @@
 //! corrupt input produces numbers nobody can trust. This crate turns
 //! that discipline into an executable contract. It injects faults at
 //! every boundary of the stack — raw trace words before the parser,
-//! container bytes under the store, chunks and items inside the
-//! streaming pipeline and replay farm, response frames on the trace
+//! container bytes under the store, chunks at the driver's source
+//! seam and batches inside the replay farm, response frames on the trace
 //! service's wire — and classifies what the stack did about each one:
 //!
 //! * [`plan`] — a [`FaultPlan`] is `(site, seed, intensity)`, round-
@@ -28,6 +28,7 @@
 //! reproduces an entire campaign on any machine.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod chaos;
 pub mod inject;

@@ -48,7 +48,7 @@ impl FaultObs {
                 "fault.harmless",
                 "plans",
                 "§4.3",
-                "Injected faults with bit-identical results (stalls, reorders)."
+                "Injected faults with bit-identical results (stalls, slow writes)."
             ),
             absorbed: counter!(
                 r,

@@ -17,7 +17,7 @@ pub enum Layer {
     Parser,
     /// The `wrl-store` container bytes.
     Store,
-    /// The streaming pipeline and replay farm channels.
+    /// The driver's source seam and the replay farm's channels.
     Farm,
     /// The `wrl-serve` wire protocol between server and client.
     Wire,
@@ -55,14 +55,12 @@ pub enum FaultSite {
     /// blocks with matching words — so it sits under the metadata CRC
     /// and every flip must be detected before the index is trusted.
     StoreZonemap,
-    /// Stall pipeline chunks at stage boundaries (harmless by
+    /// Stall chunks at the driver's source seam (harmless by
     /// contract: stalls may only cost throughput).
     StreamStall,
-    /// Drop pipeline chunks (must be detected as lost chunks).
+    /// Drop chunks at the driver's source seam (must be detected as
+    /// lost chunks).
     StreamDrop,
-    /// Stall one of two decode workers so chunks finish out of order
-    /// (harmless by contract: the parse stage reorders by sequence).
-    StreamReorder,
     /// Stall farm workers (harmless by contract).
     FarmStall,
     /// Drop farm items on one worker (must be detected as a desync).
@@ -110,7 +108,7 @@ pub enum FaultSite {
 }
 
 /// Every site, in campaign round-robin order.
-pub const ALL_SITES: [FaultSite; 22] = [
+pub const ALL_SITES: [FaultSite; 21] = [
     FaultSite::ParserBitFlip,
     FaultSite::ParserTruncate,
     FaultSite::StoreBlock,
@@ -122,7 +120,6 @@ pub const ALL_SITES: [FaultSite; 22] = [
     FaultSite::StoreZonemap,
     FaultSite::StreamStall,
     FaultSite::StreamDrop,
-    FaultSite::StreamReorder,
     FaultSite::FarmStall,
     FaultSite::FarmDrop,
     FaultSite::WireCorrupt,
@@ -150,7 +147,6 @@ impl FaultSite {
             FaultSite::StoreZonemap => "store.zonemap",
             FaultSite::StreamStall => "stream.stall",
             FaultSite::StreamDrop => "stream.drop",
-            FaultSite::StreamReorder => "stream.reorder",
             FaultSite::FarmStall => "farm.stall",
             FaultSite::FarmDrop => "farm.drop",
             FaultSite::WireCorrupt => "wire.corrupt",
@@ -182,7 +178,6 @@ impl FaultSite {
             | FaultSite::StoreZonemap => Layer::Store,
             FaultSite::StreamStall
             | FaultSite::StreamDrop
-            | FaultSite::StreamReorder
             | FaultSite::FarmStall
             | FaultSite::FarmDrop => Layer::Farm,
             FaultSite::WireCorrupt
@@ -319,12 +314,12 @@ mod tests {
 
     #[test]
     fn campaigns_are_deterministic_and_cover_all_sites() {
-        let a = campaign(1, 440);
-        assert_eq!(a, campaign(1, 440));
-        assert_ne!(a, campaign(2, 440));
+        let a = campaign(1, 420);
+        assert_eq!(a, campaign(1, 420));
+        assert_ne!(a, campaign(2, 420));
         for site in ALL_SITES {
             let hits = a.iter().filter(|p| p.site == site).count();
-            assert_eq!(hits, 440 / ALL_SITES.len(), "{site}");
+            assert_eq!(hits, 420 / ALL_SITES.len(), "{site}");
         }
         assert!(a.iter().all(|p| p.intensity >= 1 && p.intensity <= 8));
     }

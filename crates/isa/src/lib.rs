@@ -15,6 +15,8 @@
 //! * [`disasm`] — a disassembler for diagnostics and the Figure-2
 //!   reproduction.
 
+#![forbid(unsafe_code)]
+
 pub mod asm;
 pub mod disasm;
 pub mod encode;

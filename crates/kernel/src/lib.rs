@@ -10,6 +10,8 @@
 //! read-ahead (Ultrix) or a user-level server reached by IPC (Mach),
 //! and the in-kernel trace-control subsystem of §3.1/§3.3.
 
+#![forbid(unsafe_code)]
+
 pub mod build;
 pub mod kdata;
 pub mod kdataobj;

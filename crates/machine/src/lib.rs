@@ -8,6 +8,8 @@
 //! event [`counters`] that provide the *measured* columns of the
 //! paper's Tables 2 and 3.
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod counters;
 pub mod cp0;

@@ -10,6 +10,8 @@
 //! writes) so that the validation errors of Tables 2 and 3 arise from
 //! the same mechanisms.
 
+#![forbid(unsafe_code)]
+
 pub mod assoc;
 pub mod obs;
 pub mod pagemap;

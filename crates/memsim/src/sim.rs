@@ -182,31 +182,6 @@ impl SimStats {
             self.user_cycles as f64 / self.user_irefs as f64
         }
     }
-
-    /// Field-wise accumulation of another run's counters. Every field
-    /// is an exact integer count, so merging partial results from a
-    /// split workload reproduces the whole-run statistics bit for bit.
-    /// Note `wb_stall_cycles` is cumulative within one simulator but a
-    /// plain count across simulators, so addition is still exact.
-    pub fn merge(&mut self, other: &SimStats) {
-        self.user_irefs += other.user_irefs;
-        self.kernel_irefs += other.kernel_irefs;
-        self.user_drefs += other.user_drefs;
-        self.kernel_drefs += other.kernel_drefs;
-        self.imisses += other.imisses;
-        self.imisses_kernel += other.imisses_kernel;
-        self.dmisses += other.dmisses;
-        self.dmisses_kernel += other.dmisses_kernel;
-        self.uncached += other.uncached;
-        self.wb_stall_cycles += other.wb_stall_cycles;
-        self.utlb_misses += other.utlb_misses;
-        self.synth_irefs += other.synth_irefs;
-        self.idle_insts += other.idle_insts;
-        self.stores += other.stores;
-        self.sanity_violations += other.sanity_violations;
-        self.kernel_cycles += other.kernel_cycles;
-        self.user_cycles += other.user_cycles;
-    }
 }
 
 /// The trace-driven simulator. Feed it through [`TraceSink`].

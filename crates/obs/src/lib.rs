@@ -44,6 +44,7 @@
 //! gate; a disabled build simply exports zeros.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod json;
 mod metric;

@@ -16,6 +16,8 @@
 //!   the assertion itself; with deterministic generation that is
 //!   enough to debug.
 
+#![forbid(unsafe_code)]
+
 pub mod collection;
 pub mod strategy;
 pub mod test_runner;

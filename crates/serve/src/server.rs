@@ -35,7 +35,7 @@
 //!   peer is severed — no peer pins reactor state forever. Idle
 //!   connections *between* frames are never charged.
 //! * **Live tail** — a [`LiveFeed`] is a named, in-progress trace a
-//!   producer (the harness's `run_predicted_live`) appends to while
+//!   producer (the harness's `run_analyzed`, given a feed) appends to while
 //!   clients `SUBSCRIBE` with an ASID+window predicate. Filtering
 //!   happens server-side before fan-out: one pass over the newly
 //!   published words feeds every subscriber's queue, each `EVENT`
@@ -56,8 +56,8 @@
 //!   join once every connection is reaped. No admitted request is
 //!   abandoned mid-execution.
 //!
-//! [`ServeHooks`] is the fault-injection seam (mirroring the store
-//! farm's `FarmHooks`): the chaos campaign corrupts, truncates,
+//! [`ServeHooks`] is the fault-injection seam (mirroring the driver's
+//! `SeamHooks`): the chaos campaign corrupts, truncates,
 //! trickles or mid-frame-stalls encoded response frames right before
 //! the socket write, and the client side must classify every
 //! corrupting fault as a typed error — never a wrong answer, §4.3

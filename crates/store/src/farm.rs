@@ -1,85 +1,43 @@
-//! The parallel replay farm: fan one stored trace across many
-//! analysis sinks at once.
+//! The replay farm: fan one stored trace across many analysis sinks
+//! at once.
 //!
 //! The paper's methodology is *on-the-fly* analysis (§3.4) because
 //! traces are too big to keep — but a cache study still wants to run
 //! the same reference stream through fifteen cache geometries. The
 //! compressed store makes the trace cheap to keep; the farm makes
 //! re-running it cheap: one [`TraceStore`] is replayed into N sinks
-//! with the work spread over worker threads, and the result is
+//! with the sinks spread over worker threads, and the result is
 //! guaranteed bit-identical to feeding each sink from a sequential
 //! [`wrl_trace::TraceParser::parse_all`] pass.
 //!
-//! Two schedules, both exact:
+//! [`drive`] is the store's source for the one [`Driver`]: it pumps
+//! the block reader into `feed`. [`replay`] is `drive` into a
+//! broadcast sink: the words are decoded and parsed *once*, batches
+//! of parsed [`RefEvent`]s go to every worker over bounded channels,
+//! and each worker owns a round-robin share of the sinks and applies
+//! every batch to each of them. Amortising the decode and the parse —
+//! the expensive, table-driven part — across all N sinks is the win,
+//! even on a single CPU.
 //!
-//! * **Shared parse** (the default): one feeder decodes blocks and
-//!   parses the word stream *once*, broadcasting batches of parsed
-//!   [`RefEvent`]s to every worker over bounded channels; each worker
-//!   owns a round-robin share of the sinks and applies every batch to
-//!   each of its sinks, in stream order. This amortises the decode and
-//!   parse — the expensive, table-driven part — across all N sinks,
-//!   which is the winning schedule even on a single CPU.
-//! * **Per-worker parse** (`shared_parse = false`): every worker
-//!   decodes and parses the whole store itself for its own sinks.
-//!   N× the decode work, but zero cross-thread traffic — the
-//!   scale-out schedule for machines with cores to spare.
-//!
-//! Ordering argument: a sink observes exactly the callback sequence of
-//! a sequential parse. In shared mode the single feeder produces
-//! batches in stream order and each per-worker channel is FIFO; a
-//! worker applies batches in arrival order, one whole batch per sink
-//! at a time. In per-worker mode each worker *is* a sequential parse.
-//! Either way no events are reordered, dropped or duplicated, so any
-//! deterministic [`TraceSink`] finishes in the same state — the same
-//! bit-identical guarantee the streaming pipeline makes, extended
-//! across a worker pool.
+//! Ordering argument: the driver produces batches in stream order and
+//! each per-worker channel is FIFO; a worker applies batches in
+//! arrival order, one whole batch per sink at a time. No event is
+//! reordered, dropped or duplicated, so any deterministic
+//! [`TraceSink`] finishes in the state a sequential parse leaves it
+//! in. A worker that applied fewer batches than were broadcast is a
+//! typed [`StoreError::FarmDesync`], never silently different state.
 
 use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::Arc;
 use std::thread;
 
 use wrl_isa::Width;
-use wrl_trace::{ChunkFate, ParseStats, RefEvent, Space, TraceSink};
+use wrl_trace::{DriveReport, Driver, RefEvent, Seam, SeamHooks, Space, TraceSink};
 
 use crate::container::{Predicate, QueryResult, StoreError, TraceStore};
 
-/// Deterministic perturbation hooks for chaos-testing the farm (see
-/// the `wrl-fault` crate). The callback is consulted by each worker
-/// once per delivered item — an event batch in shared-parse mode, a
-/// decoded block in per-worker mode. A [`ChunkFate::Stall`] may only
-/// cost throughput; a [`ChunkFate::Drop`] desynchronises the worker
-/// and must surface as [`StoreError::FarmDesync`], never as silently
-/// different sink state.
-#[derive(Clone, Default)]
-pub struct FarmHooks {
-    item: Option<Arc<dyn Fn(usize, u64) -> ChunkFate + Send + Sync>>,
-}
-
-impl FarmHooks {
-    /// Hooks that consult `f` with (worker index, item sequence
-    /// number) for every item a worker is about to apply.
-    pub fn on_item(f: impl Fn(usize, u64) -> ChunkFate + Send + Sync + 'static) -> FarmHooks {
-        FarmHooks {
-            item: Some(Arc::new(f)),
-        }
-    }
-
-    /// Resolves one item's fate, sleeping out any stall here. Returns
-    /// `false` if the item is to be dropped.
-    fn deliver(&self, worker: usize, seq: u64) -> bool {
-        match &self.item {
-            None => true,
-            Some(f) => match f(worker, seq) {
-                ChunkFate::Deliver => true,
-                ChunkFate::Stall(d) => {
-                    std::thread::sleep(d);
-                    true
-                }
-                ChunkFate::Drop => false,
-            },
-        }
-    }
-}
+/// Bound of each worker's channel, in batches.
+const DEPTH: usize = 4;
 
 /// Farm shape parameters.
 #[derive(Clone, Copy, Debug)]
@@ -87,22 +45,15 @@ pub struct FarmCfg {
     /// Worker threads. Sinks are dealt round-robin across workers;
     /// extra workers beyond the sink count are not spawned.
     pub workers: usize,
-    /// `true`: decode+parse once and broadcast parsed events.
-    /// `false`: every worker decodes and parses for itself.
-    pub shared_parse: bool,
-    /// Events per broadcast batch (shared-parse mode).
+    /// Events per broadcast batch.
     pub batch_events: usize,
-    /// Bound of each worker's channel, in batches (shared-parse mode).
-    pub depth: usize,
 }
 
 impl Default for FarmCfg {
     fn default() -> FarmCfg {
         FarmCfg {
             workers: 4,
-            shared_parse: true,
             batch_events: 8192,
-            depth: 4,
         }
     }
 }
@@ -110,19 +61,14 @@ impl Default for FarmCfg {
 /// What one replay did.
 #[derive(Clone, Debug)]
 pub struct FarmReport {
-    /// Parse statistics for one full pass over the trace. (In
-    /// per-worker mode every worker's pass is identical; one is
-    /// reported.)
-    pub stats: ParseStats,
-    /// Blocks decoded per pass.
-    pub blocks: usize,
-    /// Words replayed per pass.
-    pub words: u64,
+    /// The single decode+parse pass: parse statistics, blocks
+    /// (chunks) and words fed.
+    pub run: DriveReport,
     /// Worker threads actually used.
     pub workers: usize,
     /// Sinks fed.
     pub sinks: usize,
-    /// Event batches broadcast (shared-parse mode; 0 otherwise).
+    /// Event batches broadcast.
     pub batches: u64,
 }
 
@@ -193,57 +139,36 @@ impl TraceSink for Broadcast {
     }
 }
 
-/// A [`TraceSink`] that forwards every callback to each owned sink,
-/// in order (per-worker parse mode).
-struct FanOut<'a, S>(&'a mut [(usize, S)]);
-
-impl<S: TraceSink> TraceSink for FanOut<'_, S> {
-    fn iref(&mut self, vaddr: u32, space: Space, idle: bool) {
-        for (_, s) in self.0.iter_mut() {
-            s.iref(vaddr, space, idle);
-        }
+/// Drives the whole store through one [`Driver`] into `sink`: one
+/// continuous parse across all blocks (a basic block's words may
+/// straddle two store blocks), every block CRC-checked as it is
+/// decoded, the reader recycling one decode buffer across the file.
+/// A decode or CRC failure aborts with the block's typed error.
+pub fn drive<S: TraceSink>(
+    store: &TraceStore,
+    sink: S,
+    hooks: &SeamHooks,
+) -> Result<(DriveReport, S), StoreError> {
+    let mut driver = Driver::with_hooks(store.parser(), sink, hooks.clone());
+    let mut reader = store.block_reader();
+    while let Some(block) = reader.next_block() {
+        driver.feed(block?);
     }
-
-    fn dref(&mut self, vaddr: u32, store: bool, width: Width, space: Space) {
-        for (_, s) in self.0.iter_mut() {
-            s.dref(vaddr, store, width, space);
-        }
-    }
-
-    fn ctx_switch(&mut self, asid: u8) {
-        for (_, s) in self.0.iter_mut() {
-            s.ctx_switch(asid);
-        }
-    }
-
-    fn mode_transition(&mut self, generating: bool) {
-        for (_, s) in self.0.iter_mut() {
-            s.mode_transition(generating);
-        }
-    }
+    Ok(driver.finish())
 }
 
-/// Replays the whole store into every sink, spreading work across
-/// `cfg.workers` threads. Returns the report and the sinks in their
-/// original order, each in exactly the state a sequential
-/// `parse_all` pass would have left it in. Decode or CRC failures
-/// abort the replay with the block's typed error.
+/// Replays the whole store into every sink, spreading the sinks
+/// across `cfg.workers` threads behind one shared decode+parse.
+/// Returns the report and the sinks in their original order, each in
+/// exactly the state a sequential `parse_all` pass would have left it
+/// in. `hooks` is consulted by the driver per block at
+/// [`Seam::Source`] and by every worker per batch at
+/// [`Seam::Worker`] (production callers pass the default).
 pub fn replay<S: TraceSink + Send>(
     store: &TraceStore,
     sinks: Vec<S>,
     cfg: FarmCfg,
-) -> Result<(FarmReport, Vec<S>), StoreError> {
-    replay_with_hooks(store, sinks, cfg, FarmHooks::default())
-}
-
-/// Like [`replay`], with fault-injection hooks consulted by every
-/// worker per applied item. Used by the `wrl-fault` chaos campaign;
-/// production callers use `replay` (equivalent to default hooks).
-pub fn replay_with_hooks<S: TraceSink + Send>(
-    store: &TraceStore,
-    sinks: Vec<S>,
-    cfg: FarmCfg,
-    hooks: FarmHooks,
+    hooks: &SeamHooks,
 ) -> Result<(FarmReport, Vec<S>), StoreError> {
     let n_sinks = sinks.len();
     let workers = cfg.workers.clamp(1, n_sinks.max(1));
@@ -254,49 +179,16 @@ pub fn replay_with_hooks<S: TraceSink + Send>(
         shares[i % workers].push((i, s));
     }
 
-    let (report, shares) = if cfg.shared_parse {
-        replay_shared(store, shares, cfg, hooks)?
-    } else {
-        replay_per_worker(store, shares, hooks)?
-    };
-
-    let mut out: Vec<Option<S>> = (0..n_sinks).map(|_| None).collect();
-    for (i, s) in shares.into_iter().flatten() {
-        out[i] = Some(s);
-    }
-    let sinks = out
-        .into_iter()
-        .map(|s| s.expect("every sink returns"))
-        .collect();
-    Ok((
-        FarmReport {
-            workers,
-            sinks: n_sinks,
-            ..report
-        },
-        sinks,
-    ))
-}
-
-type Shares<S> = Vec<Vec<(usize, S)>>;
-
-fn replay_shared<S: TraceSink + Send>(
-    store: &TraceStore,
-    shares: Shares<S>,
-    cfg: FarmCfg,
-    hooks: FarmHooks,
-) -> Result<(FarmReport, Shares<S>), StoreError> {
-    thread::scope(|scope| {
-        let mut txs = Vec::with_capacity(shares.len());
-        let mut handles = Vec::with_capacity(shares.len());
+    let (run, batches, shares) = thread::scope(|scope| {
+        let mut txs = Vec::with_capacity(workers);
+        let mut handles = Vec::with_capacity(workers);
         for (w, mut share) in shares.into_iter().enumerate() {
-            let (tx, rx) = sync_channel::<Arc<Vec<RefEvent>>>(cfg.depth.max(1));
+            let (tx, rx) = sync_channel::<Arc<Vec<RefEvent>>>(DEPTH);
             txs.push(tx);
-            let hooks = hooks.clone();
             handles.push(scope.spawn(move || {
                 let mut applied = 0u64;
                 for (seq, batch) in rx.into_iter().enumerate() {
-                    if !hooks.deliver(w, seq as u64) {
+                    if !hooks.deliver(Seam::Worker(w), seq as u64) {
                         continue;
                     }
                     applied += 1;
@@ -310,36 +202,20 @@ fn replay_shared<S: TraceSink + Send>(
             }));
         }
 
-        let mut parser = store.parser();
-        let mut feed = Broadcast::new(txs, cfg.batch_events);
-        let mut failed = None;
-        // One continuous parse across all blocks: `push_words` per
-        // block (a basic block's words may straddle two store blocks),
-        // one `finish` at the end. The batch reader recycles one
-        // decode buffer across the whole file.
-        let mut reader = store.block_reader();
-        while let Some(block) = reader.next_block() {
-            match block {
-                Ok(words) => parser.push_words(words, &mut feed),
-                Err(e) => {
-                    failed = Some(e);
-                    break;
-                }
-            }
-        }
-        if failed.is_none() {
-            parser.finish(&mut feed);
-        }
+        // On a block error the broadcast sink is dropped inside
+        // `drive`, which closes the channels; the scope then joins
+        // the drained workers.
+        let (run, mut feed) = drive(store, Broadcast::new(txs, cfg.batch_events), hooks)?;
         feed.flush();
         let batches = feed.batches;
         drop(feed); // close the channels so workers drain and exit
-        let mut shares: Shares<S> = Vec::with_capacity(handles.len());
+        let mut shares = Vec::with_capacity(workers);
         for (w, h) in handles.into_iter().enumerate() {
             let (share, applied) = h.join().expect("farm worker panicked");
             // Every worker must have applied every broadcast batch; a
             // shortfall means its sinks silently missed events.
-            if failed.is_none() && applied != batches {
-                failed = Some(StoreError::FarmDesync {
+            if applied != batches {
+                return Err(StoreError::FarmDesync {
                     worker: w,
                     applied,
                     expected: batches,
@@ -347,91 +223,26 @@ fn replay_shared<S: TraceSink + Send>(
             }
             shares.push(share);
         }
-        match failed {
-            Some(e) => Err(e),
-            None => Ok((
-                FarmReport {
-                    stats: parser.stats.clone(),
-                    blocks: store.n_blocks(),
-                    words: store.n_words,
-                    workers: 0,
-                    sinks: 0,
-                    batches,
-                },
-                shares,
-            )),
-        }
-    })
-}
+        Ok((run, batches, shares))
+    })?;
 
-fn replay_per_worker<S: TraceSink + Send>(
-    store: &TraceStore,
-    shares: Shares<S>,
-    hooks: FarmHooks,
-) -> Result<(FarmReport, Shares<S>), StoreError> {
-    thread::scope(|scope| {
-        let handles: Vec<_> = shares
-            .into_iter()
-            .enumerate()
-            .map(|(w, mut share)| {
-                let hooks = hooks.clone();
-                scope.spawn(move || {
-                    let mut parser = store.parser();
-                    let mut skipped = 0u64;
-                    {
-                        let mut fan = FanOut(&mut share);
-                        let mut buf = Vec::new();
-                        for i in 0..store.n_blocks() {
-                            if !hooks.deliver(w, i as u64) {
-                                skipped += 1;
-                                continue;
-                            }
-                            buf.clear();
-                            store.decode_blocks_into(i..i + 1, &mut buf)?;
-                            parser.push_words(&buf, &mut fan);
-                        }
-                        parser.finish(&mut fan);
-                    }
-                    // A skipped block means this worker's sinks saw a
-                    // gapped stream — their state cannot be trusted.
-                    if skipped > 0 {
-                        return Err(StoreError::FarmDesync {
-                            worker: w,
-                            applied: store.n_blocks() as u64 - skipped,
-                            expected: store.n_blocks() as u64,
-                        });
-                    }
-                    Ok::<_, StoreError>((parser.stats, share))
-                })
-            })
-            .collect();
-        let mut stats = None;
-        let mut shares = Vec::new();
-        let mut failed = None;
-        for h in handles {
-            match h.join().expect("farm worker panicked") {
-                Ok((s, share)) => {
-                    stats.get_or_insert(s);
-                    shares.push(share);
-                }
-                Err(e) => failed = Some(e),
-            }
-        }
-        match failed {
-            Some(e) => Err(e),
-            None => Ok((
-                FarmReport {
-                    stats: stats.unwrap_or_default(),
-                    blocks: store.n_blocks(),
-                    words: store.n_words,
-                    workers: 0,
-                    sinks: 0,
-                    batches: 0,
-                },
-                shares,
-            )),
-        }
-    })
+    let mut out: Vec<Option<S>> = (0..n_sinks).map(|_| None).collect();
+    for (i, s) in shares.into_iter().flatten() {
+        out[i] = Some(s);
+    }
+    let sinks = out
+        .into_iter()
+        .map(|s| s.expect("every sink returns"))
+        .collect();
+    Ok((
+        FarmReport {
+            run,
+            workers,
+            sinks: n_sinks,
+            batches,
+        },
+        sinks,
+    ))
 }
 
 /// Runs [`TraceStore::query`] with the block work spread over
@@ -517,7 +328,7 @@ pub fn query_parallel(
 mod tests {
     use super::*;
     use wrl_trace::bbinfo::{BbInfo, BbTraceFlags, MemOp};
-    use wrl_trace::{ctl, BbTable, CollectSink, CtlOp, TraceArchive};
+    use wrl_trace::{ctl, BbTable, ChunkFate, CollectSink, CtlOp, TraceArchive};
 
     /// A trace with kernel + user activity, context switches and
     /// nested kernel entries, so ordering bugs have something to bite.
@@ -589,8 +400,12 @@ mod tests {
         }
     }
 
+    fn no_hooks() -> SeamHooks {
+        SeamHooks::default()
+    }
+
     #[test]
-    fn shared_parse_matches_sequential_for_any_worker_count() {
+    fn replay_matches_sequential_for_any_worker_count() {
         let store = busy_store(256);
         let baseline = sequential(&store, 5);
         for workers in [1, 2, 4, 8] {
@@ -598,42 +413,24 @@ mod tests {
             let cfg = FarmCfg {
                 workers,
                 batch_events: 100, // small batches: exercise batching
-                ..FarmCfg::default()
             };
-            let (report, farmed) = replay(&store, sinks, cfg).unwrap();
+            let (report, farmed) = replay(&store, sinks, cfg, &no_hooks()).unwrap();
             assert_identical(&farmed, &baseline);
             assert_eq!(report.workers, workers.min(5));
-            assert_eq!(report.words, store.n_words);
+            assert_eq!(report.run.words, store.n_words);
+            assert_eq!(report.run.chunks, store.n_blocks() as u64);
             assert!(report.batches > 0);
         }
     }
 
     #[test]
-    fn per_worker_parse_matches_sequential() {
-        let store = busy_store(512);
-        let baseline = sequential(&store, 3);
-        let cfg = FarmCfg {
-            workers: 3,
-            shared_parse: false,
-            ..FarmCfg::default()
-        };
-        let (report, farmed) = replay(&store, vec![CollectSink::default(); 3], cfg).unwrap();
-        assert_identical(&farmed, &baseline);
-        assert_eq!(report.batches, 0);
-        assert_eq!(report.stats, {
-            let mut p = store.parser();
-            p.parse_all(&store.words().unwrap(), &mut CollectSink::default());
-            p.stats
-        });
-    }
-
-    #[test]
     fn zero_sinks_still_reports_a_parse() {
         let store = busy_store(256);
-        let (report, sinks) = replay::<CollectSink>(&store, vec![], FarmCfg::default()).unwrap();
+        let (report, sinks) =
+            replay::<CollectSink>(&store, vec![], FarmCfg::default(), &no_hooks()).unwrap();
         assert!(sinks.is_empty());
-        assert_eq!(report.words, store.n_words);
-        assert!(report.stats.bb_records > 0);
+        assert_eq!(report.run.words, store.n_words);
+        assert!(report.run.parse.bb_records > 0);
     }
 
     #[test]
@@ -641,57 +438,63 @@ mod tests {
         use std::time::Duration;
         let store = busy_store(256);
         let baseline = sequential(&store, 3);
-        for shared_parse in [true, false] {
-            let hooks = FarmHooks::on_item(|worker, seq| {
-                if worker == 0 && seq % 2 == 0 {
-                    ChunkFate::Stall(Duration::from_micros(100))
-                } else {
-                    ChunkFate::Deliver
-                }
-            });
-            let cfg = FarmCfg {
-                workers: 3,
-                shared_parse,
-                batch_events: 200,
-                ..FarmCfg::default()
-            };
-            let (_, farmed) =
-                replay_with_hooks(&store, vec![CollectSink::default(); 3], cfg, hooks).unwrap();
-            assert_identical(&farmed, &baseline);
+        let hooks = SeamHooks::new(|seam, seq| {
+            if seam == Seam::Worker(0) && seq % 2 == 0 {
+                ChunkFate::Stall(Duration::from_micros(100))
+            } else {
+                ChunkFate::Deliver
+            }
+        });
+        let cfg = FarmCfg {
+            workers: 3,
+            batch_events: 200,
+        };
+        let (_, farmed) = replay(&store, vec![CollectSink::default(); 3], cfg, &hooks).unwrap();
+        assert_identical(&farmed, &baseline);
+    }
+
+    #[test]
+    fn dropped_batch_is_a_typed_desync() {
+        let store = busy_store(256);
+        let hooks = SeamHooks::new(|seam, seq| {
+            if seam == Seam::Worker(1) && seq == 1 {
+                ChunkFate::Drop
+            } else {
+                ChunkFate::Deliver
+            }
+        });
+        let cfg = FarmCfg {
+            workers: 2,
+            batch_events: 100,
+        };
+        let err = replay(&store, vec![CollectSink::default(); 2], cfg, &hooks)
+            .expect_err("a dropped batch must abort the replay");
+        match err {
+            StoreError::FarmDesync {
+                worker,
+                applied,
+                expected,
+            } => {
+                assert_eq!(worker, 1);
+                assert_eq!(applied + 1, expected);
+            }
+            other => panic!("wrong error type: {other}"),
         }
     }
 
     #[test]
-    fn dropped_item_is_a_typed_desync_in_both_modes() {
+    fn a_block_dropped_at_the_source_is_reported_lost() {
         let store = busy_store(256);
-        for shared_parse in [true, false] {
-            let hooks = FarmHooks::on_item(|worker, seq| {
-                if worker == 1 && seq == 1 {
-                    ChunkFate::Drop
-                } else {
-                    ChunkFate::Deliver
-                }
-            });
-            let cfg = FarmCfg {
-                workers: 2,
-                shared_parse,
-                batch_events: 100,
-                ..FarmCfg::default()
-            };
-            let err = replay_with_hooks(&store, vec![CollectSink::default(); 2], cfg, hooks)
-                .expect_err("a dropped item must abort the replay");
-            match err {
-                StoreError::FarmDesync {
-                    worker,
-                    applied,
-                    expected,
-                } => {
-                    assert_eq!(worker, 1);
-                    assert_eq!(applied + 1, expected);
-                }
-                other => panic!("wrong error type: {other}"),
+        let hooks = SeamHooks::new(|seam, seq| {
+            if seam == Seam::Source && seq == 2 {
+                ChunkFate::Drop
+            } else {
+                ChunkFate::Deliver
             }
-        }
+        });
+        let (run, _) = drive(&store, CollectSink::default(), &hooks).unwrap();
+        assert_eq!(run.lost_chunks, 1);
+        assert_eq!(run.chunks, store.n_blocks() as u64);
     }
 
     #[test]
@@ -724,7 +527,13 @@ mod tests {
         let a = v3.to_archive().unwrap();
         let v4 = TraceStore::from_archive_with(&a, 64, crate::BlockFormat::Columnar);
         let baseline = sequential(&v3, 3);
-        let (_, farmed) = replay(&v4, vec![CollectSink::default(); 3], FarmCfg::default()).unwrap();
+        let (_, farmed) = replay(
+            &v4,
+            vec![CollectSink::default(); 3],
+            FarmCfg::default(),
+            &no_hooks(),
+        )
+        .unwrap();
         assert_identical(&farmed, &baseline);
         for pred in [
             Predicate {
@@ -759,7 +568,7 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_block_aborts_both_modes() {
+    fn corrupt_block_aborts_the_replay() {
         let store = busy_store(128);
         let mut bytes = store.encode();
         // Flip the last byte of the block area (just before the index,
@@ -769,16 +578,16 @@ mod tests {
             u64::from_le_bytes(bytes[tail_at + 4..tail_at + 12].try_into().unwrap()) as usize;
         bytes[index_pos - 1] ^= 0xff;
         let bad = TraceStore::decode(&bytes).unwrap();
-        for shared_parse in [true, false] {
-            let cfg = FarmCfg {
-                shared_parse,
-                ..FarmCfg::default()
-            };
-            let err = replay(&bad, vec![CollectSink::default(); 2], cfg).unwrap_err();
-            assert!(matches!(
-                err,
-                StoreError::CrcMismatch { .. } | StoreError::BlockCodec { .. }
-            ));
-        }
+        let err = replay(
+            &bad,
+            vec![CollectSink::default(); 2],
+            FarmCfg::default(),
+            &no_hooks(),
+        )
+        .unwrap_err();
+        assert!(matches!(
+            err,
+            StoreError::CrcMismatch { .. } | StoreError::BlockCodec { .. }
+        ));
     }
 }

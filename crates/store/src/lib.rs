@@ -22,9 +22,11 @@
 //!   seekable and decodable on its own, and most blocks are provably
 //!   skippable from the index alone. Version-1 and -2 archives still
 //!   load transparently.
-//! * [`farm`] — replays one store into N analysis sinks across worker
-//!   threads, bit-identical to a sequential parse: the schedule moves
-//!   work between threads but never reorders a sink's event stream.
+//! * [`farm`] — the store as a source for the one `wrl_trace::Driver`
+//!   ([`drive`]), and [`replay`]: one store into N analysis sinks
+//!   across worker threads behind a single shared parse, bit-identical
+//!   to a sequential parse — the schedule moves work between threads
+//!   but never reorders a sink's event stream.
 //! * [`obs`] — `wrl-obs` wiring: store-shape gauges and §4.3-style
 //!   integrity-failure tallies (see `docs/METRICS.md`).
 
@@ -42,5 +44,5 @@ pub use container::{
     QueryResult, StoreError, TraceStore, DEFAULT_BLOCK_WORDS, INDEX_ENTRY_BYTES,
     INDEX_ENTRY_BYTES_V2, INDEX_ENTRY_BYTES_V4, STORE_VERSION, STORE_VERSION_V4, TRAILER_BYTES,
 };
-pub use farm::{query_parallel, replay, replay_with_hooks, FarmCfg, FarmHooks, FarmReport};
+pub use farm::{drive, query_parallel, replay, FarmCfg, FarmReport};
 pub use obs::StoreObs;

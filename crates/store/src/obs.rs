@@ -84,7 +84,7 @@ impl StoreObs {
                 "store.farm.desyncs",
                 "errors",
                 "§4.3",
-                "Farm workers that fell out of step with the feeder (dropped items)."
+                "Farm workers that fell out of step with the driver (dropped batches)."
             ),
             farm_workers: gauge!(
                 r,
@@ -105,7 +105,7 @@ impl StoreObs {
                 "store.farm.batches",
                 "batches",
                 "§3.4",
-                "Event batches broadcast by the last shared-parse replay."
+                "Event batches broadcast by the last farm replay."
             ),
             farm_words: gauge!(
                 r,
@@ -134,7 +134,7 @@ impl StoreObs {
         self.farm_workers.set(r.workers as i64);
         self.farm_sinks.set(r.sinks as i64);
         self.farm_batches.set(r.batches as i64);
-        self.farm_words.set(r.words as i64);
+        self.farm_words.set(r.run.words as i64);
     }
 
     /// Bumps the matching integrity counter for a detected error

@@ -13,11 +13,15 @@
 //! * [`parser`] — the trace-parsing library, including the nested
 //!   interrupt handling of §3.3 and the defensive redundancy checks
 //!   of §4.3;
+//! * [`stream`] — the [`Driver`]: the one incremental
+//!   source → parse → sink loop every analysis rides;
 //! * [`archive`] — a bundle format for distributing traces together
 //!   with their decoding tables (the paper's traces went to the
 //!   community on tape, §3.4);
 //! * [`obs`] — `wrl-obs` wiring: live §4.3 error tallies and
 //!   end-of-run parse-statistics exports (see `docs/METRICS.md`).
+
+#![forbid(unsafe_code)]
 
 pub mod archive;
 pub mod bbinfo;
@@ -31,8 +35,5 @@ pub use archive::{ArchiveError, TraceArchive};
 pub use bbinfo::{BbInfo, BbTable, BbTraceFlags, MemOp};
 pub use format::{classify, ctl, is_kernel_addr, Ctl, CtlOp, TraceWord, CTL_LIMIT};
 pub use obs::{ParseStatsObs, ParserObs};
-pub use parser::{CollectSink, ParseError, ParseStats, Space, TraceParser, TraceSink};
-pub use stream::{
-    ChaosHooks, ChunkFate, EventVec, Pipeline, PipelineCfg, PipelineReport, RefEvent, StageSite,
-    StreamSink, TraceChunk,
-};
+pub use parser::{CollectSink, ParseError, ParseStats, Space, TraceParser, TraceSink, Wants};
+pub use stream::{ChunkFate, DriveReport, Driver, EventVec, RefEvent, Seam, SeamHooks};

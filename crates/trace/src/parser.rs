@@ -27,6 +27,19 @@ pub enum Space {
     Kernel,
 }
 
+/// How much of the stream a sink needs. [`crate::Driver`] asks once
+/// per pass and does no more work than the answer requires.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Wants {
+    /// Nothing: the words are counted and never parsed.
+    Nothing,
+    /// The parsed reference events.
+    Events,
+    /// The events, with every raw word bracketed by
+    /// [`TraceSink::before_word`] / [`TraceSink::after_word`].
+    Words,
+}
+
 /// Consumer of the parsed reference stream (typically a memory-system
 /// simulator).
 pub trait TraceSink {
@@ -38,6 +51,49 @@ pub trait TraceSink {
     fn ctx_switch(&mut self, _asid: u8) {}
     /// Trace generation was suspended (`false`) or resumed (`true`).
     fn mode_transition(&mut self, _generating: bool) {}
+    /// What the driver must deliver. Constant over the sink's
+    /// lifetime.
+    fn wants(&self) -> Wants {
+        Wants::Events
+    }
+    /// Called before raw word `word` at stream position `pos` is
+    /// parsed (only for a sink that [`Wants::Words`]).
+    fn before_word(&mut self, _pos: u64, _word: u32) {}
+    /// Called after raw word `word` at stream position `pos` was
+    /// parsed (only for a sink that [`Wants::Words`]).
+    fn after_word(&mut self, _pos: u64, _word: u32) {}
+}
+
+/// A pair of sinks is a sink: every callback goes to both, in order —
+/// the tee that lets one parse feed two consumers.
+impl<A: TraceSink, B: TraceSink> TraceSink for (A, B) {
+    fn iref(&mut self, vaddr: u32, space: Space, idle: bool) {
+        self.0.iref(vaddr, space, idle);
+        self.1.iref(vaddr, space, idle);
+    }
+    fn dref(&mut self, vaddr: u32, store: bool, width: Width, space: Space) {
+        self.0.dref(vaddr, store, width, space);
+        self.1.dref(vaddr, store, width, space);
+    }
+    fn ctx_switch(&mut self, asid: u8) {
+        self.0.ctx_switch(asid);
+        self.1.ctx_switch(asid);
+    }
+    fn mode_transition(&mut self, generating: bool) {
+        self.0.mode_transition(generating);
+        self.1.mode_transition(generating);
+    }
+    fn wants(&self) -> Wants {
+        self.0.wants().max(self.1.wants())
+    }
+    fn before_word(&mut self, pos: u64, word: u32) {
+        self.0.before_word(pos, word);
+        self.1.before_word(pos, word);
+    }
+    fn after_word(&mut self, pos: u64, word: u32) {
+        self.0.after_word(pos, word);
+        self.1.after_word(pos, word);
+    }
 }
 
 /// Parse-time error, recorded with the word position.
@@ -116,25 +172,6 @@ pub struct ParseStats {
     pub ctx_switches: u64,
     /// Total errors detected (first few are kept in detail).
     pub errors: u64,
-}
-
-impl ParseStats {
-    /// Field-wise accumulation. All fields are exact integer counts,
-    /// so merging per-segment stats reproduces a whole-trace parse.
-    pub fn merge(&mut self, other: &ParseStats) {
-        self.words += other.words;
-        self.bb_records += other.bb_records;
-        self.mem_records += other.mem_records;
-        self.user_irefs += other.user_irefs;
-        self.kernel_irefs += other.kernel_irefs;
-        self.user_drefs += other.user_drefs;
-        self.kernel_drefs += other.kernel_drefs;
-        self.idle_insts += other.idle_insts;
-        self.mode_transitions += other.mode_transitions;
-        self.kernel_entries += other.kernel_entries;
-        self.ctx_switches += other.ctx_switches;
-        self.errors += other.errors;
-    }
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -274,17 +311,10 @@ impl TraceParser {
 
     /// Consumes one trace word.
     pub fn push_word(&mut self, w: u32, sink: &mut dyn TraceSink) {
-        self.push_classified(classify(w), sink);
-    }
-
-    /// Consumes one pre-classified trace word. Classification is pure
-    /// and per-word, so the streaming pipeline's decode stage can run
-    /// it off-thread; the words must still arrive in stream order.
-    pub fn push_classified(&mut self, w: TraceWord, sink: &mut dyn TraceSink) {
         let pos = self.pos;
         self.pos += 1;
         self.stats.words += 1;
-        match w {
+        match classify(w) {
             TraceWord::Ctl(c) => match c.op {
                 CtlOp::CtxSwitch => {
                     self.base_asid = c.payload;
@@ -315,7 +345,7 @@ impl TraceParser {
                     self.stats.mode_transitions += 1;
                     sink.mode_transition(false);
                 }
-                CtlOp::Eof => self.finish_internal(sink),
+                CtlOp::Eof => self.finish(sink),
             },
             TraceWord::BadCtl(word) => {
                 self.err(ParseError::BadControl { word, pos });
@@ -386,12 +416,13 @@ impl TraceParser {
         }
     }
 
-    fn finish_internal(&mut self, sink: &mut dyn TraceSink) {
+    /// Finalises the stream: checks truncation, then flushes every
+    /// context's partial block.
+    pub fn finish(&mut self, sink: &mut dyn TraceSink) {
         // Truncation check: any context still owing memory words?
         // User contexts are visited in ASID order: `user_pend` is a
         // HashMap, and hash order would make the trailing flush (and
-        // so the emitted reference order) vary from run to run —
-        // breaking the streaming pipeline's bit-identical guarantee.
+        // so the emitted reference order) vary from run to run.
         let mut user_asids: Vec<u8> = self.user_pend.keys().copied().collect();
         user_asids.sort_unstable();
         let mut owed: Vec<(u32, usize)> = Vec::new();
@@ -429,7 +460,7 @@ impl TraceParser {
     /// Parses a whole word slice and finalises.
     pub fn parse_all(&mut self, words: &[u32], sink: &mut dyn TraceSink) {
         self.push_words(words, sink);
-        self.finish_internal(sink);
+        self.finish(sink);
     }
 
     /// Parses a word slice *without* finalising — the incremental
@@ -440,12 +471,6 @@ impl TraceParser {
         for &w in words {
             self.push_word(w, sink);
         }
-    }
-
-    /// Finalises the stream (flushes partial blocks, checks
-    /// truncation).
-    pub fn finish(&mut self, sink: &mut dyn TraceSink) {
-        self.finish_internal(sink);
     }
 }
 

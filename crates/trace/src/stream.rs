@@ -1,75 +1,47 @@
-//! On-the-fly streaming trace analysis.
+//! The driver: the one source → parse → sink loop.
 //!
 //! The paper's tracing system analyses the trace *while it is being
 //! generated*: the kernel fills a trace buffer, and on every
-//! buffer-full interrupt the analysis program drains it before
-//! execution resumes (§3.2, "on-the-fly analysis"). This module is
-//! the software analogue: a bounded double-buffer channel between the
-//! producer (the simulated machine draining its kernel trace buffer)
-//! and a small pipeline of consumer threads running [`TraceParser`]
-//! and a [`TraceSink`] (typically the memory-system simulator)
-//! incrementally, so cache/TLB simulation overlaps machine execution.
-//!
-//! # Topology
-//!
-//! `workers` selects how many consumer threads the pipeline owns.
-//! Parsing and simulation are inherently sequential state machines, so
-//! the pipeline scales by *stage*, never by sharding the stream —
-//! which is what keeps every configuration bit-identical:
+//! buffer-full interrupt the analysis program drains it and feeds the
+//! words to the analyses before execution resumes (§3.2–§3.4). One
+//! parser, the sinks inline, the traced system stopped meanwhile.
+//! [`Driver`] is that loop and the only one in the repository:
 //!
 //! ```text
-//! workers = 1:  feed ─(inline, same thread)─▶ parse+sink
-//! workers = 2:  feed ──chunks──▶ [parse] ──events──▶ [sink]
-//! workers = 3:  feed ──chunks──▶ [decode] ──classified──▶ [parse] ──events──▶ [sink]
-//! workers = 4:  feed ──chunks──▶ [decode ×2] ─(reordered by seq)──▶ [parse] ──events──▶ [sink]
+//! live drain callback ─┐
+//! word slice ──────────┼─▶ feed ─▶ TraceParser ─▶ sink
+//! store BlockReader ───┘  (source seam)
 //! ```
 //!
-//! The decode stage runs [`classify`], which is pure and per-word;
-//! with two decoders, chunks may finish out of order, so the parse
-//! stage reorders them by sequence number before consuming. The
-//! parser therefore always sees the exact word order of the raw
-//! stream, and the sink always sees the exact event order the parser
-//! emitted — results are independent of chunk size and worker count
-//! by construction.
+//! A source is whoever calls [`Driver::feed`]; the sink is any
+//! [`TraceSink`] — a simulator, a `wrl-tracer` stack, a pair of both,
+//! or the replay farm's broadcast sink, which spreads sub-stacks over
+//! worker threads. `feed` returns when the words are analysed, which
+//! is the strictest backpressure there is, and what a sink observes
+//! never depends on how the stream was cut into `feed` calls: the
+//! parser is incremental and the driver adds no state of its own
+//! between chunks.
 //!
-//! # Backpressure
-//!
-//! Every channel is a bounded [`sync_channel`] of depth
-//! [`PipelineCfg::depth`] (default 2 — classic double buffering: one
-//! chunk in flight, one being filled). When a consumer falls behind,
-//! `feed` blocks, exactly like the traced kernel stalling on a full
-//! trace buffer. No unbounded queue can hide a slow consumer. With a
-//! single worker there is no channel at all: `feed` analyses the
-//! words before returning, the strictest backpressure there is.
+//! Fault injection has one seam type, [`SeamHooks`]: the driver
+//! consults it once per fed chunk at [`Seam::Source`], the farm's
+//! workers once per event batch at [`Seam::Worker`].
 
-use std::collections::BTreeMap;
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::Arc;
 use std::time::Duration;
 
-use crate::format::{classify, TraceWord};
-use crate::parser::{ParseError, ParseStats, Space, TraceParser, TraceSink};
+use crate::parser::{ParseError, ParseStats, Space, TraceParser, TraceSink, Wants};
 use wrl_isa::Width;
-use wrl_obs::{counter, gauge, global, histogram, span, Counter, Gauge, Histogram, Span};
+use wrl_obs::{counter, global, histogram, Counter, Histogram};
 
-/// `wrl-obs` metrics for the streaming pipeline, registered by every
-/// [`Pipeline::new`] (registration is idempotent; all pipelines in a
-/// process share the counters). Queue-depth gauges and the
-/// backpressure span are exactly the §3.2 behaviour the paper's
-/// analysis program exhibits when it falls behind the generator.
+/// `wrl-obs` metrics for the driver, registered by every
+/// [`Driver::new`] (registration is idempotent; all drivers in a
+/// process share the counters).
 #[derive(Clone)]
 pub struct StreamObs {
-    pub(crate) chunks: Arc<Counter>,
-    pub(crate) words: Arc<Counter>,
-    pub(crate) chunk_words: Arc<Histogram>,
-    pub(crate) stall: Arc<Span>,
-    pub(crate) q_chunks: Arc<Gauge>,
-    pub(crate) q_events: Arc<Gauge>,
-    pub(crate) parse_words: Arc<Counter>,
-    pub(crate) sink_events: Arc<Counter>,
-    pub(crate) sink_batches: Arc<Counter>,
-    pub(crate) lost_chunks: Arc<Counter>,
+    chunks: Arc<Counter>,
+    words: Arc<Counter>,
+    chunk_words: Arc<Histogram>,
+    lost_chunks: Arc<Counter>,
 }
 
 impl StreamObs {
@@ -82,88 +54,36 @@ impl StreamObs {
                 "stream.chunks",
                 "chunks",
                 "§3.2",
-                "Chunks shipped into the pipeline."
+                "Chunks fed to a driver (drained buffers, slices or store blocks)."
             ),
             words: counter!(
                 r,
                 "stream.words",
                 "words",
                 "§3.2",
-                "Raw trace words fed to the pipeline."
+                "Raw trace words fed to a driver."
             ),
             chunk_words: histogram!(
                 r,
                 "stream.chunk.words",
                 "words",
                 "§3.2",
-                "Distribution of chunk sizes (words per shipped chunk)."
-            ),
-            stall: span!(
-                r,
-                "stream.backpressure.stall",
-                "ns",
-                "§3.2",
-                "Producer time spent blocked shipping chunks (one record per send; total is the backpressure stall)."
-            ),
-            q_chunks: gauge!(
-                r,
-                "stream.queue.chunks",
-                "chunks",
-                "§3.2",
-                "Producer→consumer chunk-channel occupancy (high = deepest backlog)."
-            ),
-            q_events: gauge!(
-                r,
-                "stream.queue.events",
-                "batches",
-                "§3.2",
-                "Parse→sink event-batch channel occupancy (high = deepest backlog)."
-            ),
-            parse_words: counter!(
-                r,
-                "stream.parse.words",
-                "words",
-                "§3.3",
-                "Words consumed by the parse stage (stage throughput)."
-            ),
-            sink_events: counter!(
-                r,
-                "stream.sink.events",
-                "events",
-                "§3.3",
-                "Reference events applied to the sink stage."
-            ),
-            sink_batches: counter!(
-                r,
-                "stream.sink.batches",
-                "batches",
-                "§3.3",
-                "Event batches delivered to the sink stage."
+                "Distribution of chunk sizes (words per fed chunk)."
             ),
             lost_chunks: counter!(
                 r,
                 "stream.chunks.lost",
                 "chunks",
                 "§4.3",
-                "Chunks shipped but never parsed (lost buffers; 0 on a healthy pipeline)."
+                "Chunks fed but never parsed (lost buffers; 0 on a healthy run)."
             ),
         }
     }
 }
 
-/// A run of raw trace words handed from producer to consumer, tagged
-/// with its position in the stream.
-#[derive(Clone, Debug)]
-pub struct TraceChunk {
-    /// Zero-based position of this chunk in the stream.
-    pub seq: u64,
-    /// The raw trace words.
-    pub words: Vec<u32>,
-}
-
 /// One parsed reference event, as emitted by [`TraceParser`] into a
-/// [`TraceSink`]. `StreamSink` batches these across a channel so the
-/// parse and simulate stages can run on different threads.
+/// [`TraceSink`]. Buffered by [`EventVec`], and batched across
+/// channels by the replay farm's broadcast sink.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RefEvent {
     /// An instruction fetch.
@@ -240,136 +160,53 @@ impl TraceSink for EventVec {
     }
 }
 
-/// A [`TraceSink`] that forwards events over a bounded channel in
-/// batches, preserving order. Used as the bridge between the parse
-/// stage and a downstream consumer thread.
-pub struct StreamSink {
-    tx: SyncSender<Vec<RefEvent>>,
-    batch: Vec<RefEvent>,
-    batch_events: usize,
-    queue: Option<Arc<Gauge>>,
-}
-
-impl StreamSink {
-    /// Creates a sink batching up to `batch_events` events per send.
-    pub fn new(tx: SyncSender<Vec<RefEvent>>, batch_events: usize) -> StreamSink {
-        let batch_events = batch_events.max(1);
-        StreamSink {
-            tx,
-            batch: Vec::with_capacity(batch_events),
-            batch_events,
-            queue: None,
-        }
-    }
-
-    /// Attaches a queue-occupancy gauge, incremented per delivered
-    /// batch (the receiver decrements it).
-    pub fn gauged(mut self, queue: Arc<Gauge>) -> StreamSink {
-        self.queue = Some(queue);
-        self
-    }
-
-    fn push(&mut self, ev: RefEvent) {
-        self.batch.push(ev);
-        if self.batch.len() >= self.batch_events {
-            self.flush();
-        }
-    }
-
-    /// Sends any buffered events now. A send failure means the
-    /// consumer is gone; the events are dropped here and the
-    /// consumer's panic (if any) surfaces when the pipeline joins it.
-    pub fn flush(&mut self) {
-        if self.batch.is_empty() {
-            return;
-        }
-        let batch = std::mem::replace(&mut self.batch, Vec::with_capacity(self.batch_events));
-        // Occupancy goes up before the send; see `Pipeline::ship`.
-        if let Some(q) = &self.queue {
-            q.add(1);
-        }
-        if self.tx.send(batch).is_err() {
-            if let Some(q) = &self.queue {
-                q.add(-1);
-            }
-        }
-    }
-}
-
-impl TraceSink for StreamSink {
-    fn iref(&mut self, vaddr: u32, space: Space, idle: bool) {
-        self.push(RefEvent::Iref { vaddr, space, idle });
-    }
-
-    fn dref(&mut self, vaddr: u32, store: bool, width: Width, space: Space) {
-        self.push(RefEvent::Dref {
-            vaddr,
-            store,
-            width,
-            space,
-        });
-    }
-
-    fn ctx_switch(&mut self, asid: u8) {
-        self.push(RefEvent::CtxSwitch(asid));
-    }
-
-    fn mode_transition(&mut self, generating: bool) {
-        self.push(RefEvent::ModeTransition(generating));
-    }
-}
-
-/// Which pipeline stage a [`ChaosHooks`] decision applies to.
+/// Where a [`SeamHooks`] decision applies.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StageSite {
-    /// A decode worker received the chunk (topologies with 3–4
-    /// workers). Stalling one of two decoders makes chunks finish out
-    /// of order, exercising the parse stage's sequence reordering.
-    Decode,
-    /// The parse stage is about to consume the chunk (every topology).
-    Parse,
+pub enum Seam {
+    /// The driver is about to parse a fed chunk; the sequence number
+    /// counts `feed` calls.
+    Source,
+    /// Farm worker `n` is about to apply an event batch; the sequence
+    /// number counts the batches that worker received.
+    Worker(usize),
 }
 
-/// What a [`ChaosHooks`] callback decides to do with one chunk.
+/// What a [`SeamHooks`] callback decides to do with one item.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ChunkFate {
-    /// Process the chunk normally.
+    /// Process the item normally.
     Deliver,
-    /// Sleep first, then process. A stall may only cost throughput —
-    /// backpressure and the sequence reorder must absorb it without
-    /// changing any result.
+    /// Sleep first, then process. A stall may only cost throughput.
     Stall(Duration),
-    /// Discard the chunk (a lost trace buffer). The pipeline must
-    /// *detect* this: the chunk is counted in
-    /// [`PipelineReport::lost_chunks`], never silently absorbed.
+    /// Discard the item (a lost trace buffer). The loss must be
+    /// *detected*: the driver counts it in
+    /// [`DriveReport::lost_chunks`], the farm raises a desync error.
     Drop,
 }
 
-/// Deterministic perturbation hooks for chaos-testing the pipeline
-/// (see the `wrl-fault` crate). The callback is consulted once per
-/// chunk at each stage boundary it crosses; [`ChaosHooks::default`]
-/// delivers everything and adds no per-chunk cost beyond an
-/// `Option` check.
+/// Deterministic perturbation hooks for chaos-testing (see the
+/// `wrl-fault` crate). [`SeamHooks::default`] delivers everything
+/// and costs one `Option` check per item.
 #[derive(Clone, Default)]
-pub struct ChaosHooks {
-    chunk: Option<Arc<dyn Fn(StageSite, u64) -> ChunkFate + Send + Sync>>,
+pub struct SeamHooks {
+    item: Option<Arc<dyn Fn(Seam, u64) -> ChunkFate + Send + Sync>>,
 }
 
-impl ChaosHooks {
-    /// Hooks that consult `f` with (stage, chunk sequence number) for
-    /// every chunk crossing a stage boundary.
-    pub fn on_chunk(f: impl Fn(StageSite, u64) -> ChunkFate + Send + Sync + 'static) -> ChaosHooks {
-        ChaosHooks {
-            chunk: Some(Arc::new(f)),
+impl SeamHooks {
+    /// Hooks that consult `f` with (seam, item sequence number) for
+    /// every item crossing a seam.
+    pub fn new(f: impl Fn(Seam, u64) -> ChunkFate + Send + Sync + 'static) -> SeamHooks {
+        SeamHooks {
+            item: Some(Arc::new(f)),
         }
     }
 
-    /// Resolves the fate of one chunk at one site, sleeping out any
-    /// stall here. Returns `false` if the chunk is to be dropped.
-    fn deliver(&self, site: StageSite, seq: u64) -> bool {
-        match &self.chunk {
+    /// Resolves the fate of one item at one seam, sleeping out any
+    /// stall here. Returns `false` if the item is to be dropped.
+    pub fn deliver(&self, seam: Seam, seq: u64) -> bool {
+        match &self.item {
             None => true,
-            Some(f) => match f(site, seq) {
+            Some(f) => match f(seam, seq) {
                 ChunkFate::Deliver => true,
                 ChunkFate::Stall(d) => {
                     std::thread::sleep(d);
@@ -381,486 +218,106 @@ impl ChaosHooks {
     }
 }
 
-/// Pipeline shape parameters.
-#[derive(Clone, Copy, Debug)]
-pub struct PipelineCfg {
-    /// Words per chunk handed to the consumer side. `feed` accepts
-    /// arbitrary slices and re-chunks to this size.
-    pub chunk_words: usize,
-    /// Bound of every inter-stage channel, in chunks/batches. 2 is
-    /// classic double buffering.
-    pub depth: usize,
-    /// Consumer stages, clamped to 1..=4 (see module docs for the
-    /// topology each count selects). 1 runs parse+sink inline on the
-    /// caller's thread; 2..=4 spawn that many consumer threads.
-    pub workers: usize,
-    /// Events per batch on the parse→sink channel (stage topologies
-    /// with a separate sink thread only).
-    pub batch_events: usize,
-}
-
-impl Default for PipelineCfg {
-    /// Defaults to the fused single-worker topology on a single-CPU
-    /// host (a second stage there only adds cross-thread event
-    /// traffic) and the parse|simulate split when real parallelism is
-    /// available.
-    fn default() -> PipelineCfg {
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get().min(2))
-            .unwrap_or(1);
-        PipelineCfg {
-            chunk_words: 4096,
-            depth: 2,
-            workers,
-            batch_events: 8192,
-        }
-    }
-}
-
-/// What a finished pipeline reports: the parser's statistics and
+/// What a finished driver reports: the parser's statistics and
 /// errors, plus chunk accounting.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct PipelineReport {
-    /// Parser statistics, identical to a batch `parse_all`.
+pub struct DriveReport {
+    /// Parser statistics, identical to a batch `parse_all` (all zero
+    /// for a sink that wants [`Wants::Nothing`]).
     pub parse: ParseStats,
     /// Parse errors in stream order (first few kept in detail).
     pub errors: Vec<ParseError>,
-    /// Chunks shipped through the pipeline.
+    /// Chunks fed.
     pub chunks: u64,
-    /// Raw words shipped.
+    /// Raw words fed.
     pub words: u64,
-    /// Chunks shipped but never consumed by the parse stage. Always 0
-    /// in normal operation; a lost trace buffer (e.g. an injected
-    /// [`ChunkFate::Drop`]) is *detected* here rather than silently
-    /// shortening the stream.
+    /// Chunks fed but never parsed. Always 0 in normal operation; a
+    /// lost trace buffer (an injected [`ChunkFate::Drop`]) is
+    /// *detected* here rather than silently shortening the stream.
     pub lost_chunks: u64,
 }
 
-/// Result of parsing on the consumer side: stats, detailed errors,
-/// and the number of chunks the parse stage actually consumed.
-type ParseOutcome = (ParseStats, Vec<ParseError>, u64);
-
-enum Tail<S> {
-    /// workers = 1: parser and sink run fused on the producer's own
-    /// thread — no channel, no thread, no hand-off copy. `feed`
-    /// itself is the backpressure: it returns only when the words
-    /// are analysed, exactly like the paper's analysis program
-    /// holding the traced system stopped while it drains the buffer.
-    Inline(Box<(TraceParser, S)>),
-    /// workers ≥ 2: parse and sink stages on separate threads.
-    Split {
-        parse: JoinHandle<ParseOutcome>,
-        sink: JoinHandle<S>,
-    },
-}
-
-/// A running streaming-analysis pipeline. Construct with
-/// [`Pipeline::new`], push trace words with [`Pipeline::feed`] (e.g.
-/// from the machine's buffer-drain callback), then call
-/// [`Pipeline::finish`] to join the workers and collect the sink and
-/// report. Dropping without `finish` detaches the threads after the
-/// channel closes (they drain and exit).
-pub struct Pipeline<S: TraceSink + Send + 'static> {
-    tx: Option<SyncSender<TraceChunk>>,
-    decoders: Vec<JoinHandle<()>>,
-    tail: Option<Tail<S>>,
-    pend: Vec<u32>,
-    seq: u64,
-    chunks: u64,
-    words: u64,
-    consumed: u64,
-    cfg: PipelineCfg,
-    hooks: ChaosHooks,
+/// The incremental driver: owns the parser and the sink, takes the
+/// stream one chunk at a time. Construct, [`Driver::feed`] each
+/// drained buffer, slice or decoded block in stream order, then
+/// [`Driver::finish`].
+pub struct Driver<S: TraceSink> {
+    parser: TraceParser,
+    sink: S,
+    wants: Wants,
+    hooks: SeamHooks,
     obs: StreamObs,
+    report: DriveReport,
 }
 
-impl<S: TraceSink + Send + 'static> Pipeline<S> {
-    /// Spawns the consumer stage(s) for `cfg.workers` and returns the
-    /// producer handle. `parser` carries the basic-block tables (and
-    /// any pre-run wiring); `sink` is returned by value from
-    /// [`Pipeline::finish`].
-    pub fn new(parser: TraceParser, sink: S, cfg: PipelineCfg) -> Pipeline<S> {
-        Pipeline::with_hooks(parser, sink, cfg, ChaosHooks::default())
+impl<S: TraceSink> Driver<S> {
+    /// A driver parsing with `parser` (which carries the basic-block
+    /// tables) into `sink`. What the sink wants is sampled here, once
+    /// per pass.
+    pub fn new(parser: TraceParser, sink: S) -> Driver<S> {
+        Driver::with_hooks(parser, sink, SeamHooks::default())
     }
 
-    /// Like [`Pipeline::new`], with fault-injection hooks consulted at
-    /// each stage boundary. Used by the `wrl-fault` chaos campaign;
-    /// production callers use `new` (equivalent to default hooks).
-    pub fn with_hooks(
-        parser: TraceParser,
-        sink: S,
-        cfg: PipelineCfg,
-        hooks: ChaosHooks,
-    ) -> Pipeline<S> {
-        let cfg = PipelineCfg {
-            chunk_words: cfg.chunk_words.max(1),
-            depth: cfg.depth.max(1),
-            workers: cfg.workers.clamp(1, 4),
-            batch_events: cfg.batch_events.max(1),
-        };
-        let obs = StreamObs::register();
-        if cfg.workers == 1 {
-            return Pipeline {
-                tx: None,
-                decoders: Vec::new(),
-                tail: Some(Tail::Inline(Box::new((parser, sink)))),
-                pend: Vec::new(),
-                seq: 0,
-                chunks: 0,
-                words: 0,
-                consumed: 0,
-                cfg,
-                hooks,
-                obs,
-            };
-        }
-        let (tx, rx) = sync_channel::<TraceChunk>(cfg.depth);
-        let tail = match cfg.workers {
-            2 => {
-                let (ev_tx, ev_rx) = sync_channel::<Vec<RefEvent>>(cfg.depth);
-                Tail::Split {
-                    parse: spawn_parse_raw(
-                        rx,
-                        parser,
-                        ev_tx,
-                        cfg.batch_events,
-                        hooks.clone(),
-                        obs.clone(),
-                    ),
-                    sink: spawn_sink(ev_rx, sink, obs.clone()),
-                }
-            }
-            n => {
-                // One or two decode workers feeding a reordering
-                // parse stage, then the sink stage.
-                let (dec_tx, dec_rx) = sync_channel::<DecodedChunk>(cfg.depth);
-                let shared = Arc::new(Mutex::new(rx));
-                let decoders = (0..n - 2)
-                    .map(|i| {
-                        spawn_decoder(
-                            i,
-                            Arc::clone(&shared),
-                            dec_tx.clone(),
-                            hooks.clone(),
-                            obs.clone(),
-                        )
-                    })
-                    .collect::<Vec<_>>();
-                drop(dec_tx);
-                let (ev_tx, ev_rx) = sync_channel::<Vec<RefEvent>>(cfg.depth);
-                let parse = spawn_parse_decoded(
-                    dec_rx,
-                    parser,
-                    ev_tx,
-                    cfg.batch_events,
-                    hooks.clone(),
-                    obs.clone(),
-                );
-                let sink = spawn_sink(ev_rx, sink, obs.clone());
-                return Pipeline {
-                    tx: Some(tx),
-                    decoders,
-                    tail: Some(Tail::Split { parse, sink }),
-                    pend: Vec::new(),
-                    seq: 0,
-                    chunks: 0,
-                    words: 0,
-                    consumed: 0,
-                    cfg,
-                    hooks,
-                    obs,
-                };
-            }
-        };
-        Pipeline {
-            tx: Some(tx),
-            decoders: Vec::new(),
-            tail: Some(tail),
-            pend: Vec::new(),
-            seq: 0,
-            chunks: 0,
-            words: 0,
-            consumed: 0,
-            cfg,
+    /// Like [`Driver::new`], with fault-injection hooks consulted at
+    /// [`Seam::Source`] for every fed chunk.
+    pub fn with_hooks(parser: TraceParser, sink: S, hooks: SeamHooks) -> Driver<S> {
+        Driver {
+            parser,
+            wants: sink.wants(),
+            sink,
             hooks,
-            obs,
+            obs: StreamObs::register(),
+            report: DriveReport::default(),
         }
     }
 
-    /// Pushes raw trace words into the pipeline, blocking when the
-    /// consumer side is `cfg.depth` chunks behind (backpressure).
-    /// Slices of any size are accepted and re-chunked to
-    /// `cfg.chunk_words`.
+    /// The sink, for reading its state between chunks.
+    pub fn sink(&self) -> &S {
+        &self.sink
+    }
+
+    /// Analyses one chunk of raw trace words, returning when the sink
+    /// has seen every event in it. Chunk boundaries are arbitrary: a
+    /// basic block may straddle two calls.
     pub fn feed(&mut self, words: &[u32]) {
-        self.words += words.len() as u64;
-        self.obs.words.add(words.len() as u64);
-        let mut rest = words;
-        // Top up a pending partial chunk first.
-        if !self.pend.is_empty() {
-            let need = self.cfg.chunk_words - self.pend.len();
-            let take = need.min(rest.len());
-            self.pend.extend_from_slice(&rest[..take]);
-            rest = &rest[take..];
-            if self.pend.len() == self.cfg.chunk_words {
-                let full = std::mem::take(&mut self.pend);
-                self.ship(full);
-            }
-        }
-        while rest.len() >= self.cfg.chunk_words {
-            let (head, tail) = rest.split_at(self.cfg.chunk_words);
-            self.ship(head.to_vec());
-            rest = tail;
-        }
-        self.pend.extend_from_slice(rest);
-    }
-
-    /// Like [`Pipeline::feed`], but takes ownership of the buffer and
-    /// ships it as a single chunk without re-chunking or copying —
-    /// the zero-copy path for producers that already hand over whole
-    /// drained buffers. Chunk-size configuration only affects
-    /// backpressure granularity, never results, so mixing `feed` and
-    /// `feed_owned` is fine.
-    pub fn feed_owned(&mut self, words: Vec<u32>) {
         if words.is_empty() {
             return;
         }
-        self.words += words.len() as u64;
-        self.obs.words.add(words.len() as u64);
-        if !self.pend.is_empty() {
-            let partial = std::mem::take(&mut self.pend);
-            self.ship(partial);
-        }
-        self.ship(words);
-    }
-
-    fn ship(&mut self, words: Vec<u32>) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.chunks += 1;
+        let seq = self.report.chunks;
+        let pos = self.report.words;
+        self.report.chunks += 1;
+        self.report.words += words.len() as u64;
         self.obs.chunks.inc();
+        self.obs.words.add(words.len() as u64);
         self.obs.chunk_words.record(words.len() as u64);
-        if let Some(Tail::Inline(fused)) = self.tail.as_mut() {
-            if !self.hooks.deliver(StageSite::Parse, seq) {
-                return;
-            }
-            self.consumed += 1;
-            self.obs.parse_words.add(words.len() as u64);
-            let (parser, sink) = &mut **fused;
-            for &w in &words {
-                parser.push_word(w, sink);
-            }
+        if !self.hooks.deliver(Seam::Source, seq) {
+            self.report.lost_chunks += 1;
             return;
         }
-        if let Some(tx) = &self.tx {
-            // A send failure means a worker died; keep accepting input
-            // and surface the worker's panic when `finish` joins it.
-            // The span covers the send itself: when the channel is
-            // full this is exactly the producer's backpressure stall.
-            // The occupancy gauge goes up *before* the send — once the
-            // send completes the consumer may already have drained (and
-            // decremented) the chunk.
-            let _t = self.obs.stall.start();
-            self.obs.q_chunks.add(1);
-            if tx.send(TraceChunk { seq, words }).is_err() {
-                self.obs.q_chunks.add(-1);
+        match self.wants {
+            Wants::Nothing => {}
+            Wants::Events => self.parser.push_words(words, &mut self.sink),
+            Wants::Words => {
+                for (at, &w) in (pos..).zip(words) {
+                    self.sink.before_word(at, w);
+                    self.parser.push_word(w, &mut self.sink);
+                    self.sink.after_word(at, w);
+                }
             }
         }
     }
 
-    /// Flushes the final partial chunk, closes the channel, joins all
-    /// workers and returns the finalised report plus the sink. The
-    /// parser's `finish` runs on the consumer side, so partial blocks
-    /// are flushed exactly as `parse_all` would.
-    pub fn finish(mut self) -> (PipelineReport, S) {
-        if !self.pend.is_empty() {
-            let last = std::mem::take(&mut self.pend);
-            self.ship(last);
+    /// Finalises the parse (flushing partial blocks exactly as
+    /// `parse_all` would) and returns the report plus the sink.
+    pub fn finish(mut self) -> (DriveReport, S) {
+        if self.wants != Wants::Nothing {
+            self.parser.finish(&mut self.sink);
         }
-        drop(self.tx.take());
-        for d in self.decoders.drain(..) {
-            join_or_propagate(d);
-        }
-        let ((parse, errors, consumed), sink) = match self.tail.take().expect("finish called once")
-        {
-            Tail::Inline(fused) => {
-                let (mut parser, mut sink) = *fused;
-                parser.finish(&mut sink);
-                (
-                    (
-                        parser.stats.clone(),
-                        std::mem::take(&mut parser.errors),
-                        self.consumed,
-                    ),
-                    sink,
-                )
-            }
-            Tail::Split { parse, sink } => (join_or_propagate(parse), join_or_propagate(sink)),
-        };
-        // Every shipped chunk must have reached the parse stage; any
-        // shortfall is a lost buffer, counted so a drop anywhere in
-        // the pipeline is detectable in release builds.
-        let lost_chunks = self.chunks - consumed;
-        self.obs.lost_chunks.add(lost_chunks);
-        (
-            PipelineReport {
-                parse,
-                errors,
-                chunks: self.chunks,
-                words: self.words,
-                lost_chunks,
-            },
-            sink,
-        )
+        self.obs.lost_chunks.add(self.report.lost_chunks);
+        self.report.parse = self.parser.stats;
+        self.report.errors = self.parser.errors;
+        (self.report, self.sink)
     }
-}
-
-struct DecodedChunk {
-    seq: u64,
-    words: Vec<TraceWord>,
-}
-
-fn join_or_propagate<T>(h: JoinHandle<T>) -> T {
-    match h.join() {
-        Ok(v) => v,
-        Err(payload) => std::panic::resume_unwind(payload),
-    }
-}
-
-fn spawn_parse_raw(
-    rx: Receiver<TraceChunk>,
-    mut parser: TraceParser,
-    ev_tx: SyncSender<Vec<RefEvent>>,
-    batch_events: usize,
-    hooks: ChaosHooks,
-    obs: StreamObs,
-) -> JoinHandle<ParseOutcome> {
-    std::thread::Builder::new()
-        .name("wrl-stream-parse".into())
-        .spawn(move || {
-            let mut out = StreamSink::new(ev_tx, batch_events).gauged(Arc::clone(&obs.q_events));
-            let mut consumed = 0u64;
-            for chunk in rx {
-                obs.q_chunks.add(-1);
-                if !hooks.deliver(StageSite::Parse, chunk.seq) {
-                    continue;
-                }
-                consumed += 1;
-                obs.parse_words.add(chunk.words.len() as u64);
-                for &w in &chunk.words {
-                    parser.push_word(w, &mut out);
-                }
-            }
-            parser.finish(&mut out);
-            out.flush();
-            (
-                parser.stats.clone(),
-                std::mem::take(&mut parser.errors),
-                consumed,
-            )
-        })
-        .expect("spawn stream worker")
-}
-
-fn spawn_decoder(
-    idx: usize,
-    rx: Arc<Mutex<Receiver<TraceChunk>>>,
-    tx: SyncSender<DecodedChunk>,
-    hooks: ChaosHooks,
-    obs: StreamObs,
-) -> JoinHandle<()> {
-    std::thread::Builder::new()
-        .name(format!("wrl-stream-decode{idx}"))
-        .spawn(move || loop {
-            // Hold the lock only for the receive, not the decode, so
-            // two decoders actually overlap.
-            let chunk = match rx.lock().expect("decoder rx lock").recv() {
-                Ok(c) => c,
-                Err(_) => return,
-            };
-            obs.q_chunks.add(-1);
-            if !hooks.deliver(StageSite::Decode, chunk.seq) {
-                continue;
-            }
-            let words = chunk.words.iter().map(|&w| classify(w)).collect();
-            if tx
-                .send(DecodedChunk {
-                    seq: chunk.seq,
-                    words,
-                })
-                .is_err()
-            {
-                return;
-            }
-        })
-        .expect("spawn stream worker")
-}
-
-fn spawn_parse_decoded(
-    rx: Receiver<DecodedChunk>,
-    mut parser: TraceParser,
-    ev_tx: SyncSender<Vec<RefEvent>>,
-    batch_events: usize,
-    hooks: ChaosHooks,
-    obs: StreamObs,
-) -> JoinHandle<ParseOutcome> {
-    std::thread::Builder::new()
-        .name("wrl-stream-parse".into())
-        .spawn(move || {
-            let mut out = StreamSink::new(ev_tx, batch_events).gauged(Arc::clone(&obs.q_events));
-            // With two decoders, chunks can arrive out of order;
-            // reorder by sequence number so the parser sees exact
-            // stream order. The map holds at most (decoders × depth)
-            // chunks, so this adds no unbounded buffering — unless a
-            // chunk was dropped upstream, in which case everything
-            // after the gap is held until the stream closes and then
-            // counted as lost (never parsed out of order).
-            let mut next = 0u64;
-            let mut consumed = 0u64;
-            let mut held: BTreeMap<u64, Vec<TraceWord>> = BTreeMap::new();
-            for chunk in rx {
-                held.insert(chunk.seq, chunk.words);
-                while let Some(words) = held.remove(&next) {
-                    next += 1;
-                    if !hooks.deliver(StageSite::Parse, next - 1) {
-                        continue;
-                    }
-                    consumed += 1;
-                    obs.parse_words.add(words.len() as u64);
-                    for &w in &words {
-                        parser.push_classified(w, &mut out);
-                    }
-                }
-            }
-            parser.finish(&mut out);
-            out.flush();
-            (
-                parser.stats.clone(),
-                std::mem::take(&mut parser.errors),
-                consumed,
-            )
-        })
-        .expect("spawn stream worker")
-}
-
-fn spawn_sink<S: TraceSink + Send + 'static>(
-    rx: Receiver<Vec<RefEvent>>,
-    mut sink: S,
-    obs: StreamObs,
-) -> JoinHandle<S> {
-    std::thread::Builder::new()
-        .name("wrl-stream-sink".into())
-        .spawn(move || {
-            for batch in rx {
-                obs.q_events.add(-1);
-                obs.sink_batches.inc();
-                obs.sink_events.add(batch.len() as u64);
-                for ev in batch {
-                    ev.apply(&mut sink);
-                }
-            }
-            sink
-        })
-        .expect("spawn stream worker")
 }
 
 #[cfg(test)]
@@ -940,81 +397,30 @@ mod tests {
     }
 
     #[test]
-    fn matches_batch_for_all_shapes() {
+    fn matches_batch_for_any_chunking() {
         let (ref_stats, ref_sink) = batch_reference();
         let w = words();
-        for workers in 1..=4 {
-            for chunk_words in [1usize, 3, 64, 4096] {
-                for feed_len in [1usize, 17, w.len()] {
-                    let pl = Pipeline::new(
-                        fresh_parser(),
-                        CollectSink::default(),
-                        PipelineCfg {
-                            chunk_words,
-                            workers,
-                            depth: 2,
-                            batch_events: 32,
-                        },
-                    );
-                    let mut pl = pl;
-                    for piece in w.chunks(feed_len) {
-                        pl.feed(piece);
-                    }
-                    let (report, sink) = pl.finish();
-                    assert_eq!(
-                        report.parse, ref_stats,
-                        "workers={workers} chunk={chunk_words}"
-                    );
-                    assert_eq!(
-                        sink.irefs, ref_sink.irefs,
-                        "workers={workers} chunk={chunk_words}"
-                    );
-                    assert_eq!(sink.drefs, ref_sink.drefs);
-                    assert_eq!(sink.switches, ref_sink.switches);
-                    assert_eq!(report.words, w.len() as u64);
-                    let expect_chunks = w.len().div_ceil(chunk_words) as u64;
-                    assert_eq!(report.chunks, expect_chunks);
-                }
+        for feed_len in [1usize, 3, 17, 64, 4096] {
+            let mut d = Driver::new(fresh_parser(), CollectSink::default());
+            for piece in w.chunks(feed_len) {
+                d.feed(piece);
             }
+            let (report, sink) = d.finish();
+            assert_eq!(report.parse, ref_stats, "chunk={feed_len}");
+            assert_eq!(sink.irefs, ref_sink.irefs, "chunk={feed_len}");
+            assert_eq!(sink.drefs, ref_sink.drefs);
+            assert_eq!(sink.switches, ref_sink.switches);
+            assert_eq!(report.words, w.len() as u64);
+            assert_eq!(report.chunks, w.len().div_ceil(feed_len) as u64);
+            assert_eq!(report.lost_chunks, 0);
         }
     }
 
     #[test]
     fn empty_stream_finishes_clean() {
-        for workers in 1..=4 {
-            let pl = Pipeline::new(
-                fresh_parser(),
-                CollectSink::default(),
-                PipelineCfg {
-                    workers,
-                    ..PipelineCfg::default()
-                },
-            );
-            let (report, sink) = pl.finish();
-            assert_eq!(report.parse, ParseStats::default());
-            assert_eq!(report.chunks, 0);
-            assert!(sink.irefs.is_empty());
-        }
-    }
-
-    #[test]
-    fn stream_sink_batches_preserve_order() {
-        let (tx, rx) = sync_channel(64);
-        let mut s = StreamSink::new(tx, 3);
-        for i in 0..10u32 {
-            s.iref(i, Space::Kernel, false);
-        }
-        s.flush();
-        drop(s);
-        let mut replay = CollectSink::default();
-        for batch in rx {
-            assert!(batch.len() <= 3);
-            for ev in batch {
-                ev.apply(&mut replay);
-            }
-        }
-        let got: Vec<u32> = replay.irefs.iter().map(|&(v, _, _)| v).collect();
-        assert_eq!(got, (0..10).collect::<Vec<_>>());
+        let (report, sink) = Driver::new(fresh_parser(), CollectSink::default()).finish();
+        assert_eq!(report, DriveReport::default());
+        assert!(sink.irefs.is_empty());
     }
 
     #[test]
@@ -1037,116 +443,107 @@ mod tests {
         assert_eq!(replayed.switches, direct.switches);
     }
 
+    /// Records the word hooks and where events land between them.
+    #[derive(Default)]
+    struct WordLog {
+        wants_words: bool,
+        log: Vec<(char, u64)>,
+    }
+
+    impl TraceSink for WordLog {
+        fn iref(&mut self, _v: u32, _s: Space, _i: bool) {
+            self.log.push(('i', 0));
+        }
+        fn dref(&mut self, _v: u32, _st: bool, _w: Width, _s: Space) {}
+        fn wants(&self) -> Wants {
+            if self.wants_words {
+                Wants::Words
+            } else {
+                Wants::Nothing
+            }
+        }
+        fn before_word(&mut self, pos: u64, _w: u32) {
+            self.log.push(('b', pos));
+        }
+        fn after_word(&mut self, pos: u64, _w: u32) {
+            self.log.push(('a', pos));
+        }
+    }
+
+    #[test]
+    fn word_hooks_bracket_each_word_across_chunks() {
+        let mut d = Driver::new(
+            fresh_parser(),
+            WordLog {
+                wants_words: true,
+                ..WordLog::default()
+            },
+        );
+        // The user block's three I-refs: one up to its load when the
+        // address word arrives, two when the stream ends.
+        d.feed(&[USER_BB]);
+        d.feed(&[0x7000_0000]);
+        let (report, sink) = d.finish();
+        assert_eq!(report.parse.user_irefs, 3);
+        let i = ('i', 0);
+        assert_eq!(sink.log, [('b', 0), ('a', 0), ('b', 1), i, i, ('a', 1), i]);
+    }
+
+    #[test]
+    fn a_sink_that_wants_nothing_is_counted_not_parsed() {
+        let mut d = Driver::new(fresh_parser(), WordLog::default());
+        d.feed(&words());
+        let (report, sink) = d.finish();
+        assert_eq!(report.parse, ParseStats::default());
+        assert_eq!(report.words, words().len() as u64);
+        assert!(sink.log.is_empty());
+    }
+
     #[test]
     fn stalls_degrade_throughput_never_results() {
-        // A stall at every stage boundary must be invisible in the
-        // results: same stats, same event stream, nothing lost.
         let (ref_stats, ref_sink) = batch_reference();
-        let w = words();
-        for workers in 1..=4 {
-            let hooks = ChaosHooks::on_chunk(|_, seq| {
-                if seq % 3 == 0 {
-                    ChunkFate::Stall(Duration::from_micros(200))
-                } else {
-                    ChunkFate::Deliver
-                }
-            });
-            let mut pl = Pipeline::with_hooks(
-                fresh_parser(),
-                CollectSink::default(),
-                PipelineCfg {
-                    chunk_words: 16,
-                    workers,
-                    depth: 2,
-                    batch_events: 32,
-                },
-                hooks,
-            );
-            pl.feed(&w);
-            let (report, sink) = pl.finish();
-            assert_eq!(report.parse, ref_stats, "workers={workers}");
-            assert_eq!(report.lost_chunks, 0, "workers={workers}");
-            assert_eq!(sink.irefs, ref_sink.irefs, "workers={workers}");
-            assert_eq!(sink.drefs, ref_sink.drefs, "workers={workers}");
+        let hooks = SeamHooks::new(|_, seq| {
+            if seq % 3 == 0 {
+                ChunkFate::Stall(Duration::from_micros(200))
+            } else {
+                ChunkFate::Deliver
+            }
+        });
+        let mut d = Driver::with_hooks(fresh_parser(), CollectSink::default(), hooks);
+        for piece in words().chunks(16) {
+            d.feed(piece);
         }
+        let (report, sink) = d.finish();
+        assert_eq!(report.parse, ref_stats);
+        assert_eq!(report.lost_chunks, 0);
+        assert_eq!(sink.irefs, ref_sink.irefs);
+        assert_eq!(sink.drefs, ref_sink.drefs);
     }
 
     #[test]
-    fn dropped_chunk_is_counted_lost_in_every_topology() {
-        let w = words();
-        for workers in 1..=4 {
-            let hooks = ChaosHooks::on_chunk(|site, seq| {
-                if site == StageSite::Parse && seq == 1 {
-                    ChunkFate::Drop
-                } else {
-                    ChunkFate::Deliver
-                }
-            });
-            let mut pl = Pipeline::with_hooks(
-                fresh_parser(),
-                CollectSink::default(),
-                PipelineCfg {
-                    chunk_words: 16,
-                    workers,
-                    depth: 2,
-                    batch_events: 32,
-                },
-                hooks,
-            );
-            pl.feed(&w);
-            let (report, _) = pl.finish();
-            assert_eq!(report.lost_chunks, 1, "workers={workers}");
+    fn dropped_chunk_is_counted_lost() {
+        let hooks = SeamHooks::new(|seam, seq| {
+            if seam == Seam::Source && seq == 1 {
+                ChunkFate::Drop
+            } else {
+                ChunkFate::Deliver
+            }
+        });
+        let mut d = Driver::with_hooks(fresh_parser(), CollectSink::default(), hooks);
+        for piece in words().chunks(16) {
+            d.feed(piece);
         }
-    }
-
-    #[test]
-    fn decode_stage_drop_surfaces_as_lost_chunks() {
-        // Dropping inside the decode stage opens a sequence gap; the
-        // reordering parse stage must never leap it — the gap and
-        // everything stranded behind it count as lost.
-        let w = words();
-        for workers in [3usize, 4] {
-            let hooks = ChaosHooks::on_chunk(|site, seq| {
-                if site == StageSite::Decode && seq == 2 {
-                    ChunkFate::Drop
-                } else {
-                    ChunkFate::Deliver
-                }
-            });
-            let mut pl = Pipeline::with_hooks(
-                fresh_parser(),
-                CollectSink::default(),
-                PipelineCfg {
-                    chunk_words: 64,
-                    workers,
-                    depth: 2,
-                    batch_events: 32,
-                },
-                hooks,
-            );
-            pl.feed(&w);
-            let (report, _) = pl.finish();
-            assert!(
-                report.lost_chunks >= 1,
-                "workers={workers}: gap must be detected, lost={}",
-                report.lost_chunks
-            );
-        }
+        let (report, _) = d.finish();
+        assert_eq!(report.lost_chunks, 1);
+        assert_eq!(report.parse.words + 16, report.words);
     }
 
     #[test]
     fn parse_errors_are_reported() {
-        // An unknown block id must surface in the report's errors,
-        // not vanish into a worker thread.
-        let pl = Pipeline::new(
-            fresh_parser(),
-            CollectSink::default(),
-            PipelineCfg::default(),
-        );
-        let mut pl = pl;
+        let mut d = Driver::new(fresh_parser(), CollectSink::default());
         // 0x0050_0000: a user address with no table entry.
-        pl.feed(&[USER_BB, 0x7000_0000, 0x0050_0000]);
-        let (report, _) = pl.finish();
+        d.feed(&[USER_BB, 0x7000_0000, 0x0050_0000]);
+        let (report, _) = d.finish();
         assert_eq!(report.parse.errors, 1);
         assert_eq!(report.errors.len(), 1);
     }

@@ -1,5 +1,5 @@
-//! The one-pass driver: feed N composed sinks from a single
-//! decode+parse pass.
+//! The sink stack and the one-pass entry points: feed N composed
+//! sinks from a single decode+parse pass.
 //!
 //! A [`Stack`] owns the sinks as isolated *slots*: every parsed event
 //! is routed to each live slot, a slot whose sink surfaces a
@@ -8,28 +8,31 @@
 //! analysis can never corrupt or abort the others. The `tracer.sink`
 //! chaos site holds that contract under seeded injected failures.
 //!
-//! Three sources feed a stack through the same routing:
+//! A stack is a [`TraceSink`], so it rides the one
+//! [`wrl_trace::Driver`] like any other sink, whatever the source:
 //!
-//! * **a word stream** — [`Driver`]/[`analyze_words`]: one
-//!   incremental parse, word hooks available;
-//! * **a store** — [`analyze_store`]: sequential one-pass over the
-//!   block reader, or the replay farm when workers are asked for and
-//!   no sink wants word hooks;
-//! * **a live machine run** — the harness's `run_analyzed` drives a
-//!   [`Driver`] from the machine's drain callback.
+//! * **a word stream** — [`analyze_words`];
+//! * **a store** — [`analyze_store`]: the block reader feeds the
+//!   driver, whose sink is the stack itself or, when workers are
+//!   asked for and no sink wants word hooks, the replay farm's
+//!   broadcast with the slots spread over the workers;
+//! * **a live machine run** — the harness's `run_analyzed` feeds the
+//!   driver from the machine's drain callback.
 
 use wrl_isa::Width;
-use wrl_store::{replay, FarmCfg, StoreError, TraceStore};
-use wrl_trace::{ParseStats, Space, TraceParser, TraceSink};
+use wrl_store::{drive, replay, FarmCfg, StoreError, TraceStore};
+use wrl_trace::{DriveReport, Driver, ParseStats, SeamHooks, Space, TraceParser, TraceSink, Wants};
 
 use crate::obs::TracerObs;
 use crate::sink::{AnalysisSink, SinkError, SinkReport};
 
-/// One isolated sink slot: the sink, and the error that disabled it
-/// (if any).
+/// One isolated sink slot: the sink, the events routed to it, and the
+/// error that disabled it (if any). A slot is a [`TraceSink`] of its
+/// own, so the replay farm can hand slots to its workers.
 struct Slot {
     sink: Box<dyn AnalysisSink + Send>,
     wants_words: bool,
+    applied: u64,
     err: Option<SinkError>,
 }
 
@@ -42,16 +45,35 @@ impl Slot {
             }
         }
     }
+
+    /// Routes one parsed event, counting it if the slot is live.
+    fn event(&mut self, f: impl FnOnce(&mut dyn AnalysisSink) -> Result<(), SinkError>) {
+        self.applied += u64::from(self.err.is_none());
+        self.route(f);
+    }
+}
+
+impl TraceSink for Slot {
+    fn iref(&mut self, vaddr: u32, space: Space, idle: bool) {
+        self.event(|k| k.iref(vaddr, space, idle));
+    }
+    fn dref(&mut self, vaddr: u32, store: bool, width: Width, space: Space) {
+        self.event(|k| k.dref(vaddr, store, width, space));
+    }
+    fn ctx_switch(&mut self, asid: u8) {
+        self.event(|k| k.ctx_switch(asid));
+    }
+    fn mode_transition(&mut self, generating: bool) {
+        self.event(|k| k.mode_transition(generating));
+    }
 }
 
 /// An ordered set of isolated analysis sinks, fed together from one
 /// parse. Implements [`TraceSink`], so a stack rides anything that
-/// feeds one — `parse_all`, the streaming pipeline, the replay farm.
+/// feeds one — the driver, `parse_all`, a tee beside a simulator.
 #[derive(Default)]
 pub struct Stack {
     slots: Vec<Slot>,
-    /// Event×sink applications routed so far.
-    applied: u64,
     obs: Option<TracerObs>,
 }
 
@@ -59,7 +81,6 @@ impl std::fmt::Debug for Stack {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Stack")
             .field("sinks", &self.names())
-            .field("applied", &self.applied)
             .finish()
     }
 }
@@ -88,6 +109,7 @@ impl Stack {
         self.slots.push(Slot {
             sink,
             wants_words,
+            applied: 0,
             err: None,
         });
     }
@@ -108,33 +130,9 @@ impl Stack {
         self.slots.is_empty()
     }
 
-    /// `true` if any sink needs per-word hooks (forces the
-    /// word-at-a-time sequential drive).
-    pub fn wants_words(&self) -> bool {
-        self.slots.iter().any(|s| s.wants_words)
-    }
-
     /// The sinks' display names, in slot order.
     pub fn names(&self) -> Vec<String> {
         self.slots.iter().map(|s| s.sink.name()).collect()
-    }
-
-    /// Routes a before-word hook to every live word-hooked slot.
-    fn before_word(&mut self, pos: u64, word: u32) {
-        for s in self.slots.iter_mut().filter(|s| s.wants_words) {
-            s.route(|k| k.before_word(pos, word));
-        }
-    }
-
-    /// Routes an after-word hook to every live word-hooked slot.
-    fn after_word(&mut self, pos: u64, word: u32) {
-        for s in self.slots.iter_mut().filter(|s| s.wants_words) {
-            s.route(|k| k.after_word(pos, word));
-        }
-    }
-
-    fn live(&self) -> u64 {
-        self.slots.iter().filter(|s| s.err.is_none()).count() as u64
     }
 
     /// Finalises every slot into the pass report. Slots that failed
@@ -152,41 +150,66 @@ impl Stack {
             reports,
             parse,
             words,
-            applied: self.applied,
+            applied: self.slots.iter().map(|s| s.applied).sum(),
         };
         if let Some(obs) = &self.obs {
             obs.record(&report, self.slots.len());
         }
         report
     }
+
+    /// [`Stack::finish`] over what a driver returned for this stack.
+    fn report((run, stack): (DriveReport, Stack)) -> StackReport {
+        stack.finish(run.parse, run.words)
+    }
 }
 
 impl TraceSink for Stack {
     fn iref(&mut self, vaddr: u32, space: Space, idle: bool) {
-        self.applied += self.live();
         for s in &mut self.slots {
-            s.route(|k| k.iref(vaddr, space, idle));
+            s.iref(vaddr, space, idle);
         }
     }
 
     fn dref(&mut self, vaddr: u32, store: bool, width: Width, space: Space) {
-        self.applied += self.live();
         for s in &mut self.slots {
-            s.route(|k| k.dref(vaddr, store, width, space));
+            s.dref(vaddr, store, width, space);
         }
     }
 
     fn ctx_switch(&mut self, asid: u8) {
-        self.applied += self.live();
         for s in &mut self.slots {
-            s.route(|k| k.ctx_switch(asid));
+            s.ctx_switch(asid);
         }
     }
 
     fn mode_transition(&mut self, generating: bool) {
-        self.applied += self.live();
         for s in &mut self.slots {
-            s.route(|k| k.mode_transition(generating));
+            s.mode_transition(generating);
+        }
+    }
+
+    /// Nothing for an empty stack (the driver then skips the parse),
+    /// words if any sink wants the per-word hooks.
+    fn wants(&self) -> Wants {
+        if self.slots.is_empty() {
+            Wants::Nothing
+        } else if self.slots.iter().any(|s| s.wants_words) {
+            Wants::Words
+        } else {
+            Wants::Events
+        }
+    }
+
+    fn before_word(&mut self, pos: u64, word: u32) {
+        for s in self.slots.iter_mut().filter(|s| s.wants_words) {
+            s.route(|k| k.before_word(pos, word));
+        }
+    }
+
+    fn after_word(&mut self, pos: u64, word: u32) {
+        for s in self.slots.iter_mut().filter(|s| s.wants_words) {
+            s.route(|k| k.after_word(pos, word));
         }
     }
 }
@@ -232,156 +255,37 @@ impl StackReport {
     }
 }
 
-/// Incremental word-stream driver: feed drained buffers as they
-/// arrive, then [`Driver::finish`]. Used by the harness's
-/// `run_analyzed` (the live-machine source) and by the sequential
-/// paths of [`analyze_words`]/[`analyze_store`].
-pub struct Driver {
-    parser: TraceParser,
-    stack: Stack,
-    wants_words: bool,
-    pos: u64,
-}
-
-impl Driver {
-    /// A driver parsing with `parser` into `stack`. Whether any sink
-    /// wants word hooks is sampled here, once per pass.
-    pub fn new(parser: TraceParser, stack: Stack) -> Driver {
-        let wants_words = stack.wants_words();
-        Driver {
-            parser,
-            stack,
-            wants_words,
-            pos: 0,
-        }
-    }
-
-    /// Parses one buffer of raw trace words into every sink. With no
-    /// word-hooked sink the whole slice is pushed at once; otherwise
-    /// each word is bracketed by its before/after hooks.
-    pub fn feed(&mut self, words: &[u32]) {
-        if self.stack.is_empty() {
-            self.pos += words.len() as u64;
-            return;
-        }
-        if !self.wants_words {
-            self.parser.push_words(words, &mut self.stack);
-            self.pos += words.len() as u64;
-            return;
-        }
-        for &w in words {
-            self.stack.before_word(self.pos, w);
-            self.parser.push_word(w, &mut self.stack);
-            self.stack.after_word(self.pos, w);
-            self.pos += 1;
-        }
-    }
-
-    /// Finalises the parse (flushing partial blocks) and every sink.
-    pub fn finish(mut self) -> StackReport {
-        if !self.stack.is_empty() {
-            self.parser.finish(&mut self.stack);
-        }
-        self.stack.finish(self.parser.stats.clone(), self.pos)
-    }
-}
-
 /// One-pass analysis of an in-memory word stream: a single
 /// incremental parse with `parser` feeds every sink in `stack`.
 pub fn analyze_words(parser: TraceParser, words: &[u32], stack: Stack) -> StackReport {
-    let mut d = Driver::new(parser, stack);
-    d.feed(words);
-    d.finish()
+    let mut driver = Driver::new(parser, stack);
+    driver.feed(words);
+    Stack::report(driver.finish())
 }
 
-/// A farm sink wrapping one slot: routes events to the sink until its
-/// first error, then swallows the rest (never dropping items — the
-/// farm's desync accounting must stay intact).
-struct SlotSink {
-    sink: Box<dyn AnalysisSink + Send>,
-    applied: u64,
-    err: Option<SinkError>,
-}
-
-impl SlotSink {
-    fn route(&mut self, f: impl FnOnce(&mut dyn AnalysisSink) -> Result<(), SinkError>) {
-        if self.err.is_none() {
-            self.applied += 1;
-            if let Err(e) = f(&mut *self.sink) {
-                self.err = Some(e);
-            }
-        }
-    }
-}
-
-impl TraceSink for SlotSink {
-    fn iref(&mut self, vaddr: u32, space: Space, idle: bool) {
-        self.route(|k| k.iref(vaddr, space, idle));
-    }
-    fn dref(&mut self, vaddr: u32, store: bool, width: Width, space: Space) {
-        self.route(|k| k.dref(vaddr, store, width, space));
-    }
-    fn ctx_switch(&mut self, asid: u8) {
-        self.route(|k| k.ctx_switch(asid));
-    }
-    fn mode_transition(&mut self, generating: bool) {
-        self.route(|k| k.mode_transition(generating));
-    }
-}
-
-/// One-pass analysis of a [`TraceStore`].
+/// One-pass analysis of a [`TraceStore`]: a single decode+parse for
+/// all N sinks.
 ///
 /// With one worker — or whenever a sink wants word hooks, which only
-/// the sequential drive can provide — the store's block reader feeds
-/// one incremental parse (a single decode+parse for all N sinks).
+/// the inline drive can provide — the stack is the driver's sink.
 /// With more workers and event-only sinks, the replay farm spreads
-/// the sinks over threads; both schedules are bit-identical to the
-/// sequential pass by the farm's ordering guarantee.
+/// the slots over threads behind the same single parse; the farm's
+/// ordering guarantee makes the two bit-identical.
 pub fn analyze_store(
     store: &TraceStore,
     stack: Stack,
     cfg: FarmCfg,
 ) -> Result<StackReport, StoreError> {
-    if cfg.workers <= 1 || stack.wants_words() || stack.len() <= 1 {
-        let mut d = Driver::new(store.parser(), stack);
-        let mut reader = store.block_reader();
-        while let Some(block) = reader.next_block() {
-            d.feed(block?);
-        }
-        return Ok(d.finish());
+    let hooks = SeamHooks::default();
+    if cfg.workers <= 1 || stack.len() <= 1 || stack.wants() == Wants::Words {
+        return Ok(Stack::report(drive(store, stack, &hooks)?));
     }
-    let Stack {
+    let (farm, slots) = replay(store, stack.slots, cfg, &hooks)?;
+    let stack = Stack {
         slots,
-        applied: _,
-        obs,
-    } = stack;
-    let sinks: Vec<SlotSink> = slots
-        .into_iter()
-        .map(|s| SlotSink {
-            sink: s.sink,
-            applied: 0,
-            err: s.err,
-        })
-        .collect();
-    let n = sinks.len();
-    let (farm, mut sinks) = replay(store, sinks, cfg)?;
-    let reports: Vec<Result<SinkReport, SinkError>> = sinks
-        .iter_mut()
-        .map(|s| match s.err.take() {
-            Some(e) => Err(e),
-            None => Ok(s.sink.finish()),
-        })
-        .collect();
-    let report = StackReport {
-        reports,
-        parse: farm.stats,
-        words: farm.words,
-        applied: sinks.iter().map(|s| s.applied).sum(),
+        obs: stack.obs,
     };
-    if let Some(obs) = &obs {
-        obs.record(&report, n);
-    }
-    Ok(report)
+    Ok(Stack::report((farm.run, stack)))
 }
 
 #[cfg(test)]

@@ -10,9 +10,10 @@
 //! * [`sink`] — the [`AnalysisSink`] trait (parsed-event hooks,
 //!   optional raw-word hooks, `finish() -> SinkReport`) plus blanket
 //!   impls so tuples and vectors of sinks are themselves sinks;
-//! * [`driver`] — the [`Stack`] of isolated sink slots, the
-//!   incremental [`Driver`], and the one-pass entry points
-//!   [`analyze_words`] / [`analyze_store`] (sequential or farmed);
+//! * [`driver`] — the [`Stack`] of isolated sink slots (a
+//!   `TraceSink` for the one `wrl_trace::Driver`) and the one-pass
+//!   entry points [`analyze_words`] / [`analyze_store`] (inline or
+//!   spread over the replay farm);
 //! * [`analyses`] — the five repo analyses ported onto the trait
 //!   (cache study, full memory-system/TLB simulation, dilation,
 //!   pagemap, defensive checks);
@@ -30,6 +31,7 @@
 //! this under seeded fault injection).
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod analyses;
 pub mod driver;
@@ -39,7 +41,7 @@ pub mod spec;
 pub mod windows;
 
 pub use analyses::{CacheSink, DefenseSink, DilationSink, PagemapSink, TlbSink};
-pub use driver::{analyze_store, analyze_words, Driver, Stack, StackReport};
+pub use driver::{analyze_store, analyze_words, Stack, StackReport};
 pub use obs::TracerObs;
 pub use sink::{AnalysisSink, SinkError, SinkReport, Value};
 pub use spec::{build_stack, SinkSpecError};

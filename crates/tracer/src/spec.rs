@@ -189,6 +189,7 @@ pub fn build_stack(spec: &str, pagemap: &PageMap) -> Result<Stack, SinkSpecError
 mod tests {
     use super::*;
     use wrl_memsim::Policy;
+    use wrl_trace::{TraceSink, Wants};
 
     fn pm() -> PageMap {
         PageMap::new(Policy::FirstFree { base_pfn: 0x100 })
@@ -214,7 +215,7 @@ mod tests {
                 "phase:64",
             ]
         );
-        assert!(stack.wants_words(), "sampled wants word hooks");
+        assert_eq!(stack.wants(), Wants::Words, "sampled wants word hooks");
     }
 
     #[test]
@@ -242,7 +243,7 @@ mod tests {
             stack.names(),
             vec!["cache:65536:2", "wset:4096", "phase:4096"]
         );
-        assert!(!stack.wants_words());
+        assert_eq!(stack.wants(), Wants::Events);
         assert_eq!(
             build_stack("nope", &pm()).unwrap_err(),
             SinkSpecError::UnknownSink("nope".into())

@@ -15,6 +15,8 @@
 //! the characteristic event mixes (TLB misses, write-buffer pressure,
 //! I/O) are preserved.
 
+#![forbid(unsafe_code)]
+
 pub mod compress;
 pub mod doduc;
 pub mod egrep;

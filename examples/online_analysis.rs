@@ -6,9 +6,9 @@
 //! suspended ("traced processes are inactive during trace
 //! analysis... trace data is analyzed incrementally"). Here the
 //! analysis program is a closure handed to [`System::run_with`]: at
-//! each doorbell it feeds the drained words straight into the
-//! memory-system simulator and reports running totals, so the full
-//! trace never needs to exist in memory at once.
+//! each doorbell it feeds the drained words to the driver — parser
+//! and memory-system simulator inline — and reports running totals,
+//! so the analysis never waits for the whole trace.
 //!
 //! Usage: `online_analysis [workload]` (default: compress).
 //!
@@ -16,6 +16,7 @@
 
 use systrace::kernel::{build_system, KernelConfig};
 use systrace::memsim::{MemSim, SimCfg, UtlbSynth};
+use systrace::trace::Driver;
 
 fn main() {
     let name = std::env::args().nth(1).unwrap_or_else(|| "compress".into());
@@ -31,12 +32,11 @@ fn main() {
 
     // The analysis program: a parser wired to this system's basic
     // block tables, feeding the memory-system simulator.
-    let mut parser = sys.parser();
     let simcfg = SimCfg {
         utlb: Some(UtlbSynth::wrl_kernel()),
         ..SimCfg::default()
     };
-    let mut sim = MemSim::new(simcfg, sys.pagemap.clone());
+    let mut driver = Driver::new(sys.parser(), MemSim::new(simcfg, sys.pagemap.clone()));
 
     println!("online analysis of `{name}` on traced Ultrix (1 MB buffer)\n");
     println!("phase |   words | cum insts | cum dmiss | cum utlb | kern%");
@@ -44,8 +44,8 @@ fn main() {
     let mut phase = 0u32;
     let run = sys.run_with(6_000_000_000, |chunk| {
         phase += 1;
-        parser.push_words(chunk, &mut sim);
-        let s = &sim.stats;
+        driver.feed(chunk);
+        let s = &driver.sink().stats;
         println!(
             "{:>5} | {:>7} | {:>9} | {:>9} | {:>8} | {:>4.1}%",
             phase,
@@ -56,7 +56,7 @@ fn main() {
             100.0 * s.kernel_irefs as f64 / s.insts().max(1) as f64,
         );
     });
-    parser.finish(&mut sim);
+    let (report, sim) = driver.finish();
 
     println!("{}", "-".repeat(62));
     println!(
@@ -70,7 +70,7 @@ fn main() {
         sim.stats.insts(),
         sim.stats.user_cpi(),
         sim.stats.kernel_cpi(),
-        parser.stats.errors
+        report.parse.errors
     );
-    assert_eq!(parser.stats.errors, 0, "trace should parse cleanly");
+    assert_eq!(report.parse.errors, 0, "trace should parse cleanly");
 }

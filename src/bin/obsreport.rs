@@ -4,30 +4,21 @@
 //! obsreport [workload] [ultrix|mach] [out.json]
 //! ```
 //!
-//! Runs the batch *and* streaming metered predictors for one workload
-//! (default `sed` on Ultrix), asserts they agree, writes the full
-//! `wrl-obs` registry as `wrl-obs-metrics/v1` JSON (default
+//! Runs the metered predictor for one workload (default `sed` on
+//! Ultrix), writes the full `wrl-obs` registry as
+//! `wrl-obs-metrics/v1` JSON (default
 //! `results/metrics-<workload>-<os>.json`) and prints the
 //! human-readable table.
 //!
-//! The streaming pass uses a *fixed* pipeline shape (2 workers, 4096
-//! words per chunk, depth 2, 8192 events per batch) rather than
-//! auto-detecting parallelism, so every counter in the emitted JSON is
-//! reproducible across hosts — `tests/metrics_pinned.rs` pins the
-//! committed file against a fresh run.
+//! Nothing in the pass depends on the host (no threads, no
+//! auto-detected shape), so every counter in the emitted JSON is
+//! reproducible — `tests/metrics_pinned.rs` pins the committed file's
+//! metric set against the live registry.
 
 use systrace::kernel::KernelConfig;
 use systrace::obs;
-use systrace::trace::PipelineCfg;
-use systrace::{pixie_arith_stalls, run_predicted_metered, run_predicted_streaming_metered};
-
-/// The reproducible pipeline shape used for exported metrics.
-pub const REPORT_PCFG: PipelineCfg = PipelineCfg {
-    chunk_words: 4096,
-    depth: 2,
-    workers: 2,
-    batch_events: 8192,
-};
+use systrace::tracer::Stack;
+use systrace::{pixie_arith_stalls, run_analyzed, AnalyzeCfg};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -52,15 +43,13 @@ fn main() {
     obs::register_all();
     obs::global().reset();
 
-    let arith = pixie_arith_stalls(&w);
-    let batch = run_predicted_metered(&cfg, &w, arith);
-    let streaming = run_predicted_streaming_metered(&cfg, &w, arith, REPORT_PCFG);
-    assert_eq!(
-        batch.prediction, streaming.prediction,
-        "batch and streaming predictions must agree"
-    );
-    assert_eq!(batch.utlb_misses, streaming.utlb_misses);
-    assert_eq!(batch.parse_errors, 0, "healthy system expected");
+    let acfg = AnalyzeCfg {
+        arith_stalls: pixie_arith_stalls(&w),
+        metered: true,
+        ..AnalyzeCfg::default()
+    };
+    let p = run_analyzed(&cfg, &w, acfg, Stack::new(), None).predicted;
+    assert_eq!(p.parse_errors, 0, "healthy system expected");
 
     let snap = obs::global().snapshot();
     let json = snap.to_json(&[
@@ -77,7 +66,7 @@ fn main() {
 
     println!("{}", snap.render());
     println!(
-        "predicted {:.4}s (batch == streaming), {} trace words, wrote {out}",
-        batch.seconds, batch.trace_words
+        "predicted {:.4}s, {} trace words, wrote {out}",
+        p.seconds, p.trace_words
     );
 }

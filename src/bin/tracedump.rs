@@ -15,7 +15,7 @@
 //! tracedump live   <addr> <workload> <ultrix|mach>       run a traced machine, serving its live feed
 //! tracedump tail   <addr> <feed> [--asid A] [--window LO..HI] [--from-start]
 //!                                                        follow a live feed's filtered tail
-//! tracedump analyze <file.w3kt> <sinks> [--workers N] [--per-worker-parse]
+//! tracedump analyze <file.w3kt> <sinks> [--workers N]
 //!                                                        run a composed sink stack in one pass
 //! tracedump analyze <addr> <archive> <sinks> --tables <file.w3kt> [--asid A] [--window LO..HI]
 //!                                                        same, over a remote node's word stream
@@ -43,9 +43,9 @@
 //! `analyze` is the `wrl-tracer` surface: a comma-separated sink
 //! spec (`cache:65536:2,tlb,dilation,pagemap,defense,sampled:64k,
 //! wset:4096,phase:4096:0.5`) builds a composed stack fed from one
-//! decode+parse pass — sequentially (the default, and forced when a
-//! sink wants raw-word hooks) or over the replay farm with
-//! `--workers`. The remote form ships only the predicate-admitted
+//! decode+parse pass — inline (the default, and forced when a sink
+//! wants raw-word hooks) or with the sinks spread over the replay
+//! farm's `--workers` behind the same single parse. The remote form ships only the predicate-admitted
 //! word stream from a `serve`/`fabric` node; the static basic-block
 //! tables are read from a locally-held archive (`--tables`), the
 //! same split as debug symbols vs a core file.
@@ -80,7 +80,7 @@ fn usage() -> ! {
     eprintln!("       tracedump fetch <addr> <archive> [--asid A] [--window LO..HI]");
     eprintln!("       tracedump live <addr> <workload> <ultrix|mach>");
     eprintln!("       tracedump tail <addr> <feed> [--asid A] [--window LO..HI] [--from-start]");
-    eprintln!("       tracedump analyze <file.w3kt> <sinks> [--workers N] [--per-worker-parse]");
+    eprintln!("       tracedump analyze <file.w3kt> <sinks> [--workers N]");
     eprintln!(
         "       tracedump analyze <addr> <archive> <sinks> --tables <file.w3kt> [--asid A] [--window LO..HI]"
     );
@@ -479,14 +479,12 @@ fn live(addr: &str, workload: &str, os: &str) {
     });
     let feed = server.live_feed(workload);
     println!("live feed \"{workload}\" on {}", server.addr());
-    let arith = systrace::pixie_arith_stalls(&w);
-    let p = systrace::run_predicted_live(
-        &cfg,
-        &w,
-        arith,
-        systrace::trace::PipelineCfg::default(),
-        &feed,
-    );
+    let acfg = systrace::AnalyzeCfg {
+        arith_stalls: systrace::pixie_arith_stalls(&w),
+        ..systrace::AnalyzeCfg::default()
+    };
+    let p = systrace::run_analyzed(&cfg, &w, acfg, systrace::tracer::Stack::new(), Some(&feed))
+        .predicted;
     println!(
         "machine finished: {} trace words, predicted {:.4}s, exit {}",
         p.trace_words, p.seconds, p.exit_code
@@ -612,7 +610,6 @@ fn analyze_local(path: &str, spec: &str, opts: &[String]) {
                     .and_then(|s| s.parse().ok())
                     .unwrap_or_else(|| usage());
             }
-            "--per-worker-parse" => cfg.shared_parse = false,
             _ => usage(),
         }
     }

@@ -19,26 +19,25 @@
 
 use std::sync::Arc;
 
-use wrl_kernel::{build_system, KernelConfig, System, SystemRun};
-use wrl_memsim::{predict, MemSim, PageMap, Prediction, SimCfg, TimeModel, UtlbSynth};
-use wrl_obs::{global, span, time, Span};
-use wrl_trace::{BbTable, EventVec, TraceParser};
-use wrl_tracer::{Driver, Stack, StackReport};
+use wrl_kernel::{build_system, KernelConfig, System};
+use wrl_memsim::{predict, MemSim, Prediction, SimCfg, SpaceKey, TimeModel, UtlbSynth};
+use wrl_obs::{global, span, Span};
+use wrl_trace::{DriveReport, Driver, EventVec, SeamHooks, TraceSink};
+use wrl_tracer::{Stack, StackReport};
 use wrl_workloads::Workload;
 
-/// Phase timers for the validation harness, one [`Span`] per pipeline
-/// phase. Registered by the metered entry points
-/// ([`run_predicted_metered`], [`run_predicted_streaming_metered`]);
-/// the unmetered functions read no clocks at all.
+/// Phase timers for the validation harness, one [`Span`] per phase.
+/// Registered by [`run_analyzed`] when [`AnalyzeCfg::metered`] is
+/// set; an unmetered run reads no clocks at all.
 pub struct HarnessObs {
     /// System construction (assemble + link + instrument + load).
     pub build: Arc<Span>,
     /// Machine execution of the traced system.
     pub run: Arc<Span>,
-    /// Trace parsing (batch form only; streaming parses on the
-    /// pipeline's own threads, measured by `stream.*`).
+    /// Trace parsing (after-the-run form only; a live feed parses
+    /// inside the drain callback, within `run`).
     pub parse: Arc<Span>,
-    /// Memory-system simulation (batch form only).
+    /// Memory-system simulation (after-the-run form only).
     pub simulate: Arc<Span>,
     /// The §5.1 time predictor.
     pub predict: Arc<Span>,
@@ -116,7 +115,7 @@ pub struct Measured {
 }
 
 /// The outcome of the traced run + trace-driven simulation.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Predicted {
     /// The four-component §5.1 prediction.
     pub prediction: Prediction,
@@ -195,45 +194,89 @@ pub fn pixie_arith_stalls(w: &Workload) -> u64 {
 }
 
 /// Configuration for [`run_analyzed`]: how the prediction side of the
-/// run is executed. Every `run_predicted_*` entry is a thin shim over
-/// one setting of this struct.
+/// run is executed.
 #[derive(Clone, Default)]
 pub struct AnalyzeCfg {
     /// The pixie-style arithmetic-stall estimate for the §5.1
     /// predictor.
     pub arith_stalls: u64,
-    /// `Some` parses and simulates *while the machine runs* on the
-    /// streaming pipeline; `None` parses in batch after the run.
-    pub pcfg: Option<wrl_trace::PipelineCfg>,
-    /// Fault-injection hooks consulted at every streaming stage
-    /// boundary (ignored in batch mode; the default hooks are free).
-    pub hooks: wrl_trace::ChaosHooks,
+    /// Fault-injection hooks consulted by the driver for every chunk
+    /// it is fed (the default hooks are free).
+    pub hooks: SeamHooks,
     /// Time the phases with `harness.phase.*` spans and export the
     /// machine/parser/simulator statistics to the obs registry.
     pub metered: bool,
 }
 
-/// What [`run_analyzed`] produces: the legacy prediction plus the
-/// composed sink stack's one-pass reports.
+/// What [`run_analyzed`] produces: the §5 prediction plus the
+/// composed sink stack's reports, both from the same single parse.
 pub struct AnalyzedRun {
-    /// The measured-vs-predicted side (bit-identical to the matching
-    /// `run_predicted_*` entry).
+    /// The measured-vs-predicted side.
     pub predicted: Predicted,
     /// The sink stack's reports, one slot per composed analysis.
     pub stack: StackReport,
 }
 
-/// The single analysis entry behind the whole `run_predicted_*` zoo:
-/// runs the instrumented system, produces the §5 prediction exactly
-/// as the matching legacy entry did, and feeds every composed sink in
-/// `stack` from **one** decode+parse pass over the same word stream
-/// (inline in the drain callback when streaming, over the collected
-/// trace when batch). An empty stack short-circuits to zero analysis
-/// cost, which is what makes the old names true thin shims.
+/// The simulator configuration every prediction uses.
+fn wrl_simcfg() -> SimCfg {
+    SimCfg {
+        utlb: Some(UtlbSynth::wrl_kernel()),
+        ..SimCfg::default()
+    }
+}
+
+/// The prediction's simulator over the system's page map (§4.2), so
+/// its physical indexing matches the traced run. Threads spawned so
+/// far share their parent's address space.
+fn wrl_sim(sys: &System, simcfg: &SimCfg) -> MemSim {
+    let mut pagemap = sys.pagemap.clone();
+    for (token, asid) in sys.thread_parents() {
+        pagemap.duplicate_space(SpaceKey::User(asid), SpaceKey::User(token));
+    }
+    MemSim::new(simcfg.clone(), pagemap)
+}
+
+/// Runs `f`, under `span` when the run is metered.
+fn timed<T>(span: Option<&Arc<Span>>, f: impl FnOnce() -> T) -> T {
+    let _guard = span.map(|s| s.start());
+    f()
+}
+
+/// The one driver of a run: the system's parser feeding a tee of the
+/// prediction's sink and the composed stack.
+fn driver_for<P: TraceSink>(
+    sys: &System,
+    acfg: &AnalyzeCfg,
+    pred: P,
+    stack: Stack,
+) -> Driver<(P, Stack)> {
+    let mut parser = sys.parser();
+    if acfg.metered {
+        parser.attach_obs(wrl_trace::ParserObs::register());
+    }
+    Driver::with_hooks(parser, (pred, stack), acfg.hooks.clone())
+}
+
+/// The single analysis entry: runs the instrumented system and feeds
+/// **one** parse of its trace to both the §5 prediction's
+/// memory-system simulator and every composed sink in `stack`.
 ///
-/// `feed` tees every drained buffer to a live-tail feed before any
-/// local analysis sees it (the `run_predicted_live` contract);
-/// passing a feed forces streaming mode.
+/// Without a `feed` the trace is collected and parsed after the run
+/// (parser and page map wired afterwards, so runtime-spawned threads
+/// are covered). With one, every drained buffer is published to the
+/// live-tail feed and then parsed *inside the drain callback*, while
+/// the traced system is stopped (§3.2); the feed finishes only after
+/// the last buffer is analysed, so a subscriber that outlives the run
+/// sees the complete word stream exactly once. Parser and page map
+/// are then wired *before* the run, which covers workloads whose
+/// processes all exist at boot (every validation workload). The two
+/// timings predict bit-identically —
+/// `tests/streaming_differential.rs` holds that.
+///
+/// A metered after-the-run pass parses into a buffered [`EventVec`]
+/// and replays it into the simulator, so `harness.phase.parse` and
+/// `.simulate` are timed apart (bit-identical to the fused pass — the
+/// simulator only ever sees the parser's event stream).
 pub fn run_analyzed(
     cfg: &KernelConfig,
     w: &Workload,
@@ -242,225 +285,71 @@ pub fn run_analyzed(
     feed: Option<&wrl_serve::LiveFeed>,
 ) -> AnalyzedRun {
     assert!(cfg.traced, "run_analyzed wants a traced config");
-    if acfg.pcfg.is_none() && feed.is_none() {
-        run_analyzed_batch(cfg, w, acfg, stack)
-    } else {
-        run_analyzed_streaming(cfg, w, acfg, stack, feed)
-    }
-}
-
-/// The simulator configuration every prediction path uses.
-fn wrl_simcfg() -> SimCfg {
-    SimCfg {
-        utlb: Some(UtlbSynth::wrl_kernel()),
-        ..SimCfg::default()
-    }
-}
-
-/// Batch arm of [`run_analyzed`]: run to completion, then parse. The
-/// unmetered path is [`predict_from_run`]; the metered path parses
-/// into a buffered [`EventVec`] so parse and simulate are timed
-/// separately (bit-identical to the fused pass — the simulator only
-/// ever sees the parser's event stream).
-fn run_analyzed_batch(
-    cfg: &KernelConfig,
-    w: &Workload,
-    acfg: AnalyzeCfg,
-    stack: Stack,
-) -> AnalyzedRun {
-    let (sys, run, predicted) = if acfg.metered {
-        let obs = HarnessObs::register();
-        let parser_obs = wrl_trace::ParserObs::register();
-
-        let mut sys = time!(obs.build, build_system(cfg, &[w]));
-        let run = time!(obs.run, sys.run(SYSTEM_BUDGET));
-
-        let mut parser = sys.parser();
-        parser.attach_obs(parser_obs);
-        let mut events = EventVec::default();
-        time!(obs.parse, parser.parse_all(&run.trace_words, &mut events));
-
-        let simcfg = wrl_simcfg();
-        let mut pagemap = sys.pagemap.clone();
-        for (token, asid) in sys.thread_parents() {
-            pagemap.duplicate_space(
-                wrl_memsim::SpaceKey::User(asid),
-                wrl_memsim::SpaceKey::User(token),
-            );
-        }
-        let mut sim = MemSim::new(simcfg.clone(), pagemap);
-        time!(obs.simulate, {
-            for ev in events.0 {
-                ev.apply(&mut sim);
-            }
-        });
-        let prediction = time!(
-            obs.predict,
-            predict(
-                &sim.stats,
-                &simcfg,
-                acfg.arith_stalls,
-                &TimeModel::default()
-            )
-        );
-
-        sys.machine.counters.export_obs();
-        parser.stats.export_obs();
-        sim.stats.export_obs();
-
-        let predicted = Predicted {
-            seconds: prediction.seconds(&TimeModel::default()),
-            prediction,
-            utlb_misses: sim.stats.utlb_misses,
-            trace_insts: sim.stats.insts(),
-            kernel_insts: sim.stats.kernel_irefs,
-            idle_insts: sim.stats.idle_insts,
-            traced_machine_insts: sys.machine.counters.insts(),
-            trace_words: run.trace_words.len() as u64,
-            mode_transitions: parser.stats.mode_transitions,
-            parse_errors: parser.stats.errors,
-            sanity_violations: sim.stats.sanity_violations,
-            exit_code: run.exit_code,
-        };
-        (sys, run, predicted)
-    } else {
-        let mut sys = build_system(cfg, &[w]);
-        let run = sys.run(SYSTEM_BUDGET);
-        let predicted = predict_from_run(&sys, &run, acfg.arith_stalls);
-        (sys, run, predicted)
-    };
-    // The composed sinks' single decode+parse pass over the collected
-    // trace (free when the stack is empty).
-    let mut driver = Driver::new(sys.parser(), stack);
-    driver.feed(&run.trace_words);
-    AnalyzedRun {
-        predicted,
-        stack: driver.finish(),
-    }
-}
-
-/// Streaming arm of [`run_analyzed`]: parse and simulate on the
-/// pipeline while the machine runs; the sink stack's driver rides the
-/// same drain callback, so the composed analyses happen on the fly
-/// too. Drain order is publish (live tail) → stack → pipeline, and
-/// the feed finishes only after the pipeline drains, preserving the
-/// `run_predicted_live` subscriber contract.
-fn run_analyzed_streaming(
-    cfg: &KernelConfig,
-    w: &Workload,
-    acfg: AnalyzeCfg,
-    stack: Stack,
-    feed: Option<&wrl_serve::LiveFeed>,
-) -> AnalyzedRun {
-    let pcfg = acfg.pcfg.unwrap_or_default();
     let obs = acfg.metered.then(HarnessObs::register);
+    let obs = obs.as_ref();
 
-    let mut sys = match &obs {
-        Some(o) => time!(o.build, build_system(cfg, &[w])),
-        None => build_system(cfg, &[w]),
-    };
-    let mut parser = sys.parser();
-    if acfg.metered {
-        parser.attach_obs(wrl_trace::ParserObs::register());
-    }
+    let mut sys = timed(obs.map(|o| &o.build), || build_system(cfg, &[w]));
     let simcfg = wrl_simcfg();
-    let sim = MemSim::new(simcfg.clone(), sys.pagemap.clone());
-    let mut pipe = wrl_trace::Pipeline::with_hooks(parser, sim, pcfg, acfg.hooks.clone());
-    let mut driver = Driver::new(sys.parser(), stack);
-    let drain = |words: Vec<u32>| {
-        if let Some(f) = feed {
-            f.publish(&words);
+    let (exit_code, drive, sim, stack) = if let Some(feed) = feed {
+        let mut driver = driver_for(&sys, &acfg, wrl_sim(&sys, &simcfg), stack);
+        let run = timed(obs.map(|o| &o.run), || {
+            sys.run_streaming(SYSTEM_BUDGET, |words| {
+                feed.publish(&words);
+                driver.feed(&words);
+            })
+        });
+        let (drive, (sim, stack)) = driver.finish();
+        feed.finish();
+        (run.exit_code, drive, sim, stack)
+    } else {
+        let run = timed(obs.map(|o| &o.run), || sys.run(SYSTEM_BUDGET));
+        let mut sim = wrl_sim(&sys, &simcfg);
+        if acfg.metered {
+            let mut driver = driver_for(&sys, &acfg, EventVec::default(), stack);
+            let (drive, (events, stack)) = timed(obs.map(|o| &o.parse), || {
+                driver.feed(&run.trace_words);
+                driver.finish()
+            });
+            timed(obs.map(|o| &o.simulate), || {
+                for ev in events.0 {
+                    ev.apply(&mut sim);
+                }
+            });
+            (run.exit_code, drive, sim, stack)
+        } else {
+            let mut driver = driver_for(&sys, &acfg, sim, stack);
+            driver.feed(&run.trace_words);
+            let (drive, (sim, stack)) = driver.finish();
+            (run.exit_code, drive, sim, stack)
         }
-        driver.feed(&words);
-        pipe.feed_owned(words);
     };
-    let run = match &obs {
-        Some(o) => time!(o.run, sys.run_streaming(SYSTEM_BUDGET, drain)),
-        None => sys.run_streaming(SYSTEM_BUDGET, drain),
-    };
-    let (report, sim) = pipe.finish();
-    if let Some(f) = feed {
-        f.finish();
-    }
-    let prediction = match &obs {
-        Some(o) => time!(
-            o.predict,
-            predict(
-                &sim.stats,
-                &simcfg,
-                acfg.arith_stalls,
-                &TimeModel::default()
-            )
-        ),
-        None => predict(
+    let prediction = timed(obs.map(|o| &o.predict), || {
+        predict(
             &sim.stats,
             &simcfg,
             acfg.arith_stalls,
             &TimeModel::default(),
-        ),
-    };
+        )
+    });
     if acfg.metered {
         sys.machine.counters.export_obs();
-        report.parse.export_obs();
+        drive.parse.export_obs();
         sim.stats.export_obs();
     }
-    let predicted = Predicted {
-        seconds: prediction.seconds(&TimeModel::default()),
-        prediction,
-        utlb_misses: sim.stats.utlb_misses,
-        trace_insts: sim.stats.insts(),
-        kernel_insts: sim.stats.kernel_irefs,
-        idle_insts: sim.stats.idle_insts,
-        traced_machine_insts: sys.machine.counters.insts(),
-        trace_words: run.words_drained,
-        mode_transitions: report.parse.mode_transitions,
-        parse_errors: report.parse.errors,
-        sanity_violations: sim.stats.sanity_violations,
-        exit_code: run.exit_code,
-    };
     AnalyzedRun {
-        predicted,
-        stack: driver.finish(),
+        predicted: predicted(&sys, exit_code, &drive, &sim, prediction),
+        stack: stack.finish(drive.parse, drive.words),
     }
 }
 
-/// Runs the instrumented system, parses the trace, simulates and
-/// predicts.
-///
-/// The simulator uses the page map extracted from the running system
-/// (§4.2) so that its physical indexing matches the traced run.
-pub fn run_predicted(cfg: &KernelConfig, w: &Workload, arith_stalls: u64) -> Predicted {
-    assert!(cfg.traced, "run_predicted wants a traced config");
-    run_analyzed(
-        cfg,
-        w,
-        AnalyzeCfg {
-            arith_stalls,
-            ..AnalyzeCfg::default()
-        },
-        Stack::new(),
-        None,
-    )
-    .predicted
-}
-
-/// The analysis-program half: parse + simulate + predict.
-pub fn predict_from_run(sys: &System, run: &SystemRun, arith_stalls: u64) -> Predicted {
-    let mut parser = sys.parser();
-    let simcfg = SimCfg {
-        utlb: Some(UtlbSynth::wrl_kernel()),
-        ..SimCfg::default()
-    };
-    let mut pagemap = sys.pagemap.clone();
-    for (token, asid) in sys.thread_parents() {
-        pagemap.duplicate_space(
-            wrl_memsim::SpaceKey::User(asid),
-            wrl_memsim::SpaceKey::User(token),
-        );
-    }
-    let mut sim = MemSim::new(simcfg.clone(), pagemap);
-    parser.parse_all(&run.trace_words, &mut sim);
-    let prediction = predict(&sim.stats, &simcfg, arith_stalls, &TimeModel::default());
+/// The predicted side of a run, from what its one parse produced.
+fn predicted(
+    sys: &System,
+    exit_code: u32,
+    drive: &DriveReport,
+    sim: &MemSim,
+    prediction: Prediction,
+) -> Predicted {
     Predicted {
         seconds: prediction.seconds(&TimeModel::default()),
         prediction,
@@ -469,155 +358,12 @@ pub fn predict_from_run(sys: &System, run: &SystemRun, arith_stalls: u64) -> Pre
         kernel_insts: sim.stats.kernel_irefs,
         idle_insts: sim.stats.idle_insts,
         traced_machine_insts: sys.machine.counters.insts(),
-        trace_words: run.trace_words.len() as u64,
-        mode_transitions: parser.stats.mode_transitions,
-        parse_errors: parser.stats.errors,
+        trace_words: drive.words,
+        mode_transitions: drive.parse.mode_transitions,
+        parse_errors: drive.parse.errors,
         sanity_violations: sim.stats.sanity_violations,
-        exit_code: run.exit_code,
+        exit_code,
     }
-}
-
-/// Streaming variant of [`run_predicted`]: the trace is parsed and
-/// simulated *while the machine runs*, on the pipeline's consumer
-/// threads, instead of being accumulated and replayed afterwards.
-///
-/// The parser and page map are wired *before* the run, so this form
-/// covers workloads whose processes all exist at boot (runtime-spawned
-/// threads would need their tables mid-run; none of the validation
-/// workloads spawn any). Results are bit-identical to
-/// [`run_predicted`] regardless of `pcfg` — that invariant is held by
-/// `tests/streaming_differential.rs`.
-pub fn run_predicted_streaming(
-    cfg: &KernelConfig,
-    w: &Workload,
-    arith_stalls: u64,
-    pcfg: wrl_trace::PipelineCfg,
-) -> Predicted {
-    run_predicted_streaming_hooked(cfg, w, arith_stalls, pcfg, wrl_trace::ChaosHooks::default())
-}
-
-/// [`run_predicted_streaming`] with fault-injection hooks consulted
-/// at every pipeline stage boundary — the `wrl-fault` chaos
-/// campaign's end-to-end entry point. With default hooks this *is*
-/// `run_predicted_streaming`; under stall-only hooks the result must
-/// still be bit-identical (the chaos tests hold that contract).
-pub fn run_predicted_streaming_hooked(
-    cfg: &KernelConfig,
-    w: &Workload,
-    arith_stalls: u64,
-    pcfg: wrl_trace::PipelineCfg,
-    hooks: wrl_trace::ChaosHooks,
-) -> Predicted {
-    // Both the plain and the hooked streaming entries funnel through
-    // here, so the message names both.
-    assert!(
-        cfg.traced,
-        "run_predicted_streaming(_hooked) wants a traced config"
-    );
-    run_analyzed(
-        cfg,
-        w,
-        AnalyzeCfg {
-            arith_stalls,
-            pcfg: Some(pcfg),
-            hooks,
-            metered: false,
-        },
-        Stack::new(),
-        None,
-    )
-    .predicted
-}
-
-/// Live-tail variant of [`run_predicted_streaming`]: every drained
-/// trace buffer is *teed* — published to a [`wrl_serve::LiveFeed`]
-/// for subscribed clients before being fed to the streaming
-/// parse+simulate pipeline — so analysis happens on the fly in two
-/// places at once: in-process (the prediction) and over the wire (the
-/// predicate-filtered tails the server pushes). The publish happens
-/// before the pipeline feed and [`wrl_serve::LiveFeed::finish`] runs
-/// after the pipeline drains, so a subscriber that outlives the run
-/// sees the complete word stream exactly once, ending in the
-/// zero-word end-of-feed marker.
-///
-/// The returned prediction is bit-identical to
-/// [`run_predicted_streaming`] — publishing only copies words out of
-/// the drain callback, it never reorders or consumes them.
-pub fn run_predicted_live(
-    cfg: &KernelConfig,
-    w: &Workload,
-    arith_stalls: u64,
-    pcfg: wrl_trace::PipelineCfg,
-    feed: &wrl_serve::LiveFeed,
-) -> Predicted {
-    assert!(cfg.traced, "run_predicted_live wants a traced config");
-    run_analyzed(
-        cfg,
-        w,
-        AnalyzeCfg {
-            arith_stalls,
-            pcfg: Some(pcfg),
-            ..AnalyzeCfg::default()
-        },
-        Stack::new(),
-        Some(feed),
-    )
-    .predicted
-}
-
-/// Metered variant of [`run_predicted`]: identical result, with
-/// `harness.phase.*` spans timing each phase and the machine, parser
-/// and simulator statistics exported to the `wrl-obs` registry.
-///
-/// To time *parse* and *simulate* separately, the trace is parsed
-/// into a buffered [`EventVec`] and replayed into the simulator —
-/// bit-identical to the fused single pass, because the simulator only
-/// ever sees the parser's event stream (the same replay-equivalence
-/// that `tests/streaming_differential.rs` pins for the pipeline).
-pub fn run_predicted_metered(cfg: &KernelConfig, w: &Workload, arith_stalls: u64) -> Predicted {
-    assert!(cfg.traced, "run_predicted_metered wants a traced config");
-    run_analyzed(
-        cfg,
-        w,
-        AnalyzeCfg {
-            arith_stalls,
-            metered: true,
-            ..AnalyzeCfg::default()
-        },
-        Stack::new(),
-        None,
-    )
-    .predicted
-}
-
-/// Metered variant of [`run_predicted_streaming`]: identical result,
-/// with the build/run/predict phases timed here and the per-stage
-/// throughput, queue-depth and backpressure metrics recorded by the
-/// pipeline itself (`stream.*` — parse and simulate run on the
-/// pipeline's consumer threads, so they have no harness-side span).
-pub fn run_predicted_streaming_metered(
-    cfg: &KernelConfig,
-    w: &Workload,
-    arith_stalls: u64,
-    pcfg: wrl_trace::PipelineCfg,
-) -> Predicted {
-    assert!(
-        cfg.traced,
-        "run_predicted_streaming_metered wants a traced config"
-    );
-    run_analyzed(
-        cfg,
-        w,
-        AnalyzeCfg {
-            arith_stalls,
-            pcfg: Some(pcfg),
-            metered: true,
-            ..AnalyzeCfg::default()
-        },
-        Stack::new(),
-        None,
-    )
-    .predicted
 }
 
 /// Runs the complete measured-vs-predicted validation for one
@@ -625,7 +371,11 @@ pub fn run_predicted_streaming_metered(
 pub fn validate(base: &KernelConfig, w: &Workload) -> ValidationRow {
     let measured = run_measured(base, w);
     let arith = pixie_arith_stalls(w);
-    let predicted = run_predicted(&base.clone().traced(), w, arith);
+    let acfg = AnalyzeCfg {
+        arith_stalls: arith,
+        ..AnalyzeCfg::default()
+    };
+    let predicted = run_analyzed(&base.clone().traced(), w, acfg, Stack::new(), None).predicted;
     assert_eq!(
         measured.exit_code, predicted.exit_code,
         "{}: traced run diverged from untraced",
@@ -636,21 +386,6 @@ pub fn validate(base: &KernelConfig, w: &Workload) -> ValidationRow {
         measured,
         predicted,
     }
-}
-
-/// Convenience: a fresh parser over arbitrary tables (used by tools
-/// that re-parse saved traces).
-pub fn parser_with(kernel: Arc<BbTable>, users: &[(u8, Arc<BbTable>)]) -> TraceParser {
-    let mut p = TraceParser::new(kernel);
-    for (a, t) in users {
-        p.set_user_table(*a, t.clone());
-    }
-    p
-}
-
-/// Re-exported default page-map constructor for tools.
-pub fn pagemap_of(sys: &System) -> PageMap {
-    sys.pagemap.clone()
 }
 
 #[cfg(test)]
@@ -714,38 +449,5 @@ mod tests {
         // of the same binary: the OS is transparent to the algorithm.
         let bare = wrl_workloads::run_bare(&w);
         assert_eq!(bare.env.exit, Some(m.exit_code));
-    }
-
-    #[test]
-    #[should_panic(expected = "run_predicted_streaming(_hooked) wants a traced config")]
-    fn streaming_rejects_untraced_configs_with_its_own_name() {
-        let w = wrl_workloads::by_name("yacc").unwrap();
-        run_predicted_streaming(
-            &KernelConfig::ultrix(),
-            &w,
-            0,
-            wrl_trace::PipelineCfg::default(),
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "run_predicted_streaming(_hooked) wants a traced config")]
-    fn streaming_hooked_rejects_untraced_configs_with_its_own_name() {
-        let w = wrl_workloads::by_name("yacc").unwrap();
-        run_predicted_streaming_hooked(
-            &KernelConfig::ultrix(),
-            &w,
-            0,
-            wrl_trace::PipelineCfg::default(),
-            wrl_trace::ChaosHooks::default(),
-        );
-    }
-
-    #[test]
-    fn parser_with_wires_all_tables() {
-        let kt = Arc::new(BbTable::new());
-        let ut = Arc::new(BbTable::new());
-        let p = parser_with(kt, &[(1, ut.clone()), (2, ut)]);
-        assert_eq!(p.stats.errors, 0);
     }
 }

@@ -12,7 +12,8 @@
 //! * [`epoxie`] — the link-time instrumenter, its bbtrace/memtrace
 //!   runtime, and the pixie baseline;
 //! * [`trace`] — the one-word-per-entry trace format, static
-//!   basic-block tables and the parsing library;
+//!   basic-block tables, the parsing library and the one driver
+//!   (source → parse → sinks) every analysis rides;
 //! * [`kernel`] — the Ultrix-like and Mach-like operating systems,
 //!   written in W3K assembly, with the in-kernel trace-control
 //!   subsystem;
@@ -22,13 +23,15 @@
 //! * [`store`] — the compressed, seekable trace store (archive v2)
 //!   and the parallel replay farm;
 //! * [`tracer`] — the composable analysis-sink framework: N analyses
-//!   fed from one decode+parse pass over a run, an archive or the
-//!   replay farm;
+//!   fed from one decode+parse pass over a run or an archive,
+//!   optionally spread over the replay farm's workers;
 //! * [`fault`] — seeded deterministic fault injection and the chaos
 //!   campaign classifying every injected fault detected / harmless /
 //!   absorbed (never forbidden);
 //! * [`obs`] — the `wrl-obs` metrics facade (registry, exports and
 //!   [`obs::register_all`]; see `docs/METRICS.md`).
+
+#![forbid(unsafe_code)]
 
 pub use wrl_epoxie as epoxie;
 pub use wrl_fabric as fabric;
@@ -47,8 +50,6 @@ pub mod harness;
 pub mod obs;
 
 pub use harness::{
-    pixie_arith_stalls, predict_from_run, run_analyzed, run_measured, run_predicted,
-    run_predicted_live, run_predicted_metered, run_predicted_streaming,
-    run_predicted_streaming_hooked, run_predicted_streaming_metered, validate, AnalyzeCfg,
-    AnalyzedRun, HarnessObs, Measured, Predicted, ValidationRow,
+    pixie_arith_stalls, run_analyzed, run_measured, validate, AnalyzeCfg, AnalyzedRun, HarnessObs,
+    Measured, Predicted, ValidationRow,
 };

@@ -90,19 +90,14 @@ fn golden_trace_parses_to_pinned_stats() {
 
 #[test]
 fn golden_trace_streams_to_pinned_stats() {
-    // The streaming pipeline must reproduce the same pinned digest.
+    // Fed to the driver in chunks, the trace must reproduce the same
+    // pinned digest.
     let archive = TraceArchive::load(GOLDEN_PATH).expect("golden archive must load");
-    let mut pipe = systrace::trace::Pipeline::new(
-        archive.parser(),
-        CollectSink::default(),
-        systrace::trace::PipelineCfg {
-            chunk_words: 512,
-            workers: 3,
-            ..Default::default()
-        },
-    );
-    pipe.feed(&archive.words);
-    let (report, sink) = pipe.finish();
+    let mut driver = systrace::trace::Driver::new(archive.parser(), CollectSink::default());
+    for chunk in archive.words.chunks(512) {
+        driver.feed(chunk);
+    }
+    let (report, sink) = driver.finish();
     assert_eq!(report.parse.words, PINNED_WORDS);
     assert_eq!(report.parse.errors, PINNED_ERRORS);
     assert_eq!(digest(&sink), PINNED_DIGEST);

@@ -15,7 +15,7 @@
 
 use systrace::memsim::{MemSim, PageMap, Policy, SimCfg, UtlbSynth};
 use systrace::obs;
-use systrace::trace::{EventVec, ParserObs, Pipeline, PipelineCfg, TraceArchive};
+use systrace::trace::{Driver, EventVec, ParserObs, TraceArchive};
 
 const GOLDEN_PATH: &str = "tests/data/golden.w3kt";
 const ARTIFACT_PATH: &str = "results/metrics-sed-ultrix.json";
@@ -27,13 +27,8 @@ const PINNED_MEM_RECORDS: i64 = 646;
 const PINNED_KERNEL_ENTRIES: i64 = 8;
 const PINNED_CTX_SWITCHES: i64 = 6;
 
-/// Fixed, host-independent pipeline shape for the streaming pass.
-const PCFG: PipelineCfg = PipelineCfg {
-    chunk_words: 4096,
-    depth: 2,
-    workers: 2,
-    batch_events: 512,
-};
+/// Words per chunk fed to the driver in the chunked pass.
+const CHUNK_WORDS: usize = 4096;
 
 fn simcfg() -> SimCfg {
     SimCfg {
@@ -82,7 +77,6 @@ fn golden_trace_metrics_match_pinned_stats_and_committed_artifact() {
     parser.attach_obs(ParserObs::register());
     let mut events = EventVec::default();
     parser.parse_all(&archive.words, &mut events);
-    let n_events = events.0.len();
     let mut sim = fresh_sim();
     for ev in events.0 {
         ev.apply(&mut sim);
@@ -90,12 +84,14 @@ fn golden_trace_metrics_match_pinned_stats_and_committed_artifact() {
     parser.stats.export_obs();
     sim.stats.export_obs();
 
-    // -- Streaming path over the same words, fixed shape.
-    let mut pipe = Pipeline::new(archive.parser(), fresh_sim(), PCFG);
-    pipe.feed(&archive.words);
-    let (report, stream_sim) = pipe.finish();
-    assert_eq!(report.parse, parser.stats, "pipeline must match batch");
-    assert_eq!(stream_sim.stats, sim.stats, "streamed sim must match");
+    // -- The driver over the same words, fed in fixed-size chunks.
+    let mut driver = Driver::new(archive.parser(), fresh_sim());
+    for chunk in archive.words.chunks(CHUNK_WORDS) {
+        driver.feed(chunk);
+    }
+    let (report, stream_sim) = driver.finish();
+    assert_eq!(report.parse, parser.stats, "driver must match batch");
+    assert_eq!(stream_sim.stats, sim.stats, "driven sim must match");
 
     let snap = obs::global().snapshot();
 
@@ -140,17 +136,12 @@ fn golden_trace_metrics_match_pinned_stats_and_committed_artifact() {
         );
         assert_eq!(gauge(&snap, "sim.sanity_violations"), 0);
 
-        // Stream stage counters are exact and shape-determined.
+        // Driver counters are exact and shape-determined.
         let words = PINNED_WORDS as u64;
-        let chunks = words.div_ceil(PCFG.chunk_words as u64);
+        let chunks = words.div_ceil(CHUNK_WORDS as u64);
         assert_eq!(counter(&snap, "stream.words"), words);
         assert_eq!(counter(&snap, "stream.chunks"), chunks);
-        assert_eq!(counter(&snap, "stream.parse.words"), words);
-        assert_eq!(counter(&snap, "stream.sink.events"), n_events as u64);
-        assert_eq!(
-            counter(&snap, "stream.sink.batches"),
-            n_events.div_ceil(PCFG.batch_events) as u64
-        );
+        assert_eq!(counter(&snap, "stream.chunks.lost"), 0);
         match &find(&snap, "stream.chunk.words").value {
             obs::ValueSnap::Histogram(h) => {
                 assert_eq!(h.count, chunks);

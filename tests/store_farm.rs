@@ -3,7 +3,7 @@
 //! * the committed v1 archive keeps loading, both raw and through the
 //!   store layer, and v2 compression is lossless on it;
 //! * compression meets the ≥3x bar the store exists for;
-//! * a farm cache sweep at 1, 2 and 4 workers (both schedules) is
+//! * a farm cache sweep at 1, 2 and 4 workers is
 //!   exactly — field-for-field — equal to fifteen sequential passes;
 //! * a corrupted block is detected and reported as a typed CRC/codec
 //!   error, and old tooling rejects a block-store file as an
@@ -11,7 +11,7 @@
 
 use systrace::memsim::{AssocCache, PageMap, Policy, SpaceKey};
 use systrace::store::{replay, FarmCfg, StoreError, TraceStore, DEFAULT_BLOCK_WORDS};
-use systrace::trace::{ArchiveError, Space, TraceArchive, TraceSink};
+use systrace::trace::{ArchiveError, SeamHooks, Space, TraceArchive, TraceSink};
 
 const GOLDEN_PATH: &str = "tests/data/golden.w3kt";
 
@@ -138,25 +138,22 @@ fn farm_sweep_is_bit_identical_for_1_2_4_workers() {
     let store = golden_store();
     let baseline = sequential_baseline(&a);
     for workers in [1usize, 2, 4] {
-        for shared_parse in [true, false] {
-            let sinks = geometries()
-                .into_iter()
-                .map(|(size, ways)| CacheStudy::new(size, ways))
-                .collect();
-            let cfg = FarmCfg {
-                workers,
-                shared_parse,
-                batch_events: 1000, // force many batches on 8k words
-                ..FarmCfg::default()
-            };
-            let (report, farmed) = replay(&store, sinks, cfg)
-                .unwrap_or_else(|e| panic!("replay workers={workers}: {e}"));
-            assert_identical(&farmed, &baseline);
-            assert_eq!(report.workers, workers);
-            assert_eq!(report.sinks, 15);
-            assert_eq!(report.words, store.n_words);
-            assert_eq!(report.stats.errors, 0);
-        }
+        let sinks = geometries()
+            .into_iter()
+            .map(|(size, ways)| CacheStudy::new(size, ways))
+            .collect();
+        let cfg = FarmCfg {
+            workers,
+            batch_events: 1000, // force many batches on 8k words
+        };
+        let (report, farmed) = replay(&store, sinks, cfg, &SeamHooks::default())
+            .unwrap_or_else(|e| panic!("replay workers={workers}: {e}"));
+        assert_identical(&farmed, &baseline);
+        assert_eq!(report.workers, workers);
+        assert_eq!(report.sinks, 15);
+        assert_eq!(report.run.words, store.n_words);
+        assert_eq!(report.run.lost_chunks, 0);
+        assert_eq!(report.run.parse.errors, 0);
     }
 }
 
@@ -173,7 +170,8 @@ fn corrupted_block_is_detected_and_reported() {
     bytes[index_pos - blocks_len / 2] ^= 0x40;
     let bad = TraceStore::decode(&bytes).expect("framing is still intact");
     let sinks = vec![CacheStudy::new(16 << 10, 1)];
-    let err = replay(&bad, sinks, FarmCfg::default()).expect_err("corruption must surface");
+    let err = replay(&bad, sinks, FarmCfg::default(), &SeamHooks::default())
+        .expect_err("corruption must surface");
     match err {
         StoreError::CrcMismatch { block, want, got } => {
             assert!(block < bad.n_blocks());

@@ -1,20 +1,23 @@
-//! Differential validation of the streaming pipeline: for real
-//! system traces, the streaming analysis must produce *bit-identical*
-//! `ParseStats` and `SimStats` to the batch `parse_all` path, for
-//! every tested chunk size and consumer-thread count. This is the
-//! pipeline's non-negotiable invariant — chunking and threading are
-//! allowed to change wall time, never results.
+//! Differential validation of the driver: for real system traces,
+//! feeding the trace to the one incremental [`Driver`] in chunks of
+//! any size must produce *bit-identical* `ParseStats` and `SimStats`
+//! to the batch `parse_all` path. This is the driver's
+//! non-negotiable invariant — how the stream is cut into `feed`
+//! calls is allowed to change wall time, never results.
 //!
 //! One traced machine run per workload supplies the words; the same
 //! words then go through the batch reference once and through the
-//! pipeline for each (chunk size × worker count) combination.
+//! driver once per chunk size.
 
 use systrace::kernel::{build_system, KernelConfig, System};
 use systrace::memsim::{MemSim, SimCfg, SimStats, UtlbSynth};
-use systrace::trace::{ParseStats, Pipeline, PipelineCfg};
+use systrace::serve::{Catalog, ServeCfg, Server};
+use systrace::trace::{Driver, ParseStats};
+use systrace::tracer::Stack;
+use systrace::AnalyzeCfg;
 
-/// Mirrors the harness's simulator wiring (`predict_from_run`).
-fn fresh_sim(sys: &System) -> (SimCfg, MemSim) {
+/// Mirrors the harness's simulator wiring.
+fn fresh_sim(sys: &System) -> MemSim {
     let simcfg = SimCfg {
         utlb: Some(UtlbSynth::wrl_kernel()),
         ..SimCfg::default()
@@ -26,14 +29,13 @@ fn fresh_sim(sys: &System) -> (SimCfg, MemSim) {
             systrace::memsim::SpaceKey::User(token),
         );
     }
-    let sim = MemSim::new(simcfg.clone(), pagemap);
-    (simcfg, sim)
+    MemSim::new(simcfg, pagemap)
 }
 
 /// Batch reference: `parse_all` into a fresh simulator.
 fn batch_reference(sys: &System, words: &[u32]) -> (ParseStats, SimStats, u64) {
     let mut parser = sys.parser();
-    let (_, mut sim) = fresh_sim(sys);
+    let mut sim = fresh_sim(sys);
     parser.parse_all(words, &mut sim);
     (parser.stats.clone(), sim.stats.clone(), sim.cycles)
 }
@@ -42,37 +44,25 @@ fn check_workload(name: &str, cfg: KernelConfig) {
     let w = systrace::workloads::by_name(name).unwrap();
     let mut sys = build_system(&cfg.traced(), &[&w]);
     let run = sys.run(6_000_000_000);
+    let words = &run.trace_words[..];
     assert!(
-        run.trace_words.len() > 100_000,
+        words.len() > 100_000,
         "{name}: trace too small to be a meaningful differential"
     );
 
-    let full = &run.trace_words[..];
-    // Chunk size 1 sends one word per channel message — correct but
-    // slow, so it gets a prefix; the larger sizes get the full trace.
-    let prefix = &run.trace_words[..100_000];
-    for &(chunk_words, words) in &[(1usize, prefix), (64, full), (4096, full)] {
-        let (ref_parse, ref_sim, ref_cycles) = batch_reference(&sys, words);
-        for workers in 1..=4 {
-            let parser = sys.parser();
-            let (_, sim) = fresh_sim(&sys);
-            let mut pipe = Pipeline::new(
-                parser,
-                sim,
-                PipelineCfg {
-                    chunk_words,
-                    workers,
-                    ..PipelineCfg::default()
-                },
-            );
-            pipe.feed(words);
-            let (report, sim) = pipe.finish();
-            let tag = format!("{name} chunk={chunk_words} workers={workers}");
-            assert_eq!(report.parse, ref_parse, "{tag}: ParseStats diverged");
-            assert_eq!(sim.stats, ref_sim, "{tag}: SimStats diverged");
-            assert_eq!(sim.cycles, ref_cycles, "{tag}: simulated cycles diverged");
-            assert_eq!(report.words, words.len() as u64, "{tag}: word accounting");
+    let (ref_parse, ref_sim, ref_cycles) = batch_reference(&sys, words);
+    for chunk_words in [1usize, 64, 4096] {
+        let mut driver = Driver::new(sys.parser(), fresh_sim(&sys));
+        for chunk in words.chunks(chunk_words) {
+            driver.feed(chunk);
         }
+        let (report, sim) = driver.finish();
+        let tag = format!("{name} chunk={chunk_words}");
+        assert_eq!(report.parse, ref_parse, "{tag}: ParseStats diverged");
+        assert_eq!(sim.stats, ref_sim, "{tag}: SimStats diverged");
+        assert_eq!(sim.cycles, ref_cycles, "{tag}: simulated cycles diverged");
+        assert_eq!(report.words, words.len() as u64, "{tag}: word accounting");
+        assert_eq!(report.lost_chunks, 0, "{tag}: chunk accounting");
     }
 }
 
@@ -96,33 +86,31 @@ fn streaming_matches_batch_tomcatv() {
     check_workload("tomcatv", KernelConfig::mach());
 }
 
-/// The full harness path end to end: a streamed run (producer thread
-/// feeding the pipeline as buffers drain) predicts exactly what the
-/// batch harness predicts.
+/// The full harness path end to end: a run parsed on the fly, inside
+/// the drain callback of a live feed, predicts exactly what the
+/// after-the-run parse of the collected trace predicts.
 #[test]
 fn streamed_harness_matches_batch_harness() {
     let w = systrace::workloads::by_name("sed").unwrap();
     let cfg = KernelConfig::ultrix().traced();
-    let arith = systrace::pixie_arith_stalls(&w);
-    let batch = systrace::run_predicted(&cfg, &w, arith);
-    for workers in [1, 2, 4] {
-        let streamed = systrace::run_predicted_streaming(
-            &cfg,
-            &w,
-            arith,
-            PipelineCfg {
-                workers,
-                ..PipelineCfg::default()
-            },
-        );
-        assert_eq!(streamed.prediction, batch.prediction, "workers={workers}");
-        assert_eq!(streamed.utlb_misses, batch.utlb_misses);
-        assert_eq!(streamed.trace_insts, batch.trace_insts);
-        assert_eq!(streamed.kernel_insts, batch.kernel_insts);
-        assert_eq!(streamed.idle_insts, batch.idle_insts);
-        assert_eq!(streamed.trace_words, batch.trace_words);
-        assert_eq!(streamed.parse_errors, batch.parse_errors);
-        assert_eq!(streamed.sanity_violations, batch.sanity_violations);
-        assert_eq!(streamed.exit_code, batch.exit_code);
-    }
+    let acfg = AnalyzeCfg {
+        arith_stalls: systrace::pixie_arith_stalls(&w),
+        ..AnalyzeCfg::default()
+    };
+    let batch = systrace::run_analyzed(&cfg, &w, acfg.clone(), Stack::new(), None).predicted;
+    let server = Server::start("127.0.0.1:0", Catalog::new(), ServeCfg::default())
+        .expect("loopback server starts");
+    let feed = server.live_feed("sed");
+    let streamed = systrace::run_analyzed(&cfg, &w, acfg, Stack::new(), Some(&feed)).predicted;
+    server.shutdown();
+    assert_eq!(streamed.prediction, batch.prediction);
+    assert_eq!(streamed.utlb_misses, batch.utlb_misses);
+    assert_eq!(streamed.trace_insts, batch.trace_insts);
+    assert_eq!(streamed.kernel_insts, batch.kernel_insts);
+    assert_eq!(streamed.idle_insts, batch.idle_insts);
+    assert_eq!(streamed.trace_words, batch.trace_words);
+    assert_eq!(streamed.mode_transitions, batch.mode_transitions);
+    assert_eq!(streamed.parse_errors, batch.parse_errors);
+    assert_eq!(streamed.sanity_violations, batch.sanity_violations);
+    assert_eq!(streamed.exit_code, batch.exit_code);
 }

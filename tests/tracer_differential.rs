@@ -6,6 +6,9 @@
 //!   alone — equal report-for-report, over the in-memory stream and
 //!   over stores at block sizes {1, 7, 4096} with 1/2/4 farm
 //!   workers (both the farm spread and the sequential fallback).
+//! * A real machine run through the harness: the same five-sink
+//!   stack rides the prediction's own parse (one parser a run), and
+//!   composing it leaves the prediction bit-identical.
 //! * Grounding against the pre-existing dedicated implementations:
 //!   the `cache_sweep` study sink and a raw [`MemSim`] pass.
 //! * The three new window analyses pin their golden-trace reports
@@ -142,6 +145,51 @@ fn composed_store_passes_match_dedicated_at_every_block_size_and_worker_count() 
             }
         }
     }
+}
+
+/// The harness feeds the prediction's simulator and the composed
+/// stack from one parse: the stack's report carries that parse's
+/// statistics, and composing five sinks (dilation wants word hooks, so
+/// the whole tee takes the word-at-a-time path) changes nothing the
+/// prediction sees.
+#[test]
+fn harness_run_feeds_prediction_and_stack_from_one_parse() {
+    use systrace::kernel::KernelConfig;
+    use systrace::serve::{Catalog, ServeCfg, Server};
+    use systrace::AnalyzeCfg;
+
+    let w = systrace::workloads::by_name("sed").unwrap();
+    let cfg = KernelConfig::ultrix().traced();
+    let acfg = AnalyzeCfg {
+        arith_stalls: systrace::pixie_arith_stalls(&w),
+        ..AnalyzeCfg::default()
+    };
+    let plain = systrace::run_analyzed(&cfg, &w, acfg.clone(), Stack::new(), None);
+    assert_eq!(plain.stack.reports.len(), 0);
+    assert_eq!(plain.stack.words, plain.predicted.trace_words);
+
+    let server = Server::start("127.0.0.1:0", Catalog::new(), ServeCfg::default())
+        .expect("loopback server starts");
+    let feed = server.live_feed("sed");
+    for feed in [None, Some(&feed)] {
+        let mut stack = Stack::new();
+        for s in five() {
+            stack.push_boxed(s);
+        }
+        let run = systrace::run_analyzed(&cfg, &w, acfg.clone(), stack, feed);
+        let tag = format!("live feed: {}", feed.is_some());
+        assert_eq!(run.predicted, plain.predicted, "{tag}");
+        assert_eq!(run.stack.failed(), 0, "{tag}");
+        assert_eq!(run.stack.parse, plain.stack.parse, "{tag}");
+        assert_eq!(run.stack.words, run.predicted.trace_words, "{tag}");
+        assert_eq!(run.stack.parse.words, run.predicted.trace_words, "{tag}");
+        assert_eq!(
+            run.stack.parse.mode_transitions, run.predicted.mode_transitions,
+            "{tag}"
+        );
+        assert_eq!(run.stack.parse.errors, run.predicted.parse_errors, "{tag}");
+    }
+    server.shutdown();
 }
 
 /// The `cache_sweep` study sink, reproduced as in
