@@ -8,7 +8,11 @@
 //! updates and clock reads — not of a different build.
 //!
 //! The two modes are interleaved with their order flipped every
-//! iteration, so host drift hits both equally.
+//! iteration, so host drift hits both equally. Each workload gets a
+//! verdict against the < 1% budget: `resolved` only when the quartile
+//! spread of the paired deltas is narrower than the budget itself —
+//! otherwise the host's noise is wider than the thing being measured
+//! and the median's sign means nothing.
 //!
 //! Usage: `obs_overhead [workload ...]` (default: sed yacc).
 
@@ -36,18 +40,15 @@ fn main() {
         args.iter().map(|s| s.as_str()).collect()
     };
     const RUNS: u32 = 31;
+    const BUDGET_PCT: f64 = 1.0;
 
     obs::register_all();
-    if !obs::compiled_with_recording() {
-        println!("note: wrl-obs built without the `record` feature;");
-        println!("both columns measure the compiled-out no-op path.");
-    }
     println!("Metrics recording overhead (Ultrix, metered harness run, best of {RUNS})");
     println!(
-        "{:9} | {:>9} | {:>9} | {:>9} | {:>9}",
-        "", "off", "on", "delta", "overhead"
+        "{:9} | {:>9} | {:>9} | {:>9} | {:>9} | {:>7} | verdict",
+        "", "off", "on", "delta", "overhead", "spread"
     );
-    println!("{:-<60}", "");
+    println!("{:-<83}", "");
     for name in names {
         let w =
             systrace::workloads::by_name(name).unwrap_or_else(|| panic!("unknown workload {name}"));
@@ -91,22 +92,36 @@ fn main() {
         }
         obs::set_recording(true);
         deltas.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+        let pct = |d: f64| d / t_off.as_secs_f64() * 100.0;
         let median_delta = deltas[deltas.len() / 2];
-        let overhead = median_delta / t_off.as_secs_f64() * 100.0;
+        let overhead = pct(median_delta);
+        let spread = pct(deltas[deltas.len() * 3 / 4] - deltas[deltas.len() / 4]);
+        let verdict = if spread >= BUDGET_PCT {
+            "unresolved"
+        } else if overhead < BUDGET_PCT {
+            "resolved: within budget"
+        } else {
+            "resolved: OVER budget"
+        };
         println!(
-            "{:9} | {:>8.3}s | {:>8.3}s | {:>+8.4}s | {:>+8.2}%",
+            "{:9} | {:>8.3}s | {:>8.3}s | {:>+8.4}s | {:>+8.2}% | {:>6.2}% | {}",
             name,
             t_off.as_secs_f64(),
             t_on.as_secs_f64(),
             median_delta,
             overhead,
+            spread,
+            verdict,
         );
     }
-    println!("{:-<60}", "");
+    println!("{:-<83}", "");
     println!("off/on: best of {RUNS} per mode. delta: median of the {RUNS} paired");
     println!("per-iteration (on - off) differences; overhead = delta / off.");
+    println!("spread: third minus first quartile of those differences, / off.");
+    println!("verdict: the {BUDGET_PCT}% budget is resolved only when the spread is");
+    println!("narrower than the budget; otherwise the host's run-to-run noise");
+    println!("is wider than the cost being measured and the sign of the median");
+    println!("carries no information.");
     println!("The full metered harness run is timed (traced machine run +");
     println!("parse + simulate + predict).");
-    println!("Values near zero (either sign) mean recording costs less than");
-    println!("the host's run-to-run noise.");
 }

@@ -23,7 +23,7 @@
 //! u32 crc32 (over every preceding byte)
 //! ```
 
-use wrl_store::{BlockMeta, Predicate, StoreError, TraceStore};
+use wrl_store::{matching_rows, Predicate, PruneRow, StoreError, TraceStore};
 
 /// Leading magic of a shard manifest.
 pub const MANIFEST_MAGIC: &[u8; 8] = b"W3KSHARD";
@@ -153,7 +153,7 @@ pub struct ManifestBlock {
     pub asid_mask: u64,
     /// ASID context at the block's first word.
     pub first_asid: u8,
-    /// Summary flags ([`BlockMeta::FLAG_SUMMARY`] and friends).
+    /// Summary flags ([`wrl_store::BlockMeta::FLAG_SUMMARY`] and friends).
     pub flags: u8,
 }
 
@@ -163,10 +163,16 @@ impl ManifestBlock {
         self.first_word..self.first_word + u64::from(self.words)
     }
 
-    /// Mirror of [`BlockMeta::single_asid`] over manifest rows.
-    pub fn single_asid(&self) -> Option<u8> {
-        (self.flags & BlockMeta::FLAG_SUMMARY != 0 && self.flags & BlockMeta::FLAG_CTX_SWITCH == 0)
-            .then_some(self.first_asid)
+    /// The pruning facts copied from the source index, in the form
+    /// the store's one prune predicate takes.
+    pub fn prune_row(&self) -> PruneRow {
+        PruneRow {
+            first_word: self.first_word,
+            words: self.words,
+            first_asid: self.first_asid,
+            flags: self.flags,
+            asid_mask: self.asid_mask,
+        }
     }
 }
 
@@ -454,38 +460,11 @@ impl Manifest {
         Ok(manifest)
     }
 
-    /// The global block ids a predicate cannot be proven to miss —
-    /// the exact mirror of [`TraceStore::matching_blocks`] over
-    /// manifest rows, so the coordinator prunes precisely the blocks
-    /// a single node would.
+    /// The global block ids a predicate cannot be proven to miss:
+    /// the store's own [`matching_rows`] over manifest rows, so the
+    /// coordinator prunes precisely the blocks a single node would.
     pub fn surviving(&self, pred: &Predicate) -> Vec<usize> {
-        let range = match pred.window {
-            None => 0..self.blocks.len(),
-            Some((lo, hi)) => {
-                if lo >= hi {
-                    return Vec::new();
-                }
-                let start = self.blocks.partition_point(|b| b.word_range().end <= lo);
-                let end = self.blocks.partition_point(|b| b.first_word < hi);
-                start..end
-            }
-        };
-        range
-            .filter(|&i| {
-                let b = &self.blocks[i];
-                if let Some(a) = pred.asid {
-                    if b.single_asid().is_some_and(|only| only != a) {
-                        return false;
-                    }
-                    if b.flags & BlockMeta::FLAG_COLUMNAR != 0
-                        && b.asid_mask & (1u64 << (a & 63)) == 0
-                    {
-                        return false;
-                    }
-                }
-                true
-            })
-            .collect()
+        matching_rows(&self.blocks, ManifestBlock::prune_row, pred)
     }
 
     /// Splits a query into scatter units: maximal runs of surviving

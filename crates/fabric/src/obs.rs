@@ -9,81 +9,22 @@
 //! and answered with the typed `unavailable` error instead of data.
 //! Rows in `docs/METRICS.md` are kept honest by `metrics_doc_sync`.
 
-use std::sync::Arc;
-
-use wrl_obs::{counter, global, Counter};
-
-/// Live tallies for the fabric coordinator.
-#[derive(Clone)]
-pub struct FabricObs {
-    /// Scatter-gather queries coordinated (one per upstream `query`).
-    pub queries: Arc<Counter>,
-    /// Sub-queries issued downstream (one per scatter unit attempt
-    /// that reached a shard, including failover retries).
-    pub subqueries: Arc<Counter>,
-    /// Blocks the coordinator pruned from manifest proofs alone —
-    /// never scattered anywhere.
-    pub blocks_pruned: Arc<Counter>,
-    /// Sub-requests retried on a replica endpoint after a transport
-    /// failure on the one before it.
-    pub failover: Arc<Counter>,
-    /// Sub-requests that exhausted every endpoint of a shard and
-    /// surfaced the typed `unavailable` error upstream.
-    pub unavailable: Arc<Counter>,
-    /// Typed shard-side errors forwarded upstream verbatim (code
-    /// preserved, shard named in the message).
-    pub remote_errors: Arc<Counter>,
-}
-
-impl FabricObs {
-    /// Registers every `fabric.*` metric in the global registry
-    /// (idempotent — re-registration returns the same handles).
-    pub fn register() -> FabricObs {
-        let r = global();
-        FabricObs {
-            queries: counter!(
-                r,
-                "fabric.queries",
-                "requests",
-                "§3.4",
-                "Scatter-gather queries coordinated across shards."
-            ),
-            subqueries: counter!(
-                r,
-                "fabric.subqueries",
-                "requests",
-                "§3.4",
-                "Sub-queries dispatched to shard nodes (retries included)."
-            ),
-            blocks_pruned: counter!(
-                r,
-                "fabric.blocks.pruned",
-                "blocks",
-                "§3.2",
-                "Blocks pruned coordinator-side from manifest proofs alone."
-            ),
-            failover: counter!(
-                r,
-                "fabric.failover",
-                "requests",
-                "§4.3",
-                "Sub-requests retried on a replica after a transport failure."
-            ),
-            unavailable: counter!(
-                r,
-                "fabric.unavailable",
-                "requests",
-                "§4.3",
-                "Sub-requests that exhausted every endpoint of a shard."
-            ),
-            remote_errors: counter!(
-                r,
-                "fabric.errors.remote",
-                "errors",
-                "§4.3",
-                "Typed shard errors forwarded upstream with the shard named."
-            ),
-        }
+wrl_obs::metrics! {
+    /// Live tallies for the fabric coordinator.
+    #[derive(Clone)]
+    pub struct FabricObs {
+        pub queries: counter "fabric.queries", "requests", "§3.4",
+            "Scatter-gather queries coordinated across shards.";
+        pub subqueries: counter "fabric.subqueries", "requests", "§3.4",
+            "Sub-queries dispatched to shard nodes (retries included).";
+        pub blocks_pruned: counter "fabric.blocks.pruned", "blocks", "§3.2",
+            "Blocks pruned coordinator-side from manifest proofs alone.";
+        pub failover: counter "fabric.failover", "requests", "§4.3",
+            "Sub-requests retried on a replica after a transport failure.";
+        pub unavailable: counter "fabric.unavailable", "requests", "§4.3",
+            "Sub-requests that exhausted every endpoint of a shard.";
+        pub remote_errors: counter "fabric.errors.remote", "errors", "§4.3",
+            "Typed shard errors forwarded upstream with the shard named.";
     }
 }
 
@@ -96,8 +37,6 @@ mod tests {
         let a = FabricObs::register();
         let b = FabricObs::register();
         a.queries.inc();
-        if wrl_obs::recording() {
-            assert_eq!(a.queries.get(), b.queries.get(), "same underlying counter");
-        }
+        assert_eq!(a.queries.get(), b.queries.get(), "same underlying counter");
     }
 }

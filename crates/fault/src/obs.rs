@@ -8,65 +8,26 @@
 //! other §4.3 defensive tally. Rows in `docs/METRICS.md` are kept
 //! honest by the `metrics_doc_sync` test.
 
-use std::sync::Arc;
-
-use wrl_obs::{counter, global, Counter};
-
 use crate::chaos::Outcome;
 
-/// Live tallies for a chaos campaign's outcomes.
-#[derive(Clone)]
-pub struct FaultObs {
-    plans: Arc<Counter>,
-    detected: Arc<Counter>,
-    harmless: Arc<Counter>,
-    absorbed: Arc<Counter>,
-    forbidden: Arc<Counter>,
+wrl_obs::metrics! {
+    /// Live tallies for a chaos campaign's outcomes.
+    #[derive(Clone)]
+    pub struct FaultObs {
+        plans: counter "fault.plans", "plans", "§4.3",
+            "Fault plans executed by chaos campaigns this run.";
+        detected: counter "fault.detected", "plans", "§4.3",
+            "Injected faults surfaced as typed errors or defensive tallies.";
+        harmless: counter "fault.harmless", "plans", "§4.3",
+            "Injected faults with bit-identical results (stalls, slow writes).";
+        absorbed: counter "fault.absorbed", "plans", "§4.3",
+            "Faults forging well-formed traces, processed deterministically.";
+        forbidden: counter "fault.forbidden", "plans", "§4.3",
+            "Panics or silently wrong answers under fault (must stay 0).";
+    }
 }
 
 impl FaultObs {
-    /// Registers every `fault.*` metric in the global registry.
-    pub fn register() -> FaultObs {
-        let r = global();
-        FaultObs {
-            plans: counter!(
-                r,
-                "fault.plans",
-                "plans",
-                "§4.3",
-                "Fault plans executed by chaos campaigns this run."
-            ),
-            detected: counter!(
-                r,
-                "fault.detected",
-                "plans",
-                "§4.3",
-                "Injected faults surfaced as typed errors or defensive tallies."
-            ),
-            harmless: counter!(
-                r,
-                "fault.harmless",
-                "plans",
-                "§4.3",
-                "Injected faults with bit-identical results (stalls, slow writes)."
-            ),
-            absorbed: counter!(
-                r,
-                "fault.absorbed",
-                "plans",
-                "§4.3",
-                "Faults forging well-formed traces, processed deterministically."
-            ),
-            forbidden: counter!(
-                r,
-                "fault.forbidden",
-                "plans",
-                "§4.3",
-                "Panics or silently wrong answers under fault (must stay 0)."
-            ),
-        }
-    }
-
     /// Bumps the plan total and the matching outcome counter.
     pub fn tally(&self, outcome: &Outcome) {
         self.plans.inc();
@@ -89,10 +50,8 @@ mod tests {
         let before = (obs.plans.get(), obs.detected.get(), obs.forbidden.get());
         obs.tally(&Outcome::Detected { what: "x".into() });
         obs.tally(&Outcome::Harmless);
-        if wrl_obs::recording() {
-            assert_eq!(obs.plans.get(), before.0 + 2);
-            assert_eq!(obs.detected.get(), before.1 + 1);
-            assert_eq!(obs.forbidden.get(), before.2, "nothing forbidden here");
-        }
+        assert_eq!(obs.plans.get(), before.0 + 2);
+        assert_eq!(obs.detected.get(), before.1 + 1);
+        assert_eq!(obs.forbidden.get(), before.2, "nothing forbidden here");
     }
 }

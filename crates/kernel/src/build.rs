@@ -135,15 +135,12 @@ pub struct System {
 pub struct SystemRun {
     /// Exit code from the HALT device.
     pub exit_code: u32,
-    /// Trace words drained at analysis doorbells, in order.
+    /// Trace words drained at analysis doorbells, in order. Collected
+    /// by [`System::run`]; empty after [`System::run_with`], whose
+    /// callback is handed every word instead.
     pub trace_words: Vec<u32>,
     /// Number of analysis phases (doorbells).
     pub drains: u64,
-    /// Trace words drained. Equals `trace_words.len()` after
-    /// [`System::run_with`]; after [`System::run_streaming`] the words
-    /// were handed to the drain callback without being retained, so
-    /// this count is the only record of them here.
-    pub words_drained: u64,
     /// Console output.
     pub console: Vec<u8>,
 }
@@ -551,59 +548,35 @@ pub fn build_system(cfg: &KernelConfig, workloads: &[&Workload]) -> System {
     }
 }
 
-/// How `run_inner` delivers each drained trace buffer.
-enum Drain<'a> {
-    /// Accumulate in `SystemRun::trace_words`; callback sees a slice.
-    Keep(&'a mut dyn FnMut(&[u32])),
-    /// Hand each buffer over by value; nothing is retained.
-    Stream(&'a mut dyn FnMut(Vec<u32>)),
-}
-
 impl System {
     /// Runs the system to halt, draining the trace buffer at every
-    /// analysis doorbell.
+    /// analysis doorbell and collecting the words in
+    /// [`SystemRun::trace_words`].
     ///
     /// # Panics
     ///
     /// Panics if the instruction budget is exhausted before halt.
     pub fn run(&mut self, max_insts: u64) -> SystemRun {
-        self.run_with(max_insts, |_| {})
+        let mut words = Vec::new();
+        let mut out = self.run_with(max_insts, |chunk| words.extend_from_slice(chunk));
+        out.trace_words = words;
+        out
     }
 
-    /// Like [`System::run`], but hands each drained buffer to
-    /// `on_drain` as it is read out — the paper's actual workflow,
-    /// where the analysis program consumes the in-kernel buffer while
-    /// the traced processes are paused (§3.3), rather than archiving
-    /// the whole trace first.
+    /// The one drain loop: runs the system to halt and hands each
+    /// drained buffer to `on_drain` as it is read out — the paper's
+    /// actual workflow, where the analysis program consumes the
+    /// in-kernel buffer while the traced processes are paused (§3.3),
+    /// rather than archiving the whole trace first. Nothing is
+    /// retained: the slice is a buffer reused from drain to drain, so
+    /// long runs never grow a whole-trace vector.
     ///
     /// # Panics
     ///
     /// Panics if the instruction budget is exhausted before halt.
     pub fn run_with(&mut self, max_insts: u64, mut on_drain: impl FnMut(&[u32])) -> SystemRun {
-        self.run_inner(max_insts, &mut Drain::Keep(&mut on_drain))
-    }
-
-    /// Like [`System::run_with`], but the drained words are *not*
-    /// accumulated in the returned [`SystemRun`] — each buffer is read
-    /// into a fresh vector handed to `on_drain` by value. This is the
-    /// producer half of the streaming pipeline: the buffer goes
-    /// zero-copy into the analysis channel, and long runs never grow
-    /// (and later re-walk) a whole-trace vector that exists purely to
-    /// be replayed once.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the instruction budget is exhausted before halt.
-    pub fn run_streaming(
-        &mut self,
-        max_insts: u64,
-        mut on_drain: impl FnMut(Vec<u32>),
-    ) -> SystemRun {
-        self.run_inner(max_insts, &mut Drain::Stream(&mut on_drain))
-    }
-
-    fn run_inner(&mut self, max_insts: u64, drain: &mut Drain<'_>) -> SystemRun {
         let mut out = SystemRun::default();
+        let mut buf = Vec::new();
         let mut budget = max_insts;
         loop {
             let before = self.machine.counters.insts();
@@ -613,29 +586,13 @@ impl System {
                 StopEvent::TraceRequest(fill) => {
                     out.drains += 1;
                     let end = fill - layout::KSEG0;
-                    let n = ((end - layout::KTRACE_PHYS) / 4) as usize;
-                    out.words_drained += n as u64;
-                    match drain {
-                        Drain::Keep(f) => {
-                            let start = out.trace_words.len();
-                            out.trace_words.reserve(n);
-                            let mut a = layout::KTRACE_PHYS;
-                            while a < end {
-                                out.trace_words.push(self.machine.mem.read_word(a));
-                                a += 4;
-                            }
-                            f(&out.trace_words[start..]);
-                        }
-                        Drain::Stream(f) => {
-                            let mut buf = Vec::with_capacity(n);
-                            let mut a = layout::KTRACE_PHYS;
-                            while a < end {
-                                buf.push(self.machine.mem.read_word(a));
-                                a += 4;
-                            }
-                            f(buf);
-                        }
-                    }
+                    buf.clear();
+                    buf.extend(
+                        (layout::KTRACE_PHYS..end)
+                            .step_by(4)
+                            .map(|a| self.machine.mem.read_word(a)),
+                    );
+                    on_drain(&buf);
                 }
                 StopEvent::Halted(code) => {
                     out.exit_code = code;

@@ -8,9 +8,6 @@
 //! times each instruction in the kernel was executed").
 
 use std::collections::HashMap;
-use std::sync::Arc;
-
-use wrl_obs::{gauge, global, Gauge};
 
 /// Event counters maintained by the machine.
 #[derive(Clone, Debug, Default)]
@@ -72,140 +69,41 @@ impl Counters {
             self.cycles as f64 / self.insts() as f64
         }
     }
-
-    /// Registers (idempotently) and sets the `machine.*` gauges from
-    /// this counter block — the end-of-run export of the "measurement
-    /// hardware" readings.
-    pub fn export_obs(&self) {
-        CountersObs::register().export(self);
-    }
 }
 
-/// Gauges mirroring the hot [`Counters`] fields, set once per run by
-/// [`Counters::export_obs`]. The machine keeps counting in plain
-/// fields on its hot path; the export copies them out, so enabling
-/// metrics costs the simulated machine nothing per instruction.
-pub struct CountersObs {
-    cycles: Arc<Gauge>,
-    user_insts: Arc<Gauge>,
-    kernel_insts: Arc<Gauge>,
-    idle_insts: Arc<Gauge>,
-    utlb_misses: Arc<Gauge>,
-    ktlb_misses: Arc<Gauge>,
-    imisses: Arc<Gauge>,
-    dmisses: Arc<Gauge>,
-    uncached_ifetches: Arc<Gauge>,
-    wb_stall_cycles: Arc<Gauge>,
-    interrupts: Arc<Gauge>,
-    exceptions: Arc<Gauge>,
-}
-
-impl CountersObs {
-    /// Registers the machine-counter gauges in the global registry.
-    pub fn register() -> CountersObs {
-        let r = global();
-        CountersObs {
-            cycles: gauge!(
-                r,
-                "machine.cycles",
-                "cycles",
-                "§5.1",
-                "Total machine cycles (the high-resolution timer)."
-            ),
-            user_insts: gauge!(
-                r,
-                "machine.insts.user",
-                "insts",
-                "§5.1",
-                "Instructions retired in user mode."
-            ),
-            kernel_insts: gauge!(
-                r,
-                "machine.insts.kernel",
-                "insts",
-                "§5.1",
-                "Instructions retired in kernel mode."
-            ),
-            idle_insts: gauge!(
-                r,
-                "machine.insts.idle",
-                "insts",
-                "§4.2",
-                "Instructions retired inside the idle loop."
-            ),
-            utlb_misses: gauge!(
-                r,
-                "machine.tlb.utlb_misses",
-                "misses",
-                "§5.2",
-                "User-segment TLB refill exceptions (Table 3's counter)."
-            ),
-            ktlb_misses: gauge!(
-                r,
-                "machine.tlb.ktlb_misses",
-                "misses",
-                "§5.2",
-                "Mapped-kernel-segment TLB misses."
-            ),
-            imisses: gauge!(
-                r,
-                "machine.cache.imisses",
-                "misses",
-                "§5.1",
-                "Instruction-cache misses."
-            ),
-            dmisses: gauge!(
-                r,
-                "machine.cache.dmisses",
-                "misses",
-                "§5.1",
-                "Data-cache read misses."
-            ),
-            uncached_ifetches: gauge!(
-                r,
-                "machine.cache.uncached_ifetches",
-                "fetches",
-                "§5.1",
-                "Uncached instruction fetches."
-            ),
-            wb_stall_cycles: gauge!(
-                r,
-                "machine.wb.stall_cycles",
-                "cycles",
-                "§5.1",
-                "Cycles stalled on a full write buffer."
-            ),
-            interrupts: gauge!(
-                r,
-                "machine.interrupts",
-                "interrupts",
-                "§3.3",
-                "External interrupts delivered."
-            ),
-            exceptions: gauge!(
-                r,
-                "machine.exceptions",
-                "exceptions",
-                "§3.3",
-                "Exceptions taken (all cause codes summed)."
-            ),
-        }
-    }
-
-    /// Sets every gauge from one run's counter block.
-    pub fn export(&self, c: &Counters) {
-        self.cycles.set(c.cycles as i64);
-        self.user_insts.set(c.user_insts as i64);
-        self.kernel_insts.set(c.kernel_insts as i64);
-        self.idle_insts.set(c.idle_insts as i64);
-        self.utlb_misses.set(c.utlb_misses as i64);
-        self.ktlb_misses.set(c.ktlb_misses as i64);
-        self.imisses.set(c.icache_misses as i64);
-        self.dmisses.set(c.dcache_misses as i64);
-        self.uncached_ifetches.set(c.uncached_ifetches as i64);
-        self.wb_stall_cycles.set(c.wb_stall_cycles as i64);
-        self.interrupts.set(c.interrupts as i64);
-        self.exceptions.set(c.exceptions.iter().sum::<u64>() as i64);
+wrl_obs::metrics! {
+    /// Gauges mirroring the hot [`Counters`] fields, set once per run by
+    /// [`Counters::export_obs`] — the end-of-run export of the
+    /// "measurement hardware" readings. The machine keeps counting in
+    /// plain fields on its hot path; the export copies them out, so
+    /// enabling metrics costs the simulated machine nothing per
+    /// instruction.
+    pub struct CountersObs mirrors Counters {
+        cycles: gauge "machine.cycles", "cycles", "§5.1",
+            "Total machine cycles (the high-resolution timer).";
+        user_insts: gauge "machine.insts.user", "insts", "§5.1",
+            "Instructions retired in user mode.";
+        kernel_insts: gauge "machine.insts.kernel", "insts", "§5.1",
+            "Instructions retired in kernel mode.";
+        idle_insts: gauge "machine.insts.idle", "insts", "§4.2",
+            "Instructions retired inside the idle loop.";
+        utlb_misses: gauge "machine.tlb.utlb_misses", "misses", "§5.2",
+            "User-segment TLB refill exceptions (Table 3's counter).";
+        ktlb_misses: gauge "machine.tlb.ktlb_misses", "misses", "§5.2",
+            "Mapped-kernel-segment TLB misses.";
+        icache_misses: gauge "machine.cache.imisses", "misses", "§5.1",
+            "Instruction-cache misses.";
+        dcache_misses: gauge "machine.cache.dmisses", "misses", "§5.1",
+            "Data-cache read misses.";
+        uncached_ifetches: gauge "machine.cache.uncached_ifetches", "fetches", "§5.1",
+            "Uncached instruction fetches.";
+        wb_stall_cycles: gauge "machine.wb.stall_cycles", "cycles", "§5.1",
+            "Cycles stalled on a full write buffer.";
+        interrupts: gauge "machine.interrupts", "interrupts", "§3.3",
+            "External interrupts delivered.";
+        exceptions: gauge "machine.exceptions", "exceptions", "§3.3",
+            "Exceptions taken (all cause codes summed)."
+            = |c: &Counters| c.exceptions.iter().sum::<u64>();
     }
 }
 

@@ -5,165 +5,42 @@
 //! copies the finished statistics into the `wrl-obs` registry once per
 //! run, so the cache/TLB model pays nothing per reference for metrics.
 
-use std::sync::Arc;
-
-use wrl_obs::{gauge, global, Gauge};
-
 use crate::sim::SimStats;
 
-/// Gauges mirroring [`SimStats`], set once per run by
-/// [`SimStats::export_obs`].
-pub struct SimObs {
-    user_irefs: Arc<Gauge>,
-    kernel_irefs: Arc<Gauge>,
-    user_drefs: Arc<Gauge>,
-    kernel_drefs: Arc<Gauge>,
-    imisses: Arc<Gauge>,
-    dmisses: Arc<Gauge>,
-    uncached: Arc<Gauge>,
-    wb_stall_cycles: Arc<Gauge>,
-    utlb_misses: Arc<Gauge>,
-    synth_irefs: Arc<Gauge>,
-    idle_insts: Arc<Gauge>,
-    stores: Arc<Gauge>,
-    sanity_violations: Arc<Gauge>,
-    kernel_cycles: Arc<Gauge>,
-    user_cycles: Arc<Gauge>,
-}
-
-impl SimObs {
-    /// Registers the simulator-statistics gauges in the global
-    /// registry.
-    pub fn register() -> SimObs {
-        let r = global();
-        SimObs {
-            user_irefs: gauge!(
-                r,
-                "sim.irefs.user",
-                "refs",
-                "§5.1",
-                "Simulated instruction references, user mode."
-            ),
-            kernel_irefs: gauge!(
-                r,
-                "sim.irefs.kernel",
-                "refs",
-                "§5.1",
-                "Simulated instruction references, kernel mode."
-            ),
-            user_drefs: gauge!(
-                r,
-                "sim.drefs.user",
-                "refs",
-                "§5.1",
-                "Simulated data references, user mode."
-            ),
-            kernel_drefs: gauge!(
-                r,
-                "sim.drefs.kernel",
-                "refs",
-                "§5.1",
-                "Simulated data references, kernel mode."
-            ),
-            imisses: gauge!(
-                r,
-                "sim.cache.imisses",
-                "misses",
-                "§5.1",
-                "Simulated instruction-cache misses."
-            ),
-            dmisses: gauge!(
-                r,
-                "sim.cache.dmisses",
-                "misses",
-                "§5.1",
-                "Simulated data-cache read misses."
-            ),
-            uncached: gauge!(
-                r,
-                "sim.uncached",
-                "refs",
-                "§5.1",
-                "Simulated uncached references."
-            ),
-            wb_stall_cycles: gauge!(
-                r,
-                "sim.wb.stall_cycles",
-                "cycles",
-                "§5.1",
-                "Simulated write-buffer stall cycles."
-            ),
-            utlb_misses: gauge!(
-                r,
-                "sim.tlb.utlb_misses",
-                "misses",
-                "§5.2",
-                "Predicted user-TLB misses (Table 3's predicted column)."
-            ),
-            synth_irefs: gauge!(
-                r,
-                "sim.synth.irefs",
-                "refs",
-                "§5.2",
-                "Synthesized TLB-refill handler references."
-            ),
-            idle_insts: gauge!(
-                r,
-                "sim.idle.insts",
-                "insts",
-                "§4.2",
-                "Idle-loop instructions seen in the trace."
-            ),
-            stores: gauge!(r, "sim.stores", "refs", "§5.1", "Stores seen in the trace."),
-            sanity_violations: gauge!(
-                r,
-                "sim.sanity_violations",
-                "errors",
-                "§4.3",
-                "Address/space sanity-check violations (healthy runs: 0)."
-            ),
-            kernel_cycles: gauge!(
-                r,
-                "sim.cycles.kernel",
-                "cycles",
-                "§3.4",
-                "Simulated cycles attributed to kernel references."
-            ),
-            user_cycles: gauge!(
-                r,
-                "sim.cycles.user",
-                "cycles",
-                "§3.4",
-                "Simulated cycles attributed to user references."
-            ),
-        }
-    }
-
-    /// Sets every gauge from one run's statistics.
-    pub fn export(&self, s: &SimStats) {
-        self.user_irefs.set(s.user_irefs as i64);
-        self.kernel_irefs.set(s.kernel_irefs as i64);
-        self.user_drefs.set(s.user_drefs as i64);
-        self.kernel_drefs.set(s.kernel_drefs as i64);
-        self.imisses.set(s.imisses as i64);
-        self.dmisses.set(s.dmisses as i64);
-        self.uncached.set(s.uncached as i64);
-        self.wb_stall_cycles.set(s.wb_stall_cycles as i64);
-        self.utlb_misses.set(s.utlb_misses as i64);
-        self.synth_irefs.set(s.synth_irefs as i64);
-        self.idle_insts.set(s.idle_insts as i64);
-        self.stores.set(s.stores as i64);
-        self.sanity_violations.set(s.sanity_violations as i64);
-        self.kernel_cycles.set(s.kernel_cycles as i64);
-        self.user_cycles.set(s.user_cycles as i64);
-    }
-}
-
-impl SimStats {
-    /// Registers (idempotently) and sets the `sim.*` gauges from this
-    /// run's statistics.
-    pub fn export_obs(&self) {
-        SimObs::register().export(self);
+wrl_obs::metrics! {
+    /// Gauges mirroring [`SimStats`], set once per run by
+    /// [`SimStats::export_obs`].
+    pub struct SimObs mirrors SimStats {
+        user_irefs: gauge "sim.irefs.user", "refs", "§5.1",
+            "Simulated instruction references, user mode.";
+        kernel_irefs: gauge "sim.irefs.kernel", "refs", "§5.1",
+            "Simulated instruction references, kernel mode.";
+        user_drefs: gauge "sim.drefs.user", "refs", "§5.1",
+            "Simulated data references, user mode.";
+        kernel_drefs: gauge "sim.drefs.kernel", "refs", "§5.1",
+            "Simulated data references, kernel mode.";
+        imisses: gauge "sim.cache.imisses", "misses", "§5.1",
+            "Simulated instruction-cache misses.";
+        dmisses: gauge "sim.cache.dmisses", "misses", "§5.1",
+            "Simulated data-cache read misses.";
+        uncached: gauge "sim.uncached", "refs", "§5.1",
+            "Simulated uncached references.";
+        wb_stall_cycles: gauge "sim.wb.stall_cycles", "cycles", "§5.1",
+            "Simulated write-buffer stall cycles.";
+        utlb_misses: gauge "sim.tlb.utlb_misses", "misses", "§5.2",
+            "Predicted user-TLB misses (Table 3's predicted column).";
+        synth_irefs: gauge "sim.synth.irefs", "refs", "§5.2",
+            "Synthesized TLB-refill handler references.";
+        idle_insts: gauge "sim.idle.insts", "insts", "§4.2",
+            "Idle-loop instructions seen in the trace.";
+        stores: gauge "sim.stores", "refs", "§5.1",
+            "Stores seen in the trace.";
+        sanity_violations: gauge "sim.sanity_violations", "errors", "§4.3",
+            "Address/space sanity-check violations (healthy runs: 0).";
+        kernel_cycles: gauge "sim.cycles.kernel", "cycles", "§3.4",
+            "Simulated cycles attributed to kernel references.";
+        user_cycles: gauge "sim.cycles.user", "cycles", "§3.4",
+            "Simulated cycles attributed to user references.";
     }
 }
 
@@ -179,17 +56,7 @@ mod tests {
             ..SimStats::default()
         };
         s.export_obs();
-        let snap = wrl_obs::global().snapshot();
-        let m = snap
-            .metrics
-            .iter()
-            .find(|m| m.desc.name == "sim.irefs.kernel")
-            .expect("registered");
-        if wrl_obs::recording() {
-            match m.value {
-                wrl_obs::ValueSnap::Gauge { value, .. } => assert_eq!(value, 31_917),
-                _ => panic!("gauge expected"),
-            }
-        }
+        let obs = SimObs::register();
+        assert_eq!((obs.user_irefs.get(), obs.kernel_irefs.get()), (44, 31_917));
     }
 }

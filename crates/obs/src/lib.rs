@@ -27,21 +27,23 @@
 //! and `docs/METRICS.md` can be checked against it mechanically, even
 //! for metrics whose recording sites never fire in a given run.
 //!
+//! # Declaring metrics
+//!
+//! A subsystem states each of its metrics once, as a row of a
+//! [`metrics!`] table; the handle struct, its `register()`, the field
+//! docs and (for end-of-run mirrors of a statistics struct) the
+//! `export` body are all derived from that row.
+//!
 //! # Overhead
 //!
-//! Recording is gated twice:
+//! Recording has one gate, [`set_recording`]: a single relaxed atomic
+//! load guards each recording call, which lets one binary measure its
+//! own metrics overhead by interleaving recording-on and
+//! recording-off runs (see `crates/bench/src/bin/obs_overhead.rs`
+//! and EXPERIMENTS.md).
 //!
-//! * at **compile time** by the `record` cargo feature (on by
-//!   default) — without it every recording call is a no-op and the
-//!   optimizer deletes the call entirely;
-//! * at **run time** by [`set_recording`] — a single relaxed atomic
-//!   load guards each recording call, which lets one binary measure
-//!   its own metrics overhead by interleaving recording-on and
-//!   recording-off runs (see `crates/bench/src/bin/obs_overhead.rs`
-//!   and EXPERIMENTS.md: the measured end-to-end overhead is < 1%).
-//!
-//! Exports ([`Registry::snapshot`]) always work regardless of either
-//! gate; a disabled build simply exports zeros.
+//! Exports ([`Registry::snapshot`]) always work regardless of the
+//! gate; a process that never records simply exports zeros.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -63,20 +65,12 @@ pub const SCHEMA: &str = "wrl-obs-metrics/v1";
 
 static RECORDING: AtomicBool = AtomicBool::new(true);
 
-/// Whether recording is currently enabled (compile-time `record`
-/// feature AND the runtime switch). Recording sites check this; when
-/// it returns `false` they do no atomic writes and read no clocks.
+/// Whether recording is currently enabled. Recording sites check
+/// this; when it returns `false` they do no atomic writes and read no
+/// clocks.
 #[inline]
 pub fn recording() -> bool {
-    cfg!(feature = "record") && RECORDING.load(Ordering::Relaxed)
-}
-
-/// Whether this build of `wrl-obs` has the `record` feature — i.e.
-/// whether recording sites exist at all. Lets downstream crates
-/// (which cannot see this crate's features via `cfg!`) report or
-/// branch on the compile-time gate.
-pub fn compiled_with_recording() -> bool {
-    cfg!(feature = "record")
+    RECORDING.load(Ordering::Relaxed)
 }
 
 /// Runtime kill-switch for all recording. Registration and export
@@ -95,67 +89,115 @@ pub fn global() -> &'static Registry {
     GLOBAL.get_or_init(Registry::new)
 }
 
-/// Registers (or looks up) a [`Counter`] in a registry, capturing the
-/// call site's file as the metric's source site.
+/// Declares one metric family: a struct of `Arc` handles, one field
+/// per row, with the row's help string as the field's doc and a
+/// `register()` that registers (or looks up) every row in the
+/// [`global`] registry. Each row reads
+/// `field: kind "name", "unit", "§paper", "help";` where `kind` is
+/// `counter`, `gauge`, `histogram` or `span`; the invoking file is
+/// recorded as the metric's source site.
 ///
 /// ```
-/// let c = wrl_obs::counter!(wrl_obs::global(), "doc.example.count",
-///     "events", "§4.3", "Example counter registered from a doctest.");
-/// c.inc();
+/// wrl_obs::metrics! {
+///     /// Example family.
+///     pub struct DocObs {
+///         pub seen: counter "doc.example.count", "events", "§4.3",
+///             "Example counter registered from a doctest.";
+///         phase: span "doc.example.phase", "ns", "§5", "Example phase span.";
+///     }
+/// }
+/// let obs = DocObs::register();
+/// obs.seen.inc();
+/// assert_eq!(wrl_obs::time!(obs.phase, 1 + 1), 2);
+/// ```
+///
+/// `struct Name mirrors Stats` declares an end-of-run mirror of a
+/// statistics struct defined in the invoking crate: every row is a
+/// gauge, `export(&Stats)` sets each from the field of the same name
+/// (or from `= |s: &Stats| expr` where the row gives one), and
+/// `Stats::export_obs()` registers and exports in one call.
+///
+/// ```
+/// pub struct Tally { hits: u64, parts: [u64; 2] }
+/// wrl_obs::metrics! {
+///     /// Gauges mirroring [`Tally`].
+///     pub struct TallyObs mirrors Tally {
+///         hits: gauge "doc.tally.hits", "events", "—", "Hits in the last run.";
+///         parts: gauge "doc.tally.parts", "events", "—", "Parts, summed."
+///             = |t: &Tally| t.parts.iter().sum::<u64>();
+///     }
+/// }
+/// Tally { hits: 7, parts: [1, 2] }.export_obs();
+/// let obs = TallyObs::register();
+/// assert_eq!((obs.hits.get(), obs.parts.get()), (7, 3));
 /// ```
 #[macro_export]
-macro_rules! counter {
-    ($reg:expr, $name:expr, $unit:expr, $paper:expr, $help:expr) => {
-        $reg.counter($crate::Desc {
-            name: $name,
-            unit: $unit,
-            site: file!(),
-            paper: $paper,
-            help: $help,
-        })
-    };
-}
+macro_rules! metrics {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $($fvis:vis $field:ident: $kind:ident
+                $metric:literal, $unit:literal, $paper:literal, $help:literal;)+
+        }
+    ) => {
+        $(#[$meta])*
+        $vis struct $name {
+            $(#[doc = $help] $fvis $field: ::std::sync::Arc<$crate::metrics!(@type $kind)>,)+
+        }
 
-/// Registers (or looks up) a [`Gauge`]; see [`counter!`].
-#[macro_export]
-macro_rules! gauge {
-    ($reg:expr, $name:expr, $unit:expr, $paper:expr, $help:expr) => {
-        $reg.gauge($crate::Desc {
-            name: $name,
-            unit: $unit,
-            site: file!(),
-            paper: $paper,
-            help: $help,
-        })
+        impl $name {
+            /// Registers (or looks up) every metric of this family in
+            /// the global registry.
+            $vis fn register() -> $name {
+                let r = $crate::global();
+                $name {
+                    $($field: r.$kind($crate::Desc {
+                        name: $metric,
+                        unit: $unit,
+                        site: file!(),
+                        paper: $paper,
+                        help: $help,
+                    }),)+
+                }
+            }
+        }
     };
-}
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident mirrors $stats:ty {
+            $($field:ident: gauge
+                $metric:literal, $unit:literal, $paper:literal, $help:literal
+                $(= $read:expr)?;)+
+        }
+    ) => {
+        $crate::metrics! {
+            $(#[$meta])*
+            $vis struct $name {
+                $($field: gauge $metric, $unit, $paper, $help;)+
+            }
+        }
 
-/// Registers (or looks up) a [`Histogram`]; see [`counter!`].
-#[macro_export]
-macro_rules! histogram {
-    ($reg:expr, $name:expr, $unit:expr, $paper:expr, $help:expr) => {
-        $reg.histogram($crate::Desc {
-            name: $name,
-            unit: $unit,
-            site: file!(),
-            paper: $paper,
-            help: $help,
-        })
-    };
-}
+        impl $name {
+            /// Sets every gauge from one run's statistics.
+            $vis fn export(&self, s: &$stats) {
+                $(self.$field.set($crate::metrics!(@read s $field $($read)?) as i64);)+
+            }
+        }
 
-/// Registers (or looks up) a [`Span`]; see [`counter!`].
-#[macro_export]
-macro_rules! span {
-    ($reg:expr, $name:expr, $unit:expr, $paper:expr, $help:expr) => {
-        $reg.span($crate::Desc {
-            name: $name,
-            unit: $unit,
-            site: file!(),
-            paper: $paper,
-            help: $help,
-        })
+        impl $stats {
+            /// Registers (idempotently) the gauges mirroring these
+            /// statistics and sets them from this run's values.
+            pub fn export_obs(&self) {
+                $name::register().export(self);
+            }
+        }
     };
+    (@type counter) => { $crate::Counter };
+    (@type gauge) => { $crate::Gauge };
+    (@type histogram) => { $crate::Histogram };
+    (@type span) => { $crate::Span };
+    (@read $s:ident $field:ident) => { $s.$field };
+    (@read $s:ident $field:ident $read:expr) => { ($read)($s) };
 }
 
 /// Times an expression into a [`Span`]: reads the clock only when
@@ -164,10 +206,10 @@ macro_rules! span {
 /// the timer records on drop).
 ///
 /// ```
-/// let s = wrl_obs::span!(wrl_obs::global(), "doc.example.phase",
-///     "ns", "§5", "Example phase span.");
+/// let s = wrl_obs::Span::default();
 /// let x = wrl_obs::time!(s, 1 + 1);
 /// assert_eq!(x, 2);
+/// assert_eq!(s.count(), 1);
 /// ```
 #[macro_export]
 macro_rules! time {
@@ -186,11 +228,10 @@ mod tests {
     fn recording_switch_gates_counters() {
         let c = Counter::default();
         c.add(3);
-        assert_eq!(c.get(), if cfg!(feature = "record") { 3 } else { 0 });
         set_recording(false);
         c.add(5);
         set_recording(true);
-        assert_eq!(c.get(), if cfg!(feature = "record") { 3 } else { 0 });
+        assert_eq!(c.get(), 3);
     }
 
     #[test]
@@ -209,27 +250,43 @@ mod tests {
         for t in threads {
             t.join().unwrap();
         }
-        if cfg!(feature = "record") {
-            assert_eq!(c.get(), 800_000);
+        assert_eq!(c.get(), 800_000);
+    }
+
+    metrics! {
+        /// Test family.
+        struct TableObs {
+            count: counter "test.lib.counter", "events", "—", "table test";
+            depth: gauge "test.lib.gauge", "items", "§3.2", "table test gauge";
+            sizes: histogram "test.lib.hist", "bytes", "—", "table test histogram";
+            phase: span "test.lib.span", "ns", "§4.1", "table test span";
         }
     }
 
     #[test]
-    fn macros_register_in_global_registry() {
-        let c = counter!(global(), "test.lib.counter", "events", "—", "macro test");
-        c.add(2);
-        let again = counter!(global(), "test.lib.counter", "events", "—", "macro test");
-        again.add(1);
-        if cfg!(feature = "record") {
-            assert_eq!(c.get(), 3, "same name must yield the same counter");
-        }
+    fn a_table_registers_every_row_with_its_kind_and_site() {
+        let a = TableObs::register();
+        let b = TableObs::register();
+        a.count.add(2);
+        b.count.add(1);
+        assert_eq!(a.count.get(), 3, "same name must yield the same counter");
+        b.depth.set(1);
+        b.sizes.record(1);
+        b.phase.record_ns(1);
         let snap = global().snapshot();
-        let m = snap
-            .metrics
-            .iter()
-            .find(|m| m.desc.name == "test.lib.counter")
-            .expect("registered");
-        assert_eq!(m.kind, Kind::Counter);
-        assert!(m.desc.site.ends_with("lib.rs"));
+        for (name, kind, unit, paper) in [
+            ("test.lib.counter", Kind::Counter, "events", "—"),
+            ("test.lib.gauge", Kind::Gauge, "items", "§3.2"),
+            ("test.lib.hist", Kind::Histogram, "bytes", "—"),
+            ("test.lib.span", Kind::Span, "ns", "§4.1"),
+        ] {
+            let m = snap
+                .metrics
+                .iter()
+                .find(|m| m.desc.name == name)
+                .expect("registered");
+            assert_eq!((m.kind, m.desc.unit, m.desc.paper), (kind, unit, paper));
+            assert!(m.desc.site.ends_with("lib.rs"), "site is the table's file");
+        }
     }
 }

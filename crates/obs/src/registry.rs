@@ -7,9 +7,9 @@ use crate::json::escape;
 use crate::metric::{Counter, Gauge, HistSnap, Histogram, Kind, Span};
 
 /// Static metadata for one metric. `site` is normally filled by the
-/// registration macros with `file!()`, so it is the workspace-relative
-/// path of the registering module — the "source site" column of
-/// `docs/METRICS.md`.
+/// [`crate::metrics!`] table with `file!()`, so it is the
+/// workspace-relative path of the registering module — the "source
+/// site" column of `docs/METRICS.md`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Desc {
     /// Dotted metric name, e.g. `stream.queue.chunks`. Unique per
@@ -323,9 +323,7 @@ mod tests {
         let snap = r.snapshot();
         let names: Vec<_> = snap.metrics.iter().map(|m| m.desc.name).collect();
         assert_eq!(names, vec!["a.gauge", "b.count"], "sorted by name");
-        if cfg!(feature = "record") {
-            assert!(matches!(snap.metrics[1].value, ValueSnap::Counter(2)));
-        }
+        assert!(matches!(snap.metrics[1].value, ValueSnap::Counter(2)));
     }
 
     #[test]
@@ -374,18 +372,16 @@ mod tests {
                 .find(|m| m.as_object().unwrap()["name"].as_str() == Some(n))
                 .unwrap()
         };
-        if cfg!(feature = "record") {
-            assert_eq!(by_name("c").as_object().unwrap()["value"].as_u64(), Some(7));
-            assert_eq!(
-                by_name("g").as_object().unwrap()["value"].as_i64(),
-                Some(-2)
-            );
-            assert_eq!(by_name("h").as_object().unwrap()["count"].as_u64(), Some(1));
-            assert_eq!(
-                by_name("s").as_object().unwrap()["total_ns"].as_u64(),
-                Some(1000)
-            );
-        }
+        assert_eq!(by_name("c").as_object().unwrap()["value"].as_u64(), Some(7));
+        assert_eq!(
+            by_name("g").as_object().unwrap()["value"].as_i64(),
+            Some(-2)
+        );
+        assert_eq!(by_name("h").as_object().unwrap()["count"].as_u64(), Some(1));
+        assert_eq!(
+            by_name("s").as_object().unwrap()["total_ns"].as_u64(),
+            Some(1000)
+        );
     }
 
     #[test]

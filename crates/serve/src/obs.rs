@@ -14,311 +14,88 @@
 //! limit, the push path's analogue of `serve.reject.busy`. Rows in
 //! `docs/METRICS.md` are kept honest by the `metrics_doc_sync` test.
 
-use std::sync::Arc;
-
-use wrl_obs::{counter, gauge, global, histogram, Counter, Gauge, Histogram};
-
 use crate::wire::op;
 
-/// Counters, gauges and histograms for the trace service.
-#[derive(Clone)]
-pub struct ServeObs {
-    /// Total connections accepted.
-    pub connections: Arc<Counter>,
-    /// Requests by opcode: catalog, fetch, query, metrics.
-    requests: [Arc<Counter>; 4],
-    /// Request-latency histograms by opcode, in nanoseconds.
-    latency: [Arc<Histogram>; 4],
-    /// Frame bytes read off sockets.
-    pub bytes_in: Arc<Counter>,
-    /// Frame bytes written to sockets.
-    pub bytes_out: Arc<Counter>,
-    /// Requests currently executing (high-water = deepest ever).
-    pub inflight: Arc<Gauge>,
-    /// Requests refused by the admission gate.
-    pub reject_busy: Arc<Counter>,
-    /// Request frames that were malformed or failed their CRC.
-    pub wire_errors: Arc<Counter>,
-    /// Blocks decoded to answer queries.
-    pub blocks_decoded: Arc<Counter>,
-    /// Blocks the pushdown proved irrelevant (never decoded).
-    pub blocks_skipped: Arc<Counter>,
-    /// Windowed-query blocks served from the decoded-block cache.
-    pub cache_hits: Arc<Counter>,
-    /// Windowed-query blocks decoded on a cache miss.
-    pub cache_misses: Arc<Counter>,
-    /// Cross-thread waker firings that interrupted a poll wait.
-    pub reactor_wakeups: Arc<Counter>,
-    /// Readiness events the pollers delivered to the event loops.
-    pub reactor_readiness: Arc<Counter>,
-    /// Readability passes that ended with a frame still incomplete.
-    pub reactor_partial_read: Arc<Counter>,
-    /// Writability passes that flushed only part of a pending frame.
-    pub reactor_partial_write: Arc<Counter>,
-    /// Connections severed for exhausting a read or write stall budget.
-    pub reactor_stalls_cut: Arc<Counter>,
-    /// Live-tail subscriptions accepted.
-    pub sub_subscribes: Arc<Counter>,
-    /// Clean unsubscribes (connection returned to request service).
-    pub sub_unsubscribes: Arc<Counter>,
-    /// Subscribers attached right now.
-    pub sub_active: Arc<Gauge>,
-    /// `EVENT` frames pushed to subscribers (end-of-feed markers
-    /// included).
-    pub sub_events: Arc<Counter>,
-    /// Filtered trace words pushed to subscribers.
-    pub sub_words: Arc<Counter>,
-    /// Subscribers evicted for falling `sub_queue` frames behind.
-    pub sub_evicted: Arc<Counter>,
-    /// Live-feed words evicted from the front under the
-    /// `sub_retention` bound.
-    pub sub_retention_evicted: Arc<Counter>,
+wrl_obs::metrics! {
+    /// Counters, gauges and histograms for the trace service.
+    #[derive(Clone)]
+    pub struct ServeObs {
+        pub connections: counter "serve.connections", "connections", "§3.4",
+            "Connections the trace service accepted.";
+        requests_catalog: counter "serve.requests.catalog", "requests", "§3.4",
+            "Catalog requests served.";
+        requests_fetch: counter "serve.requests.fetch", "requests", "§3.4",
+            "Raw block-range fetch requests served.";
+        requests_query: counter "serve.requests.query", "requests", "§3.4",
+            "Windowed predicate-pushdown queries served.";
+        requests_metrics: counter "serve.requests.metrics", "requests", "§3.4",
+            "Metrics-snapshot requests served.";
+        latency_catalog: histogram "serve.latency.catalog", "ns", "§4.2",
+            "Catalog request service time.";
+        latency_fetch: histogram "serve.latency.fetch", "ns", "§4.2",
+            "Raw block-range fetch service time.";
+        latency_query: histogram "serve.latency.query", "ns", "§4.2",
+            "Windowed query service time (decode + filter).";
+        latency_metrics: histogram "serve.latency.metrics", "ns", "§4.2",
+            "Metrics-snapshot service time.";
+        pub bytes_in: counter "serve.bytes.in", "bytes", "§3.4",
+            "Frame bytes read from clients.";
+        pub bytes_out: counter "serve.bytes.out", "bytes", "§3.4",
+            "Frame bytes written to clients.";
+        pub inflight: gauge "serve.inflight", "requests", "§3.4",
+            "Requests executing right now; high-water is the deepest the admission gate got.";
+        pub reject_busy: counter "serve.reject.busy", "requests", "§3.4",
+            "Requests answered Busy by the max-inflight admission gate.";
+        pub wire_errors: counter "serve.errors.wire", "errors", "§4.3",
+            "Request frames rejected as malformed or CRC-damaged.";
+        pub blocks_decoded: counter "serve.blocks.decoded", "blocks", "§3.2",
+            "Store blocks decoded to answer queries.";
+        pub blocks_skipped: counter "serve.blocks.skipped", "blocks", "§3.2",
+            "Store blocks predicate pushdown proved irrelevant (never decoded).";
+        pub cache_hits: counter "serve.query.cache.hits", "blocks", "§3.2",
+            "Windowed-query blocks served from the per-archive decoded-block cache.";
+        pub cache_misses: counter "serve.query.cache.misses", "blocks", "§3.2",
+            "Windowed-query blocks decoded on a cache miss (and cached).";
+        pub reactor_wakeups: counter "serve.reactor.wakeups", "wakeups", "§3.4",
+            "Cross-thread waker firings that interrupted an event-loop poll wait.";
+        pub reactor_readiness: counter "serve.reactor.readiness", "events", "§3.4",
+            "Readiness events the pollers delivered to the event loops.";
+        pub reactor_partial_read: counter "serve.reactor.partial.read", "reads", "§3.4",
+            "Readability passes that ended with a request frame still incomplete.";
+        pub reactor_partial_write: counter "serve.reactor.partial.write", "writes", "§3.4",
+            "Writability passes that flushed only part of a pending response frame.";
+        pub reactor_stalls_cut: counter "serve.reactor.stalls.cut", "connections", "§3.4",
+            "Connections severed for exhausting a mid-frame read or write stall budget.";
+        pub sub_subscribes: counter "serve.sub.subscribes", "requests", "§3.3",
+            "Live-tail subscriptions accepted.";
+        pub sub_unsubscribes: counter "serve.sub.unsubscribes", "requests", "§3.3",
+            "Clean unsubscribes returning the connection to request service.";
+        pub sub_active: gauge "serve.sub.active", "subscribers", "§3.3",
+            "Subscribers attached to live feeds right now.";
+        pub sub_events: counter "serve.sub.events", "events", "§3.3",
+            "EVENT frames pushed to live-tail subscribers (end-of-feed markers included).";
+        pub sub_words: counter "serve.sub.words", "words", "§3.3",
+            "Predicate-filtered trace words pushed to live-tail subscribers.";
+        pub sub_evicted: counter "serve.sub.evicted", "subscribers", "§3.3",
+            "Slow consumers evicted for falling a full sub_queue of frames behind.";
+        pub sub_retention_evicted: counter "serve.sub.retention_evicted", "words", "§3.3",
+            "Live-feed words evicted from the buffer front under the sub_retention bound.";
+    }
 }
 
 impl ServeObs {
-    /// Registers every `serve.*` metric in the global registry.
-    pub fn register() -> ServeObs {
-        let r = global();
-        ServeObs {
-            connections: counter!(
-                r,
-                "serve.connections",
-                "connections",
-                "§3.4",
-                "Connections the trace service accepted."
-            ),
-            requests: [
-                counter!(
-                    r,
-                    "serve.requests.catalog",
-                    "requests",
-                    "§3.4",
-                    "Catalog requests served."
-                ),
-                counter!(
-                    r,
-                    "serve.requests.fetch",
-                    "requests",
-                    "§3.4",
-                    "Raw block-range fetch requests served."
-                ),
-                counter!(
-                    r,
-                    "serve.requests.query",
-                    "requests",
-                    "§3.4",
-                    "Windowed predicate-pushdown queries served."
-                ),
-                counter!(
-                    r,
-                    "serve.requests.metrics",
-                    "requests",
-                    "§3.4",
-                    "Metrics-snapshot requests served."
-                ),
-            ],
-            latency: [
-                histogram!(
-                    r,
-                    "serve.latency.catalog",
-                    "ns",
-                    "§4.2",
-                    "Catalog request service time."
-                ),
-                histogram!(
-                    r,
-                    "serve.latency.fetch",
-                    "ns",
-                    "§4.2",
-                    "Raw block-range fetch service time."
-                ),
-                histogram!(
-                    r,
-                    "serve.latency.query",
-                    "ns",
-                    "§4.2",
-                    "Windowed query service time (decode + filter)."
-                ),
-                histogram!(
-                    r,
-                    "serve.latency.metrics",
-                    "ns",
-                    "§4.2",
-                    "Metrics-snapshot service time."
-                ),
-            ],
-            bytes_in: counter!(
-                r,
-                "serve.bytes.in",
-                "bytes",
-                "§3.4",
-                "Frame bytes read from clients."
-            ),
-            bytes_out: counter!(
-                r,
-                "serve.bytes.out",
-                "bytes",
-                "§3.4",
-                "Frame bytes written to clients."
-            ),
-            inflight: gauge!(
-                r,
-                "serve.inflight",
-                "requests",
-                "§3.4",
-                "Requests executing right now; high-water is the deepest the admission gate got."
-            ),
-            reject_busy: counter!(
-                r,
-                "serve.reject.busy",
-                "requests",
-                "§3.4",
-                "Requests answered Busy by the max-inflight admission gate."
-            ),
-            wire_errors: counter!(
-                r,
-                "serve.errors.wire",
-                "errors",
-                "§4.3",
-                "Request frames rejected as malformed or CRC-damaged."
-            ),
-            blocks_decoded: counter!(
-                r,
-                "serve.blocks.decoded",
-                "blocks",
-                "§3.2",
-                "Store blocks decoded to answer queries."
-            ),
-            blocks_skipped: counter!(
-                r,
-                "serve.blocks.skipped",
-                "blocks",
-                "§3.2",
-                "Store blocks predicate pushdown proved irrelevant (never decoded)."
-            ),
-            cache_hits: counter!(
-                r,
-                "serve.query.cache.hits",
-                "blocks",
-                "§3.2",
-                "Windowed-query blocks served from the per-archive decoded-block cache."
-            ),
-            cache_misses: counter!(
-                r,
-                "serve.query.cache.misses",
-                "blocks",
-                "§3.2",
-                "Windowed-query blocks decoded on a cache miss (and cached)."
-            ),
-            reactor_wakeups: counter!(
-                r,
-                "serve.reactor.wakeups",
-                "wakeups",
-                "§3.4",
-                "Cross-thread waker firings that interrupted an event-loop poll wait."
-            ),
-            reactor_readiness: counter!(
-                r,
-                "serve.reactor.readiness",
-                "events",
-                "§3.4",
-                "Readiness events the pollers delivered to the event loops."
-            ),
-            reactor_partial_read: counter!(
-                r,
-                "serve.reactor.partial.read",
-                "reads",
-                "§3.4",
-                "Readability passes that ended with a request frame still incomplete."
-            ),
-            reactor_partial_write: counter!(
-                r,
-                "serve.reactor.partial.write",
-                "writes",
-                "§3.4",
-                "Writability passes that flushed only part of a pending response frame."
-            ),
-            reactor_stalls_cut: counter!(
-                r,
-                "serve.reactor.stalls.cut",
-                "connections",
-                "§3.4",
-                "Connections severed for exhausting a mid-frame read or write stall budget."
-            ),
-            sub_subscribes: counter!(
-                r,
-                "serve.sub.subscribes",
-                "requests",
-                "§3.3",
-                "Live-tail subscriptions accepted."
-            ),
-            sub_unsubscribes: counter!(
-                r,
-                "serve.sub.unsubscribes",
-                "requests",
-                "§3.3",
-                "Clean unsubscribes returning the connection to request service."
-            ),
-            sub_active: gauge!(
-                r,
-                "serve.sub.active",
-                "subscribers",
-                "§3.3",
-                "Subscribers attached to live feeds right now."
-            ),
-            sub_events: counter!(
-                r,
-                "serve.sub.events",
-                "events",
-                "§3.3",
-                "EVENT frames pushed to live-tail subscribers (end-of-feed markers included)."
-            ),
-            sub_words: counter!(
-                r,
-                "serve.sub.words",
-                "words",
-                "§3.3",
-                "Predicate-filtered trace words pushed to live-tail subscribers."
-            ),
-            sub_evicted: counter!(
-                r,
-                "serve.sub.evicted",
-                "subscribers",
-                "§3.3",
-                "Slow consumers evicted for falling a full sub_queue of frames behind."
-            ),
-            sub_retention_evicted: counter!(
-                r,
-                "serve.sub.retention_evicted",
-                "words",
-                "§3.3",
-                "Live-feed words evicted from the buffer front under the sub_retention bound."
-            ),
-        }
-    }
-
-    fn op_slot(opcode: u8) -> Option<usize> {
-        match opcode {
-            op::CATALOG => Some(0),
-            op::FETCH => Some(1),
-            op::QUERY => Some(2),
-            op::METRICS => Some(3),
-            _ => None,
-        }
-    }
-
-    /// Counts one served request of the given opcode.
-    pub fn count_request(&self, opcode: u8) {
-        if let Some(i) = Self::op_slot(opcode) {
-            self.requests[i].inc();
-        }
-    }
-
-    /// Records one request's service time.
-    pub fn record_latency(&self, opcode: u8, nanos: u64) {
-        if let Some(i) = Self::op_slot(opcode) {
-            self.latency[i].record(nanos);
-        }
+    /// Counts one served request of the given opcode and records its
+    /// service time; opcodes with no metric row are ignored.
+    pub fn record_request(&self, opcode: u8, nanos: u64) {
+        let (requests, latency) = match opcode {
+            op::CATALOG => (&self.requests_catalog, &self.latency_catalog),
+            op::FETCH => (&self.requests_fetch, &self.latency_fetch),
+            op::QUERY => (&self.requests_query, &self.latency_query),
+            op::METRICS => (&self.requests_metrics, &self.latency_metrics),
+            _ => return,
+        };
+        requests.inc();
+        latency.record(nanos);
     }
 }
 
@@ -330,12 +107,9 @@ mod tests {
     fn register_is_idempotent_and_counts_by_opcode() {
         let a = ServeObs::register();
         let b = ServeObs::register();
-        let before = a.requests[2].get();
-        b.count_request(op::QUERY);
-        b.record_latency(op::QUERY, 1234);
-        b.count_request(0x55); // unknown opcodes are ignored
-        if wrl_obs::recording() {
-            assert_eq!(a.requests[2].get(), before + 1);
-        }
+        let before = a.requests_query.get();
+        b.record_request(op::QUERY, 1234);
+        b.record_request(0x55, 1); // unknown opcodes are ignored
+        assert_eq!(a.requests_query.get(), before + 1);
     }
 }

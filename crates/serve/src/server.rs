@@ -745,8 +745,7 @@ fn run_job(shared: &Shared, job: Job) -> Completion {
     let opcode = job.req.opcode();
     shared
         .obs
-        .record_latency(opcode, t0.elapsed().as_nanos() as u64);
-    shared.obs.count_request(opcode);
+        .record_request(opcode, t0.elapsed().as_nanos() as u64);
     shared.obs.inflight.add(-1);
     shared.inflight.fetch_sub(1, Ordering::SeqCst);
     let (frame, shape, sever_after) = fated(shared, job.req_id, &resp);

@@ -263,8 +263,88 @@ impl BlockMeta {
     /// the single ASID context `first_asid`. Requires write-time
     /// summaries; v2 blocks conservatively answer `false`.
     pub fn single_asid(&self) -> Option<u8> {
-        (self.has_summary() && self.flags & Self::FLAG_CTX_SWITCH == 0).then_some(self.first_asid)
+        self.prune_row().single_asid()
     }
+
+    /// The facts [`matching_rows`] prunes this block from.
+    pub fn prune_row(&self) -> PruneRow {
+        PruneRow {
+            first_word: self.first_word,
+            words: self.words,
+            first_asid: self.first_asid,
+            flags: self.flags,
+            asid_mask: self.asid_mask,
+        }
+    }
+}
+
+/// What an index row offers block pruning: the word range and the
+/// ASID proofs. A store's own [`BlockMeta`] rows and `wrl-fabric`'s
+/// manifest rows both reduce to this, so [`matching_rows`] is the one
+/// prune predicate and a coordinator prunes precisely the blocks a
+/// single node would.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PruneRow {
+    /// Global word offset of the block's first word.
+    pub first_word: u64,
+    /// Decoded word count.
+    pub words: u32,
+    /// ASID context in effect at the block's first word.
+    pub first_asid: u8,
+    /// Summary flags ([`BlockMeta::FLAG_SUMMARY`] and friends).
+    pub flags: u8,
+    /// Per-ASID zonemap, valid under [`BlockMeta::FLAG_COLUMNAR`].
+    pub asid_mask: u64,
+}
+
+impl PruneRow {
+    /// The single ASID context the flags prove every word of the
+    /// block sits in, if they prove one.
+    pub fn single_asid(&self) -> Option<u8> {
+        (self.flags & BlockMeta::FLAG_SUMMARY != 0 && self.flags & BlockMeta::FLAG_CTX_SWITCH == 0)
+            .then_some(self.first_asid)
+    }
+}
+
+/// The rows a predicate cannot prove irrelevant, in stream order —
+/// the pushdown step. A row is skipped only when its facts alone
+/// prove no word of its block matches: the word range misses the
+/// window, a write-time summary shows every word sits in a single
+/// non-matching ASID, or (v4) the ASID zonemap proves the ASID never
+/// occurs. Never decodes anything.
+///
+/// The window filter binary-searches `rows` rather than scanning
+/// them: decoders enforce that `first_word` offsets tile the stream,
+/// so rows intersecting `lo..hi` form one contiguous run.
+pub fn matching_rows<T>(rows: &[T], row: impl Fn(&T) -> PruneRow, pred: &Predicate) -> Vec<usize> {
+    let range = match pred.window {
+        None => 0..rows.len(),
+        Some((lo, hi)) => {
+            if lo >= hi {
+                return Vec::new();
+            }
+            // First row whose range reaches past `lo`, then first
+            // row starting at or past `hi`.
+            let start = rows.partition_point(|r| {
+                let r = row(r);
+                r.first_word + u64::from(r.words) <= lo
+            });
+            let end = rows.partition_point(|r| row(r).first_word < hi);
+            start..end
+        }
+    };
+    range
+        .filter(|&i| {
+            let Some(a) = pred.asid else { return true };
+            let r = row(&rows[i]);
+            // The zonemap's clear bit proves absence (exact below
+            // ASID 64, sound above — distinct ASIDs can share a bit,
+            // never lose one).
+            let zonemap_misses =
+                r.flags & BlockMeta::FLAG_COLUMNAR != 0 && r.asid_mask & (1u64 << (a & 63)) == 0;
+            r.single_asid().is_none_or(|only| only == a) && !zonemap_misses
+        })
+        .collect()
 }
 
 /// How a store's blocks are coded on disk and in memory.
@@ -854,70 +934,23 @@ impl TraceStore {
     }
 
     /// The blocks a predicate cannot prove irrelevant, in stream
-    /// order — the pushdown step. A block is skipped only when the
-    /// index alone proves no word in it matches: its word range
-    /// misses the window, a write-time summary shows every word sits
-    /// in a single non-matching ASID, or (v4) the ASID zonemap proves
-    /// the ASID never occurs. Never decodes anything.
-    ///
-    /// The window filter binary-searches the index rather than
-    /// scanning it: the decoder enforces that `first_word` offsets
-    /// tile the stream, so blocks intersecting `lo..hi` form one
-    /// contiguous run.
+    /// order: [`matching_rows`] over this store's index.
     pub fn matching_blocks(&self, pred: &Predicate) -> Vec<usize> {
-        let range = match pred.window {
-            None => 0..self.index.len(),
-            Some((lo, hi)) => {
-                if lo >= hi {
-                    return Vec::new();
-                }
-                // First block whose range reaches past `lo`, then
-                // first block starting at or past `hi`.
-                let start = self.index.partition_point(|m| m.word_range().end <= lo);
-                let end = self.index.partition_point(|m| m.first_word < hi);
-                start..end
-            }
-        };
-        range
-            .filter(|&i| {
-                let m = &self.index[i];
-                if let Some(a) = pred.asid {
-                    if m.single_asid().is_some_and(|only| only != a) {
-                        return false;
-                    }
-                    // The zonemap's clear bit proves absence (exact
-                    // below ASID 64, sound above — distinct ASIDs can
-                    // share a bit, never lose one).
-                    if m.flags & BlockMeta::FLAG_COLUMNAR != 0
-                        && m.asid_mask & (1u64 << (a & 63)) == 0
-                    {
-                        return false;
-                    }
-                }
-                true
-            })
-            .collect()
+        matching_rows(&self.index, BlockMeta::prune_row, pred)
     }
 
-    /// Decodes and filters the words one block selects under `pred`.
-    /// ASID context entering the block comes from the index
-    /// (`first_asid`), so blocks filter independently — the unit of
-    /// work for the parallel query in [`crate::farm`].
-    pub fn filter_block(&self, i: usize, pred: &Predicate) -> Result<Vec<u32>, StoreError> {
-        let mut out = Vec::new();
-        let mut scratch = Vec::new();
-        self.filter_block_into(i, pred, &mut out, &mut scratch)?;
-        Ok(out)
-    }
-
-    /// [`TraceStore::filter_block`] into caller-owned buffers:
-    /// matching words append onto `out`, and `scratch` holds decoded
-    /// words between calls so a query over many blocks allocates
-    /// nothing per block.
+    /// Decodes and filters the words block `i` selects under `pred`,
+    /// appending them onto `out`. ASID context entering the block
+    /// comes from the index (`first_asid`), so blocks filter
+    /// independently — the unit of work for the parallel query in
+    /// [`crate::farm`]. The block is materialised through `cache`: a
+    /// block whose decoded words are already there costs a row-range
+    /// copy instead of a CRC-checked decode, and a one-slot cache is
+    /// the reused decode buffer of an uncached query.
     ///
-    /// Columnar blocks take a projected path: the window filter is
-    /// resolved to block-local row ranges from the index alone, and an
-    /// ASID filter decodes *only* the tag and control columns
+    /// Window filters are resolved to block-local row ranges from the
+    /// index alone. Columnar blocks under an ASID filter take a
+    /// projected path: *only* the tag and control columns are decoded
     /// ([`column::asid_runs`]) to locate matching row runs — the
     /// address columns are materialised only for blocks with actual
     /// hits, and matching runs are then copied out wholesale instead
@@ -927,9 +960,12 @@ impl TraceStore {
         i: usize,
         pred: &Predicate,
         out: &mut Vec<u32>,
-        scratch: &mut Vec<u32>,
+        cache: &mut BlockCache,
     ) -> Result<(), StoreError> {
-        let m = *self.block_meta(i);
+        let m = *self
+            .index
+            .get(i)
+            .ok_or(StoreError::Malformed("block index out of range"))?;
         // The block-local row window the predicate admits.
         let (row_lo, row_hi) = match pred.window {
             None => (0u32, m.words),
@@ -943,44 +979,31 @@ impl TraceStore {
                 (lo as u32, hi as u32)
             }
         };
-        if self.format == BlockFormat::Columnar {
-            if let Some(a) = pred.asid {
-                // Projected path: locate matching runs from the tag
-                // and control columns alone.
-                let bytes = self.block_bytes(i)?;
-                let runs = column::asid_runs(bytes, m.words as usize, m.first_asid)
-                    .map_err(|err| StoreError::BlockCodec { block: i, err })?;
-                let mut materialised = false;
-                for r in &runs {
-                    if r.asid != a {
-                        continue;
-                    }
-                    let lo = r.start.max(row_lo);
-                    let hi = (r.start + r.len).min(row_hi);
-                    if lo >= hi {
-                        continue;
-                    }
-                    if !materialised {
-                        // First hit: materialise the full block once
-                        // (also checking the decoded-words CRC).
-                        scratch.clear();
-                        self.decode_blocks_into(i..i + 1, scratch)?;
-                        materialised = true;
-                    }
-                    out.extend_from_slice(&scratch[lo as usize..hi as usize]);
-                }
-                return Ok(());
-            }
+        let Some(a) = pred.asid else {
             // Window-only predicate: the admitted rows are one run.
-            scratch.clear();
-            self.decode_blocks_into(i..i + 1, scratch)?;
-            out.extend_from_slice(&scratch[row_lo as usize..row_hi as usize]);
+            let words = cache.words(self, i)?;
+            out.extend_from_slice(&words[row_lo as usize..row_hi as usize]);
+            return Ok(());
+        };
+        if self.format == BlockFormat::Columnar {
+            let bytes = self.block_bytes(i)?;
+            let runs = column::asid_runs(bytes, m.words as usize, m.first_asid)
+                .map_err(|err| StoreError::BlockCodec { block: i, err })?;
+            for r in runs.iter().filter(|r| r.asid == a) {
+                let lo = r.start.max(row_lo);
+                let hi = (r.start + r.len).min(row_hi);
+                if lo < hi {
+                    // Only the first hit decodes; later runs of this
+                    // block find it in its slot.
+                    let words = cache.words(self, i)?;
+                    out.extend_from_slice(&words[lo as usize..hi as usize]);
+                }
+            }
             return Ok(());
         }
-        scratch.clear();
-        self.decode_blocks_into(i..i + 1, scratch)?;
+        let words = cache.words(self, i)?;
         let mut asid = m.first_asid;
-        for (j, &w) in scratch.iter().enumerate() {
+        for (j, &w) in words.iter().enumerate() {
             if let TraceWord::Ctl(c) = classify(w) {
                 if c.op == CtlOp::CtxSwitch {
                     asid = c.payload;
@@ -999,23 +1022,13 @@ impl TraceStore {
     /// stream. The block-skip counts are the pushdown's measure of
     /// merit (reported by `serve_bench` and the `serve.*` metrics).
     pub fn query(&self, pred: &Predicate) -> Result<QueryResult, StoreError> {
-        let picked = self.matching_blocks(pred);
-        let mut words = Vec::new();
-        let mut scratch = Vec::new();
-        for &i in &picked {
-            self.filter_block_into(i, pred, &mut words, &mut scratch)?;
-        }
-        Ok(QueryResult {
-            blocks_decoded: picked.len() as u32,
-            blocks_skipped: (self.n_blocks() - picked.len()) as u32,
-            words,
-        })
+        self.query_cached(pred, &mut BlockCache::new(1))
     }
 
     /// [`TraceStore::query`] with block materialisation served by a
-    /// [`BlockCache`]: the result is identical, but a block whose
-    /// decoded words are already cached costs a row-range copy
-    /// instead of a CRC-checked decode. This is the windowed-query
+    /// caller-kept [`BlockCache`]: the result is identical, but a
+    /// block whose decoded words are already cached costs a row-range
+    /// copy instead of a CRC-checked decode. This is the windowed-query
     /// hot path of the trace service — a served archive sees the
     /// same few thousand-word windows over and over, and re-decoding
     /// a 4096-word block to ship a slice of it dominates the request
@@ -1029,82 +1042,13 @@ impl TraceStore {
         let picked = self.matching_blocks(pred);
         let mut words = Vec::new();
         for &i in &picked {
-            self.filter_block_cached(i, pred, &mut words, cache)?;
+            self.filter_block_into(i, pred, &mut words, cache)?;
         }
         Ok(QueryResult {
             blocks_decoded: picked.len() as u32,
             blocks_skipped: (self.n_blocks() - picked.len()) as u32,
             words,
         })
-    }
-
-    /// [`TraceStore::filter_block_into`] with the materialisation
-    /// step routed through `cache`. The pushdown structure is the
-    /// same: columnar blocks under an ASID filter still locate runs
-    /// from the tag and control columns alone, and only blocks with
-    /// actual hits touch the cache at all.
-    fn filter_block_cached(
-        &self,
-        i: usize,
-        pred: &Predicate,
-        out: &mut Vec<u32>,
-        cache: &mut BlockCache,
-    ) -> Result<(), StoreError> {
-        let m = *self.block_meta(i);
-        let (row_lo, row_hi) = match pred.window {
-            None => (0u32, m.words),
-            Some((lo, hi)) => {
-                let r = m.word_range();
-                let lo = lo.max(r.start) - r.start;
-                let hi = hi.min(r.end).saturating_sub(r.start);
-                if lo >= hi {
-                    return Ok(());
-                }
-                (lo as u32, hi as u32)
-            }
-        };
-        if self.format == BlockFormat::Columnar {
-            if let Some(a) = pred.asid {
-                let bytes = self.block_bytes(i)?;
-                let runs = column::asid_runs(bytes, m.words as usize, m.first_asid)
-                    .map_err(|err| StoreError::BlockCodec { block: i, err })?;
-                for r in &runs {
-                    if r.asid != a {
-                        continue;
-                    }
-                    let lo = r.start.max(row_lo);
-                    let hi = (r.start + r.len).min(row_hi);
-                    if lo < hi {
-                        let words = cache.words(self, i)?;
-                        out.extend_from_slice(&words[lo as usize..hi as usize]);
-                    }
-                }
-                return Ok(());
-            }
-            let words = cache.words(self, i)?;
-            out.extend_from_slice(&words[row_lo as usize..row_hi as usize]);
-            return Ok(());
-        }
-        if pred.asid.is_none() {
-            // Window-only over a row block: the admitted rows are one
-            // contiguous run, same as the columnar case.
-            let words = cache.words(self, i)?;
-            out.extend_from_slice(&words[row_lo as usize..row_hi as usize]);
-            return Ok(());
-        }
-        let words = cache.words(self, i)?;
-        let mut asid = m.first_asid;
-        for (j, &w) in words.iter().enumerate() {
-            if let TraceWord::Ctl(c) = classify(w) {
-                if c.op == CtlOp::CtxSwitch {
-                    asid = c.payload;
-                }
-            }
-            if pred.admits(m.first_word + j as u64, asid) {
-                out.push(w);
-            }
-        }
-        Ok(())
     }
 }
 
@@ -1158,11 +1102,12 @@ impl BlockReader<'_> {
 }
 
 /// A bounded, direct-mapped cache of decoded blocks — the
-/// [`BlockReader`]'s random-access sibling, built for
-/// [`TraceStore::query_cached`]. Capacity is fixed at construction
-/// (memory bound ≈ `slots × block_words × 4` bytes) and block `i`
-/// maps to slot `i % slots`, so a scan-shaped workload degrades to
-/// plain per-block decode, never to unbounded memory.
+/// [`BlockReader`]'s random-access sibling, through which every
+/// query materialises its blocks
+/// ([`TraceStore::filter_block_into`]). Capacity is fixed at
+/// construction (memory bound ≈ `slots × block_words × 4` bytes) and
+/// block `i` maps to slot `i % slots`, so a scan-shaped workload
+/// degrades to plain per-block decode, never to unbounded memory.
 ///
 /// A slot is keyed by `(block index, stored CRC)`, so a cache
 /// mistakenly shared between stores misses (and re-decodes) rather
@@ -1435,6 +1380,17 @@ mod tests {
             store.decode_block(store.n_blocks()),
             Err(StoreError::Malformed(_))
         ));
+        let mut out = Vec::new();
+        assert!(matches!(
+            store.filter_block_into(
+                store.n_blocks(),
+                &Predicate::default(),
+                &mut out,
+                &mut BlockCache::new(1)
+            ),
+            Err(StoreError::Malformed("block index out of range"))
+        ));
+        assert!(out.is_empty());
     }
 
     #[test]

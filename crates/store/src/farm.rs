@@ -34,7 +34,7 @@ use std::thread;
 use wrl_isa::Width;
 use wrl_trace::{DriveReport, Driver, RefEvent, Seam, SeamHooks, Space, TraceSink};
 
-use crate::container::{Predicate, QueryResult, StoreError, TraceStore};
+use crate::container::{BlockCache, Predicate, QueryResult, StoreError, TraceStore};
 
 /// Bound of each worker's channel, in batches.
 const DEPTH: usize = 4;
@@ -262,18 +262,9 @@ pub fn query_parallel(
     let workers = workers.clamp(1, picked.len().max(1));
     if workers == 1 || picked.len() < 8 {
         // Too little work to pay a scoped-thread spawn per request —
-        // filter in place with reused buffers (identical results:
-        // both paths visit `picked` in stream order).
-        let mut words = Vec::new();
-        let mut scratch = Vec::new();
-        for &i in &picked {
-            store.filter_block_into(i, pred, &mut words, &mut scratch)?;
-        }
-        return Ok(QueryResult {
-            blocks_decoded: picked.len() as u32,
-            blocks_skipped: skipped,
-            words,
-        });
+        // the sequential query (identical results: both paths visit
+        // `picked` in stream order).
+        return store.query(pred);
     }
     let next = std::sync::atomic::AtomicUsize::new(0);
     let parts = thread::scope(|scope| {
@@ -282,17 +273,16 @@ pub fn query_parallel(
                 let (picked, next) = (&picked, &next);
                 scope.spawn(move || {
                     let mut mine: Vec<(usize, Vec<u32>)> = Vec::new();
-                    // One decode scratch per worker, reused across its
-                    // blocks (filter_block_into never allocates in the
-                    // steady state).
-                    let mut scratch = Vec::new();
+                    // One one-slot cache per worker: the decode buffer
+                    // reused across its blocks.
+                    let mut cache = BlockCache::new(1);
                     loop {
                         let at = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                         let Some(&block) = picked.get(at) else {
                             return Ok(mine);
                         };
                         let mut out = Vec::new();
-                        store.filter_block_into(block, pred, &mut out, &mut scratch)?;
+                        store.filter_block_into(block, pred, &mut out, &mut cache)?;
                         mine.push((at, out));
                     }
                 })

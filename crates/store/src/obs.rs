@@ -9,114 +9,39 @@
 //! system records all zeros). Rows in `docs/METRICS.md` are kept
 //! honest by the `metrics_doc_sync` test.
 
-use std::sync::Arc;
-
-use wrl_obs::{counter, gauge, global, histogram, Counter, Gauge, Histogram};
-
 use crate::container::{StoreError, TraceStore};
 use crate::farm::FarmReport;
 
-/// Gauges, histograms and error tallies for the store and farm.
-#[derive(Clone)]
-pub struct StoreObs {
-    blocks: Arc<Gauge>,
-    raw_bytes: Arc<Gauge>,
-    compressed_bytes: Arc<Gauge>,
-    block_comp_bytes: Arc<Histogram>,
-    crc_errors: Arc<Counter>,
-    codec_errors: Arc<Counter>,
-    farm_desyncs: Arc<Counter>,
-    farm_workers: Arc<Gauge>,
-    farm_sinks: Arc<Gauge>,
-    farm_batches: Arc<Gauge>,
-    farm_words: Arc<Gauge>,
+wrl_obs::metrics! {
+    /// Gauges, histograms and error tallies for the store and farm.
+    #[derive(Clone)]
+    pub struct StoreObs {
+        blocks: gauge "store.blocks", "blocks", "§3.2",
+            "Block count of the last store built or loaded.";
+        raw_bytes: gauge "store.raw_bytes", "bytes", "§3.2",
+            "Uncompressed word-stream size of the last store.";
+        compressed_bytes: gauge "store.compressed_bytes", "bytes", "§3.2",
+            "Compressed block-area size of the last store.";
+        block_comp_bytes: histogram "store.block.comp_bytes", "bytes", "§3.2",
+            "Per-block compressed sizes of the last store.";
+        crc_errors: counter "store.crc_errors", "errors", "§4.3",
+            "Blocks whose decoded words failed their index CRC.";
+        codec_errors: counter "store.codec_errors", "errors", "§4.3",
+            "Blocks whose compressed bytes failed to decode.";
+        farm_desyncs: counter "store.farm.desyncs", "errors", "§4.3",
+            "Farm workers that fell out of step with the driver (dropped batches).";
+        farm_workers: gauge "store.farm.workers", "workers", "§3.4",
+            "Worker threads used by the last farm replay.";
+        farm_sinks: gauge "store.farm.sinks", "sinks", "§3.4",
+            "Analysis sinks fed by the last farm replay.";
+        farm_batches: gauge "store.farm.batches", "batches", "§3.4",
+            "Event batches broadcast by the last farm replay.";
+        farm_words: gauge "store.farm.words", "words", "§3.4",
+            "Trace words replayed per pass by the last farm replay.";
+    }
 }
 
 impl StoreObs {
-    /// Registers every `store.*` metric in the global registry.
-    pub fn register() -> StoreObs {
-        let r = global();
-        StoreObs {
-            blocks: gauge!(
-                r,
-                "store.blocks",
-                "blocks",
-                "§3.2",
-                "Block count of the last store built or loaded."
-            ),
-            raw_bytes: gauge!(
-                r,
-                "store.raw_bytes",
-                "bytes",
-                "§3.2",
-                "Uncompressed word-stream size of the last store."
-            ),
-            compressed_bytes: gauge!(
-                r,
-                "store.compressed_bytes",
-                "bytes",
-                "§3.2",
-                "Compressed block-area size of the last store."
-            ),
-            block_comp_bytes: histogram!(
-                r,
-                "store.block.comp_bytes",
-                "bytes",
-                "§3.2",
-                "Per-block compressed sizes of the last store."
-            ),
-            crc_errors: counter!(
-                r,
-                "store.crc_errors",
-                "errors",
-                "§4.3",
-                "Blocks whose decoded words failed their index CRC."
-            ),
-            codec_errors: counter!(
-                r,
-                "store.codec_errors",
-                "errors",
-                "§4.3",
-                "Blocks whose compressed bytes failed to decode."
-            ),
-            farm_desyncs: counter!(
-                r,
-                "store.farm.desyncs",
-                "errors",
-                "§4.3",
-                "Farm workers that fell out of step with the driver (dropped batches)."
-            ),
-            farm_workers: gauge!(
-                r,
-                "store.farm.workers",
-                "workers",
-                "§3.4",
-                "Worker threads used by the last farm replay."
-            ),
-            farm_sinks: gauge!(
-                r,
-                "store.farm.sinks",
-                "sinks",
-                "§3.4",
-                "Analysis sinks fed by the last farm replay."
-            ),
-            farm_batches: gauge!(
-                r,
-                "store.farm.batches",
-                "batches",
-                "§3.4",
-                "Event batches broadcast by the last farm replay."
-            ),
-            farm_words: gauge!(
-                r,
-                "store.farm.words",
-                "words",
-                "§3.4",
-                "Trace words replayed per pass by the last farm replay."
-            ),
-        }
-    }
-
     /// Exports one store's shape: block count, raw and compressed
     /// sizes, and the per-block compressed-size distribution.
     pub fn export_store(&self, s: &TraceStore) {
@@ -150,22 +75,6 @@ impl StoreObs {
     }
 }
 
-impl FarmReport {
-    /// Registers (idempotently) and sets the `store.farm.*` gauges
-    /// from this replay.
-    pub fn export_obs(&self) {
-        StoreObs::register().export_farm(self);
-    }
-}
-
-impl TraceStore {
-    /// Registers (idempotently) and sets the `store.*` size gauges
-    /// from this store.
-    pub fn export_obs(&self) {
-        StoreObs::register().export_store(self);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -178,19 +87,9 @@ mod tests {
             ..TraceArchive::default()
         };
         let s = TraceStore::from_archive(&a, 64);
-        s.export_obs();
-        if wrl_obs::recording() {
-            let snap = wrl_obs::global().snapshot();
-            let blocks = snap
-                .metrics
-                .iter()
-                .find(|m| m.desc.name == "store.blocks")
-                .expect("registered");
-            match blocks.value {
-                wrl_obs::ValueSnap::Gauge { value, .. } => assert_eq!(value, 8),
-                _ => panic!("gauge expected"),
-            }
-        }
+        let obs = StoreObs::register();
+        obs.export_store(&s);
+        assert_eq!(obs.blocks.get(), 8);
     }
 
     #[test]
@@ -203,8 +102,6 @@ mod tests {
             got: 2,
         });
         obs.tally_error(&StoreError::Malformed("not counted"));
-        if wrl_obs::recording() {
-            assert_eq!(obs.crc_errors.get(), before + 1);
-        }
+        assert_eq!(obs.crc_errors.get(), before + 1);
     }
 }

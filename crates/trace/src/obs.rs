@@ -8,76 +8,31 @@
 //! exactly by [`ParseStats`] and are exported once per run instead of
 //! double-counting every hot-path word.
 
-use std::sync::Arc;
-
-use wrl_obs::{counter, gauge, global, Counter, Gauge};
-
 use crate::parser::{ParseError, ParseStats};
 
-/// Live counters for every [`ParseError`] variant. Register once and
-/// attach to a parser with [`crate::TraceParser::attach_obs`]; the
-/// parser bumps the matching counter on each detected error (a cold
-/// path — errors mean a corrupted trace).
-#[derive(Clone)]
-pub struct ParserObs {
-    unknown_bb: Arc<Counter>,
-    wrong_space: Arc<Counter>,
-    bad_control: Arc<Counter>,
-    truncated: Arc<Counter>,
-    unbalanced_kexit: Arc<Counter>,
-    no_table_for_asid: Arc<Counter>,
+wrl_obs::metrics! {
+    /// Live counters for every [`ParseError`] variant. Register once and
+    /// attach to a parser with [`crate::TraceParser::attach_obs`]; the
+    /// parser bumps the matching counter on each detected error (a cold
+    /// path — errors mean a corrupted trace).
+    #[derive(Clone)]
+    pub struct ParserObs {
+        unknown_bb: counter "trace.parse.error.unknown_bb", "errors", "§4.3",
+            "Addresses consumed as block ids with no table entry.";
+        wrong_space: counter "trace.parse.error.wrong_space", "errors", "§4.3",
+            "Kernel-range block ids seen in a user context.";
+        bad_control: counter "trace.parse.error.bad_control", "errors", "§4.3",
+            "Control-range words with no known opcode.";
+        truncated: counter "trace.parse.error.truncated", "errors", "§4.3",
+            "Blocks still owed memory words at end of stream.";
+        unbalanced_kexit: counter "trace.parse.error.unbalanced_kexit", "errors", "§4.3",
+            "KExit control words with no matching KEnter.";
+        no_table_for_asid: counter "trace.parse.error.no_table_for_asid", "errors", "§4.3",
+            "Context switches to an ASID with no registered table.";
+    }
 }
 
 impl ParserObs {
-    /// Registers the error-tally counters in the global registry.
-    pub fn register() -> ParserObs {
-        let r = global();
-        ParserObs {
-            unknown_bb: counter!(
-                r,
-                "trace.parse.error.unknown_bb",
-                "errors",
-                "§4.3",
-                "Addresses consumed as block ids with no table entry."
-            ),
-            wrong_space: counter!(
-                r,
-                "trace.parse.error.wrong_space",
-                "errors",
-                "§4.3",
-                "Kernel-range block ids seen in a user context."
-            ),
-            bad_control: counter!(
-                r,
-                "trace.parse.error.bad_control",
-                "errors",
-                "§4.3",
-                "Control-range words with no known opcode."
-            ),
-            truncated: counter!(
-                r,
-                "trace.parse.error.truncated",
-                "errors",
-                "§4.3",
-                "Blocks still owed memory words at end of stream."
-            ),
-            unbalanced_kexit: counter!(
-                r,
-                "trace.parse.error.unbalanced_kexit",
-                "errors",
-                "§4.3",
-                "KExit control words with no matching KEnter."
-            ),
-            no_table_for_asid: counter!(
-                r,
-                "trace.parse.error.no_table_for_asid",
-                "errors",
-                "§4.3",
-                "Context switches to an ASID with no registered table."
-            ),
-        }
-    }
-
     /// Bumps the counter matching one detected error.
     pub(crate) fn tally(&self, e: &ParseError) {
         match e {
@@ -91,92 +46,24 @@ impl ParserObs {
     }
 }
 
-/// Gauges mirroring [`ParseStats`], set once per run by
-/// [`ParseStats::export_obs`].
-pub struct ParseStatsObs {
-    words: Arc<Gauge>,
-    bb_records: Arc<Gauge>,
-    mem_records: Arc<Gauge>,
-    mode_transitions: Arc<Gauge>,
-    kernel_entries: Arc<Gauge>,
-    ctx_switches: Arc<Gauge>,
-    errors: Arc<Gauge>,
-}
-
-impl ParseStatsObs {
-    /// Registers the parse-statistics gauges in the global registry.
-    pub fn register() -> ParseStatsObs {
-        let r = global();
-        ParseStatsObs {
-            words: gauge!(
-                r,
-                "trace.parse.words",
-                "words",
-                "§3.3",
-                "Raw trace words consumed by the last parse."
-            ),
-            bb_records: gauge!(
-                r,
-                "trace.parse.bb_records",
-                "records",
-                "§3.3",
-                "Basic-block records in the last parse."
-            ),
-            mem_records: gauge!(
-                r,
-                "trace.parse.mem_records",
-                "records",
-                "§3.3",
-                "Memory-reference records in the last parse."
-            ),
-            mode_transitions: gauge!(
-                r,
-                "trace.parse.mode_transitions",
-                "events",
-                "§4.3",
-                "Generation→analysis transitions (trace 'dirt' events)."
-            ),
-            kernel_entries: gauge!(
-                r,
-                "trace.parse.kernel_entries",
-                "events",
-                "§3.3",
-                "Kernel entries observed in the last parse."
-            ),
-            ctx_switches: gauge!(
-                r,
-                "trace.parse.ctx_switches",
-                "events",
-                "§3.3",
-                "Context switches observed in the last parse."
-            ),
-            errors: gauge!(
-                r,
-                "trace.parse.errors",
-                "errors",
-                "§4.3",
-                "Total defensive-check errors in the last parse."
-            ),
-        }
-    }
-
-    /// Sets every gauge from one run's statistics.
-    pub fn export(&self, s: &ParseStats) {
-        self.words.set(s.words as i64);
-        self.bb_records.set(s.bb_records as i64);
-        self.mem_records.set(s.mem_records as i64);
-        self.mode_transitions.set(s.mode_transitions as i64);
-        self.kernel_entries.set(s.kernel_entries as i64);
-        self.ctx_switches.set(s.ctx_switches as i64);
-        self.errors.set(s.errors as i64);
-    }
-}
-
-impl ParseStats {
-    /// Registers (idempotently) and sets the `trace.parse.*` gauges
-    /// from this run's statistics.
-    pub fn export_obs(&self) {
-        ParseStatsObs::register().export(self);
+wrl_obs::metrics! {
+    /// Gauges mirroring [`ParseStats`], set once per run by
+    /// [`ParseStats::export_obs`].
+    pub struct ParseStatsObs mirrors ParseStats {
+        words: gauge "trace.parse.words", "words", "§3.3",
+            "Raw trace words consumed by the last parse.";
+        bb_records: gauge "trace.parse.bb_records", "records", "§3.3",
+            "Basic-block records in the last parse.";
+        mem_records: gauge "trace.parse.mem_records", "records", "§3.3",
+            "Memory-reference records in the last parse.";
+        mode_transitions: gauge "trace.parse.mode_transitions", "events", "§4.3",
+            "Generation→analysis transitions (trace 'dirt' events).";
+        kernel_entries: gauge "trace.parse.kernel_entries", "events", "§3.3",
+            "Kernel entries observed in the last parse.";
+        ctx_switches: gauge "trace.parse.ctx_switches", "events", "§3.3",
+            "Context switches observed in the last parse.";
+        errors: gauge "trace.parse.errors", "errors", "§4.3",
+            "Total defensive-check errors in the last parse.";
     }
 }
 
@@ -185,22 +72,20 @@ mod tests {
     use super::*;
     use crate::bbinfo::BbTable;
     use crate::parser::{CollectSink, TraceParser};
-    use std::sync::Arc as StdArc;
+    use std::sync::Arc;
 
     #[test]
     fn attached_parser_tallies_errors_live() {
         let obs = ParserObs::register();
         let before = obs.unknown_bb.get();
-        let mut p = TraceParser::new(StdArc::new(BbTable::new()));
-        p.set_user_table(0, StdArc::new(BbTable::new()));
+        let mut p = TraceParser::new(Arc::new(BbTable::new()));
+        p.set_user_table(0, Arc::new(BbTable::new()));
         p.attach_obs(obs.clone());
         let mut sink = CollectSink::default();
         // An unknown user block id and a kernel address in user context.
         p.parse_all(&[0x0066_0000, 0x8003_0000], &mut sink);
         assert_eq!(p.stats.errors, 2);
-        if wrl_obs::recording() {
-            assert_eq!(obs.unknown_bb.get(), before + 1);
-        }
+        assert_eq!(obs.unknown_bb.get(), before + 1);
     }
 
     #[test]
@@ -211,17 +96,7 @@ mod tests {
             ..ParseStats::default()
         };
         s.export_obs();
-        let snap = wrl_obs::global().snapshot();
-        let words = snap
-            .metrics
-            .iter()
-            .find(|m| m.desc.name == "trace.parse.words")
-            .expect("registered");
-        if wrl_obs::recording() {
-            match words.value {
-                wrl_obs::ValueSnap::Gauge { value, .. } => assert_eq!(value, 42),
-                _ => panic!("gauge expected"),
-            }
-        }
+        let obs = ParseStatsObs::register();
+        assert_eq!((obs.words.get(), obs.errors.get()), (42, 3));
     }
 }

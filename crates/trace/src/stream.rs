@@ -31,53 +31,21 @@ use std::time::Duration;
 
 use crate::parser::{ParseError, ParseStats, Space, TraceParser, TraceSink, Wants};
 use wrl_isa::Width;
-use wrl_obs::{counter, global, histogram, Counter, Histogram};
 
-/// `wrl-obs` metrics for the driver, registered by every
-/// [`Driver::new`] (registration is idempotent; all drivers in a
-/// process share the counters).
-#[derive(Clone)]
-pub struct StreamObs {
-    chunks: Arc<Counter>,
-    words: Arc<Counter>,
-    chunk_words: Arc<Histogram>,
-    lost_chunks: Arc<Counter>,
-}
-
-impl StreamObs {
-    /// Registers the `stream.*` metrics in the global registry.
-    pub fn register() -> StreamObs {
-        let r = global();
-        StreamObs {
-            chunks: counter!(
-                r,
-                "stream.chunks",
-                "chunks",
-                "§3.2",
-                "Chunks fed to a driver (drained buffers, slices or store blocks)."
-            ),
-            words: counter!(
-                r,
-                "stream.words",
-                "words",
-                "§3.2",
-                "Raw trace words fed to a driver."
-            ),
-            chunk_words: histogram!(
-                r,
-                "stream.chunk.words",
-                "words",
-                "§3.2",
-                "Distribution of chunk sizes (words per fed chunk)."
-            ),
-            lost_chunks: counter!(
-                r,
-                "stream.chunks.lost",
-                "chunks",
-                "§4.3",
-                "Chunks fed but never parsed (lost buffers; 0 on a healthy run)."
-            ),
-        }
+wrl_obs::metrics! {
+    /// `wrl-obs` metrics for the driver, registered by every
+    /// [`Driver::new`] (registration is idempotent; all drivers in a
+    /// process share the counters).
+    #[derive(Clone)]
+    pub struct StreamObs {
+        chunks: counter "stream.chunks", "chunks", "§3.2",
+            "Chunks fed to a driver (drained buffers, slices or store blocks).";
+        words: counter "stream.words", "words", "§3.2",
+            "Raw trace words fed to a driver.";
+        chunk_words: histogram "stream.chunk.words", "words", "§3.2",
+            "Distribution of chunk sizes (words per fed chunk).";
+        lost_chunks: counter "stream.chunks.lost", "chunks", "§4.3",
+            "Chunks fed but never parsed (lost buffers; 0 on a healthy run).";
     }
 }
 

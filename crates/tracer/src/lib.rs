@@ -8,8 +8,7 @@
 //! each owning its own pipeline.
 //!
 //! * [`sink`] — the [`AnalysisSink`] trait (parsed-event hooks,
-//!   optional raw-word hooks, `finish() -> SinkReport`) plus blanket
-//!   impls so tuples and vectors of sinks are themselves sinks;
+//!   optional raw-word hooks, `finish() -> SinkReport`);
 //! * [`driver`] — the [`Stack`] of isolated sink slots (a
 //!   `TraceSink` for the one `wrl_trace::Driver`) and the one-pass
 //!   entry points [`analyze_words`] / [`analyze_store`] (inline or

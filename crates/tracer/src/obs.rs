@@ -4,65 +4,26 @@
 //! Rows in `docs/METRICS.md` are kept honest by the
 //! `metrics_doc_sync` test.
 
-use std::sync::Arc;
-
-use wrl_obs::{counter, gauge, global, Counter, Gauge};
-
 use crate::driver::StackReport;
 
-/// Counters and gauges for the `tracer.*` family.
-#[derive(Clone)]
-pub struct TracerObs {
-    passes: Arc<Counter>,
-    sinks: Arc<Gauge>,
-    words: Arc<Gauge>,
-    applied: Arc<Counter>,
-    sink_errors: Arc<Counter>,
+wrl_obs::metrics! {
+    /// Counters and gauges for the `tracer.*` family.
+    #[derive(Clone)]
+    pub struct TracerObs {
+        passes: counter "tracer.passes", "passes", "§3.4",
+            "Completed one-pass analyses (each feeds every composed sink).";
+        sinks: gauge "tracer.sinks", "sinks", "§3.4",
+            "Analysis sinks composed in the last pass.";
+        words: gauge "tracer.words", "words", "§3.4",
+            "Trace words decoded+parsed once in the last pass.";
+        applied: counter "tracer.events.applied", "events", "§3.4",
+            "Event-to-sink applications routed (events x live sinks).";
+        sink_errors: counter "tracer.sink_errors", "errors", "§4.3",
+            "Sinks disabled mid-pass by a typed error (siblings unaffected).";
+    }
 }
 
 impl TracerObs {
-    /// Registers every `tracer.*` metric in the global registry.
-    pub fn register() -> TracerObs {
-        let r = global();
-        TracerObs {
-            passes: counter!(
-                r,
-                "tracer.passes",
-                "passes",
-                "§3.4",
-                "Completed one-pass analyses (each feeds every composed sink)."
-            ),
-            sinks: gauge!(
-                r,
-                "tracer.sinks",
-                "sinks",
-                "§3.4",
-                "Analysis sinks composed in the last pass."
-            ),
-            words: gauge!(
-                r,
-                "tracer.words",
-                "words",
-                "§3.4",
-                "Trace words decoded+parsed once in the last pass."
-            ),
-            applied: counter!(
-                r,
-                "tracer.events.applied",
-                "events",
-                "§3.4",
-                "Event-to-sink applications routed (events x live sinks)."
-            ),
-            sink_errors: counter!(
-                r,
-                "tracer.sink_errors",
-                "errors",
-                "§4.3",
-                "Sinks disabled mid-pass by a typed error (siblings unaffected)."
-            ),
-        }
-    }
-
     /// Records one finished pass.
     pub fn record(&self, report: &StackReport, n_sinks: usize) {
         self.passes.inc();
@@ -89,9 +50,7 @@ mod tests {
         };
         let before = obs.passes.get();
         obs.record(&report, 3);
-        if wrl_obs::recording() {
-            assert_eq!(obs.passes.get(), before + 1);
-            assert_eq!(obs.sink_errors.get(), 1);
-        }
+        assert_eq!(obs.passes.get(), before + 1);
+        assert_eq!(obs.sink_errors.get(), 1);
     }
 }

@@ -1,11 +1,11 @@
-//! The [`AnalysisSink`] trait and its composition rules.
+//! The [`AnalysisSink`] trait and its report type.
 //!
 //! An analysis sink is a [`wrl_trace::TraceSink`] that can *also*
 //! observe raw trace words (for analyses whose unit is the word
 //! position, like sampled tracing windows), can *fail* with a typed
 //! error instead of panicking, and ends in a structured
-//! [`SinkReport`]. Sinks compose: tuples and vectors of sinks are
-//! themselves sinks (the era_vm tracer-stack idiom), so a whole
+//! [`SinkReport`]. Sinks compose in one way: pushed into a
+//! [`crate::Stack`], each in its own error-isolated slot, so a whole
 //! analysis suite rides one decode+parse pass as a single value.
 
 use core::fmt;
@@ -113,7 +113,7 @@ impl From<String> for Value {
 }
 
 /// What one finished sink found: an ordered list of named scalars,
-/// plus one child report per member for composed sinks. Field order
+/// plus child reports for per-space or per-row breakdowns. Field order
 /// is insertion order and the rendering is deterministic, so a report
 /// can be pinned byte-for-byte.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -122,7 +122,7 @@ pub struct SinkReport {
     pub sink: String,
     /// Named result scalars, in insertion order.
     pub fields: Vec<(String, Value)>,
-    /// Member reports of a composed (tuple/vec) sink.
+    /// Nested breakdown rows (per address space, per curve).
     pub children: Vec<SinkReport>,
 }
 
@@ -190,9 +190,9 @@ pub trait AnalysisSink {
     /// A stable display name (`cache:65536:2`, `wset:4096`, ...).
     fn name(&self) -> String;
 
-    /// `true` if this sink needs per-word hooks. A composed sink
-    /// wants words if any member does. Must be constant over the
-    /// sink's lifetime (the driver samples it once per pass).
+    /// `true` if this sink needs per-word hooks. Must be constant
+    /// over the sink's lifetime (the stack samples it once, when the
+    /// sink is pushed).
     fn wants_words(&self) -> bool {
         false
     }
@@ -239,188 +239,9 @@ pub trait AnalysisSink {
     fn finish(&mut self) -> SinkReport;
 }
 
-impl<S: AnalysisSink + ?Sized> AnalysisSink for Box<S> {
-    fn name(&self) -> String {
-        (**self).name()
-    }
-    fn wants_words(&self) -> bool {
-        (**self).wants_words()
-    }
-    fn before_word(&mut self, pos: u64, word: u32) -> Result<(), SinkError> {
-        (**self).before_word(pos, word)
-    }
-    fn after_word(&mut self, pos: u64, word: u32) -> Result<(), SinkError> {
-        (**self).after_word(pos, word)
-    }
-    fn iref(&mut self, vaddr: u32, space: Space, idle: bool) -> Result<(), SinkError> {
-        (**self).iref(vaddr, space, idle)
-    }
-    fn dref(
-        &mut self,
-        vaddr: u32,
-        store: bool,
-        width: Width,
-        space: Space,
-    ) -> Result<(), SinkError> {
-        (**self).dref(vaddr, store, width, space)
-    }
-    fn ctx_switch(&mut self, asid: u8) -> Result<(), SinkError> {
-        (**self).ctx_switch(asid)
-    }
-    fn mode_transition(&mut self, generating: bool) -> Result<(), SinkError> {
-        (**self).mode_transition(generating)
-    }
-    fn finish(&mut self) -> SinkReport {
-        (**self).finish()
-    }
-}
-
-/// A vector of sinks is a sink: every callback fans out to each
-/// member in order; the first member error aborts the whole vector
-/// slot (for per-member error isolation, push members into a
-/// [`crate::Stack`] instead). Its report is a parent with one child
-/// per member.
-impl<S: AnalysisSink> AnalysisSink for Vec<S> {
-    fn name(&self) -> String {
-        let names: Vec<String> = self.iter().map(|s| s.name()).collect();
-        format!("[{}]", names.join("+"))
-    }
-    fn wants_words(&self) -> bool {
-        self.iter().any(|s| s.wants_words())
-    }
-    fn before_word(&mut self, pos: u64, word: u32) -> Result<(), SinkError> {
-        self.iter_mut().try_for_each(|s| s.before_word(pos, word))
-    }
-    fn after_word(&mut self, pos: u64, word: u32) -> Result<(), SinkError> {
-        self.iter_mut().try_for_each(|s| s.after_word(pos, word))
-    }
-    fn iref(&mut self, vaddr: u32, space: Space, idle: bool) -> Result<(), SinkError> {
-        self.iter_mut().try_for_each(|s| s.iref(vaddr, space, idle))
-    }
-    fn dref(
-        &mut self,
-        vaddr: u32,
-        store: bool,
-        width: Width,
-        space: Space,
-    ) -> Result<(), SinkError> {
-        self.iter_mut()
-            .try_for_each(|s| s.dref(vaddr, store, width, space))
-    }
-    fn ctx_switch(&mut self, asid: u8) -> Result<(), SinkError> {
-        self.iter_mut().try_for_each(|s| s.ctx_switch(asid))
-    }
-    fn mode_transition(&mut self, generating: bool) -> Result<(), SinkError> {
-        self.iter_mut()
-            .try_for_each(|s| s.mode_transition(generating))
-    }
-    fn finish(&mut self) -> SinkReport {
-        let mut r = SinkReport::new(self.name());
-        r.children = self.iter_mut().map(|s| s.finish()).collect();
-        r
-    }
-}
-
-/// Tuples of sinks are sinks (2- and 3-tuples; nest for more).
-macro_rules! tuple_sink {
-    ($($idx:tt $t:ident),+) => {
-        impl<$($t: AnalysisSink),+> AnalysisSink for ($($t,)+) {
-            fn name(&self) -> String {
-                let names = [$(self.$idx.name()),+];
-                format!("({})", names.join("+"))
-            }
-            fn wants_words(&self) -> bool {
-                false $(|| self.$idx.wants_words())+
-            }
-            fn before_word(&mut self, pos: u64, word: u32) -> Result<(), SinkError> {
-                $(self.$idx.before_word(pos, word)?;)+
-                Ok(())
-            }
-            fn after_word(&mut self, pos: u64, word: u32) -> Result<(), SinkError> {
-                $(self.$idx.after_word(pos, word)?;)+
-                Ok(())
-            }
-            fn iref(&mut self, vaddr: u32, space: Space, idle: bool) -> Result<(), SinkError> {
-                $(self.$idx.iref(vaddr, space, idle)?;)+
-                Ok(())
-            }
-            fn dref(
-                &mut self,
-                vaddr: u32,
-                store: bool,
-                width: Width,
-                space: Space,
-            ) -> Result<(), SinkError> {
-                $(self.$idx.dref(vaddr, store, width, space)?;)+
-                Ok(())
-            }
-            fn ctx_switch(&mut self, asid: u8) -> Result<(), SinkError> {
-                $(self.$idx.ctx_switch(asid)?;)+
-                Ok(())
-            }
-            fn mode_transition(&mut self, generating: bool) -> Result<(), SinkError> {
-                $(self.$idx.mode_transition(generating)?;)+
-                Ok(())
-            }
-            fn finish(&mut self) -> SinkReport {
-                let mut r = SinkReport::new(self.name());
-                r.children = vec![$(self.$idx.finish()),+];
-                r
-            }
-        }
-    };
-}
-
-tuple_sink!(0 A, 1 B);
-tuple_sink!(0 A, 1 B, 2 C);
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    struct Count {
-        irefs: u64,
-        words: bool,
-    }
-
-    impl AnalysisSink for Count {
-        fn name(&self) -> String {
-            "count".into()
-        }
-        fn wants_words(&self) -> bool {
-            self.words
-        }
-        fn iref(&mut self, _v: u32, _s: Space, _i: bool) -> Result<(), SinkError> {
-            self.irefs += 1;
-            Ok(())
-        }
-        fn finish(&mut self) -> SinkReport {
-            let mut r = SinkReport::new(self.name());
-            r.push("irefs", self.irefs);
-            r
-        }
-    }
-
-    #[test]
-    fn tuples_and_vecs_compose_and_report_children() {
-        let mut t = (
-            Count {
-                irefs: 0,
-                words: false,
-            },
-            vec![Count {
-                irefs: 0,
-                words: true,
-            }],
-        );
-        assert!(t.wants_words());
-        t.iref(0x1000, Space::Kernel, false).unwrap();
-        let r = t.finish();
-        assert_eq!(r.sink, "(count+[count])");
-        assert_eq!(r.children.len(), 2);
-        assert_eq!(r.children[0].get_u64("irefs"), Some(1));
-        assert_eq!(r.children[1].children[0].get_u64("irefs"), Some(1));
-    }
 
     #[test]
     fn f64_values_compare_by_bits_and_render_round_trip() {

@@ -61,9 +61,7 @@ fn main() {
     println!("{}", "-".repeat(62));
     println!(
         "halted with code {}; {} analysis phases, {} total words",
-        run.exit_code,
-        run.drains,
-        run.trace_words.len()
+        run.exit_code, run.drains, report.words
     );
     println!(
         "final: {} insts, user CPI {:.2}, kernel CPI {:.2}, {} parse errors",

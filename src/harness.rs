@@ -21,69 +21,28 @@ use std::sync::Arc;
 
 use wrl_kernel::{build_system, KernelConfig, System};
 use wrl_memsim::{predict, MemSim, Prediction, SimCfg, SpaceKey, TimeModel, UtlbSynth};
-use wrl_obs::{global, span, Span};
+use wrl_obs::Span;
 use wrl_trace::{DriveReport, Driver, EventVec, SeamHooks, TraceSink};
 use wrl_tracer::{Stack, StackReport};
 use wrl_workloads::Workload;
 
-/// Phase timers for the validation harness, one [`Span`] per phase.
-/// Registered by [`run_analyzed`] when [`AnalyzeCfg::metered`] is
-/// set; an unmetered run reads no clocks at all.
-pub struct HarnessObs {
-    /// System construction (assemble + link + instrument + load).
-    pub build: Arc<Span>,
-    /// Machine execution of the traced system.
-    pub run: Arc<Span>,
-    /// Trace parsing (after-the-run form only; a live feed parses
-    /// inside the drain callback, within `run`).
-    pub parse: Arc<Span>,
-    /// Memory-system simulation (after-the-run form only).
-    pub simulate: Arc<Span>,
-    /// The §5.1 time predictor.
-    pub predict: Arc<Span>,
-}
-
-impl HarnessObs {
-    /// Registers the `harness.phase.*` spans in the global registry.
-    pub fn register() -> HarnessObs {
-        let r = global();
-        HarnessObs {
-            build: span!(
-                r,
-                "harness.phase.build",
-                "ns",
-                "§4.1",
-                "System construction: assemble, link, instrument, load."
-            ),
-            run: span!(
-                r,
-                "harness.phase.run",
-                "ns",
-                "§4.1",
-                "Machine execution of the (traced) system."
-            ),
-            parse: span!(
-                r,
-                "harness.phase.parse",
-                "ns",
-                "§3.3",
-                "Batch trace parse into buffered reference events."
-            ),
-            simulate: span!(
-                r,
-                "harness.phase.simulate",
-                "ns",
-                "§5.1",
-                "Replay of buffered events through the memory-system simulator."
-            ),
-            predict: span!(
-                r,
-                "harness.phase.predict",
-                "ns",
-                "§5.1",
-                "The four-component execution-time predictor."
-            ),
-        }
+wrl_obs::metrics! {
+    /// Phase timers for the validation harness, one span per phase.
+    /// Registered by [`run_analyzed`] when [`AnalyzeCfg::metered`] is
+    /// set; an unmetered run reads no clocks at all. `parse` and
+    /// `simulate` fire in the after-the-run form only: a live feed
+    /// parses and simulates inside the drain callback, within `run`.
+    pub struct HarnessObs {
+        pub build: span "harness.phase.build", "ns", "§4.1",
+            "System construction: assemble, link, instrument, load.";
+        pub run: span "harness.phase.run", "ns", "§4.1",
+            "Machine execution of the (traced) system.";
+        pub parse: span "harness.phase.parse", "ns", "§3.3",
+            "Batch trace parse into buffered reference events.";
+        pub simulate: span "harness.phase.simulate", "ns", "§5.1",
+            "Replay of buffered events through the memory-system simulator.";
+        pub predict: span "harness.phase.predict", "ns", "§5.1",
+            "The four-component execution-time predictor.";
     }
 }
 
@@ -293,9 +252,9 @@ pub fn run_analyzed(
     let (exit_code, drive, sim, stack) = if let Some(feed) = feed {
         let mut driver = driver_for(&sys, &acfg, wrl_sim(&sys, &simcfg), stack);
         let run = timed(obs.map(|o| &o.run), || {
-            sys.run_streaming(SYSTEM_BUDGET, |words| {
-                feed.publish(&words);
-                driver.feed(&words);
+            sys.run_with(SYSTEM_BUDGET, |words| {
+                feed.publish(words);
+                driver.feed(words);
             })
         });
         let (drive, (sim, stack)) = driver.finish();

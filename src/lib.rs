@@ -20,8 +20,9 @@
 //! * [`memsim`] — the trace-driven memory-system simulator and the
 //!   §5.1 execution-time predictor (the "predicted" side);
 //! * [`workloads`] — the twelve Table-1 workloads;
-//! * [`store`] — the compressed, seekable trace store (archive v2)
-//!   and the parallel replay farm;
+//! * [`store`] — the compressed, seekable trace store (row blocks in
+//!   archive v3, columnar blocks in v4; v1 and v2 still load) and the
+//!   parallel replay farm;
 //! * [`tracer`] — the composable analysis-sink framework: N analyses
 //!   fed from one decode+parse pass over a run or an archive,
 //!   optionally spread over the replay farm's workers;

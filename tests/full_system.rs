@@ -151,8 +151,10 @@ fn online_analysis_matches_offline() {
     let mut sys = build_system(&cfg, &[&w]);
     let mut online = systrace::trace::CollectSink::default();
     let mut parser = sys.parser();
+    let mut words = Vec::new();
     let run = sys.run_with(2_000_000_000, |chunk| {
         parser.push_words(chunk, &mut online);
+        words.extend_from_slice(chunk);
     });
     parser.finish(&mut online);
     assert!(run.drains > 3, "want several drains, got {}", run.drains);
@@ -160,7 +162,7 @@ fn online_analysis_matches_offline() {
 
     let mut offline = systrace::trace::CollectSink::default();
     let mut p2 = sys.parser();
-    p2.parse_all(&run.trace_words, &mut offline);
+    p2.parse_all(&words, &mut offline);
     assert_eq!(p2.stats.errors, 0);
     assert_eq!(online.irefs, offline.irefs);
     assert_eq!(online.drefs, offline.drefs);

@@ -1,12 +1,14 @@
 //! Docs-as-contract: `docs/METRICS.md` vs the live registry.
 //!
-//! The metrics reference is a hand-maintained table, but it is checked
-//! mechanically: this test registers every metric in the stack, parses
-//! the table, and fails if either side has a row the other lacks or if
-//! any name/kind/unit/site/paper cell disagrees. Adding a metric
-//! without documenting it (or vice versa) breaks CI.
+//! The metrics reference's rows are generated from the registry (that
+//! is, from the `wrl_obs::metrics!` tables) and checked mechanically:
+//! this test registers every metric in the stack, parses the table,
+//! and fails if either side has a row the other lacks or if any
+//! name/kind/unit/site/paper cell disagrees. Adding a metric without
+//! documenting it (or vice versa) breaks CI.
 //!
-//! To print a fresh table after adding metrics:
+//! To print a fresh table after adding a row (CI diffs this output
+//! against the committed rows):
 //!
 //! ```text
 //! cargo test --test metrics_doc_sync print_metrics_table -- --ignored --nocapture

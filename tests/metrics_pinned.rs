@@ -95,60 +95,58 @@ fn golden_trace_metrics_match_pinned_stats_and_committed_artifact() {
 
     let snap = obs::global().snapshot();
 
-    if obs::compiled_with_recording() {
-        // Parse gauges equal the pinned golden statistics.
-        assert_eq!(gauge(&snap, "trace.parse.words"), PINNED_WORDS);
-        assert_eq!(gauge(&snap, "trace.parse.bb_records"), PINNED_BB_RECORDS);
-        assert_eq!(gauge(&snap, "trace.parse.mem_records"), PINNED_MEM_RECORDS);
-        assert_eq!(
-            gauge(&snap, "trace.parse.kernel_entries"),
-            PINNED_KERNEL_ENTRIES
-        );
-        assert_eq!(
-            gauge(&snap, "trace.parse.ctx_switches"),
-            PINNED_CTX_SWITCHES
-        );
-        assert_eq!(gauge(&snap, "trace.parse.errors"), 0);
-        for err in [
-            "trace.parse.error.unknown_bb",
-            "trace.parse.error.wrong_space",
-            "trace.parse.error.bad_control",
-            "trace.parse.error.truncated",
-            "trace.parse.error.unbalanced_kexit",
-            "trace.parse.error.no_table_for_asid",
-        ] {
-            assert_eq!(counter(&snap, err), 0, "{err} on a healthy trace");
-        }
+    // Parse gauges equal the pinned golden statistics.
+    assert_eq!(gauge(&snap, "trace.parse.words"), PINNED_WORDS);
+    assert_eq!(gauge(&snap, "trace.parse.bb_records"), PINNED_BB_RECORDS);
+    assert_eq!(gauge(&snap, "trace.parse.mem_records"), PINNED_MEM_RECORDS);
+    assert_eq!(
+        gauge(&snap, "trace.parse.kernel_entries"),
+        PINNED_KERNEL_ENTRIES
+    );
+    assert_eq!(
+        gauge(&snap, "trace.parse.ctx_switches"),
+        PINNED_CTX_SWITCHES
+    );
+    assert_eq!(gauge(&snap, "trace.parse.errors"), 0);
+    for err in [
+        "trace.parse.error.unknown_bb",
+        "trace.parse.error.wrong_space",
+        "trace.parse.error.bad_control",
+        "trace.parse.error.truncated",
+        "trace.parse.error.unbalanced_kexit",
+        "trace.parse.error.no_table_for_asid",
+    ] {
+        assert_eq!(counter(&snap, err), 0, "{err} on a healthy trace");
+    }
 
-        // Simulator gauges equal the simulator's statistics — the
-        // export is wired to the right fields. (The kernel iref count
-        // legitimately exceeds the parser's: the simulator adds the
-        // synthesized TLB-refill handler references of §5.2.)
-        assert_eq!(gauge(&snap, "sim.irefs.user") as u64, sim.stats.user_irefs);
-        assert_eq!(
-            gauge(&snap, "sim.irefs.kernel") as u64,
-            sim.stats.kernel_irefs
-        );
-        assert_eq!(
-            sim.stats.kernel_irefs,
-            parser.stats.kernel_irefs + sim.stats.synth_irefs,
-            "kernel irefs = parsed refs + synthesized refill refs"
-        );
-        assert_eq!(gauge(&snap, "sim.sanity_violations"), 0);
+    // Simulator gauges equal the simulator's statistics — the
+    // export is wired to the right fields. (The kernel iref count
+    // legitimately exceeds the parser's: the simulator adds the
+    // synthesized TLB-refill handler references of §5.2.)
+    assert_eq!(gauge(&snap, "sim.irefs.user") as u64, sim.stats.user_irefs);
+    assert_eq!(
+        gauge(&snap, "sim.irefs.kernel") as u64,
+        sim.stats.kernel_irefs
+    );
+    assert_eq!(
+        sim.stats.kernel_irefs,
+        parser.stats.kernel_irefs + sim.stats.synth_irefs,
+        "kernel irefs = parsed refs + synthesized refill refs"
+    );
+    assert_eq!(gauge(&snap, "sim.sanity_violations"), 0);
 
-        // Driver counters are exact and shape-determined.
-        let words = PINNED_WORDS as u64;
-        let chunks = words.div_ceil(CHUNK_WORDS as u64);
-        assert_eq!(counter(&snap, "stream.words"), words);
-        assert_eq!(counter(&snap, "stream.chunks"), chunks);
-        assert_eq!(counter(&snap, "stream.chunks.lost"), 0);
-        match &find(&snap, "stream.chunk.words").value {
-            obs::ValueSnap::Histogram(h) => {
-                assert_eq!(h.count, chunks);
-                assert_eq!(h.sum, words);
-            }
-            other => panic!("histogram expected, got {other:?}"),
+    // Driver counters are exact and shape-determined.
+    let words = PINNED_WORDS as u64;
+    let chunks = words.div_ceil(CHUNK_WORDS as u64);
+    assert_eq!(counter(&snap, "stream.words"), words);
+    assert_eq!(counter(&snap, "stream.chunks"), chunks);
+    assert_eq!(counter(&snap, "stream.chunks.lost"), 0);
+    match &find(&snap, "stream.chunk.words").value {
+        obs::ValueSnap::Histogram(h) => {
+            assert_eq!(h.count, chunks);
+            assert_eq!(h.sum, words);
         }
+        other => panic!("histogram expected, got {other:?}"),
     }
 
     // -- Committed artifact: schema tag, metric set and metadata must
