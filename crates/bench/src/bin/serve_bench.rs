@@ -45,9 +45,9 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use systrace::fabric::{split_store, Coordinator, FabricCfg, PlanKind};
+use systrace::fabric::{split_store, Coordinator, PlanKind};
 use systrace::kernel::{build_system, KernelConfig};
-use systrace::serve::{Catalog, Client, ServeCfg, Server};
+use systrace::serve::{Catalog, Client, ClientCfg, ServeCfg, Server};
 use systrace::store::{filter_stream, BlockFormat, Predicate, TraceStore};
 use systrace::trace::TraceArchive;
 use wrl_trace::format::{classify, CtlOp, TraceWord};
@@ -449,7 +449,7 @@ fn main() {
         endpoints.push(vec![srv.addr()]);
         shard_servers.push(srv);
     }
-    let coord = Coordinator::start("127.0.0.1:0", manifest, endpoints, FabricCfg::default())
+    let coord = Coordinator::start("127.0.0.1:0", manifest, endpoints, ClientCfg::default())
         .expect("coordinator starts");
     let mut single_catalog = Catalog::new();
     single_catalog.add("sed", Arc::clone(&fabric_store));

@@ -2,9 +2,13 @@
 //! shard nodes.
 //!
 //! Upstream it is indistinguishable from a single `wrl-serve` node
-//! holding the whole archive: the same five opcodes, the same typed
-//! errors, and bit-identical query answers. Downstream it is just
-//! another [`wrl_serve::Client`] of each shard.
+//! holding the whole archive, and by construction: the coordinator is
+//! not a server of its own but a [`Backend`] of the `wrl-serve`
+//! reactor, so framing, admission (`Busy`), stall budgets, graceful
+//! drain, the `serve.*` metrics, the fault seam and the live-tail
+//! refusals are the node's own code. Only the answers to catalog,
+//! fetch, query and shards are the coordinator's. Downstream it is
+//! just another [`wrl_serve::Client`] of each shard.
 //!
 //! A query is answered by scattering
 //! [`ScatterUnit`](crate::manifest::ScatterUnit)s
@@ -20,433 +24,272 @@
 //! upstream with its code intact and the shard named in the message,
 //! and no failover happens.
 //!
-//! Threading is deliberately simple — the coordinator is a fan-out
-//! point for a handful of upstream analysis clients, not a
-//! 256-connection edge (that is `wrl-serve`'s reactor job): one
-//! blocking accept loop, one thread per upstream connection, each
-//! owning its private downstream connection cache.
+//! A scatter blocks on shard sockets, so it runs on the reactor's
+//! executor threads, never on an event thread. Each running request
+//! checks a set of downstream connections out of a pool and returns
+//! it afterwards; the pool therefore never holds more sets than the
+//! server has executors, and the admission gate that bounds requests
+//! in flight bounds shard connections with them.
 
-use std::io::{self, Write as _};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::Duration;
+use std::io;
+use std::net::{SocketAddr, ToSocketAddrs};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
-use wrl_serve::wire::{
-    self, err, read_frame, CatalogEntry, FrameRead, Request, Response, ShardStatus, MAX_FRAME,
-};
-use wrl_serve::{Client, ClientCfg, ServeError};
-use wrl_store::QueryResult;
+use wrl_serve::backend::{fetch_range, no_such_archive, Backend};
+use wrl_serve::wire::{err, CatalogEntry, RawBlock, Response, ShardStatus};
+use wrl_serve::{Client, ClientCfg, ServeCfg, ServeError, ServeHooks, Server};
+use wrl_store::{Predicate, QueryResult};
 
 use crate::manifest::Manifest;
 use crate::obs::FabricObs;
-
-/// Coordinator tuning knobs.
-#[derive(Clone, Copy, Debug)]
-pub struct FabricCfg {
-    /// Upstream read-timeout tick (shutdown responsiveness).
-    pub read_timeout: Duration,
-    /// Upstream socket write timeout.
-    pub write_timeout: Duration,
-    /// Consecutive upstream idle ticks tolerated before the
-    /// connection is severed as wedged.
-    pub max_stalls: u32,
-    /// Socket parameters for the downstream shard connections; the
-    /// client stall budget bounds how long a dead shard can hold a
-    /// sub-request before failover moves on.
-    pub client: ClientCfg,
-    /// `Busy` retries per sub-request before the overload is
-    /// forwarded upstream.
-    pub busy_retries: u32,
-}
-
-impl Default for FabricCfg {
-    fn default() -> FabricCfg {
-        FabricCfg {
-            read_timeout: Duration::from_millis(50),
-            write_timeout: Duration::from_secs(2),
-            max_stalls: 200,
-            client: ClientCfg::default(),
-            busy_retries: 8,
-        }
-    }
-}
 
 /// Most endpoints (primary + replicas) one shard may list — the
 /// `shards` response reports endpoint liveness as a `u16` bitmap.
 pub const MAX_ENDPOINTS: usize = 16;
 
-struct Inner {
+/// `Busy` retries per sub-query before the overload is forwarded
+/// upstream.
+const BUSY_RETRIES: u32 = 8;
+
+/// One request's downstream connections, `[shard][endpoint]`, lazily
+/// connected and dropped on transport failure so failover always
+/// reconnects from scratch.
+type Conns = Vec<Vec<Option<Client>>>;
+
+/// The fabric's [`Backend`]: a manifest, the shard endpoints behind
+/// it, and the downstream connections to them.
+pub struct Coordinator {
     manifest: Manifest,
     endpoints: Vec<Vec<SocketAddr>>,
-    cfg: FabricCfg,
+    /// Socket parameters for the downstream shard connections; the
+    /// stall budget bounds how long a dead shard can hold a
+    /// sub-request before failover moves on.
+    client: ClientCfg,
     obs: FabricObs,
     /// Per shard: bit `e` set = endpoint `e`'s last contact failed.
     /// Purely advisory (the `shards` report); failover always walks
     /// endpoints in listed order so a recovered primary is retaken.
     down: Vec<AtomicU64>,
-    shutdown: AtomicBool,
-    handlers: Mutex<Vec<JoinHandle<()>>>,
-}
-
-/// A running fabric coordinator.
-pub struct Coordinator {
-    addr: SocketAddr,
-    inner: Arc<Inner>,
-    accept: Option<JoinHandle<()>>,
+    /// Connection sets not in use by a running request.
+    pool: Mutex<Vec<Conns>>,
 }
 
 impl Coordinator {
-    /// Binds `addr` and serves the fabric described by `manifest`.
+    /// The backend for the fabric described by `manifest`.
     /// `endpoints[s]` lists shard `s`'s nodes in failover order
     /// (primary first); every shard owning blocks needs at least one.
-    pub fn start(
-        addr: impl ToSocketAddrs,
+    /// [`Coordinator::start`] is the usual entry; this one is for
+    /// serving the backend under [`Server::start_backend`] directly,
+    /// with fault hooks.
+    pub fn new(
         manifest: Manifest,
         endpoints: Vec<Vec<SocketAddr>>,
-        cfg: FabricCfg,
+        client: ClientCfg,
     ) -> io::Result<Coordinator> {
+        let invalid = |why| Err(io::Error::new(io::ErrorKind::InvalidInput, why));
         if endpoints.len() != manifest.n_shards() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "one endpoint list per manifest shard required",
-            ));
+            return invalid("one endpoint list per manifest shard required");
         }
         for (s, eps) in endpoints.iter().enumerate() {
             if eps.is_empty() && manifest.shards[s].n_blocks > 0 {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    "a shard owning blocks has no endpoints",
-                ));
+                return invalid("a shard owning blocks has no endpoints");
             }
             if eps.len() > MAX_ENDPOINTS {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    "too many endpoints for one shard",
-                ));
+                return invalid("too many endpoints for one shard");
             }
         }
-        let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-        let inner = Arc::new(Inner {
+        Ok(Coordinator {
             down: (0..manifest.n_shards())
                 .map(|_| AtomicU64::new(0))
                 .collect(),
             manifest,
             endpoints,
-            cfg,
+            client,
             obs: FabricObs::register(),
-            shutdown: AtomicBool::new(false),
-            handlers: Mutex::new(Vec::new()),
-        });
-        let accept_inner = Arc::clone(&inner);
-        let accept = std::thread::Builder::new()
-            .name("fabric-accept".into())
-            .spawn(move || accept_loop(listener, accept_inner))?;
-        Ok(Coordinator {
-            addr: local,
-            inner,
-            accept: Some(accept),
+            pool: Mutex::new(Vec::new()),
         })
     }
 
-    /// The bound upstream address.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Stops accepting, drains the upstream handler threads and
-    /// returns once everything has joined.
-    pub fn shutdown(mut self) {
-        self.stop();
-    }
-
-    fn stop(&mut self) {
-        self.inner.shutdown.store(true, Ordering::SeqCst);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        let handlers = {
-            let mut g = self.inner.handlers.lock().expect("handler list poisoned");
-            std::mem::take(&mut *g)
+    /// Binds `addr` and serves the fabric on a `wrl-serve` reactor of
+    /// the default shape. The returned [`Server`] is the coordinator:
+    /// `addr()` is the upstream address, `shutdown()` drains it.
+    pub fn start(
+        addr: impl ToSocketAddrs,
+        manifest: Manifest,
+        endpoints: Vec<Vec<SocketAddr>>,
+        client: ClientCfg,
+    ) -> io::Result<Server> {
+        let coord = Coordinator::new(manifest, endpoints, client)?;
+        // On a one-core host the default shape executes inline on the
+        // event thread; a scatter would then block every connection
+        // of that thread on a shard socket.
+        const MIN_EXEC_WORKERS: usize = 1;
+        let cfg = ServeCfg::default();
+        let cfg = ServeCfg {
+            exec_workers: cfg.exec_workers.max(MIN_EXEC_WORKERS),
+            ..cfg
         };
-        for h in handlers {
-            let _ = h.join();
+        Server::start_backend(addr, coord, cfg, ServeHooks::default())
+    }
+
+    /// Runs `f` with a connection set checked out of the pool.
+    fn pooled<T>(&self, f: impl FnOnce(&mut Conns) -> T) -> T {
+        let idle = self.pool.lock().expect("pool lock poisoned").pop();
+        let mut conns = idle.unwrap_or_else(|| {
+            let unconnected = |eps: &Vec<SocketAddr>| eps.iter().map(|_| None).collect();
+            self.endpoints.iter().map(unconnected).collect()
+        });
+        let out = f(&mut conns);
+        self.pool.lock().expect("pool lock poisoned").push(conns);
+        out
+    }
+
+    /// Runs `f` against shard `shard`, walking its endpoints in listed
+    /// order until one produces an answer. Transport failures (connect
+    /// refusal, severed or timed-out sockets, damaged response frames)
+    /// advance to the next endpoint; typed answers — including typed
+    /// errors — end the walk.
+    fn with_shard<T>(
+        &self,
+        conns: &mut Conns,
+        shard: usize,
+        mut f: impl FnMut(&mut Client) -> Result<T, ServeError>,
+    ) -> Result<T, Response> {
+        let name = &self.manifest.shards[shard].name;
+        let mut last: Option<ServeError> = None;
+        for (e, &addr) in self.endpoints[shard].iter().enumerate() {
+            if last.is_some() {
+                self.obs.failover.inc();
+            }
+            let slot = &mut conns[shard][e];
+            if slot.is_none() {
+                match Client::connect_cfg(addr, self.client) {
+                    Ok(c) => *slot = Some(c),
+                    Err(ioe) => {
+                        self.down[shard].fetch_or(1 << e, Ordering::Relaxed);
+                        last = Some(ServeError::Io(ioe));
+                        continue;
+                    }
+                }
+            }
+            let client = slot.as_mut().expect("slot populated above");
+            match f(client) {
+                Ok(v) => {
+                    self.down[shard].fetch_and(!(1 << e), Ordering::Relaxed);
+                    return Ok(v);
+                }
+                Err(ServeError::Remote { code, msg }) => {
+                    // The shard is alive and answered with a typed error:
+                    // forward it, code intact, shard named. Failing over
+                    // would just re-derive the same store-level failure.
+                    self.obs.remote_errors.inc();
+                    return Err(Response::Error {
+                        code,
+                        msg: format!("shard {name}: {msg}"),
+                    });
+                }
+                Err(ServeError::Busy) => return Err(Response::Busy),
+                Err(transport) => {
+                    // Io, TimedOut, Wire, BadReply: the connection can no
+                    // longer be trusted mid-protocol. Drop it and retry
+                    // the whole sub-request on the next endpoint.
+                    *slot = None;
+                    self.down[shard].fetch_or(1 << e, Ordering::Relaxed);
+                    last = Some(transport);
+                }
+            }
         }
-    }
-}
-
-impl Drop for Coordinator {
-    fn drop(&mut self) {
-        self.stop();
-    }
-}
-
-fn accept_loop(listener: TcpListener, inner: Arc<Inner>) {
-    while !inner.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let conn_inner = Arc::clone(&inner);
-                let spawned = std::thread::Builder::new()
-                    .name("fabric-conn".into())
-                    .spawn(move || serve_conn(stream, conn_inner));
-                if let Ok(h) = spawned {
-                    inner
-                        .handlers
-                        .lock()
-                        .expect("handler list poisoned")
-                        .push(h);
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(2)),
-        }
-    }
-}
-
-/// One upstream connection: read frames, dispatch, write responses.
-fn serve_conn(mut stream: TcpStream, inner: Arc<Inner>) {
-    if stream
-        .set_read_timeout(Some(inner.cfg.read_timeout))
-        .is_err()
-        || stream
-            .set_write_timeout(Some(inner.cfg.write_timeout))
-            .is_err()
-    {
-        return;
-    }
-    let _ = stream.set_nodelay(true);
-    let mut conns = Conns::new(&inner);
-    let mut idles = 0u32;
-    loop {
-        let body = match read_frame(&mut stream, inner.cfg.max_stalls) {
-            Ok(FrameRead::Frame(b)) => b,
-            Ok(FrameRead::Idle) => {
-                if inner.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                idles += 1;
-                if idles > inner.cfg.max_stalls {
-                    return;
-                }
-                continue;
-            }
-            Ok(FrameRead::Eof) | Err(_) => return,
+        self.obs.unavailable.inc();
+        let detail = match last {
+            Some(e) => format!(" (last: {e})"),
+            None => String::new(),
         };
-        idles = 0;
-        let (rid, resp) = match wire::decode_request(&body) {
-            Ok((rid, req)) => (rid, dispatch(&inner, &mut conns, &req)),
-            // Length framing keeps the stream in sync, so a damaged
-            // body earns a typed wire error rather than a severed
-            // connection; the request id is unrecoverable.
-            Err(e) => (
-                0,
-                Response::Error {
-                    code: err::WIRE,
-                    msg: e.to_string(),
-                },
-            ),
-        };
-        if stream
-            .write_all(&wire::encode_response(rid, &resp))
-            .is_err()
-        {
-            return;
-        }
+        Err(Response::Error {
+            code: err::UNAVAILABLE,
+            msg: format!("shard {name}: no endpoint answered{detail}"),
+        })
     }
 }
 
-/// Each upstream connection's private downstream connection cache,
-/// lazily populated, dropped on transport failure so failover always
-/// reconnects from scratch.
-struct Conns {
-    by_shard: Vec<Vec<Option<Client>>>,
-}
-
-impl Conns {
-    fn new(inner: &Inner) -> Conns {
-        Conns {
-            by_shard: inner
-                .endpoints
-                .iter()
-                .map(|eps| eps.iter().map(|_| None).collect())
-                .collect(),
-        }
+impl Backend for Coordinator {
+    fn service(&self) -> &'static str {
+        "wrl-fabric"
     }
-}
 
-/// Runs `f` against shard `shard`, walking its endpoints in listed
-/// order until one produces an answer. Transport failures (connect
-/// refusal, severed or timed-out sockets, damaged response frames)
-/// advance to the next endpoint; typed answers — including typed
-/// errors — end the walk.
-fn with_shard<T>(
-    inner: &Inner,
-    conns: &mut Conns,
-    shard: usize,
-    mut f: impl FnMut(&mut Client) -> Result<T, ServeError>,
-) -> Result<T, Response> {
-    let name = &inner.manifest.shards[shard].name;
-    let mut last: Option<ServeError> = None;
-    for e in 0..inner.endpoints[shard].len() {
-        if last.is_some() {
-            inner.obs.failover.inc();
-        }
-        let slot = &mut conns.by_shard[shard][e];
-        if slot.is_none() {
-            match Client::connect_cfg(inner.endpoints[shard][e], inner.cfg.client) {
-                Ok(c) => *slot = Some(c),
-                Err(ioe) => {
-                    inner.down[shard].fetch_or(1 << e, Ordering::Relaxed);
-                    last = Some(ServeError::Io(ioe));
-                    continue;
-                }
-            }
-        }
-        let client = slot.as_mut().expect("slot populated above");
-        match f(client) {
-            Ok(v) => {
-                inner.down[shard].fetch_and(!(1 << e), Ordering::Relaxed);
-                return Ok(v);
-            }
-            Err(ServeError::Remote { code, msg }) => {
-                // The shard is alive and answered with a typed error:
-                // forward it, code intact, shard named. Failing over
-                // would just re-derive the same store-level failure.
-                inner.obs.remote_errors.inc();
-                return Err(Response::Error {
-                    code,
-                    msg: format!("shard {name}: {msg}"),
-                });
-            }
-            Err(ServeError::Busy) => return Err(Response::Busy),
-            Err(transport) => {
-                // Io, TimedOut, Wire, BadReply: the connection can no
-                // longer be trusted mid-protocol. Drop it and retry
-                // the whole sub-request on the next endpoint.
-                *slot = None;
-                inner.down[shard].fetch_or(1 << e, Ordering::Relaxed);
-                last = Some(transport);
-            }
-        }
-    }
-    inner.obs.unavailable.inc();
-    let detail = match last {
-        Some(e) => format!(" (last: {e})"),
-        None => String::new(),
-    };
-    Err(Response::Error {
-        code: err::UNAVAILABLE,
-        msg: format!("shard {name}: no endpoint answered{detail}"),
-    })
-}
-
-fn bad_request(msg: &str) -> Response {
-    Response::Error {
-        code: err::BAD_REQUEST,
-        msg: msg.to_string(),
-    }
-}
-
-fn dispatch(inner: &Inner, conns: &mut Conns, req: &Request) -> Response {
-    let m = &inner.manifest;
-    match req {
-        Request::Catalog => Response::Catalog(vec![CatalogEntry {
+    fn catalog(&self) -> Vec<CatalogEntry> {
+        let m = &self.manifest;
+        vec![CatalogEntry {
             name: m.archive.clone(),
             n_words: m.n_words,
             n_blocks: m.n_blocks() as u32,
             block_words: m.block_words,
             compressed_bytes: m.compressed_bytes(),
-        }]),
-        Request::Metrics => Response::Metrics(wrl_obs::global().snapshot().to_json(&[
-            ("service", "wrl-fabric"),
-            ("schema_wire", wire::WIRE_SCHEMA),
-        ])),
-        Request::Shards => Response::Shards(
-            m.shards
-                .iter()
-                .enumerate()
-                .map(|(s, e)| {
-                    let n = inner.endpoints[s].len() as u16;
-                    let down = inner.down[s].load(Ordering::Relaxed) as u16;
-                    ShardStatus {
-                        name: e.name.clone(),
-                        endpoints: n,
-                        alive: !down & (((1u32 << n) - 1) as u16),
-                        n_blocks: e.n_blocks,
-                        n_words: e.n_words,
-                        asid_mask: e.asid_mask,
-                    }
-                })
-                .collect(),
-        ),
-        Request::Query { archive, pred } => {
-            if *archive != m.archive {
-                return Response::Error {
-                    code: err::NO_SUCH_ARCHIVE,
-                    msg: format!("no archive named {archive:?} in the catalog"),
-                };
+        }]
+    }
+
+    fn shards(&self) -> Option<Vec<ShardStatus>> {
+        let row = |(s, e): (usize, &crate::manifest::ShardEntry)| {
+            let n = self.endpoints[s].len() as u16;
+            let down = self.down[s].load(Ordering::Relaxed) as u16;
+            ShardStatus {
+                name: e.name.clone(),
+                endpoints: n,
+                alive: !down & (((1u32 << n) - 1) as u16),
+                n_blocks: e.n_blocks,
+                n_words: e.n_words,
+                asid_mask: e.asid_mask,
             }
-            inner.obs.queries.inc();
-            let units = m.scatter(pred);
-            let surviving: u64 = units.iter().map(|u| u64::from(u.blocks)).sum();
-            inner.obs.blocks_pruned.add(m.n_blocks() as u64 - surviving);
-            let mut words = Vec::new();
-            let mut decoded = 0u32;
-            for u in &units {
-                let name = m.shards[u.shard].name.clone();
-                let q = with_shard(inner, conns, u.shard, |c| {
-                    inner.obs.subqueries.inc();
-                    c.query_retry(&name, &u.pred, inner.cfg.busy_retries)
-                });
-                match q {
-                    Ok(q) => {
-                        decoded += q.blocks_decoded;
-                        words.extend_from_slice(&q.words);
-                    }
-                    Err(resp) => return resp,
-                }
-            }
-            if words.len() * 4 + 64 > MAX_FRAME {
-                return bad_request("query result exceeds the frame cap; narrow the window");
-            }
-            Response::Query(QueryResult {
-                blocks_decoded: decoded,
-                blocks_skipped: m.n_blocks() as u32 - decoded,
-                words,
-            })
+        };
+        Some(self.manifest.shards.iter().enumerate().map(row).collect())
+    }
+
+    fn query(&self, archive: &str, pred: &Predicate) -> Result<QueryResult, Response> {
+        let m = &self.manifest;
+        if archive != m.archive {
+            return Err(no_such_archive(archive));
         }
-        Request::Fetch {
-            archive,
-            first_block,
-            n_blocks,
-        } => {
-            if *archive != m.archive {
-                return Response::Error {
-                    code: err::NO_SUCH_ARCHIVE,
-                    msg: format!("no archive named {archive:?} in the catalog"),
-                };
+        self.obs.queries.inc();
+        let units = m.scatter(pred);
+        let surviving: u64 = units.iter().map(|u| u64::from(u.blocks)).sum();
+        self.obs.blocks_pruned.add(m.n_blocks() as u64 - surviving);
+        let mut words = Vec::new();
+        let mut decoded = 0u32;
+        self.pooled(|conns| {
+            for u in &units {
+                let name = &m.shards[u.shard].name;
+                let q = self.with_shard(conns, u.shard, |c| {
+                    self.obs.subqueries.inc();
+                    c.query_retry(name, &u.pred, BUSY_RETRIES)
+                })?;
+                decoded += q.blocks_decoded;
+                words.extend_from_slice(&q.words);
             }
-            let first = *first_block as usize;
-            let Some(end) = first.checked_add(*n_blocks as usize) else {
-                return bad_request("block range overflows");
-            };
-            if end > m.n_blocks() {
-                return bad_request("block range out of bounds");
-            }
-            let mut total = 0usize;
-            for b in &m.blocks[first..end] {
-                total += 31 + b.comp_len as usize;
-                if total > MAX_FRAME - 64 {
-                    return bad_request("block range exceeds the frame cap; fetch fewer blocks");
-                }
-            }
-            let mut out = Vec::with_capacity(end - first);
-            let mut at = first;
+            Ok(())
+        })?;
+        Ok(QueryResult {
+            blocks_decoded: decoded,
+            blocks_skipped: m.n_blocks() as u32 - decoded,
+            words,
+        })
+    }
+
+    fn fetch(
+        &self,
+        archive: &str,
+        first_block: u32,
+        n_blocks: u32,
+    ) -> Result<Vec<RawBlock>, Response> {
+        let m = &self.manifest;
+        if archive != m.archive {
+            return Err(no_such_archive(archive));
+        }
+        let range = fetch_range(first_block, n_blocks, m.n_blocks(), |i| {
+            m.blocks[i].comp_len
+        })?;
+        let mut out = Vec::with_capacity(range.len());
+        let (mut at, end) = (range.start, range.end);
+        self.pooled(|conns| {
             while at < end {
                 let shard = m.blocks[at].shard;
                 let mut run = at + 1;
@@ -457,39 +300,29 @@ fn dispatch(inner: &Inner, conns: &mut Conns, req: &Request) -> Response {
                 // consecutive shard-locally (subsets preserve order),
                 // so the run is one downstream fetch.
                 let shard = shard as usize;
-                let name = m.shards[shard].name.clone();
+                let name = &m.shards[shard].name;
                 let local_first = m.local_of(at).1;
                 let count = (run - at) as u32;
                 let blocks =
-                    with_shard(inner, conns, shard, |c| c.fetch(&name, local_first, count));
-                match blocks {
-                    Ok(blocks) => {
-                        if blocks.len() != run - at {
-                            return Response::Error {
-                                code: err::UNAVAILABLE,
-                                msg: format!("shard {name}: short fetch answer"),
-                            };
-                        }
-                        for (k, mut rb) in blocks.into_iter().enumerate() {
-                            // Re-tile to global coordinates: upstream
-                            // must see exactly what a single node
-                            // holding the whole archive would serve.
-                            rb.first_word = m.blocks[at + k].first_word;
-                            out.push(rb);
-                        }
-                    }
-                    Err(resp) => return resp,
+                    self.with_shard(conns, shard, |c| c.fetch(name, local_first, count))?;
+                if blocks.len() != run - at {
+                    return Err(Response::Error {
+                        code: err::UNAVAILABLE,
+                        msg: format!("shard {name}: short fetch answer"),
+                    });
+                }
+                for (k, mut rb) in blocks.into_iter().enumerate() {
+                    // Re-tile to global coordinates: upstream must
+                    // see exactly what a single node holding the
+                    // whole archive would serve.
+                    rb.first_word = m.blocks[at + k].first_word;
+                    out.push(rb);
                 }
                 at = run;
             }
-            Response::Fetch(out)
-        }
-        // The coordinator fronts finished, sharded archives; live
-        // tails are a single-node service (subscribe to the node
-        // running the machine instead).
-        Request::Subscribe { .. } | Request::Unsubscribe => {
-            bad_request("a fabric coordinator serves no live feeds")
-        }
+            Ok(())
+        })?;
+        Ok(out)
     }
 }
 
@@ -497,9 +330,11 @@ fn dispatch(inner: &Inner, conns: &mut Conns, req: &Request) -> Response {
 mod tests {
     use super::*;
     use crate::manifest::{split_store, PlanKind};
+    use std::net::TcpListener;
     use std::sync::Arc;
-    use wrl_serve::{Catalog, ServeCfg, Server};
-    use wrl_store::{BlockFormat, Predicate, TraceStore};
+    use std::time::Duration;
+    use wrl_serve::Catalog;
+    use wrl_store::{BlockFormat, TraceStore};
     use wrl_trace::bbinfo::{BbInfo, BbTraceFlags};
     use wrl_trace::{ctl, BbTable, CtlOp, TraceArchive};
 
@@ -529,15 +364,31 @@ mod tests {
         }
     }
 
-    fn fast_cfg() -> FabricCfg {
-        FabricCfg {
-            client: ClientCfg {
-                read_timeout: Duration::from_millis(5),
-                write_timeout: Duration::from_secs(2),
-                max_stalls: 100,
-            },
-            ..FabricCfg::default()
+    fn fast_cfg() -> ClientCfg {
+        ClientCfg {
+            read_timeout: Duration::from_millis(5),
+            write_timeout: Duration::from_secs(2),
+            max_stalls: 100,
         }
+    }
+
+    /// One `wrl-serve` node per shard store, under the manifest's name
+    /// for it.
+    fn shard_nodes(
+        manifest: &Manifest,
+        shard_stores: Vec<TraceStore>,
+    ) -> (Vec<Server>, Vec<Vec<SocketAddr>>) {
+        let mut servers = Vec::new();
+        let mut endpoints = Vec::new();
+        for (entry, shard) in manifest.shards.iter().zip(shard_stores) {
+            let mut catalog = Catalog::new();
+            catalog.add(entry.name.clone(), Arc::new(shard));
+            let server =
+                Server::start("127.0.0.1:0", catalog, ServeCfg::default()).expect("shard starts");
+            endpoints.push(vec![server.addr()]);
+            servers.push(server);
+        }
+        (servers, endpoints)
     }
 
     #[test]
@@ -547,16 +398,7 @@ mod tests {
         let (manifest, shard_stores) =
             split_store(&store, "golden", 2, PlanKind::BlockRange).unwrap();
 
-        let mut servers = Vec::new();
-        let mut endpoints = Vec::new();
-        for (s, shard) in shard_stores.into_iter().enumerate() {
-            let mut catalog = Catalog::new();
-            catalog.add(manifest.shards[s].name.clone(), Arc::new(shard));
-            let server =
-                Server::start("127.0.0.1:0", catalog, ServeCfg::default()).expect("shard starts");
-            endpoints.push(vec![server.addr()]);
-            servers.push(server);
-        }
+        let (servers, endpoints) = shard_nodes(&manifest, shard_stores);
         let coord = Coordinator::start("127.0.0.1:0", manifest, endpoints, fast_cfg())
             .expect("coordinator starts");
         let mut client = Client::connect(coord.addr()).expect("client connects");
@@ -603,6 +445,12 @@ mod tests {
             Err(ServeError::Remote { code, .. }) if code == err::NO_SUCH_ARCHIVE
         ));
 
+        // The reactor describes the coordinator's own traffic, under
+        // the coordinator's label.
+        let metrics = client.metrics().expect("metrics answers");
+        assert!(metrics.contains("\"service\": \"wrl-fabric\""), "{metrics}");
+        assert!(metrics.contains("serve.requests.query"));
+
         coord.shutdown();
         for s in servers {
             s.shutdown();
@@ -631,5 +479,36 @@ mod tests {
             other => panic!("expected typed unavailable, got {other:?}"),
         }
         coord.shutdown();
+    }
+
+    #[test]
+    fn the_pool_holds_no_more_sets_than_requests_ran_at_once() {
+        let a = sample_archive(1500);
+        let store = TraceStore::from_archive(&a, 64);
+        let (manifest, shard_stores) =
+            split_store(&store, "golden", 2, PlanKind::BlockRange).unwrap();
+        let (servers, endpoints) = shard_nodes(&manifest, shard_stores);
+        // The backend alone, called as the reactor's executors call
+        // it: four callers at once, so at most four sets checked out.
+        let coord = Coordinator::new(manifest, endpoints, fast_cfg()).expect("valid fabric");
+        let expected = store.query(&Predicate::default()).unwrap().words;
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    for _ in 0..8 {
+                        let q = coord.query("golden", &Predicate::default());
+                        assert_eq!(q.expect("query answers").words, expected);
+                    }
+                });
+            }
+        });
+        let idle = coord.pool.lock().unwrap();
+        assert!((1..=4).contains(&idle.len()), "{} sets pooled", idle.len());
+        let open = |set: &Conns| set.iter().flatten().flatten().count();
+        assert!(idle.iter().all(|set| open(set) <= 2), "one client a shard");
+        drop(idle);
+        for s in servers {
+            s.shutdown();
+        }
     }
 }

@@ -17,7 +17,9 @@
 //! * [`coord`] — the coordinator: speaks `wrl-wire/v1` downstream to
 //!   the shard nodes (reusing the [`wrl_serve::Client`] machinery)
 //!   and presents a single merged catalog/fetch/query/metrics/shards
-//!   surface upstream on the same protocol. Windowed queries scatter
+//!   surface upstream on the same protocol — as a
+//!   [`wrl_serve::Backend`] of the one `wrl-serve` reactor, not a
+//!   second server. Windowed queries scatter
 //!   only to shards whose manifest zonemaps can match; sub-results
 //!   merge in global stream order. Each shard may list replica
 //!   endpoints: a mid-query shard loss transparently retries the
@@ -37,7 +39,7 @@ pub mod coord;
 pub mod manifest;
 pub mod obs;
 
-pub use coord::{Coordinator, FabricCfg};
+pub use coord::Coordinator;
 pub use manifest::{
     plan_shards, split_store, Manifest, ManifestBlock, ManifestError, PlanKind, ScatterUnit,
     ShardEntry, MANIFEST_BLOCK_ENTRY_BYTES, MANIFEST_MAGIC, MANIFEST_VERSION, MAX_SHARDS,

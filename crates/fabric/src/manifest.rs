@@ -24,6 +24,7 @@
 //! ```
 
 use wrl_store::{matching_rows, Predicate, PruneRow, StoreError, TraceStore};
+use wrl_trace::bytes::{put_str16, put_u32, put_u64, Cursor, ReadError};
 
 /// Leading magic of a shard manifest.
 pub const MANIFEST_MAGIC: &[u8; 8] = b"W3KSHARD";
@@ -118,6 +119,15 @@ impl std::error::Error for ManifestError {}
 impl From<StoreError> for ManifestError {
     fn from(e: StoreError) -> Self {
         ManifestError::Store(e)
+    }
+}
+
+impl From<ReadError> for ManifestError {
+    fn from(e: ReadError) -> Self {
+        ManifestError::Malformed(match e {
+            ReadError::Truncated => "truncated",
+            ReadError::NotUtf8 => "string is not utf-8",
+        })
     }
 }
 
@@ -407,7 +417,7 @@ impl Manifest {
         if want != got {
             return Err(ManifestError::CrcMismatch { want, got });
         }
-        let mut cur = Cursor { buf: body, pos: 12 };
+        let mut cur = Cursor::at(body, 12);
         let plan =
             PlanKind::from_code(cur.u8()?).ok_or(ManifestError::Malformed("unknown plan kind"))?;
         let n_shards = cur.u32()? as usize;
@@ -442,7 +452,7 @@ impl Manifest {
                 flags: cur.u8()?,
             });
         }
-        if cur.pos != body.len() {
+        if cur.remaining() != 0 {
             return Err(ManifestError::Malformed(
                 "trailing bytes after block entries",
             ));
@@ -605,58 +615,6 @@ pub fn split_store(
         stores.push(store.subset(ids)?);
     }
     Ok((manifest, stores))
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str16(out: &mut Vec<u8>, s: &str) {
-    let bytes = s.as_bytes();
-    debug_assert!(bytes.len() <= u16::MAX as usize);
-    out.extend_from_slice(&(bytes.len() as u16).to_le_bytes());
-    out.extend_from_slice(bytes);
-}
-
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl Cursor<'_> {
-    fn take(&mut self, n: usize) -> Result<&[u8], ManifestError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or(ManifestError::Malformed("truncated"))?;
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, ManifestError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, ManifestError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, ManifestError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn str16(&mut self) -> Result<String, ManifestError> {
-        let n = u16::from_le_bytes(self.take(2)?.try_into().unwrap()) as usize;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| ManifestError::Malformed("string is not utf-8"))
-    }
 }
 
 #[cfg(test)]

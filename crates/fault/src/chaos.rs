@@ -31,7 +31,7 @@ use crate::inject::{
 };
 use crate::plan::{FaultPlan, FaultSite, Layer};
 use crate::SplitMix64;
-use wrl_fabric::{split_store, Coordinator, FabricCfg, Manifest, PlanKind};
+use wrl_fabric::{split_store, Coordinator, Manifest, PlanKind};
 use wrl_serve::{Catalog, Client, ClientCfg, ServeCfg, ServeHooks, Server, TailItem, WireFate};
 use wrl_store::{filter_stream, replay, BlockFormat, FarmCfg, Predicate, TraceStore};
 use wrl_trace::{
@@ -658,15 +658,7 @@ fn run_fabric_node_loss(input: &ChaosInput, rng: &mut SplitMix64) -> Outcome {
         }
         endpoints.push(eps);
     }
-    let coord = match Coordinator::start(
-        "127.0.0.1:0",
-        manifest,
-        endpoints,
-        FabricCfg {
-            client: ccfg,
-            ..FabricCfg::default()
-        },
-    ) {
+    let coord = match Coordinator::start("127.0.0.1:0", manifest, endpoints, ccfg) {
         Ok(c) => c,
         Err(e) => {
             return Outcome::Forbidden {

@@ -1,0 +1,277 @@
+//! What the reactor answers admitted requests *from*.
+//!
+//! [`crate::server`] owns everything about a `wrl-wire/v1` connection
+//! — framing, admission, stall budgets, drain, the fault seam, the
+//! live tail — and hands each admitted catalog / fetch / query /
+//! shards request to a [`Backend`]. Two exist: the [`Catalog`]-backed
+//! one a node runs (this module), and `wrl-fabric`'s coordinator,
+//! which scatters the same requests to shard nodes. Because both sit
+//! under the one server, a coordinator cannot answer a damaged frame,
+//! an overload or a subscribe differently from a node.
+//!
+//! The request checks every backend must make the same way are
+//! written here once: [`no_such_archive`], [`bad_request`] and
+//! [`fetch_range`].
+
+use std::ops::Range;
+use std::sync::{Arc, Mutex};
+
+use wrl_store::{
+    query_parallel, BlockCache, Predicate, QueryResult, StoreError, StoreObs, TraceStore,
+};
+
+use crate::obs::ServeObs;
+use crate::server::ServeCfg;
+use crate::wire::{
+    err, CatalogEntry, RawBlock, Response, ShardStatus, MAX_FRAME, RAW_BLOCK_HEADER_BYTES,
+};
+
+/// The answers behind a server's four admitted data opcodes. Methods
+/// run on an executor thread (or inline on an event thread when
+/// `exec_workers` is 0) with an admission slot held; an `Err` is the
+/// refusal to send instead, already typed.
+pub trait Backend: Send + Sync + 'static {
+    /// The `service` label of the server's metrics answer.
+    fn service(&self) -> &'static str;
+
+    /// The rows of a catalog answer, sorted by name.
+    fn catalog(&self) -> Vec<CatalogEntry>;
+
+    /// Blocks `first_block .. first_block + n_blocks` of `archive`,
+    /// raw, for the client to decompress and verify.
+    fn fetch(
+        &self,
+        archive: &str,
+        first_block: u32,
+        n_blocks: u32,
+    ) -> Result<Vec<RawBlock>, Response>;
+
+    /// The words of `archive` that `pred` admits, in stream order,
+    /// with the pushdown's block accounting.
+    fn query(&self, archive: &str, pred: &Predicate) -> Result<QueryResult, Response>;
+
+    /// The shard table, for a backend that fronts shards; `None`
+    /// makes the server refuse the opcode as a single node does.
+    fn shards(&self) -> Option<Vec<ShardStatus>> {
+        None
+    }
+}
+
+/// The typed refusal for a request the frame decoded but the server
+/// cannot serve.
+pub fn bad_request(msg: &str) -> Response {
+    Response::Error {
+        code: err::BAD_REQUEST,
+        msg: msg.to_string(),
+    }
+}
+
+/// The typed refusal for a fetch or query naming an archive the
+/// backend does not hold.
+pub fn no_such_archive(name: &str) -> Response {
+    Response::Error {
+        code: err::NO_SUCH_ARCHIVE,
+        msg: format!("no archive named {name:?} in the catalog"),
+    }
+}
+
+/// Checks a fetch request against an archive of `have` blocks whose
+/// block `i` holds `comp_len(i)` compressed bytes: the range must lie
+/// inside the archive and its answer inside one frame.
+pub fn fetch_range(
+    first_block: u32,
+    n_blocks: u32,
+    have: usize,
+    comp_len: impl Fn(usize) -> u32,
+) -> Result<Range<usize>, Response> {
+    let first = first_block as usize;
+    let end = first
+        .checked_add(n_blocks as usize)
+        .ok_or_else(|| bad_request("block range overflows"))?;
+    if end > have {
+        return Err(bad_request("block range out of bounds"));
+    }
+    let mut total = 0usize;
+    for i in first..end {
+        total += RAW_BLOCK_HEADER_BYTES + comp_len(i) as usize;
+        if total > MAX_FRAME - 64 {
+            return Err(bad_request(
+                "block range exceeds the frame cap; fetch fewer blocks",
+            ));
+        }
+    }
+    Ok(first..end)
+}
+
+/// The archives a server offers, by name.
+#[derive(Clone, Default)]
+pub struct Catalog {
+    entries: Vec<(String, Arc<TraceStore>)>,
+}
+
+impl Catalog {
+    /// An empty catalog.
+    pub fn new() -> Catalog {
+        Catalog::default()
+    }
+
+    /// Adds (or replaces) an archive under `name`, keeping the
+    /// catalog sorted by name.
+    pub fn add(&mut self, name: impl Into<String>, store: Arc<TraceStore>) {
+        let name = name.into();
+        match self
+            .entries
+            .binary_search_by(|(n, _)| n.as_str().cmp(&name))
+        {
+            Ok(i) => self.entries[i].1 = store,
+            Err(i) => self.entries.insert(i, (name, store)),
+        }
+    }
+
+    /// Looks an archive up by name.
+    pub fn get(&self, name: &str) -> Option<&Arc<TraceStore>> {
+        self.get_indexed(name).map(|(_, s)| s)
+    }
+
+    /// Looks an archive up by name, also returning its catalog slot
+    /// (the backend's per-archive block-cache index).
+    fn get_indexed(&self, name: &str) -> Option<(usize, &Arc<TraceStore>)> {
+        self.entries
+            .binary_search_by(|(n, _)| n.as_str().cmp(name))
+            .ok()
+            .map(|i| (i, &self.entries[i].1))
+    }
+
+    /// The catalog rows a catalog response ships.
+    pub fn rows(&self) -> Vec<CatalogEntry> {
+        self.entries
+            .iter()
+            .map(|(name, s)| CatalogEntry {
+                name: name.clone(),
+                n_words: s.n_words,
+                n_blocks: s.n_blocks() as u32,
+                block_words: s.block_words,
+                compressed_bytes: s.compressed_bytes(),
+            })
+            .collect()
+    }
+}
+
+/// A node's backend: the archives of a [`Catalog`], held in memory.
+pub(crate) struct CatalogBackend {
+    catalog: Catalog,
+    /// One decoded-block cache per catalog entry (same order), sized
+    /// from `query_cache_bytes`; empty when the cache is disabled.
+    /// The lock serialises windowed queries per archive — cheap once
+    /// warm, and full-scan queries keep the parallel farm instead.
+    caches: Vec<Mutex<BlockCache>>,
+    query_workers: usize,
+    obs: ServeObs,
+}
+
+impl CatalogBackend {
+    pub(crate) fn new(catalog: Catalog, cfg: &ServeCfg) -> CatalogBackend {
+        let caches = if cfg.query_cache_bytes > 0 {
+            catalog
+                .entries
+                .iter()
+                .map(|(_, s)| {
+                    let block_bytes = (s.block_words as usize).max(1) * 4;
+                    let slots = (cfg.query_cache_bytes / block_bytes).clamp(1, s.n_blocks().max(1));
+                    Mutex::new(BlockCache::new(slots))
+                })
+                .collect()
+        } else {
+            Vec::new()
+        };
+        CatalogBackend {
+            catalog,
+            caches,
+            query_workers: cfg.query_workers,
+            obs: ServeObs::register(),
+        }
+    }
+
+    fn find(&self, name: &str) -> Result<(usize, &Arc<TraceStore>), Response> {
+        self.catalog
+            .get_indexed(name)
+            .ok_or_else(|| no_such_archive(name))
+    }
+
+    /// The one place a store failure becomes `err::STORE` on the
+    /// wire, so the one place the store's integrity counters move.
+    /// The family is looked up here, on the rare path, so a healthy
+    /// server's metrics snapshot carries no `store.*` rows of its own.
+    fn store_error(e: &StoreError) -> Response {
+        StoreObs::register().tally_error(e);
+        Response::Error {
+            code: err::STORE,
+            msg: e.to_string(),
+        }
+    }
+}
+
+impl Backend for CatalogBackend {
+    fn service(&self) -> &'static str {
+        "wrl-serve"
+    }
+
+    fn catalog(&self) -> Vec<CatalogEntry> {
+        self.catalog.rows()
+    }
+
+    fn fetch(
+        &self,
+        archive: &str,
+        first_block: u32,
+        n_blocks: u32,
+    ) -> Result<Vec<RawBlock>, Response> {
+        let (_, store) = self.find(archive)?;
+        let range = fetch_range(first_block, n_blocks, store.n_blocks(), |i| {
+            store.block_meta(i).comp_len
+        })?;
+        let mut blocks = Vec::with_capacity(range.len());
+        for i in range {
+            let m = *store.block_meta(i);
+            let comp = store.block_bytes(i).map_err(|e| Self::store_error(&e))?;
+            blocks.push(RawBlock {
+                words: m.words,
+                crc: m.crc,
+                first_asid: m.first_asid,
+                last_asid: m.last_asid,
+                flags: m.flags,
+                first_word: m.first_word,
+                min_daddr: m.min_daddr,
+                max_daddr: m.max_daddr,
+                comp: comp.to_vec(),
+            });
+        }
+        Ok(blocks)
+    }
+
+    fn query(&self, archive: &str, pred: &Predicate) -> Result<QueryResult, Response> {
+        let (idx, store) = self.find(archive)?;
+        let result = if pred.window.is_some() && !self.caches.is_empty() {
+            // A windowed query touches a handful of blocks and
+            // served archives see the same windows repeatedly:
+            // answer from the per-archive decoded-block cache
+            // instead of spinning the farm up.
+            let mut cache = self.caches[idx].lock().expect("cache lock poisoned");
+            let (h, m) = (cache.hits(), cache.misses());
+            let r = store.query_cached(pred, &mut cache);
+            self.obs.cache_hits.add(cache.hits() - h);
+            self.obs.cache_misses.add(cache.misses() - m);
+            r
+        } else if self.query_workers <= 1 {
+            // Sequential in place: on small hosts the per-request
+            // scoped-thread spawn dwarfs the query itself.
+            store.query(pred)
+        } else {
+            query_parallel(store, pred, self.query_workers)
+        };
+        let q = result.map_err(|e| Self::store_error(&e))?;
+        self.obs.blocks_decoded.add(u64::from(q.blocks_decoded));
+        self.obs.blocks_skipped.add(u64::from(q.blocks_skipped));
+        Ok(q)
+    }
+}

@@ -24,6 +24,11 @@
 //!   sockets on unix (declared `extern "C"`, no `libc` crate), a
 //!   condvar-paced scan fallback elsewhere, and a cross-thread
 //!   [`Waker`].
+//! * [`backend`] — what admitted requests are answered from: the
+//!   [`Backend`] seam, the [`Catalog`]-backed implementation a node
+//!   runs, and the request checks every backend shares. `wrl-fabric`'s
+//!   coordinator is the other implementation, so one server speaks
+//!   the protocol for both.
 //! * [`server`] — the event loops on top: a few event threads
 //!   multiplex every connection, a max-inflight admission gate
 //!   answers `Busy` instead of queueing, a small executor pool runs
@@ -47,6 +52,7 @@
 
 #![deny(missing_docs)]
 
+pub mod backend;
 pub mod client;
 pub mod conn;
 pub mod obs;
@@ -54,13 +60,14 @@ pub mod reactor;
 pub mod server;
 pub mod wire;
 
+pub use backend::{Backend, Catalog};
 pub use client::{Client, ClientCfg, ServeError, TailItem};
 pub use conn::{
     Conn, ConnState, FrameDecoder, IoTally, ReadEvent, TickVerdict, Transport, WriteShape,
 };
 pub use obs::ServeObs;
 pub use reactor::{Interest, Poller, Ready, Waker};
-pub use server::{Catalog, LiveFeed, ServeCfg, ServeHooks, Server, WireFate};
+pub use server::{LiveFeed, ServeCfg, ServeHooks, Server, WireFate};
 pub use wire::{
     CatalogEntry, RawBlock, Request, Response, ShardStatus, WireError, MAX_FRAME, WIRE_SCHEMA,
 };

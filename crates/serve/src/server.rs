@@ -20,11 +20,11 @@
 //!   deepest it got).
 //! * **Execution** — admitted requests hop to a small executor pool
 //!   (`exec_workers` threads; `0` executes inline on the event
-//!   thread), so a long query never wedges an event loop. Queries run
-//!   on the store's parallel block farm ([`wrl_store::query_parallel`])
-//!   when `query_workers > 1` and sequentially in-place otherwise;
-//!   fetches ship raw compressed blocks for client-side verification;
-//!   metrics snapshots reuse `wrl-obs-metrics/v1`. The finished
+//!   thread), so a long query never wedges an event loop. There the
+//!   server's [`Backend`] answers them: a node's catalog backend
+//!   decodes from the store (see [`crate::backend`]), a fabric
+//!   coordinator's scatters to shard nodes; the metrics snapshot
+//!   (`wrl-obs-metrics/v1`) the server answers itself. The finished
 //!   response frame is handed back to the owning event thread through
 //!   its completion inbox and a waker.
 //! * **Stall budgets** — instead of per-socket kernel timeouts, the
@@ -65,19 +65,20 @@
 //! deliver bit-identical answers.
 
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use wrl_store::{query_parallel, BlockCache, Predicate, TraceStore};
+use wrl_store::Predicate;
 use wrl_trace::format::{classify, CtlOp, TraceWord};
 
+use crate::backend::{bad_request, Backend, Catalog, CatalogBackend};
 use crate::conn::{Conn, ConnState, IoTally, ReadEvent, TickVerdict, WriteShape};
 use crate::obs::ServeObs;
 use crate::reactor::{AsRawFd, Interest, Poller, Ready, Waker, MAX_POLLED};
-use crate::wire::{self, err, CatalogEntry, RawBlock, Request, Response, MAX_FRAME};
+use crate::wire::{self, err, Request, Response, MAX_FRAME};
 
 /// Server shape parameters.
 #[derive(Clone, Copy, Debug)]
@@ -146,60 +147,6 @@ impl Default for ServeCfg {
     }
 }
 
-/// The archives a server offers, by name.
-#[derive(Clone, Default)]
-pub struct Catalog {
-    entries: Vec<(String, Arc<TraceStore>)>,
-}
-
-impl Catalog {
-    /// An empty catalog.
-    pub fn new() -> Catalog {
-        Catalog::default()
-    }
-
-    /// Adds (or replaces) an archive under `name`, keeping the
-    /// catalog sorted by name.
-    pub fn add(&mut self, name: impl Into<String>, store: Arc<TraceStore>) {
-        let name = name.into();
-        match self
-            .entries
-            .binary_search_by(|(n, _)| n.as_str().cmp(&name))
-        {
-            Ok(i) => self.entries[i].1 = store,
-            Err(i) => self.entries.insert(i, (name, store)),
-        }
-    }
-
-    /// Looks an archive up by name.
-    pub fn get(&self, name: &str) -> Option<&Arc<TraceStore>> {
-        self.get_indexed(name).map(|(_, s)| s)
-    }
-
-    /// Looks an archive up by name, also returning its catalog slot
-    /// (the server's per-archive block-cache index).
-    fn get_indexed(&self, name: &str) -> Option<(usize, &Arc<TraceStore>)> {
-        self.entries
-            .binary_search_by(|(n, _)| n.as_str().cmp(name))
-            .ok()
-            .map(|i| (i, &self.entries[i].1))
-    }
-
-    /// The catalog rows a catalog response ships.
-    pub fn rows(&self) -> Vec<CatalogEntry> {
-        self.entries
-            .iter()
-            .map(|(name, s)| CatalogEntry {
-                name: name.clone(),
-                n_words: s.n_words,
-                n_blocks: s.n_blocks() as u32,
-                block_words: s.block_words,
-                compressed_bytes: s.compressed_bytes(),
-            })
-            .collect()
-    }
-}
-
 /// What the fault seam does to one encoded response frame.
 #[derive(Clone, Copy, Debug)]
 pub enum WireFate {
@@ -264,15 +211,10 @@ impl ServeHooks {
 }
 
 struct Shared {
-    catalog: Catalog,
+    backend: Box<dyn Backend>,
     cfg: ServeCfg,
     obs: ServeObs,
     hooks: ServeHooks,
-    /// One decoded-block cache per catalog entry (same order), sized
-    /// by `cfg.query_cache_blocks`; empty when the cache is disabled.
-    /// The lock serialises windowed queries per archive — cheap once
-    /// warm, and full-scan queries keep the parallel farm instead.
-    caches: Vec<Mutex<BlockCache>>,
     /// The admission gate proper — a plain atomic, not the obs gauge,
     /// so admission works identically in no-record builds.
     inflight: AtomicUsize,
@@ -449,28 +391,26 @@ impl Server {
         cfg: ServeCfg,
         hooks: ServeHooks,
     ) -> io::Result<Server> {
+        Server::start_backend(addr, CatalogBackend::new(catalog, &cfg), cfg, hooks)
+    }
+
+    /// Binds `addr` and serves whatever `backend` answers: the entry
+    /// under [`Server::start`] (a [`Catalog`] held in memory) and
+    /// under `wrl-fabric`'s coordinator (shards behind a manifest).
+    pub fn start_backend(
+        addr: impl ToSocketAddrs,
+        backend: impl Backend,
+        cfg: ServeCfg,
+        hooks: ServeHooks,
+    ) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let caches = if cfg.query_cache_bytes > 0 {
-            catalog
-                .entries
-                .iter()
-                .map(|(_, s)| {
-                    let block_bytes = (s.block_words as usize).max(1) * 4;
-                    let slots = (cfg.query_cache_bytes / block_bytes).clamp(1, s.n_blocks().max(1));
-                    Mutex::new(BlockCache::new(slots))
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
         let shared = Arc::new(Shared {
-            catalog,
+            backend: Box::new(backend),
             cfg,
             obs: ServeObs::register(),
             hooks,
-            caches,
             inflight: AtomicUsize::new(0),
             resp_seq: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
@@ -741,7 +681,7 @@ fn exec_loop(shared: &Shared, rt: &Reactor, rx: &Mutex<mpsc::Receiver<Job>>) {
 /// Executes one admitted request and shapes its response frame.
 fn run_job(shared: &Shared, job: Job) -> Completion {
     let t0 = Instant::now();
-    let resp = handle(shared, &job.req);
+    let resp = answer(shared.backend.as_ref(), &job.req);
     let opcode = job.req.opcode();
     shared
         .obs
@@ -1287,129 +1227,38 @@ fn register(
     }
 }
 
-fn handle(shared: &Shared, req: &Request) -> Response {
-    let store_of = |name: &str| {
-        shared.catalog.get(name).ok_or_else(|| Response::Error {
-            code: err::NO_SUCH_ARCHIVE,
-            msg: format!("no archive named {name:?} in the catalog"),
-        })
-    };
+/// Answers one admitted request from the backend. The checks here
+/// are the ones no backend may spell differently: what a server
+/// without shards says to `shards`, and the frame cap on a query
+/// answer.
+fn answer(backend: &dyn Backend, req: &Request) -> Response {
     match req {
-        Request::Catalog => Response::Catalog(shared.catalog.rows()),
-        Request::Metrics => Response::Metrics(
-            wrl_obs::global()
-                .snapshot()
-                .to_json(&[("service", "wrl-serve"), ("schema_wire", wire::WIRE_SCHEMA)]),
-        ),
-        // A single-node server fronts no shards; the typed refusal
-        // keeps the opcode unambiguous (a fabric coordinator answers
-        // it with its shard table).
-        Request::Shards => bad_request("not a fabric coordinator"),
-        // Subscriptions never reach the executor: dispatch handles
-        // them inline on the event thread. The arm exists for any
-        // other embedder of `handle`.
-        Request::Subscribe { .. } | Request::Unsubscribe => {
-            bad_request("subscriptions are handled on the event loop")
-        }
+        Request::Catalog => Response::Catalog(backend.catalog()),
+        Request::Metrics => Response::Metrics(wrl_obs::global().snapshot().to_json(&[
+            ("service", backend.service()),
+            ("schema_wire", wire::WIRE_SCHEMA),
+        ])),
+        Request::Shards => match backend.shards() {
+            Some(rows) => Response::Shards(rows),
+            None => bad_request("not a fabric coordinator"),
+        },
         Request::Fetch {
             archive,
             first_block,
             n_blocks,
-        } => {
-            let store = match store_of(archive) {
-                Ok(s) => s,
-                Err(e) => return e,
-            };
-            let first = *first_block as usize;
-            let Some(end) = first.checked_add(*n_blocks as usize) else {
-                return bad_request("block range overflows");
-            };
-            if end > store.n_blocks() {
-                return bad_request("block range out of bounds");
+        } => match backend.fetch(archive, *first_block, *n_blocks) {
+            Ok(blocks) => Response::Fetch(blocks),
+            Err(refusal) => refusal,
+        },
+        Request::Query { archive, pred } => match backend.query(archive, pred) {
+            Ok(q) if q.words.len() * 4 + 64 > MAX_FRAME => {
+                bad_request("query result exceeds the frame cap; narrow the window")
             }
-            let mut total = 0usize;
-            let mut blocks = Vec::with_capacity(end - first);
-            for i in first..end {
-                let m = *store.block_meta(i);
-                let comp = match store.block_bytes(i) {
-                    Ok(b) => b,
-                    Err(e) => {
-                        return Response::Error {
-                            code: err::STORE,
-                            msg: e.to_string(),
-                        }
-                    }
-                };
-                total += 31 + comp.len();
-                if total > MAX_FRAME - 64 {
-                    return bad_request("block range exceeds the frame cap; fetch fewer blocks");
-                }
-                blocks.push(RawBlock {
-                    words: m.words,
-                    crc: m.crc,
-                    first_asid: m.first_asid,
-                    last_asid: m.last_asid,
-                    flags: m.flags,
-                    first_word: m.first_word,
-                    min_daddr: m.min_daddr,
-                    max_daddr: m.max_daddr,
-                    comp: comp.to_vec(),
-                });
-            }
-            Response::Fetch(blocks)
+            Ok(q) => Response::Query(q),
+            Err(refusal) => refusal,
+        },
+        Request::Subscribe { .. } | Request::Unsubscribe => {
+            unreachable!("dispatch answers live-tail control frames on the event loop")
         }
-        Request::Query { archive, pred } => {
-            let (idx, store) = match shared.catalog.get_indexed(archive) {
-                Some(pair) => pair,
-                None => {
-                    return Response::Error {
-                        code: err::NO_SUCH_ARCHIVE,
-                        msg: format!("no archive named {archive:?} in the catalog"),
-                    }
-                }
-            };
-            let workers = shared.cfg.query_workers;
-            let result = if pred.window.is_some() && !shared.caches.is_empty() {
-                // A windowed query touches a handful of blocks and
-                // served archives see the same windows repeatedly:
-                // answer from the per-archive decoded-block cache
-                // instead of spinning the farm up.
-                let mut cache = shared.caches[idx].lock().expect("cache lock poisoned");
-                let (h, m) = (cache.hits(), cache.misses());
-                let r = store.query_cached(pred, &mut cache);
-                shared.obs.cache_hits.add(cache.hits() - h);
-                shared.obs.cache_misses.add(cache.misses() - m);
-                r
-            } else if workers <= 1 {
-                // Sequential in place: on small hosts the per-request
-                // scoped-thread spawn dwarfs the query itself.
-                store.query(pred)
-            } else {
-                query_parallel(store, pred, workers)
-            };
-            match result {
-                Ok(q) => {
-                    shared.obs.blocks_decoded.add(u64::from(q.blocks_decoded));
-                    shared.obs.blocks_skipped.add(u64::from(q.blocks_skipped));
-                    if q.words.len() * 4 + 64 > MAX_FRAME {
-                        return bad_request(
-                            "query result exceeds the frame cap; narrow the window",
-                        );
-                    }
-                    Response::Query(q)
-                }
-                Err(e) => Response::Error {
-                    code: err::STORE,
-                    msg: e.to_string(),
-                },
-            }
-        }
-    }
-}
-
-fn bad_request(msg: &str) -> Response {
-    Response::Error {
-        code: err::BAD_REQUEST,
-        msg: msg.to_string(),
     }
 }

@@ -47,6 +47,7 @@
 //! at most one bounded allocation before the CRC catches it.
 
 use wrl_store::{crc32_bytes, Predicate, QueryResult};
+use wrl_trace::bytes::{put_str16, put_u16, put_u32, put_u64, put_words, Cursor, ReadError};
 
 /// Protocol identifier; bumped on any incompatible framing change.
 pub const WIRE_SCHEMA: &str = "wrl-wire/v1";
@@ -57,6 +58,11 @@ pub const MAX_FRAME: usize = 64 << 20;
 
 /// Smallest legal body: request id, opcode, empty payload, CRC.
 pub const MIN_BODY: usize = 8 + 1 + 4;
+
+/// Bytes of a fetch response's `raw_block` ahead of the compressed
+/// bytes: the index-entry summary plus the `u32 comp_len`. What a
+/// backend budgets per block against [`MAX_FRAME`].
+pub const RAW_BLOCK_HEADER_BYTES: usize = 4 + 4 + 1 + 1 + 1 + 8 + 4 + 4 + 4;
 
 /// Request opcodes (responses are `opcode | 0x80`).
 pub mod op {
@@ -356,22 +362,13 @@ impl core::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    debug_assert!(s.len() <= u16::MAX as usize);
-    put_u16(out, s.len() as u16);
-    out.extend_from_slice(s.as_bytes());
+impl From<ReadError> for WireError {
+    fn from(e: ReadError) -> Self {
+        WireError::Malformed(match e {
+            ReadError::Truncated => "truncated payload",
+            ReadError::NotUtf8 => "string is not utf-8",
+        })
+    }
 }
 
 /// Long string (metrics JSON outgrows u16).
@@ -380,50 +377,11 @@ fn put_str32(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
-struct Cursor<'a> {
-    buf: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        let end = self
-            .at
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or(WireError::Malformed("truncated payload"))?;
-        let s = &self.buf[self.at..end];
-        self.at = end;
-        Ok(s)
-    }
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-    fn u16(&mut self) -> Result<u16, WireError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-    fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn str16(&mut self) -> Result<String, WireError> {
-        let n = self.u16()? as usize;
-        String::from_utf8(self.take(n)?.to_vec())
-            .map_err(|_| WireError::Malformed("string is not utf-8"))
-    }
-    fn str32(&mut self) -> Result<String, WireError> {
-        let n = self.u32()? as usize;
-        String::from_utf8(self.take(n)?.to_vec())
-            .map_err(|_| WireError::Malformed("string is not utf-8"))
-    }
-    fn done(&self) -> Result<(), WireError> {
-        if self.at == self.buf.len() {
-            Ok(())
-        } else {
-            Err(WireError::Malformed("trailing bytes after payload"))
-        }
+fn done(c: &Cursor) -> Result<(), WireError> {
+    if c.remaining() == 0 {
+        Ok(())
+    } else {
+        Err(WireError::Malformed("trailing bytes after payload"))
     }
 }
 
@@ -499,12 +457,12 @@ pub fn encode_request(req_id: u64, req: &Request) -> Vec<u8> {
             first_block,
             n_blocks,
         } => {
-            put_str(&mut p, archive);
+            put_str16(&mut p, archive);
             put_u32(&mut p, *first_block);
             put_u32(&mut p, *n_blocks);
         }
         Request::Query { archive, pred } => {
-            put_str(&mut p, archive);
+            put_str16(&mut p, archive);
             put_pred(&mut p, pred);
         }
         Request::Subscribe {
@@ -512,7 +470,7 @@ pub fn encode_request(req_id: u64, req: &Request) -> Vec<u8> {
             pred,
             from_start,
         } => {
-            put_str(&mut p, archive);
+            put_str16(&mut p, archive);
             put_pred(&mut p, pred);
             p.push(u8::from(*from_start));
         }
@@ -524,10 +482,7 @@ pub fn encode_request(req_id: u64, req: &Request) -> Vec<u8> {
 /// request id alongside.
 pub fn decode_request(body: &[u8]) -> Result<(u64, Request), WireError> {
     let (req_id, opcode, payload) = decode_frame(body)?;
-    let mut c = Cursor {
-        buf: payload,
-        at: 0,
-    };
+    let mut c = Cursor::new(payload);
     let req = match opcode {
         op::CATALOG => Request::Catalog,
         op::METRICS => Request::Metrics,
@@ -553,7 +508,7 @@ pub fn decode_request(body: &[u8]) -> Result<(u64, Request), WireError> {
         op::UNSUBSCRIBE => Request::Unsubscribe,
         other => return Err(WireError::UnknownOpcode(other)),
     };
-    c.done()?;
+    done(&c)?;
     Ok((req_id, req))
 }
 
@@ -565,22 +520,16 @@ pub fn encode_response(req_id: u64, resp: &Response) -> Vec<u8> {
         Response::Event { seq, words } => {
             put_u64(&mut p, *seq);
             put_u32(&mut p, words.len() as u32);
-            // Same bulk word copy as the query response below: event
-            // pushes ride the hot path of a running machine.
-            let at = p.len();
-            p.resize(at + words.len() * 4, 0);
-            for (dst, &w) in p[at..].chunks_exact_mut(4).zip(words) {
-                dst.copy_from_slice(&w.to_le_bytes());
-            }
+            put_words(&mut p, words);
         }
         Response::Error { code, msg } => {
             put_u16(&mut p, *code);
-            put_str(&mut p, msg);
+            put_str16(&mut p, msg);
         }
         Response::Catalog(entries) => {
             put_u32(&mut p, entries.len() as u32);
             for e in entries {
-                put_str(&mut p, &e.name);
+                put_str16(&mut p, &e.name);
                 put_u64(&mut p, e.n_words);
                 put_u32(&mut p, e.n_blocks);
                 put_u32(&mut p, e.block_words);
@@ -606,22 +555,13 @@ pub fn encode_response(req_id: u64, resp: &Response) -> Vec<u8> {
             put_u32(&mut p, q.blocks_decoded);
             put_u32(&mut p, q.blocks_skipped);
             put_u64(&mut p, q.words.len() as u64);
-            // Bulk word conversion: the word array dominates a query
-            // response (a 4096-word window is 16 KiB), and a
-            // per-word `put_u32` loop costs more than the query
-            // itself. Writing into a pre-sized tail vectorizes to a
-            // copy on little-endian targets.
-            let at = p.len();
-            p.resize(at + q.words.len() * 4, 0);
-            for (dst, &w) in p[at..].chunks_exact_mut(4).zip(&q.words) {
-                dst.copy_from_slice(&w.to_le_bytes());
-            }
+            put_words(&mut p, &q.words);
         }
         Response::Metrics(json) => put_str32(&mut p, json),
         Response::Shards(rows) => {
             put_u32(&mut p, rows.len() as u32);
             for s in rows {
-                put_str(&mut p, &s.name);
+                put_str16(&mut p, &s.name);
                 put_u16(&mut p, s.endpoints);
                 put_u16(&mut p, s.alive);
                 put_u32(&mut p, s.n_blocks);
@@ -637,10 +577,7 @@ pub fn encode_response(req_id: u64, resp: &Response) -> Vec<u8> {
 /// request id it answers.
 pub fn decode_response(body: &[u8]) -> Result<(u64, Response), WireError> {
     let (req_id, opcode, payload) = decode_frame(body)?;
-    let mut c = Cursor {
-        buf: payload,
-        at: 0,
-    };
+    let mut c = Cursor::new(payload);
     let resp = match opcode {
         op::BUSY => Response::Busy,
         op::ERROR => Response::Error {
@@ -650,15 +587,13 @@ pub fn decode_response(body: &[u8]) -> Result<(u64, Response), WireError> {
         op::EVENT => {
             let seq = c.u64()?;
             let n = c.u32()? as usize;
-            if n != (payload.len() - c.at) / 4 {
+            if n != c.remaining() / 4 {
                 return Err(WireError::Malformed("word count disagrees with payload"));
             }
-            let words = c
-                .take(n * 4)?
-                .chunks_exact(4)
-                .map(|b| u32::from_le_bytes(b.try_into().unwrap()))
-                .collect();
-            Response::Event { seq, words }
+            Response::Event {
+                seq,
+                words: c.words(n)?,
+            }
         }
         o if o == op::CATALOG | op::RESPONSE => {
             let n = c.u32()? as usize;
@@ -707,23 +642,20 @@ pub fn decode_response(body: &[u8]) -> Result<(u64, Response), WireError> {
             let blocks_decoded = c.u32()?;
             let blocks_skipped = c.u32()?;
             let n = c.u64()? as usize;
-            if n != (payload.len() - c.at) / 4 {
+            if n != c.remaining() / 4 {
                 return Err(WireError::Malformed("word count disagrees with payload"));
             }
-            // Bulk inverse of the encoder's word copy: one bounds
-            // check for the whole array instead of one per word.
-            let words = c
-                .take(n * 4)?
-                .chunks_exact(4)
-                .map(|b| u32::from_le_bytes(b.try_into().unwrap()))
-                .collect();
+            let words = c.words(n)?;
             Response::Query(QueryResult {
                 blocks_decoded,
                 blocks_skipped,
                 words,
             })
         }
-        o if o == op::METRICS | op::RESPONSE => Response::Metrics(c.str32()?),
+        o if o == op::METRICS | op::RESPONSE => Response::Metrics({
+            let n = c.u32()? as usize;
+            c.utf8(n)?
+        }),
         o if o == op::SUBSCRIBE | op::RESPONSE => Response::Subscribed,
         o if o == op::UNSUBSCRIBE | op::RESPONSE => Response::Unsubscribed,
         o if o == op::SHARDS | op::RESPONSE => {
@@ -746,7 +678,7 @@ pub fn decode_response(body: &[u8]) -> Result<(u64, Response), WireError> {
         }
         other => return Err(WireError::UnknownOpcode(other)),
     };
-    c.done()?;
+    done(&c)?;
     Ok((req_id, resp))
 }
 

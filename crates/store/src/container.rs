@@ -66,6 +66,7 @@ use std::sync::Arc;
 use crate::codec::{compress_block, crc32_words, decompress_block_into, CodecError, Crc32};
 use crate::column;
 use wrl_trace::archive::{decode_table_section, encode_table_section, MAGIC};
+use wrl_trace::bytes::{put_u32, put_u64, Cursor, ReadError};
 use wrl_trace::format::{classify, CtlOp, TraceWord};
 use wrl_trace::{ArchiveError, BbTable, TraceArchive, TraceParser};
 
@@ -149,6 +150,12 @@ impl From<io::Error> for StoreError {
 impl From<ArchiveError> for StoreError {
     fn from(e: ArchiveError) -> Self {
         StoreError::Archive(e)
+    }
+}
+
+impl From<ReadError> for StoreError {
+    fn from(_: ReadError) -> Self {
+        StoreError::Malformed("truncated")
     }
 }
 
@@ -387,26 +394,6 @@ pub struct TraceStore {
     blocks: Arc<Vec<u8>>,
     /// The block coding in force for every block of this store.
     format: BlockFormat,
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn get_u32(buf: &[u8], at: usize) -> Result<u32, StoreError> {
-    buf.get(at..at + 4)
-        .map(|s| u32::from_le_bytes(s.try_into().unwrap()))
-        .ok_or(StoreError::Malformed("truncated"))
-}
-
-fn get_u64(buf: &[u8], at: usize) -> Result<u64, StoreError> {
-    buf.get(at..at + 8)
-        .map(|s| u64::from_le_bytes(s.try_into().unwrap()))
-        .ok_or(StoreError::Malformed("truncated"))
 }
 
 /// A [`wrl_trace::TraceSink`] that discards every event — the summary
@@ -724,7 +711,8 @@ impl TraceStore {
         if buf.len() < 16 || &buf[..8] != MAGIC {
             return Err(StoreError::Malformed("bad magic"));
         }
-        let version = get_u32(buf, 8)?;
+        let mut head = Cursor::at(buf, 8);
+        let version = head.u32()?;
         let entry_bytes = match version {
             2 => INDEX_ENTRY_BYTES_V2,
             STORE_VERSION => INDEX_ENTRY_BYTES,
@@ -736,13 +724,13 @@ impl TraceStore {
         } else {
             BlockFormat::Row
         };
-        let block_words = get_u32(buf, 12)?;
+        let block_words = head.u32()?;
         if block_words == 0 {
             return Err(StoreError::Malformed("zero block size"));
         }
         let (kernel_table, user_tables, used) = decode_table_section(&buf[16..])?;
         let body = 16 + used;
-        let n_words = get_u64(buf, body)?;
+        let n_words = Cursor::at(buf, body).u64()?;
         let blocks_at = body + 8;
 
         // Seek to the fixed-size trailer for the index.
@@ -753,8 +741,9 @@ impl TraceStore {
         if &buf[buf.len() - 8..] != TAIL_MAGIC {
             return Err(StoreError::Malformed("bad tail magic"));
         }
-        let n_blocks = get_u32(buf, tail_at)? as usize;
-        let index_pos = get_u64(buf, tail_at + 4)? as usize;
+        let mut tail = Cursor::at(buf, tail_at);
+        let n_blocks = tail.u32()? as usize;
+        let index_pos = tail.u64()? as usize;
         if index_pos < blocks_at
             || index_pos > tail_at
             || tail_at - index_pos != n_blocks * entry_bytes
@@ -765,7 +754,7 @@ impl TraceStore {
         // already-decoded tables: the per-block CRCs cover only the
         // block area, so without this a metadata flip could decode to
         // silently wrong events.
-        let meta_crc = get_u32(buf, tail_at + 12)?;
+        let meta_crc = tail.u32()?;
         let mut crc = Crc32::new();
         crc.update(&buf[..blocks_at])
             .update(&buf[index_pos..tail_at + 12]);
@@ -778,16 +767,16 @@ impl TraceStore {
         }
         let blocks_len = (index_pos - blocks_at) as u64;
         let mut index = Vec::with_capacity(n_blocks);
-        let mut at = index_pos;
+        let mut entries = Cursor::at(buf, index_pos);
         let mut total_words = 0u64;
         for _ in 0..n_blocks {
             let mut m = BlockMeta {
-                offset: get_u64(buf, at)?,
-                comp_len: get_u32(buf, at + 8)?,
-                words: get_u32(buf, at + 12)?,
-                crc: get_u32(buf, at + 16)?,
-                first_asid: buf[at + 20],
-                last_asid: buf[at + 21],
+                offset: entries.u64()?,
+                comp_len: entries.u32()?,
+                words: entries.u32()?,
+                crc: entries.u32()?,
+                first_asid: entries.u8()?,
+                last_asid: entries.u8()?,
                 flags: 0,
                 first_word: total_words,
                 min_daddr: 0,
@@ -795,10 +784,10 @@ impl TraceStore {
                 asid_mask: 0,
             };
             if version >= 3 {
-                m.flags = buf[at + 22];
-                m.first_word = get_u64(buf, at + 23)?;
-                m.min_daddr = get_u32(buf, at + 31)?;
-                m.max_daddr = get_u32(buf, at + 35)?;
+                m.flags = entries.u8()?;
+                m.first_word = entries.u64()?;
+                m.min_daddr = entries.u32()?;
+                m.max_daddr = entries.u32()?;
                 // The word offsets must tile the stream exactly, or
                 // window pushdown would skip the wrong blocks.
                 if m.first_word != total_words {
@@ -816,7 +805,7 @@ impl TraceStore {
             // readers *reject* the bit; a v4 entry must carry it, so
             // the block decoder and the zonemap agree on the layout.
             if version == STORE_VERSION_V4 {
-                m.asid_mask = get_u64(buf, at + 39)?;
+                m.asid_mask = entries.u64()?;
                 if m.flags & BlockMeta::FLAG_COLUMNAR == 0 {
                     return Err(StoreError::Malformed("v4 entry without columnar flag"));
                 }
@@ -845,7 +834,6 @@ impl TraceStore {
             }
             total_words += u64::from(m.words);
             index.push(m);
-            at += entry_bytes;
         }
         if total_words != n_words {
             return Err(StoreError::Malformed(

@@ -21,6 +21,7 @@ use std::io::{self, Read, Write};
 use std::sync::Arc;
 
 use crate::bbinfo::{BbInfo, BbTable, BbTraceFlags, MemOp};
+use crate::bytes::{put_u16, put_u32, put_u64, put_words, Cursor, ReadError};
 use crate::parser::TraceParser;
 use wrl_isa::Width;
 
@@ -77,43 +78,9 @@ impl core::fmt::Display for ArchiveError {
 
 impl std::error::Error for ArchiveError {}
 
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-struct Cursor<'a> {
-    buf: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ArchiveError> {
-        if self.at + n > self.buf.len() {
-            return Err(ArchiveError::Malformed("truncated"));
-        }
-        let s = &self.buf[self.at..self.at + n];
-        self.at += n;
-        Ok(s)
-    }
-    fn u8(&mut self) -> Result<u8, ArchiveError> {
-        Ok(self.take(1)?[0])
-    }
-    fn u16(&mut self) -> Result<u16, ArchiveError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-    fn u32(&mut self) -> Result<u32, ArchiveError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> Result<u64, ArchiveError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+impl From<ReadError> for ArchiveError {
+    fn from(_: ReadError) -> Self {
+        ArchiveError::Malformed("truncated")
     }
 }
 
@@ -163,7 +130,7 @@ pub type TableSection = (BbTable, Vec<(u8, BbTable)>, usize);
 /// Decodes a table section produced by [`encode_table_section`],
 /// returning the tables and the number of bytes consumed.
 pub fn decode_table_section(buf: &[u8]) -> Result<TableSection, ArchiveError> {
-    let mut c = Cursor { buf, at: 0 };
+    let mut c = Cursor::new(buf);
     let kernel = decode_table(&mut c)?;
     let n_users = c.u32()? as usize;
     if n_users > 64 {
@@ -174,7 +141,7 @@ pub fn decode_table_section(buf: &[u8]) -> Result<TableSection, ArchiveError> {
         let asid = c.u8()?;
         users.push((asid, decode_table(&mut c)?));
     }
-    Ok((kernel, users, c.at))
+    Ok((kernel, users, c.pos()))
 }
 
 fn decode_table(c: &mut Cursor) -> Result<BbTable, ArchiveError> {
@@ -227,15 +194,13 @@ impl TraceArchive {
         put_u32(&mut out, VERSION);
         encode_table_section(&mut out, &self.kernel_table, &self.user_tables);
         put_u64(&mut out, self.words.len() as u64);
-        for w in &self.words {
-            put_u32(&mut out, *w);
-        }
+        put_words(&mut out, &self.words);
         out
     }
 
     /// Decodes an archive from bytes.
     pub fn decode(buf: &[u8]) -> Result<TraceArchive, ArchiveError> {
-        let mut c = Cursor { buf, at: 0 };
+        let mut c = Cursor::new(buf);
         if c.take(8)? != MAGIC {
             return Err(ArchiveError::Malformed("bad magic"));
         }
@@ -243,16 +208,10 @@ impl TraceArchive {
         if v != VERSION {
             return Err(ArchiveError::UnsupportedVersion(v));
         }
-        let (kernel_table, user_tables, used) = decode_table_section(&buf[c.at..])?;
-        c.at += used;
+        let (kernel_table, user_tables, used) = decode_table_section(&buf[c.pos()..])?;
+        let mut c = Cursor::at(buf, c.pos() + used);
         let n_words = c.u64()? as usize;
-        // Each word occupies four bytes, so the remaining input bounds
-        // the preallocation regardless of the (untrusted) count.
-        let remaining_words = buf.len().saturating_sub(c.at) / 4;
-        let mut words = Vec::with_capacity(n_words.min(remaining_words));
-        for _ in 0..n_words {
-            words.push(c.u32()?);
-        }
+        let words = c.words(n_words)?;
         Ok(TraceArchive {
             kernel_table,
             user_tables,

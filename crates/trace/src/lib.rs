@@ -25,6 +25,7 @@
 
 pub mod archive;
 pub mod bbinfo;
+pub mod bytes;
 pub mod format;
 pub mod layout;
 pub mod obs;

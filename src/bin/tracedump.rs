@@ -60,7 +60,7 @@
 //! replicas. `info` on a `.manifest` file prints the shard table.
 
 use std::sync::Arc;
-use systrace::fabric::{split_store, Coordinator, FabricCfg, Manifest, PlanKind, MANIFEST_MAGIC};
+use systrace::fabric::{split_store, Coordinator, Manifest, PlanKind, MANIFEST_MAGIC};
 use systrace::kernel::{build_system, KernelConfig};
 use systrace::memsim::{MemSim, PageMap, Policy, SimCfg, UtlbSynth};
 use systrace::serve::{Catalog, Client, ClientCfg, ServeCfg, Server, TailItem};
@@ -746,7 +746,7 @@ fn fabric(addr: &str, manifest_path: &str, eps: &[String]) {
         manifest.n_words
     );
     let coord =
-        Coordinator::start(addr, manifest, endpoints, FabricCfg::default()).unwrap_or_else(|e| {
+        Coordinator::start(addr, manifest, endpoints, ClientCfg::default()).unwrap_or_else(|e| {
             eprintln!("{addr}: {e}");
             std::process::exit(1);
         });

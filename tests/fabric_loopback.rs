@@ -20,71 +20,31 @@
 //!   error code intact and the shard named — even when a clean
 //!   replica is listed that could have masked the fault.
 //!
+//! * The wire differential: one scripted byte sequence — good
+//!   requests, refused ones, a damaged body, an oversized length
+//!   prefix, live-tail control frames — driven at a node and at a
+//!   coordinator over the same archive draws byte-identical response
+//!   frames and the same connection fate.
+//! * Sixty-four concurrent clients against a coordinator: every
+//!   answer bit-identical, `fabric.queries` exact, a clean shutdown.
+//!
 //! The `fabric.*` metric family is process-global, so tests that
 //! assert on it serialize behind one mutex.
 
-use std::net::SocketAddr;
-use std::sync::{Arc, Mutex, OnceLock};
+mod common;
+
+use std::io::Write;
+use std::net::{SocketAddr, TcpStream};
+use std::sync::Arc;
 use std::time::Duration;
 
-use systrace::fabric::{split_store, Coordinator, FabricCfg, Manifest, PlanKind};
-use systrace::serve::wire::err;
+use common::{golden, metrics_lock, panel_stress, predicate_panel};
+use systrace::fabric::{split_store, Coordinator, Manifest, PlanKind};
+use systrace::serve::wire::{encode_request, err, read_frame, FrameRead, Request, MAX_FRAME};
 use systrace::serve::{
     Catalog, Client, ClientCfg, ServeCfg, ServeError, ServeHooks, Server, WireFate,
 };
 use systrace::store::{filter_stream, BlockFormat, Predicate, TraceStore};
-use systrace::trace::TraceArchive;
-
-const GOLDEN_PATH: &str = "tests/data/golden.w3kt";
-
-/// Serializes tests that assert on the shared `fabric.*` metrics.
-fn metrics_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    match LOCK.get_or_init(|| Mutex::new(())).lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
-fn golden() -> TraceArchive {
-    TraceArchive::load(GOLDEN_PATH).expect("golden archive loads")
-}
-
-/// Same panel as the single-node loopback suite: unfiltered,
-/// windowed, per-ASID, both combined, plus guaranteed-empty cases.
-fn predicate_panel(n_words: u64) -> Vec<Predicate> {
-    let mid = n_words / 2;
-    let mut panel = vec![
-        Predicate::default(),
-        Predicate {
-            window: Some((0, n_words.min(100))),
-            ..Predicate::default()
-        },
-        Predicate {
-            window: Some((mid, mid + 500)),
-            ..Predicate::default()
-        },
-        Predicate {
-            window: Some((mid, mid)),
-            ..Predicate::default()
-        },
-        Predicate {
-            asid: Some(0xee),
-            ..Predicate::default()
-        },
-    ];
-    for asid in 0..4u8 {
-        panel.push(Predicate {
-            asid: Some(asid),
-            ..Predicate::default()
-        });
-        panel.push(Predicate {
-            asid: Some(asid),
-            window: Some((mid / 2, mid + mid / 2)),
-        });
-    }
-    panel
-}
 
 /// One `wrl-serve` node per block-owning shard, each publishing its
 /// shard archive under the manifest's name for it.
@@ -111,6 +71,7 @@ fn spawn_shards(
 
 #[test]
 fn coordinator_is_bit_identical_to_single_node_across_shardings() {
+    let _guard = metrics_lock();
     let a = golden();
     let n_words = a.words.len() as u64;
     for format in [BlockFormat::Row, BlockFormat::Columnar] {
@@ -121,7 +82,7 @@ fn coordinator_is_bit_identical_to_single_node_across_shardings() {
                     split_store(&single, "golden", n_shards, kind).expect("store splits");
                 let (servers, endpoints) = spawn_shards(&manifest, stores);
                 let coord =
-                    Coordinator::start("127.0.0.1:0", manifest, endpoints, FabricCfg::default())
+                    Coordinator::start("127.0.0.1:0", manifest, endpoints, ClientCfg::default())
                         .expect("coordinator starts");
                 let mut client = Client::connect(coord.addr()).expect("client connects");
 
@@ -170,7 +131,7 @@ fn fetched_blocks_through_the_coordinator_rebuild_the_archive() {
     let (manifest, stores) =
         split_store(&single, "golden", 3, PlanKind::AsidHash).expect("store splits");
     let (servers, endpoints) = spawn_shards(&manifest, stores);
-    let coord = Coordinator::start("127.0.0.1:0", manifest, endpoints, FabricCfg::default())
+    let coord = Coordinator::start("127.0.0.1:0", manifest, endpoints, ClientCfg::default())
         .expect("coordinator starts");
     let mut client = Client::connect(coord.addr()).expect("client connects");
 
@@ -205,14 +166,11 @@ fn fetched_blocks_through_the_coordinator_rebuild_the_archive() {
 }
 
 /// Tight timeouts so a cut connection fails over in milliseconds.
-fn fast_fabric_cfg() -> FabricCfg {
-    FabricCfg {
-        client: ClientCfg {
-            read_timeout: Duration::from_millis(5),
-            max_stalls: 100,
-            ..ClientCfg::default()
-        },
-        ..FabricCfg::default()
+fn fast_fabric_cfg() -> ClientCfg {
+    ClientCfg {
+        read_timeout: Duration::from_millis(5),
+        max_stalls: 100,
+        ..ClientCfg::default()
     }
 }
 
@@ -357,7 +315,7 @@ fn shard_side_typed_errors_forward_with_code_intact_and_no_failover() {
         "127.0.0.1:0",
         manifest.clone(),
         vec![vec![bad.addr(), clean_replica.addr()], vec![srv1.addr()]],
-        FabricCfg::default(),
+        ClientCfg::default(),
     )
     .expect("coordinator starts");
     let mut client = Client::connect(coord.addr()).expect("client connects");
@@ -395,7 +353,7 @@ fn shard_side_typed_errors_forward_with_code_intact_and_no_failover() {
         "127.0.0.1:0",
         manifest,
         vec![vec![wrong.addr()], vec![srv1.addr()]],
-        FabricCfg::default(),
+        ClientCfg::default(),
     )
     .expect("coordinator starts");
     let mut client2 = Client::connect(coord2.addr()).expect("client connects");
@@ -410,6 +368,175 @@ fn shard_side_typed_errors_forward_with_code_intact_and_no_failover() {
     coord2.shutdown();
     coord.shutdown();
     for srv in [bad, clean_replica, srv1, wrong] {
+        srv.shutdown();
+    }
+}
+
+/// What became of a scripted connection once its last frame was
+/// answered.
+#[derive(Debug, PartialEq, Eq)]
+enum Fate {
+    /// Still in request/response service.
+    Kept,
+    /// Drained and closed by the server.
+    Closed,
+}
+
+/// Writes each byte string of `script` to one fresh connection,
+/// reading exactly one response frame after each, then probes the
+/// connection with a catalog request to learn its fate.
+fn drive(addr: SocketAddr, script: &[Vec<u8>]) -> (Vec<Vec<u8>>, Fate) {
+    let mut stream = TcpStream::connect(addr).expect("raw client connects");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout sets");
+    let read = |stream: &mut TcpStream| match read_frame(stream, 0) {
+        Ok(FrameRead::Frame(body)) => Some(body),
+        Ok(FrameRead::Idle) => panic!("no answer within 10 s"),
+        Ok(FrameRead::Eof) | Err(_) => None,
+    };
+    let mut answers = Vec::new();
+    for bytes in script {
+        stream.write_all(bytes).expect("scripted bytes write");
+        answers.push(read(&mut stream).expect("every scripted frame is answered"));
+    }
+    let probe = encode_request(u64::MAX, &Request::Catalog);
+    let fate = match stream
+        .write_all(&probe)
+        .ok()
+        .and_then(|()| read(&mut stream))
+    {
+        Some(_) => Fate::Kept,
+        None => Fate::Closed,
+    };
+    (answers, fate)
+}
+
+#[test]
+fn a_node_and_a_coordinator_answer_one_byte_script_identically() {
+    let _guard = metrics_lock();
+    let a = golden();
+    let single = Arc::new(TraceStore::from_archive_with(&a, 64, BlockFormat::Columnar));
+    let n_blocks = single.n_blocks() as u32;
+    let (manifest, stores) =
+        split_store(&single, "golden", 2, PlanKind::BlockRange).expect("store splits");
+    let (servers, endpoints) = spawn_shards(&manifest, stores);
+    let coord = Coordinator::start("127.0.0.1:0", manifest, endpoints, ClientCfg::default())
+        .expect("coordinator starts");
+    let mut catalog = Catalog::new();
+    catalog.add("golden", Arc::clone(&single));
+    let node = Server::start("127.0.0.1:0", catalog, ServeCfg::default()).expect("node starts");
+
+    let fetch = |first_block, n_blocks| Request::Fetch {
+        archive: "golden".into(),
+        first_block,
+        n_blocks,
+    };
+    let mid = a.words.len() as u64 / 2;
+    let requests = [
+        Request::Catalog,
+        fetch(n_blocks / 2 - 2, 4), // in range, across the shard seam
+        fetch(n_blocks, 1),         // out of range
+        fetch(u32::MAX, u32::MAX),  // first_block + n_blocks overflows u32
+        Request::Query {
+            archive: "golden".into(),
+            pred: Predicate {
+                asid: Some(1),
+                window: Some((mid / 2, mid + 500)),
+            },
+        },
+        Request::Query {
+            archive: "nope".into(),
+            pred: Predicate::default(),
+        },
+        Request::Subscribe {
+            archive: "golden".into(), // an archive, but no live feed
+            pred: Predicate::default(),
+            from_start: true,
+        },
+        Request::Unsubscribe, // while not subscribed
+    ];
+    let mut kept: Vec<Vec<u8>> = requests
+        .iter()
+        .zip(1u64..)
+        .map(|(req, id)| encode_request(id, req))
+        .collect();
+    // Last on its connection: a body whose CRC field has one bit
+    // flipped. The answer must echo the id bytes and the server must
+    // drain and close, framing being no longer trustworthy.
+    let mut damaged = encode_request(0x1122_3344_5566_7788, &Request::Catalog);
+    *damaged.last_mut().unwrap() ^= 0x10;
+    kept.push(damaged);
+    // Alone on its connection: a length prefix over the frame cap.
+    let oversized = vec![(MAX_FRAME as u32 + 1).to_le_bytes().to_vec()];
+
+    for (what, script) in [("requests", &kept), ("oversized prefix", &oversized)] {
+        let (node_answers, node_fate) = drive(node.addr(), script);
+        let (coord_answers, coord_fate) = drive(coord.addr(), script);
+        for (i, (n, c)) in node_answers.iter().zip(&coord_answers).enumerate() {
+            assert_eq!(
+                n, c,
+                "{what}: frame {i} — the coordinator's answer differs from the node's"
+            );
+        }
+        assert_eq!(
+            node_fate, coord_fate,
+            "{what}: the connection's fate differs"
+        );
+        assert_eq!(
+            node_fate,
+            Fate::Closed,
+            "{what}: damaged framing must close"
+        );
+    }
+    // The refusals above really are refusals, not two equal successes.
+    let mut client = Client::connect(coord.addr()).expect("client connects");
+    assert!(matches!(
+        client.call(&Request::Unsubscribe),
+        Err(ServeError::Remote { code, .. }) if code == err::BAD_REQUEST
+    ));
+    assert!(matches!(
+        client.subscribe("golden", &Predicate::default(), true),
+        Err(ServeError::Remote { code, .. }) if code == err::NO_SUCH_ARCHIVE
+    ));
+
+    coord.shutdown();
+    node.shutdown();
+    for srv in servers {
+        srv.shutdown();
+    }
+}
+
+#[test]
+fn sixty_four_clients_against_a_coordinator_stay_bit_identical() {
+    let _guard = metrics_lock();
+    let a = golden();
+    let single = TraceStore::from_archive_with(&a, 64, BlockFormat::Columnar);
+    let (manifest, stores) =
+        split_store(&single, "golden", 2, PlanKind::BlockRange).expect("store splits");
+    let (servers, endpoints) = spawn_shards(&manifest, stores);
+    let obs = systrace::fabric::FabricObs::register();
+    let queries_before = obs.queries.get();
+    let coord = Coordinator::start("127.0.0.1:0", manifest, endpoints, ClientCfg::default())
+        .expect("coordinator starts");
+
+    // The herd swamps the coordinator's admission gate; a refused
+    // request never reaches the scatter, so every query sent is
+    // coordinated exactly once however often its client had to retry.
+    let (n_clients, rounds) = (64, 6);
+    panel_stress(coord.addr(), &a.words, n_clients, rounds);
+    if systrace::obs::recording() {
+        assert_eq!(
+            obs.queries.get() - queries_before,
+            (n_clients * rounds) as u64,
+            "fabric.queries must count every query once"
+        );
+    }
+
+    // Joins the reactor's event and executor threads, panicking if
+    // any of them did.
+    coord.shutdown();
+    for srv in servers {
         srv.shutdown();
     }
 }

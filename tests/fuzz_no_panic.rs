@@ -16,12 +16,12 @@ use systrace::trace::TraceArchive;
 const GOLDEN_PATH: &str = "tests/data/golden.w3kt";
 
 /// Golden bytes in both container versions: the committed v1 archive
-/// and its v2 store re-encoding, so mutations attack both decoders.
+/// and its v3 store re-encoding, so mutations attack both decoders.
 fn golden_encodings() -> Vec<Vec<u8>> {
     let v1 = std::fs::read(GOLDEN_PATH).expect("golden archive must load");
     let archive = TraceArchive::decode(&v1).expect("golden archive decodes");
-    let v2 = TraceStore::from_archive(&archive, 256).encode();
-    vec![v1, v2]
+    let v3 = TraceStore::from_archive(&archive, 256).encode();
+    vec![v1, v3]
 }
 
 /// Applies one seeded mutation: flip some bytes, then maybe truncate.
@@ -431,7 +431,7 @@ proptest! {
 #[test]
 fn absurd_word_counts_error_without_allocating() {
     assert!(decompress_block(&[0u8; 16], usize::MAX).is_err());
-    // A v2 trailer claiming 2^32-ish words for a tiny block area dies
+    // A v3 trailer claiming 2^32-ish words for a tiny block area dies
     // on the words-vs-bytes bound during index validation.
     let golden = golden_encodings().remove(1);
     let store = TraceStore::decode_any(&golden).unwrap();

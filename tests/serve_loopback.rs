@@ -19,67 +19,20 @@
 //!   that technically answers but has stopped multiplexing.
 //! * Graceful shutdown drains in-flight requests instead of dropping
 //!   them.
+//! * A block damaged at rest answers a typed `store` error and moves
+//!   `store.crc_errors` by exactly one.
 //!
 //! The `serve.*` metric family is process-global, so tests that
 //! assert on it serialize behind one mutex.
 
-use std::sync::{Arc, Mutex, OnceLock};
+mod common;
 
-use systrace::serve::{Catalog, Client, ClientCfg, ServeCfg, Server};
-use systrace::store::{filter_stream, Predicate, TraceStore};
-use systrace::trace::TraceArchive;
+use std::sync::Arc;
 
-const GOLDEN_PATH: &str = "tests/data/golden.w3kt";
-
-/// Serializes tests that assert on the shared `serve.*` metrics.
-fn metrics_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    match LOCK.get_or_init(|| Mutex::new(())).lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
-fn golden() -> TraceArchive {
-    TraceArchive::load(GOLDEN_PATH).expect("golden archive loads")
-}
-
-/// The predicate panel: unfiltered, windowed, per-ASID, and both
-/// combined — plus an ASID absent from the trace (empty result) and
-/// an empty window.
-fn predicate_panel(n_words: u64) -> Vec<Predicate> {
-    let mid = n_words / 2;
-    let mut panel = vec![
-        Predicate::default(),
-        Predicate {
-            window: Some((0, n_words.min(100))),
-            ..Predicate::default()
-        },
-        Predicate {
-            window: Some((mid, mid + 500)),
-            ..Predicate::default()
-        },
-        Predicate {
-            window: Some((mid, mid)),
-            ..Predicate::default()
-        },
-        Predicate {
-            asid: Some(0xee),
-            ..Predicate::default()
-        },
-    ];
-    for asid in 0..4u8 {
-        panel.push(Predicate {
-            asid: Some(asid),
-            ..Predicate::default()
-        });
-        panel.push(Predicate {
-            asid: Some(asid),
-            window: Some((mid / 2, mid + mid / 2)),
-        });
-    }
-    panel
-}
+use common::{connect_patiently, golden, metrics_lock, panel_stress, predicate_panel};
+use systrace::serve::wire::err;
+use systrace::serve::{Catalog, Client, ClientCfg, ServeCfg, ServeError, Server};
+use systrace::store::{filter_stream, Predicate, StoreError, TraceStore};
 
 #[test]
 fn windowed_queries_are_bit_identical_to_local_decode_at_every_block_size() {
@@ -226,18 +179,6 @@ fn sixteen_clients_against_a_four_slot_gate_all_get_intact_answers() {
     server.shutdown();
 }
 
-/// Connects with retries: a herd of clients can transiently overflow
-/// the listen backlog while the event thread is mid-pass.
-fn connect_patiently(addr: std::net::SocketAddr) -> Client {
-    for _ in 0..500 {
-        if let Ok(c) = Client::connect_cfg(addr, ClientCfg::default()) {
-            return c;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(2));
-    }
-    panic!("could not connect to the loopback server");
-}
-
 /// Runs `n_clients × rounds` queries against a 2-event-thread
 /// reactor, asserting every answer bit-identical to the local filter
 /// and returning the observed per-request latencies in microseconds.
@@ -250,40 +191,8 @@ fn reactor_stress(n_clients: usize, rounds: usize, cfg: ServeCfg) -> Vec<u64> {
     let obs = server.obs().clone();
     obs.inflight.reset();
     let busy_before = obs.reject_busy.get();
-    let addr = server.addr();
 
-    let n_words = a.words.len() as u64;
-    let panel = predicate_panel(n_words);
-    let expected: Vec<Vec<u32>> = panel.iter().map(|p| filter_stream(&a.words, p)).collect();
-    let latencies = Arc::new(Mutex::new(Vec::<u64>::new()));
-
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..n_clients)
-            .map(|t| {
-                let (panel, expected, latencies) = (&panel, &expected, latencies.clone());
-                s.spawn(move || {
-                    let mut client = connect_patiently(addr);
-                    let mut mine = Vec::with_capacity(rounds);
-                    for round in 0..rounds {
-                        let which = (t + round) % panel.len();
-                        let t0 = std::time::Instant::now();
-                        let q = client
-                            .query_retry("golden", &panel[which], 10_000)
-                            .unwrap_or_else(|e| panic!("client {t} round {round}: {e}"));
-                        mine.push(t0.elapsed().as_micros() as u64);
-                        assert_eq!(
-                            q.words, expected[which],
-                            "client {t} round {round}: wire answer differs from local filter"
-                        );
-                    }
-                    latencies.lock().unwrap().extend(mine);
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().expect("stress client panicked");
-        }
-    });
+    let lat = panel_stress(server.addr(), &a.words, n_clients, rounds);
 
     assert!(
         obs.inflight.high() <= cfg.max_inflight as i64,
@@ -296,9 +205,6 @@ fn reactor_stress(n_clients: usize, rounds: usize, cfg: ServeCfg) -> Vec<u64> {
         "busy counter must never run backwards"
     );
     server.shutdown();
-    let mut lat = Arc::try_unwrap(latencies).unwrap().into_inner().unwrap();
-    assert_eq!(lat.len(), n_clients * rounds);
-    lat.sort_unstable();
     lat
 }
 
@@ -416,4 +322,51 @@ fn graceful_shutdown_drains_the_inflight_request() {
             .map(|_| ())
     });
     assert!(late.is_err(), "a drained server must not keep serving");
+}
+
+/// The value of a counter in the process-global registry.
+fn counter(name: &str) -> u64 {
+    let snap = systrace::obs::global().snapshot();
+    let m = snap.metrics.iter().find(|m| m.desc.name == name);
+    match m.map(|m| &m.value) {
+        Some(systrace::obs::ValueSnap::Counter(v)) => *v,
+        other => panic!("{name} is not a registered counter: {other:?}"),
+    }
+}
+
+#[test]
+fn a_block_damaged_at_rest_is_a_typed_store_error_and_is_tallied() {
+    let _guard = metrics_lock();
+    systrace::obs::register_all();
+    let clean = TraceStore::from_archive(&golden(), 512).encode();
+    // Flip block-area bytes until one still loads (the container CRC
+    // covers header and index, not the payloads) but fails its
+    // per-block CRC when decoded.
+    let damaged = (0..clean.len())
+        .find_map(|at| {
+            let mut bytes = clean.clone();
+            bytes[at] ^= 0x40;
+            let store = TraceStore::decode_any(&bytes).ok()?;
+            let crc = matches!(
+                store.query(&Predicate::default()),
+                Err(StoreError::CrcMismatch { .. })
+            );
+            crc.then_some(store)
+        })
+        .expect("some payload flip decodes to a CRC mismatch");
+    let mut catalog = Catalog::new();
+    catalog.add("golden", Arc::new(damaged));
+    let server = Server::start("127.0.0.1:0", catalog, ServeCfg::default()).expect("server starts");
+    let mut client = Client::connect(server.addr()).expect("client connects");
+
+    let (crc_before, codec_before) = (counter("store.crc_errors"), counter("store.codec_errors"));
+    match client.query("golden", &Predicate::default()) {
+        Err(ServeError::Remote { code, msg }) => assert_eq!(code, err::STORE, "{msg}"),
+        other => panic!("expected a typed store error, got {other:?}"),
+    }
+    if systrace::obs::recording() {
+        assert_eq!(counter("store.crc_errors"), crc_before + 1);
+        assert_eq!(counter("store.codec_errors"), codec_before);
+    }
+    server.shutdown();
 }

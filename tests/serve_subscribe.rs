@@ -21,68 +21,19 @@
 //! The `serve.*` metric family is process-global, so the test that
 //! asserts on it serializes behind one mutex.
 
+mod common;
+
 use std::collections::VecDeque;
 use std::io;
-use std::sync::{Arc, Barrier, Mutex, OnceLock};
+use std::sync::{Arc, Barrier};
 
+use common::{connect_patiently, golden, metrics_lock, predicate_panel};
 use systrace::serve::wire::{self, Request, Response};
 use systrace::serve::{
-    Catalog, Client, ClientCfg, Conn, ConnState, IoTally, ServeCfg, ServeError, Server, TailItem,
-    Transport, WriteShape,
+    Catalog, Client, Conn, ConnState, IoTally, ServeCfg, ServeError, Server, TailItem, Transport,
+    WriteShape,
 };
 use systrace::store::{filter_stream, Predicate, TraceStore};
-use systrace::trace::TraceArchive;
-
-const GOLDEN_PATH: &str = "tests/data/golden.w3kt";
-
-/// Serializes tests that assert on the shared `serve.*` metrics.
-fn metrics_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    match LOCK.get_or_init(|| Mutex::new(())).lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
-fn golden() -> TraceArchive {
-    TraceArchive::load(GOLDEN_PATH).expect("golden archive loads")
-}
-
-/// The same panel the query differential uses: unfiltered, windowed,
-/// per-ASID, both combined, and two empty-by-construction predicates.
-fn predicate_panel(n_words: u64) -> Vec<Predicate> {
-    let mid = n_words / 2;
-    let mut panel = vec![
-        Predicate::default(),
-        Predicate {
-            window: Some((0, n_words.min(100))),
-            ..Predicate::default()
-        },
-        Predicate {
-            window: Some((mid, mid + 500)),
-            ..Predicate::default()
-        },
-        Predicate {
-            window: Some((mid, mid)),
-            ..Predicate::default()
-        },
-        Predicate {
-            asid: Some(0xee),
-            ..Predicate::default()
-        },
-    ];
-    for asid in 0..4u8 {
-        panel.push(Predicate {
-            asid: Some(asid),
-            ..Predicate::default()
-        });
-        panel.push(Predicate {
-            asid: Some(asid),
-            window: Some((mid / 2, mid + mid / 2)),
-        });
-    }
-    panel
-}
 
 // ---------------------------------------------------------------- FSM
 
@@ -392,18 +343,6 @@ fn an_unsubscribed_connection_serves_ordinary_requests_again() {
 }
 
 // ----------------------------------------------------------- loopback
-
-/// Connects with retries: a herd of subscribers can transiently
-/// overflow the listen backlog while the event thread is mid-pass.
-fn connect_patiently(addr: std::net::SocketAddr) -> Client {
-    for _ in 0..500 {
-        if let Ok(c) = Client::connect_cfg(addr, ClientCfg::default()) {
-            return c;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(2));
-    }
-    panic!("could not connect to the loopback server");
-}
 
 /// Drains a tail to its end-of-feed marker, asserting `seq`
 /// continuity, and returns the offset of the first pushed word (if

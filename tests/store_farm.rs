@@ -1,7 +1,7 @@
 //! Store + farm integration against the pinned golden trace:
 //!
 //! * the committed v1 archive keeps loading, both raw and through the
-//!   store layer, and v2 compression is lossless on it;
+//!   store layer, and v3 compression is lossless on it;
 //! * compression meets the ≥3x bar the store exists for;
 //! * a farm cache sweep at 1, 2 and 4 workers is
 //!   exactly — field-for-field — equal to fifteen sequential passes;
@@ -109,14 +109,14 @@ fn assert_identical(farmed: &[CacheStudy], baseline: &[CacheStudy]) {
 }
 
 #[test]
-fn golden_v1_loads_unchanged_and_v2_is_lossless() {
+fn golden_v1_loads_unchanged_and_v3_is_lossless() {
     let a = TraceArchive::load(GOLDEN_PATH).expect("raw v1 load must keep working");
     let store = golden_store();
     assert_eq!(store.n_words as usize, a.words.len());
     assert_eq!(store.words().expect("all CRCs hold"), a.words);
-    // And a full v2 disk round-trip changes nothing.
-    let back = TraceStore::decode(&store.encode()).expect("own v2 encoding decodes");
-    let restored = back.to_archive().expect("v2 decompresses");
+    // And a full v3 disk round-trip changes nothing.
+    let back = TraceStore::decode(&store.encode()).expect("own v3 encoding decodes");
+    let restored = back.to_archive().expect("v3 decompresses");
     assert_eq!(restored.words, a.words);
     assert_eq!(restored.kernel_table.len(), a.kernel_table.len());
 }
