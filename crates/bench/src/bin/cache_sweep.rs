@@ -14,7 +14,8 @@
 use systrace::kernel::{build_system, KernelConfig};
 use systrace::store::{replay, FarmCfg, StoreObs, TraceStore, DEFAULT_BLOCK_WORDS};
 use systrace::trace::SeamHooks;
-use wrl_bench::{sweep_geometries, CacheStudy};
+use systrace::tracer::CacheSink;
+use wrl_bench::sweep_geometries;
 
 fn main() {
     let name = std::env::args().nth(1).unwrap_or_else(|| "tomcatv".into());
@@ -39,9 +40,9 @@ fn main() {
     );
 
     let geometries = sweep_geometries();
-    let sinks: Vec<CacheStudy> = geometries
+    let sinks: Vec<CacheSink> = geometries
         .iter()
-        .map(|&(size, ways)| CacheStudy::new(size, ways, sys.pagemap.clone()))
+        .map(|&(size, ways)| CacheSink::new(size, ways, sys.pagemap.clone()))
         .collect();
 
     let cfg = FarmCfg {

@@ -29,7 +29,8 @@ use systrace::store::{
     drive, replay, BlockFormat, FarmCfg, StoreObs, TraceStore, DEFAULT_BLOCK_WORDS,
 };
 use systrace::trace::{SeamHooks, TraceArchive};
-use wrl_bench::{sweep_geometries, CacheStudy};
+use systrace::tracer::CacheSink;
+use wrl_bench::sweep_geometries;
 
 fn timed<T>(mut f: impl FnMut() -> T) -> (Duration, T) {
     let t0 = Instant::now();
@@ -47,11 +48,11 @@ fn trace_of(name: &str) -> (TraceArchive, systrace::memsim::PageMap) {
 
 /// One sequential, non-farm sweep pass: the sink decodes and parses
 /// the store for itself, geometry by geometry.
-fn sequential_sweep(store: &TraceStore, pagemap: &systrace::memsim::PageMap) -> Vec<CacheStudy> {
+fn sequential_sweep(store: &TraceStore, pagemap: &systrace::memsim::PageMap) -> Vec<CacheSink> {
     sweep_geometries()
         .into_iter()
         .map(|(size, ways)| {
-            let study = CacheStudy::new(size, ways, pagemap.clone());
+            let study = CacheSink::new(size, ways, pagemap.clone());
             let (_, study) = drive(store, study, &SeamHooks::default()).expect("block decodes");
             study
         })
@@ -62,10 +63,10 @@ fn farm_sweep(
     store: &TraceStore,
     pagemap: &systrace::memsim::PageMap,
     workers: usize,
-) -> Vec<CacheStudy> {
+) -> Vec<CacheSink> {
     let sinks = sweep_geometries()
         .into_iter()
-        .map(|(size, ways)| CacheStudy::new(size, ways, pagemap.clone()))
+        .map(|(size, ways)| CacheSink::new(size, ways, pagemap.clone()))
         .collect();
     let cfg = FarmCfg {
         workers,
@@ -75,7 +76,7 @@ fn farm_sweep(
     sinks
 }
 
-fn assert_identical(a: &[CacheStudy], b: &[CacheStudy]) {
+fn assert_identical(a: &[CacheSink], b: &[CacheSink]) {
     for (x, y) in a.iter().zip(b) {
         assert_eq!(x.icache.accesses, y.icache.accesses);
         assert_eq!(x.icache.misses, y.icache.misses);
@@ -211,7 +212,7 @@ fn main() {
     // configs: None = sequential; Some(w) = farm with w workers.
     let configs: [Option<usize>; 4] = [None, Some(1), Some(2), Some(4)];
     let mut best = [Duration::MAX; 4];
-    let mut results: [Option<Vec<CacheStudy>>; 4] = [None, None, None, None];
+    let mut results: [Option<Vec<CacheSink>>; 4] = [None, None, None, None];
     for run in 0..RUNS {
         // Rotate the execution order so drift hits every config.
         for k in 0..configs.len() {

@@ -7,8 +7,6 @@
 #![forbid(unsafe_code)]
 
 use systrace::kernel::KernelConfig;
-use systrace::memsim::{AssocCache, PageMap, SpaceKey};
-use systrace::trace::{Space, TraceSink};
 use systrace::ValidationRow;
 
 /// Workload subset selection from argv: all twelve by default, or the
@@ -53,64 +51,6 @@ pub fn fmt_s(s: f64) -> String {
 pub fn bar(pct: f64, scale: f64) -> String {
     let n = (pct * scale).round() as usize;
     "#".repeat(n.min(120))
-}
-
-/// The cache-design-sweep analysis sink (§3.1's motivating study):
-/// one I-cache and one D-cache fed through a page map. Shared by
-/// `cache_sweep` and `store_bench`; `tests/store_farm.rs` reproduces
-/// it independently to pin farm-vs-sequential equality.
-#[derive(Debug)]
-pub struct CacheStudy {
-    /// The instruction cache under study.
-    pub icache: AssocCache,
-    /// The data cache under study.
-    pub dcache: AssocCache,
-    pagemap: PageMap,
-    cur_asid: u8,
-}
-
-impl CacheStudy {
-    /// A study of one geometry (16-byte lines), translating through
-    /// `pagemap`.
-    pub fn new(size: u32, ways: usize, pagemap: PageMap) -> CacheStudy {
-        CacheStudy {
-            icache: AssocCache::new(size, 16, ways),
-            dcache: AssocCache::new(size, 16, ways),
-            pagemap,
-            cur_asid: 1,
-        }
-    }
-
-    fn translate(&mut self, vaddr: u32, space: Space) -> u32 {
-        match vaddr {
-            0x8000_0000..=0xbfff_ffff => vaddr & 0x1fff_ffff,
-            _ => {
-                let key = if vaddr >= 0xc000_0000 {
-                    SpaceKey::Kernel
-                } else {
-                    match space {
-                        Space::User(a) => SpaceKey::User(a),
-                        Space::Kernel => SpaceKey::User(self.cur_asid),
-                    }
-                };
-                self.pagemap.translate(key, vaddr)
-            }
-        }
-    }
-}
-
-impl TraceSink for CacheStudy {
-    fn iref(&mut self, vaddr: u32, space: Space, _idle: bool) {
-        let pa = self.translate(vaddr, space);
-        self.icache.access(pa);
-    }
-    fn dref(&mut self, vaddr: u32, _store: bool, _w: systrace::isa::Width, space: Space) {
-        let pa = self.translate(vaddr, space);
-        self.dcache.access(pa);
-    }
-    fn ctx_switch(&mut self, asid: u8) {
-        self.cur_asid = asid;
-    }
 }
 
 /// The fifteen `(size, ways)` geometries of the cache sweep, in

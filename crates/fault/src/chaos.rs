@@ -36,8 +36,11 @@ use wrl_serve::{Catalog, Client, ClientCfg, ServeCfg, ServeHooks, Server, TailIt
 use wrl_store::{filter_stream, replay, BlockFormat, FarmCfg, Predicate, TraceStore};
 use wrl_trace::{
     ChunkFate, CollectSink, DriveReport, Driver, ParseStats, Seam, SeamHooks, TraceArchive,
+    TraceSink, Wants,
 };
-use wrl_tracer::{analyze_words, AnalysisSink, DefenseSink, DilationSink, SinkError, Stack};
+use wrl_tracer::{
+    analyze_words, AnalysisSink, DefenseSink, DilationSink, SinkError, SinkReport, Stack,
+};
 
 /// How the stack handled one injected fault.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -427,8 +430,9 @@ fn run_site(input: &ChaosInput, plan: FaultPlan) -> Outcome {
     }
 }
 
-/// A sink that surfaces a typed [`SinkError`] at a seeded ordinal of
-/// one seeded callback — the `tracer.sink` injector.
+/// A sink that faults at a seeded ordinal of one seeded callback and
+/// reports the typed [`SinkError`] from `finish` — the `tracer.sink`
+/// injector. `seen` reaching `at` is the latch.
 struct FailingSink {
     /// Which callback fails: 0 `iref`, 1 `dref`, 2 `ctx_switch`,
     /// 3 `before_word`.
@@ -439,15 +443,30 @@ struct FailingSink {
 }
 
 impl FailingSink {
-    fn tick(&mut self, hook: u8) -> Result<(), SinkError> {
-        if hook != self.hook {
-            return Ok(());
+    fn tick(&mut self, hook: u8) {
+        self.seen += u64::from(hook == self.hook);
+    }
+}
+
+impl TraceSink for FailingSink {
+    fn iref(&mut self, _v: u32, _s: wrl_trace::Space, _i: bool) {
+        self.tick(0);
+    }
+    fn dref(&mut self, _v: u32, _st: bool, _w: wrl_isa::Width, _s: wrl_trace::Space) {
+        self.tick(1);
+    }
+    fn ctx_switch(&mut self, _a: u8) {
+        self.tick(2);
+    }
+    fn wants(&self) -> Wants {
+        if self.hook == 3 {
+            Wants::Words
+        } else {
+            Wants::Events
         }
-        self.seen += 1;
-        if self.seen == self.at {
-            return Err(SinkError::new("chaos.fail", "injected sink fault"));
-        }
-        Ok(())
+    }
+    fn before_word(&mut self, _pos: u64, _word: u32) {
+        self.tick(3);
     }
 }
 
@@ -455,34 +474,16 @@ impl AnalysisSink for FailingSink {
     fn name(&self) -> String {
         "chaos.fail".into()
     }
-    fn wants_words(&self) -> bool {
-        self.hook == 3
-    }
-    fn before_word(&mut self, _pos: u64, _word: u32) -> Result<(), SinkError> {
-        self.tick(3)
-    }
-    fn iref(&mut self, _v: u32, _s: wrl_trace::Space, _i: bool) -> Result<(), SinkError> {
-        self.tick(0)
-    }
-    fn dref(
-        &mut self,
-        _v: u32,
-        _st: bool,
-        _w: wrl_isa::Width,
-        _s: wrl_trace::Space,
-    ) -> Result<(), SinkError> {
-        self.tick(1)
-    }
-    fn ctx_switch(&mut self, _a: u8) -> Result<(), SinkError> {
-        self.tick(2)
-    }
-    fn finish(&mut self) -> wrl_tracer::SinkReport {
-        wrl_tracer::SinkReport::new(self.name())
+    fn finish(&mut self) -> Result<SinkReport, SinkError> {
+        if self.seen >= self.at {
+            return Err(SinkError::new(self.name(), "injected sink fault"));
+        }
+        Ok(SinkReport::new(self.name()))
     }
 }
 
-/// `tracer.sink`: one analysis sink errors mid-pass inside a composed
-/// stack. The driver's isolation contract: the error surfaces *typed*
+/// `tracer.sink`: one analysis sink faults mid-pass inside a composed
+/// stack. The stack's isolation contract: the error surfaces *typed*
 /// on exactly that slot (detected), the pass never panics, and the
 /// sibling sinks' reports stay bit-identical to an unfaulted pass of
 /// the same stream. A seeded ordinal past the stream's events fires

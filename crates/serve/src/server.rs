@@ -753,6 +753,13 @@ fn advance(s: &mut SlotEntry, slot: usize, cx: &Ctx<'_>, tally: &mut IoTally) {
     }
 }
 
+/// The one reply path of the event thread: `resp` through the fault
+/// seam, queued on the connection.
+fn reply(s: &mut SlotEntry, cx: &Ctx<'_>, req_id: u64, resp: &Response) {
+    let (frame, shape, sever) = fated(cx.shared, req_id, resp);
+    s.conn.enqueue(frame, shape, sever);
+}
+
 /// Takes one completed request frame off the connection, runs it
 /// through decode + admission, and either hands it to the executors
 /// or enqueues the immediate (Busy / wire-error) answer.
@@ -770,15 +777,15 @@ fn dispatch(s: &mut SlotEntry, slot: usize, cx: &Ctx<'_>) {
             // anyway so the client can correlate, then drain and
             // close — framing can no longer be trusted.
             let rid = u64::from_le_bytes(body[..8].try_into().unwrap());
-            let (frame, shape, sever) = fated(
-                shared,
+            reply(
+                s,
+                cx,
                 rid,
                 &Response::Error {
                     code: err::WIRE,
                     msg: e.to_string(),
                 },
             );
-            s.conn.enqueue(frame, shape, sever);
             s.conn.begin_drain();
             return;
         }
@@ -788,12 +795,12 @@ fn dispatch(s: &mut SlotEntry, slot: usize, cx: &Ctx<'_>) {
     // gate — and a subscribed connection accepts nothing else (its
     // response stream is the push feed).
     if s.conn.state() == ConnState::Subscribed && !matches!(req, Request::Unsubscribe) {
-        let (frame, shape, sever) = fated(
-            shared,
+        reply(
+            s,
+            cx,
             req_id,
             &bad_request("subscribed: only unsubscribe is accepted here"),
         );
-        s.conn.enqueue(frame, shape, sever);
         return;
     }
     match req {
@@ -821,8 +828,7 @@ fn dispatch(s: &mut SlotEntry, slot: usize, cx: &Ctx<'_>) {
         .is_ok();
     if !admitted {
         shared.obs.reject_busy.inc();
-        let (frame, shape, sever) = fated(shared, req_id, &Response::Busy);
-        s.conn.enqueue(frame, shape, sever);
+        reply(s, cx, req_id, &Response::Busy);
         return;
     }
     shared.obs.inflight.add(1);
@@ -863,15 +869,15 @@ fn subscribe_inline(
     let mut subs = shared.subs.lock().expect("subs lock");
     let Some(feed_idx) = subs.feeds.iter().position(|f| f.name == name) else {
         drop(subs);
-        let (frame, shape, sever) = fated(
-            shared,
+        reply(
+            s,
+            cx,
             req_id,
             &Response::Error {
                 code: err::NO_SUCH_ARCHIVE,
                 msg: format!("no live feed named {name:?}"),
             },
         );
-        s.conn.enqueue(frame, shape, sever);
         return;
     };
     if from_start && subs.feeds[feed_idx].base > 0 {
@@ -880,8 +886,9 @@ fn subscribe_inline(
         // worse than a typed refusal.
         let base = subs.feeds[feed_idx].base;
         drop(subs);
-        let (frame, shape, sever) = fated(
-            shared,
+        reply(
+            s,
+            cx,
             req_id,
             &Response::Error {
                 code: err::RETENTION_EVICTED,
@@ -891,14 +898,12 @@ fn subscribe_inline(
                 ),
             },
         );
-        s.conn.enqueue(frame, shape, sever);
         return;
     }
     shared.obs.sub_subscribes.inc();
     shared.obs.sub_active.add(1);
     s.conn.mark_subscribed();
-    let (frame, shape, sever) = fated(shared, req_id, &Response::Subscribed);
-    s.conn.enqueue(frame, shape, sever);
+    reply(s, cx, req_id, &Response::Subscribed);
     let feed = &subs.feeds[feed_idx];
     let (pos, seq) = if from_start {
         (0, 0)
@@ -932,8 +937,7 @@ fn subscribe_inline(
             shared.obs.sub_events.inc();
             shared.obs.sub_words.add(words.len() as u64);
         }
-        let (frame, shape, sever) = fated(shared, req_id, &ev);
-        s.conn.enqueue(frame, shape, sever);
+        reply(s, cx, req_id, &ev);
     }
 }
 
@@ -944,14 +948,12 @@ fn subscribe_inline(
 fn unsubscribe_inline(s: &mut SlotEntry, slot: usize, cx: &Ctx<'_>, req_id: u64) {
     let shared = cx.shared;
     if s.conn.state() != ConnState::Subscribed {
-        let (frame, shape, sever) = fated(shared, req_id, &bad_request("not subscribed"));
-        s.conn.enqueue(frame, shape, sever);
+        reply(s, cx, req_id, &bad_request("not subscribed"));
         return;
     }
     remove_entry(shared, cx.thread, slot, s.gen);
     shared.obs.sub_unsubscribes.inc();
-    let (frame, shape, sever) = fated(shared, req_id, &Response::Unsubscribed);
-    s.conn.enqueue(frame, shape, sever);
+    reply(s, cx, req_id, &Response::Unsubscribed);
     s.conn.mark_unsubscribed();
 }
 
@@ -1105,15 +1107,15 @@ fn event_loop(
                     ReadEvent::Open | ReadEvent::Eof | ReadEvent::MidFrameEof => {}
                     ReadEvent::BadFrame(e) => {
                         obs.wire_errors.inc();
-                        let (frame, shape, sever) = fated(
-                            shared,
+                        reply(
+                            s,
+                            &cx,
                             0,
                             &Response::Error {
                                 code: err::WIRE,
                                 msg: e.to_string(),
                             },
                         );
-                        s.conn.enqueue(frame, shape, sever);
                     }
                 }
             }

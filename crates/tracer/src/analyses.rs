@@ -1,14 +1,14 @@
-//! The five repo analyses, ported onto [`AnalysisSink`].
+//! The five repo analyses, as [`AnalysisSink`]s.
 //!
 //! Each of these used to be welded into its own harness entry or
 //! experiment binary; here they are ordinary sinks, so any subset runs
 //! composed over one parse. Bit-identity with the dedicated passes
 //! they replace is pinned by `tests/tracer_differential.rs`:
 //!
-//! * [`CacheSink`] — the §3.1 cache-design-study geometry (identical
-//!   to `bench::CacheStudy`);
-//! * [`TlbSink`] — the full memory-system simulation behind the §5
-//!   TLB/time predictions (wraps [`MemSim`]);
+//! * [`CacheSink`] — the §3.1 cache-design-study geometry (the sink
+//!   `cache_sweep` and `store_bench` replay);
+//! * [`MemSim`] — the full memory-system simulation behind the §5
+//!   TLB/time predictions, named `tlb`;
 //! * [`DilationSink`] — the §4.1 trace-expansion measurements (words
 //!   and references per traced instruction);
 //! * [`PagemapSink`] — the §4.2 page-mapping study (distinct pages
@@ -19,8 +19,8 @@
 use std::collections::BTreeMap;
 
 use wrl_isa::Width;
-use wrl_memsim::{AssocCache, MemSim, PageMap, SimCfg, SpaceKey};
-use wrl_trace::Space;
+use wrl_memsim::{AssocCache, MemSim, PageMap, SpaceKey};
+use wrl_trace::{Space, TraceSink, Wants};
 
 use crate::sink::{AnalysisSink, SinkError, SinkReport};
 
@@ -41,7 +41,7 @@ fn study_key(vaddr: u32, space: Space, cur_asid: u8) -> SpaceKey {
 
 /// The §3.1 cache-design-study sink: one I-cache and one D-cache of a
 /// chosen geometry (16-byte lines), physically indexed through a page
-/// map. Event-for-event identical to `bench::CacheStudy`.
+/// map.
 #[derive(Debug)]
 pub struct CacheSink {
     /// The instruction cache under study.
@@ -78,29 +78,28 @@ impl CacheSink {
     }
 }
 
+impl TraceSink for CacheSink {
+    fn iref(&mut self, vaddr: u32, space: Space, _idle: bool) {
+        let pa = self.translate(vaddr, space);
+        self.icache.access(pa);
+    }
+
+    fn dref(&mut self, vaddr: u32, _store: bool, _w: Width, space: Space) {
+        let pa = self.translate(vaddr, space);
+        self.dcache.access(pa);
+    }
+
+    fn ctx_switch(&mut self, asid: u8) {
+        self.cur_asid = asid;
+    }
+}
+
 impl AnalysisSink for CacheSink {
     fn name(&self) -> String {
         format!("cache:{}:{}", self.size, self.ways)
     }
 
-    fn iref(&mut self, vaddr: u32, space: Space, _idle: bool) -> Result<(), SinkError> {
-        let pa = self.translate(vaddr, space);
-        self.icache.access(pa);
-        Ok(())
-    }
-
-    fn dref(&mut self, vaddr: u32, _store: bool, _w: Width, space: Space) -> Result<(), SinkError> {
-        let pa = self.translate(vaddr, space);
-        self.dcache.access(pa);
-        Ok(())
-    }
-
-    fn ctx_switch(&mut self, asid: u8) -> Result<(), SinkError> {
-        self.cur_asid = asid;
-        Ok(())
-    }
-
-    fn finish(&mut self) -> SinkReport {
+    fn finish(&mut self) -> Result<SinkReport, SinkError> {
         let mut r = SinkReport::new(self.name());
         r.push("icache_accesses", self.icache.accesses);
         r.push("icache_misses", self.icache.misses);
@@ -108,52 +107,22 @@ impl AnalysisSink for CacheSink {
         r.push("dcache_accesses", self.dcache.accesses);
         r.push("dcache_misses", self.dcache.misses);
         r.push("dcache_miss_ratio", self.dcache.miss_ratio());
-        r
+        Ok(r)
     }
 }
 
-/// The full memory-system simulation as a sink: caches, write buffer,
-/// and the TLB whose misses drive the Table 3 predictions. Wraps
-/// [`MemSim`]; the report carries every [`wrl_memsim::SimStats`]
+/// The full memory-system simulation as an analysis sink: caches,
+/// write buffer, and the TLB whose misses drive the Table 3
+/// predictions. The report carries every [`wrl_memsim::SimStats`]
 /// counter so bit-identity with a dedicated simulation pass is a
 /// field-for-field report comparison.
-pub struct TlbSink {
-    /// The wrapped simulator (public so callers can lift the raw
-    /// stats or drive the §5.1 predictor from them).
-    pub sim: MemSim,
-}
-
-impl TlbSink {
-    /// A simulation sink over a configuration and page map.
-    pub fn new(cfg: SimCfg, pagemap: PageMap) -> TlbSink {
-        TlbSink {
-            sim: MemSim::new(cfg, pagemap),
-        }
-    }
-}
-
-impl AnalysisSink for TlbSink {
+impl AnalysisSink for MemSim {
     fn name(&self) -> String {
         "tlb".into()
     }
 
-    fn iref(&mut self, vaddr: u32, space: Space, idle: bool) -> Result<(), SinkError> {
-        wrl_trace::TraceSink::iref(&mut self.sim, vaddr, space, idle);
-        Ok(())
-    }
-
-    fn dref(&mut self, vaddr: u32, store: bool, w: Width, space: Space) -> Result<(), SinkError> {
-        wrl_trace::TraceSink::dref(&mut self.sim, vaddr, store, w, space);
-        Ok(())
-    }
-
-    fn ctx_switch(&mut self, asid: u8) -> Result<(), SinkError> {
-        wrl_trace::TraceSink::ctx_switch(&mut self.sim, asid);
-        Ok(())
-    }
-
-    fn finish(&mut self) -> SinkReport {
-        let s = &self.sim.stats;
+    fn finish(&mut self) -> Result<SinkReport, SinkError> {
+        let s = &self.stats;
         let mut r = SinkReport::new(self.name());
         r.push("user_irefs", s.user_irefs);
         r.push("kernel_irefs", s.kernel_irefs);
@@ -172,8 +141,8 @@ impl AnalysisSink for TlbSink {
         r.push("sanity_violations", s.sanity_violations);
         r.push("kernel_cycles", s.kernel_cycles);
         r.push("user_cycles", s.user_cycles);
-        r.push("cycles", self.sim.cycles);
-        r
+        r.push("cycles", self.cycles);
+        Ok(r)
     }
 }
 
@@ -191,41 +160,38 @@ pub struct DilationSink {
     mode_transitions: u64,
 }
 
+impl TraceSink for DilationSink {
+    fn iref(&mut self, _v: u32, _s: Space, _i: bool) {
+        self.irefs += 1;
+    }
+
+    fn dref(&mut self, _v: u32, _st: bool, _w: Width, _s: Space) {
+        self.drefs += 1;
+    }
+
+    fn ctx_switch(&mut self, _a: u8) {
+        self.ctx_switches += 1;
+    }
+
+    fn mode_transition(&mut self, _g: bool) {
+        self.mode_transitions += 1;
+    }
+
+    fn wants(&self) -> Wants {
+        Wants::Words
+    }
+
+    fn after_word(&mut self, _pos: u64, _word: u32) {
+        self.words += 1;
+    }
+}
+
 impl AnalysisSink for DilationSink {
     fn name(&self) -> String {
         "dilation".into()
     }
 
-    fn wants_words(&self) -> bool {
-        true
-    }
-
-    fn after_word(&mut self, _pos: u64, _word: u32) -> Result<(), SinkError> {
-        self.words += 1;
-        Ok(())
-    }
-
-    fn iref(&mut self, _v: u32, _s: Space, _i: bool) -> Result<(), SinkError> {
-        self.irefs += 1;
-        Ok(())
-    }
-
-    fn dref(&mut self, _v: u32, _st: bool, _w: Width, _s: Space) -> Result<(), SinkError> {
-        self.drefs += 1;
-        Ok(())
-    }
-
-    fn ctx_switch(&mut self, _a: u8) -> Result<(), SinkError> {
-        self.ctx_switches += 1;
-        Ok(())
-    }
-
-    fn mode_transition(&mut self, _g: bool) -> Result<(), SinkError> {
-        self.mode_transitions += 1;
-        Ok(())
-    }
-
-    fn finish(&mut self) -> SinkReport {
+    fn finish(&mut self) -> Result<SinkReport, SinkError> {
         let mut r = SinkReport::new(self.name());
         r.push("words", self.words);
         r.push("insts", self.irefs);
@@ -239,7 +205,7 @@ impl AnalysisSink for DilationSink {
                 (self.irefs + self.drefs) as f64 / self.irefs as f64,
             );
         }
-        r
+        Ok(r)
     }
 }
 
@@ -281,27 +247,26 @@ impl PagemapSink {
     }
 }
 
+impl TraceSink for PagemapSink {
+    fn iref(&mut self, vaddr: u32, space: Space, _idle: bool) {
+        self.touch(vaddr, space);
+    }
+
+    fn dref(&mut self, vaddr: u32, _store: bool, _w: Width, space: Space) {
+        self.touch(vaddr, space);
+    }
+
+    fn ctx_switch(&mut self, asid: u8) {
+        self.cur_asid = asid;
+    }
+}
+
 impl AnalysisSink for PagemapSink {
     fn name(&self) -> String {
         "pagemap".into()
     }
 
-    fn iref(&mut self, vaddr: u32, space: Space, _idle: bool) -> Result<(), SinkError> {
-        self.touch(vaddr, space);
-        Ok(())
-    }
-
-    fn dref(&mut self, vaddr: u32, _store: bool, _w: Width, space: Space) -> Result<(), SinkError> {
-        self.touch(vaddr, space);
-        Ok(())
-    }
-
-    fn ctx_switch(&mut self, asid: u8) -> Result<(), SinkError> {
-        self.cur_asid = asid;
-        Ok(())
-    }
-
-    fn finish(&mut self) -> SinkReport {
+    fn finish(&mut self) -> Result<SinkReport, SinkError> {
         let mut r = SinkReport::new(self.name());
         r.push("spaces", self.rows.len() as u64);
         r.push(
@@ -320,7 +285,7 @@ impl AnalysisSink for PagemapSink {
             child.push("refs", *refs);
             r.children.push(child);
         }
-        r
+        Ok(r)
     }
 }
 
@@ -339,12 +304,8 @@ pub struct DefenseSink {
     mode_transitions: u64,
 }
 
-impl AnalysisSink for DefenseSink {
-    fn name(&self) -> String {
-        "defense".into()
-    }
-
-    fn iref(&mut self, vaddr: u32, space: Space, _idle: bool) -> Result<(), SinkError> {
+impl TraceSink for DefenseSink {
+    fn iref(&mut self, vaddr: u32, space: Space, _idle: bool) {
         self.irefs += 1;
         // The same check MemSim applies (§4.3): kernel instruction
         // addresses must be in the kernel instruction address space.
@@ -352,10 +313,9 @@ impl AnalysisSink for DefenseSink {
         if matches!(space, Space::Kernel) != is_kaddr {
             self.sanity_violations += 1;
         }
-        Ok(())
     }
 
-    fn dref(&mut self, vaddr: u32, _store: bool, w: Width, space: Space) -> Result<(), SinkError> {
+    fn dref(&mut self, vaddr: u32, _store: bool, w: Width, space: Space) {
         self.drefs += 1;
         // Kernel legally touches user memory (copyin/copyout), but a
         // user-mode reference to a kernel address is always wrong.
@@ -365,15 +325,19 @@ impl AnalysisSink for DefenseSink {
         if !vaddr.is_multiple_of(w.bytes()) {
             self.misaligned += 1;
         }
-        Ok(())
     }
 
-    fn mode_transition(&mut self, _g: bool) -> Result<(), SinkError> {
+    fn mode_transition(&mut self, _g: bool) {
         self.mode_transitions += 1;
-        Ok(())
+    }
+}
+
+impl AnalysisSink for DefenseSink {
+    fn name(&self) -> String {
+        "defense".into()
     }
 
-    fn finish(&mut self) -> SinkReport {
+    fn finish(&mut self) -> Result<SinkReport, SinkError> {
         let mut r = SinkReport::new(self.name());
         r.push("irefs", self.irefs);
         r.push("drefs", self.drefs);
@@ -381,7 +345,7 @@ impl AnalysisSink for DefenseSink {
         r.push("user_kernel_drefs", self.user_kernel_drefs);
         r.push("misaligned", self.misaligned);
         r.push("mode_transitions", self.mode_transitions);
-        r
+        Ok(r)
     }
 }
 
@@ -393,11 +357,10 @@ mod tests {
     #[test]
     fn defense_flags_wrong_space_and_misalignment() {
         let mut d = DefenseSink::default();
-        d.iref(0x0040_0000, Space::Kernel, false).unwrap();
-        d.iref(0x8003_0000, Space::Kernel, false).unwrap();
-        d.dref(0x8000_0001, false, Width::Word, Space::User(1))
-            .unwrap();
-        let r = d.finish();
+        d.iref(0x0040_0000, Space::Kernel, false);
+        d.iref(0x8003_0000, Space::Kernel, false);
+        d.dref(0x8000_0001, false, Width::Word, Space::User(1));
+        let r = d.finish().unwrap();
         assert_eq!(r.get_u64("sanity_violations"), Some(1));
         assert_eq!(r.get_u64("user_kernel_drefs"), Some(1));
         assert_eq!(r.get_u64("misaligned"), Some(1));
@@ -406,13 +369,12 @@ mod tests {
     #[test]
     fn pagemap_rows_count_distinct_pages_per_space() {
         let mut p = PagemapSink::new(PageMap::new(Policy::FirstFree { base_pfn: 0x100 }));
-        p.iref(0x0040_0000, Space::User(1), false).unwrap();
-        p.iref(0x0040_0004, Space::User(1), false).unwrap(); // same page
-        p.iref(0x0040_1000, Space::User(1), false).unwrap(); // next page
-        p.dref(0xc000_0000, false, Width::Word, Space::Kernel)
-            .unwrap();
-        p.iref(0x8003_0000, Space::Kernel, false).unwrap(); // kseg0: unmapped
-        let r = p.finish();
+        p.iref(0x0040_0000, Space::User(1), false);
+        p.iref(0x0040_0004, Space::User(1), false); // same page
+        p.iref(0x0040_1000, Space::User(1), false); // next page
+        p.dref(0xc000_0000, false, Width::Word, Space::Kernel);
+        p.iref(0x8003_0000, Space::Kernel, false); // kseg0: unmapped
+        let r = p.finish().unwrap();
         assert_eq!(r.get_u64("spaces"), Some(2));
         assert_eq!(r.get_u64("pages_mapped"), Some(3));
         assert_eq!(r.get_u64("mapped_refs"), Some(4));
@@ -425,13 +387,13 @@ mod tests {
     #[test]
     fn dilation_counts_words_via_hooks() {
         let mut d = DilationSink::default();
-        assert!(d.wants_words());
+        assert_eq!(d.wants(), Wants::Words);
         for i in 0..10 {
-            d.after_word(i, 0).unwrap();
+            d.after_word(i, 0);
         }
-        d.iref(0x8000_0000, Space::Kernel, false).unwrap();
-        d.iref(0x8000_0004, Space::Kernel, false).unwrap();
-        let r = d.finish();
+        d.iref(0x8000_0000, Space::Kernel, false);
+        d.iref(0x8000_0004, Space::Kernel, false);
+        let r = d.finish().unwrap();
         assert_eq!(r.get_u64("words"), Some(10));
         assert_eq!(r.get("words_per_inst"), Some(&crate::Value::F64(5.0)));
     }

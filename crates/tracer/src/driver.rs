@@ -1,12 +1,13 @@
 //! The sink stack and the one-pass entry points: feed N composed
 //! sinks from a single decode+parse pass.
 //!
-//! A [`Stack`] owns the sinks as isolated *slots*: every parsed event
-//! is routed to each live slot, a slot whose sink surfaces a
-//! [`SinkError`] is disabled on the spot (its error becomes its
-//! report), and the pass continues for the siblings — a failing
-//! analysis can never corrupt or abort the others. The `tracer.sink`
-//! chaos site holds that contract under seeded injected failures.
+//! A [`Stack`] owns the sinks as *slots* and routes every parsed
+//! event to each of them. Sinks share no state and no hook can abort
+//! the pass, so a sink that latches a fault (its
+//! [`AnalysisSink::finish`] returns the [`SinkError`], which becomes
+//! its slot's report) can never corrupt or abort its siblings. The
+//! `tracer.sink` chaos site holds that contract under seeded injected
+//! failures.
 //!
 //! A stack is a [`TraceSink`], so it rides the one
 //! [`wrl_trace::Driver`] like any other sink, whatever the source:
@@ -26,51 +27,36 @@ use wrl_trace::{DriveReport, Driver, ParseStats, SeamHooks, Space, TraceParser, 
 use crate::obs::TracerObs;
 use crate::sink::{AnalysisSink, SinkError, SinkReport};
 
-/// One isolated sink slot: the sink, the events routed to it, and the
-/// error that disabled it (if any). A slot is a [`TraceSink`] of its
-/// own, so the replay farm can hand slots to its workers.
+/// One boxed sink and the events applied to it. A slot is a
+/// [`TraceSink`] of its own, so the replay farm can hand slots to its
+/// workers.
 struct Slot {
     sink: Box<dyn AnalysisSink + Send>,
-    wants_words: bool,
     applied: u64,
-    err: Option<SinkError>,
-}
-
-impl Slot {
-    /// Routes one callback, disabling the slot on its first error.
-    fn route(&mut self, f: impl FnOnce(&mut dyn AnalysisSink) -> Result<(), SinkError>) {
-        if self.err.is_none() {
-            if let Err(e) = f(&mut *self.sink) {
-                self.err = Some(e);
-            }
-        }
-    }
-
-    /// Routes one parsed event, counting it if the slot is live.
-    fn event(&mut self, f: impl FnOnce(&mut dyn AnalysisSink) -> Result<(), SinkError>) {
-        self.applied += u64::from(self.err.is_none());
-        self.route(f);
-    }
 }
 
 impl TraceSink for Slot {
     fn iref(&mut self, vaddr: u32, space: Space, idle: bool) {
-        self.event(|k| k.iref(vaddr, space, idle));
+        self.applied += 1;
+        self.sink.iref(vaddr, space, idle);
     }
     fn dref(&mut self, vaddr: u32, store: bool, width: Width, space: Space) {
-        self.event(|k| k.dref(vaddr, store, width, space));
+        self.applied += 1;
+        self.sink.dref(vaddr, store, width, space);
     }
     fn ctx_switch(&mut self, asid: u8) {
-        self.event(|k| k.ctx_switch(asid));
+        self.applied += 1;
+        self.sink.ctx_switch(asid);
     }
     fn mode_transition(&mut self, generating: bool) {
-        self.event(|k| k.mode_transition(generating));
+        self.applied += 1;
+        self.sink.mode_transition(generating);
     }
 }
 
-/// An ordered set of isolated analysis sinks, fed together from one
-/// parse. Implements [`TraceSink`], so a stack rides anything that
-/// feeds one — the driver, `parse_all`, a tee beside a simulator.
+/// An ordered set of analysis sinks, fed together from one parse.
+/// Implements [`TraceSink`], so a stack rides anything that feeds
+/// one — the driver, `parse_all`, a tee beside a simulator.
 #[derive(Default)]
 pub struct Stack {
     slots: Vec<Slot>,
@@ -91,27 +77,21 @@ impl Stack {
         Stack::default()
     }
 
-    /// Appends a sink as its own isolated slot and returns the stack
-    /// (builder style).
+    /// Appends a sink as its own slot and returns the stack (builder
+    /// style).
     pub fn with(mut self, sink: impl AnalysisSink + Send + 'static) -> Stack {
         self.push(sink);
         self
     }
 
-    /// Appends a sink as its own isolated slot.
+    /// Appends a sink as its own slot.
     pub fn push(&mut self, sink: impl AnalysisSink + Send + 'static) {
         self.push_boxed(Box::new(sink));
     }
 
-    /// Appends an already-boxed sink as its own isolated slot.
+    /// Appends an already-boxed sink as its own slot.
     pub fn push_boxed(&mut self, sink: Box<dyn AnalysisSink + Send>) {
-        let wants_words = sink.wants_words();
-        self.slots.push(Slot {
-            sink,
-            wants_words,
-            applied: 0,
-            err: None,
-        });
+        self.slots.push(Slot { sink, applied: 0 });
     }
 
     /// Attaches the `tracer.*` metrics, recorded when a pass
@@ -135,19 +115,11 @@ impl Stack {
         self.slots.iter().map(|s| s.sink.name()).collect()
     }
 
-    /// Finalises every slot into the pass report. Slots that failed
-    /// mid-pass report their typed error instead of a result.
+    /// Finalises every slot into the pass report. A sink that latched
+    /// a fault mid-pass reports its typed error instead of a result.
     pub fn finish(mut self, parse: ParseStats, words: u64) -> StackReport {
-        let reports: Vec<Result<SinkReport, SinkError>> = self
-            .slots
-            .iter_mut()
-            .map(|s| match s.err.take() {
-                Some(e) => Err(e),
-                None => Ok(s.sink.finish()),
-            })
-            .collect();
         let report = StackReport {
-            reports,
+            reports: self.slots.iter_mut().map(|s| s.sink.finish()).collect(),
             parse,
             words,
             applied: self.slots.iter().map(|s| s.applied).sum(),
@@ -189,33 +161,32 @@ impl TraceSink for Stack {
         }
     }
 
-    /// Nothing for an empty stack (the driver then skips the parse),
-    /// words if any sink wants the per-word hooks.
+    /// The most any sink wants: nothing for an empty stack (the
+    /// driver then skips the parse), words if any sink wants the
+    /// per-word hooks.
     fn wants(&self) -> Wants {
-        if self.slots.is_empty() {
-            Wants::Nothing
-        } else if self.slots.iter().any(|s| s.wants_words) {
-            Wants::Words
-        } else {
-            Wants::Events
-        }
+        self.slots
+            .iter()
+            .map(|s| s.sink.wants())
+            .max()
+            .unwrap_or(Wants::Nothing)
     }
 
     fn before_word(&mut self, pos: u64, word: u32) {
-        for s in self.slots.iter_mut().filter(|s| s.wants_words) {
-            s.route(|k| k.before_word(pos, word));
+        for s in &mut self.slots {
+            s.sink.before_word(pos, word);
         }
     }
 
     fn after_word(&mut self, pos: u64, word: u32) {
-        for s in self.slots.iter_mut().filter(|s| s.wants_words) {
-            s.route(|k| k.after_word(pos, word));
+        for s in &mut self.slots {
+            s.sink.after_word(pos, word);
         }
     }
 }
 
 /// What one pass over one source produced: per-slot reports (or the
-/// typed error that disabled the slot), the parse statistics of the
+/// typed error the slot's sink latched), the parse statistics of the
 /// single shared parse, and the pass shape.
 #[derive(Debug)]
 pub struct StackReport {
@@ -225,7 +196,7 @@ pub struct StackReport {
     pub parse: ParseStats,
     /// Raw trace words in the pass.
     pub words: u64,
-    /// Event×sink applications routed (events × live sinks).
+    /// Event×sink applications routed (events × sinks).
     pub applied: u64,
 }
 
@@ -242,7 +213,7 @@ impl StackReport {
 
     /// Renders every slot deterministically: each sink's
     /// [`SinkReport::render`] block, or one `sink <name> FAILED: ...`
-    /// line for a slot disabled by a typed error.
+    /// line for a slot whose sink latched a typed error.
     pub fn render(&self) -> String {
         let mut out = String::new();
         for r in &self.reports {
@@ -286,73 +257,4 @@ pub fn analyze_store(
         obs: stack.obs,
     };
     Ok(Stack::report((farm.run, stack)))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// Counts events; fails with a typed error at a chosen event.
-    struct Fussy {
-        label: &'static str,
-        events: u64,
-        fail_at: Option<u64>,
-    }
-
-    impl Fussy {
-        fn tick(&mut self) -> Result<(), SinkError> {
-            self.events += 1;
-            if Some(self.events) == self.fail_at {
-                return Err(SinkError::new(self.label, "injected"));
-            }
-            Ok(())
-        }
-    }
-
-    impl AnalysisSink for Fussy {
-        fn name(&self) -> String {
-            self.label.into()
-        }
-        fn iref(&mut self, _v: u32, _s: Space, _i: bool) -> Result<(), SinkError> {
-            self.tick()
-        }
-        fn dref(&mut self, _v: u32, _st: bool, _w: Width, _s: Space) -> Result<(), SinkError> {
-            self.tick()
-        }
-        fn ctx_switch(&mut self, _a: u8) -> Result<(), SinkError> {
-            self.tick()
-        }
-        fn finish(&mut self) -> SinkReport {
-            let mut r = SinkReport::new(self.name());
-            r.push("events", self.events);
-            r
-        }
-    }
-
-    #[test]
-    fn a_failing_slot_reports_typed_and_leaves_siblings_exact() {
-        let mut stack = Stack::new()
-            .with(Fussy {
-                label: "healthy",
-                events: 0,
-                fail_at: None,
-            })
-            .with(Fussy {
-                label: "doomed",
-                events: 0,
-                fail_at: Some(3),
-            });
-        for i in 0..10u32 {
-            stack.iref(0x8000_0000 + i * 4, Space::Kernel, false);
-        }
-        let report = stack.finish(ParseStats::default(), 0);
-        assert_eq!(report.failed(), 1);
-        assert_eq!(report.ok(0).unwrap().get_u64("events"), Some(10));
-        let err = report.reports[1].as_ref().unwrap_err();
-        assert_eq!(err.sink, "doomed");
-        assert_eq!(err.what, "injected");
-        // 10 events × 2 live sinks until event 3 disables one slot:
-        // 3 of them went to both, 7 to one.
-        assert_eq!(report.applied, 3 * 2 + 7);
-    }
 }

@@ -7,15 +7,16 @@
 //! analyses run **composed over one decode+parse pass** instead of
 //! each owning its own pipeline.
 //!
-//! * [`sink`] — the [`AnalysisSink`] trait (parsed-event hooks,
-//!   optional raw-word hooks, `finish() -> SinkReport`);
-//! * [`driver`] — the [`Stack`] of isolated sink slots (a
-//!   `TraceSink` for the one `wrl_trace::Driver`) and the one-pass
-//!   entry points [`analyze_words`] / [`analyze_store`] (inline or
-//!   spread over the replay farm);
-//! * [`analyses`] — the five repo analyses ported onto the trait
-//!   (cache study, full memory-system/TLB simulation, dilation,
-//!   pagemap, defensive checks);
+//! * [`sink`] — the [`AnalysisSink`] trait: a `wrl_trace::TraceSink`
+//!   (whose event and word hooks are the only ones there are) plus
+//!   `name()` and `finish() -> Result<SinkReport, SinkError>`;
+//! * [`driver`] — the [`Stack`] of sink slots (a `TraceSink` for the
+//!   one `wrl_trace::Driver`) and the one-pass entry points
+//!   [`analyze_words`] / [`analyze_store`] (inline or spread over the
+//!   replay farm);
+//! * [`analyses`] — the five repo analyses as sinks (cache study,
+//!   full memory-system/TLB simulation — `wrl_memsim::MemSim` itself,
+//!   named `tlb` — dilation, pagemap, defensive checks);
 //! * [`windows`] — the three sinks the framework makes cheap:
 //!   sampled tracing windows, per-ASID working-set curves, and a
 //!   phase detector;
@@ -23,11 +24,12 @@
 //!   behind `tracedump analyze`;
 //! * [`obs`] — the `tracer.*` metrics.
 //!
-//! Error handling is per-slot: a sink that fails mid-pass surfaces a
-//! typed [`SinkError`] in its slot of the [`StackReport`] and is
-//! disabled; sibling sinks keep receiving the full event stream and
-//! their reports are unaffected (the `tracer.sink` chaos site holds
-//! this under seeded fault injection).
+//! Error handling is per-slot. No hook can fail, so no sink can abort
+//! a pass: a sink that hits a fault latches it and returns the typed
+//! [`SinkError`] from `finish`, which lands in its slot of the
+//! [`StackReport`]. Sinks share no state, so sibling sinks see the
+//! full event stream and their reports are unaffected (the
+//! `tracer.sink` chaos site holds this under seeded fault injection).
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -39,7 +41,7 @@ pub mod sink;
 pub mod spec;
 pub mod windows;
 
-pub use analyses::{CacheSink, DefenseSink, DilationSink, PagemapSink, TlbSink};
+pub use analyses::{CacheSink, DefenseSink, DilationSink, PagemapSink};
 pub use driver::{analyze_store, analyze_words, Stack, StackReport};
 pub use obs::TracerObs;
 pub use sink::{AnalysisSink, SinkError, SinkReport, Value};

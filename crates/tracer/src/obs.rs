@@ -17,9 +17,9 @@ wrl_obs::metrics! {
         words: gauge "tracer.words", "words", "§3.4",
             "Trace words decoded+parsed once in the last pass.";
         applied: counter "tracer.events.applied", "events", "§3.4",
-            "Event-to-sink applications routed (events x live sinks).";
+            "Event-to-sink applications routed (events x sinks, a latched sink included; differs from events x live sinks only on a pass with a failed slot).";
         sink_errors: counter "tracer.sink_errors", "errors", "§4.3",
-            "Sinks disabled mid-pass by a typed error (siblings unaffected).";
+            "Sinks that latched a typed error mid-pass and reported it (siblings unaffected).";
     }
 }
 

@@ -1,23 +1,22 @@
 //! The [`AnalysisSink`] trait and its report type.
 //!
-//! An analysis sink is a [`wrl_trace::TraceSink`] that can *also*
-//! observe raw trace words (for analyses whose unit is the word
-//! position, like sampled tracing windows), can *fail* with a typed
-//! error instead of panicking, and ends in a structured
-//! [`SinkReport`]. Sinks compose in one way: pushed into a
-//! [`crate::Stack`], each in its own error-isolated slot, so a whole
-//! analysis suite rides one decode+parse pass as a single value.
+//! An analysis sink is a [`wrl_trace::TraceSink`] with a name that
+//! ends in a structured [`SinkReport`] — or, having latched a fault
+//! mid-pass, in a typed [`SinkError`] instead of a panic. Sinks
+//! compose in one way: pushed into a [`crate::Stack`], each in its own
+//! slot, so a whole analysis suite rides one decode+parse pass as a
+//! single value.
 
 use core::fmt;
 
-use wrl_isa::Width;
-use wrl_trace::Space;
+use wrl_trace::TraceSink;
 
-/// A typed mid-pass analysis failure. Surfacing one *never* aborts
-/// the pass: the driver records the error in the failing sink's
-/// report slot, stops feeding that sink, and keeps every sibling
-/// sink's stream intact (`tests/tracer_differential.rs` and the
-/// `tracer.sink` chaos site hold that contract).
+/// A typed mid-pass analysis failure. One *never* aborts the pass:
+/// no hook can return it, so the failing sink latches it and returns
+/// it from [`AnalysisSink::finish`] into its own report slot, and
+/// every sibling sink's stream stays intact
+/// (`tests/tracer_differential.rs` and the `tracer.sink` chaos site
+/// hold that contract).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SinkError {
     /// The failing sink's [`AnalysisSink::name`].
@@ -175,68 +174,26 @@ impl SinkReport {
     }
 }
 
-/// A composable trace analysis: the [`wrl_trace::TraceSink`]
-/// callbacks made fallible, optional raw-word hooks, and a final
-/// structured report.
+/// A composable trace analysis: a [`TraceSink`] with a display name
+/// and a final structured report.
 ///
-/// Every callback defaults to a no-op `Ok(())`, so a sink implements
-/// only what it observes. A sink that needs *word positions* (duty
-/// cycles, offsets into the raw stream) overrides
-/// [`AnalysisSink::wants_words`] to `true`; the driver then feeds the
-/// parser word-at-a-time and brackets each word with
-/// [`AnalysisSink::before_word`]/[`AnalysisSink::after_word`], so
-/// events parsed from a word land between its two hooks.
-pub trait AnalysisSink {
+/// The event and word hooks are [`TraceSink`]'s own, declared once in
+/// `wrl-trace` and infallible: no hook can abort a pass. A sink that
+/// needs *word positions* (duty cycles, offsets into the raw stream)
+/// answers [`Wants::Words`](wrl_trace::Wants) from
+/// [`TraceSink::wants`]; the driver then feeds the parser
+/// word-at-a-time and brackets each word with
+/// [`TraceSink::before_word`]/[`TraceSink::after_word`], so events
+/// parsed from a word land between its two hooks. A sink that hits a
+/// fault mid-pass latches it itself and returns it from
+/// [`AnalysisSink::finish`].
+pub trait AnalysisSink: TraceSink {
     /// A stable display name (`cache:65536:2`, `wset:4096`, ...).
     fn name(&self) -> String;
 
-    /// `true` if this sink needs per-word hooks. Must be constant
-    /// over the sink's lifetime (the stack samples it once, when the
-    /// sink is pushed).
-    fn wants_words(&self) -> bool {
-        false
-    }
-
-    /// Called before raw word `word` at stream position `pos` is
-    /// parsed (only when [`AnalysisSink::wants_words`] holds).
-    fn before_word(&mut self, _pos: u64, _word: u32) -> Result<(), SinkError> {
-        Ok(())
-    }
-
-    /// Called after raw word `word` at stream position `pos` was
-    /// parsed (only when [`AnalysisSink::wants_words`] holds).
-    fn after_word(&mut self, _pos: u64, _word: u32) -> Result<(), SinkError> {
-        Ok(())
-    }
-
-    /// An instruction fetch at `vaddr` (uninstrumented address).
-    fn iref(&mut self, _vaddr: u32, _space: Space, _idle: bool) -> Result<(), SinkError> {
-        Ok(())
-    }
-
-    /// A data reference at `vaddr`.
-    fn dref(
-        &mut self,
-        _vaddr: u32,
-        _store: bool,
-        _width: Width,
-        _space: Space,
-    ) -> Result<(), SinkError> {
-        Ok(())
-    }
-
-    /// The base context switched to the given ASID.
-    fn ctx_switch(&mut self, _asid: u8) -> Result<(), SinkError> {
-        Ok(())
-    }
-
-    /// Trace generation was suspended (`false`) or resumed (`true`).
-    fn mode_transition(&mut self, _generating: bool) -> Result<(), SinkError> {
-        Ok(())
-    }
-
-    /// Finalises the analysis and reports what it found.
-    fn finish(&mut self) -> SinkReport;
+    /// Finalises the analysis: what it found, or the typed fault it
+    /// latched mid-pass.
+    fn finish(&mut self) -> Result<SinkReport, SinkError>;
 }
 
 #[cfg(test)]

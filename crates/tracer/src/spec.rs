@@ -17,11 +17,13 @@
 //! `m`/`M` (×1024²) suffixes the sampled sub-spec does, so
 //! `cache:64k:2` and `wset:16k` read as written.
 
-use wrl_memsim::{PageMap, SimCfg, UtlbSynth};
+use wrl_memsim::{MemSim, PageMap, SimCfg, UtlbSynth};
 
-use crate::analyses::{CacheSink, DefenseSink, DilationSink, PagemapSink, TlbSink};
+use crate::analyses::{CacheSink, DefenseSink, DilationSink, PagemapSink};
 use crate::driver::Stack;
-use crate::windows::{PhaseSink, SampledCfg, SampledCfgError, SampledWindowSink, WorkingSetSink};
+use crate::windows::{
+    self, PhaseSink, SampledCfg, SampledCfgError, SampledWindowSink, WorkingSetSink,
+};
 
 /// Errors from [`build_stack`].
 #[derive(Clone, Debug, PartialEq)]
@@ -57,29 +59,23 @@ impl std::fmt::Display for SinkSpecError {
 
 impl std::error::Error for SinkSpecError {}
 
-fn num<T: std::str::FromStr>(item: &str, arg: &str) -> Result<T, SinkSpecError> {
-    arg.parse().map_err(|_| SinkSpecError::BadArg {
+fn bad_arg(item: &str, arg: &str) -> SinkSpecError {
+    SinkSpecError::BadArg {
         item: item.to_string(),
         arg: arg.to_string(),
-    })
+    }
 }
 
-/// A size/window argument with optional `k`/`K` (×1024) or `m`/`M`
-/// (×1024²) suffix, matching [`SampledCfg::parse`]'s fields.
-fn scaled(item: &str, arg: &str) -> Result<u64, SinkSpecError> {
-    let (digits, mult) = match arg.chars().last() {
-        Some('k') | Some('K') => (&arg[..arg.len() - 1], 1024u64),
-        Some('m') | Some('M') => (&arg[..arg.len() - 1], 1024 * 1024),
-        _ => (arg, 1),
-    };
-    digits
-        .parse::<u64>()
-        .ok()
-        .and_then(|n| n.checked_mul(mult))
-        .ok_or_else(|| SinkSpecError::BadArg {
-            item: item.to_string(),
-            arg: arg.to_string(),
-        })
+fn num<T: std::str::FromStr>(item: &str, arg: &str) -> Result<T, SinkSpecError> {
+    arg.parse().map_err(|_| bad_arg(item, arg))
+}
+
+/// A size/window argument through the grammar's one suffix parser,
+/// rejected if it does not fit the field's type.
+fn scaled<T: TryFrom<u64>>(item: &str, arg: &str) -> Result<T, SinkSpecError> {
+    windows::scaled(arg)
+        .and_then(|n| T::try_from(n).ok())
+        .ok_or_else(|| bad_arg(item, arg))
 }
 
 /// Builds a [`Stack`] from a spec string. Sinks that translate
@@ -101,14 +97,7 @@ pub fn build_stack(spec: &str, pagemap: &PageMap) -> Result<Stack, SinkSpecError
                 }
                 let size: u32 = args
                     .first()
-                    .map(|a| {
-                        scaled(item, a).and_then(|n| {
-                            u32::try_from(n).map_err(|_| SinkSpecError::BadArg {
-                                item: item.to_string(),
-                                arg: (*a).to_string(),
-                            })
-                        })
-                    })
+                    .map(|a| scaled(item, a))
                     .transpose()?
                     .unwrap_or(65536);
                 let ways: usize = args.get(1).map(|a| num(item, a)).transpose()?.unwrap_or(2);
@@ -122,7 +111,7 @@ pub fn build_stack(spec: &str, pagemap: &PageMap) -> Result<Stack, SinkSpecError
                     utlb: Some(UtlbSynth::wrl_kernel()),
                     ..SimCfg::default()
                 };
-                stack.push(TlbSink::new(cfg, pagemap.clone()));
+                stack.push(MemSim::new(cfg, pagemap.clone()));
             }
             "dilation" => {
                 if !args.is_empty() {

@@ -10,7 +10,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use wrl_isa::Width;
-use wrl_trace::Space;
+use wrl_trace::{Space, TraceSink, Wants};
 
 use crate::sink::{AnalysisSink, SinkError, SinkReport};
 
@@ -72,17 +72,17 @@ impl Default for SampledCfg {
     }
 }
 
-/// Parses one numeric field with optional `k`/`K` (×1024) or `m`/`M`
-/// (×1024²) suffix, rejecting overflow.
-fn parse_scaled(s: &str) -> Result<u64, SampledCfgError> {
-    let bad = || SampledCfgError::BadNumber(s.to_string());
+/// Parses one size/window number with an optional `k`/`K` (×1024) or
+/// `m`/`M` (×1024²) suffix; `None` on a bad digit string or overflow.
+/// The one suffix parser of the spec grammar: callers map `None` to
+/// their own error.
+pub(crate) fn scaled(s: &str) -> Option<u64> {
     let (digits, scale) = match s.chars().last() {
         Some('k') | Some('K') => (&s[..s.len() - 1], 1024u64),
         Some('m') | Some('M') => (&s[..s.len() - 1], 1024 * 1024),
         _ => (s, 1),
     };
-    let n: u64 = digits.parse().map_err(|_| bad())?;
-    n.checked_mul(scale).ok_or_else(bad)
+    digits.parse::<u64>().ok()?.checked_mul(scale)
 }
 
 impl SampledCfg {
@@ -94,16 +94,17 @@ impl SampledCfg {
         if parts.is_empty() || parts.len() > 3 || parts.iter().any(|p| p.is_empty()) {
             return Err(SampledCfgError::BadShape(spec.to_string()));
         }
-        let on = parse_scaled(parts[0])?;
+        let field = |p: &str| scaled(p).ok_or_else(|| SampledCfgError::BadNumber(p.to_string()));
+        let on = field(parts[0])?;
         if on == 0 {
             return Err(SampledCfgError::ZeroOn);
         }
         let off = match parts.get(1) {
-            Some(p) => parse_scaled(p)?,
+            Some(p) => field(p)?,
             None => on.checked_mul(7).ok_or(SampledCfgError::PeriodOverflow)?,
         };
         let seed = match parts.get(2) {
-            Some(p) => parse_scaled(p)?,
+            Some(p) => field(p)?,
             None => 0,
         };
         if on.checked_add(off).is_none() {
@@ -159,47 +160,45 @@ impl SampledWindowSink {
     }
 }
 
-impl AnalysisSink for SampledWindowSink {
-    fn name(&self) -> String {
-        format!("sampled:{}:{}:{}", self.cfg.on, self.cfg.off, self.cfg.seed)
+impl TraceSink for SampledWindowSink {
+    fn iref(&mut self, _v: u32, _s: Space, _i: bool) {
+        if self.active {
+            self.sampled_irefs += 1;
+        }
     }
 
-    fn wants_words(&self) -> bool {
-        true
+    fn dref(&mut self, _v: u32, _st: bool, _w: Width, _s: Space) {
+        if self.active {
+            self.sampled_drefs += 1;
+        }
     }
 
-    fn before_word(&mut self, pos: u64, _word: u32) -> Result<(), SinkError> {
+    fn wants(&self) -> Wants {
+        Wants::Words
+    }
+
+    fn before_word(&mut self, pos: u64, _word: u32) {
         let now = (pos + self.phase) % self.cfg.period() < self.cfg.on;
         if now && !self.active {
             self.windows += 1;
         }
         self.active = now;
-        Ok(())
     }
 
-    fn after_word(&mut self, _pos: u64, _word: u32) -> Result<(), SinkError> {
+    fn after_word(&mut self, _pos: u64, _word: u32) {
         self.words += 1;
         if self.active {
             self.sampled_words += 1;
         }
-        Ok(())
+    }
+}
+
+impl AnalysisSink for SampledWindowSink {
+    fn name(&self) -> String {
+        format!("sampled:{}:{}:{}", self.cfg.on, self.cfg.off, self.cfg.seed)
     }
 
-    fn iref(&mut self, _v: u32, _s: Space, _i: bool) -> Result<(), SinkError> {
-        if self.active {
-            self.sampled_irefs += 1;
-        }
-        Ok(())
-    }
-
-    fn dref(&mut self, _v: u32, _st: bool, _w: Width, _s: Space) -> Result<(), SinkError> {
-        if self.active {
-            self.sampled_drefs += 1;
-        }
-        Ok(())
-    }
-
-    fn finish(&mut self) -> SinkReport {
+    fn finish(&mut self) -> Result<SinkReport, SinkError> {
         let mut r = SinkReport::new(self.name());
         r.push("windows", self.windows);
         r.push("words", self.words);
@@ -217,7 +216,7 @@ impl AnalysisSink for SampledWindowSink {
         let scale = self.cfg.period() as f64 / self.cfg.on as f64;
         r.push("est_irefs", self.sampled_irefs as f64 * scale);
         r.push("est_drefs", self.sampled_drefs as f64 * scale);
-        r
+        Ok(r)
     }
 }
 
@@ -282,22 +281,22 @@ impl WorkingSetSink {
     }
 }
 
+impl TraceSink for WorkingSetSink {
+    fn iref(&mut self, vaddr: u32, space: Space, _idle: bool) {
+        self.touch(vaddr, space);
+    }
+
+    fn dref(&mut self, vaddr: u32, _store: bool, _w: Width, space: Space) {
+        self.touch(vaddr, space);
+    }
+}
+
 impl AnalysisSink for WorkingSetSink {
     fn name(&self) -> String {
         format!("wset:{}", self.window)
     }
 
-    fn iref(&mut self, vaddr: u32, space: Space, _idle: bool) -> Result<(), SinkError> {
-        self.touch(vaddr, space);
-        Ok(())
-    }
-
-    fn dref(&mut self, vaddr: u32, _store: bool, _w: Width, space: Space) -> Result<(), SinkError> {
-        self.touch(vaddr, space);
-        Ok(())
-    }
-
-    fn finish(&mut self) -> SinkReport {
+    fn finish(&mut self) -> Result<SinkReport, SinkError> {
         let mut r = SinkReport::new(self.name());
         // A trailing partial window still describes a working set.
         for row in self.rows.values_mut() {
@@ -333,7 +332,7 @@ impl AnalysisSink for WorkingSetSink {
             child.push("refs", row.refs);
             r.children.push(child);
         }
-        r
+        Ok(r)
     }
 }
 
@@ -405,22 +404,22 @@ impl PhaseSink {
     }
 }
 
+impl TraceSink for PhaseSink {
+    fn iref(&mut self, vaddr: u32, _space: Space, _idle: bool) {
+        self.touch(vaddr);
+    }
+
+    fn dref(&mut self, vaddr: u32, _store: bool, _w: Width, _s: Space) {
+        self.touch(vaddr);
+    }
+}
+
 impl AnalysisSink for PhaseSink {
     fn name(&self) -> String {
         format!("phase:{}", self.window)
     }
 
-    fn iref(&mut self, vaddr: u32, _space: Space, _idle: bool) -> Result<(), SinkError> {
-        self.touch(vaddr);
-        Ok(())
-    }
-
-    fn dref(&mut self, vaddr: u32, _store: bool, _w: Width, _s: Space) -> Result<(), SinkError> {
-        self.touch(vaddr);
-        Ok(())
-    }
-
-    fn finish(&mut self) -> SinkReport {
+    fn finish(&mut self) -> Result<SinkReport, SinkError> {
         let mut r = SinkReport::new(self.name());
         r.push("windows", self.windows);
         r.push("change_points", self.change_points.len() as u64);
@@ -434,7 +433,7 @@ impl AnalysisSink for PhaseSink {
         for (i, cp) in self.change_points.iter().take(8).enumerate() {
             r.push(format!("cp{i}"), *cp);
         }
-        r
+        Ok(r)
     }
 }
 
@@ -484,11 +483,11 @@ mod tests {
         };
         let mut s = SampledWindowSink::new(cfg);
         for pos in 0..64u64 {
-            s.before_word(pos, 0).unwrap();
-            s.iref(0x8000_0000, Space::Kernel, false).unwrap();
-            s.after_word(pos, 0).unwrap();
+            s.before_word(pos, 0);
+            s.iref(0x8000_0000, Space::Kernel, false);
+            s.after_word(pos, 0);
         }
-        let r = s.finish();
+        let r = s.finish().unwrap();
         // Exactly half the words are inside on-windows.
         assert_eq!(r.get_u64("sampled_words"), Some(32));
         assert_eq!(r.get_u64("sampled_irefs"), Some(32));
@@ -497,10 +496,10 @@ mod tests {
         // A different seed shifts the phase, not the coverage.
         let mut s2 = SampledWindowSink::new(SampledCfg { seed: 1, ..cfg });
         for pos in 0..64u64 {
-            s2.before_word(pos, 0).unwrap();
-            s2.after_word(pos, 0).unwrap();
+            s2.before_word(pos, 0);
+            s2.after_word(pos, 0);
         }
-        assert_eq!(s2.finish().get_u64("sampled_words"), Some(32));
+        assert_eq!(s2.finish().unwrap().get_u64("sampled_words"), Some(32));
     }
 
     #[test]
@@ -508,14 +507,13 @@ mod tests {
         let mut w = WorkingSetSink::new(4);
         // Window 1: pages 0,1 (4 refs). Window 2: page 2 only.
         for va in [0x0000u32, 0x0004, 0x1000, 0x1004] {
-            w.iref(va, Space::User(1), false).unwrap();
+            w.iref(va, Space::User(1), false);
         }
         for va in [0x2000u32, 0x2004, 0x2008, 0x200c] {
-            w.iref(va, Space::User(1), false).unwrap();
+            w.iref(va, Space::User(1), false);
         }
-        w.dref(0x8000_0000, false, Width::Word, Space::Kernel)
-            .unwrap();
-        let r = w.finish();
+        w.dref(0x8000_0000, false, Width::Word, Space::Kernel);
+        let r = w.finish().unwrap();
         assert_eq!(r.get_u64("spaces"), Some(2));
         let u1 = &r.children[0];
         assert_eq!(u1.sink, "asid:1");
@@ -532,13 +530,13 @@ mod tests {
         // Two identical windows on pages {0,1}, then a jump to {8,9}.
         for _ in 0..2 {
             for va in [0x0000u32, 0x0100, 0x1000, 0x1100] {
-                p.iref(va, Space::User(1), false).unwrap();
+                p.iref(va, Space::User(1), false);
             }
         }
         for va in [0x8000u32, 0x8100, 0x9000, 0x9100] {
-            p.iref(va, Space::User(1), false).unwrap();
+            p.iref(va, Space::User(1), false);
         }
-        let r = p.finish();
+        let r = p.finish().unwrap();
         assert_eq!(r.get_u64("windows"), Some(3));
         assert_eq!(r.get_u64("change_points"), Some(1));
         assert_eq!(r.get_u64("cp0"), Some(2));

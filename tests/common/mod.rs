@@ -1,8 +1,8 @@
 //! What the loopback suites (`serve_loopback`, `serve_subscribe`,
-//! `fabric_loopback`) share: the golden archive, the predicate panel,
-//! and the client herd that checks every answer against
-//! [`filter_stream`] — so a node and a coordinator are stressed by the
-//! same code.
+//! `fabric_loopback`) and `tracer_differential` share: the golden
+//! archive, the counter read, the predicate panel, and the client
+//! herd that checks every answer against [`filter_stream`] — so a
+//! node and a coordinator are stressed by the same code.
 
 // Each suite is its own crate and uses its own subset.
 #![allow(dead_code)]
@@ -24,6 +24,16 @@ pub fn metrics_lock() -> MutexGuard<'static, ()> {
     match LOCK.get_or_init(|| Mutex::new(())).lock() {
         Ok(g) => g,
         Err(poisoned) => poisoned.into_inner(),
+    }
+}
+
+/// The value of a counter in the process-global registry.
+pub fn counter(name: &str) -> u64 {
+    let snap = systrace::obs::global().snapshot();
+    let m = snap.metrics.iter().find(|m| m.desc.name == name);
+    match m.map(|m| &m.value) {
+        Some(systrace::obs::ValueSnap::Counter(v)) => *v,
+        other => panic!("{name} is not a registered counter: {other:?}"),
     }
 }
 

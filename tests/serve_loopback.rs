@@ -29,7 +29,7 @@ mod common;
 
 use std::sync::Arc;
 
-use common::{connect_patiently, golden, metrics_lock, panel_stress, predicate_panel};
+use common::{connect_patiently, counter, golden, metrics_lock, panel_stress, predicate_panel};
 use systrace::serve::wire::err;
 use systrace::serve::{Catalog, Client, ClientCfg, ServeCfg, ServeError, Server};
 use systrace::store::{filter_stream, Predicate, StoreError, TraceStore};
@@ -322,16 +322,6 @@ fn graceful_shutdown_drains_the_inflight_request() {
             .map(|_| ())
     });
     assert!(late.is_err(), "a drained server must not keep serving");
-}
-
-/// The value of a counter in the process-global registry.
-fn counter(name: &str) -> u64 {
-    let snap = systrace::obs::global().snapshot();
-    let m = snap.metrics.iter().find(|m| m.desc.name == name);
-    match m.map(|m| &m.value) {
-        Some(systrace::obs::ValueSnap::Counter(v)) => *v,
-        other => panic!("{name} is not a registered counter: {other:?}"),
-    }
 }
 
 #[test]

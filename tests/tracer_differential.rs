@@ -11,23 +11,23 @@
 //!   composing it leaves the prediction bit-identical.
 //! * Grounding against the pre-existing dedicated implementations:
 //!   the `cache_sweep` study sink and a raw [`MemSim`] pass.
+//! * The isolation contract on every drive path: a sink that latches
+//!   a fault reports it typed in its own slot and leaves its siblings
+//!   bit-identical.
 //! * The three new window analyses pin their golden-trace reports
 //!   byte-for-byte (sampled duty-cycle windows, per-ASID working-set
 //!   curves, phase change-points).
 
 use systrace::memsim::{AssocCache, MemSim, PageMap, Policy, SimCfg, SpaceKey, UtlbSynth};
 use systrace::store::{FarmCfg, TraceStore};
-use systrace::trace::{Space, TraceArchive, TraceSink};
+use systrace::trace::{Space, TraceArchive, TraceSink, Wants};
 use systrace::tracer::{
-    analyze_store, analyze_words, build_stack, CacheSink, DefenseSink, DilationSink, PagemapSink,
-    SinkReport, Stack, TlbSink,
+    analyze_store, analyze_words, build_stack, AnalysisSink, CacheSink, DefenseSink, DilationSink,
+    PagemapSink, SinkError, SinkReport, Stack, StackReport, TracerObs,
 };
 
-const GOLDEN_PATH: &str = "tests/data/golden.w3kt";
-
-fn golden() -> TraceArchive {
-    TraceArchive::load(GOLDEN_PATH).expect("golden archive loads")
-}
+mod common;
+use common::{counter, golden};
 
 /// The page-map policy every dedicated pass and every spec-built sink
 /// uses (same as `tracedump sim`).
@@ -43,10 +43,10 @@ fn simcfg() -> SimCfg {
 }
 
 /// The five ported analyses, freshly constructed in a fixed order.
-fn five() -> Vec<Box<dyn systrace::tracer::AnalysisSink + Send>> {
+fn five() -> Vec<Box<dyn AnalysisSink + Send>> {
     vec![
         Box::new(CacheSink::new(65536, 2, pm())),
-        Box::new(TlbSink::new(simcfg(), pm())),
+        Box::new(MemSim::new(simcfg(), pm())),
         Box::new(DilationSink::default()),
         Box::new(PagemapSink::new(pm())),
         Box::new(DefenseSink::default()),
@@ -55,10 +55,10 @@ fn five() -> Vec<Box<dyn systrace::tracer::AnalysisSink + Send>> {
 
 /// The event-only subset (no word hooks), which lets `analyze_store`
 /// spread the sinks over the replay farm.
-fn event_only() -> Vec<Box<dyn systrace::tracer::AnalysisSink + Send>> {
+fn event_only() -> Vec<Box<dyn AnalysisSink + Send>> {
     vec![
         Box::new(CacheSink::new(65536, 2, pm())),
-        Box::new(TlbSink::new(simcfg(), pm())),
+        Box::new(MemSim::new(simcfg(), pm())),
         Box::new(PagemapSink::new(pm())),
         Box::new(DefenseSink::default()),
     ]
@@ -66,10 +66,7 @@ fn event_only() -> Vec<Box<dyn systrace::tracer::AnalysisSink + Send>> {
 
 /// Runs each sink of `make()` alone over the in-memory stream — the
 /// dedicated passes the composed run must reproduce exactly.
-fn dedicated(
-    a: &TraceArchive,
-    make: fn() -> Vec<Box<dyn systrace::tracer::AnalysisSink + Send>>,
-) -> Vec<SinkReport> {
+fn dedicated(a: &TraceArchive, make: fn() -> Vec<Box<dyn AnalysisSink + Send>>) -> Vec<SinkReport> {
     make()
         .into_iter()
         .map(|sink| {
@@ -192,9 +189,9 @@ fn harness_run_feeds_prediction_and_stack_from_one_parse() {
     server.shutdown();
 }
 
-/// The `cache_sweep` study sink, reproduced as in
-/// `tests/store_farm.rs`, so [`CacheSink`] is checked against the
-/// dedicated implementation it replaces — not just against itself.
+/// The original `cache_sweep` study sink, reproduced as in
+/// `tests/store_farm.rs`, so [`CacheSink`] is checked against an
+/// independent reference copy — not just against itself.
 #[derive(Debug)]
 struct CacheStudy {
     icache: AssocCache,
@@ -293,7 +290,7 @@ fn tlb_sink_matches_a_dedicated_memsim_pass_field_for_field() {
     let report = analyze_words(
         a.parser(),
         &a.words,
-        Stack::new().with(TlbSink::new(simcfg(), pm())),
+        Stack::new().with(MemSim::new(simcfg(), pm())),
     );
     let r = report.ok(0).expect("tlb slot succeeded");
     let s = &sim.stats;
@@ -318,6 +315,118 @@ fn tlb_sink_matches_a_dedicated_memsim_pass_field_for_field() {
         ("cycles", sim.cycles),
     ] {
         assert_eq!(r.get_u64(field), Some(want), "{field}");
+    }
+}
+
+/// The one failing test double: counts parsed events (and raw words,
+/// when it is built to want them) and, once `fail_at` events have
+/// passed, has latched a fault that `finish` reports typed.
+struct Fussy {
+    events: u64,
+    words: Option<u64>,
+    fail_at: Option<u64>,
+}
+
+impl TraceSink for Fussy {
+    fn iref(&mut self, _v: u32, _s: Space, _i: bool) {
+        self.events += 1;
+    }
+    fn dref(&mut self, _v: u32, _st: bool, _w: systrace::isa::Width, _s: Space) {
+        self.events += 1;
+    }
+    fn ctx_switch(&mut self, _a: u8) {
+        self.events += 1;
+    }
+    fn mode_transition(&mut self, _g: bool) {
+        self.events += 1;
+    }
+    fn wants(&self) -> Wants {
+        match self.words {
+            Some(_) => Wants::Words,
+            None => Wants::Events,
+        }
+    }
+    fn after_word(&mut self, _pos: u64, _word: u32) {
+        self.words = self.words.map(|w| w + 1);
+    }
+}
+
+impl AnalysisSink for Fussy {
+    fn name(&self) -> String {
+        "fussy".into()
+    }
+    fn finish(&mut self) -> Result<SinkReport, SinkError> {
+        if self.fail_at.is_some_and(|at| self.events >= at) {
+            return Err(SinkError::new(self.name(), "injected"));
+        }
+        let mut r = SinkReport::new(self.name());
+        r.push("events", self.events);
+        r.push("words", self.words.unwrap_or(0));
+        Ok(r)
+    }
+}
+
+/// A sink that latches a fault in the middle slot, on each way a
+/// stack is driven — the inline event path, the slots spread over two
+/// farm workers, and the inline word-at-a-time path: the typed error
+/// lands in exactly that slot under the right name, both siblings
+/// equal an unfaulted pass field for field, and the failure is
+/// counted once.
+#[test]
+fn a_latched_failure_stays_in_its_own_slot_on_every_drive_path() {
+    let a = golden();
+    let store = TraceStore::from_archive(&a, 4096);
+    let farm = FarmCfg {
+        workers: 2,
+        ..FarmCfg::default()
+    };
+    let stack = |words: bool, fail_at: Option<u64>| {
+        let mut stack = Stack::new()
+            .with(CacheSink::new(65536, 2, pm()))
+            .with(Fussy {
+                events: 0,
+                words: words.then_some(0),
+                fail_at,
+            })
+            .with(DefenseSink::default());
+        stack.attach_obs(TracerObs::register());
+        stack
+    };
+    let inline = |s: Stack| analyze_words(a.parser(), &a.words, s);
+    let stored = |s: Stack| analyze_store(&store, s, farm).expect("store pass succeeds");
+    type Run<'a> = &'a dyn Fn(Stack) -> StackReport;
+    let paths: [(&str, bool, Run); 3] = [
+        ("inline events", false, &inline),
+        ("2 farm workers", false, &stored),
+        ("inline words", true, &stored),
+    ];
+    for (tag, words, run) in paths {
+        let clean = run(stack(words, None));
+        assert_eq!(clean.failed(), 0, "{tag}");
+        let fussy = clean.ok(1).expect("a healthy fussy reports");
+        assert_eq!(fussy.get_u64("events").map(|e| e * 3), Some(clean.applied));
+        let seen_words = if words { a.words.len() as u64 } else { 0 };
+        assert_eq!(fussy.get_u64("words"), Some(seen_words), "{tag}");
+
+        let before = counter("tracer.sink_errors");
+        let faulted = run(stack(words, Some(3)));
+        assert_eq!(counter("tracer.sink_errors") - before, 1, "{tag}");
+        assert_eq!(faulted.failed(), 1, "{tag}");
+        let err = faulted.reports[1]
+            .as_ref()
+            .expect_err("the fault is reported");
+        assert_eq!(
+            (err.sink.as_str(), err.what.as_str()),
+            ("fussy", "injected")
+        );
+        for i in [0, 2] {
+            assert!(faulted.reports[i].is_ok(), "{tag}: slot {i}");
+            assert_eq!(faulted.reports[i], clean.reports[i], "{tag}: slot {i}");
+        }
+        assert_eq!(faulted.parse, clean.parse, "{tag}");
+        assert_eq!(faulted.words, clean.words, "{tag}");
+        // No hook can abort: the latched sink still saw every event.
+        assert_eq!(faulted.applied, clean.applied, "{tag}");
     }
 }
 
