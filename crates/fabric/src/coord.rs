@@ -358,8 +358,8 @@ mod tests {
             asid = (asid + 1) % 4;
         }
         TraceArchive {
-            kernel_table: kt,
-            user_tables: (0..4).map(|a| (a, BbTable::new())).collect(),
+            kernel_table: Arc::new(kt),
+            user_tables: (0..4).map(|a| (a, Arc::default())).collect(),
             words,
         }
     }

@@ -620,6 +620,7 @@ pub fn split_store(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
     use wrl_store::{filter_stream, BlockFormat};
     use wrl_trace::bbinfo::{BbInfo, BbTraceFlags};
     use wrl_trace::{ctl, BbTable, CtlOp, TraceArchive};
@@ -647,8 +648,8 @@ mod tests {
             asid = (asid + 1) % 4;
         }
         TraceArchive {
-            kernel_table: kt,
-            user_tables: (0..4).map(|a| (a, BbTable::new())).collect(),
+            kernel_table: Arc::new(kt),
+            user_tables: (0..4).map(|a| (a, Arc::default())).collect(),
             words,
         }
     }

@@ -615,10 +615,10 @@ impl System {
         out
     }
 
-    /// Builds a trace parser wired with this system's tables,
-    /// including tables for threads spawned at run time (discovered
-    /// from the final process table: a thread shares its parent's
-    /// binary, so it shares the parent's table under its own token).
+    /// Builds a trace parser sharing this system's tables, including
+    /// tables for threads spawned at run time (discovered from the
+    /// final process table: a thread shares its parent's binary, so
+    /// it shares the parent's table under its own token).
     ///
     /// # Panics
     ///
@@ -628,28 +628,12 @@ impl System {
             .kernel_table
             .clone()
             .expect("parser() needs a traced build");
-        let mut p = wrl_trace::TraceParser::new(kt);
-        for pr in &self.procs {
-            if let Some(t) = &pr.table {
-                p.set_user_table(pr.asid, t.clone());
-            }
-        }
-        // Runtime-spawned threads.
-        let proc_base = self.kernel_exe.exe.sym("k_proc").expect("k_proc symbol") - layout::KSEG0;
-        for slot in self.procs.len()..layout::MAX_PROCS {
-            let pb = proc_base + (slot as u32) * proc_off::SIZE;
-            let state = self.machine.mem.read_word(pb + proc_off::STATE as u32);
-            if state == 0 {
-                continue;
-            }
-            let token = self.machine.mem.read_word(pb + proc_off::TOKEN as u32) as u8;
-            let ctx = self.machine.mem.read_word(pb + proc_off::CONTEXT as u32);
-            let parent = ((ctx - layout::KSEG2) / 0x0020_0000) as usize;
-            if let Some(t) = self.procs.get(parent).and_then(|pr| pr.table.clone()) {
-                p.set_user_table(token, t);
-            }
-        }
-        p
+        let table_of = |asid: u8| self.procs.iter().find(|p| p.asid == asid)?.table.clone();
+        let procs = self.procs.iter().map(|p| (p.asid, p.asid));
+        let users = procs
+            .chain(self.thread_parents())
+            .filter_map(|(token, asid)| Some((token, table_of(asid)?)));
+        wrl_trace::TraceParser::with_tables(kt, users)
     }
 
     /// Bundles a run's trace with this system's tables for
@@ -660,11 +644,11 @@ impl System {
     /// Panics when called on an untraced build.
     pub fn archive(&self, run: &SystemRun) -> wrl_trace::TraceArchive {
         wrl_trace::TraceArchive {
-            kernel_table: (**self.kernel_table.as_ref().expect("traced build")).clone(),
+            kernel_table: self.kernel_table.clone().expect("traced build"),
             user_tables: self
                 .procs
                 .iter()
-                .filter_map(|p| p.table.as_ref().map(|t| (p.asid, (**t).clone())))
+                .filter_map(|p| Some((p.asid, p.table.clone()?)))
                 .collect(),
             words: run.trace_words.clone(),
         }

@@ -219,6 +219,16 @@ macro_rules! time {
     }};
 }
 
+/// Held by every unit test that records or flips the gate: the gate
+/// is process-global and the tests of one binary run in parallel, so
+/// a count taken while `recording_switch_gates_counters` has the gate
+/// off would come up short.
+#[cfg(test)]
+pub(crate) fn gate_lock() -> std::sync::MutexGuard<'static, ()> {
+    static GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    GATE.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,6 +236,7 @@ mod tests {
 
     #[test]
     fn recording_switch_gates_counters() {
+        let _gate = gate_lock();
         let c = Counter::default();
         c.add(3);
         set_recording(false);
@@ -236,6 +247,7 @@ mod tests {
 
     #[test]
     fn concurrent_counter_increments_are_exact() {
+        let _gate = gate_lock();
         let c = Arc::new(Counter::default());
         let threads: Vec<_> = (0..8)
             .map(|_| {
@@ -265,6 +277,7 @@ mod tests {
 
     #[test]
     fn a_table_registers_every_row_with_its_kind_and_site() {
+        let _gate = gate_lock();
         let a = TableObs::register();
         let b = TableObs::register();
         a.count.add(2);

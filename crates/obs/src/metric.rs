@@ -346,6 +346,7 @@ mod tests {
 
     #[test]
     fn histogram_records_and_snapshots() {
+        let _gate = crate::gate_lock();
         let h = Histogram::default();
         for v in [0u64, 1, 1, 5, 4096] {
             h.record(v);
@@ -364,6 +365,7 @@ mod tests {
 
     #[test]
     fn histogram_merge_equals_union() {
+        let _gate = crate::gate_lock();
         let a = Histogram::default();
         let b = Histogram::default();
         let all = Histogram::default();
@@ -381,6 +383,7 @@ mod tests {
 
     #[test]
     fn concurrent_histogram_is_exact() {
+        let _gate = crate::gate_lock();
         let h = std::sync::Arc::new(Histogram::default());
         let threads: Vec<_> = (0..4)
             .map(|t| {
@@ -400,6 +403,7 @@ mod tests {
 
     #[test]
     fn gauge_tracks_high_water() {
+        let _gate = crate::gate_lock();
         let g = Gauge::default();
         g.add(1);
         g.add(1);
@@ -415,6 +419,7 @@ mod tests {
 
     #[test]
     fn span_accumulates() {
+        let _gate = crate::gate_lock();
         let s = Span::default();
         s.record_ns(10);
         s.record_ns(30);

@@ -314,6 +314,7 @@ mod tests {
 
     #[test]
     fn registration_is_idempotent_and_sorted() {
+        let _gate = crate::gate_lock();
         let r = Registry::new();
         let a = r.counter(desc("b.count"));
         let b = r.counter(desc("b.count"));
@@ -336,6 +337,7 @@ mod tests {
 
     #[test]
     fn reset_zeroes_but_keeps_registrations() {
+        let _gate = crate::gate_lock();
         let r = Registry::new();
         let c = r.counter(desc("c"));
         let h = r.histogram(desc("h"));
@@ -349,6 +351,7 @@ mod tests {
 
     #[test]
     fn json_export_parses_and_round_trips_values() {
+        let _gate = crate::gate_lock();
         let r = Registry::new();
         r.counter(desc("c")).add(7);
         r.gauge(desc("g")).set(-2);

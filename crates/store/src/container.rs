@@ -380,10 +380,11 @@ impl BlockFormat {
 /// — workers decode blocks concurrently with no coordination.
 #[derive(Clone, Debug)]
 pub struct TraceStore {
-    /// The kernel's basic-block table.
-    pub kernel_table: BbTable,
+    /// The kernel's basic-block table, shared with the archive the
+    /// store was built from and with every parser.
+    pub kernel_table: Arc<BbTable>,
     /// Per-ASID user tables.
-    pub user_tables: Vec<(u8, BbTable)>,
+    pub user_tables: Vec<(u8, Arc<BbTable>)>,
     /// Total trace words across all blocks.
     pub n_words: u64,
     /// Nominal words per block (the last block may be short).
@@ -653,13 +654,9 @@ impl TraceStore {
         })
     }
 
-    /// Builds a parser wired with this store's tables.
+    /// Builds a parser sharing this store's tables.
     pub fn parser(&self) -> TraceParser {
-        let mut p = TraceParser::new(Arc::new(self.kernel_table.clone()));
-        for (asid, t) in &self.user_tables {
-            p.set_user_table(*asid, Arc::new(t.clone()));
-        }
-        p
+        TraceParser::with_tables(self.kernel_table.clone(), self.user_tables.iter().cloned())
     }
 
     /// Encodes the store to bytes (a version-3 or version-4
@@ -1232,8 +1229,8 @@ mod tests {
         words.extend(std::iter::repeat_n(0x8003_0100, n_words as usize));
         words.push(ctl(CtlOp::KExit, 0));
         TraceArchive {
-            kernel_table: kt,
-            user_tables: vec![(3, BbTable::new())],
+            kernel_table: Arc::new(kt),
+            user_tables: vec![(3, Arc::default())],
             words,
         }
     }
@@ -1474,7 +1471,7 @@ mod tests {
         }
         words.push(ctl(CtlOp::KExit, 0));
         let a = TraceArchive {
-            kernel_table: kt,
+            kernel_table: Arc::new(kt),
             user_tables: vec![],
             words,
         };
@@ -1601,7 +1598,7 @@ mod tests {
             });
         }
         TraceArchive {
-            kernel_table: BbTable::new(),
+            kernel_table: Arc::default(),
             user_tables: vec![],
             words,
         }

@@ -364,8 +364,8 @@ mod tests {
         }
         words.push(ctl(CtlOp::Eof, 0));
         let a = TraceArchive {
-            kernel_table: kt,
-            user_tables: vec![(5, ut)],
+            kernel_table: Arc::new(kt),
+            user_tables: vec![(5, Arc::new(ut))],
             words,
         };
         TraceStore::from_archive(&a, block_words)

@@ -17,7 +17,7 @@
 //!                         u16 n_ops { u16 index, u8 store, u8 width }* }*
 //! ```
 
-use std::io::{self, Read, Write};
+use std::io;
 use std::sync::Arc;
 
 use crate::bbinfo::{BbInfo, BbTable, BbTraceFlags, MemOp};
@@ -33,10 +33,11 @@ pub const VERSION: u32 = 1;
 /// A bundled system trace.
 #[derive(Clone, Debug, Default)]
 pub struct TraceArchive {
-    /// The kernel's basic-block table.
-    pub kernel_table: BbTable,
+    /// The kernel's basic-block table, shared with every parser and
+    /// store built from this archive.
+    pub kernel_table: Arc<BbTable>,
     /// Per-ASID user tables.
-    pub user_tables: Vec<(u8, BbTable)>,
+    pub user_tables: Vec<(u8, Arc<BbTable>)>,
     /// The raw trace words.
     pub words: Vec<u32>,
 }
@@ -114,7 +115,7 @@ fn encode_table(out: &mut Vec<u8>, t: &BbTable) {
 /// per-ASID user tables — in the exact byte layout both archive
 /// versions share. Public so the `wrl-store` v2 container can embed
 /// an identical table section without duplicating the codec.
-pub fn encode_table_section(out: &mut Vec<u8>, kernel: &BbTable, users: &[(u8, BbTable)]) {
+pub fn encode_table_section(out: &mut Vec<u8>, kernel: &BbTable, users: &[(u8, Arc<BbTable>)]) {
     encode_table(out, kernel);
     put_u32(out, users.len() as u32);
     for (asid, t) in users {
@@ -125,7 +126,7 @@ pub fn encode_table_section(out: &mut Vec<u8>, kernel: &BbTable, users: &[(u8, B
 
 /// A decoded table section: the kernel table, the per-ASID user
 /// tables, and the number of bytes the section occupied.
-pub type TableSection = (BbTable, Vec<(u8, BbTable)>, usize);
+pub type TableSection = (Arc<BbTable>, Vec<(u8, Arc<BbTable>)>, usize);
 
 /// Decodes a table section produced by [`encode_table_section`],
 /// returning the tables and the number of bytes consumed.
@@ -144,7 +145,7 @@ pub fn decode_table_section(buf: &[u8]) -> Result<TableSection, ArchiveError> {
     Ok((kernel, users, c.pos()))
 }
 
-fn decode_table(c: &mut Cursor) -> Result<BbTable, ArchiveError> {
+fn decode_table(c: &mut Cursor) -> Result<Arc<BbTable>, ArchiveError> {
     let n = c.u32()? as usize;
     let mut t = BbTable::new();
     for _ in 0..n {
@@ -183,7 +184,7 @@ fn decode_table(c: &mut Cursor) -> Result<BbTable, ArchiveError> {
             },
         );
     }
-    Ok(t)
+    Ok(Arc::new(t))
 }
 
 impl TraceArchive {
@@ -219,18 +220,6 @@ impl TraceArchive {
         })
     }
 
-    /// Writes the archive to a stream.
-    pub fn write_to(&self, w: &mut impl Write) -> io::Result<()> {
-        w.write_all(&self.encode())
-    }
-
-    /// Reads an archive from a stream.
-    pub fn read_from(r: &mut impl Read) -> Result<TraceArchive, ArchiveError> {
-        let mut buf = Vec::new();
-        r.read_to_end(&mut buf)?;
-        TraceArchive::decode(&buf)
-    }
-
     /// Saves to a file.
     pub fn save(&self, path: impl AsRef<std::path::Path>) -> io::Result<()> {
         std::fs::write(path, self.encode())
@@ -241,13 +230,9 @@ impl TraceArchive {
         TraceArchive::decode(&std::fs::read(path)?)
     }
 
-    /// Builds a parser wired with this archive's tables.
+    /// Builds a parser sharing this archive's tables.
     pub fn parser(&self) -> TraceParser {
-        let mut p = TraceParser::new(Arc::new(self.kernel_table.clone()));
-        for (asid, t) in &self.user_tables {
-            p.set_user_table(*asid, Arc::new(t.clone()));
-        }
-        p
+        TraceParser::with_tables(self.kernel_table.clone(), self.user_tables.iter().cloned())
     }
 }
 
@@ -291,8 +276,8 @@ mod tests {
             },
         );
         TraceArchive {
-            kernel_table: kt,
-            user_tables: vec![(3, ut)],
+            kernel_table: Arc::new(kt),
+            user_tables: vec![(3, Arc::new(ut))],
             words: vec![
                 ctl(CtlOp::CtxSwitch, 3),
                 0x0050_0000,

@@ -62,10 +62,14 @@ impl BbInfo {
 /// The basic-block lookup table for one binary.
 ///
 /// Keys are *basic-block ids*: the return address that `jal bbtrace`
-/// stores, i.e. an address inside the instrumented text.
+/// stores, i.e. an address inside the instrumented text. Blocks sit
+/// in insertion order, so a block also has a *position* — what the
+/// parser holds while a block is open, instead of looking the id up
+/// again for every memory word.
 #[derive(Clone, Debug, Default)]
 pub struct BbTable {
-    map: HashMap<u32, BbInfo>,
+    blocks: Vec<(u32, BbInfo)>,
+    index: HashMap<u32, u32>,
 }
 
 impl BbTable {
@@ -74,40 +78,63 @@ impl BbTable {
         BbTable::default()
     }
 
-    /// Inserts a block under its id.
+    /// Inserts a block under its id, replacing any block already
+    /// there (which keeps its position).
     pub fn insert(&mut self, bb_id: u32, info: BbInfo) {
-        self.map.insert(bb_id, info);
+        match self.index.get(&bb_id) {
+            Some(&pos) => self.blocks[pos as usize].1 = info,
+            None => {
+                self.index.insert(bb_id, self.blocks.len() as u32);
+                self.blocks.push((bb_id, info));
+            }
+        }
     }
 
     /// Looks up a block by id.
     pub fn get(&self, bb_id: u32) -> Option<&BbInfo> {
-        self.map.get(&bb_id)
+        self.position(bb_id).map(|pos| self.at(pos))
+    }
+
+    /// The position of the block with this id, for [`BbTable::at`].
+    pub fn position(&self, bb_id: u32) -> Option<u32> {
+        self.index.get(&bb_id).copied()
+    }
+
+    /// The block at a position [`BbTable::position`] returned.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pos` is not a position in this table.
+    pub fn at(&self, pos: u32) -> &BbInfo {
+        &self.blocks[pos as usize].1
     }
 
     /// Number of blocks.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.blocks.len()
     }
 
     /// True if the table is empty.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.blocks.is_empty()
     }
 
-    /// Iterates over `(bb_id, info)` pairs.
+    /// Iterates over `(bb_id, info)` pairs, in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = (&u32, &BbInfo)> {
-        self.map.iter()
+        self.blocks.iter().map(|(id, info)| (id, info))
     }
 
     /// Total original instructions across all blocks (static count).
     pub fn static_insts(&self) -> u64 {
-        self.map.values().map(|b| b.n_insts as u64).sum()
+        self.iter().map(|(_, b)| b.n_insts as u64).sum()
     }
 
     /// Merges another table into this one (kernel = epoxie-rewritten
     /// objects + hand-traced entries).
     pub fn merge(&mut self, other: BbTable) {
-        self.map.extend(other.map);
+        for (id, info) in other.blocks {
+            self.insert(id, info);
+        }
     }
 }
 

@@ -11,10 +11,9 @@
 //! missing memory words and junk control words are detected and
 //! reported rather than silently misparsed.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::bbinfo::BbTable;
+use crate::bbinfo::{BbInfo, BbTable};
 use crate::format::{classify, is_kernel_addr, CtlOp, TraceWord};
 use wrl_isa::Width;
 
@@ -174,33 +173,87 @@ pub struct ParseStats {
     pub errors: u64,
 }
 
+/// A block some context has open: which block, and how far in.
 #[derive(Clone, Copy, Debug)]
 struct Pending {
     bb_id: u32,
+    /// The block's position in the table of the context that opened
+    /// it, resolved once, when the id word arrived.
+    pos: u32,
     /// Instructions already emitted as I-refs.
     emitted: u16,
     /// Memory operations already consumed.
-    ops_done: u16,
+    ops_done: u32,
+}
+
+/// What the parser keeps per user address space.
+#[derive(Default)]
+struct UserCtx {
+    table: Option<Arc<BbTable>>,
+    /// The partial block suspended or running in this space; its
+    /// position indexes `table`.
+    pending: Option<Pending>,
+    /// `NoTableForAsid` was already reported for this ASID.
+    missing_reported: bool,
 }
 
 /// The streaming trace parser.
 pub struct TraceParser {
     kernel_tab: Arc<BbTable>,
-    user_tabs: HashMap<u8, Arc<BbTable>>,
+    /// One context per ASID: the whole key space, so the end-of-stream
+    /// flush walks it in ASID order.
+    users: Box<[UserCtx; 256]>,
     base_asid: u8,
     /// Kernel nesting frames; each holds that activation's partial bb.
     kstack: Vec<Option<Pending>>,
-    /// Suspended partial blocks per user address space.
-    user_pend: HashMap<u8, Option<Pending>>,
     idle: bool,
     pos: u64,
     /// Detailed errors (capped at [`TraceParser::MAX_ERRORS`]).
     pub errors: Vec<ParseError>,
     /// Aggregate statistics.
     pub stats: ParseStats,
-    missing_tables: std::collections::HashSet<u8>,
     /// Live error tallies (§4.3), bumped as errors are detected.
     obs: Option<crate::obs::ParserObs>,
+}
+
+/// Emits I-refs for instructions `[p.emitted, upto)` of `p`'s block,
+/// which `info` describes.
+fn emit_irefs(
+    stats: &mut ParseStats,
+    idle: bool,
+    info: &BbInfo,
+    p: &mut Pending,
+    upto: u16,
+    space: Space,
+    sink: &mut dyn TraceSink,
+) {
+    let upto = upto.min(info.n_insts);
+    for i in p.emitted..upto {
+        // A table read from a file may put a block anywhere; the
+        // address space wraps rather than the arithmetic.
+        sink.iref(info.orig_vaddr.wrapping_add(u32::from(i) * 4), space, idle);
+        match space {
+            Space::Kernel => stats.kernel_irefs += 1,
+            Space::User(_) => stats.user_irefs += 1,
+        }
+        stats.idle_insts += u64::from(idle);
+    }
+    p.emitted = p.emitted.max(upto);
+}
+
+/// Flushes the remainder of an open block (its trailing I-refs after
+/// the last memory operation).
+fn flush(
+    stats: &mut ParseStats,
+    idle: bool,
+    tab: &BbTable,
+    open: Option<Pending>,
+    space: Space,
+    sink: &mut dyn TraceSink,
+) {
+    if let Some(mut p) = open {
+        emit_irefs(stats, idle, tab.at(p.pos), &mut p, u16::MAX, space, sink);
+    }
 }
 
 impl TraceParser {
@@ -209,24 +262,42 @@ impl TraceParser {
 
     /// Creates a parser with the kernel's basic-block table.
     pub fn new(kernel_tab: Arc<BbTable>) -> TraceParser {
-        TraceParser {
+        TraceParser::with_tables(kernel_tab, [])
+    }
+
+    /// Creates a parser with the kernel's table and one table per
+    /// user address space. The tables are shared, not copied.
+    pub fn with_tables(
+        kernel_tab: Arc<BbTable>,
+        users: impl IntoIterator<Item = (u8, Arc<BbTable>)>,
+    ) -> TraceParser {
+        let mut p = TraceParser {
             kernel_tab,
-            user_tabs: HashMap::new(),
+            users: Box::new(std::array::from_fn(|_| UserCtx::default())),
             base_asid: 0,
             kstack: Vec::new(),
-            user_pend: HashMap::new(),
             idle: false,
             pos: 0,
             errors: Vec::new(),
             stats: ParseStats::default(),
-            missing_tables: std::collections::HashSet::new(),
             obs: None,
+        };
+        for (asid, tab) in users {
+            p.set_user_table(asid, tab);
         }
+        p
     }
 
     /// Registers the basic-block table for a user address space.
+    ///
+    /// A block the space still has open is abandoned: its position
+    /// belongs to the table being replaced, and the new table
+    /// describes a different binary. Nothing more is emitted for it
+    /// and no truncation is reported.
     pub fn set_user_table(&mut self, asid: u8, tab: Arc<BbTable>) {
-        self.user_tabs.insert(asid, tab);
+        let ctx = &mut self.users[asid as usize];
+        ctx.table = Some(tab);
+        ctx.pending = None;
     }
 
     /// Attaches live error-tally counters: every defensive-check
@@ -246,69 +317,6 @@ impl TraceParser {
         }
     }
 
-    fn cur_space(&self) -> Space {
-        if self.kstack.is_empty() {
-            Space::User(self.base_asid)
-        } else {
-            Space::Kernel
-        }
-    }
-
-    fn table_for(&self, space: Space) -> Option<&Arc<BbTable>> {
-        match space {
-            Space::Kernel => Some(&self.kernel_tab),
-            Space::User(a) => self.user_tabs.get(&a),
-        }
-    }
-
-    fn pending_mut(&mut self) -> &mut Option<Pending> {
-        if let Some(top) = self.kstack.last_mut() {
-            top
-        } else {
-            self.user_pend.entry(self.base_asid).or_insert(None)
-        }
-    }
-
-    /// Emits I-refs for instructions `[p.emitted, upto)` of `p`'s bb.
-    fn emit_irefs(&mut self, p: &mut Pending, upto: u16, space: Space, sink: &mut dyn TraceSink) {
-        let tab = match self.table_for(space) {
-            Some(t) => t.clone(),
-            None => return,
-        };
-        let Some(info) = tab.get(p.bb_id) else {
-            return;
-        };
-        for i in p.emitted..upto.min(info.n_insts) {
-            let va = info.orig_vaddr + (i as u32) * 4;
-            sink.iref(va, space, self.idle);
-            match space {
-                Space::Kernel => self.stats.kernel_irefs += 1,
-                Space::User(_) => self.stats.user_irefs += 1,
-            }
-            if self.idle {
-                self.stats.idle_insts += 1;
-            }
-        }
-        p.emitted = p.emitted.max(upto.min(info.n_insts));
-    }
-
-    /// Flushes the remainder of a pending block (its trailing
-    /// I-refs after the last memory operation).
-    fn flush_pending(&mut self, space: Space, sink: &mut dyn TraceSink) {
-        let slot = match space {
-            Space::Kernel => self.kstack.last_mut().and_then(|s| s.take()),
-            Space::User(a) => self.user_pend.get_mut(&a).and_then(|s| s.take()),
-        };
-        if let Some(mut p) = slot {
-            let n = self
-                .table_for(space)
-                .and_then(|t| t.get(p.bb_id))
-                .map(|i| i.n_insts)
-                .unwrap_or(0);
-            self.emit_irefs(&mut p, n, space, sink);
-        }
-    }
-
     /// Consumes one trace word.
     pub fn push_word(&mut self, w: u32, sink: &mut dyn TraceSink) {
         let pos = self.pos;
@@ -319,9 +327,8 @@ impl TraceParser {
                 CtlOp::CtxSwitch => {
                     self.base_asid = c.payload;
                     self.stats.ctx_switches += 1;
-                    if !self.user_tabs.contains_key(&c.payload)
-                        && self.missing_tables.insert(c.payload)
-                    {
+                    let ctx = &mut self.users[c.payload as usize];
+                    if ctx.table.is_none() && !std::mem::replace(&mut ctx.missing_reported, true) {
                         self.err(ParseError::NoTableForAsid { asid: c.payload });
                     }
                     sink.ctx_switch(c.payload);
@@ -330,14 +337,10 @@ impl TraceParser {
                     self.kstack.push(None);
                     self.stats.kernel_entries += 1;
                 }
-                CtlOp::KExit => {
-                    if self.kstack.is_empty() {
-                        self.err(ParseError::UnbalancedKExit { pos });
-                    } else {
-                        self.flush_pending(Space::Kernel, sink);
-                        self.kstack.pop();
-                    }
-                }
+                CtlOp::KExit => match self.kstack.pop() {
+                    None => self.err(ParseError::UnbalancedKExit { pos }),
+                    Some(frame) => self.flush_kernel(frame, sink),
+                },
                 CtlOp::TraceOn => {
                     sink.mode_transition(true);
                 }
@@ -354,28 +357,37 @@ impl TraceParser {
         }
     }
 
+    /// Flushes the block of a kernel activation that has ended.
+    fn flush_kernel(&mut self, frame: Option<Pending>, sink: &mut dyn TraceSink) {
+        let tab = &self.kernel_tab;
+        flush(&mut self.stats, self.idle, tab, frame, Space::Kernel, sink);
+    }
+
     fn push_addr(&mut self, addr: u32, pos: u64, sink: &mut dyn TraceSink) {
-        let space = self.cur_space();
+        // The current context: its table and the block it has open.
+        let (space, tab, slot) = match self.kstack.last_mut() {
+            Some(top) => (Space::Kernel, Some(&*self.kernel_tab), top),
+            None => {
+                let ctx = &mut self.users[self.base_asid as usize];
+                let space = Space::User(self.base_asid);
+                (space, ctx.table.as_deref(), &mut ctx.pending)
+            }
+        };
         // If the current context owes memory words, this is one.
-        let pending = *self.pending_mut();
-        if let Some(mut p) = pending {
-            let tab = self.table_for(space).cloned();
-            let info = tab.as_ref().and_then(|t| t.get(p.bb_id)).cloned();
-            if let Some(info) = info {
-                if (p.ops_done as usize) < info.ops.len() {
-                    let op = info.ops[p.ops_done as usize];
-                    // I-refs up to and including the memory instruction.
-                    self.emit_irefs(&mut p, op.index + 1, space, sink);
-                    sink.dref(addr, op.store, op.width, space);
-                    self.stats.mem_records += 1;
-                    match space {
-                        Space::Kernel => self.stats.kernel_drefs += 1,
-                        Space::User(_) => self.stats.user_drefs += 1,
-                    }
-                    p.ops_done += 1;
-                    *self.pending_mut() = Some(p);
-                    return;
+        if let (Some(tab), Some(p)) = (tab, slot.as_mut()) {
+            let info = tab.at(p.pos);
+            if let Some(op) = info.ops.get(p.ops_done as usize) {
+                // I-refs up to and including the memory instruction.
+                let upto = op.index.saturating_add(1);
+                emit_irefs(&mut self.stats, self.idle, info, p, upto, space, sink);
+                sink.dref(addr, op.store, op.width, space);
+                self.stats.mem_records += 1;
+                match space {
+                    Space::Kernel => self.stats.kernel_drefs += 1,
+                    Space::User(_) => self.stats.user_drefs += 1,
                 }
+                p.ops_done += 1;
+                return;
             }
         }
         // Otherwise it must be a basic-block id for this space.
@@ -383,9 +395,8 @@ impl TraceParser {
             self.err(ParseError::WrongSpace { word: addr, pos });
             return;
         }
-        let tab = self.table_for(space).cloned();
-        let info = tab.as_ref().and_then(|t| t.get(addr)).cloned();
-        let Some(info) = info else {
+        // The one table lookup a block costs.
+        let Some((tab, at)) = tab.and_then(|t| Some((t, t.position(addr)?))) else {
             self.err(ParseError::UnknownBb {
                 word: addr,
                 pos,
@@ -394,7 +405,8 @@ impl TraceParser {
             return;
         };
         // Close out the previous block, then open this one.
-        self.flush_pending(space, sink);
+        flush(&mut self.stats, self.idle, tab, slot.take(), space, sink);
+        let info = tab.at(at);
         if info.flags.idle_start {
             self.idle = true;
         }
@@ -402,58 +414,51 @@ impl TraceParser {
             self.idle = false;
         }
         self.stats.bb_records += 1;
-        let mut p = Pending {
+        let p = slot.insert(Pending {
             bb_id: addr,
+            pos: at,
             emitted: 0,
             ops_done: 0,
-        };
+        });
         if info.ops.is_empty() {
             // No memory words will follow; emit all I-refs now.
-            self.emit_irefs(&mut p, info.n_insts, space, sink);
-            *self.pending_mut() = Some(p);
-        } else {
-            *self.pending_mut() = Some(p);
+            emit_irefs(&mut self.stats, self.idle, info, p, u16::MAX, space, sink);
         }
     }
 
     /// Finalises the stream: checks truncation, then flushes every
-    /// context's partial block.
+    /// context's partial block — kernel activations innermost first,
+    /// then the user address spaces in ASID order.
     pub fn finish(&mut self, sink: &mut dyn TraceSink) {
         // Truncation check: any context still owing memory words?
-        // User contexts are visited in ASID order: `user_pend` is a
-        // HashMap, and hash order would make the trailing flush (and
-        // so the emitted reference order) vary from run to run.
-        let mut user_asids: Vec<u8> = self.user_pend.keys().copied().collect();
-        user_asids.sort_unstable();
-        let mut owed: Vec<(u32, usize)> = Vec::new();
-        let slots: Vec<(Space, Pending)> = self
-            .kstack
+        let kernel = self.kstack.iter().flatten().map(|p| (&self.kernel_tab, p));
+        let users = self
+            .users
             .iter()
-            .filter_map(|s| s.map(|p| (Space::Kernel, p)))
-            .chain(
-                user_asids
-                    .iter()
-                    .filter_map(|&a| self.user_pend[&a].map(|p| (Space::User(a), p))),
-            )
+            .filter_map(|ctx| Some((ctx.table.as_ref()?, ctx.pending.as_ref()?)));
+        let owed: Vec<ParseError> = kernel
+            .chain(users)
+            .filter_map(|(tab, p)| {
+                let missing = tab.at(p.pos).ops.len().saturating_sub(p.ops_done as usize);
+                (missing > 0).then_some(ParseError::Truncated {
+                    bb_id: p.bb_id,
+                    missing,
+                })
+            })
             .collect();
-        for (space, slot) in slots {
-            if let Some(info) = self.table_for(space).and_then(|t| t.get(slot.bb_id)) {
-                let missing = info.ops.len().saturating_sub(slot.ops_done as usize);
-                if missing > 0 {
-                    owed.push((slot.bb_id, missing));
-                }
-            }
-        }
-        for (bb_id, missing) in owed {
-            self.err(ParseError::Truncated { bb_id, missing });
+        for e in owed {
+            self.err(e);
         }
         // Flush trailing I-refs everywhere.
-        while !self.kstack.is_empty() {
-            self.flush_pending(Space::Kernel, sink);
-            self.kstack.pop();
+        while let Some(frame) = self.kstack.pop() {
+            self.flush_kernel(frame, sink);
         }
-        for a in user_asids {
-            self.flush_pending(Space::User(a), sink);
+        let (stats, idle) = (&mut self.stats, self.idle);
+        for (asid, ctx) in (0..=u8::MAX).zip(self.users.iter_mut()) {
+            if let Some(tab) = &ctx.table {
+                let open = ctx.pending.take();
+                flush(stats, idle, tab, open, Space::User(asid), sink);
+            }
         }
     }
 

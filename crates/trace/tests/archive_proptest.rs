@@ -6,6 +6,7 @@
 
 use proptest::collection::vec;
 use proptest::prelude::*;
+use std::sync::Arc;
 use wrl_isa::Width;
 use wrl_trace::bbinfo::{BbInfo, BbTable, BbTraceFlags, MemOp};
 use wrl_trace::{ArchiveError, TraceArchive};
@@ -23,7 +24,7 @@ fn width_of(k: u8) -> Width {
 type GenBlock = (u32, u16, u8, Vec<(u16, bool, u8)>);
 
 /// Builds a table from compact generator output.
-fn table_of(blocks: Vec<GenBlock>) -> BbTable {
+fn table_of(blocks: Vec<GenBlock>) -> Arc<BbTable> {
     let mut t = BbTable::new();
     for (id, n_insts, flags, ops) in blocks {
         t.insert(
@@ -47,7 +48,7 @@ fn table_of(blocks: Vec<GenBlock>) -> BbTable {
             },
         );
     }
-    t
+    Arc::new(t)
 }
 
 fn block_strategy() -> impl Strategy<Value = GenBlock> {

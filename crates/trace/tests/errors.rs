@@ -213,3 +213,137 @@ fn damage_in_one_process_does_not_poison_another() {
     assert_eq!(sink.irefs.len(), 6, "both healthy blocks parse fully");
     assert_eq!(sink.drefs.len(), 2);
 }
+
+fn bb(orig_vaddr: u32, n_insts: u16, indices: &[u16]) -> BbInfo {
+    BbInfo {
+        orig_vaddr,
+        n_insts,
+        ops: indices
+            .iter()
+            .map(|&index| MemOp {
+                index,
+                store: false,
+                width: Width::Word,
+            })
+            .collect(),
+        flags: BbTraceFlags::default(),
+    }
+}
+
+fn one_block(id: u32, info: BbInfo) -> Arc<BbTable> {
+    let mut t = BbTable::new();
+    t.insert(id, info);
+    Arc::new(t)
+}
+
+#[test]
+fn end_of_stream_flushes_kernel_activations_then_users_in_asid_order() {
+    use wrl_trace::{EventVec, RefEvent, Space};
+    // Every block owes a memory word when the stream ends: three user
+    // address spaces, switched to in the order 9, 2, 200, and two
+    // nested kernel activations.
+    let mut kt = BbTable::new();
+    kt.insert(0x8003_0100, bb(0x8003_0000, 2, &[0, 1]));
+    kt.insert(0x8004_0100, bb(0x8004_0000, 3, &[2]));
+    let mut p = TraceParser::new(Arc::new(kt));
+    p.set_user_table(9, one_block(0x0059_0000, bb(0x0049_0000, 2, &[1])));
+    p.set_user_table(2, one_block(0x0052_0000, bb(0x0042_0000, 3, &[0, 2])));
+    p.set_user_table(200, one_block(0x005c_0000, bb(0x004c_0000, 1, &[0])));
+    let words = [
+        ctl(CtlOp::CtxSwitch, 9),
+        0x0059_0000,
+        ctl(CtlOp::CtxSwitch, 2),
+        0x0052_0000,
+        0x0100_0000, // ASID 2's first load; its second never arrives
+        ctl(CtlOp::CtxSwitch, 200),
+        0x005c_0000,
+        ctl(CtlOp::KEnter, 0),
+        0x8003_0100,
+        ctl(CtlOp::KEnter, 0),
+        0x8004_0100,
+    ];
+    let mut sink = EventVec::default();
+    p.parse_all(&words, &mut sink);
+    let iref = |vaddr, space| RefEvent::Iref {
+        vaddr,
+        space,
+        idle: false,
+    };
+    let tail = [
+        // Innermost activation, then the one it interrupted.
+        iref(0x8004_0000, Space::Kernel),
+        iref(0x8004_0004, Space::Kernel),
+        iref(0x8004_0008, Space::Kernel),
+        iref(0x8003_0000, Space::Kernel),
+        iref(0x8003_0004, Space::Kernel),
+        // Then the user spaces by ASID, not by arrival.
+        iref(0x0042_0004, Space::User(2)),
+        iref(0x0042_0008, Space::User(2)),
+        iref(0x0049_0000, Space::User(9)),
+        iref(0x0049_0004, Space::User(9)),
+        iref(0x004c_0000, Space::User(200)),
+    ];
+    assert_eq!(sink.0[sink.0.len() - tail.len()..], tail);
+    let truncated = |bb_id, missing| ParseError::Truncated { bb_id, missing };
+    assert_eq!(
+        p.errors,
+        [
+            // Activations outermost first, then ASIDs ascending.
+            truncated(0x8003_0100, 2),
+            truncated(0x8004_0100, 1),
+            truncated(0x0052_0000, 1),
+            truncated(0x0059_0000, 1),
+            truncated(0x005c_0000, 1),
+        ]
+    );
+}
+
+/// Table fields arrive from archive files unvalidated (`decode_table`
+/// takes any `u16` op index and any `u32` `orig_vaddr`); the parser's
+/// arithmetic on them must not overflow.
+#[test]
+fn op_index_at_u16_max_does_not_overflow() {
+    let mut p = TraceParser::new(Arc::new(BbTable::new()));
+    p.set_user_table(7, one_block(UBB, bb(0x0040_0000, 3, &[u16::MAX])));
+    let mut sink = CollectSink::default();
+    p.parse_all(&[ctl(CtlOp::CtxSwitch, 7), UBB, 0x0100_0000], &mut sink);
+    assert_eq!(p.stats.errors, 0, "{:?}", p.errors);
+    // The op sits past the block's end: every instruction precedes it.
+    assert_eq!(sink.irefs.len(), 3);
+    assert_eq!(sink.drefs.len(), 1);
+}
+
+#[test]
+fn block_at_the_top_of_the_address_space_wraps() {
+    let mut p = TraceParser::new(Arc::new(BbTable::new()));
+    p.set_user_table(7, one_block(UBB, bb(0xffff_fffc, 3, &[])));
+    let mut sink = CollectSink::default();
+    p.parse_all(&[ctl(CtlOp::CtxSwitch, 7), UBB], &mut sink);
+    assert_eq!(p.stats.errors, 0, "{:?}", p.errors);
+    let vaddrs: Vec<u32> = sink.irefs.iter().map(|r| r.0).collect();
+    assert_eq!(vaddrs, [0xffff_fffc, 0, 4]);
+}
+
+/// An open block is held as a position in the table its address
+/// space had when the block opened, so `set_user_table` over that
+/// table abandons the block: the next address word is a block id of
+/// the new table, not the memory word the old block owed, and the
+/// stale position is never used.
+#[test]
+fn replacing_a_table_mid_stream_abandons_the_open_block() {
+    let mut old = BbTable::new();
+    old.insert(0x0051_0000, bb(0x0041_0000, 1, &[]));
+    old.insert(UBB, bb(0x0040_0000, 3, &[1])); // position 1
+    let mut p = TraceParser::new(Arc::new(BbTable::new()));
+    p.set_user_table(7, Arc::new(old));
+    let mut sink = CollectSink::default();
+    p.push_words(&[ctl(CtlOp::CtxSwitch, 7), UBB], &mut sink);
+    // The new table has no position 1.
+    p.set_user_table(7, one_block(0x0060_0000, bb(0x0044_0000, 2, &[])));
+    p.push_words(&[0x0060_0000], &mut sink);
+    p.finish(&mut sink);
+    assert_eq!(p.stats.errors, 0, "{:?}", p.errors);
+    let vaddrs: Vec<u32> = sink.irefs.iter().map(|r| r.0).collect();
+    assert_eq!(vaddrs, [0x0044_0000, 0x0044_0004]);
+    assert!(sink.drefs.is_empty());
+}

@@ -7,7 +7,24 @@ use std::sync::Arc;
 use wrl_isa::Width;
 use wrl_trace::bbinfo::{BbInfo, BbTable, BbTraceFlags, MemOp};
 use wrl_trace::format::{ctl, CtlOp};
-use wrl_trace::{CollectSink, TraceParser};
+use wrl_trace::{CollectSink, Space, TraceParser, TraceSink};
+
+/// Counts references (a block of 65535 instructions is too many to
+/// collect six hundred times a case).
+#[derive(Default)]
+struct Counts {
+    irefs: u64,
+    drefs: u64,
+}
+
+impl TraceSink for Counts {
+    fn iref(&mut self, _: u32, _: Space, _: bool) {
+        self.irefs += 1;
+    }
+    fn dref(&mut self, _: u32, _: bool, _: Width, _: Space) {
+        self.drefs += 1;
+    }
+}
 
 fn table(blocks: &[(u32, u16, usize)]) -> Arc<BbTable> {
     let mut t = BbTable::new();
@@ -31,17 +48,65 @@ fn table(blocks: &[(u32, u16, usize)]) -> Arc<BbTable> {
     Arc::new(t)
 }
 
+/// Words that reach every parser path: junk, control words, a block
+/// id of each table, and memory words.
+fn any_word() -> impl Strategy<Value = u32> {
+    prop_oneof![
+        any::<u32>(),
+        0u32..0x1_0000,
+        Just(0x8003_0000u32),
+        Just(0x0050_0000u32),
+        0x0100_0000u32..0x0100_1000,
+    ]
+}
+
+/// A block whose every field is drawn from its full range, as a
+/// table read from a damaged archive may hold (`decode_table` checks
+/// none of them). A uniform draw never lands on the ends of a range,
+/// where the arithmetic overflows, so a third of the draws are put
+/// there.
+fn any_block() -> impl Strategy<Value = BbInfo> {
+    let any_u16 = || prop_oneof![any::<u16>(), 0u16..4, 0xfffcu16..=u16::MAX];
+    let op = (any_u16(), any::<bool>()).prop_map(|(index, store)| MemOp {
+        index,
+        store,
+        width: Width::Word,
+    });
+    (
+        prop_oneof![any::<u32>(), 0u32..64, 0xffff_ff00u32..=u32::MAX],
+        any_u16(),
+        proptest::collection::vec(op, 0..4),
+    )
+        .prop_map(|(orig_vaddr, n_insts, ops)| BbInfo {
+            orig_vaddr,
+            n_insts,
+            ops,
+            flags: BbTraceFlags::default(),
+        })
+}
+
 proptest! {
-    /// The parser never panics on arbitrary garbage.
+    /// The parser never panics, on arbitrary garbage decoded with
+    /// arbitrary tables.
     #[test]
-    fn parser_is_total(words in proptest::collection::vec(any::<u32>(), 0..600)) {
-        let kt = table(&[(0x8003_0000, 4, 1)]);
-        let mut p = TraceParser::new(kt);
-        p.set_user_table(0, table(&[(0x0050_0000, 3, 2)]));
-        let mut sink = CollectSink::default();
+    fn parser_is_total(
+        words in proptest::collection::vec(any_word(), 0..600),
+        kblock in any_block(),
+        ublock in any_block(),
+    ) {
+        let mut kt = BbTable::new();
+        kt.insert(0x8003_0000, kblock);
+        let mut ut = BbTable::new();
+        ut.insert(0x0050_0000, ublock);
+        let mut p = TraceParser::new(Arc::new(kt));
+        p.set_user_table(0, Arc::new(ut));
+        let mut sink = Counts::default();
         p.parse_all(&words, &mut sink);
-        // Words are conserved in the statistics.
+        // Words are conserved in the statistics, and references in
+        // the sink.
         prop_assert_eq!(p.stats.words, words.len() as u64);
+        prop_assert_eq!(p.stats.user_irefs + p.stats.kernel_irefs, sink.irefs);
+        prop_assert_eq!(p.stats.user_drefs + p.stats.kernel_drefs, sink.drefs);
     }
 
     /// A well-formed stream of user blocks parses without error and
@@ -131,8 +196,8 @@ proptest! {
         asid in 0u8..63,
     ) {
         let arch = wrl_trace::TraceArchive {
-            kernel_table: (*table(&kblocks)).clone(),
-            user_tables: vec![(asid, (*table(&ublocks)).clone())],
+            kernel_table: table(&kblocks),
+            user_tables: vec![(asid, table(&ublocks))],
             words: words.clone(),
         };
         let back = wrl_trace::TraceArchive::decode(&arch.encode()).unwrap();
@@ -163,7 +228,7 @@ proptest! {
         cut_frac in 0.0f64..1.0,
     ) {
         let arch = wrl_trace::TraceArchive {
-            kernel_table: BbTable::new(),
+            kernel_table: Arc::default(),
             user_tables: vec![],
             words: words.clone(),
         };

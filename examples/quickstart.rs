@@ -82,7 +82,7 @@ fn main() {
         }
     }
     let mut parser = TraceParser::new(Arc::new(BbTable::new()));
-    parser.set_user_table(0, Arc::new(prog.table.clone()));
+    parser.set_user_table(0, Arc::new(prog.table));
     let mut sink = Merged(Vec::new(), 0, 0);
     parser.parse_all(&run.words, &mut sink);
     assert_eq!(parser.stats.errors, 0);

@@ -16,22 +16,27 @@
 //!
 //! then update the pinned constants below with the printed values.
 
-use systrace::trace::{CollectSink, ParseStats, Space, TraceArchive};
+use systrace::trace::{CollectSink, ParseStats, Space, TraceArchive, CTL_LIMIT};
 
 const GOLDEN_PATH: &str = "tests/data/golden.w3kt";
 /// Trace words kept in the golden archive.
 const GOLDEN_WORDS: usize = 8192;
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// One FNV-1a step per byte.
+fn fnv(h: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        *h ^= b as u64;
+        *h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
 /// FNV-1a over the parsed reference stream: order-sensitive, so any
 /// reordering or dropped reference changes it.
 fn digest(sink: &CollectSink) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+    let mut h = FNV_OFFSET;
+    let mut eat = |bytes: &[u8]| fnv(&mut h, bytes);
     let space_byte = |s: Space| match s {
         Space::Kernel => 0xffu8,
         Space::User(a) => a,
@@ -103,6 +108,66 @@ fn golden_trace_streams_to_pinned_stats() {
     assert_eq!(digest(&sink), PINNED_DIGEST);
 }
 
+/// The golden words damaged the `seed`th way: a cut, or up to eight
+/// bit flips, dropped words or duplicated words at seeded positions.
+fn damaged(words: &[u32], seed: u64) -> Vec<u32> {
+    let mut rng = systrace::fault::SplitMix64::new(seed);
+    let mut w = words.to_vec();
+    let mut at = |len: usize| rng.below(len as u64) as usize;
+    if seed % 4 == 3 {
+        w.truncate(at(w.len()));
+        return w;
+    }
+    for k in 0..=at(8) {
+        let mut i = at(w.len());
+        // Control words are few and drive the nesting and switch
+        // paths: every other hit lands on the next one.
+        if k % 2 == 1 {
+            i = (i..w.len()).find(|&j| w[j] < CTL_LIMIT).unwrap_or(i);
+        }
+        match seed % 4 {
+            0 => w[i] ^= 1 << at(32),
+            1 => drop(w.remove(i)),
+            _ => w.insert(i, w[i]),
+        }
+    }
+    w
+}
+
+/// FNV-1a over what the parser makes of 64 damaged copies of the
+/// golden trace: every event *in emitted order* (so the I/D
+/// interleaving is pinned, which [`digest`] does not do), then the
+/// statistics and the error list of each parse.
+fn damaged_digest() -> u64 {
+    use systrace::trace::EventVec;
+    let archive = TraceArchive::load(GOLDEN_PATH).expect("golden archive must load");
+    let mut h = FNV_OFFSET;
+    for seed in 0..64 {
+        let mut parser = archive.parser();
+        let mut sink = EventVec::default();
+        parser.parse_all(&damaged(&archive.words, seed), &mut sink);
+        for ev in &sink.0 {
+            fnv(&mut h, format!("{ev:?}").as_bytes());
+        }
+        fnv(
+            &mut h,
+            format!("{:?}{:?}", parser.stats, parser.errors).as_bytes(),
+        );
+    }
+    h
+}
+
+const PINNED_DAMAGED_DIGEST: u64 = 0x7bbe_ce88_1b90_6d89;
+
+#[test]
+fn damaged_golden_traces_parse_to_a_pinned_digest() {
+    assert_eq!(
+        damaged_digest(),
+        PINNED_DAMAGED_DIGEST,
+        "events, statistics or errors changed on a damaged stream"
+    );
+}
+
 /// Regenerates `tests/data/golden.w3kt` and prints the constants to
 /// pin. Run manually; never part of the default suite.
 #[test]
@@ -133,4 +198,8 @@ fn regenerate_golden_archive() {
     println!("const PINNED_CTX_SWITCHES: u64 = {};", stats.ctx_switches);
     println!("const PINNED_ERRORS: u64 = {};", stats.errors);
     println!("const PINNED_DIGEST: u64 = {:#018x};", digest(&sink));
+    println!(
+        "const PINNED_DAMAGED_DIGEST: u64 = {:#018x};",
+        damaged_digest()
+    );
 }

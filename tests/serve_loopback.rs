@@ -300,6 +300,8 @@ fn graceful_shutdown_drains_the_inflight_request() {
     let server = Server::start("127.0.0.1:0", catalog, ServeCfg::default()).expect("server starts");
     let addr = server.addr();
     let expected = filter_stream(&a.words, &Predicate::default());
+    let obs = server.obs().clone();
+    obs.inflight.reset();
 
     // Start a query, then shut the server down while it may still be
     // executing; the in-flight request must complete, not vanish.
@@ -307,7 +309,14 @@ fn graceful_shutdown_drains_the_inflight_request() {
         let mut client = Client::connect(addr).expect("client connects");
         client.query("golden", &Predicate::default())
     });
-    std::thread::sleep(std::time::Duration::from_millis(2));
+    // In flight means admitted: a request still on the wire when the
+    // drain starts is owed nothing, so wait for the gate to have seen
+    // this one (a fixed sleep lost that race about one run in ten).
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    while obs.inflight.high() == 0 {
+        assert!(std::time::Instant::now() < deadline, "never admitted");
+        std::thread::yield_now();
+    }
     server.shutdown();
     let q = worker
         .join()
