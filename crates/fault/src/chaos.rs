@@ -208,9 +208,9 @@ fn classify_store(input: &ChaosInput, bytes: &[u8]) -> Outcome {
     }
 }
 
-/// [`classify_store`] plus the projected read path: when the full
-/// word extraction comes through clean, a panel of ASID and window
-/// queries (the path that decodes only some columns of a v4 block)
+/// [`classify_store`] plus the query read path: when the full word
+/// extraction comes through clean, a panel of ASID and window
+/// queries (index pruning, then run copies out of decoded blocks)
 /// must each either raise a typed error or answer exactly what the
 /// reference filter selects from the pristine words — never a third
 /// thing.
@@ -248,7 +248,7 @@ fn classify_store_v4(input: &ChaosInput, bytes: &[u8]) -> Outcome {
             Ok(q) if q.words == filter_stream(&input.archive.words, &pred) => {}
             Ok(_) => {
                 return Outcome::Forbidden {
-                    why: format!("projected query answered wrongly without an error ({pred:?})"),
+                    why: format!("query answered wrongly without an error ({pred:?})"),
                 }
             }
         }

@@ -63,7 +63,7 @@ pub fn short_read(bytes: &mut Vec<u8>, rng: &mut SplitMix64) {
     bytes.truncate(keep);
 }
 
-/// The structural byte ranges of an encoded v2 store, located the way
+/// The structural byte ranges of an encoded block store, located the way
 /// a real reader does: table section from the front, index position
 /// from the fixed trailer.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -79,8 +79,8 @@ pub struct StoreRegions {
     pub trailer: core::ops::Range<usize>,
 }
 
-/// Maps the regions of an encoded v2 store. Returns `None` when the
-/// buffer isn't a well-formed v2 container (the injectors only target
+/// Maps the regions of an encoded block store. Returns `None` when the
+/// buffer isn't a well-formed container (the injectors only target
 /// stores they themselves encoded, so this never fires in a campaign).
 pub fn store_regions(bytes: &[u8]) -> Option<StoreRegions> {
     if bytes.len() < 16 + TRAILER_BYTES {

@@ -48,7 +48,7 @@ pub enum FaultSite {
     StoreShortRead,
     /// Flip random bits inside one v4 block's column sections (must be
     /// detected by the column-level encoded CRC or the decoded-words
-    /// CRC — on every read path, the projected one included).
+    /// CRC — on every read path, queries included).
     StoreColumn,
     /// Flip random bits in the v4 index's ASID zonemaps. The mask is
     /// pruning metadata — a cleared live bit would silently skip

@@ -262,11 +262,9 @@ impl Backend for CatalogBackend {
             self.obs.cache_hits.add(cache.hits() - h);
             self.obs.cache_misses.add(cache.misses() - m);
             r
-        } else if self.query_workers <= 1 {
-            // Sequential in place: on small hosts the per-request
-            // scoped-thread spawn dwarfs the query itself.
-            store.query(pred)
         } else {
+            // Runs in place at one worker or under eight blocks,
+            // where a scoped-thread spawn would dwarf the query.
             query_parallel(store, pred, self.query_workers)
         };
         let q = result.map_err(|e| Self::store_error(&e))?;

@@ -37,8 +37,9 @@
 //! * **Live tail** — a [`LiveFeed`] is a named, in-progress trace a
 //!   producer (the harness's `run_analyzed`, given a feed) appends to while
 //!   clients `SUBSCRIBE` with an ASID+window predicate. Filtering
-//!   happens server-side before fan-out: one pass over the newly
-//!   published words feeds every subscriber's queue, each `EVENT`
+//!   happens server-side before fan-out: each publish is cut into
+//!   ASID runs once (the store's scanner), and every subscriber is
+//!   shipped the runs its predicate admits, each `EVENT`
 //!   frame carrying the filtered-stream offset of its first word so
 //!   the concatenation any subscriber receives is bit-identical to
 //!   [`wrl_store::filter_stream`] over the same trace and predicate.
@@ -66,13 +67,13 @@
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use wrl_store::Predicate;
-use wrl_trace::format::{classify, CtlOp, TraceWord};
+use wrl_store::{admitted_spans, asid_runs, AsidRun, Predicate};
 
 use crate::backend::{bad_request, Backend, Catalog, CatalogBackend};
 use crate::conn::{Conn, ConnState, IoTally, ReadEvent, TickVerdict, WriteShape};
@@ -238,22 +239,35 @@ struct SubState {
     entries: Vec<SubEntry>,
 }
 
-/// One named in-progress trace: the words published so far, each
-/// word's base ASID context (attributed exactly as
-/// [`wrl_store::filter_stream`] does — a `CtxSwitch` word belongs to
+/// One named in-progress trace: the words published so far, the
+/// ASID runs they make (the store's one scanner, so attribution is
+/// exactly [`wrl_store::filter_stream`]'s — a switch word belongs to
 /// the ASID it switches to), and whether the producer finished.
 struct Feed {
     name: String,
     words: Vec<u32>,
-    asids: Vec<u8>,
+    /// The retained words' runs, in absolute stream positions; the
+    /// last one's ASID is the context the next publish enters in.
+    /// After an eviction the first may still start before `base`.
+    runs: Vec<AsidRun>,
     /// Absolute stream position of `words[0]` — nonzero once the
     /// retention bound has evicted history. Predicate windows are
     /// judged against `base + index` so admission is stable across
     /// evictions.
     base: u64,
-    /// Current ASID context (carried across `publish` calls).
-    asid: u8,
     finished: bool,
+}
+
+impl Feed {
+    /// The index ranges of `words[from..]` that `pred` admits: its
+    /// window judged against absolute positions, its ASID by run.
+    fn admitted(&self, pred: &Predicate, from: usize) -> impl Iterator<Item = Range<usize>> + '_ {
+        let (lo, hi) = pred.window.unwrap_or((0, u64::MAX));
+        let lo = lo.max(self.base + from as u64);
+        let hi = hi.min(self.base + self.words.len() as u64);
+        admitted_spans(&self.runs, pred.asid, lo, hi)
+            .map(move |s| (s.start - self.base) as usize..(s.end - self.base) as usize)
+    }
 }
 
 /// One subscriber's cursor into a feed.
@@ -284,21 +298,18 @@ struct SubEntry {
 /// the subscribe-time catch-up and the publish-time pump, so both
 /// paths produce the same filtered stream.
 fn pump_entry(feed: &Feed, e: &mut SubEntry) -> Vec<Response> {
+    let mut admitted = Vec::new();
+    for span in feed.admitted(&e.pred, e.pos) {
+        admitted.extend_from_slice(&feed.words[span]);
+    }
+    e.pos = feed.words.len();
     let mut out = Vec::new();
-    while e.pos < feed.words.len() {
-        let seq = e.seq;
-        let mut words = Vec::new();
-        while e.pos < feed.words.len() && words.len() < SUB_CHUNK {
-            let p = e.pos;
-            if e.pred.admits(feed.base + p as u64, feed.asids[p]) {
-                words.push(feed.words[p]);
-            }
-            e.pos += 1;
-        }
-        if !words.is_empty() {
-            e.seq += words.len() as u64;
-            out.push(Response::Event { seq, words });
-        }
+    for words in admitted.chunks(SUB_CHUNK) {
+        out.push(Response::Event {
+            seq: e.seq,
+            words: words.to_vec(),
+        });
+        e.seq += words.len() as u64;
     }
     if feed.finished && !e.ended {
         e.ended = true;
@@ -482,9 +493,8 @@ impl Server {
                 subs.feeds.push(Feed {
                     name: name.to_string(),
                     words: Vec::new(),
-                    asids: Vec::new(),
+                    runs: Vec::new(),
                     base: 0,
-                    asid: 0,
                     finished: false,
                 });
                 subs.feeds.len() - 1
@@ -536,10 +546,11 @@ impl Drop for Server {
 /// calls [`LiveFeed::finish`] once — subscribers then receive a
 /// zero-word end-of-feed `EVENT` and `tracedump tail` exits.
 ///
-/// Each publish filters the new words once per subscriber under that
-/// subscriber's predicate and hands the resulting `EVENT` frames to
-/// the owning event threads as push completions; the publisher never
-/// touches a socket. Publishing after `finish` is ignored.
+/// Each publish scans the new words into ASID runs once, copies each
+/// subscriber the runs its predicate admits, and hands the resulting
+/// `EVENT` frames to the owning event threads as push completions;
+/// the publisher never touches a socket. Publishing after `finish`
+/// is ignored.
 pub struct LiveFeed {
     shared: Arc<Shared>,
     rt: Arc<Reactor>,
@@ -555,17 +566,10 @@ impl LiveFeed {
         if f.finished {
             return;
         }
-        f.words.reserve(words.len());
-        f.asids.reserve(words.len());
-        for &w in words {
-            if let TraceWord::Ctl(c) = classify(w) {
-                if c.op == CtlOp::CtxSwitch {
-                    f.asid = c.payload;
-                }
-            }
-            f.words.push(w);
-            f.asids.push(f.asid);
-        }
+        let at = f.base + f.words.len() as u64;
+        let entering = f.runs.last().map_or(0, |r| r.asid);
+        asid_runs(words, at, entering, &mut f.runs);
+        f.words.extend_from_slice(words);
         self.pump(state);
         self.evict(state);
     }
@@ -584,8 +588,8 @@ impl LiveFeed {
         }
         let overflow = f.words.len() - retention;
         f.words.drain(..overflow);
-        f.asids.drain(..overflow);
         f.base += overflow as u64;
+        f.runs.retain(|r| r.end > f.base);
         for e in state.entries.iter_mut().filter(|e| e.feed == self.feed) {
             // pump() just ran under this same lock, so pos == old len
             // >= overflow; keep the cursor on the same absolute word.
@@ -913,9 +917,7 @@ fn subscribe_inline(
         // admitted so far (positions judged absolutely, so a feed
         // whose front was evicted still reports suffix-exact seqs
         // for the retained words).
-        let admitted = (0..feed.words.len())
-            .filter(|&p| pred.admits(feed.base + p as u64, feed.asids[p]))
-            .count() as u64;
+        let admitted = feed.admitted(&pred, 0).map(|s| s.len() as u64).sum();
         (feed.words.len(), admitted)
     };
     let mut entry = SubEntry {

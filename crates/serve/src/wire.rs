@@ -46,7 +46,7 @@
 //! prefix is capped at [`MAX_FRAME`] so a corrupted length can cost
 //! at most one bounded allocation before the CRC catches it.
 
-use wrl_store::{crc32_bytes, Predicate, QueryResult};
+use wrl_store::{crc32_bytes, decode_block_bytes, Predicate, QueryResult, StoreError};
 use wrl_trace::bytes::{put_str16, put_u16, put_u32, put_u64, put_words, Cursor, ReadError};
 
 /// Protocol identifier; bumped on any incompatible framing change.
@@ -244,26 +244,22 @@ pub struct RawBlock {
 
 impl RawBlock {
     /// Decompresses the block and verifies its words against the
-    /// shipped CRC — the client-side half of the end-to-end check.
-    /// The shipped flags byte carries the block coding
+    /// shipped CRC — the client-side half of the end-to-end check,
+    /// through the same [`decode_block_bytes`] a store reads its own
+    /// blocks with. The shipped flags byte carries the block coding
     /// ([`wrl_store::BlockMeta::FLAG_COLUMNAR`]), so v4 blocks
     /// fetch over the unchanged `wrl-wire/v1` frame layout.
     pub fn decode(&self) -> Result<Vec<u32>, WireError> {
-        let columnar = self.flags & wrl_store::BlockMeta::FLAG_COLUMNAR != 0;
-        let words = if columnar {
-            wrl_store::column::decode_block(&self.comp, self.words as usize)
-        } else {
-            wrl_store::decompress_block(&self.comp, self.words as usize)
+        let mut words = Vec::new();
+        // A fetched block does not know its index; the error that
+        // would name it is reshaped below.
+        match decode_block_bytes(0, &self.comp, self.words, self.flags, self.crc, &mut words) {
+            Ok(()) => Ok(words),
+            Err(StoreError::CrcMismatch { want, got, .. }) => {
+                Err(WireError::CrcMismatch { want, got })
+            }
+            Err(_) => Err(WireError::Malformed("fetched block fails to decompress")),
         }
-        .map_err(|_| WireError::Malformed("fetched block fails to decompress"))?;
-        let got = wrl_store::crc32_words(&words);
-        if got != self.crc {
-            return Err(WireError::CrcMismatch {
-                want: self.crc,
-                got,
-            });
-        }
-        Ok(words)
     }
 }
 

@@ -46,8 +46,8 @@ pub enum CodecError {
     /// The block decoded to its word count with bytes left over.
     TrailingBytes(usize),
     /// A columnar block's CRC over its own *encoded* bytes did not
-    /// match — some column section is damaged, so not even a partial
-    /// (projected) decode can be trusted.
+    /// match — some column section is damaged, and no predictor is
+    /// run on it. The leading CRC guards the decode itself.
     EncodedCrcMismatch {
         /// CRC stored at the head of the block.
         want: u32,

@@ -29,28 +29,26 @@
 //!   previous word with its low byte dropped (`prev >> 8`), is the
 //!   same differential predictor under a context that survives the
 //!   key itself striding. The control class keys everything on its
-//!   own previous values instead, so control values decode without
-//!   the address columns.
+//!   own previous values instead, so control values could decode
+//!   without the address columns — a property of the layout no reader
+//!   in the tree uses (DESIGN.md "Trace store" counts why not).
 //! * **per-class miss column** — zigzag varint of the word against
 //!   the stride-history prediction (the best base when a drifting
 //!   context goes stale), the only place whole bytes are spent.
 //!
 //! A block is the seven sections (tag bits, then flag and miss
 //! sections for the three classes) each prefixed with a varint byte
-//! length, all behind one leading CRC-32 over the encoded bytes. The
-//! layout is what enables *column projection*: an ASID-only predicate
-//! reads the tag and control sections alone ([`asid_runs`]) — the
-//! class predictors never cross columns, so the control values decode
-//! without touching the (much larger) address columns — and the
-//! leading CRC lets a partial reader prove the bytes intact without
-//! materialising a single row. All model state is per-block, so v4
-//! blocks decode independently and in parallel exactly like v3
-//! blocks.
+//! length, all behind one leading CRC-32 over the encoded bytes,
+//! which guards the decode: a damaged section is a typed error before
+//! any predictor runs on it, and the store then checks the decoded
+//! words against the index CRC as it does for a row block. Blocks are
+//! always decoded whole. All model state is per-block, so v4 blocks
+//! decode independently and in parallel exactly like v3 blocks.
 
 use core::cell::RefCell;
 
 use crate::codec::{crc32_bytes, put_varint, take_varint, CodecError};
-use wrl_trace::format::{classify, CtlOp, TraceWord, CTL_LIMIT};
+use wrl_trace::format::CTL_LIMIT;
 
 /// Number of column sections in an encoded v4 block: the tag column,
 /// then a flag and a miss column per word class.
@@ -73,18 +71,6 @@ pub const COLUMN_NAMES: [&str; N_COLUMNS] = [
 pub const TAG_SLOTS: usize = 1 << 12;
 /// Slots in each per-class finite-context table.
 pub const VAL_SLOTS: usize = 4096;
-
-/// A run of consecutive words sharing one ASID context, produced by
-/// [`asid_runs`]. `start..start + len` are block-local row indices.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct AsidRun {
-    /// First block-local row of the run.
-    pub start: u32,
-    /// Number of words in the run.
-    pub len: u32,
-    /// The ASID context of every word in the run.
-    pub asid: u8,
-}
 
 /// The word class driving column assignment. Control words are the
 /// page-zero range the parser treats as control ([`CTL_LIMIT`]); the
@@ -406,8 +392,8 @@ fn update(s: &mut Scratch, cls: &mut ClassState, c: usize, p: &Preds, w: u32) {
 }
 
 /// Splits `bytes` into the seven column sections, verifying the
-/// leading encoded-bytes CRC first — a reader that only projects some
-/// columns still proves *every* byte intact before trusting any.
+/// leading encoded-bytes CRC first: every byte is proved intact
+/// before any of them drives a predictor.
 fn sections(bytes: &[u8]) -> Result<[&[u8]; N_COLUMNS], CodecError> {
     if bytes.len() < 4 {
         return Err(CodecError::Truncated);
@@ -596,92 +582,6 @@ pub fn decode_block(bytes: &[u8], n_words: usize) -> Result<Vec<u32>, CodecError
     Ok(out)
 }
 
-/// Computes the block's ASID context runs by decoding *only* the tag
-/// and control columns — the projection behind ASID-predicate
-/// pushdown. `first_asid` is the context entering the block (from the
-/// index); a word's context is the context after applying it, exactly
-/// as [`crate::filter_stream`] attributes context switches. The
-/// address columns are never touched, so a block with no matching
-/// ASID is dismissed for the cost of its control traffic (typically a
-/// few bytes per thousand words).
-pub fn asid_runs(bytes: &[u8], n_words: usize, first_asid: u8) -> Result<Vec<AsidRun>, CodecError> {
-    let secs = sections(bytes)?;
-    SCRATCH.with(|s| {
-        let s = &mut *s.borrow_mut();
-        s.begin();
-        let mut tags = BitReader::new(secs[0]);
-        let mut ctl_flags = BitReader::new(secs[1]);
-        let mut ctl_miss_at = 0usize;
-        let mut ctl = ClassState::default();
-        let mut hist = 0usize;
-        let mut runs: Vec<AsidRun> = Vec::new();
-        let mut asid = first_asid;
-        let mut run_start = 0u32;
-        for j in 0..n_words {
-            let t = if tags.bit()? {
-                s.tag_pred(hist).unwrap_or(0)
-            } else {
-                let t = tags.two()?;
-                if t > 2 {
-                    return Err(CodecError::Overlong);
-                }
-                t
-            };
-            s.tag[hist] = (s.gen << 2) | u32::from(t);
-            hist = ((hist << 2) | t as usize) & (TAG_SLOTS - 1);
-
-            if t == 0 {
-                // Control column: decode the value, the tag and class-0
-                // streams suffice (the control predictor keys on its
-                // own previous value, never the address columns).
-                let p = predict(s, &ctl, 0, ctl.prev);
-                let w = if ctl_flags.bit()? {
-                    p.p1.unwrap_or(p.p3)
-                } else if ctl_flags.bit()? {
-                    p.p3
-                } else if ctl_flags.bit()? {
-                    p.p2
-                } else {
-                    let z = take_varint(secs[2], &mut ctl_miss_at)?;
-                    p.p3.wrapping_add(unzigzag32(z) as u32)
-                };
-                update(s, &mut ctl, 0, &p, w);
-                if let TraceWord::Ctl(c) = classify(w) {
-                    if c.op == CtlOp::CtxSwitch && c.payload != asid {
-                        let j = j as u32;
-                        if j > run_start {
-                            runs.push(AsidRun {
-                                start: run_start,
-                                len: j - run_start,
-                                asid,
-                            });
-                        }
-                        // The switch word itself belongs to the new
-                        // context.
-                        run_start = j;
-                        asid = c.payload;
-                    }
-                }
-            }
-        }
-        let n = n_words as u32;
-        if n > run_start {
-            runs.push(AsidRun {
-                start: run_start,
-                len: n - run_start,
-                asid,
-            });
-        }
-        // The tag column must be fully consumed; the address columns
-        // were deliberately never read, so only the control sections
-        // get the trailing check.
-        if !tags.done() {
-            return Err(CodecError::TrailingBytes(1));
-        }
-        Ok(runs)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -704,7 +604,6 @@ mod tests {
     fn empty_block_round_trips() {
         let bytes = encode_block(&[]);
         assert_eq!(decode_block(&bytes, 0).unwrap(), Vec::<u32>::new());
-        assert_eq!(asid_runs(&bytes, 0, 5).unwrap(), Vec::new());
     }
 
     #[test]
@@ -750,43 +649,6 @@ mod tests {
     }
 
     #[test]
-    fn asid_runs_match_a_classify_walk() {
-        let mut words = loopy(50);
-        words.push(ctl(CtlOp::CtxSwitch, 7));
-        words.extend_from_slice(&[0x0040_0000, 0x0040_0008]);
-        words.push(ctl(CtlOp::CtxSwitch, 3));
-        words.push(0x8003_0100);
-        // A switch to the *current* asid must not split a run.
-        words.push(ctl(CtlOp::CtxSwitch, 3));
-        words.push(0x8003_0140);
-        let bytes = encode_block(&words);
-        let runs = asid_runs(&bytes, words.len(), 0).unwrap();
-        // Reference: classify walk over the raw words.
-        let mut want = Vec::new();
-        let mut asid = 0u8;
-        for (j, &w) in words.iter().enumerate() {
-            if let TraceWord::Ctl(c) = classify(w) {
-                if c.op == CtlOp::CtxSwitch {
-                    asid = c.payload;
-                }
-            }
-            want.push((j as u32, asid));
-        }
-        let mut flat = Vec::new();
-        for r in &runs {
-            for j in r.start..r.start + r.len {
-                flat.push((j, r.asid));
-            }
-        }
-        assert_eq!(flat, want);
-        // Runs are maximal: consecutive runs change asid.
-        for pair in runs.windows(2) {
-            assert_ne!(pair[0].asid, pair[1].asid);
-            assert_eq!(pair[0].start + pair[0].len, pair[1].start);
-        }
-    }
-
-    #[test]
     fn corruption_anywhere_is_detected_by_the_encoded_crc() {
         let words = loopy(100);
         let good = encode_block(&words);
@@ -794,9 +656,7 @@ mod tests {
             let mut bad = good.clone();
             bad[at] ^= 0x40;
             let full = decode_block(&bad, words.len());
-            let proj = asid_runs(&bad, words.len(), 0);
-            assert!(full.is_err(), "full decode must fail at {at}");
-            assert!(proj.is_err(), "projection must fail at {at}");
+            assert!(full.is_err(), "decode must fail at {at}");
             if at >= 4 {
                 assert!(
                     matches!(full, Err(CodecError::EncodedCrcMismatch { .. })),
@@ -856,7 +716,6 @@ mod tests {
                 *b = (x >> 56) as u8;
             }
             let _ = decode_block(&junk, len * 8);
-            let _ = asid_runs(&junk, len * 8, 0);
             let _ = section_lens(&junk);
         }
     }

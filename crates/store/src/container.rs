@@ -1,6 +1,5 @@
 //! The block-structured, seekable trace container (archive formats
-//! version 3 and the columnar version 4; versions 1 and 2 still
-//! load).
+//! version 3 and the columnar version 4; version 1 still loads).
 //!
 //! A version-1 `W3KTRACE` archive stores raw words; this container
 //! keeps the identical table section but chunks the word stream into
@@ -42,11 +41,9 @@
 //! address among the words the parser consumed as memory records.
 //! These let a [`Predicate`] prove most blocks irrelevant *from the
 //! index alone* — the predicate-pushdown behind [`TraceStore::query`]
-//! and the `wrl-serve` trace service. Version-2 entries (22 bytes,
-//! no summaries) are read by synthesising `first_word` cumulatively
-//! and leaving the summary flags clear, which lawfully disables
-//! summary-based skipping: a predicate over a v2 store decodes more
-//! blocks but selects the identical words.
+//! and the `wrl-serve` trace service. (Version 2, the same container
+//! with 22-byte entries and no summaries, is no longer read: nothing
+//! writes it and no file of it exists.)
 //!
 //! Version 4 keeps the container framing and widens each entry once
 //! more with a 64-bit **ASID zonemap** (`asid_mask`): bit `a & 63` is
@@ -55,10 +52,13 @@
 //! absence; a set bit merely fails to prove it), so
 //! [`TraceStore::matching_blocks`] prunes on the mask even for blocks
 //! that do contain context switches — the case v3's single-ASID proof
-//! cannot touch. Blocks are columnar ([`crate::column`]): an ASID
-//! predicate that survives the zonemap decodes only the tag and
-//! control columns to locate matching row runs, and materialises
-//! address words only for blocks with actual hits.
+//! cannot touch. Blocks are columnar ([`crate::column`]).
+//!
+//! Reading is one path whatever the block coding: a block the index
+//! cannot rule out is decoded whole and CRC-checked
+//! ([`decode_block_bytes`]), its words are cut into ASID runs by one
+//! scanner ([`asid_runs`]), and a query copies the runs its predicate
+//! admits ([`TraceStore::filter_block_into`]).
 
 use std::io;
 use std::sync::Arc;
@@ -67,7 +67,7 @@ use crate::codec::{compress_block, crc32_words, decompress_block_into, CodecErro
 use crate::column;
 use wrl_trace::archive::{decode_table_section, encode_table_section, MAGIC};
 use wrl_trace::bytes::{put_u32, put_u64, Cursor, ReadError};
-use wrl_trace::format::{classify, CtlOp, TraceWord};
+use wrl_trace::format::ctx_switch;
 use wrl_trace::{ArchiveError, BbTable, TraceArchive, TraceParser};
 
 /// Store format version of the row-coded layout (within the
@@ -83,8 +83,6 @@ pub const DEFAULT_BLOCK_WORDS: usize = 4096;
 
 /// Encoded size of one v3 footer index entry.
 pub const INDEX_ENTRY_BYTES: usize = 8 + 4 + 4 + 4 + 1 + 1 + 1 + 8 + 4 + 4;
-/// Encoded size of one legacy v2 footer index entry (no summaries).
-pub const INDEX_ENTRY_BYTES_V2: usize = 8 + 4 + 4 + 4 + 1 + 1;
 /// Encoded size of one v4 footer index entry (v3's plus the ASID
 /// zonemap).
 pub const INDEX_ENTRY_BYTES_V4: usize = INDEX_ENTRY_BYTES + 8;
@@ -101,7 +99,8 @@ pub enum StoreError {
     Archive(ArchiveError),
     /// Structural damage to the container framing.
     Malformed(&'static str),
-    /// The file is a `W3KTRACE` but none of v1 through v4.
+    /// The file is a `W3KTRACE` of a version this reader does not
+    /// decode (the retired version 2 among them).
     UnsupportedVersion(u32),
     /// One block's compressed bytes failed to decode.
     BlockCodec {
@@ -212,9 +211,7 @@ pub struct BlockMeta {
     pub first_asid: u8,
     /// ASID context in effect after the block's last word.
     pub last_asid: u8,
-    /// Summary flags ([`BlockMeta::FLAG_SUMMARY`] and friends). All
-    /// clear for blocks loaded from a v2 store, which lawfully
-    /// disables summary-based skipping.
+    /// Summary flags ([`BlockMeta::FLAG_SUMMARY`] and friends).
     pub flags: u8,
     /// Global word offset of the block's first word — the block
     /// covers trace-word offsets `first_word .. first_word + words`.
@@ -244,12 +241,12 @@ impl BlockMeta {
     pub const FLAG_DADDR: u8 = 1 << 2;
     /// The block's bytes are the columnar [`crate::column`] layout
     /// (v4), and `asid_mask` is a valid zonemap. v4 writers set this
-    /// on every entry; a v3/v2 reader never sees it (the decoder
-    /// rejects the bit in pre-v4 indexes rather than let a forged
+    /// on every entry; a v3 reader never sees it (the decoder
+    /// rejects the bit in v3 indexes rather than let a forged
     /// zonemap of zero prune every block).
     pub const FLAG_COLUMNAR: u8 = 1 << 3;
 
-    /// Whether write-time summaries are present (v3 stores).
+    /// Whether write-time summaries are present.
     pub fn has_summary(&self) -> bool {
         self.flags & Self::FLAG_SUMMARY != 0
     }
@@ -268,7 +265,7 @@ impl BlockMeta {
 
     /// `true` when the index *proves* every word in this block sits in
     /// the single ASID context `first_asid`. Requires write-time
-    /// summaries; v2 blocks conservatively answer `false`.
+    /// summaries; a block without them conservatively answers `None`.
     pub fn single_asid(&self) -> Option<u8> {
         self.prune_row().single_asid()
     }
@@ -454,11 +451,9 @@ impl TraceStore {
             let mut max_daddr = 0u32;
             let mut asid_mask = 0u64;
             for &w in chunk {
-                if let TraceWord::Ctl(c) = classify(w) {
-                    if c.op == CtlOp::CtxSwitch {
-                        asid = c.payload;
-                        flags |= BlockMeta::FLAG_CTX_SWITCH;
-                    }
+                if let Some(to) = ctx_switch(w) {
+                    asid = to;
+                    flags |= BlockMeta::FLAG_CTX_SWITCH;
                 }
                 // A word's context is the context after applying it
                 // (the switch word belongs to its target ASID), so the
@@ -576,21 +571,7 @@ impl TraceStore {
                 .index
                 .get(i)
                 .ok_or(StoreError::Malformed("block index out of range"))?;
-            let bytes = self.block_bytes(i)?;
-            let start = out.len();
-            match self.format {
-                BlockFormat::Row => decompress_block_into(bytes, m.words as usize, out),
-                BlockFormat::Columnar => column::decode_block_into(bytes, m.words as usize, out),
-            }
-            .map_err(|err| StoreError::BlockCodec { block: i, err })?;
-            let got = crc32_words(&out[start..]);
-            if got != m.crc {
-                return Err(StoreError::CrcMismatch {
-                    block: i,
-                    want: m.crc,
-                    got,
-                });
-            }
+            decode_block_bytes(i, self.block_bytes(i)?, m.words, m.flags, m.crc, out)?;
         }
         Ok(())
     }
@@ -699,10 +680,8 @@ impl TraceStore {
         out
     }
 
-    /// Decodes a version-4, version-3 or version-2 store from bytes
-    /// (a v2 index has no summaries; `first_word` is synthesised
-    /// cumulatively and the summary flags stay clear). For transparent
-    /// loading of any version, v1 included, use
+    /// Decodes a version-4 or version-3 store from bytes. For
+    /// transparent loading of v1 archives too, use
     /// [`TraceStore::decode_any`].
     pub fn decode(buf: &[u8]) -> Result<TraceStore, StoreError> {
         if buf.len() < 16 || &buf[..8] != MAGIC {
@@ -711,7 +690,6 @@ impl TraceStore {
         let mut head = Cursor::at(buf, 8);
         let version = head.u32()?;
         let entry_bytes = match version {
-            2 => INDEX_ENTRY_BYTES_V2,
             STORE_VERSION => INDEX_ENTRY_BYTES,
             STORE_VERSION_V4 => INDEX_ENTRY_BYTES_V4,
             _ => return Err(StoreError::UnsupportedVersion(version)),
@@ -774,27 +752,21 @@ impl TraceStore {
                 crc: entries.u32()?,
                 first_asid: entries.u8()?,
                 last_asid: entries.u8()?,
-                flags: 0,
-                first_word: total_words,
-                min_daddr: 0,
-                max_daddr: 0,
+                flags: entries.u8()?,
+                first_word: entries.u64()?,
+                min_daddr: entries.u32()?,
+                max_daddr: entries.u32()?,
                 asid_mask: 0,
             };
-            if version >= 3 {
-                m.flags = entries.u8()?;
-                m.first_word = entries.u64()?;
-                m.min_daddr = entries.u32()?;
-                m.max_daddr = entries.u32()?;
-                // The word offsets must tile the stream exactly, or
-                // window pushdown would skip the wrong blocks.
-                if m.first_word != total_words {
-                    return Err(StoreError::Malformed(
-                        "index word offsets do not tile the stream",
-                    ));
-                }
-                if m.daddr_range().is_some_and(|(lo, hi)| lo > hi) {
-                    return Err(StoreError::Malformed("inverted data-address summary"));
-                }
+            // The word offsets must tile the stream exactly, or
+            // window pushdown would skip the wrong blocks.
+            if m.first_word != total_words {
+                return Err(StoreError::Malformed(
+                    "index word offsets do not tile the stream",
+                ));
+            }
+            if m.daddr_range().is_some_and(|(lo, hi)| lo > hi) {
+                return Err(StoreError::Malformed("inverted data-address summary"));
             }
             // Version-specific flag discipline: a v3 entry carrying
             // FLAG_COLUMNAR (with its implicit all-zero zonemap) would
@@ -848,7 +820,7 @@ impl TraceStore {
         })
     }
 
-    /// Decodes any archive version: v4, v3 and v2 natively, v1 by decoding
+    /// Decodes any archive version: v4 and v3 natively, v1 by decoding
     /// the raw words and compressing them in memory (so every caller
     /// gets a block-structured store regardless of the on-disk format,
     /// and `tests/data/golden.w3kt` keeps loading forever).
@@ -933,13 +905,12 @@ impl TraceStore {
     /// copy instead of a CRC-checked decode, and a one-slot cache is
     /// the reused decode buffer of an uncached query.
     ///
-    /// Window filters are resolved to block-local row ranges from the
-    /// index alone. Columnar blocks under an ASID filter take a
-    /// projected path: *only* the tag and control columns are decoded
-    /// ([`column::asid_runs`]) to locate matching row runs — the
-    /// address columns are materialised only for blocks with actual
-    /// hits, and matching runs are then copied out wholesale instead
-    /// of re-classifying every word.
+    /// One body for every block coding and every predicate: the
+    /// window is resolved to block-local rows from the index alone,
+    /// the block comes out of its cache slot as verified words cut
+    /// into ASID runs, and the rows copied are the window's overlap
+    /// with the runs the predicate admits. Nothing is answered — or
+    /// dismissed — from bytes that have not passed the block's CRCs.
     pub fn filter_block_into(
         &self,
         i: usize,
@@ -953,7 +924,7 @@ impl TraceStore {
             .ok_or(StoreError::Malformed("block index out of range"))?;
         // The block-local row window the predicate admits.
         let (row_lo, row_hi) = match pred.window {
-            None => (0u32, m.words),
+            None => (0, u64::from(m.words)),
             Some((lo, hi)) => {
                 let r = m.word_range();
                 let lo = lo.max(r.start) - r.start;
@@ -961,42 +932,12 @@ impl TraceStore {
                 if lo >= hi {
                     return Ok(());
                 }
-                (lo as u32, hi as u32)
+                (lo, hi)
             }
         };
-        let Some(a) = pred.asid else {
-            // Window-only predicate: the admitted rows are one run.
-            let words = cache.words(self, i)?;
-            out.extend_from_slice(&words[row_lo as usize..row_hi as usize]);
-            return Ok(());
-        };
-        if self.format == BlockFormat::Columnar {
-            let bytes = self.block_bytes(i)?;
-            let runs = column::asid_runs(bytes, m.words as usize, m.first_asid)
-                .map_err(|err| StoreError::BlockCodec { block: i, err })?;
-            for r in runs.iter().filter(|r| r.asid == a) {
-                let lo = r.start.max(row_lo);
-                let hi = (r.start + r.len).min(row_hi);
-                if lo < hi {
-                    // Only the first hit decodes; later runs of this
-                    // block find it in its slot.
-                    let words = cache.words(self, i)?;
-                    out.extend_from_slice(&words[lo as usize..hi as usize]);
-                }
-            }
-            return Ok(());
-        }
-        let words = cache.words(self, i)?;
-        let mut asid = m.first_asid;
-        for (j, &w) in words.iter().enumerate() {
-            if let TraceWord::Ctl(c) = classify(w) {
-                if c.op == CtlOp::CtxSwitch {
-                    asid = c.payload;
-                }
-            }
-            if pred.admits(m.first_word + j as u64, asid) {
-                out.push(w);
-            }
+        let (words, runs) = cache.block(self, i)?;
+        for rows in admitted_spans(runs, pred.asid, row_lo, row_hi) {
+            out.extend_from_slice(&words[rows.start as usize..rows.end as usize]);
         }
         Ok(())
     }
@@ -1038,8 +979,7 @@ impl TraceStore {
 }
 
 /// Per-column encoded-size totals for a columnar store, reported by
-/// `tracedump info` — which columns carry the bytes tells you what a
-/// projected query saves by not decoding the rest.
+/// `tracedump info` — which columns carry the bytes.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ColumnStats {
     /// Total encoded bytes of each column section across all blocks,
@@ -1090,20 +1030,32 @@ impl BlockReader<'_> {
 /// [`BlockReader`]'s random-access sibling, through which every
 /// query materialises its blocks
 /// ([`TraceStore::filter_block_into`]). Capacity is fixed at
-/// construction (memory bound ≈ `slots × block_words × 4` bytes) and
-/// block `i` maps to slot `i % slots`, so a scan-shaped workload
-/// degrades to plain per-block decode, never to unbounded memory.
+/// construction and block `i` maps to slot `i % slots`, so a
+/// scan-shaped workload degrades to plain per-block decode, never to
+/// unbounded memory. A slot holds its block's verified words and,
+/// beside them, the [`asid_runs`] those words make — scanned once
+/// where the block is decoded, so an ASID filter over a warm slot is
+/// run copies and nothing else (memory bound ≈ `slots ×
+/// (block_words × 4 + runs × 24)` bytes; a block has one run more
+/// than it has context-changing switches).
 ///
-/// A slot is keyed by `(block index, stored CRC)`, so a cache
-/// mistakenly shared between stores misses (and re-decodes) rather
-/// than returning another archive's words.
+/// A slot is keyed by `(block index, stored CRC, entering ASID)`, so
+/// a cache mistakenly shared between stores misses (and re-decodes)
+/// rather than returning another archive's words — or the same words
+/// cut into runs under another archive's entering context.
 #[derive(Debug)]
 pub struct BlockCache {
-    /// `(block index, index CRC, decoded words)`; `usize::MAX` marks
-    /// an empty slot.
-    slots: Vec<(usize, u32, Vec<u32>)>,
+    slots: Vec<Slot>,
     hits: u64,
     misses: u64,
+}
+
+/// One cached block. `key` is `None` while the slot is empty.
+#[derive(Clone, Debug, Default)]
+struct Slot {
+    key: Option<(usize, u32, u8)>,
+    words: Vec<u32>,
+    runs: Vec<AsidRun>,
 }
 
 impl BlockCache {
@@ -1115,7 +1067,7 @@ impl BlockCache {
     pub fn new(slots: usize) -> BlockCache {
         assert!(slots > 0, "a zero-slot cache cannot hold a block");
         BlockCache {
-            slots: vec![(usize::MAX, 0, Vec::new()); slots],
+            slots: vec![Slot::default(); slots],
             hits: 0,
             misses: 0,
         }
@@ -1131,24 +1083,27 @@ impl BlockCache {
         self.misses
     }
 
-    /// The verified words of block `i` of `store`, decoding on miss.
-    fn words(&mut self, store: &TraceStore, i: usize) -> Result<&[u32], StoreError> {
+    /// The verified words of block `i` of `store` and their ASID
+    /// runs (block-local rows), decoding and scanning on miss.
+    fn block(&mut self, store: &TraceStore, i: usize) -> Result<(&[u32], &[AsidRun]), StoreError> {
         let n = self.slots.len();
-        let crc = store.block_meta(i).crc;
+        let m = store.block_meta(i);
+        let key = Some((i, m.crc, m.first_asid));
         let slot = &mut self.slots[i % n];
-        if slot.0 == i && slot.1 == crc {
+        if slot.key == key {
             self.hits += 1;
         } else {
             // Invalidate before decoding: a failed decode must not
             // leave the evicted block's words filed under `i`.
-            slot.0 = usize::MAX;
-            slot.2.clear();
-            store.decode_blocks_into(i..i + 1, &mut slot.2)?;
-            slot.0 = i;
-            slot.1 = crc;
+            slot.key = None;
+            slot.words.clear();
+            slot.runs.clear();
+            store.decode_blocks_into(i..i + 1, &mut slot.words)?;
+            asid_runs(&slot.words, 0, m.first_asid, &mut slot.runs);
+            slot.key = key;
             self.misses += 1;
         }
-        Ok(&self.slots[i % n].2)
+        Ok((&slot.words, &slot.runs))
     }
 }
 
@@ -1191,16 +1146,13 @@ pub struct QueryResult {
 /// word stream: walk the words tracking the base ASID context and
 /// keep each word the predicate admits. [`TraceStore::query`] must
 /// return exactly this sequence — the differential the loopback
-/// service tests and `serve_bench` assert.
+/// service tests and `serve_bench` assert. Deliberately per word:
+/// every run-copying reader is compared against it.
 pub fn filter_stream(words: &[u32], pred: &Predicate) -> Vec<u32> {
     let mut out = Vec::new();
     let mut asid = 0u8;
     for (pos, &w) in words.iter().enumerate() {
-        if let TraceWord::Ctl(c) = classify(w) {
-            if c.op == CtlOp::CtxSwitch {
-                asid = c.payload;
-            }
-        }
+        asid = ctx_switch(w).unwrap_or(asid);
         if pred.admits(pos as u64, asid) {
             out.push(w);
         }
@@ -1208,11 +1160,104 @@ pub fn filter_stream(words: &[u32], pred: &Predicate) -> Vec<u32> {
     out
 }
 
+/// A maximal run of consecutive words sharing one ASID context:
+/// the words at positions `start..end` (block-local rows in a
+/// [`BlockCache`] slot, stream positions in a live feed).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct AsidRun {
+    /// Position of the run's first word.
+    pub start: u64,
+    /// Position one past the run's last word.
+    pub end: u64,
+    /// The ASID context of every word in the run.
+    pub asid: u8,
+}
+
+/// The one ASID scanner over decoded words: cuts `words`, which sit
+/// at positions `at..` and are entered in context `entering`, into
+/// runs appended onto `runs`. Attribution is [`filter_stream`]'s: a
+/// word belongs to the context in force *after* it (a switch word
+/// opens its target's run), and a switch to the context already in
+/// force splits nothing. A first run that carries on where `runs`
+/// left off — same context, adjacent position — extends the last run
+/// instead of starting one, so a stream scanned in pieces (the live
+/// feed) gets the runs it would have got whole.
+pub fn asid_runs(words: &[u32], at: u64, entering: u8, runs: &mut Vec<AsidRun>) {
+    let mut close = |start: usize, end: usize, asid: u8| {
+        let (start, end) = (at + start as u64, at + end as u64);
+        if start == end {
+            return;
+        }
+        match runs.last_mut() {
+            Some(last) if last.asid == asid && last.end == start => last.end = end,
+            _ => runs.push(AsidRun { start, end, asid }),
+        }
+    };
+    let (mut start, mut asid) = (0, entering);
+    for (j, &w) in words.iter().enumerate() {
+        if let Some(to) = ctx_switch(w).filter(|&to| to != asid) {
+            close(start, j, asid);
+            (start, asid) = (j, to);
+        }
+    }
+    close(start, words.len(), asid);
+}
+
+/// The parts of positions `lo..hi` an ASID filter admits, in order:
+/// all of it when there is no filter, else its overlap with each of
+/// `runs` in that context. What a query copies out of a block and
+/// what a live feed ships a subscriber are both these spans.
+pub fn admitted_spans(
+    runs: &[AsidRun],
+    asid: Option<u8>,
+    lo: u64,
+    hi: u64,
+) -> impl Iterator<Item = core::ops::Range<u64>> + '_ {
+    let whole = asid.is_none().then_some(lo..hi);
+    let parts = runs
+        .iter()
+        .filter(move |r| asid == Some(r.asid))
+        .map(move |r| r.start.max(lo)..r.end.min(hi));
+    whole.into_iter().chain(parts).filter(|s| s.start < s.end)
+}
+
+/// Decodes one stored block's bytes onto `out` — the codec its
+/// `flags` name ([`BlockMeta::FLAG_COLUMNAR`] or the row codec), then
+/// the decoded words against `crc`. The one block decoder: a store
+/// reads its own blocks through it and a `wrl-serve` client the
+/// blocks it fetched, so the end-to-end check is spelled once.
+/// `block` names the block in the error.
+pub fn decode_block_bytes(
+    block: usize,
+    bytes: &[u8],
+    words: u32,
+    flags: u8,
+    crc: u32,
+    out: &mut Vec<u32>,
+) -> Result<(), StoreError> {
+    let start = out.len();
+    if flags & BlockMeta::FLAG_COLUMNAR != 0 {
+        column::decode_block_into(bytes, words as usize, out)
+    } else {
+        decompress_block_into(bytes, words as usize, out)
+    }
+    .map_err(|err| StoreError::BlockCodec { block, err })?;
+    let got = crc32_words(&out[start..]);
+    if got != crc {
+        return Err(StoreError::CrcMismatch {
+            block,
+            want: crc,
+            got,
+        });
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use wrl_trace::bbinfo::{BbInfo, BbTraceFlags};
-    use wrl_trace::{ctl, CollectSink};
+    use wrl_trace::{ctl, CollectSink, CtlOp};
 
     fn sample_archive(n_words: u32) -> TraceArchive {
         let mut kt = BbTable::new();
@@ -1388,59 +1433,35 @@ mod tests {
         }
     }
 
-    /// Re-encodes a store as a legacy v2 file: version 2 header,
-    /// 22-byte index entries without summaries, fresh meta CRC.
-    fn encode_as_v2(store: &TraceStore) -> Vec<u8> {
+    #[test]
+    fn a_v2_image_is_an_unsupported_version_not_a_malformed_store() {
+        // A well-formed version-2 file, built by hand (nothing writes
+        // one): version 2 header, the 22-byte index entries that stop
+        // after `last_asid`, a fresh meta CRC.
+        let a = sample_archive(1000);
+        let store = TraceStore::from_archive(&a, 64);
         let v3 = store.encode();
         let tail_at = v3.len() - TRAILER_BYTES;
         let index_pos =
             u64::from_le_bytes(v3[tail_at + 4..tail_at + 12].try_into().unwrap()) as usize;
-        let mut out = v3[..index_pos].to_vec();
-        out[8..12].copy_from_slice(&2u32.to_le_bytes());
+        let mut v2 = v3[..index_pos].to_vec();
+        v2[8..12].copy_from_slice(&2u32.to_le_bytes());
         for i in 0..store.n_blocks() {
             let at = index_pos + i * INDEX_ENTRY_BYTES;
-            out.extend_from_slice(&v3[at..at + INDEX_ENTRY_BYTES_V2]);
+            v2.extend_from_slice(&v3[at..at + 22]);
         }
-        put_u32(&mut out, store.n_blocks() as u32);
-        put_u64(&mut out, index_pos as u64);
+        put_u32(&mut v2, store.n_blocks() as u32);
+        put_u64(&mut v2, index_pos as u64);
         let blocks_at = index_pos - store.compressed_bytes() as usize;
         let mut crc = Crc32::new();
-        crc.update(&out[..blocks_at]).update(&out[index_pos..]);
-        put_u32(&mut out, crc.finish());
-        out.extend_from_slice(TAIL_MAGIC);
-        out
-    }
-
-    #[test]
-    fn v2_stores_still_load_and_query_identically() {
-        let a = sample_archive(1000);
-        let store = TraceStore::from_archive(&a, 64);
-        let v2 = encode_as_v2(&store);
-        let back = TraceStore::decode(&v2).expect("legacy v2 must decode");
-        assert_eq!(back.words().unwrap(), a.words);
-        // v2 entries carry no summaries: `first_word` is synthesised,
-        // flags stay clear, and ASID pushdown lawfully degrades to
-        // decoding every block — while selecting the same words.
-        for i in 0..back.n_blocks() {
-            let m = back.block_meta(i);
-            assert!(!m.has_summary());
-            assert_eq!(m.single_asid(), None);
-            assert_eq!(m.first_word, store.block_meta(i).first_word);
-        }
-        for pred in [
-            Predicate::default(),
-            Predicate {
-                asid: Some(3),
-                ..Predicate::default()
-            },
-            Predicate {
-                window: Some((10, 200)),
-                asid: Some(0),
-            },
-        ] {
-            let q = back.query(&pred).unwrap();
-            assert_eq!(q.words, filter_stream(&a.words, &pred), "{pred:?}");
-            assert_eq!(q.words, store.query(&pred).unwrap().words, "{pred:?}");
+        crc.update(&v2[..blocks_at]).update(&v2[index_pos..]);
+        put_u32(&mut v2, crc.finish());
+        v2.extend_from_slice(TAIL_MAGIC);
+        for decode in [TraceStore::decode, TraceStore::decode_any] {
+            assert!(matches!(
+                decode(&v2),
+                Err(StoreError::UnsupportedVersion(2))
+            ));
         }
     }
 
@@ -1710,6 +1731,50 @@ mod tests {
             assert_eq!(s1.query_cached(&pred, &mut cache).unwrap().words, want);
             assert_eq!(s2.query_cached(&pred, &mut cache).unwrap().words, want);
         }
+
+        // The key includes the entering ASID too: a slot's runs are
+        // cut under it. Two shards whose block 0 holds the same words
+        // (same index, same CRC) entered in contexts 3 and 5 must not
+        // answer from each other's runs.
+        let shard = |entering: u8| {
+            // Block 1 is words 64..120: sixteen in the entering
+            // context, then the switch to 9.
+            let a = trace_of(&[(entering, 80), (9, 40)]);
+            let sub = TraceStore::from_archive(&a, 64).subset(&[1]).unwrap();
+            (a, sub)
+        };
+        let (a3, s3) = shard(3);
+        let (a5, s5) = shard(5);
+        assert_eq!(
+            s3.decode_block(0).unwrap(),
+            s5.decode_block(0).unwrap(),
+            "the shards' words must be equal for the case to bite"
+        );
+        assert_eq!(
+            (s3.block_meta(0).first_asid, s5.block_meta(0).first_asid),
+            (3, 5)
+        );
+        let mut cache = BlockCache::new(4);
+        for _ in 0..2 {
+            for asid in [3, 5, 9] {
+                let pred = Predicate {
+                    asid: Some(asid),
+                    window: None,
+                };
+                // A shard's block 0 is its archive's words 64..128.
+                let in_block_1 = Predicate {
+                    window: Some((64, 128)),
+                    ..pred
+                };
+                for (a, s) in [(&a3, &s3), (&a5, &s5)] {
+                    assert_eq!(
+                        s.query_cached(&pred, &mut cache).unwrap().words,
+                        filter_stream(&a.words, &in_block_1),
+                        "asid {asid}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -1762,7 +1827,7 @@ mod tests {
             u64::from_le_bytes(bytes[tail_at + 4..tail_at + 12].try_into().unwrap()) as usize;
         // Flip a byte in the middle of the block area — inside some
         // column section — and require a typed error from every read
-        // path, including the projected one.
+        // path that reaches the damaged block.
         let blocks_at = index_pos - store.compressed_bytes() as usize;
         bytes[blocks_at + (index_pos - blocks_at) / 2] ^= 0x40;
         let back = TraceStore::decode(&bytes).expect("framing is intact");
@@ -1777,11 +1842,13 @@ mod tests {
             asid: Some(1),
             ..Predicate::default()
         };
-        let projected = back.query(&pred);
-        assert!(matches!(
-            projected,
-            Err(StoreError::BlockCodec { .. } | StoreError::CrcMismatch { .. }) | Ok(_)
-        ));
+        // The zonemap may prune the damaged block from this query;
+        // what it may not do is answer wrongly.
+        match back.query(&pred) {
+            Err(StoreError::BlockCodec { .. } | StoreError::CrcMismatch { .. }) => {}
+            Ok(q) => assert_eq!(q.words, filter_stream(&a.words, &pred)),
+            Err(e) => panic!("untyped failure: {e}"),
+        }
     }
 
     #[test]
@@ -1834,5 +1901,223 @@ mod tests {
         let stats = v4.column_stats().unwrap().expect("columnar store");
         let total: u64 = stats.section_bytes.iter().sum::<u64>() + stats.overhead_bytes;
         assert_eq!(total, v4.compressed_bytes());
+    }
+
+    /// A trace of back-to-back contexts: each `(asid, len)` is a
+    /// switch word to `asid` followed by `len - 1` address words, so
+    /// the switches sit at the running sums of the lengths. Every
+    /// address word encodes its own position, so a misplaced copy
+    /// cannot compare equal.
+    fn trace_of(contexts: &[(u8, usize)]) -> TraceArchive {
+        let mut words = Vec::new();
+        for &(asid, len) in contexts {
+            words.push(ctl(CtlOp::CtxSwitch, asid));
+            for _ in 1..len {
+                words.push(0x0040_0000 + words.len() as u32 * 4);
+            }
+        }
+        TraceArchive {
+            kernel_table: Arc::default(),
+            user_tables: vec![],
+            words,
+        }
+    }
+
+    /// Every pairing of `asids` with `windows` (`None` is no window).
+    fn panel(asids: &[u8], windows: &[Option<(u64, u64)>]) -> Vec<Predicate> {
+        let mut preds = Vec::new();
+        for &asid in asids {
+            for &window in windows {
+                preds.push(Predicate {
+                    asid: Some(asid),
+                    window,
+                });
+            }
+        }
+        preds
+    }
+
+    /// Answers every predicate every way the one filter body is
+    /// reached — both block codings, a one-slot cache and one holding
+    /// every block, each asked cold and then warm — against the
+    /// per-word reference.
+    fn assert_answers_filter_stream(a: &TraceArchive, block_words: usize, preds: &[Predicate]) {
+        for format in [BlockFormat::Row, BlockFormat::Columnar] {
+            let store = TraceStore::from_archive_with(a, block_words, format);
+            for slots in [1, store.n_blocks()] {
+                let mut cache = BlockCache::new(slots);
+                for pass in ["cold", "warm"] {
+                    for pred in preds {
+                        assert_eq!(
+                            store.query_cached(pred, &mut cache).unwrap().words,
+                            filter_stream(&a.words, pred),
+                            "{format:?}/{slots} slots/{pass}/{pred:?}"
+                        );
+                    }
+                }
+                // A slot per block: the warm pass decoded nothing.
+                if slots == store.n_blocks() {
+                    assert!(cache.misses() <= slots as u64, "{format:?}");
+                    assert!(cache.hits() > 0, "{format:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn runs_scanned_in_pieces_equal_runs_scanned_whole_and_the_per_word_walk() {
+        // Rotates through contexts 0..5; its first switch, to 0 while
+        // 0 is in force, is one that splits nothing.
+        let a = multi_asid_archive(400);
+        let n = a.words.len() as u64;
+        let mut whole = Vec::new();
+        asid_runs(&a.words, 0, 0, &mut whole);
+        // Membership in a run is `filter_stream`'s attribution.
+        for asid in 0..6 {
+            let mut got = Vec::new();
+            for s in admitted_spans(&whole, Some(asid), 0, n) {
+                got.extend_from_slice(&a.words[s.start as usize..s.end as usize]);
+            }
+            let pred = Predicate {
+                asid: Some(asid),
+                window: None,
+            };
+            assert_eq!(got, filter_stream(&a.words, &pred), "asid {asid}");
+        }
+        // Runs are maximal and tile the words.
+        assert_eq!((whole[0].start, whole.last().unwrap().end), (0, n));
+        for pair in whole.windows(2) {
+            assert_ne!(pair[0].asid, pair[1].asid);
+            assert_eq!(pair[0].end, pair[1].start);
+        }
+        // Scanned in pieces, each entered in the context the last one
+        // left (as a live feed's publishes are): the same runs.
+        for piece in [1, 7, 37, 64] {
+            let mut runs: Vec<AsidRun> = Vec::new();
+            for (k, chunk) in a.words.chunks(piece).enumerate() {
+                let entering = runs.last().map_or(0, |r| r.asid);
+                asid_runs(chunk, (k * piece) as u64, entering, &mut runs);
+            }
+            assert_eq!(runs, whole, "pieces of {piece}");
+        }
+        // No filter admits the whole span whatever the runs say.
+        let mut unfiltered = admitted_spans(&whole, None, 5, 9);
+        assert_eq!((unfiltered.next(), unfiltered.next()), (Some(5..9), None));
+        assert_eq!(admitted_spans(&whole, None, 9, 9).count(), 0);
+    }
+
+    #[test]
+    fn asids_sharing_a_zonemap_bit_are_told_apart_by_the_decode() {
+        // 3 and 67 share zonemap bit 3. In blocks of 16, block 0 holds
+        // only context 3 but opens with the switch to it, so neither
+        // the single-ASID proof nor the zonemap can dismiss it for a
+        // query on 67: the decode must, and must count it.
+        let a = trace_of(&[(3, 40), (67, 30), (3, 26)]);
+        let block_0 = Some((0, 16));
+        for format in [BlockFormat::Row, BlockFormat::Columnar] {
+            let store = TraceStore::from_archive_with(&a, 16, format);
+            assert_eq!(store.block_meta(0).single_asid(), None);
+            let q = store.query(&panel(&[67], &[block_0])[0]).unwrap();
+            assert_eq!((q.words.len(), q.blocks_decoded), (0, 1), "{format:?}");
+            let q = store.query(&panel(&[3], &[block_0])[0]).unwrap();
+            assert_eq!((q.words.len(), q.blocks_decoded), (16, 1), "{format:?}");
+        }
+        // 131 = 67 + 64 shares the bit and occurs nowhere.
+        let windows = [
+            None,
+            block_0,
+            Some((16, 32)),
+            Some((30, 75)),
+            Some((48, 64)),
+        ];
+        assert_answers_filter_stream(&a, 16, &panel(&[3, 67, 131, 0, 255], &windows));
+    }
+
+    #[test]
+    fn switch_words_on_block_and_window_edges_land_in_their_target_context() {
+        // Blocks of 8; switches at 0 and 8 (row 0 of blocks 0 and 1),
+        // 23 (the last row of block 2) and 24 (row 0 of block 3).
+        let a = trace_of(&[(1, 8), (2, 15), (3, 1), (4, 16)]);
+        assert_eq!(a.words.len(), 40);
+        // Every window with both edges on, or one word off, a switch.
+        let edges = [0, 1, 7, 8, 9, 22, 23, 24, 25, 39, 40];
+        let mut windows = vec![None];
+        for lo in edges {
+            windows.extend(
+                edges
+                    .iter()
+                    .filter(|&&hi| lo < hi)
+                    .map(|&hi| Some((lo, hi))),
+            );
+        }
+        assert_answers_filter_stream(&a, 8, &panel(&[0, 1, 2, 3, 4], &windows));
+    }
+
+    #[test]
+    fn a_switch_to_the_context_in_force_splits_no_run_but_still_flags_its_block() {
+        // Context 3 is entered at word 0 and re-asserted at 20 (inside
+        // block 1) and at 32 (row 0 of block 2); 7 takes over at 48.
+        let a = trace_of(&[(3, 20), (3, 12), (3, 16), (7, 16)]);
+        let mut runs = Vec::new();
+        asid_runs(&a.words, 0, 0, &mut runs);
+        let run = |start, end, asid| AsidRun { start, end, asid };
+        assert_eq!(runs, [run(0, 48, 3), run(48, 64, 7)]);
+        // `FLAG_CTX_SWITCH` means "a switch word occurs", which is not
+        // "more than one run": block 2 is all context 3 and flagged.
+        let store = TraceStore::from_archive(&a, 16);
+        let m = store.block_meta(2);
+        assert_ne!(m.flags & BlockMeta::FLAG_CTX_SWITCH, 0);
+        assert_eq!((m.first_asid, m.last_asid, m.single_asid()), (3, 3, None));
+        let windows = [
+            None,
+            Some((10, 40)),
+            Some((20, 21)),
+            Some((31, 33)),
+            Some((32, 48)),
+            Some((47, 49)),
+        ];
+        assert_answers_filter_stream(&a, 16, &panel(&[3, 7, 0], &windows));
+    }
+
+    #[test]
+    fn a_window_inside_one_run_copies_only_the_window() {
+        let a = trace_of(&[(2, 100), (6, 100)]);
+        // Inside one block, across blocks of one run, and straddling
+        // nothing but the run's own interior in the second context.
+        let windows = [
+            Some((5, 9)),
+            Some((20, 90)),
+            Some((120, 180)),
+            Some((99, 101)),
+        ];
+        assert_answers_filter_stream(&a, 16, &panel(&[2, 6, 0], &windows));
+        let store = TraceStore::from_archive_with(&a, 16, BlockFormat::Columnar);
+        let q = store.query(&panel(&[2], &[Some((20, 90))])[0]).unwrap();
+        assert_eq!(q.words, a.words[20..90]);
+    }
+
+    #[test]
+    fn edge_blocks_holding_the_asid_only_outside_the_window_answer_nothing() {
+        // Blocks of 16, contexts 5 | 1 | 5 | 1 | 5 switching at 0, 20,
+        // 40, 72, 100. The window 20..100 has edge blocks 1 (16..32)
+        // and 6 (96..112): both hold context 5 — the index cannot
+        // rule them out — but only in rows the window excludes.
+        let a = trace_of(&[(5, 20), (1, 20), (5, 32), (1, 28), (5, 28)]);
+        let pred = panel(&[5], &[Some((20, 100))])[0];
+        for format in [BlockFormat::Row, BlockFormat::Columnar] {
+            let store = TraceStore::from_archive_with(&a, 16, format);
+            let picked = store.matching_blocks(&pred);
+            assert!(picked.contains(&1) && picked.contains(&6), "{format:?}");
+            let q = store.query(&pred).unwrap();
+            assert_eq!(q.words, a.words[40..72], "{format:?}");
+            assert_eq!(q.blocks_decoded as usize, picked.len(), "{format:?}");
+        }
+        let windows = [
+            Some((20, 100)),
+            Some((16, 112)),
+            Some((21, 99)),
+            Some((32, 96)),
+        ];
+        assert_answers_filter_stream(&a, 16, &panel(&[5, 1, 0], &windows));
     }
 }

@@ -13,15 +13,15 @@
 //!   traces approach one byte per four-byte word.
 //! * [`column`](mod@column) — the v4 columnar block coding: per-class columns
 //!   (control / user / kernel words) with 1-bit predictor-hit flags,
-//!   decodable one column at a time so predicates touch only the
-//!   bytes they need.
+//!   each population under its own predictors.
 //! * [`container`] — archive formats v3 (row blocks) and v4 (columnar
 //!   blocks + per-ASID zonemaps): fixed-size blocks compressed
 //!   independently, with a footer index (offset, word count, CRC-32,
 //!   ASID bounds and query summaries per block) so any block is
 //!   seekable and decodable on its own, and most blocks are provably
-//!   skippable from the index alone. Version-1 and -2 archives still
-//!   load transparently.
+//!   skippable from the index alone. A query copies ASID runs out of
+//!   whole decoded blocks, whichever the coding. Version-1 archives
+//!   still load transparently.
 //! * [`farm`] — the store as a source for the one `wrl_trace::Driver`
 //!   ([`drive`]), and [`replay`]: one store into N analysis sinks
 //!   across worker threads behind a single shared parse, bit-identical
@@ -40,10 +40,10 @@ pub mod obs;
 
 pub use codec::{compress_block, crc32_bytes, crc32_words, decompress_block, CodecError, Crc32};
 pub use container::{
-    filter_stream, matching_rows, BlockCache, BlockFormat, BlockMeta, BlockReader, ColumnStats,
-    Predicate, PruneRow, QueryResult, StoreError, TraceStore, DEFAULT_BLOCK_WORDS,
-    INDEX_ENTRY_BYTES, INDEX_ENTRY_BYTES_V2, INDEX_ENTRY_BYTES_V4, STORE_VERSION, STORE_VERSION_V4,
-    TRAILER_BYTES,
+    admitted_spans, asid_runs, decode_block_bytes, filter_stream, matching_rows, AsidRun,
+    BlockCache, BlockFormat, BlockMeta, BlockReader, ColumnStats, Predicate, PruneRow, QueryResult,
+    StoreError, TraceStore, DEFAULT_BLOCK_WORDS, INDEX_ENTRY_BYTES, INDEX_ENTRY_BYTES_V4,
+    STORE_VERSION, STORE_VERSION_V4, TRAILER_BYTES,
 };
 pub use farm::{drive, query_parallel, replay, FarmCfg, FarmReport};
 pub use obs::StoreObs;

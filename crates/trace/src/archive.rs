@@ -51,8 +51,9 @@ pub enum ArchiveError {
     Malformed(&'static str),
     /// The file *is* a trace archive, but in a format version this
     /// decoder does not speak — distinguish "your tooling is too old
-    /// (or too new)" from actual corruption. Version-2 archives (the
-    /// compressed block format) are decoded by `wrl-store`, not here.
+    /// (or too new)" from actual corruption. Version-3 and -4 archives
+    /// (the compressed block formats) are decoded by `wrl-store`, not
+    /// here.
     UnsupportedVersion(u32),
 }
 
@@ -113,7 +114,7 @@ fn encode_table(out: &mut Vec<u8>, t: &BbTable) {
 
 /// Encodes the full table section — kernel table followed by the
 /// per-ASID user tables — in the exact byte layout both archive
-/// versions share. Public so the `wrl-store` v2 container can embed
+/// versions share. Public so the `wrl-store` containers can embed
 /// an identical table section without duplicating the codec.
 pub fn encode_table_section(out: &mut Vec<u8>, kernel: &BbTable, users: &[(u8, Arc<BbTable>)]) {
     encode_table(out, kernel);

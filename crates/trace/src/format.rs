@@ -85,6 +85,17 @@ pub fn classify(w: u32) -> TraceWord {
     TraceWord::Ctl(Ctl { op, payload })
 }
 
+/// The ASID a context-switch control word switches to; `None` for
+/// every other word. This is the one reading of a switch word that
+/// everything attributing words to address spaces shares — the
+/// store's index summaries, its run scanner and reference filter, and
+/// the live feed. It agrees with [`classify`] (held by test) without
+/// building the [`TraceWord`].
+#[inline]
+pub fn ctx_switch(w: u32) -> Option<u8> {
+    (w < CTL_LIMIT && w as u8 == CtlOp::CtxSwitch as u8).then_some((w >> 8) as u8)
+}
+
 /// True if an address lies in the kernel's half of the address space.
 #[inline]
 pub fn is_kernel_addr(a: u32) -> bool {
@@ -126,6 +137,21 @@ mod tests {
     fn junk_in_control_range_is_flagged() {
         assert!(matches!(classify(0x0000_00ff), TraceWord::BadCtl(_)));
         assert!(matches!(classify(0x0000_9900), TraceWord::BadCtl(_)));
+    }
+
+    #[test]
+    fn ctx_switch_agrees_with_classify_on_every_control_value() {
+        let beyond = [CTL_LIMIT, CTL_LIMIT + 1, 0x0040_0001, 0x8003_0101, u32::MAX];
+        for w in (0..CTL_LIMIT).chain(beyond) {
+            let want = match classify(w) {
+                TraceWord::Ctl(Ctl {
+                    op: CtlOp::CtxSwitch,
+                    payload,
+                }) => Some(payload),
+                _ => None,
+            };
+            assert_eq!(ctx_switch(w), want, "{w:#x}");
+        }
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //! ```
 //!
 //! Every reading subcommand accepts all archive versions: raw v1
-//! archives and compressed, block-indexed v2/v3/v4 stores
+//! archives and compressed, block-indexed v3/v4 stores
 //! (`wrl-store`). `compress --format v4` writes the columnar layout
 //! (per-class columns, per-ASID zonemaps) and `info` reports its
 //! per-column byte split.
@@ -218,8 +218,7 @@ fn info(path: &str) {
     });
     println!("{path}:");
     match disk_version(path) {
-        // Every on-disk version from 2 up is a compressed block store
-        // (v3 adds index summaries; v2 lacks them but reads the same).
+        // Every loadable version above 1 is a compressed block store.
         Some(v) if v >= 2 => println!(
             "  format      : v{v} store, {} blocks of {} words, {} -> {} bytes ({:.2}x)",
             store.n_blocks(),
@@ -231,8 +230,8 @@ fn info(path: &str) {
         Some(v) => println!("  format      : v{v} archive (raw words)"),
         None => {}
     }
-    // Columnar stores also report the per-column byte split — which
-    // columns carry the bytes is what a projected query saves.
+    // Columnar stores also report the per-column byte split: the
+    // column budget (every read decodes all seven).
     if let Ok(Some(stats)) = store.column_stats() {
         let total = store.compressed_bytes().max(1);
         for (name, bytes) in systrace::store::column::COLUMN_NAMES

@@ -13,8 +13,8 @@ use wrl_fabric::{PlanKind, MANIFEST_BLOCK_ENTRY_BYTES, MANIFEST_VERSION, MAX_SHA
 use wrl_serve::wire::{err, op, MAX_FRAME, MIN_BODY};
 use wrl_store::column::{N_COLUMNS, TAG_SLOTS, VAL_SLOTS};
 use wrl_store::{
-    BlockMeta, DEFAULT_BLOCK_WORDS, INDEX_ENTRY_BYTES, INDEX_ENTRY_BYTES_V2, INDEX_ENTRY_BYTES_V4,
-    STORE_VERSION, STORE_VERSION_V4, TRAILER_BYTES,
+    BlockMeta, DEFAULT_BLOCK_WORDS, INDEX_ENTRY_BYTES, INDEX_ENTRY_BYTES_V4, STORE_VERSION,
+    STORE_VERSION_V4, TRAILER_BYTES,
 };
 
 fn doc() -> String {
@@ -60,7 +60,6 @@ fn code_constants() -> BTreeMap<String, u64> {
         ("archive.version.v1", u64::from(wrl_trace::archive::VERSION)),
         ("store.version.v3", u64::from(STORE_VERSION)),
         ("store.version.v4", u64::from(STORE_VERSION_V4)),
-        ("store.index_entry_bytes.v2", INDEX_ENTRY_BYTES_V2 as u64),
         ("store.index_entry_bytes.v3", INDEX_ENTRY_BYTES as u64),
         ("store.index_entry_bytes.v4", INDEX_ENTRY_BYTES_V4 as u64),
         ("store.trailer_bytes", TRAILER_BYTES as u64),
@@ -171,7 +170,7 @@ fn magic_strings_and_versions_appear_in_the_spec_prose() {
     assert_eq!(wrl_fabric::MANIFEST_MAGIC, b"W3KSHARD");
     assert!(md.contains("\"W3KSHARD\""), "manifest magic missing");
     // Every decodable container version is spelled out in prose.
-    for v in ["v1", "v2", "v3", "v4"] {
+    for v in ["v1", "v3", "v4"] {
         assert!(md.contains(v), "version {v} never mentioned");
     }
 }

@@ -523,6 +523,71 @@ fn a_finished_feed_serves_history_to_late_joiners_and_ends_immediately() {
 }
 
 #[test]
+fn a_from_now_asid_subscriber_joining_mid_feed_starts_at_the_filtered_history_length() {
+    let a = golden();
+    let half = a.words.len() / 2;
+    // Once with all the history retained, once with most of it
+    // evicted before the join (the offset then counts only what the
+    // feed still holds — the documented from-now semantics).
+    for sub_retention in [ServeCfg::default().sub_retention, 1500] {
+        let cfg = ServeCfg {
+            sub_retention,
+            ..ServeCfg::default()
+        };
+        let server = Server::start("127.0.0.1:0", Catalog::new(), cfg).expect("server starts");
+        let feed = server.live_feed("golden");
+        // History arrives in pieces, so its ASID contexts span
+        // publishes (and evictions).
+        for chunk in a.words[..half].chunks(1000) {
+            feed.publish(chunk);
+        }
+        let held_from = half.saturating_sub(sub_retention) as u64;
+        let panel: Vec<Predicate> = predicate_panel(a.words.len() as u64)
+            .into_iter()
+            .filter(|p| p.asid.is_some())
+            .collect();
+        let mut tails: Vec<Client> = panel
+            .iter()
+            .map(|pred| {
+                let mut c = connect_patiently(server.addr());
+                c.subscribe("golden", pred, false).expect("subscribe");
+                c
+            })
+            .collect();
+        for chunk in a.words[half..].chunks(1000) {
+            feed.publish(chunk);
+        }
+        feed.finish();
+
+        let mut bit = 0;
+        for (pred, c) in panel.iter().zip(&mut tails) {
+            let tag = format!("retention {sub_retention}, {pred:?}");
+            // What the subscriber skipped, judged as `filter_stream`
+            // judges: all the history, and the part still held.
+            let history = filter_stream(&a.words[..half], pred);
+            let (lo, hi) = pred.window.unwrap_or((0, u64::MAX));
+            let still_held = Predicate {
+                window: Some((lo.max(held_from), hi)),
+                ..*pred
+            };
+            let held = filter_stream(&a.words[..half], &still_held).len();
+            let (first, words) = collect_tail(c, &tag);
+            assert_eq!(
+                words,
+                filter_stream(&a.words, pred)[history.len()..],
+                "{tag}"
+            );
+            if !words.is_empty() {
+                assert_eq!(first, Some(held as u64), "{tag}");
+                bit += usize::from(held > 0);
+            }
+        }
+        assert!(bit > 0, "no predicate had both held history and a tail");
+        server.shutdown();
+    }
+}
+
+#[test]
 fn a_deliberately_stalled_reader_is_evicted_at_the_sub_queue_bound() {
     let _guard = metrics_lock();
     // A tiny queue bound and fat events: the stalled reader's socket
