@@ -13,7 +13,9 @@
 //! * [`mod@link`] — the linker that lays out executables and applies all
 //!   address correction statically;
 //! * [`disasm`] — a disassembler for diagnostics and the Figure-2
-//!   reproduction.
+//!   reproduction;
+//! * [`seg`] — the kseg0/kseg1 address map, stated once for the
+//!   machine and every simulator of it.
 
 #![forbid(unsafe_code)]
 
@@ -24,6 +26,7 @@ pub mod inst;
 pub mod link;
 pub mod obj;
 pub mod reg;
+pub mod seg;
 
 pub use asm::Asm;
 pub use encode::{decode, encode, DecodeError};

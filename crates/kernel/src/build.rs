@@ -48,8 +48,6 @@ pub struct KernelConfig {
     pub conservative_write: bool,
     /// Plant the §4.4 I-cache flush bug.
     pub icache_flush_bug: bool,
-    /// Physical memory size.
-    pub mem_bytes: u32,
     /// Disk operation latency in cycles.
     pub disk_latency: u64,
 }
@@ -66,7 +64,6 @@ impl KernelConfig {
             page_policy: Policy::FirstFree { base_pfn: 0x2000 },
             conservative_write: true,
             icache_flush_bug: false,
-            mem_bytes: layout::MEM_BYTES,
             disk_latency: 60_000,
         }
     }
@@ -318,7 +315,7 @@ pub fn build_system(cfg: &KernelConfig, workloads: &[&Workload]) -> System {
     // ---------------- Machine ------------------------------------
     let mut m = Machine::new(
         MachineConfig {
-            mem_bytes: cfg.mem_bytes,
+            mem_bytes: layout::MEM_BYTES,
             disk_latency: cfg.disk_latency,
             bare: false,
             icache: CacheCfg::dec5000_icache(),

@@ -11,13 +11,13 @@
 //! the TLB miss counter of Table 3.
 
 use crate::cache::{Cache, CacheCfg, WriteBuffer};
-use crate::counters::{Counters, RefCounter};
+use crate::counters::Counters;
 use crate::cp0::{Cp0, ExcCode, Exception};
-use crate::dev::{irq, Devices, DISK_BLOCK_SIZE};
+use crate::dev::{irq, DevAction, Devices, DISK_BLOCK_SIZE};
 use crate::mem::Mem;
 use crate::tlb::{Tlb, TlbLookup};
 use wrl_isa::reg::RA;
-use wrl_isa::{Executable, Inst};
+use wrl_isa::{seg, Executable, FReg, Inst};
 
 /// Latency table (in cycles) for long-running operations.
 #[derive(Clone, Copy, Debug)]
@@ -229,24 +229,27 @@ pub struct Machine {
     icache: Cache,
     dcache: Cache,
     wb: WriteBuffer,
-    // Scoreboards: absolute cycle at which each resource is ready.
-    fp_ready: [u64; 32],
-    fcc_ready: u64,
-    hilo_ready: u64,
-    // Ideal-clock (1 IPC, perfect memory) scoreboards for the
-    // pixie-style arithmetic-stall estimate.
-    fp_ready_i: [u64; 32],
-    fcc_ready_i: u64,
-    hilo_ready_i: u64,
+    // Scoreboards: FP register pairs (at their even index), the FP
+    // condition bit, HI/LO.
+    fp: [Ready; 32],
+    fcc: Ready,
+    hilo: Ready,
     /// True if the instruction about to execute sits in a delay slot.
     next_is_delay: bool,
     /// Idle-loop PC range for idle accounting, if configured.
     idle_range: Option<(u32, u32)>,
     /// Optional reference tracer.
     tracer: Option<RefTracer>,
-    /// Optional per-address execution counter.
-    pub refcount: Option<RefCounter>,
     halted: Option<StopEvent>,
+}
+
+/// One scoreboard cell: the absolute cycle at which a resource is
+/// ready, on the real clock and on the ideal clock (1 IPC, perfect
+/// memory) of the pixie-style arithmetic-stall estimate.
+#[derive(Clone, Copy, Default)]
+struct Ready {
+    real: u64,
+    ideal: u64,
 }
 
 enum Access {
@@ -271,16 +274,12 @@ impl Machine {
             dcache: Cache::new(cfg.dcache),
             wb: WriteBuffer::new(cfg.wb_entries, cfg.wb_drain_cycles),
             cfg: cfg.clone(),
-            fp_ready: [0; 32],
-            fcc_ready: 0,
-            hilo_ready: 0,
-            fp_ready_i: [0; 32],
-            fcc_ready_i: 0,
-            hilo_ready_i: 0,
+            fp: [Ready::default(); 32],
+            fcc: Ready::default(),
+            hilo: Ready::default(),
             next_is_delay: false,
             idle_range: None,
             tracer: None,
-            refcount: None,
             halted: None,
         }
     }
@@ -314,18 +313,13 @@ impl Machine {
         self.tracer = t;
     }
 
-    /// Enables or disables per-address execution counting.
-    pub fn set_refcount(&mut self, on: bool) {
-        self.refcount = if on { Some(RefCounter::new()) } else { None };
-    }
-
     /// Loads an executable image into physical memory.
     ///
-    /// kseg addresses map to `vaddr & 0x1fff_ffff`; kuseg addresses
-    /// are placed identity-mapped (bare runs) unless a page map is
-    /// supplied via [`Machine::load_segment_mapped`].
+    /// kseg0/kseg1 addresses go where [`seg::unmapped`] puts them;
+    /// kuseg addresses are placed identity-mapped (bare runs) unless a
+    /// page map is supplied via [`Machine::load_segment_mapped`].
     pub fn load_executable(&mut self, exe: &Executable) {
-        let to_phys = |v: u32| if v >= 0x8000_0000 { v & 0x1fff_ffff } else { v };
+        let to_phys = |v: u32| seg::unmapped(v).map_or(v, |(paddr, _)| paddr);
         for (i, w) in exe.text.iter().enumerate() {
             self.mem
                 .write_word(to_phys(exe.text_base) + (i as u32) * 4, *w);
@@ -355,18 +349,22 @@ impl Machine {
         Some(self.mem.read_word(paddr & !3))
     }
 
-    /// Translates a virtual address with no side effects.
+    /// Translates a virtual address as the kernel would see it, with
+    /// no side effects: no mode check, no counter, no exception. This
+    /// is the read-only half of the architectural `translate`, not a
+    /// second map — nothing that acts on the machine goes through it.
     pub fn probe_translate(&self, vaddr: u32) -> Option<u32> {
         if self.cfg.bare && vaddr < 0x8000_0000 {
             return Some(vaddr);
         }
-        match vaddr {
-            0x8000_0000..=0x9fff_ffff => Some(vaddr - 0x8000_0000),
-            0xa000_0000..=0xbfff_ffff => Some(vaddr - 0xa000_0000),
-            _ => match self.tlb.lookup(vaddr, self.cp0.asid()) {
-                TlbLookup::Hit { pfn, .. } => Some((pfn << 12) | (vaddr & 0xfff)),
-                _ => None,
-            },
+        // The unmapped segments answer before the TLB is searched:
+        // Mach's cache-flush loop asks once per line.
+        if let Some((paddr, _)) = seg::unmapped(vaddr) {
+            return Some(paddr);
+        }
+        match self.tlb.lookup(vaddr, self.cp0.asid()) {
+            TlbLookup::Hit { pfn, .. } => Some((pfn << 12) | (vaddr & 0xfff)),
+            _ => None,
         }
     }
 
@@ -391,24 +389,22 @@ impl Machine {
     /// Translates for an access, raising the architectural exception
     /// on failure. Returns `(paddr, cached)`.
     fn translate(&mut self, vaddr: u32, access: Access) -> Result<(u32, bool), Exception> {
-        let user = self.cp0.user_mode();
         if vaddr < 0x8000_0000 {
             if self.cfg.bare {
                 return Ok((vaddr, true));
             }
             return self.translate_mapped(vaddr, access, true);
         }
-        if user {
+        if self.cp0.user_mode() {
             let code = match access {
                 Access::Store => ExcCode::AdES,
                 _ => ExcCode::AdEL,
             };
             return Err(Exception::addr(code, vaddr, false));
         }
-        match vaddr {
-            0x8000_0000..=0x9fff_ffff => Ok((vaddr - 0x8000_0000, true)),
-            0xa000_0000..=0xbfff_ffff => Ok((vaddr - 0xa000_0000, false)),
-            _ => self.translate_mapped(vaddr, access, false),
+        match seg::unmapped(vaddr) {
+            Some(hit) => Ok(hit),
+            None => self.translate_mapped(vaddr, access, false),
         }
     }
 
@@ -449,6 +445,16 @@ impl Machine {
                 Err(Exception::addr(code, vaddr, false))
             }
         }
+    }
+
+    /// The one fault exit: a bare machine has no handler and stops,
+    /// any other vectors to its kernel.
+    fn raise(&mut self, exc: Exception, epc_inst: u32, in_delay: bool) -> Option<StopEvent> {
+        if self.cfg.bare {
+            return Some(StopEvent::UnhandledException(exc.code as u8));
+        }
+        self.take_exception(exc, epc_inst, in_delay);
+        None
     }
 
     fn take_exception(&mut self, exc: Exception, epc_inst: u32, in_delay: bool) {
@@ -519,21 +525,10 @@ impl Machine {
         // Fetch.
         let (paddr, cached) = match self.translate(ipc, Access::Fetch) {
             Ok(v) => v,
-            Err(e) => {
-                if self.cfg.bare {
-                    return Some(StopEvent::UnhandledException(e.code as u8));
-                }
-                self.take_exception(e, ipc, in_delay);
-                return None;
-            }
+            Err(e) => return self.raise(e, ipc, in_delay),
         };
         if ipc & 3 != 0 || !self.mem.in_range(paddr, 4) {
-            let e = Exception::addr(ExcCode::AdEL, ipc, false);
-            if self.cfg.bare {
-                return Some(StopEvent::UnhandledException(e.code as u8));
-            }
-            self.take_exception(e, ipc, in_delay);
-            return None;
+            return self.raise(Exception::addr(ExcCode::AdEL, ipc, false), ipc, in_delay);
         }
         self.counters.cycles += 1;
         self.tlb.tick();
@@ -549,19 +544,9 @@ impl Machine {
         if let Some(t) = self.tracer.as_mut() {
             t(RefEvent::Ifetch { vaddr: ipc, user });
         }
-        if let Some(rc) = self.refcount.as_mut() {
-            rc.bump(ipc);
-        }
 
-        let inst = match self.mem.fetch(paddr) {
-            Ok(i) => i,
-            Err(_) => {
-                if self.cfg.bare {
-                    return Some(StopEvent::UnhandledException(ExcCode::RI as u8));
-                }
-                self.take_exception(Exception::plain(ExcCode::RI), ipc, in_delay);
-                return None;
-            }
+        let Ok(inst) = self.mem.fetch(paddr) else {
+            return self.raise(Exception::plain(ExcCode::RI), ipc, in_delay);
         };
 
         // Advance PC state (the two-register delay-slot scheme).
@@ -570,17 +555,19 @@ impl Machine {
 
         // Execute.
         let stop = match self.exec(inst, ipc, in_delay, user) {
-            Ok(stop) => stop,
+            Ok(stop) => {
+                self.next_is_delay = inst.has_delay_slot();
+                stop
+            }
+            // A faulting instruction retires into its handler; a bare
+            // machine stops on it, unretired.
             Err(e) => {
-                if self.cfg.bare {
-                    return Some(StopEvent::UnhandledException(e.code as u8));
+                if let Some(stop) = self.raise(e, ipc, in_delay) {
+                    return Some(stop);
                 }
-                self.take_exception(e, ipc, in_delay);
-                self.retire(ipc, user);
-                return None;
+                None
             }
         };
-        self.next_is_delay = inst.has_delay_slot();
         self.retire(ipc, user);
         stop
     }
@@ -611,19 +598,17 @@ impl Machine {
         }
     }
 
-    /// Waits on the real and ideal FP scoreboards for register `f`.
+    /// Stalls the real and the ideal clock until `r` is ready.
     #[inline]
-    fn fp_wait(&mut self, f: u8) {
-        let r = self.fp_ready[f as usize & 30];
+    fn wait(&mut self, r: Ready) {
         let now = self.counters.cycles;
-        if r > now {
-            self.counters.fp_stall_cycles += r - now;
-            self.counters.cycles = r;
+        if r.real > now {
+            self.counters.fp_stall_cycles += r.real - now;
+            self.counters.cycles = r.real;
         }
         let icyc = self.ideal_cycle();
-        let ri = self.fp_ready_i[f as usize & 30];
-        if ri > icyc {
-            self.counters.fp_stall_ideal += ri - icyc;
+        if r.ideal > icyc {
+            self.counters.fp_stall_ideal += r.ideal - icyc;
         }
     }
 
@@ -632,22 +617,21 @@ impl Machine {
         self.counters.insts() + self.counters.fp_stall_ideal
     }
 
+    /// The cell of a result issued now that takes `lat` cycles.
     #[inline]
-    fn fp_done(&mut self, f: u8, lat: u64) {
-        self.fp_ready[f as usize & 30] = self.counters.cycles + lat;
-        self.fp_ready_i[f as usize & 30] = self.ideal_cycle() + lat;
+    fn ready_in(&self, lat: u64) -> Ready {
+        Ready {
+            real: self.counters.cycles + lat,
+            ideal: self.ideal_cycle() + lat,
+        }
     }
 
+    /// Counts and traces a store that translated.
     #[inline]
-    fn hilo_wait(&mut self) {
-        let now = self.counters.cycles;
-        if self.hilo_ready > now {
-            self.counters.fp_stall_cycles += self.hilo_ready - now;
-            self.counters.cycles = self.hilo_ready;
-        }
-        let icyc = self.ideal_cycle();
-        if self.hilo_ready_i > icyc {
-            self.counters.fp_stall_ideal += self.hilo_ready_i - icyc;
+    fn count_store(&mut self, vaddr: u32, user: bool) {
+        self.counters.stores += 1;
+        if let Some(t) = self.tracer.as_mut() {
+            t(RefEvent::Store { vaddr, user });
         }
     }
 
@@ -684,25 +668,38 @@ impl Machine {
         })
     }
 
-    fn store(&mut self, vaddr: u32, v: u32, width: u32, user: bool) -> Result<(), Exception> {
+    /// Stores `v`; a word store to HALT or the doorbell stops the
+    /// machine. The device's answer is the only way to a stop, and the
+    /// architectural translate the only way to the device.
+    fn store(
+        &mut self,
+        vaddr: u32,
+        v: u32,
+        width: u32,
+        user: bool,
+    ) -> Result<Option<StopEvent>, Exception> {
         if !vaddr.is_multiple_of(width) {
             return Err(Exception::addr(ExcCode::AdES, vaddr, false));
         }
         let (paddr, cached) = self.translate(vaddr, Access::Store)?;
-        self.counters.stores += 1;
-        if let Some(t) = self.tracer.as_mut() {
-            t(RefEvent::Store { vaddr, user });
-        }
         if Devices::owns(paddr) {
+            // The register is written at the cycle the uncached store
+            // lands. HALT stops the machine with the store neither
+            // counted, traced nor charged; narrower stores are plain
+            // register writes.
+            let lands = self.counters.cycles + self.cfg.uncached_penalty;
+            let stop = match (self.dev.write(paddr, v, lands), width) {
+                (DevAction::Halt(code), 4) => return Ok(Some(StopEvent::Halted(code))),
+                (DevAction::TraceRequest(w), 4) => Some(StopEvent::TraceRequest(w)),
+                _ => None,
+            };
+            self.count_store(vaddr, user);
             self.counters.uncached_data += 1;
-            self.counters.cycles += self.cfg.uncached_penalty;
-            // Halt/doorbell actions are intercepted by `dev_store`
-            // before word stores reach here; other widths and actions
-            // are plain register writes.
-            let _ = self.dev.write(paddr, v, self.counters.cycles);
+            self.counters.cycles = lands;
             self.sync_irq_lines();
-            return Ok(());
+            return Ok(stop);
         }
+        self.count_store(vaddr, user);
         if !self.mem.in_range(paddr, width) {
             return Err(Exception::addr(ExcCode::AdES, vaddr, false));
         }
@@ -722,32 +719,7 @@ impl Machine {
             2 => self.mem.write_half(paddr, v as u16),
             _ => self.mem.write_word(paddr, v),
         }
-        Ok(())
-    }
-
-    /// Pending device action captured during a store (halt/doorbell).
-    fn dev_store(&mut self, vaddr: u32, v: u32, width: u32, user: bool) -> DevStore {
-        // Peek whether this hits the device page for halt/doorbell.
-        let is_dev = self
-            .probe_translate(vaddr)
-            .map(Devices::owns)
-            .unwrap_or(false);
-        if is_dev && width == 4 {
-            let paddr = self.probe_translate(vaddr).expect("probed above");
-            let off = paddr - crate::dev::DEV_BASE;
-            if off == crate::dev::regs::HALT {
-                return DevStore::Halt(v);
-            }
-            if off == crate::dev::regs::TRACE_REQ {
-                // Perform the store (for the doorbell payload), then stop.
-                let _ = self.store(vaddr, v, width, user);
-                return DevStore::Doorbell(v);
-            }
-        }
-        match self.store(vaddr, v, width, user) {
-            Ok(()) => DevStore::Done,
-            Err(e) => DevStore::Fault(e),
-        }
+        Ok(None)
     }
 
     fn exec(
@@ -780,15 +752,13 @@ impl Machine {
                 let p = (self.rd(rs) as i32 as i64) * (self.rd(rt) as i32 as i64);
                 self.cpu.lo = p as u32;
                 self.cpu.hi = (p >> 32) as u32;
-                self.hilo_ready = self.counters.cycles + lat.int_mul;
-                self.hilo_ready_i = self.ideal_cycle() + lat.int_mul;
+                self.hilo = self.ready_in(lat.int_mul);
             }
             Multu { rs, rt } => {
                 let p = (self.rd(rs) as u64) * (self.rd(rt) as u64);
                 self.cpu.lo = p as u32;
                 self.cpu.hi = (p >> 32) as u32;
-                self.hilo_ready = self.counters.cycles + lat.int_mul;
-                self.hilo_ready_i = self.ideal_cycle() + lat.int_mul;
+                self.hilo = self.ready_in(lat.int_mul);
             }
             Div { rs, rt } => {
                 let a = self.rd(rs) as i32;
@@ -797,8 +767,7 @@ impl Machine {
                     self.cpu.lo = a.wrapping_div(b) as u32;
                     self.cpu.hi = a.wrapping_rem(b) as u32;
                 }
-                self.hilo_ready = self.counters.cycles + lat.int_div;
-                self.hilo_ready_i = self.ideal_cycle() + lat.int_div;
+                self.hilo = self.ready_in(lat.int_div);
             }
             Divu { rs, rt } => {
                 let a = self.rd(rs);
@@ -809,15 +778,14 @@ impl Machine {
                     self.cpu.lo = q;
                     self.cpu.hi = a % b;
                 }
-                self.hilo_ready = self.counters.cycles + lat.int_div;
-                self.hilo_ready_i = self.ideal_cycle() + lat.int_div;
+                self.hilo = self.ready_in(lat.int_div);
             }
             Mfhi { rd } => {
-                self.hilo_wait();
+                self.wait(self.hilo);
                 self.wr(rd, self.cpu.hi);
             }
             Mflo { rd } => {
-                self.hilo_wait();
+                self.wait(self.hilo);
                 self.wr(rd, self.cpu.lo);
             }
             Mthi { rs } => self.cpu.hi = self.rd(rs),
@@ -856,34 +824,28 @@ impl Machine {
             }
             Sb { rt, base, off } => {
                 let a = self.rd(base).wrapping_add(off as u32);
-                self.store(a, self.rd(rt), 1, user)?;
+                return self.store(a, self.rd(rt), 1, user);
             }
             Sh { rt, base, off } => {
                 let a = self.rd(base).wrapping_add(off as u32);
-                self.store(a, self.rd(rt), 2, user)?;
+                return self.store(a, self.rd(rt), 2, user);
             }
             Sw { rt, base, off } => {
                 let a = self.rd(base).wrapping_add(off as u32);
-                match self.dev_store(a, self.rd(rt), 4, user) {
-                    DevStore::Done => {}
-                    DevStore::Fault(e) => return Err(e),
-                    DevStore::Halt(code) => return Ok(Some(StopEvent::Halted(code))),
-                    DevStore::Doorbell(v) => return Ok(Some(StopEvent::TraceRequest(v))),
-                }
+                return self.store(a, self.rd(rt), 4, user);
             }
             Lwc1 { ft, base, off } => {
                 let a = self.rd(base).wrapping_add(off as u32);
                 let v = self.load(a, 4, user)?;
                 self.cpu.fregs[ft.idx()] = v;
                 // Loading either half makes the pair "written".
-                let even = ft.0 & 30;
-                self.fp_ready[even as usize] =
-                    self.fp_ready[even as usize].max(self.counters.cycles);
+                let r = &mut self.fp[pair(ft)];
+                r.real = r.real.max(self.counters.cycles);
             }
             Swc1 { ft, base, off } => {
-                self.fp_wait(ft.0);
+                self.wait(self.fp[pair(ft)]);
                 let a = self.rd(base).wrapping_add(off as u32);
-                self.store(a, self.cpu.fregs[ft.idx()], 4, user)?;
+                return self.store(a, self.cpu.fregs[ft.idx()], 4, user);
             }
             Beq { rs, rt, off } => {
                 if self.rd(rs) == self.rd(rt) {
@@ -1009,102 +971,98 @@ impl Machine {
                 }
             }
             Mfc1 { rt, fs } => {
-                self.fp_wait(fs.0);
+                self.wait(self.fp[pair(fs)]);
                 self.wr(rt, self.cpu.fregs[fs.idx()]);
             }
             Mtc1 { rt, fs } => {
                 self.cpu.fregs[fs.idx()] = self.rd(rt);
-                let even = fs.0 & 30;
-                self.fp_ready[even as usize] =
-                    self.fp_ready[even as usize].max(self.counters.cycles);
+                let r = &mut self.fp[pair(fs)];
+                r.real = r.real.max(self.counters.cycles);
             }
             AddD { fd, fs, ft } => {
-                self.fp_wait(fs.0);
-                self.fp_wait(ft.0);
+                self.wait(self.fp[pair(fs)]);
+                self.wait(self.fp[pair(ft)]);
                 let v = self.cpu.get_d(fs.0) + self.cpu.get_d(ft.0);
                 self.cpu.set_d(fd.0, v);
-                self.fp_done(fd.0, lat.fp_add);
+                self.fp[pair(fd)] = self.ready_in(lat.fp_add);
             }
             SubD { fd, fs, ft } => {
-                self.fp_wait(fs.0);
-                self.fp_wait(ft.0);
+                self.wait(self.fp[pair(fs)]);
+                self.wait(self.fp[pair(ft)]);
                 let v = self.cpu.get_d(fs.0) - self.cpu.get_d(ft.0);
                 self.cpu.set_d(fd.0, v);
-                self.fp_done(fd.0, lat.fp_add);
+                self.fp[pair(fd)] = self.ready_in(lat.fp_add);
             }
             MulD { fd, fs, ft } => {
-                self.fp_wait(fs.0);
-                self.fp_wait(ft.0);
+                self.wait(self.fp[pair(fs)]);
+                self.wait(self.fp[pair(ft)]);
                 let v = self.cpu.get_d(fs.0) * self.cpu.get_d(ft.0);
                 self.cpu.set_d(fd.0, v);
-                self.fp_done(fd.0, lat.fp_mul);
+                self.fp[pair(fd)] = self.ready_in(lat.fp_mul);
             }
             DivD { fd, fs, ft } => {
-                self.fp_wait(fs.0);
-                self.fp_wait(ft.0);
+                self.wait(self.fp[pair(fs)]);
+                self.wait(self.fp[pair(ft)]);
                 let v = self.cpu.get_d(fs.0) / self.cpu.get_d(ft.0);
                 self.cpu.set_d(fd.0, v);
-                self.fp_done(fd.0, lat.fp_div);
+                self.fp[pair(fd)] = self.ready_in(lat.fp_div);
             }
             AbsD { fd, fs } => {
-                self.fp_wait(fs.0);
+                self.wait(self.fp[pair(fs)]);
                 let v = self.cpu.get_d(fs.0).abs();
                 self.cpu.set_d(fd.0, v);
-                self.fp_done(fd.0, lat.fp_add);
+                self.fp[pair(fd)] = self.ready_in(lat.fp_add);
             }
             MovD { fd, fs } => {
-                self.fp_wait(fs.0);
+                self.wait(self.fp[pair(fs)]);
                 let v = self.cpu.get_d(fs.0);
                 self.cpu.set_d(fd.0, v);
-                self.fp_done(fd.0, 1);
+                self.fp[pair(fd)] = self.ready_in(1);
             }
             NegD { fd, fs } => {
-                self.fp_wait(fs.0);
+                self.wait(self.fp[pair(fs)]);
                 let v = -self.cpu.get_d(fs.0);
                 self.cpu.set_d(fd.0, v);
-                self.fp_done(fd.0, lat.fp_add);
+                self.fp[pair(fd)] = self.ready_in(lat.fp_add);
             }
             CvtDW { fd, fs } => {
-                self.fp_wait(fs.0);
+                self.wait(self.fp[pair(fs)]);
                 let w = self.cpu.fregs[fs.idx()] as i32;
                 self.cpu.set_d(fd.0, w as f64);
-                self.fp_done(fd.0, lat.fp_cvt);
+                self.fp[pair(fd)] = self.ready_in(lat.fp_cvt);
             }
             CvtWD { fd, fs } => {
-                self.fp_wait(fs.0);
+                self.wait(self.fp[pair(fs)]);
                 let v = self.cpu.get_d(fs.0);
                 self.cpu.fregs[fd.idx()] = v as i32 as u32;
-                self.fp_done(fd.0, lat.fp_cvt);
+                self.fp[pair(fd)] = self.ready_in(lat.fp_cvt);
             }
             CEqD { fs, ft } => {
-                self.fp_wait(fs.0);
-                self.fp_wait(ft.0);
+                self.wait(self.fp[pair(fs)]);
+                self.wait(self.fp[pair(ft)]);
                 self.cpu.fcc = self.cpu.get_d(fs.0) == self.cpu.get_d(ft.0);
-                self.fcc_ready = self.counters.cycles + lat.fp_cmp;
-                self.fcc_ready_i = self.ideal_cycle() + lat.fp_cmp;
+                self.fcc = self.ready_in(lat.fp_cmp);
             }
             CLtD { fs, ft } => {
-                self.fp_wait(fs.0);
-                self.fp_wait(ft.0);
+                self.wait(self.fp[pair(fs)]);
+                self.wait(self.fp[pair(ft)]);
                 self.cpu.fcc = self.cpu.get_d(fs.0) < self.cpu.get_d(ft.0);
-                self.fcc_ready = self.counters.cycles + lat.fp_cmp;
-                self.fcc_ready_i = self.ideal_cycle() + lat.fp_cmp;
+                self.fcc = self.ready_in(lat.fp_cmp);
             }
             CLeD { fs, ft } => {
-                self.fp_wait(fs.0);
-                self.fp_wait(ft.0);
+                self.wait(self.fp[pair(fs)]);
+                self.wait(self.fp[pair(ft)]);
                 self.cpu.fcc = self.cpu.get_d(fs.0) <= self.cpu.get_d(ft.0);
-                self.fcc_ready = self.counters.cycles + lat.fp_cmp;
-                self.fcc_ready_i = self.ideal_cycle() + lat.fp_cmp;
+                self.fcc = self.ready_in(lat.fp_cmp);
             }
             Bc1t { off } => {
-                self.fcc_wait();
+                self.wait(self.fcc);
                 if self.cpu.fcc {
                     self.cpu.next_pc = branch_target(ipc, off);
                 }
             }
             Bc1f { off } => {
-                self.fcc_wait();
+                self.wait(self.fcc);
                 if !self.cpu.fcc {
                     self.cpu.next_pc = branch_target(ipc, off);
                 }
@@ -1112,26 +1070,12 @@ impl Machine {
         }
         Ok(None)
     }
-
-    #[inline]
-    fn fcc_wait(&mut self) {
-        let now = self.counters.cycles;
-        if self.fcc_ready > now {
-            self.counters.fp_stall_cycles += self.fcc_ready - now;
-            self.counters.cycles = self.fcc_ready;
-        }
-        let icyc = self.ideal_cycle();
-        if self.fcc_ready_i > icyc {
-            self.counters.fp_stall_ideal += self.fcc_ready_i - icyc;
-        }
-    }
 }
 
-enum DevStore {
-    Done,
-    Fault(Exception),
-    Halt(u32),
-    Doorbell(u32),
+/// Scoreboard index of the even/odd pair holding FP register `f`.
+#[inline]
+fn pair(f: FReg) -> usize {
+    f.idx() & 30
 }
 
 #[inline]

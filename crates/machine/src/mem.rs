@@ -1,17 +1,24 @@
 //! Physical memory with a predecode cache.
 //!
-//! Memory is word-organised (little-endian within words). A parallel
-//! predecode array caches the decoded form of instruction words so the
+//! Memory is word-organised (little-endian within words). A predecode
+//! array per page caches the decoded form of instruction words so the
 //! simulator does not re-decode on every fetch; any store to a word
 //! invalidates its predecoded entry, so self-modifying code (and
-//! program loading) stays correct.
+//! program loading) stays correct. A page gets its array on the first
+//! fetch from it, so a machine costs what its program touches: the
+//! words are the allocator's zero pages until written, and predecode
+//! is 8 KiB per page of text that ran.
 
 use wrl_isa::{decode, Inst};
+
+/// Words per predecode page.
+const PAGE_WORDS: usize = 1024;
 
 /// Physical memory.
 pub struct Mem {
     words: Vec<u32>,
-    decoded: Vec<Option<Inst>>,
+    /// One predecode array per page that has been fetched from.
+    decoded: Vec<Option<Box<[Option<Inst>; PAGE_WORDS]>>>,
 }
 
 impl Mem {
@@ -20,7 +27,15 @@ impl Mem {
         let n = bytes.div_ceil(4) as usize;
         Mem {
             words: vec![0; n],
-            decoded: vec![None; n],
+            decoded: vec![None; n.div_ceil(PAGE_WORDS)],
+        }
+    }
+
+    /// Drops word `i`'s predecoded form, if its page has any.
+    #[inline]
+    fn invalidate(&mut self, i: usize) {
+        if let Some(page) = &mut self.decoded[i / PAGE_WORDS] {
+            page[i % PAGE_WORDS] = None;
         }
     }
 
@@ -46,7 +61,7 @@ impl Mem {
     pub fn write_word(&mut self, paddr: u32, v: u32) {
         let i = (paddr >> 2) as usize;
         self.words[i] = v;
-        self.decoded[i] = None;
+        self.invalidate(i);
     }
 
     /// Reads a byte.
@@ -62,7 +77,7 @@ impl Mem {
         let i = (paddr >> 2) as usize;
         let sh = (paddr & 3) * 8;
         self.words[i] = (self.words[i] & !(0xffu32 << sh)) | ((v as u32) << sh);
-        self.decoded[i] = None;
+        self.invalidate(i);
     }
 
     /// Reads a halfword (must be 2-byte aligned).
@@ -78,7 +93,7 @@ impl Mem {
         let i = (paddr >> 2) as usize;
         let sh = (paddr & 2) * 8;
         self.words[i] = (self.words[i] & !(0xffffu32 << sh)) | ((v as u32) << sh);
-        self.decoded[i] = None;
+        self.invalidate(i);
     }
 
     /// Fetches and decodes the instruction at word-aligned `paddr`,
@@ -86,17 +101,14 @@ impl Mem {
     #[inline]
     pub fn fetch(&mut self, paddr: u32) -> Result<Inst, u32> {
         let i = (paddr >> 2) as usize;
-        if let Some(inst) = self.decoded[i] {
+        let page = self.decoded[i / PAGE_WORDS].get_or_insert_with(|| Box::new([None; PAGE_WORDS]));
+        if let Some(inst) = page[i % PAGE_WORDS] {
             return Ok(inst);
         }
         let w = self.words[i];
-        match decode(w) {
-            Ok(inst) => {
-                self.decoded[i] = Some(inst);
-                Ok(inst)
-            }
-            Err(_) => Err(w),
-        }
+        let inst = decode(w).map_err(|_| w)?;
+        page[i % PAGE_WORDS] = Some(inst);
+        Ok(inst)
     }
 
     /// Copies bytes into memory (used by program loading and disk DMA).
@@ -139,6 +151,24 @@ mod tests {
         // Overwrite with a reserved word: fetch must see the new word.
         m.write_word(0, 0xffff_ffff);
         assert_eq!(m.fetch(0), Err(0xffff_ffff));
+    }
+
+    #[test]
+    fn a_machine_costs_the_pages_it_fetched_from() {
+        let mut m = Mem::new(64 << 20);
+        let arrays = |m: &Mem| m.decoded.iter().flatten().count();
+        assert_eq!(arrays(&m), 0);
+        assert!(m.fetch(0x1000).is_ok());
+        assert_eq!(arrays(&m), 1);
+        // A store over the fetched word and one over a page nobody
+        // fetched from: the first invalidates, the second allocates
+        // nothing.
+        m.write_word(0x1000, 0xffff_ffff);
+        m.write_word(0x20_0000, 0xffff_ffff);
+        m.write_byte(0x30_0001, 0xff);
+        m.write_half(0x30_1002, 0xffff);
+        assert_eq!(m.fetch(0x1000), Err(0xffff_ffff));
+        assert_eq!(arrays(&m), 1);
     }
 
     #[test]

@@ -5,6 +5,7 @@
 use wrl_isa::asm::Asm;
 use wrl_isa::link::{link, Layout};
 use wrl_isa::reg::*;
+use wrl_machine::dev::{regs, DEV_BASE_K1};
 use wrl_machine::{Config, Machine, StopEvent};
 
 /// Assembles, links and loads a bare-mode program; returns the machine
@@ -435,8 +436,9 @@ fn misaligned_word_access_faults() {
 fn user_mode_cannot_touch_cp0_or_kernel_space() {
     use wrl_isa::Inst;
     // Build a kernel that drops to user mode; the user code tries
-    // mtc0 and a kseg0 load — each must raise an exception, which the
-    // general vector turns into a halt with a recognisable code.
+    // mtc0, a word store to each stopping device register and a kseg0
+    // load — each must raise an exception, which the general vector
+    // turns into a halt with a recognisable code.
     let mut a = Asm::new("priv");
     a.global_label("main");
     // Wire the user text mapping straight into TLB entry 0 (no
@@ -474,12 +476,47 @@ fn user_mode_cannot_touch_cp0_or_kernel_space() {
     )
     .unwrap();
 
-    for (uinst, expect) in [
+    // A user `sw` of 0x77 to a device register through kseg1: the
+    // device must never see it, so the machine can only stop with the
+    // handler's cause code, not the user's value.
+    let sw_dev = |reg: u32| {
+        vec![
+            Inst::Lui {
+                rt: T0,
+                imm: (DEV_BASE_K1 >> 16) as u16,
+            },
+            Inst::Addiu {
+                rt: T1,
+                rs: ZERO,
+                imm: 0x77,
+            },
+            Inst::Sw {
+                rt: T1,
+                base: T0,
+                off: reg as i16,
+            },
+        ]
+    };
+    for (probe, expect) in [
+        (vec![Inst::Mtc0 { rt: T0, rd: 12 }], 11u32), // CpU
+        (vec![Inst::Tlbwr], 11u32),                   // CpU
+        (sw_dev(regs::HALT), 5u32),                   // AdES
+        (sw_dev(regs::TRACE_REQ), 5u32),              // AdES
         (
-            wrl_isa::encode(wrl_isa::Inst::Mtc0 { rt: T0, rd: 12 }),
-            11u32,
-        ), // CpU
-        (wrl_isa::encode(wrl_isa::Inst::Tlbwr), 11u32), // CpU
+            // A kseg0 load.
+            vec![
+                Inst::Lui {
+                    rt: T0,
+                    imm: 0x8000,
+                },
+                Inst::Lw {
+                    rt: T1,
+                    base: T0,
+                    off: 0,
+                },
+            ],
+            4u32, // AdEL
+        ),
     ] {
         let mut m = Machine::new(Config::default(), vec![]);
         m.load_executable(&linked.exe);
@@ -489,8 +526,8 @@ fn user_mode_cannot_touch_cp0_or_kernel_space() {
         });
         m.mem.write_word(0x80, j);
         m.mem.write_word(0x84, 0);
-        // User code at paddr 0x60000: the probe instruction + spin.
-        let mut code = vec![uinst];
+        // User code at paddr 0x60000: the probe instructions + spin.
+        let mut code: Vec<u32> = probe.into_iter().map(wrl_isa::encode).collect();
         code.push(wrl_isa::encode(wrl_isa::Inst::Beq {
             rs: ZERO,
             rt: ZERO,
@@ -508,34 +545,63 @@ fn user_mode_cannot_touch_cp0_or_kernel_space() {
             other => panic!("expected privileged fault, got {other:?}"),
         }
     }
+}
 
-    // A kseg0 load from user mode is an address error (AdEL = 4).
+#[test]
+fn kernel_device_stores_stop_where_they_always_did() {
+    // Kernel mode, kseg1: `sb`/`sh` to HALT are plain register writes
+    // (counted, charged, no stop); `sw` to the doorbell is a counted
+    // uncached store that stops; `sw` to HALT stops the machine with
+    // the store neither counted nor charged.
+    let mut a = Asm::new("dev");
+    a.global_label("main");
+    a.li(T6, DEV_BASE_K1 as i32);
+    a.li(A0, 0x55);
+    a.sb(A0, regs::HALT as i16, T6);
+    a.sh(A0, regs::HALT as i16, T6);
+    a.sw(A0, regs::TRACE_REQ as i16, T6);
+    a.sw(A0, regs::HALT as i16, T6);
+    a.label("spin");
+    a.b("spin");
+    a.nop();
+    let layout = Layout {
+        text_base: 0x8000_0200,
+        data_base: 0x8030_0000,
+    };
+    let linked = link(&[a.finish()], layout, "main").unwrap();
     let mut m = Machine::new(Config::default(), vec![]);
     m.load_executable(&linked.exe);
-    let handler = linked.exe.sym("handler").unwrap();
-    let j = wrl_isa::encode(wrl_isa::Inst::J {
-        target: (handler >> 2) & 0x03ff_ffff,
-    });
-    m.mem.write_word(0x80, j);
-    m.mem.write_word(0x84, 0);
-    let mut a2 = Asm::new("probe");
-    a2.global_label("p");
-    a2.lui(T0, 0x8000);
-    a2.lw(T1, 0, T0); // kseg0 from user mode
-    a2.label("s");
-    a2.b("s");
-    a2.nop();
-    let probe = link(&[a2.finish()], Layout::user(), "p").unwrap();
-    let mut bytes = Vec::new();
-    for w in &probe.exe.text {
-        bytes.extend_from_slice(&w.to_le_bytes());
-    }
-    m.load_segment_mapped(0x60000, &bytes);
     m.set_pc(linked.exe.entry);
-    match m.run(500) {
-        StopEvent::Halted(code) => assert_eq!(code, 4, "AdEL expected"),
-        other => panic!("expected address error, got {other:?}"),
-    }
+    // Steps to the next stop; returns the counters before the
+    // stopping instruction, and the stop.
+    let to_stop = |m: &mut Machine| loop {
+        let before = m.counters.clone();
+        if let Some(stop) = m.step() {
+            return (before, stop);
+        }
+    };
+    // Cycles the stopping instruction took beyond its issue cycle and
+    // its own I-cache miss.
+    let extra = |m: &Machine, before: &wrl_machine::Counters| {
+        let imiss = (m.counters.icache_misses - before.icache_misses) * m.config().imiss_penalty;
+        m.counters.cycles - before.cycles - 1 - imiss
+    };
+
+    let (before, stop) = to_stop(&mut m);
+    assert_eq!(stop, StopEvent::TraceRequest(0x55));
+    assert_eq!((before.stores, before.uncached_data), (2, 2), "sb, sh");
+    assert_eq!((m.counters.stores, m.counters.uncached_data), (3, 3));
+    assert_eq!(extra(&m, &before), m.config().uncached_penalty);
+
+    let (before, stop) = to_stop(&mut m);
+    assert_eq!(stop, StopEvent::Halted(0x55));
+    assert_eq!((m.counters.stores, m.counters.uncached_data), (3, 3));
+    assert_eq!(extra(&m, &before), 0);
+    assert_eq!(
+        m.counters.insts(),
+        before.insts() + 1,
+        "the halting store retires"
+    );
 }
 
 #[test]

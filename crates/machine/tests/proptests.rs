@@ -203,4 +203,61 @@ mod exec_oracle {
             prop_assert_eq!(m.cpu.get_d(6), x * y);
         }
     }
+
+    /// Segment bases: kuseg (mapped), kseg0, kseg1, kseg2 (mapped).
+    const SEGS: [u32; 4] = [0x0040_0000, 0x8000_0000, 0xa000_0000, 0xc000_0000];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `probe_translate` is the side-effect-free half of the
+        /// architectural translation, not a second map: in kernel mode
+        /// it answers `Some(p)` exactly when a load from the address
+        /// translates, the load reads from that `p`, and the probe
+        /// moves no counter.
+        #[test]
+        fn probe_translate_agrees_with_a_kernel_load(
+            entries in proptest::collection::vec(
+                (any::<bool>(), 0u32..4, 0u8..3, 0u32..64, 0u8..8), 0..16),
+            cur_asid in 0u32..3,
+            seg in 0usize..4,
+            page in 0u32..4,
+            word in 0u32..1024,
+        ) {
+            const CODE: u32 = 0x8_0000; // clear of every frame below
+            const SENTINEL: u32 = 0x5eed_cafe;
+            let cfg = Config { mem_bytes: 1 << 20, ..Config::default() };
+            let mut m = Machine::new(cfg, vec![]);
+            for (i, &(kseg2, vpn, asid, pfn, flags)) in entries.iter().enumerate() {
+                m.tlb.write_indexed(i, TlbEntry {
+                    vpn: (SEGS[if kseg2 { 3 } else { 0 }] >> 12) + vpn,
+                    asid,
+                    pfn,
+                    valid: flags & 1 != 0,
+                    global: flags & 2 != 0,
+                    dirty: flags & 4 != 0,
+                    noncacheable: false,
+                });
+            }
+            m.cp0.entryhi = cur_asid << 6;
+            let vaddr = SEGS[seg] + (page << 12) + word * 4;
+
+            let before = format!("{:?}", m.counters);
+            let probed = m.probe_translate(vaddr);
+            prop_assert_eq!(format!("{:?}", m.counters), before);
+
+            if let Some(paddr) = probed {
+                m.mem.write_word(paddr, SENTINEL);
+            }
+            m.mem.write_word(CODE, wrl_isa::encode(wrl_isa::Inst::Lw { rt: T1, base: T0, off: 0 }));
+            m.set_pc(SEGS[1] + CODE);
+            m.cpu.regs[T0.idx()] = vaddr;
+            prop_assert_eq!(m.step(), None);
+            let faulted = m.counters.exceptions.iter().sum::<u64>() != 0;
+            prop_assert_eq!(probed.is_some(), !faulted, "probe {:?} at {:#x}", probed, vaddr);
+            if probed.is_some() {
+                prop_assert_eq!(m.cpu.regs[T1.idx()], SENTINEL);
+            }
+        }
+    }
 }

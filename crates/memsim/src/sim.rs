@@ -15,7 +15,7 @@
 //! TLB writes (`tlbdropin`/`tlb_map_random`) — the stated sources of
 //! Table 2/3 prediction error.
 
-use wrl_isa::Width;
+use wrl_isa::{seg, Width};
 use wrl_machine::cache::{Cache, CacheCfg, WriteBuffer};
 use wrl_machine::tlb::{Tlb, TlbEntry, TlbLookup};
 use wrl_trace::parser::{Space, TraceSink};
@@ -227,54 +227,46 @@ impl MemSim {
     /// Translates a vaddr for the current context, simulating the TLB
     /// for mapped segments and synthesizing refill activity on misses.
     fn translate(&mut self, vaddr: u32, space: Space) -> (u32, bool) {
-        match vaddr {
-            0x8000_0000..=0x9fff_ffff => (vaddr - 0x8000_0000, true),
-            0xa000_0000..=0xbfff_ffff => (vaddr - 0xa000_0000, false),
-            _ => {
-                let key = if vaddr >= 0xc000_0000 {
-                    SpaceKey::Kernel
-                } else {
-                    match space {
-                        Space::User(a) => SpaceKey::User(a),
-                        // Kernel touching user memory uses the current
-                        // process's map.
-                        Space::Kernel => SpaceKey::User(self.cur_asid),
-                    }
-                };
-                let asid = match key {
-                    SpaceKey::Kernel => 63,
-                    SpaceKey::User(a) => a,
-                };
-                match self.tlb.lookup(vaddr, asid) {
-                    TlbLookup::Hit { pfn, .. } => ((pfn << 12) | (vaddr & 0xfff), true),
-                    _ => {
-                        // TLB refill: the simulator attributes every
-                        // fill to a miss (it cannot see tlbdropin).
-                        if vaddr < 0x8000_0000 {
-                            self.stats.utlb_misses += 1;
-                        }
-                        let pfn = self.pagemap.frame(key, vaddr >> 12);
-                        self.tlb.write_random(TlbEntry {
-                            vpn: vaddr >> 12,
-                            asid,
-                            pfn,
-                            valid: true,
-                            dirty: true,
-                            global: false,
-                            noncacheable: false,
-                        });
-                        if vaddr < 0x8000_0000 {
-                            let synth_asid = match key {
-                                SpaceKey::User(a) => a,
-                                SpaceKey::Kernel => 63,
-                            };
-                            self.synthesize_utlb(vaddr, synth_asid);
-                        }
-                        ((pfn << 12) | (vaddr & 0xfff), true)
-                    }
-                }
-            }
+        if let Some(hit) = seg::unmapped(vaddr) {
+            return hit;
         }
+        let key = if vaddr >= 0xc000_0000 {
+            SpaceKey::Kernel
+        } else {
+            match space {
+                Space::User(a) => SpaceKey::User(a),
+                // Kernel touching user memory uses the current
+                // process's map.
+                Space::Kernel => SpaceKey::User(self.cur_asid),
+            }
+        };
+        let asid = match key {
+            SpaceKey::Kernel => 63,
+            SpaceKey::User(a) => a,
+        };
+        let pfn = match self.tlb.lookup(vaddr, asid) {
+            TlbLookup::Hit { pfn, .. } => pfn,
+            _ => {
+                let pfn = self.pagemap.frame(key, vaddr >> 12);
+                self.tlb.write_random(TlbEntry {
+                    vpn: vaddr >> 12,
+                    asid,
+                    pfn,
+                    valid: true,
+                    dirty: true,
+                    global: false,
+                    noncacheable: false,
+                });
+                // TLB refill: the simulator attributes every fill to
+                // a miss (it cannot see tlbdropin).
+                if vaddr < 0x8000_0000 {
+                    self.stats.utlb_misses += 1;
+                    self.synthesize_utlb(vaddr, asid);
+                }
+                pfn
+            }
+        };
+        ((pfn << 12) | (vaddr & 0xfff), true)
     }
 
     /// Injects the UTLB handler's references (§4.1).

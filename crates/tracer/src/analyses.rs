@@ -18,7 +18,7 @@
 
 use std::collections::BTreeMap;
 
-use wrl_isa::Width;
+use wrl_isa::{seg, Width};
 use wrl_memsim::{AssocCache, MemSim, PageMap, SpaceKey};
 use wrl_trace::{Space, TraceSink, Wants};
 
@@ -68,13 +68,11 @@ impl CacheSink {
     }
 
     fn translate(&mut self, vaddr: u32, space: Space) -> u32 {
-        match vaddr {
-            0x8000_0000..=0xbfff_ffff => vaddr & 0x1fff_ffff,
-            _ => {
-                let key = study_key(vaddr, space, self.cur_asid);
-                self.pagemap.translate(key, vaddr)
-            }
+        if let Some((paddr, _)) = seg::unmapped(vaddr) {
+            return paddr;
         }
+        let key = study_key(vaddr, space, self.cur_asid);
+        self.pagemap.translate(key, vaddr)
     }
 }
 
@@ -235,7 +233,7 @@ impl PagemapSink {
 
     fn touch(&mut self, vaddr: u32, space: Space) {
         // kseg0/kseg1 are unmapped segments: no page map involved.
-        if (0x8000_0000..=0xbfff_ffff).contains(&vaddr) {
+        if seg::unmapped(vaddr).is_some() {
             return;
         }
         let key = study_key(vaddr, space, self.cur_asid);

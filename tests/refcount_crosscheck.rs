@@ -4,18 +4,20 @@
 //! possible to identify anomalous system activity caused by errors in
 //! the tracing system."
 //!
-//! We run the *uninstrumented* binary with the machine's per-address
-//! execution counter, derive the same per-instruction histogram from
+//! We run the *uninstrumented* binary counting the machine's fetch
+//! events per address, derive the same per-instruction histogram from
 //! the *parsed trace* of the instrumented run, and require them to
 //! agree exactly — per-instruction-granularity validation on top of
 //! the stream-equality check.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use systrace::epoxie::{build_traced, run_traced, FullPolicy, Mode};
 use systrace::isa::link::Layout;
-use systrace::machine::{Config, Machine, StopEvent};
+use systrace::machine::{Config, Machine, RefCounter, RefEvent, StopEvent};
 use systrace::trace::{Space, TraceParser, TraceSink};
 
 struct Histogram(HashMap<u32, u64>);
@@ -43,7 +45,13 @@ fn per_instruction_counts_match_reference_counter() {
     let mut m = Machine::new(Config::bare(), vec![]);
     m.load_executable(&prog.orig.exe);
     m.set_pc(prog.orig.exe.entry);
-    m.set_refcount(true);
+    let reference = Rc::new(RefCell::new(RefCounter::new()));
+    let counter = Rc::clone(&reference);
+    m.set_tracer(Some(Box::new(move |e| {
+        if let RefEvent::Ifetch { vaddr, .. } = e {
+            counter.borrow_mut().bump(vaddr);
+        }
+    })));
     let mut env = systrace::workloads::HostEnv::new(w.files.iter().cloned());
     env.brk = prog.orig.exe.brk();
     loop {
@@ -56,7 +64,7 @@ fn per_instruction_counts_match_reference_counter() {
             other => panic!("unexpected {other:?}"),
         }
     }
-    let reference = m.refcount.take().unwrap();
+    let reference = reference.borrow();
 
     // Trace-derived counts from the instrumented run.
     let mut env2 = systrace::workloads::HostEnv::new(w.files.iter().cloned());
