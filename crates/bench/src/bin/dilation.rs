@@ -6,9 +6,8 @@
 //! than traced (traced text is ~2x, so traced-system TLB behaviour
 //! differs from the untraced system's).
 
-use std::sync::Arc;
 use systrace::kernel::{build_system, KernelConfig};
-use systrace::memsim::{MemSim, SimCfg, UtlbSynth};
+use systrace::memsim::MemSim;
 
 fn main() {
     println!("Time dilation and clock scaling (Ultrix)");
@@ -46,23 +45,16 @@ fn main() {
     let w = systrace::workloads::by_name("compress").unwrap();
     let mut sys = build_system(&KernelConfig::ultrix().traced(), &[&w]);
     let run = sys.run(6_000_000_000);
-    for (label, synth) in [
-        ("with synthesis", Some(UtlbSynth::wrl_kernel())),
-        ("without", None),
+    let sim = || MemSim::new(sys.pagemap.clone());
+    for (label, mut sim) in [
+        ("with synthesis", sim()),
+        ("without", sim().without_utlb_synthesis()),
     ] {
         let mut parser = sys.parser();
-        let mut sim = MemSim::new(
-            SimCfg {
-                utlb: synth,
-                ..SimCfg::default()
-            },
-            sys.pagemap.clone(),
-        );
         parser.parse_all(&run.trace_words, &mut sim);
         println!(
             "compress {label:>16}: predicted UTLB misses = {:>7}, synthesized handler irefs = {}",
             sim.stats.utlb_misses, sim.stats.synth_irefs
         );
     }
-    let _ = Arc::new(0);
 }

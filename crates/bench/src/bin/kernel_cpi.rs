@@ -4,7 +4,7 @@
 //! address space.
 
 use systrace::kernel::{build_system, KernelConfig};
-use systrace::memsim::{MemSim, SimCfg, UtlbSynth};
+use systrace::memsim::MemSim;
 
 fn main() {
     println!("Kernel vs user CPI from trace-driven simulation (Ultrix)");
@@ -17,13 +17,7 @@ fn main() {
         let mut sys = build_system(&KernelConfig::ultrix().traced(), &[&w]);
         let run = sys.run(8_000_000_000);
         let mut parser = sys.parser();
-        let mut sim = MemSim::new(
-            SimCfg {
-                utlb: Some(UtlbSynth::wrl_kernel()),
-                ..SimCfg::default()
-            },
-            sys.pagemap.clone(),
-        );
+        let mut sim = MemSim::new(sys.pagemap.clone());
         parser.parse_all(&run.trace_words, &mut sim);
         let s = &sim.stats;
         println!(

@@ -454,7 +454,7 @@ pub fn prepare_pixie_machine(prog: &PixieProgram, mem_bytes: u32) -> wrl_machine
     let mut m = wrl_machine::Machine::new(
         wrl_machine::Config {
             mem_bytes,
-            ..wrl_machine::Config::bare()
+            bare: true,
         },
         vec![],
     );

@@ -15,7 +15,7 @@ use wrl_epoxie::{build_traced, FullPolicy, Mode};
 use wrl_isa::link::{link, Layout, Linked};
 use wrl_isa::Object;
 use wrl_isa::Width;
-use wrl_machine::{CacheCfg, Config as MachineConfig, Machine, StopEvent};
+use wrl_machine::{Config as MachineConfig, Machine, StopEvent};
 use wrl_memsim::pagemap::{PageMap, Policy, PAGE_SIZE};
 use wrl_memsim::sim::SpaceKey;
 use wrl_trace::bbinfo::{BbInfo, BbTable, BbTraceFlags, MemOp};
@@ -34,22 +34,19 @@ use crate::vectors;
 pub struct KernelConfig {
     /// OS personality.
     pub variant: Variant,
-    /// Instrument kernel and workloads with epoxie.
+    /// Instrument kernel and workloads with epoxie, and run the clock
+    /// at 1/[`layout::CLOCK_DILATION`] of its rate (§4.1).
     pub traced: bool,
     /// Instrumentation mode.
     pub mode: Mode,
     /// In-kernel trace buffer size.
     pub ktrace_bytes: u32,
-    /// Clock divisor applied when traced (§4.1's factor of fifteen).
-    pub clock_divisor: u32,
     /// Page-mapping policy.
     pub page_policy: Policy,
     /// Conservative (write-through) file writes.
     pub conservative_write: bool,
     /// Plant the §4.4 I-cache flush bug.
     pub icache_flush_bug: bool,
-    /// Disk operation latency in cycles.
-    pub disk_latency: u64,
 }
 
 impl KernelConfig {
@@ -60,11 +57,9 @@ impl KernelConfig {
             traced: false,
             mode: Mode::Modified,
             ktrace_bytes: layout::KTRACE_BYTES_DEFAULT,
-            clock_divisor: 1,
             page_policy: Policy::FirstFree { base_pfn: 0x2000 },
             conservative_write: true,
             icache_flush_bug: false,
-            disk_latency: 60_000,
         }
     }
 
@@ -83,10 +78,9 @@ impl KernelConfig {
     }
 
     /// The traced version of this configuration (instrumented
-    /// binaries, clock at 1/15th rate).
+    /// binaries, slowed clock).
     pub fn traced(mut self) -> KernelConfig {
         self.traced = true;
-        self.clock_divisor = layout::CLOCK_DILATION;
         self
     }
 }
@@ -143,10 +137,16 @@ pub struct SystemRun {
 }
 
 fn kernel_objects(cfg: &KernelConfig) -> Vec<Object> {
+    // §4.1: the traced system's clock ticks at 1/Nth the rate.
+    let dilation = if cfg.traced {
+        layout::CLOCK_DILATION
+    } else {
+        1
+    };
     let kd = KdataCfg {
         trace_on: cfg.traced,
         ktrace_bytes: cfg.ktrace_bytes,
-        clock_interval: layout::CLOCK_INTERVAL * cfg.clock_divisor,
+        clock_interval: layout::CLOCK_INTERVAL * dilation,
     };
     vec![
         vectors::object(),
@@ -316,11 +316,7 @@ pub fn build_system(cfg: &KernelConfig, workloads: &[&Workload]) -> System {
     let mut m = Machine::new(
         MachineConfig {
             mem_bytes: layout::MEM_BYTES,
-            disk_latency: cfg.disk_latency,
             bare: false,
-            icache: CacheCfg::dec5000_icache(),
-            dcache: CacheCfg::dec5000_dcache(),
-            ..MachineConfig::default()
         },
         disk,
     );

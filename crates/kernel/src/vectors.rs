@@ -535,10 +535,34 @@ mod tests {
         let o = object();
         assert_eq!(o.symbol("__utlb").unwrap().off, 0);
         assert_eq!(o.symbol("__genvec").unwrap().off, 0x80);
-        // The UTLB handler body is exactly nine instructions.
-        let body = &o.text[0..9];
-        assert!(body.iter().all(|&w| wrl_isa::decode(w).is_ok()));
-        assert_eq!(o.text[9], 0, "padding is nops");
+    }
+
+    /// What the trace-driven simulator synthesizes on a user-TLB miss
+    /// is what this kernel builds: the handler's address and length,
+    /// and the page table each ASID's PTE load goes to.
+    #[test]
+    fn the_simulator_synthesizes_this_refill_handler() {
+        use crate::layout;
+        use wrl_memsim::utlb;
+        let o = object();
+        let off = o.symbol("__utlb").unwrap().off;
+        assert_eq!(utlb::HANDLER_VADDR, layout::KTEXT_BASE + off);
+        let body: Vec<Inst> = o.text[off as usize / 4..0x80 / 4]
+            .iter()
+            .map(|&w| wrl_isa::decode(w).expect("handler decodes"))
+            .collect();
+        let (handler, padding) = body.split_at(utlb::N_INSTS as usize);
+        assert!(
+            matches!(handler, [.., Inst::Jr { .. }, Inst::Rfe]),
+            "the handler ends in jr / rfe: {handler:?}"
+        );
+        assert!(padding.iter().all(|i| *i == Inst::nop()), "nops to 0x80");
+        for i in 0..layout::MAX_PROCS {
+            assert_eq!(
+                utlb::PAGETABLE_BASE + i as u32 * utlb::PAGETABLE_STRIDE,
+                layout::pt_kseg2(i)
+            );
+        }
     }
 
     #[test]

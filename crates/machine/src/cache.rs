@@ -21,24 +21,6 @@ pub struct CacheCfg {
     pub line: u32,
 }
 
-impl CacheCfg {
-    /// The DECstation 5000/200 instruction cache: 64 KB, 16 B lines.
-    pub fn dec5000_icache() -> CacheCfg {
-        CacheCfg {
-            size: 64 * 1024,
-            line: 16,
-        }
-    }
-
-    /// The DECstation 5000/200 data cache: 64 KB, 4 B lines.
-    pub fn dec5000_dcache() -> CacheCfg {
-        CacheCfg {
-            size: 64 * 1024,
-            line: 4,
-        }
-    }
-}
-
 /// A direct-mapped, tag-only cache.
 pub struct Cache {
     cfg: CacheCfg,

@@ -10,75 +10,23 @@
 //! high-resolution timer of Table 2, and its UTLB-refill counter is
 //! the TLB miss counter of Table 3.
 
-use crate::cache::{Cache, CacheCfg, WriteBuffer};
+use crate::cache::{Cache, WriteBuffer};
 use crate::counters::Counters;
 use crate::cp0::{Cp0, ExcCode, Exception};
+use crate::dec5000::{self, lat};
 use crate::dev::{irq, DevAction, Devices, DISK_BLOCK_SIZE};
 use crate::mem::Mem;
 use crate::tlb::{Tlb, TlbLookup};
 use wrl_isa::reg::RA;
 use wrl_isa::{seg, Executable, FReg, Inst};
 
-/// Latency table (in cycles) for long-running operations.
-#[derive(Clone, Copy, Debug)]
-pub struct Latencies {
-    /// FP add/subtract.
-    pub fp_add: u64,
-    /// FP multiply.
-    pub fp_mul: u64,
-    /// FP divide.
-    pub fp_div: u64,
-    /// FP convert.
-    pub fp_cvt: u64,
-    /// FP compare.
-    pub fp_cmp: u64,
-    /// Integer multiply (HI/LO ready).
-    pub int_mul: u64,
-    /// Integer divide.
-    pub int_div: u64,
-}
-
-impl Default for Latencies {
-    fn default() -> Self {
-        Latencies {
-            fp_add: 2,
-            fp_mul: 5,
-            fp_div: 19,
-            fp_cvt: 3,
-            fp_cmp: 2,
-            int_mul: 12,
-            int_div: 35,
-        }
-    }
-}
-
-/// Machine configuration.
+/// Machine configuration: what differs between the runs of one
+/// DECstation. Everything the hardware fixes is a constant of
+/// [`crate::dec5000`].
 #[derive(Clone, Debug)]
 pub struct Config {
     /// Physical memory size in bytes.
     pub mem_bytes: u32,
-    /// Instruction cache geometry.
-    pub icache: CacheCfg,
-    /// Data cache geometry.
-    pub dcache: CacheCfg,
-    /// Write buffer depth.
-    pub wb_entries: usize,
-    /// Cycles for one write-buffer entry to retire.
-    pub wb_drain_cycles: u64,
-    /// I-cache miss penalty in cycles.
-    pub imiss_penalty: u64,
-    /// D-cache read miss penalty in cycles.
-    pub dmiss_penalty: u64,
-    /// Uncached access penalty in cycles.
-    pub uncached_penalty: u64,
-    /// Pipeline cycles to enter an exception handler.
-    pub exc_entry_cycles: u64,
-    /// Pipeline cycles for `rfe`.
-    pub rfe_cycles: u64,
-    /// Disk operation latency in cycles.
-    pub disk_latency: u64,
-    /// Operation latencies.
-    pub lat: Latencies,
     /// Bare mode: no kernel — kuseg is identity-mapped without TLB
     /// refills, and `syscall`/`break` return control to the host.
     /// Used for standalone program runs (pixie-style estimates,
@@ -90,17 +38,6 @@ impl Default for Config {
     fn default() -> Self {
         Config {
             mem_bytes: 32 << 20,
-            icache: CacheCfg::dec5000_icache(),
-            dcache: CacheCfg::dec5000_dcache(),
-            wb_entries: 4,
-            wb_drain_cycles: 5,
-            imiss_penalty: 15,
-            dmiss_penalty: 15,
-            uncached_penalty: 20,
-            exc_entry_cycles: 4,
-            rfe_cycles: 3,
-            disk_latency: 60_000,
-            lat: Latencies::default(),
             bare: false,
         }
     }
@@ -225,7 +162,7 @@ pub struct Machine {
     pub dev: Devices,
     /// Event counters.
     pub counters: Counters,
-    cfg: Config,
+    bare: bool,
     icache: Cache,
     dcache: Cache,
     wb: WriteBuffer,
@@ -268,12 +205,12 @@ impl Machine {
             cp0: Cp0::new(),
             tlb,
             mem: Mem::new(cfg.mem_bytes),
-            dev: Devices::new(disk_image, cfg.disk_latency),
+            dev: Devices::new(disk_image, dec5000::DISK_LATENCY),
             counters: Counters::default(),
-            icache: Cache::new(cfg.icache),
-            dcache: Cache::new(cfg.dcache),
-            wb: WriteBuffer::new(cfg.wb_entries, cfg.wb_drain_cycles),
-            cfg: cfg.clone(),
+            icache: Cache::new(dec5000::ICACHE),
+            dcache: Cache::new(dec5000::DCACHE),
+            wb: WriteBuffer::new(dec5000::WB_ENTRIES, dec5000::WB_DRAIN_CYCLES),
+            bare: cfg.bare,
             fp: [Ready::default(); 32],
             fcc: Ready::default(),
             hilo: Ready::default(),
@@ -282,11 +219,6 @@ impl Machine {
             tracer: None,
             halted: None,
         }
-    }
-
-    /// The configuration the machine was built with.
-    pub fn config(&self) -> &Config {
-        &self.cfg
     }
 
     /// Total cycles elapsed (wraps the counter for convenience).
@@ -354,7 +286,7 @@ impl Machine {
     /// is the read-only half of the architectural `translate`, not a
     /// second map — nothing that acts on the machine goes through it.
     pub fn probe_translate(&self, vaddr: u32) -> Option<u32> {
-        if self.cfg.bare && vaddr < 0x8000_0000 {
+        if self.bare && vaddr < 0x8000_0000 {
             return Some(vaddr);
         }
         // The unmapped segments answer before the TLB is searched:
@@ -390,7 +322,7 @@ impl Machine {
     /// on failure. Returns `(paddr, cached)`.
     fn translate(&mut self, vaddr: u32, access: Access) -> Result<(u32, bool), Exception> {
         if vaddr < 0x8000_0000 {
-            if self.cfg.bare {
+            if self.bare {
                 return Ok((vaddr, true));
             }
             return self.translate_mapped(vaddr, access, true);
@@ -450,7 +382,7 @@ impl Machine {
     /// The one fault exit: a bare machine has no handler and stops,
     /// any other vectors to its kernel.
     fn raise(&mut self, exc: Exception, epc_inst: u32, in_delay: bool) -> Option<StopEvent> {
-        if self.cfg.bare {
+        if self.bare {
             return Some(StopEvent::UnhandledException(exc.code as u8));
         }
         self.take_exception(exc, epc_inst, in_delay);
@@ -468,7 +400,7 @@ impl Machine {
         if exc.code == ExcCode::Int {
             self.counters.interrupts += 1;
         }
-        self.counters.cycles += self.cfg.exc_entry_cycles;
+        self.counters.cycles += dec5000::EXC_ENTRY_CYCLES;
         let vector = if exc.utlb { 0x8000_0000 } else { 0x8000_0080 };
         self.cpu.pc = vector;
         self.cpu.next_pc = vector + 4;
@@ -535,11 +467,11 @@ impl Machine {
         if cached && !self.cp0.cache_isolated() {
             if !self.icache.access(paddr) {
                 self.counters.icache_misses += 1;
-                self.counters.cycles += self.cfg.imiss_penalty;
+                self.counters.cycles += dec5000::IMISS_PENALTY;
             }
         } else {
             self.counters.uncached_ifetches += 1;
-            self.counters.cycles += self.cfg.uncached_penalty;
+            self.counters.cycles += dec5000::UNCACHED_PENALTY;
         }
         if let Some(t) = self.tracer.as_mut() {
             t(RefEvent::Ifetch { vaddr: ipc, user });
@@ -646,7 +578,7 @@ impl Machine {
         }
         if Devices::owns(paddr) {
             self.counters.uncached_data += 1;
-            self.counters.cycles += self.cfg.uncached_penalty;
+            self.counters.cycles += dec5000::UNCACHED_PENALTY;
             return Ok(self.dev.read(paddr, self.counters.cycles));
         }
         if !self.mem.in_range(paddr, width) {
@@ -655,11 +587,11 @@ impl Machine {
         if cached {
             if !self.dcache.access(paddr) {
                 self.counters.dcache_misses += 1;
-                self.counters.cycles += self.cfg.dmiss_penalty;
+                self.counters.cycles += dec5000::DMISS_PENALTY;
             }
         } else {
             self.counters.uncached_data += 1;
-            self.counters.cycles += self.cfg.uncached_penalty;
+            self.counters.cycles += dec5000::UNCACHED_PENALTY;
         }
         Ok(match width {
             1 => self.mem.read_byte(paddr) as u32,
@@ -687,7 +619,7 @@ impl Machine {
             // lands. HALT stops the machine with the store neither
             // counted, traced nor charged; narrower stores are plain
             // register writes.
-            let lands = self.counters.cycles + self.cfg.uncached_penalty;
+            let lands = self.counters.cycles + dec5000::UNCACHED_PENALTY;
             let stop = match (self.dev.write(paddr, v, lands), width) {
                 (DevAction::Halt(code), 4) => return Ok(Some(StopEvent::Halted(code))),
                 (DevAction::TraceRequest(w), 4) => Some(StopEvent::TraceRequest(w)),
@@ -712,7 +644,7 @@ impl Machine {
             self.counters.wb_stall_cycles = stall;
         } else {
             self.counters.uncached_data += 1;
-            self.counters.cycles += self.cfg.uncached_penalty;
+            self.counters.cycles += dec5000::UNCACHED_PENALTY;
         }
         match width {
             1 => self.mem.write_byte(paddr, v as u8),
@@ -730,7 +662,6 @@ impl Machine {
         user: bool,
     ) -> Result<Option<StopEvent>, Exception> {
         use Inst::*;
-        let lat = self.cfg.lat;
         match inst {
             Sll { rd, rt, sh } => self.wr(rd, self.rd(rt) << sh),
             Srl { rd, rt, sh } => self.wr(rd, self.rd(rt) >> sh),
@@ -752,13 +683,13 @@ impl Machine {
                 let p = (self.rd(rs) as i32 as i64) * (self.rd(rt) as i32 as i64);
                 self.cpu.lo = p as u32;
                 self.cpu.hi = (p >> 32) as u32;
-                self.hilo = self.ready_in(lat.int_mul);
+                self.hilo = self.ready_in(lat::INT_MUL);
             }
             Multu { rs, rt } => {
                 let p = (self.rd(rs) as u64) * (self.rd(rt) as u64);
                 self.cpu.lo = p as u32;
                 self.cpu.hi = (p >> 32) as u32;
-                self.hilo = self.ready_in(lat.int_mul);
+                self.hilo = self.ready_in(lat::INT_MUL);
             }
             Div { rs, rt } => {
                 let a = self.rd(rs) as i32;
@@ -767,7 +698,7 @@ impl Machine {
                     self.cpu.lo = a.wrapping_div(b) as u32;
                     self.cpu.hi = a.wrapping_rem(b) as u32;
                 }
-                self.hilo = self.ready_in(lat.int_div);
+                self.hilo = self.ready_in(lat::INT_DIV);
             }
             Divu { rs, rt } => {
                 let a = self.rd(rs);
@@ -778,7 +709,7 @@ impl Machine {
                     self.cpu.lo = q;
                     self.cpu.hi = a % b;
                 }
-                self.hilo = self.ready_in(lat.int_div);
+                self.hilo = self.ready_in(lat::INT_DIV);
             }
             Mfhi { rd } => {
                 self.wait(self.hilo);
@@ -893,7 +824,7 @@ impl Machine {
                 self.cpu.next_pc = t;
             }
             Syscall { code } => {
-                if self.cfg.bare {
+                if self.bare {
                     // The host services the call; resume after it.
                     debug_assert!(!in_delay, "syscall in a delay slot");
                     return Ok(Some(StopEvent::Syscall(code)));
@@ -901,7 +832,7 @@ impl Machine {
                 return Err(Exception::plain(ExcCode::Sys));
             }
             Break { code } => {
-                if self.cfg.bare {
+                if self.bare {
                     return Ok(Some(StopEvent::Break(code)));
                 }
                 return Err(Exception::plain(ExcCode::Bp));
@@ -955,7 +886,7 @@ impl Machine {
                     return Err(Exception::plain(ExcCode::CpU));
                 }
                 self.cp0.rfe();
-                self.counters.cycles += self.cfg.rfe_cycles;
+                self.counters.cycles += dec5000::RFE_CYCLES;
             }
             Cache { op, base, off } => {
                 if user {
@@ -984,34 +915,34 @@ impl Machine {
                 self.wait(self.fp[pair(ft)]);
                 let v = self.cpu.get_d(fs.0) + self.cpu.get_d(ft.0);
                 self.cpu.set_d(fd.0, v);
-                self.fp[pair(fd)] = self.ready_in(lat.fp_add);
+                self.fp[pair(fd)] = self.ready_in(lat::FP_ADD);
             }
             SubD { fd, fs, ft } => {
                 self.wait(self.fp[pair(fs)]);
                 self.wait(self.fp[pair(ft)]);
                 let v = self.cpu.get_d(fs.0) - self.cpu.get_d(ft.0);
                 self.cpu.set_d(fd.0, v);
-                self.fp[pair(fd)] = self.ready_in(lat.fp_add);
+                self.fp[pair(fd)] = self.ready_in(lat::FP_ADD);
             }
             MulD { fd, fs, ft } => {
                 self.wait(self.fp[pair(fs)]);
                 self.wait(self.fp[pair(ft)]);
                 let v = self.cpu.get_d(fs.0) * self.cpu.get_d(ft.0);
                 self.cpu.set_d(fd.0, v);
-                self.fp[pair(fd)] = self.ready_in(lat.fp_mul);
+                self.fp[pair(fd)] = self.ready_in(lat::FP_MUL);
             }
             DivD { fd, fs, ft } => {
                 self.wait(self.fp[pair(fs)]);
                 self.wait(self.fp[pair(ft)]);
                 let v = self.cpu.get_d(fs.0) / self.cpu.get_d(ft.0);
                 self.cpu.set_d(fd.0, v);
-                self.fp[pair(fd)] = self.ready_in(lat.fp_div);
+                self.fp[pair(fd)] = self.ready_in(lat::FP_DIV);
             }
             AbsD { fd, fs } => {
                 self.wait(self.fp[pair(fs)]);
                 let v = self.cpu.get_d(fs.0).abs();
                 self.cpu.set_d(fd.0, v);
-                self.fp[pair(fd)] = self.ready_in(lat.fp_add);
+                self.fp[pair(fd)] = self.ready_in(lat::FP_ADD);
             }
             MovD { fd, fs } => {
                 self.wait(self.fp[pair(fs)]);
@@ -1023,37 +954,37 @@ impl Machine {
                 self.wait(self.fp[pair(fs)]);
                 let v = -self.cpu.get_d(fs.0);
                 self.cpu.set_d(fd.0, v);
-                self.fp[pair(fd)] = self.ready_in(lat.fp_add);
+                self.fp[pair(fd)] = self.ready_in(lat::FP_ADD);
             }
             CvtDW { fd, fs } => {
                 self.wait(self.fp[pair(fs)]);
                 let w = self.cpu.fregs[fs.idx()] as i32;
                 self.cpu.set_d(fd.0, w as f64);
-                self.fp[pair(fd)] = self.ready_in(lat.fp_cvt);
+                self.fp[pair(fd)] = self.ready_in(lat::FP_CVT);
             }
             CvtWD { fd, fs } => {
                 self.wait(self.fp[pair(fs)]);
                 let v = self.cpu.get_d(fs.0);
                 self.cpu.fregs[fd.idx()] = v as i32 as u32;
-                self.fp[pair(fd)] = self.ready_in(lat.fp_cvt);
+                self.fp[pair(fd)] = self.ready_in(lat::FP_CVT);
             }
             CEqD { fs, ft } => {
                 self.wait(self.fp[pair(fs)]);
                 self.wait(self.fp[pair(ft)]);
                 self.cpu.fcc = self.cpu.get_d(fs.0) == self.cpu.get_d(ft.0);
-                self.fcc = self.ready_in(lat.fp_cmp);
+                self.fcc = self.ready_in(lat::FP_CMP);
             }
             CLtD { fs, ft } => {
                 self.wait(self.fp[pair(fs)]);
                 self.wait(self.fp[pair(ft)]);
                 self.cpu.fcc = self.cpu.get_d(fs.0) < self.cpu.get_d(ft.0);
-                self.fcc = self.ready_in(lat.fp_cmp);
+                self.fcc = self.ready_in(lat::FP_CMP);
             }
             CLeD { fs, ft } => {
                 self.wait(self.fp[pair(fs)]);
                 self.wait(self.fp[pair(ft)]);
                 self.cpu.fcc = self.cpu.get_d(fs.0) <= self.cpu.get_d(ft.0);
-                self.fcc = self.ready_in(lat.fp_cmp);
+                self.fcc = self.ready_in(lat::FP_CMP);
             }
             Bc1t { off } => {
                 self.wait(self.fcc);

@@ -6,7 +6,7 @@ use wrl_isa::asm::Asm;
 use wrl_isa::link::{link, Layout};
 use wrl_isa::reg::*;
 use wrl_machine::dev::{regs, DEV_BASE_K1};
-use wrl_machine::{Config, Machine, StopEvent};
+use wrl_machine::{dec5000, Config, Machine, StopEvent};
 
 /// Assembles, links and loads a bare-mode program; returns the machine
 /// ready to run from the entry point.
@@ -583,7 +583,7 @@ fn kernel_device_stores_stop_where_they_always_did() {
     // Cycles the stopping instruction took beyond its issue cycle and
     // its own I-cache miss.
     let extra = |m: &Machine, before: &wrl_machine::Counters| {
-        let imiss = (m.counters.icache_misses - before.icache_misses) * m.config().imiss_penalty;
+        let imiss = (m.counters.icache_misses - before.icache_misses) * dec5000::IMISS_PENALTY;
         m.counters.cycles - before.cycles - 1 - imiss
     };
 
@@ -591,7 +591,7 @@ fn kernel_device_stores_stop_where_they_always_did() {
     assert_eq!(stop, StopEvent::TraceRequest(0x55));
     assert_eq!((before.stores, before.uncached_data), (2, 2), "sb, sh");
     assert_eq!((m.counters.stores, m.counters.uncached_data), (3, 3));
-    assert_eq!(extra(&m, &before), m.config().uncached_penalty);
+    assert_eq!(extra(&m, &before), dec5000::UNCACHED_PENALTY);
 
     let (before, stop) = to_stop(&mut m);
     assert_eq!(stop, StopEvent::Halted(0x55));

@@ -21,5 +21,5 @@ pub mod sim;
 pub use assoc::AssocCache;
 pub use obs::SimObs;
 pub use pagemap::{PageMap, Policy, PAGE_SIZE};
-pub use predict::{percent_error, predict, Prediction, TimeModel};
-pub use sim::{MemSim, SimCfg, SimStats, SpaceKey, UtlbSynth};
+pub use predict::{percent_error, predict, Prediction, IDLE_DILATION};
+pub use sim::{utlb, MemSim, SimStats, SpaceKey};

@@ -10,30 +10,17 @@
 //! instruction references made from the memory reference trace",
 //! scaled by the time-dilation factor (fifteen in the paper).
 
-use crate::sim::{SimCfg, SimStats};
+use wrl_machine::dec5000;
 
-/// Parameters of the time model.
-#[derive(Clone, Copy, Debug)]
-pub struct TimeModel {
-    /// Cycle time in nanoseconds (40 ns on the 25 MHz DECstation).
-    pub cycle_ns: f64,
-    /// Idle-loop scaling factor compensating time dilation (§4.1).
-    /// The paper used its overall measured slowdown (15) for this;
-    /// our instrumentation slows the memory-op-free idle loop less
-    /// than average code, so we use the idle loop's own measured
-    /// slowdown (7.5). The §5.1 caveat stands either way: "estimates
-    /// of idle time are one of the dominant sources of error".
-    pub dilation: f64,
-}
+use crate::sim::SimStats;
 
-impl Default for TimeModel {
-    fn default() -> Self {
-        TimeModel {
-            cycle_ns: 40.0,
-            dilation: 7.5,
-        }
-    }
-}
+/// Idle-loop scaling factor compensating time dilation (§4.1).
+/// The paper used its overall measured slowdown (15) for this;
+/// our instrumentation slows the memory-op-free idle loop less
+/// than average code, so we use the idle loop's own measured
+/// slowdown (7.5). The §5.1 caveat stands either way: "estimates
+/// of idle time are one of the dominant sources of error".
+pub const IDLE_DILATION: f64 = 7.5;
 
 /// A predicted execution time, decomposed by source.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -56,9 +43,9 @@ impl Prediction {
         self.cpu_cycles + self.mem_stall_cycles + self.arith_stall_cycles + self.io_stall_cycles
     }
 
-    /// Total predicted time in seconds under the model's cycle time.
-    pub fn seconds(&self, model: &TimeModel) -> f64 {
-        self.total_cycles() * model.cycle_ns * 1e-9
+    /// Total predicted time in seconds at the machine's cycle time.
+    pub fn seconds(&self) -> f64 {
+        self.total_cycles() * dec5000::CYCLE_NS * 1e-9
     }
 }
 
@@ -67,18 +54,18 @@ impl Prediction {
 /// `arith_stalls` is the pixie-estimated arithmetic stall count for
 /// the workload; `stats` comes from a [`crate::sim::MemSim`] fed with
 /// the parsed trace.
-pub fn predict(stats: &SimStats, cfg: &SimCfg, arith_stalls: u64, model: &TimeModel) -> Prediction {
+pub fn predict(stats: &SimStats, arith_stalls: u64) -> Prediction {
     let insts = stats.insts() as f64;
     let idle = stats.idle_insts as f64;
-    let mem = (stats.imisses * cfg.imiss_penalty
-        + stats.dmisses * cfg.dmiss_penalty
-        + stats.uncached * cfg.uncached_penalty) as f64
+    let mem = (stats.imisses * dec5000::IMISS_PENALTY
+        + stats.dmisses * dec5000::DMISS_PENALTY
+        + stats.uncached * dec5000::UNCACHED_PENALTY) as f64
         + stats.wb_stall_cycles as f64;
     Prediction {
         cpu_cycles: insts - idle,
         mem_stall_cycles: mem,
         arith_stall_cycles: arith_stalls as f64,
-        io_stall_cycles: idle * model.dilation,
+        io_stall_cycles: idle * IDLE_DILATION,
     }
 }
 
@@ -107,8 +94,7 @@ mod tests {
             idle_insts: 100,
             ..SimStats::default()
         };
-        let cfg = SimCfg::default();
-        let p = predict(&stats, &cfg, 50, &TimeModel::default());
+        let p = predict(&stats, 50);
         assert_eq!(p.cpu_cycles, 900.0);
         assert_eq!(p.mem_stall_cycles, (10 * 15 + 5 * 15 + 2 * 20 + 30) as f64);
         assert_eq!(p.arith_stall_cycles, 50.0);
@@ -129,7 +115,6 @@ mod tests {
             cpu_cycles: 25_000_000.0,
             ..Prediction::default()
         };
-        let m = TimeModel::default();
-        assert!((p.seconds(&m) - 1.0).abs() < 1e-9);
+        assert!((p.seconds() - 1.0).abs() < 1e-9);
     }
 }

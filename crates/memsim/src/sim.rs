@@ -16,7 +16,8 @@
 //! Table 2/3 prediction error.
 
 use wrl_isa::{seg, Width};
-use wrl_machine::cache::{Cache, CacheCfg, WriteBuffer};
+use wrl_machine::cache::{Cache, WriteBuffer};
+use wrl_machine::dec5000;
 use wrl_machine::tlb::{Tlb, TlbEntry, TlbLookup};
 use wrl_trace::parser::{Space, TraceSink};
 
@@ -32,6 +33,19 @@ pub enum SpaceKey {
 }
 
 impl SpaceKey {
+    /// Whose page map translates a mapped reference: kseg2 is the
+    /// kernel's, a user reference its own space's, and a kernel
+    /// reference below kseg2 (copyin/copyout) the current process's.
+    pub fn of(vaddr: u32, space: Space, cur_asid: u8) -> SpaceKey {
+        if vaddr >= 0xc000_0000 {
+            return SpaceKey::Kernel;
+        }
+        match space {
+            Space::User(a) => SpaceKey::User(a),
+            Space::Kernel => SpaceKey::User(cur_asid),
+        }
+    }
+
     /// A small integer for deterministic policy offsets.
     pub fn index(self) -> u32 {
         match self {
@@ -41,79 +55,20 @@ impl SpaceKey {
     }
 }
 
-/// UTLB-miss synthesis parameters.
-#[derive(Clone, Copy, Debug)]
-pub struct UtlbSynth {
+/// What a user-TLB miss synthesizes (§4.1): the refill handler the
+/// wrl kernels install at the UTLB vector and the linear page tables
+/// it loads from. `wrl-kernel`'s `vectors` tests hold these four to
+/// the kernel's own layout.
+pub mod utlb {
     /// Address of the refill handler (the UTLB vector).
-    pub handler_vaddr: u32,
-    /// Handler length in instructions (nine on our kernels).
-    pub n_insts: u32,
-    /// Base of the faulting space's linear page table. Below kseg2
-    /// this is a direct (kseg0) address; at or above kseg2 the
-    /// per-ASID table for ASID `a` sits at `base + (a-1) * stride`.
-    pub pagetable_base: u32,
-    /// Per-ASID stride of the kseg2 page tables.
-    pub pagetable_stride: u32,
-}
-
-impl Default for UtlbSynth {
-    fn default() -> Self {
-        UtlbSynth {
-            handler_vaddr: 0x8000_0000,
-            n_insts: 9,
-            pagetable_base: 0x8060_0000,
-            pagetable_stride: 0,
-        }
-    }
-}
-
-impl UtlbSynth {
-    /// The synthesis parameters matching the wrl-kernel systems:
-    /// per-ASID page tables in kseg2 with a 2 MB stride.
-    pub fn wrl_kernel() -> UtlbSynth {
-        UtlbSynth {
-            handler_vaddr: 0x8000_0000,
-            n_insts: 9,
-            pagetable_base: 0xc000_0000,
-            pagetable_stride: 0x0020_0000,
-        }
-    }
-}
-
-/// Simulator configuration.
-#[derive(Clone, Debug)]
-pub struct SimCfg {
-    /// I-cache geometry.
-    pub icache: CacheCfg,
-    /// D-cache geometry.
-    pub dcache: CacheCfg,
-    /// Write-buffer depth.
-    pub wb_entries: usize,
-    /// Write-buffer drain time.
-    pub wb_drain_cycles: u64,
-    /// I-miss penalty.
-    pub imiss_penalty: u64,
-    /// D-miss penalty.
-    pub dmiss_penalty: u64,
-    /// Uncached-reference penalty.
-    pub uncached_penalty: u64,
-    /// Synthesize UTLB-handler activity on TLB misses.
-    pub utlb: Option<UtlbSynth>,
-}
-
-impl Default for SimCfg {
-    fn default() -> Self {
-        SimCfg {
-            icache: CacheCfg::dec5000_icache(),
-            dcache: CacheCfg::dec5000_dcache(),
-            wb_entries: 4,
-            wb_drain_cycles: 5,
-            imiss_penalty: 15,
-            dmiss_penalty: 15,
-            uncached_penalty: 20,
-            utlb: Some(UtlbSynth::default()),
-        }
-    }
+    pub const HANDLER_VADDR: u32 = 0x8000_0000;
+    /// Handler length in instructions.
+    pub const N_INSTS: u32 = 9;
+    /// The kseg2 page table of ASID 1; ASID `a`'s sits
+    /// `(a - 1) * PAGETABLE_STRIDE` above it.
+    pub const PAGETABLE_BASE: u32 = 0xc000_0000;
+    /// Per-ASID stride of the page tables (2 MB).
+    pub const PAGETABLE_STRIDE: u32 = 0x0020_0000;
 }
 
 /// Aggregate simulation results.
@@ -186,7 +141,8 @@ impl SimStats {
 
 /// The trace-driven simulator. Feed it through [`TraceSink`].
 pub struct MemSim {
-    cfg: SimCfg,
+    /// Synthesize UTLB-handler activity on user-TLB misses.
+    synthesize: bool,
     icache: Cache,
     dcache: Cache,
     wb: WriteBuffer,
@@ -206,16 +162,17 @@ pub struct MemSim {
 }
 
 impl MemSim {
-    /// Creates a simulator with the given configuration and page map.
-    pub fn new(cfg: SimCfg, pagemap: PageMap) -> MemSim {
+    /// Creates a simulator of the DECstation ([`dec5000`]) over the
+    /// given page map, synthesizing the wrl kernels' UTLB refill.
+    pub fn new(pagemap: PageMap) -> MemSim {
         let mut tlb = Tlb::new();
         tlb.flush();
         MemSim {
-            icache: Cache::new(cfg.icache),
-            dcache: Cache::new(cfg.dcache),
-            wb: WriteBuffer::new(cfg.wb_entries, cfg.wb_drain_cycles),
+            synthesize: true,
+            icache: Cache::new(dec5000::ICACHE),
+            dcache: Cache::new(dec5000::DCACHE),
+            wb: WriteBuffer::new(dec5000::WB_ENTRIES, dec5000::WB_DRAIN_CYCLES),
             tlb,
-            cfg,
             pagemap,
             stats: SimStats::default(),
             cur_asid: 0,
@@ -224,22 +181,20 @@ impl MemSim {
         }
     }
 
+    /// The §4.1 ablation: TLB misses are still counted, but no handler
+    /// activity is synthesized for them.
+    pub fn without_utlb_synthesis(mut self) -> MemSim {
+        self.synthesize = false;
+        self
+    }
+
     /// Translates a vaddr for the current context, simulating the TLB
     /// for mapped segments and synthesizing refill activity on misses.
     fn translate(&mut self, vaddr: u32, space: Space) -> (u32, bool) {
         if let Some(hit) = seg::unmapped(vaddr) {
             return hit;
         }
-        let key = if vaddr >= 0xc000_0000 {
-            SpaceKey::Kernel
-        } else {
-            match space {
-                Space::User(a) => SpaceKey::User(a),
-                // Kernel touching user memory uses the current
-                // process's map.
-                Space::Kernel => SpaceKey::User(self.cur_asid),
-            }
-        };
+        let key = SpaceKey::of(vaddr, space, self.cur_asid);
         let asid = match key {
             SpaceKey::Kernel => 63,
             SpaceKey::User(a) => a,
@@ -271,13 +226,12 @@ impl MemSim {
 
     /// Injects the UTLB handler's references (§4.1).
     fn synthesize_utlb(&mut self, faulting_vaddr: u32, asid: u8) {
-        let Some(synth) = self.cfg.utlb else {
+        if !self.synthesize {
             return;
-        };
+        }
         let t0 = self.cycles;
-        for i in 0..synth.n_insts {
-            let va = synth.handler_vaddr + i * 4;
-            let pa = va - 0x8000_0000;
+        for i in 0..utlb::N_INSTS {
+            let pa = utlb::HANDLER_VADDR + i * 4 - 0x8000_0000;
             self.cycles += 1;
             self.tlb.tick();
             self.stats.synth_irefs += 1;
@@ -285,24 +239,27 @@ impl MemSim {
             if !self.icache.access(pa) {
                 self.stats.imisses += 1;
                 self.stats.imisses_kernel += 1;
-                self.cycles += self.cfg.imiss_penalty;
+                self.cycles += dec5000::IMISS_PENALTY;
             }
         }
-        // The handler's one load: the PTE for the faulting page. For
-        // kseg2 tables this goes back through the TLB simulation and
-        // can itself take a KTLB-style refill.
-        let table = if synth.pagetable_base >= 0xc000_0000 && asid != 63 {
-            synth.pagetable_base + (asid as u32 - 1) * synth.pagetable_stride
-        } else {
-            synth.pagetable_base
-        };
-        let pte_va = table + (faulting_vaddr >> 12) * 4;
+        // The handler's one load: the PTE for the faulting page. The
+        // table is in kseg2, so this goes back through the TLB
+        // simulation and can itself take a KTLB-style refill. Total on
+        // the ASID: a trace from outside may carry context 0, which no
+        // kernel hands out, and the address then wraps as the
+        // hardware's adder would.
+        let table = utlb::PAGETABLE_BASE.wrapping_add(
+            (asid as u32)
+                .wrapping_sub(1)
+                .wrapping_mul(utlb::PAGETABLE_STRIDE),
+        );
+        let pte_va = table.wrapping_add((faulting_vaddr >> 12) * 4);
         self.stats.kernel_drefs += 1;
         let (pte_pa, cached) = self.translate(pte_va, Space::Kernel);
         if cached && !self.dcache.access(pte_pa) {
             self.stats.dmisses += 1;
             self.stats.dmisses_kernel += 1;
-            self.cycles += self.cfg.dmiss_penalty;
+            self.cycles += dec5000::DMISS_PENALTY;
         }
         self.stats.kernel_cycles += self.cycles - t0;
         self.synth_delta += self.cycles - t0;
@@ -335,11 +292,11 @@ impl TraceSink for MemSim {
                 if matches!(space, Space::Kernel) {
                     self.stats.imisses_kernel += 1;
                 }
-                self.cycles += self.cfg.imiss_penalty;
+                self.cycles += dec5000::IMISS_PENALTY;
             }
         } else {
             self.stats.uncached += 1;
-            self.cycles += self.cfg.uncached_penalty;
+            self.cycles += dec5000::UNCACHED_PENALTY;
         }
         let own = self.cycles - t0 - self.synth_delta;
         match space {
@@ -364,7 +321,7 @@ impl TraceSink for MemSim {
                 self.stats.wb_stall_cycles = self.wb.stall_cycles;
             } else {
                 self.stats.uncached += 1;
-                self.cycles += self.cfg.uncached_penalty;
+                self.cycles += dec5000::UNCACHED_PENALTY;
             }
         } else if cached {
             if !self.dcache.access(paddr) {
@@ -372,11 +329,11 @@ impl TraceSink for MemSim {
                 if matches!(space, Space::Kernel) {
                     self.stats.dmisses_kernel += 1;
                 }
-                self.cycles += self.cfg.dmiss_penalty;
+                self.cycles += dec5000::DMISS_PENALTY;
             }
         } else {
             self.stats.uncached += 1;
-            self.cycles += self.cfg.uncached_penalty;
+            self.cycles += dec5000::UNCACHED_PENALTY;
         }
         let own = self.cycles - t0 - self.synth_delta;
         match space {
@@ -396,10 +353,7 @@ mod tests {
     use crate::pagemap::Policy;
 
     fn sim() -> MemSim {
-        MemSim::new(
-            SimCfg::default(),
-            PageMap::new(Policy::FirstFree { base_pfn: 0x100 }),
-        )
+        MemSim::new(PageMap::new(Policy::FirstFree { base_pfn: 0x100 }))
     }
 
     #[test]
@@ -428,16 +382,27 @@ mod tests {
 
     #[test]
     fn utlb_synthesis_can_be_disabled() {
-        let mut s = MemSim::new(
-            SimCfg {
-                utlb: None,
-                ..SimCfg::default()
-            },
-            PageMap::new(Policy::Identity),
-        );
+        let mut s = MemSim::new(PageMap::new(Policy::Identity)).without_utlb_synthesis();
         s.iref(0x0040_0000, Space::User(1), false);
         assert_eq!(s.stats.utlb_misses, 1);
         assert_eq!(s.stats.synth_irefs, 0);
+    }
+
+    /// Context 0 is no kernel's, but a trace from outside may carry
+    /// it — as a user space, or as the current process before the
+    /// first context switch. The PTE address wraps below ASID 1's
+    /// table (into kseg1); it must not panic.
+    #[test]
+    fn a_user_miss_in_context_zero_synthesizes_without_panicking() {
+        let mut s = sim();
+        s.iref(0x0040_0000, Space::User(0), false);
+        s.dref(0x1000_0000, false, Width::Word, Space::Kernel);
+        assert_eq!(s.stats.utlb_misses, 2);
+        assert_eq!(s.stats.synth_irefs, 18);
+        assert_eq!(
+            s.stats.kernel_drefs, 3,
+            "two PTE loads and the kernel's own"
+        );
     }
 
     #[test]
@@ -468,13 +433,7 @@ mod tests {
     fn page_colouring_affects_cache_conflicts() {
         // Two virtual pages that map to conflicting frames under one
         // policy but not another change the miss count.
-        let mut ident = MemSim::new(
-            SimCfg {
-                utlb: None,
-                ..SimCfg::default()
-            },
-            PageMap::new(Policy::Identity),
-        );
+        let mut ident = MemSim::new(PageMap::new(Policy::Identity)).without_utlb_synthesis();
         // 64 KB cache = 16 colours; vpn 0 and vpn 16 share a colour
         // under identity mapping.
         for _ in 0..100 {
@@ -482,13 +441,8 @@ mod tests {
             ident.dref(0x0001_0100, false, Width::Word, Space::User(0));
         }
         assert!(ident.stats.dmisses >= 200, "conflicting colours thrash");
-        let mut seq = MemSim::new(
-            SimCfg {
-                utlb: None,
-                ..SimCfg::default()
-            },
-            PageMap::new(Policy::FirstFree { base_pfn: 0 }),
-        );
+        let mut seq =
+            MemSim::new(PageMap::new(Policy::FirstFree { base_pfn: 0 })).without_utlb_synthesis();
         for _ in 0..100 {
             seq.dref(0x0000_0100, false, Width::Word, Space::User(0));
             seq.dref(0x0001_0100, false, Width::Word, Space::User(0));

@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use wrl_isa::Width;
 use wrl_memsim::pagemap::{PageMap, Policy};
-use wrl_memsim::sim::{MemSim, SimCfg, SpaceKey};
+use wrl_memsim::sim::{MemSim, SpaceKey};
 use wrl_trace::parser::{Space, TraceSink};
 
 proptest! {
@@ -51,10 +51,8 @@ proptest! {
     fn memsim_conserves_references(refs in proptest::collection::vec(
         (0u32..0x0200_0000, any::<bool>(), any::<bool>()), 1..500))
     {
-        let mut sim = MemSim::new(
-            SimCfg { utlb: None, ..SimCfg::default() },
-            PageMap::new(Policy::FirstFree { base_pfn: 0x100 }),
-        );
+        let mut sim = MemSim::new(PageMap::new(Policy::FirstFree { base_pfn: 0x100 }))
+            .without_utlb_synthesis();
         let mut want_i = 0u64;
         let mut want_d = 0u64;
         let mut last_cycles = 0;
@@ -82,10 +80,7 @@ proptest! {
     /// ever grow with footprint.
     #[test]
     fn utlb_synthesis_ratio(pages in proptest::collection::vec(0u32..512, 1..300)) {
-        let mut sim = MemSim::new(
-            SimCfg::default(),
-            PageMap::new(Policy::FirstFree { base_pfn: 0x100 }),
-        );
+        let mut sim = MemSim::new(PageMap::new(Policy::FirstFree { base_pfn: 0x100 }));
         for p in &pages {
             sim.dref(0x0100_0000 + p * 4096, false, Width::Word, Space::User(1));
         }

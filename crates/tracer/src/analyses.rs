@@ -22,22 +22,7 @@ use wrl_isa::{seg, Width};
 use wrl_memsim::{AssocCache, MemSim, PageMap, SpaceKey};
 use wrl_trace::{Space, TraceSink, Wants};
 
-use crate::sink::{AnalysisSink, SinkError, SinkReport};
-
-/// Translates like the cache study and the simulator do: kseg0/kseg1
-/// drop the segment bits, everything else goes through the page map
-/// under the right space key (kernel refs below kseg2 use the current
-/// process's map).
-fn study_key(vaddr: u32, space: Space, cur_asid: u8) -> SpaceKey {
-    if vaddr >= 0xc000_0000 {
-        SpaceKey::Kernel
-    } else {
-        match space {
-            Space::User(a) => SpaceKey::User(a),
-            Space::Kernel => SpaceKey::User(cur_asid),
-        }
-    }
-}
+use crate::sink::{space_label, AnalysisSink, SinkError, SinkReport};
 
 /// The §3.1 cache-design-study sink: one I-cache and one D-cache of a
 /// chosen geometry (16-byte lines), physically indexed through a page
@@ -71,7 +56,7 @@ impl CacheSink {
         if let Some((paddr, _)) = seg::unmapped(vaddr) {
             return paddr;
         }
-        let key = study_key(vaddr, space, self.cur_asid);
+        let key = SpaceKey::of(vaddr, space, self.cur_asid);
         self.pagemap.translate(key, vaddr)
     }
 }
@@ -236,7 +221,7 @@ impl PagemapSink {
         if seg::unmapped(vaddr).is_some() {
             return;
         }
-        let key = study_key(vaddr, space, self.cur_asid);
+        let key = SpaceKey::of(vaddr, space, self.cur_asid);
         let before = self.pagemap.len() as u64;
         self.pagemap.translate(key, vaddr);
         let row = self.rows.entry(key.index()).or_insert((0, 0));
@@ -273,12 +258,7 @@ impl AnalysisSink for PagemapSink {
         );
         r.push("mapped_refs", self.rows.values().map(|v| v.1).sum::<u64>());
         for (key, (pages, refs)) in &self.rows {
-            let label = if *key == 0 {
-                "kernel".to_string()
-            } else {
-                format!("asid:{}", key - 1)
-            };
-            let mut child = SinkReport::new(label);
+            let mut child = SinkReport::new(space_label(key.checked_sub(1)));
             child.push("pages", *pages);
             child.push("refs", *refs);
             r.children.push(child);

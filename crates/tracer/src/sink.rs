@@ -111,6 +111,12 @@ impl From<String> for Value {
     }
 }
 
+/// The label of one address space's row in a per-space report: a
+/// user space by its ASID, the kernel (`None`) by name.
+pub(crate) fn space_label(asid: Option<impl fmt::Display>) -> String {
+    asid.map_or("kernel".into(), |a| format!("asid:{a}"))
+}
+
 /// What one finished sink found: an ordered list of named scalars,
 /// plus child reports for per-space or per-row breakdowns. Field order
 /// is insertion order and the rendering is deterministic, so a report

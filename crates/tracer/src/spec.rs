@@ -17,7 +17,7 @@
 //! `m`/`M` (×1024²) suffixes the sampled sub-spec does, so
 //! `cache:64k:2` and `wset:16k` read as written.
 
-use wrl_memsim::{MemSim, PageMap, SimCfg, UtlbSynth};
+use wrl_memsim::{MemSim, PageMap};
 
 use crate::analyses::{CacheSink, DefenseSink, DilationSink, PagemapSink};
 use crate::driver::Stack;
@@ -107,11 +107,7 @@ pub fn build_stack(spec: &str, pagemap: &PageMap) -> Result<Stack, SinkSpecError
                 if !args.is_empty() {
                     return Err(SinkSpecError::TooManyArgs(item.to_string()));
                 }
-                let cfg = SimCfg {
-                    utlb: Some(UtlbSynth::wrl_kernel()),
-                    ..SimCfg::default()
-                };
-                stack.push(MemSim::new(cfg, pagemap.clone()));
+                stack.push(MemSim::new(pagemap.clone()));
             }
             "dilation" => {
                 if !args.is_empty() {

@@ -12,7 +12,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use wrl_isa::Width;
 use wrl_trace::{Space, TraceSink, Wants};
 
-use crate::sink::{AnalysisSink, SinkError, SinkReport};
+use crate::sink::{space_label, AnalysisSink, SinkError, SinkReport};
 
 /// splitmix64: one deterministic scramble of the seed, used to place
 /// the duty-cycle's phase offset so that seed choice shifts *where*
@@ -230,12 +230,48 @@ pub struct WorkingSetSink {
     rows: BTreeMap<u16, WsRow>,
 }
 
+/// Distinct 4 KB pages of a 32-bit address space.
+const PAGES: usize = 1 << 20;
+
+/// One tumbling window of page touches, closed once: pages are
+/// appended as they arrive and made a set when the window ends,
+/// instead of paying a tree insert per reference.
+#[derive(Debug, Default)]
+struct PageWindow {
+    touched: Vec<u32>,
+    refs: u64,
+}
+
+impl PageWindow {
+    /// Counts a reference to `page`; true when it fills the window.
+    fn touch(&mut self, page: u32, window: u64) -> bool {
+        if self.touched.last() != Some(&page) {
+            // A window longer than the address space has pages
+            // compacts in place: at most 8 MB, however long it is.
+            if self.touched.len() == 2 * PAGES {
+                self.touched.sort_unstable();
+                self.touched.dedup();
+            }
+            self.touched.push(page);
+        }
+        self.refs += 1;
+        self.refs == window
+    }
+
+    /// Ends the window: its distinct pages, sorted.
+    fn close(&mut self) -> Vec<u32> {
+        self.refs = 0;
+        self.touched.sort_unstable();
+        self.touched.dedup();
+        std::mem::take(&mut self.touched)
+    }
+}
+
 #[derive(Debug, Default)]
 struct WsRow {
     refs: u64,
     pages: BTreeSet<u32>,
-    cur: BTreeSet<u32>,
-    cur_refs: u64,
+    cur: PageWindow,
     windows: u64,
     peak: u64,
     sum: u64,
@@ -244,21 +280,18 @@ struct WsRow {
 impl WsRow {
     fn touch(&mut self, page: u32, window: u64) {
         self.refs += 1;
-        self.pages.insert(page);
-        self.cur.insert(page);
-        self.cur_refs += 1;
-        if self.cur_refs == window {
+        if self.cur.touch(page, window) {
             self.roll();
         }
     }
 
     fn roll(&mut self) {
-        let n = self.cur.len() as u64;
+        let cur = self.cur.close();
+        let n = cur.len() as u64;
         self.windows += 1;
         self.peak = self.peak.max(n);
         self.sum += n;
-        self.cur.clear();
-        self.cur_refs = 0;
+        self.pages.extend(cur);
     }
 }
 
@@ -300,7 +333,7 @@ impl AnalysisSink for WorkingSetSink {
         let mut r = SinkReport::new(self.name());
         // A trailing partial window still describes a working set.
         for row in self.rows.values_mut() {
-            if row.cur_refs > 0 {
+            if row.cur.refs > 0 {
                 row.roll();
             }
         }
@@ -314,12 +347,7 @@ impl AnalysisSink for WorkingSetSink {
                 .sum::<u64>(),
         );
         for (key, row) in &self.rows {
-            let label = if *key == 256 {
-                "kernel".to_string()
-            } else {
-                format!("asid:{key}")
-            };
-            let mut child = SinkReport::new(label);
+            let mut child = SinkReport::new(space_label(u8::try_from(*key).ok()));
             child.push("windows", row.windows);
             child.push("pages", row.pages.len() as u64);
             child.push("peak", row.peak);
@@ -345,9 +373,9 @@ impl AnalysisSink for WorkingSetSink {
 pub struct PhaseSink {
     window: u64,
     threshold: f64,
-    cur: BTreeSet<u32>,
-    cur_refs: u64,
-    prev: Option<BTreeSet<u32>>,
+    cur: PageWindow,
+    /// The last full window's distinct pages, sorted.
+    prev: Option<Vec<u32>>,
     windows: u64,
     change_points: Vec<u64>,
     dist_sum: f64,
@@ -362,8 +390,7 @@ impl PhaseSink {
         PhaseSink {
             window: window.max(1),
             threshold,
-            cur: BTreeSet::new(),
-            cur_refs: 0,
+            cur: PageWindow::default(),
             prev: None,
             windows: 0,
             change_points: Vec::new(),
@@ -374,20 +401,18 @@ impl PhaseSink {
     }
 
     fn touch(&mut self, vaddr: u32) {
-        self.cur.insert(vaddr >> 12);
-        self.cur_refs += 1;
-        if self.cur_refs == self.window {
+        if self.cur.touch(vaddr >> 12, self.window) {
             self.roll();
         }
     }
 
     fn roll(&mut self) {
-        let cur = std::mem::take(&mut self.cur);
-        self.cur_refs = 0;
+        let cur = self.cur.close();
         self.windows += 1;
         if let Some(prev) = &self.prev {
-            let inter = prev.intersection(&cur).count() as f64;
-            let union = prev.union(&cur).count() as f64;
+            let inter = cur.iter().filter(|p| prev.binary_search(p).is_ok()).count();
+            let union = (prev.len() + cur.len() - inter) as f64;
+            let inter = inter as f64;
             let d = if union == 0.0 {
                 0.0
             } else {
@@ -522,6 +547,21 @@ mod tests {
         assert_eq!(u1.get("mean"), Some(&crate::Value::F64(1.5)));
         assert_eq!(r.children[1].sink, "kernel");
         assert_eq!(r.children[1].get_u64("windows"), Some(1));
+    }
+
+    /// A window is a set however long it runs: pages that alternate
+    /// defeat the last-page memo, and a window longer than twice the
+    /// address space's pages compacts instead of growing.
+    #[test]
+    fn a_page_window_is_a_bounded_set() {
+        let mut w = PageWindow::default();
+        for i in 0..2 * PAGES as u32 + 10 {
+            assert!(!w.touch(7 - (i & 1) * 4, u64::MAX));
+        }
+        assert!(w.touched.len() <= 12, "compacted at 2 * PAGES");
+        assert!(w.touch(5, w.refs + 1), "the window's last reference");
+        assert_eq!(w.close(), [3, 5, 7]);
+        assert_eq!((w.refs, w.touched.len()), (0, 0));
     }
 
     #[test]

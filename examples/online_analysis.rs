@@ -15,7 +15,7 @@
 //! [`System::run_with`]: systrace::kernel::System::run_with
 
 use systrace::kernel::{build_system, KernelConfig};
-use systrace::memsim::{MemSim, SimCfg, UtlbSynth};
+use systrace::memsim::MemSim;
 use systrace::trace::Driver;
 
 fn main() {
@@ -32,11 +32,7 @@ fn main() {
 
     // The analysis program: a parser wired to this system's basic
     // block tables, feeding the memory-system simulator.
-    let simcfg = SimCfg {
-        utlb: Some(UtlbSynth::wrl_kernel()),
-        ..SimCfg::default()
-    };
-    let mut driver = Driver::new(sys.parser(), MemSim::new(simcfg, sys.pagemap.clone()));
+    let mut driver = Driver::new(sys.parser(), MemSim::new(sys.pagemap.clone()));
 
     println!("online analysis of `{name}` on traced Ultrix (1 MB buffer)\n");
     println!("phase |   words | cum insts | cum dmiss | cum utlb | kern%");

@@ -10,7 +10,7 @@
 use systrace::isa::asm::Asm;
 use systrace::isa::reg::*;
 use systrace::kernel::{build_system, KernelConfig};
-use systrace::memsim::{MemSim, SimCfg, UtlbSynth};
+use systrace::memsim::MemSim;
 use systrace::trace::layout::trace_ctl;
 
 /// A two-phase program. When `sample` is true the warm-up phase is
@@ -86,11 +86,7 @@ fn run(sample: bool) -> (usize, u64, f64) {
     let run = sys.run(2_000_000_000);
     assert_eq!(run.exit_code, 0);
     let mut parser = sys.parser();
-    let simcfg = SimCfg {
-        utlb: Some(UtlbSynth::wrl_kernel()),
-        ..SimCfg::default()
-    };
-    let mut sim = MemSim::new(simcfg, sys.pagemap.clone());
+    let mut sim = MemSim::new(sys.pagemap.clone());
     parser.parse_all(&run.trace_words, &mut sim);
     assert_eq!(parser.stats.errors, 0);
     (

@@ -62,7 +62,7 @@
 use std::sync::Arc;
 use systrace::fabric::{split_store, Coordinator, Manifest, PlanKind, MANIFEST_MAGIC};
 use systrace::kernel::{build_system, KernelConfig};
-use systrace::memsim::{MemSim, PageMap, Policy, SimCfg, UtlbSynth};
+use systrace::memsim::{MemSim, PageMap, Policy};
 use systrace::serve::{Catalog, Client, ClientCfg, ServeCfg, Server, TailItem};
 use systrace::store::{BlockFormat, FarmCfg, Predicate, StoreObs, TraceStore, DEFAULT_BLOCK_WORDS};
 use systrace::trace::{Space, TraceArchive, TraceSink};
@@ -312,12 +312,8 @@ fn refs(path: &str, n: usize) {
 
 fn sim(path: &str) {
     let a = load(path);
-    let cfg = SimCfg {
-        utlb: Some(UtlbSynth::wrl_kernel()),
-        ..SimCfg::default()
-    };
     let mut parser = a.parser();
-    let mut sim = MemSim::new(cfg, PageMap::new(Policy::FirstFree { base_pfn: 0x2000 }));
+    let mut sim = MemSim::new(PageMap::new(Policy::FirstFree { base_pfn: 0x2000 }));
     parser.parse_all(&a.words, &mut sim);
     let s = &sim.stats;
     println!("memory-system simulation of {path}:");
@@ -336,19 +332,14 @@ fn sim(path: &str) {
         s.user_cpi()
     );
     println!("  total cycles : {}", sim.cycles);
-    let _ = Arc::new(0);
 }
 
 fn metrics(path: &str, out: Option<&str>) {
     systrace::obs::register_all();
     let a = load(path);
-    let cfg = SimCfg {
-        utlb: Some(UtlbSynth::wrl_kernel()),
-        ..SimCfg::default()
-    };
     let mut parser = a.parser();
     parser.attach_obs(systrace::trace::ParserObs::register());
-    let mut sim = MemSim::new(cfg, PageMap::new(Policy::FirstFree { base_pfn: 0x2000 }));
+    let mut sim = MemSim::new(PageMap::new(Policy::FirstFree { base_pfn: 0x2000 }));
     parser.parse_all(&a.words, &mut sim);
     parser.stats.export_obs();
     sim.stats.export_obs();

@@ -20,7 +20,8 @@
 use std::sync::Arc;
 
 use wrl_kernel::{build_system, KernelConfig, System};
-use wrl_memsim::{predict, MemSim, Prediction, SimCfg, SpaceKey, TimeModel, UtlbSynth};
+use wrl_machine::dec5000;
+use wrl_memsim::{predict, MemSim, Prediction, SpaceKey};
 use wrl_obs::Span;
 use wrl_trace::{DriveReport, Driver, EventVec, SeamHooks, TraceSink};
 use wrl_tracer::{Stack, StackReport};
@@ -132,7 +133,7 @@ pub fn run_measured(cfg: &KernelConfig, w: &Workload) -> Measured {
     let c = &sys.machine.counters;
     Measured {
         cycles: c.cycles,
-        seconds: c.cycles as f64 * TimeModel::default().cycle_ns * 1e-9,
+        seconds: c.cycles as f64 * dec5000::CYCLE_NS * 1e-9,
         utlb_misses: c.utlb_misses,
         ktlb_misses: c.ktlb_misses,
         insts: c.insts(),
@@ -176,23 +177,15 @@ pub struct AnalyzedRun {
     pub stack: StackReport,
 }
 
-/// The simulator configuration every prediction uses.
-fn wrl_simcfg() -> SimCfg {
-    SimCfg {
-        utlb: Some(UtlbSynth::wrl_kernel()),
-        ..SimCfg::default()
-    }
-}
-
 /// The prediction's simulator over the system's page map (§4.2), so
 /// its physical indexing matches the traced run. Threads spawned so
 /// far share their parent's address space.
-fn wrl_sim(sys: &System, simcfg: &SimCfg) -> MemSim {
+fn wrl_sim(sys: &System) -> MemSim {
     let mut pagemap = sys.pagemap.clone();
     for (token, asid) in sys.thread_parents() {
         pagemap.duplicate_space(SpaceKey::User(asid), SpaceKey::User(token));
     }
-    MemSim::new(simcfg.clone(), pagemap)
+    MemSim::new(pagemap)
 }
 
 /// Runs `f`, under `span` when the run is metered.
@@ -248,9 +241,8 @@ pub fn run_analyzed(
     let obs = obs.as_ref();
 
     let mut sys = timed(obs.map(|o| &o.build), || build_system(cfg, &[w]));
-    let simcfg = wrl_simcfg();
     let (exit_code, drive, sim, stack) = if let Some(feed) = feed {
-        let mut driver = driver_for(&sys, &acfg, wrl_sim(&sys, &simcfg), stack);
+        let mut driver = driver_for(&sys, &acfg, wrl_sim(&sys), stack);
         let run = timed(obs.map(|o| &o.run), || {
             sys.run_with(SYSTEM_BUDGET, |words| {
                 feed.publish(words);
@@ -262,7 +254,7 @@ pub fn run_analyzed(
         (run.exit_code, drive, sim, stack)
     } else {
         let run = timed(obs.map(|o| &o.run), || sys.run(SYSTEM_BUDGET));
-        let mut sim = wrl_sim(&sys, &simcfg);
+        let mut sim = wrl_sim(&sys);
         if acfg.metered {
             let mut driver = driver_for(&sys, &acfg, EventVec::default(), stack);
             let (drive, (events, stack)) = timed(obs.map(|o| &o.parse), || {
@@ -283,12 +275,7 @@ pub fn run_analyzed(
         }
     };
     let prediction = timed(obs.map(|o| &o.predict), || {
-        predict(
-            &sim.stats,
-            &simcfg,
-            acfg.arith_stalls,
-            &TimeModel::default(),
-        )
+        predict(&sim.stats, acfg.arith_stalls)
     });
     if acfg.metered {
         sys.machine.counters.export_obs();
@@ -310,7 +297,7 @@ fn predicted(
     prediction: Prediction,
 ) -> Predicted {
     Predicted {
-        seconds: prediction.seconds(&TimeModel::default()),
+        seconds: prediction.seconds(),
         prediction,
         utlb_misses: sim.stats.utlb_misses,
         trace_insts: sim.stats.insts(),

@@ -426,6 +426,53 @@ proptest! {
     }
 }
 
+/// A virtual address from any of the four segments; a third of the
+/// draws sit within a word of a segment edge.
+fn arb_vaddr() -> impl Strategy<Value = u32> {
+    let edge = (0usize..4, 0u32..8).prop_map(|(seg, near)| {
+        [0, 0x8000_0000, 0xa000_0000, 0xc000_0000u32][seg]
+            .wrapping_sub(4)
+            .wrapping_add(near)
+    });
+    prop_oneof![any::<u32>(), any::<u32>(), edge]
+}
+
+proptest! {
+    /// Past the parser the sinks are total too: every sink
+    /// `build_stack` knows, fed arbitrary events — any ASID, any
+    /// segment, context 0 included, which no kernel hands out but a
+    /// file from outside can carry — never panics, and `finish`
+    /// returns a report per sink. (An identity page map, as above: a
+    /// `Random` pool is finite by design.)
+    #[test]
+    fn arbitrary_events_never_panic_any_sink(
+        events in vec((0u8..8, arb_vaddr(), any::<u8>(), any::<bool>(), any::<bool>()), 0..400)
+    ) {
+        use systrace::isa::Width;
+        use systrace::memsim::{PageMap, Policy};
+        use systrace::trace::{ParseStats, Space, TraceSink};
+        use systrace::tracer::build_stack;
+        let spec = "cache:64k:1,tlb,dilation,pagemap,defense,sampled:4:4:1,wset:64,phase:64:0.1";
+        let mut stack = build_stack(spec, &PageMap::new(Policy::Identity)).expect("spec builds");
+        for (pos, &(kind, vaddr, asid, user, flag)) in events.iter().enumerate() {
+            let space = if user { Space::User(asid) } else { Space::Kernel };
+            stack.before_word(pos as u64, vaddr);
+            match kind {
+                0..=2 => stack.iref(vaddr, space, flag),
+                3..=5 => {
+                    let width = [Width::Byte, Width::Half, Width::Word][kind as usize - 3];
+                    stack.dref(vaddr, flag, width, space);
+                }
+                6 => stack.ctx_switch(asid),
+                _ => stack.mode_transition(flag),
+            }
+            stack.after_word(pos as u64, vaddr);
+        }
+        let report = stack.finish(ParseStats::default(), events.len() as u64);
+        prop_assert_eq!(report.reports.len(), 8);
+    }
+}
+
 /// The alloc-bound hardening in one directed case each: an absurd
 /// word count must fail fast without attempting the allocation.
 #[test]

@@ -13,7 +13,7 @@
 //! and tests within a binary run on parallel threads, so splitting
 //! these assertions across tests would race on `reset()`.
 
-use systrace::memsim::{MemSim, PageMap, Policy, SimCfg, UtlbSynth};
+use systrace::memsim::{MemSim, PageMap, Policy};
 use systrace::obs;
 use systrace::trace::{Driver, EventVec, ParserObs, TraceArchive};
 
@@ -30,18 +30,8 @@ const PINNED_CTX_SWITCHES: i64 = 6;
 /// Words per chunk fed to the driver in the chunked pass.
 const CHUNK_WORDS: usize = 4096;
 
-fn simcfg() -> SimCfg {
-    SimCfg {
-        utlb: Some(UtlbSynth::wrl_kernel()),
-        ..SimCfg::default()
-    }
-}
-
 fn fresh_sim() -> MemSim {
-    MemSim::new(
-        simcfg(),
-        PageMap::new(Policy::FirstFree { base_pfn: 0x2000 }),
-    )
+    MemSim::new(PageMap::new(Policy::FirstFree { base_pfn: 0x2000 }))
 }
 
 fn counter(snap: &obs::Snapshot, name: &str) -> u64 {

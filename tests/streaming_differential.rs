@@ -10,7 +10,7 @@
 //! driver once per chunk size.
 
 use systrace::kernel::{build_system, KernelConfig, System};
-use systrace::memsim::{MemSim, SimCfg, SimStats, UtlbSynth};
+use systrace::memsim::{MemSim, SimStats};
 use systrace::serve::{Catalog, ServeCfg, Server};
 use systrace::trace::{Driver, ParseStats};
 use systrace::tracer::Stack;
@@ -18,10 +18,6 @@ use systrace::AnalyzeCfg;
 
 /// Mirrors the harness's simulator wiring.
 fn fresh_sim(sys: &System) -> MemSim {
-    let simcfg = SimCfg {
-        utlb: Some(UtlbSynth::wrl_kernel()),
-        ..SimCfg::default()
-    };
     let mut pagemap = sys.pagemap.clone();
     for (token, asid) in sys.thread_parents() {
         pagemap.duplicate_space(
@@ -29,7 +25,7 @@ fn fresh_sim(sys: &System) -> MemSim {
             systrace::memsim::SpaceKey::User(token),
         );
     }
-    MemSim::new(simcfg, pagemap)
+    MemSim::new(pagemap)
 }
 
 /// Batch reference: `parse_all` into a fresh simulator.

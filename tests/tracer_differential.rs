@@ -18,7 +18,7 @@
 //!   byte-for-byte (sampled duty-cycle windows, per-ASID working-set
 //!   curves, phase change-points).
 
-use systrace::memsim::{AssocCache, MemSim, PageMap, Policy, SimCfg, SpaceKey, UtlbSynth};
+use systrace::memsim::{AssocCache, MemSim, PageMap, Policy, SpaceKey};
 use systrace::store::{FarmCfg, TraceStore};
 use systrace::trace::{Space, TraceArchive, TraceSink, Wants};
 use systrace::tracer::{
@@ -35,18 +35,11 @@ fn pm() -> PageMap {
     PageMap::new(Policy::FirstFree { base_pfn: 0x2000 })
 }
 
-fn simcfg() -> SimCfg {
-    SimCfg {
-        utlb: Some(UtlbSynth::wrl_kernel()),
-        ..SimCfg::default()
-    }
-}
-
 /// The five ported analyses, freshly constructed in a fixed order.
 fn five() -> Vec<Box<dyn AnalysisSink + Send>> {
     vec![
         Box::new(CacheSink::new(65536, 2, pm())),
-        Box::new(MemSim::new(simcfg(), pm())),
+        Box::new(MemSim::new(pm())),
         Box::new(DilationSink::default()),
         Box::new(PagemapSink::new(pm())),
         Box::new(DefenseSink::default()),
@@ -58,7 +51,7 @@ fn five() -> Vec<Box<dyn AnalysisSink + Send>> {
 fn event_only() -> Vec<Box<dyn AnalysisSink + Send>> {
     vec![
         Box::new(CacheSink::new(65536, 2, pm())),
-        Box::new(MemSim::new(simcfg(), pm())),
+        Box::new(MemSim::new(pm())),
         Box::new(PagemapSink::new(pm())),
         Box::new(DefenseSink::default()),
     ]
@@ -284,14 +277,10 @@ fn cache_sink_matches_the_dedicated_cache_study_across_a_sweep() {
 #[test]
 fn tlb_sink_matches_a_dedicated_memsim_pass_field_for_field() {
     let a = golden();
-    let mut sim = MemSim::new(simcfg(), pm());
+    let mut sim = MemSim::new(pm());
     a.parser().parse_all(&a.words, &mut sim);
 
-    let report = analyze_words(
-        a.parser(),
-        &a.words,
-        Stack::new().with(MemSim::new(simcfg(), pm())),
-    );
+    let report = analyze_words(a.parser(), &a.words, Stack::new().with(MemSim::new(pm())));
     let r = report.ok(0).expect("tlb slot succeeded");
     let s = &sim.stats;
     for (field, want) in [
