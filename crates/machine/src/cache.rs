@@ -28,6 +28,8 @@ pub struct Cache {
     tags: Vec<u32>,
     line_shift: u32,
     index_mask: u32,
+    /// Bits of a line number that index `tags`; the rest are the tag.
+    tag_shift: u32,
 }
 
 /// Tag value representing an invalid line.
@@ -48,6 +50,7 @@ impl Cache {
             tags: vec![INVALID; lines as usize],
             line_shift: cfg.line.trailing_zeros(),
             index_mask: lines - 1,
+            tag_shift: lines.trailing_zeros(),
         }
     }
 
@@ -56,41 +59,37 @@ impl Cache {
         self.tags.len() as u32
     }
 
+    /// Where `paddr`'s line lives and the tag it carries there.
+    #[inline]
+    fn slot(&self, paddr: u32) -> (usize, u32) {
+        let lineno = paddr >> self.line_shift;
+        (
+            (lineno & self.index_mask) as usize,
+            lineno >> self.tag_shift,
+        )
+    }
+
     /// Accesses `paddr`; returns true on hit, allocating on miss.
     #[inline]
     pub fn access(&mut self, paddr: u32) -> bool {
-        let lineno = paddr >> self.line_shift;
-        let idx = (lineno & self.index_mask) as usize;
-        let tag = lineno >> self.index_mask.trailing_ones();
-        if self.tags[idx] == tag {
-            true
-        } else {
-            self.tags[idx] = tag;
-            false
-        }
+        let (idx, tag) = self.slot(paddr);
+        let hit = self.tags[idx] == tag;
+        self.tags[idx] = tag;
+        hit
     }
 
-    /// Accesses `paddr` without allocating on miss (write-through,
-    /// no-write-allocate stores).
-    #[inline]
-    pub fn access_no_allocate(&mut self, paddr: u32) -> bool {
-        let lineno = paddr >> self.line_shift;
-        let idx = (lineno & self.index_mask) as usize;
-        let tag = lineno >> self.index_mask.trailing_ones();
-        self.tags[idx] == tag
-    }
-
-    /// Updates the line on a write hit (write-through keeps the line).
+    /// A store to `paddr`: true on a hit, and a miss installs nothing
+    /// (write-through, no-write-allocate; a hit keeps the line).
     #[inline]
     pub fn write_update(&mut self, paddr: u32) -> bool {
-        self.access_no_allocate(paddr)
+        let (idx, tag) = self.slot(paddr);
+        self.tags[idx] == tag
     }
 
     /// Invalidates the line containing `paddr` (the `cache`
     /// instruction used by the kernel's flush routines).
     pub fn invalidate_line(&mut self, paddr: u32) {
-        let lineno = paddr >> self.line_shift;
-        let idx = (lineno & self.index_mask) as usize;
+        let (idx, _) = self.slot(paddr);
         self.tags[idx] = INVALID;
     }
 
@@ -113,8 +112,11 @@ impl Cache {
 /// processor is doing — the overlap the paper's trace-driven simulator
 /// does *not* model (§5.1, the `liv` error).
 pub struct WriteBuffer {
-    /// Completion times of in-flight entries (monotonic).
-    slots: std::collections::VecDeque<u64>,
+    /// Completion times of in-flight entries (monotonic): a ring of
+    /// `len` entries, the oldest at `head`.
+    slots: [u64; WB_MAX],
+    head: usize,
+    len: usize,
     capacity: usize,
     drain_cycles: u64,
     last_completion: u64,
@@ -124,11 +126,21 @@ pub struct WriteBuffer {
     pub stalls: u64,
 }
 
+/// The deepest write buffer the ring holds.
+const WB_MAX: usize = 8;
+
 impl WriteBuffer {
     /// Creates a write buffer with `capacity` entries.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `1 <= capacity <= WB_MAX`.
     pub fn new(capacity: usize, drain_cycles: u64) -> WriteBuffer {
+        assert!((1..=WB_MAX).contains(&capacity), "write buffer depth");
         WriteBuffer {
-            slots: std::collections::VecDeque::with_capacity(capacity),
+            slots: [0; WB_MAX],
+            head: 0,
+            len: 0,
             capacity,
             drain_cycles,
             last_completion: 0,
@@ -141,16 +153,12 @@ impl WriteBuffer {
     /// (which is later than `now` if the processor had to stall).
     #[inline]
     pub fn push(&mut self, mut now: u64) -> u64 {
-        while let Some(&front) = self.slots.front() {
-            if front <= now {
-                self.slots.pop_front();
-            } else {
-                break;
-            }
+        while self.len > 0 && self.slots[self.head] <= now {
+            self.pop_front();
         }
-        if self.slots.len() >= self.capacity {
+        if self.len >= self.capacity {
             // Stall until the oldest entry retires.
-            let front = self.slots.pop_front().expect("capacity > 0");
+            let front = self.pop_front();
             self.stall_cycles += front - now;
             self.stalls += 1;
             now = front;
@@ -158,19 +166,107 @@ impl WriteBuffer {
         let start = self.last_completion.max(now);
         let done = start + self.drain_cycles;
         self.last_completion = done;
-        self.slots.push_back(done);
+        self.slots[(self.head + self.len) % WB_MAX] = done;
+        self.len += 1;
         now
+    }
+
+    /// Removes and returns the oldest entry (there must be one).
+    #[inline]
+    fn pop_front(&mut self) -> u64 {
+        let front = self.slots[self.head];
+        self.head = (self.head + 1) % WB_MAX;
+        self.len -= 1;
+        front
     }
 
     /// Number of entries still in flight at time `now`.
     pub fn in_flight(&self, now: u64) -> usize {
-        self.slots.iter().filter(|&&t| t > now).count()
+        (0..self.len)
+            .filter(|k| self.slots[(self.head + k) % WB_MAX] > now)
+            .count()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::VecDeque;
+
+    /// The write buffer as it was before the ring: the reference.
+    struct DequeBuffer {
+        slots: VecDeque<u64>,
+        capacity: usize,
+        drain_cycles: u64,
+        last_completion: u64,
+        stall_cycles: u64,
+        stalls: u64,
+    }
+
+    impl DequeBuffer {
+        fn push(&mut self, mut now: u64) -> u64 {
+            while self.slots.front().is_some_and(|&front| front <= now) {
+                self.slots.pop_front();
+            }
+            if self.slots.len() >= self.capacity {
+                let front = self.slots.pop_front().expect("capacity > 0");
+                self.stall_cycles += front - now;
+                self.stalls += 1;
+                now = front;
+            }
+            let done = self.last_completion.max(now) + self.drain_cycles;
+            self.last_completion = done;
+            self.slots.push_back(done);
+            now
+        }
+
+        fn in_flight(&self, now: u64) -> usize {
+            self.slots.iter().filter(|&&t| t > now).count()
+        }
+    }
+
+    proptest! {
+        /// The ring is the deque: same time back from every push, same
+        /// stall totals, same occupancy, at every depth it may have.
+        #[test]
+        fn ring_matches_the_deque_it_replaced(
+            capacity in 1usize..9,
+            drain in 1u64..21,
+            gaps in proptest::collection::vec(0u64..30, 1..300),
+        ) {
+            let mut ring = WriteBuffer::new(capacity, drain);
+            let mut deque = DequeBuffer {
+                slots: VecDeque::new(),
+                capacity,
+                drain_cycles: drain,
+                last_completion: 0,
+                stall_cycles: 0,
+                stalls: 0,
+            };
+            let mut now = 0;
+            for gap in gaps {
+                now += gap;
+                let after = deque.push(now);
+                prop_assert_eq!(ring.push(now), after);
+                prop_assert_eq!(ring.stall_cycles, deque.stall_cycles);
+                prop_assert_eq!(ring.stalls, deque.stalls);
+                for t in [now, after, after + gap] {
+                    prop_assert_eq!(ring.in_flight(t), deque.in_flight(t));
+                }
+                now = after;
+            }
+        }
+    }
+
+    #[test]
+    fn the_ring_holds_the_decstation_write_buffer() {
+        assert!((1..=WB_MAX).contains(&crate::dec5000::WB_ENTRIES));
+        WriteBuffer::new(WB_MAX, 1);
+        for bad in [0, WB_MAX + 1] {
+            assert!(std::panic::catch_unwind(|| WriteBuffer::new(bad, 1)).is_err());
+        }
+    }
 
     #[test]
     fn direct_mapped_conflicts() {
@@ -190,10 +286,10 @@ mod tests {
             size: 1024,
             line: 16,
         });
-        assert!(!c.access_no_allocate(64));
-        assert!(!c.access_no_allocate(64)); // still not resident
+        assert!(!c.write_update(64));
+        assert!(!c.write_update(64)); // still not resident
         c.access(64);
-        assert!(c.access_no_allocate(64));
+        assert!(c.write_update(64));
     }
 
     #[test]

@@ -170,6 +170,13 @@ impl Cp0 {
         ((self.entryhi >> 6) & 63) as u8
     }
 
+    /// Everything in this register file an instruction fetch reads,
+    /// in one word: EntryHi's ASID with Status' KUc and IsC.
+    #[inline]
+    pub(crate) fn fetch_ctx(&self) -> u32 {
+        (self.entryhi & 0xfc0) | (self.status & (ST_KUC | ST_ISC))
+    }
+
     /// The set of pending, enabled interrupt lines.
     #[inline]
     pub fn pending_interrupts(&self) -> u32 {

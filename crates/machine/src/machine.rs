@@ -178,7 +178,36 @@ pub struct Machine {
     /// Optional reference tracer.
     tracer: Option<RefTracer>,
     halted: Option<StopEvent>,
+    fetching: FetchPage,
 }
+
+/// The page `step` is fetching from: what the last full resolution of
+/// a PC learned, good for the next fetch if `vpage`, `ctx` and
+/// `tlb_generation` still compare equal — nothing has to flush it.
+#[derive(Clone, Copy)]
+struct FetchPage {
+    /// `pc & FETCH_PAGE` of an aligned PC in the page, so one compare
+    /// covers page and alignment; `u32::MAX` (which no PC masks to)
+    /// when no page is held.
+    vpage: u32,
+    /// [`Cp0::fetch_ctx`] when the page was resolved.
+    ctx: u32,
+    /// [`Tlb::generation`] when the page was resolved.
+    tlb_generation: u64,
+    /// Physical base of the page, all of it inside memory.
+    pbase: u32,
+    /// Fetches go through the I-cache (cacheable page, IsC clear).
+    through_cache: bool,
+    /// Physical number of the I-cache line the last fetch touched —
+    /// still resident, since only a fetch or a `cache` op touches the
+    /// I-cache — or `u32::MAX` after a `cache` op or a new page.
+    line: u32,
+}
+
+/// The bits of a PC that name its page and its alignment.
+const FETCH_PAGE: u32 = 0xffff_f003;
+/// `paddr >> ILINE_SHIFT` is the number of an I-cache line.
+const ILINE_SHIFT: u32 = dec5000::ICACHE.line.trailing_zeros();
 
 /// One scoreboard cell: the absolute cycle at which a resource is
 /// ready, on the real clock and on the ideal clock (1 IPC, perfect
@@ -218,6 +247,14 @@ impl Machine {
             idle_range: None,
             tracer: None,
             halted: None,
+            fetching: FetchPage {
+                vpage: u32::MAX,
+                ctx: 0,
+                tlb_generation: 0,
+                pbase: 0,
+                through_cache: false,
+                line: u32::MAX,
+            },
         }
     }
 
@@ -294,7 +331,7 @@ impl Machine {
         if let Some((paddr, _)) = seg::unmapped(vaddr) {
             return Some(paddr);
         }
-        match self.tlb.lookup(vaddr, self.cp0.asid()) {
+        match self.tlb.scan(vaddr, self.cp0.asid()) {
             TlbLookup::Hit { pfn, .. } => Some((pfn << 12) | (vaddr & 0xfff)),
             _ => None,
         }
@@ -413,6 +450,8 @@ impl Machine {
         self.cp0.set_hw_interrupt(irq::DISK, self.dev.disk_pending);
     }
 
+    #[cold]
+    #[inline(never)]
     fn dma(&mut self, op: crate::dev::DiskOp) {
         let base = (op.block * DISK_BLOCK_SIZE) as usize;
         let end = base + DISK_BLOCK_SIZE as usize;
@@ -430,8 +469,36 @@ impl Machine {
         }
     }
 
+    /// Resolves the PC in full — alignment, mode, translation, range,
+    /// in the R3000's order: a misaligned PC is an address error
+    /// before it is a TLB miss — and keeps what it learned in
+    /// `fetching`. Returns the physical address of the instruction.
+    #[inline(never)]
+    fn resolve_fetch(&mut self, ipc: u32, ctx: u32) -> Result<u32, Exception> {
+        if ipc & 3 != 0 {
+            return Err(Exception::addr(ExcCode::AdEL, ipc, false));
+        }
+        let (paddr, cached) = self.translate(ipc, Access::Fetch)?;
+        if !self.mem.in_range(paddr, 4) {
+            return Err(Exception::addr(ExcCode::AdEL, ipc, false));
+        }
+        let pbase = paddr & !0xfff;
+        // A page memory ends inside of is resolved at every fetch.
+        let whole = self.mem.in_range(pbase, 0x1000);
+        self.fetching = FetchPage {
+            vpage: if whole { ipc & FETCH_PAGE } else { u32::MAX },
+            ctx,
+            tlb_generation: self.tlb.generation(),
+            pbase,
+            through_cache: cached && !self.cp0.cache_isolated(),
+            line: u32::MAX,
+        };
+        Ok(paddr)
+    }
+
     /// Executes one instruction; returns a stop event if the machine
     /// should hand control to the host.
+    #[inline]
     pub fn step(&mut self) -> Option<StopEvent> {
         let now = self.counters.cycles;
 
@@ -454,20 +521,33 @@ impl Machine {
         let in_delay = self.next_is_delay;
         let user = self.cp0.user_mode();
 
-        // Fetch.
-        let (paddr, cached) = match self.translate(ipc, Access::Fetch) {
-            Ok(v) => v,
-            Err(e) => return self.raise(e, ipc, in_delay),
+        // Fetch: from the page of the last fetch if nothing it stood
+        // on has moved, through the full resolution otherwise.
+        let ctx = self.cp0.fetch_ctx();
+        let f = self.fetching;
+        let paddr = if ipc & FETCH_PAGE == f.vpage
+            && ctx == f.ctx
+            && self.tlb.generation() == f.tlb_generation
+        {
+            f.pbase | (ipc & 0xfff)
+        } else {
+            match self.resolve_fetch(ipc, ctx) {
+                Ok(paddr) => paddr,
+                Err(e) => return self.raise(e, ipc, in_delay),
+            }
         };
-        if ipc & 3 != 0 || !self.mem.in_range(paddr, 4) {
-            return self.raise(Exception::addr(ExcCode::AdEL, ipc, false), ipc, in_delay);
-        }
         self.counters.cycles += 1;
         self.tlb.tick();
-        if cached && !self.cp0.cache_isolated() {
-            if !self.icache.access(paddr) {
-                self.counters.icache_misses += 1;
-                self.counters.cycles += dec5000::IMISS_PENALTY;
+        if self.fetching.through_cache {
+            // Inside the line of the last fetch this is a hit, and a
+            // hit changes nothing.
+            let line = paddr >> ILINE_SHIFT;
+            if line != self.fetching.line {
+                self.fetching.line = line;
+                if !self.icache.access(paddr) {
+                    self.counters.icache_misses += 1;
+                    self.counters.cycles += dec5000::IMISS_PENALTY;
+                }
             }
         } else {
             self.counters.uncached_ifetches += 1;
@@ -896,6 +976,7 @@ impl Machine {
                 if let Some(paddr) = self.probe_translate(vaddr) {
                     if op == 0 {
                         self.icache.invalidate_line(paddr);
+                        self.fetching.line = u32::MAX;
                     } else {
                         self.dcache.invalidate_line(paddr);
                     }

@@ -101,10 +101,21 @@ impl Mem {
     #[inline]
     pub fn fetch(&mut self, paddr: u32) -> Result<Inst, u32> {
         let i = (paddr >> 2) as usize;
-        let page = self.decoded[i / PAGE_WORDS].get_or_insert_with(|| Box::new([None; PAGE_WORDS]));
-        if let Some(inst) = page[i % PAGE_WORDS] {
-            return Ok(inst);
+        if let Some(page) = &self.decoded[i / PAGE_WORDS] {
+            if let Some(inst) = page[i % PAGE_WORDS] {
+                return Ok(inst);
+            }
         }
+        self.decode_first(i)
+    }
+
+    /// The first fetch of word `i` since it was written, or the first
+    /// from its page: kept out of line, so the page's array is built
+    /// on this frame and not on the fetching loop's.
+    #[cold]
+    #[inline(never)]
+    fn decode_first(&mut self, i: usize) -> Result<Inst, u32> {
+        let page = self.decoded[i / PAGE_WORDS].get_or_insert_with(|| Box::new([None; PAGE_WORDS]));
         let w = self.words[i];
         let inst = decode(w).map_err(|_| w)?;
         page[i % PAGE_WORDS] = Some(inst);

@@ -79,11 +79,30 @@ pub enum TlbLookup {
     Invalid,
 }
 
+/// One remembered hit: `key` is `vpn << 8 | asid`, `hit` what the
+/// scan answered for it.
+#[derive(Clone, Copy)]
+struct Memo {
+    key: u32,
+    hit: TlbLookup,
+}
+
+/// A key no lookup forms (a vpn has 20 bits, the `u8` ASID 8).
+const NO_MEMO: Memo = Memo {
+    key: u32::MAX,
+    hit: TlbLookup::Miss,
+};
+
 /// The TLB array plus the Random replacement register.
 pub struct Tlb {
     entries: [TlbEntry; TLB_ENTRIES],
     /// The Random register value (TLB_WIRED..TLB_ENTRIES).
     random: usize,
+    /// Hits of [`Tlb::lookup`], direct-mapped by vpn, true as long as
+    /// `entries` is unchanged: [`Tlb::forget`] clears them.
+    memo: [Memo; TLB_ENTRIES],
+    /// Counts the writes to `entries`.
+    generation: u64,
 }
 
 impl Default for Tlb {
@@ -98,7 +117,23 @@ impl Tlb {
         Tlb {
             entries: [TlbEntry::default(); TLB_ENTRIES],
             random: TLB_ENTRIES - 1,
+            memo: [NO_MEMO; TLB_ENTRIES],
+            generation: 0,
         }
+    }
+
+    /// `entries` is about to change: nothing remembered from it, here
+    /// or by a holder of [`Tlb::generation`], is true any longer.
+    fn forget(&mut self) {
+        self.memo = [NO_MEMO; TLB_ENTRIES];
+        self.generation += 1;
+    }
+
+    /// A number that moves whenever an entry is written: an answer of
+    /// this TLB is good for as long as this reads the same.
+    #[inline]
+    pub(crate) fn generation(&self) -> u64 {
+        self.generation
     }
 
     /// Advances the Random register (called once per instruction
@@ -117,8 +152,26 @@ impl Tlb {
         self.random
     }
 
-    /// Looks up `vaddr` under `asid`.
-    pub fn lookup(&self, vaddr: u32, asid: u8) -> TlbLookup {
+    /// Looks up `vaddr` under `asid`: [`Tlb::scan`], with a hit
+    /// remembered until the next write to the entries.
+    #[inline]
+    pub fn lookup(&mut self, vaddr: u32, asid: u8) -> TlbLookup {
+        let vpn = vaddr >> 12;
+        let key = (vpn << 8) | asid as u32;
+        let slot = vpn as usize % TLB_ENTRIES;
+        if self.memo[slot].key == key {
+            return self.memo[slot].hit;
+        }
+        let hit = self.scan(vaddr, asid);
+        if matches!(hit, TlbLookup::Hit { .. }) {
+            self.memo[slot] = Memo { key, hit };
+        }
+        hit
+    }
+
+    /// Searches the entries for `vaddr` under `asid`, first match
+    /// wins; remembers nothing.
+    pub fn scan(&self, vaddr: u32, asid: u8) -> TlbLookup {
         let vpn = vaddr >> 12;
         for e in &self.entries {
             if e.vpn == vpn && (e.global || e.asid == asid) {
@@ -147,12 +200,14 @@ impl Tlb {
 
     /// Writes entry `index` (the `tlbwi` instruction).
     pub fn write_indexed(&mut self, index: usize, e: TlbEntry) {
+        self.forget();
         self.entries[index % TLB_ENTRIES] = e;
     }
 
     /// Writes the entry selected by Random (the `tlbwr` instruction).
     pub fn write_random(&mut self, e: TlbEntry) -> usize {
         let i = self.random;
+        self.forget();
         self.entries[i] = e;
         i
     }
@@ -164,6 +219,7 @@ impl Tlb {
 
     /// Invalidates every entry (used at boot and by tests).
     pub fn flush(&mut self) {
+        self.forget();
         self.entries = [TlbEntry::default(); TLB_ENTRIES];
         // Leave `vpn = 0` entries harmless: mark all invalid and
         // non-matching by pointing them at distinct impossible pages.
@@ -181,6 +237,50 @@ impl Tlb {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// What `lookup` remembers it forgets on time: after every
+        /// write, flush and tick it answers as the scan does, for
+        /// pages that share a memo slot, under duplicate, global and
+        /// invalid entries and any ASID.
+        #[test]
+        fn memoised_lookup_equals_the_scan(ops in proptest::collection::vec(
+            (0u8..8, any::<u32>(), 0u8..64, 0u8..8), 1..300))
+        {
+            // Nine pages, three to a memo slot.
+            let page = |x: u32| 0x400 + x % 3 + 64 * (x / 3 % 3);
+            let mut t = Tlb::new();
+            t.flush();
+            for (kind, x, asid, flags) in ops {
+                // Half the entries crowd into ASIDs 0..4 so that they
+                // match and shadow each other.
+                let asid = if flags & 4 != 0 { asid % 4 } else { asid };
+                let e = TlbEntry {
+                    vpn: page(x),
+                    asid,
+                    pfn: x >> 12,
+                    valid: flags & 1 != 0,
+                    global: flags & 2 != 0,
+                    dirty: x & 1 != 0,
+                    noncacheable: false,
+                };
+                match kind {
+                    0 | 1 => t.write_indexed((x >> 8) as usize, e),
+                    2 | 3 => {
+                        t.write_random(e);
+                    }
+                    4 if x % 16 == 0 => t.flush(),
+                    _ => t.tick(),
+                }
+                for p in 0..9 {
+                    for a in [0, 1, 2, 3, asid, 63] {
+                        prop_assert_eq!(t.lookup(page(p) << 12, a), t.scan(page(p) << 12, a));
+                    }
+                }
+            }
+        }
+    }
 
     fn entry(vpn: u32, asid: u8, pfn: u32) -> TlbEntry {
         TlbEntry {

@@ -655,3 +655,132 @@ fn fp_divide_and_compare_chain() {
     assert_eq!(m.cpu.get_d(8), -2.5);
     assert_eq!(m.cpu.regs[T0.idx()], 2);
 }
+
+/// A kernel-mode machine with `code` at `vaddr` in kseg0. The rest of
+/// memory, the vectors included, is zeros: `nop`s.
+fn kseg0_machine(mem_bytes: u32, vaddr: u32, code: &[wrl_isa::Inst]) -> Machine {
+    let cfg = Config {
+        mem_bytes,
+        ..Config::default()
+    };
+    let mut m = Machine::new(cfg, vec![]);
+    for (i, &inst) in code.iter().enumerate() {
+        m.mem
+            .write_word(vaddr - 0x8000_0000 + 4 * i as u32, wrl_isa::encode(inst));
+    }
+    m.set_pc(vaddr);
+    m
+}
+
+/// The R3000 orders an address error on a fetch above a TLB refill: a
+/// jump to a misaligned PC never reaches the TLB, so Table 3's
+/// counter does not see a reference that was never made.
+#[test]
+fn a_misaligned_pc_is_an_address_error_before_it_is_a_tlb_miss() {
+    use wrl_isa::Inst;
+    use wrl_machine::TlbEntry;
+    for (target, mapped) in [
+        (0x0040_0002u32, false),
+        (0x0040_0002, true),
+        (0x8000_1002, false),
+    ] {
+        let mut m = kseg0_machine(1 << 20, 0x8000_0200, &[Inst::Jr { rs: T0 }]);
+        if mapped {
+            m.tlb.write_indexed(
+                0,
+                TlbEntry {
+                    vpn: target >> 12,
+                    pfn: 0x60,
+                    valid: true,
+                    ..TlbEntry::default()
+                },
+            );
+        }
+        m.cpu.regs[T0.idx()] = target;
+        assert_eq!((m.step(), m.step()), (None, None), "jr and its slot");
+        assert_eq!(m.cpu.pc, target);
+        assert_eq!(m.step(), None);
+        assert_eq!(m.cpu.pc, 0x8000_0080, "general vector, {target:#x}");
+        assert_eq!((m.cp0.cause >> 2) & 31, wrl_machine::ExcCode::AdEL as u32);
+        assert_eq!((m.cp0.badvaddr, m.cp0.epc), (target, target));
+        assert_eq!((m.counters.utlb_misses, m.counters.ktlb_misses), (0, 0));
+        assert_eq!(m.counters.exceptions[4], 1);
+        assert_eq!(
+            m.counters.insts(),
+            2,
+            "the fetch that faulted retires nothing"
+        );
+    }
+}
+
+/// `step` skips the I-cache inside the line it last fetched from. The
+/// counts below were recorded from the binary before it did: a `cache`
+/// op on the line being executed makes the next fetch from it miss.
+#[test]
+fn a_cache_op_on_the_line_being_executed_is_seen_by_the_next_fetch() {
+    use wrl_isa::Inst;
+    let flush = Inst::Cache {
+        op: 0,
+        base: T0,
+        off: 0,
+    };
+    let mut m = kseg0_machine(1 << 20, 0x8000_0400, &[flush]);
+    m.cpu.regs[T0.idx()] = 0x8000_0400;
+    for _ in 0..5 {
+        assert_eq!(m.step(), None);
+    }
+    // 0x400 cold, 0x404 after the flush, 0x410 the next line.
+    assert_eq!(m.counters.icache_misses, 3);
+    assert_eq!(m.counters.uncached_ifetches, 0);
+    assert_eq!(m.counters.cycles, 5 + 3 * dec5000::IMISS_PENALTY);
+}
+
+/// IsC set and cleared between fetches from one line: the two fetches
+/// under it bypass the cache, the one after it finds the line where
+/// the first fetch left it. Counts recorded as above.
+#[test]
+fn isolating_the_cache_mid_line_bypasses_it_for_exactly_those_fetches() {
+    use wrl_isa::Inst;
+    let code = [
+        Inst::Mtc0 { rt: T1, rd: 12 },
+        Inst::Sll {
+            rd: ZERO,
+            rt: ZERO,
+            sh: 0,
+        },
+        Inst::Mtc0 { rt: ZERO, rd: 12 },
+    ];
+    let mut m = kseg0_machine(1 << 20, 0x8000_0400, &code);
+    m.cpu.regs[T1.idx()] = wrl_machine::cp0::ST_ISC;
+    for _ in 0..5 {
+        assert_eq!(m.step(), None);
+    }
+    assert_eq!(m.counters.icache_misses, 2, "0x400 and 0x410");
+    assert_eq!(m.counters.uncached_ifetches, 2, "0x404 and 0x408");
+    assert_eq!(
+        m.counters.cycles,
+        5 + 2 * dec5000::IMISS_PENALTY + 2 * dec5000::UNCACHED_PENALTY
+    );
+}
+
+/// Running off the end of memory: the last word fetches, the one past
+/// it is an address error — whether memory ends with a page or inside
+/// one.
+#[test]
+fn the_last_word_of_memory_fetches_and_the_next_faults() {
+    for mem_bytes in [0x2000u32, 0x1800] {
+        let end = 0x8000_0000 + mem_bytes;
+        let mut m = kseg0_machine(mem_bytes, end - 8, &[]);
+        assert_eq!((m.step(), m.step()), (None, None));
+        assert_eq!((m.counters.insts(), m.counters.icache_misses), (2, 1));
+        assert_eq!(m.step(), None);
+        assert_eq!(m.cpu.pc, 0x8000_0080);
+        assert_eq!((m.cp0.cause >> 2) & 31, wrl_machine::ExcCode::AdEL as u32);
+        assert_eq!((m.cp0.badvaddr, m.cp0.epc), (end, end));
+        assert_eq!(m.counters.insts(), 2);
+        assert_eq!(
+            m.counters.cycles,
+            2 + dec5000::IMISS_PENALTY + dec5000::EXC_ENTRY_CYCLES
+        );
+    }
+}

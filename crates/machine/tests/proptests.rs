@@ -116,7 +116,7 @@ mod exec_oracle {
     use wrl_isa::asm::Asm;
     use wrl_isa::link::{link, Layout};
     use wrl_isa::reg::*;
-    use wrl_machine::{Config, Machine, StopEvent};
+    use wrl_machine::{Config, ExcCode, Machine, StopEvent};
 
     /// ALU operations agree with Rust's wrapping arithmetic.
     #[derive(Debug, Clone, Copy)]
@@ -259,5 +259,133 @@ mod exec_oracle {
                 prop_assert_eq!(m.cpu.regs[T1.idx()], SENTINEL);
             }
         }
+    }
+
+    /// A machine whose frames 0x10..0x14 each hold `addiu $t0,$zero,K`
+    /// in every word, K the frame's number: a fetch says where it came
+    /// from.
+    fn machine_of_marked_frames() -> Machine {
+        let cfg = Config {
+            mem_bytes: 1 << 20,
+            ..Config::default()
+        };
+        let mut m = Machine::new(cfg, vec![]);
+        for pfn in 0x10..0x14u32 {
+            let w = wrl_isa::encode(wrl_isa::Inst::Addiu {
+                rt: T0,
+                rs: ZERO,
+                imm: pfn as i16,
+            });
+            for off in (0..0x1000).step_by(4) {
+                m.mem.write_word((pfn << 12) + off, w);
+            }
+        }
+        m
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// `step` remembers the page it fetches from; nothing tells it
+        /// when the page moves. Whatever re-points the page between
+        /// two fetches from it — an instruction in the page itself or
+        /// the host's hand on the `pub` fields — the next fetch comes
+        /// from the frame `probe_translate` names, or is the miss it
+        /// should be.
+        #[test]
+        fn a_repointed_page_is_fetched_from_where_it_points_now(
+            how in 0u8..6,
+            frames in (0u32..4, 0u32..4),
+            asids in (0u32..64, 0u32..64),
+            other_is_mapped in any::<bool>(),
+            word in 0u32..1022,
+        ) {
+            use wrl_isa::Inst;
+            const V: u32 = 0x0040_0000;
+            let (a, b) = (0x10 + frames.0, 0x10 + frames.1);
+            let (asid, other) = asids;
+            let entry = |asid: u32, pfn: u32, valid: bool| TlbEntry {
+                vpn: V >> 12, asid: asid as u8, pfn, valid, dirty: false,
+                global: false, noncacheable: false,
+            };
+            let mut m = machine_of_marked_frames();
+            // The last entry, so that any `tlbwr` shadows or replaces it.
+            m.tlb.write_indexed(63, entry(asid, a, true));
+            if other_is_mapped {
+                m.tlb.write_indexed(5, entry(other, b, true));
+            }
+            m.cp0.entryhi = asid << 6;
+            let pc = V + word * 4;
+            m.set_pc(pc);
+            prop_assert_eq!(m.step(), None);
+            prop_assert_eq!(m.cpu.regs[T0.idx()], a, "the first fetch, from frame a");
+
+            // Re-point the page; `by` is an instruction that does it
+            // from inside the page, fetched through the old mapping.
+            let by = match how {
+                0 | 1 => {
+                    m.cp0.entryhi = V | asid << 6;
+                    m.cp0.entrylo = entry(asid, b, true).entry_lo();
+                    m.cp0.index = 63 << 8;
+                    Some(if how == 0 { Inst::Tlbwi } else { Inst::Tlbwr })
+                }
+                2 => {
+                    m.tlb.write_indexed(63, entry(asid, b, true));
+                    None
+                }
+                3 => {
+                    m.cpu.regs[T1.idx()] = other << 6;
+                    Some(Inst::Mtc0 { rt: T1, rd: 10 })
+                }
+                4 => {
+                    m.cp0.entryhi = other << 6;
+                    None
+                }
+                _ => {
+                    m.tlb.write_indexed(63, entry(asid, a, false));
+                    None
+                }
+            };
+            let mut pc = pc + 4;
+            if let Some(inst) = by {
+                m.mem.write_word((a << 12) + (pc & 0xfff), wrl_isa::encode(inst));
+                prop_assert_eq!(m.step(), None);
+                pc += 4;
+            }
+
+            let names = m.probe_translate(pc);
+            let faults = m.counters.exceptions.iter().sum::<u64>();
+            m.cpu.regs[T0.idx()] = 0;
+            prop_assert_eq!(m.step(), None);
+            match names {
+                Some(paddr) => {
+                    prop_assert_eq!(m.cpu.regs[T0.idx()], paddr >> 12, "how {}", how);
+                    prop_assert_eq!(m.counters.exceptions.iter().sum::<u64>(), faults);
+                }
+                None => {
+                    prop_assert_eq!(m.cpu.regs[T0.idx()], 0, "how {}", how);
+                    prop_assert_eq!(m.counters.exceptions[ExcCode::TlbL as usize], 1);
+                    prop_assert_eq!(m.cp0.badvaddr, pc);
+                }
+            }
+        }
+    }
+
+    /// The mode a page was fetched in is part of what `step` remembers
+    /// of it: `rfe` into user mode, and the next fetch from the same
+    /// kseg0 page is the address error it always was.
+    #[test]
+    fn rfe_into_user_mode_then_a_fetch_from_the_same_kseg0_page_is_adel() {
+        let mut m = machine_of_marked_frames();
+        m.mem
+            .write_word(0x10_000, wrl_isa::encode(wrl_isa::Inst::Rfe));
+        m.cp0.status = 0b1000; // KUp: user after the pop
+        m.set_pc(0x8001_0000);
+        assert_eq!(m.step(), None);
+        assert!(m.cp0.user_mode());
+        assert_eq!(m.step(), None);
+        assert_eq!(m.cpu.regs[T0.idx()], 0, "nothing was fetched");
+        assert_eq!(m.counters.exceptions[ExcCode::AdEL as usize], 1);
+        assert_eq!((m.cp0.badvaddr, m.cpu.pc), (0x8001_0004, 0x8000_0080));
     }
 }
