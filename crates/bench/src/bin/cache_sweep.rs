@@ -18,7 +18,7 @@ use systrace::tracer::CacheSink;
 use wrl_bench::sweep_geometries;
 
 fn main() {
-    let name = std::env::args().nth(1).unwrap_or_else(|| "tomcatv".into());
+    let name = std::env::args().nth(1).unwrap_or_else(|| "compress".into());
     let workers: usize = std::env::args()
         .nth(2)
         .and_then(|s| s.parse().ok())

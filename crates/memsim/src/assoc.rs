@@ -10,7 +10,10 @@
 /// A set-associative, LRU, tag-only cache.
 #[derive(Clone, Debug)]
 pub struct AssocCache {
-    sets: Vec<Vec<u32>>, // per set: tags in LRU order (front = MRU)
+    /// Sets × ways tags: set `s` is `tags[s * ways..][..ways]`, its
+    /// first `fill[s]` valid and most recently used first.
+    tags: Vec<u32>,
+    fill: Vec<u32>,
     ways: usize,
     line_shift: u32,
     set_mask: u32,
@@ -21,20 +24,32 @@ pub struct AssocCache {
 }
 
 impl AssocCache {
+    /// The geometry rule [`AssocCache::new`] asserts: `size`, `line`
+    /// and `ways` are powers of two and there are at least `ways`
+    /// lines.
+    pub fn valid_geometry(size: u32, line: u32, ways: usize) -> bool {
+        size.is_power_of_two()
+            && line.is_power_of_two()
+            && ways.is_power_of_two()
+            && ways <= (size / line) as usize
+    }
+
     /// Creates a cache of `size` bytes, `line`-byte lines and `ways`
-    /// ways (all powers of two; `ways == 1` is direct-mapped,
-    /// `ways == size/line` fully associative).
+    /// ways (`ways == 1` is direct-mapped, `ways == size/line` fully
+    /// associative).
     ///
     /// # Panics
     ///
-    /// Panics on non-power-of-two geometry or impossible way counts.
+    /// Panics unless [`AssocCache::valid_geometry`] holds.
     pub fn new(size: u32, line: u32, ways: usize) -> AssocCache {
-        assert!(size.is_power_of_two() && line.is_power_of_two());
-        let lines = (size / line) as usize;
-        assert!(ways.is_power_of_two() && ways >= 1 && ways <= lines);
-        let nsets = lines / ways;
+        assert!(
+            AssocCache::valid_geometry(size, line, ways),
+            "cache geometry {size}/{line}/{ways}"
+        );
+        let nsets = (size / line) as usize / ways;
         AssocCache {
-            sets: vec![Vec::with_capacity(ways); nsets],
+            tags: vec![0; nsets * ways],
+            fill: vec![0; nsets],
             ways,
             line_shift: line.trailing_zeros(),
             set_mask: (nsets as u32) - 1,
@@ -48,20 +63,20 @@ impl AssocCache {
     pub fn access(&mut self, paddr: u32) -> bool {
         self.accesses += 1;
         let lineno = paddr >> self.line_shift;
-        let set = &mut self.sets[(lineno & self.set_mask) as usize];
+        let set = (lineno & self.set_mask) as usize;
         let tag = lineno >> self.set_mask.trailing_ones();
-        if let Some(pos) = set.iter().position(|&t| t == tag) {
-            let t = set.remove(pos);
-            set.insert(0, t);
-            true
-        } else {
-            self.misses += 1;
-            if set.len() == self.ways {
-                set.pop();
-            }
-            set.insert(0, tag);
-            false
+        let fill = self.fill[set] as usize;
+        let ways = &mut self.tags[set * self.ways..][..self.ways];
+        if let Some(pos) = ways[..fill].iter().position(|&t| t == tag) {
+            ways[..=pos].rotate_right(1);
+            return true;
         }
+        let fill = (fill + 1).min(self.ways);
+        self.fill[set] = fill as u32;
+        ways[..fill].rotate_right(1);
+        ways[0] = tag;
+        self.misses += 1;
+        false
     }
 
     /// Miss ratio so far.

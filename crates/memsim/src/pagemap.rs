@@ -8,12 +8,21 @@
 //! trace-driven simulator either implements the policy itself or uses
 //! a page map extracted from the running system.
 
-use std::collections::HashMap;
+use std::collections::HashSet;
 
 use crate::sim::SpaceKey;
 
 /// Page size in bytes.
 pub const PAGE_SIZE: u32 = 4096;
+
+/// A 20-bit page number splits 10/10: a space is a directory of 1024
+/// leaves, a leaf maps one 4 MiB region in 1024 frames.
+const FANOUT: usize = 1024;
+/// A leaf slot no mapping has written.
+const UNMAPPED: u32 = u32::MAX;
+
+type Leaf = [u32; FANOUT];
+type Dir = [Option<Box<Leaf>>; FANOUT];
 
 /// A page-mapping policy.
 #[derive(Clone, Debug)]
@@ -38,14 +47,20 @@ pub enum Policy {
     },
 }
 
-/// A lazily-populated page map under some [`Policy`].
+/// A lazily-populated page map under some [`Policy`]: a two-level
+/// page table per address space, so a translation is two indexed
+/// loads. A space costs nothing until it maps a page, then an 8 KiB
+/// directory plus 4 KiB per 4 MiB region it touches.
 #[derive(Clone, Debug)]
 pub struct PageMap {
     policy: Policy,
-    map: HashMap<(SpaceKey, u32), u32>,
-    next_free: HashMap<SpaceKey, u32>,
+    spaces: [Option<Box<Dir>>; SpaceKey::COUNT],
+    /// Mappings held; a remapped page counts once.
+    len: usize,
+    /// FirstFree: frames handed out so far, per space.
+    next_free: [u32; SpaceKey::COUNT],
     rng_state: u64,
-    used: std::collections::HashSet<u32>,
+    used: HashSet<u32>,
 }
 
 impl PageMap {
@@ -57,10 +72,11 @@ impl PageMap {
         };
         PageMap {
             policy,
-            map: HashMap::new(),
-            next_free: HashMap::new(),
+            spaces: [const { None }; SpaceKey::COUNT],
+            len: 0,
+            next_free: [0; SpaceKey::COUNT],
             rng_state,
-            used: std::collections::HashSet::new(),
+            used: HashSet::new(),
         }
     }
 
@@ -70,7 +86,7 @@ impl PageMap {
     pub fn extracted(entries: impl IntoIterator<Item = ((SpaceKey, u32), u32)>) -> PageMap {
         let mut pm = PageMap::new(Policy::Identity);
         for (k, v) in entries {
-            pm.map.insert(k, v);
+            pm.insert(k, v);
         }
         pm
     }
@@ -84,15 +100,33 @@ impl PageMap {
         x
     }
 
+    /// The frame `(space, vpn)` is mapped to, if any.
+    fn get(&self, space: SpaceKey, vpn: u32) -> Option<u32> {
+        let dir = self.spaces[space.index() as usize].as_ref()?;
+        let pfn = dir[(vpn >> 10) as usize].as_ref()?[vpn as usize % FANOUT];
+        (pfn != UNMAPPED).then_some(pfn)
+    }
+
     /// Translates `(space, vpn)` to a frame, allocating on first use.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `vpn` is wider than a 32-bit address's 20 bits.
+    #[inline]
     pub fn frame(&mut self, space: SpaceKey, vpn: u32) -> u32 {
-        if let Some(&pfn) = self.map.get(&(space, vpn)) {
-            return pfn;
+        match self.get(space, vpn) {
+            Some(pfn) => pfn,
+            None => self.allocate(space, vpn),
         }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn allocate(&mut self, space: SpaceKey, vpn: u32) -> u32 {
         let pfn = match self.policy {
             Policy::Identity => vpn,
             Policy::FirstFree { base_pfn } => {
-                let next = self.next_free.entry(space).or_insert(0);
+                let next = &mut self.next_free[space.index() as usize];
                 let pfn = base_pfn + *next + (space.index() << 8);
                 *next += 1;
                 pfn
@@ -112,54 +146,66 @@ impl PageMap {
                 pfn
             }
         };
-        self.map.insert((space, vpn), pfn);
+        self.insert((space, vpn), pfn);
         pfn
     }
 
     /// Translates a full virtual address.
+    #[inline]
     pub fn translate(&mut self, space: SpaceKey, vaddr: u32) -> u32 {
         let pfn = self.frame(space, vaddr >> 12);
         (pfn << 12) | (vaddr & 0xfff)
     }
 
-    /// Inserts an explicit mapping (extracted-map construction).
-    pub fn insert(&mut self, key: (SpaceKey, u32), pfn: u32) {
-        self.map.insert(key, pfn);
+    /// Inserts an explicit mapping (extracted-map construction),
+    /// replacing any earlier one.
+    pub fn insert(&mut self, (space, vpn): (SpaceKey, u32), pfn: u32) {
+        debug_assert_ne!(pfn, UNMAPPED, "a frame number below u32::MAX");
+        let dir = self.spaces[space.index() as usize]
+            .get_or_insert_with(|| Box::new([const { None }; FANOUT]));
+        let slot = &mut dir[(vpn >> 10) as usize]
+            .get_or_insert_with(|| Box::new([UNMAPPED; FANOUT]))[vpn as usize % FANOUT];
+        self.len += usize::from(*slot == UNMAPPED);
+        *slot = pfn;
     }
 
     /// Duplicates every mapping of `from` under `to` (threads share
-    /// their parent's address space but trace under their own token).
+    /// their parent's address space but trace under their own token);
+    /// a page `to` already maps keeps its frame.
     pub fn duplicate_space(&mut self, from: SpaceKey, to: SpaceKey) {
-        let dup: Vec<(u32, u32)> = self
-            .map
-            .iter()
-            .filter(|((s, _), _)| *s == from)
-            .map(|((_, vpn), &pfn)| (*vpn, pfn))
-            .collect();
-        for (vpn, pfn) in dup {
-            self.map.entry((to, vpn)).or_insert(pfn);
+        let Some(dir) = &self.spaces[from.index() as usize] else {
+            return;
+        };
+        let mut dup = Vec::new();
+        for (region, leaf) in dir.iter().enumerate() {
+            for (page, &pfn) in leaf.iter().flat_map(|l| l.iter().enumerate()) {
+                if pfn != UNMAPPED {
+                    dup.push(((region * FANOUT + page) as u32, pfn));
+                }
+            }
         }
-    }
-
-    /// Iterates over all mappings.
-    pub fn entries(&self) -> impl Iterator<Item = (&(SpaceKey, u32), &u32)> {
-        self.map.iter()
+        for (vpn, pfn) in dup {
+            if self.get(to, vpn).is_none() {
+                self.insert((to, vpn), pfn);
+            }
+        }
     }
 
     /// Pages allocated so far.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.len
     }
 
     /// True if no pages are mapped.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.len == 0
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     #[test]
     fn identity_policy() {
@@ -205,5 +251,164 @@ mod tests {
     fn extracted_map_passes_through() {
         let mut pm = PageMap::extracted([((SpaceKey::User(3), 0x400), 0x77)]);
         assert_eq!(pm.translate(SpaceKey::User(3), 0x0040_0123), 0x0007_7123);
+    }
+
+    /// The map this one replaced, kept as the reference: one hash map
+    /// over `(space, vpn)`, the same policies and the same draws.
+    struct Model {
+        policy: Policy,
+        map: HashMap<(SpaceKey, u32), u32>,
+        next_free: HashMap<SpaceKey, u32>,
+        rng: u64,
+        used: HashSet<u32>,
+    }
+
+    impl Model {
+        fn new(policy: Policy) -> Model {
+            let rng = match policy {
+                Policy::Random { seed, .. } => seed | 1,
+                _ => 1,
+            };
+            Model {
+                policy,
+                map: HashMap::new(),
+                next_free: HashMap::new(),
+                rng,
+                used: HashSet::new(),
+            }
+        }
+
+        fn frame(&mut self, space: SpaceKey, vpn: u32) -> u32 {
+            if let Some(&pfn) = self.map.get(&(space, vpn)) {
+                return pfn;
+            }
+            let pfn = match self.policy {
+                Policy::Identity => vpn,
+                Policy::FirstFree { base_pfn } => {
+                    let next = self.next_free.entry(space).or_insert(0);
+                    *next += 1;
+                    base_pfn + *next - 1 + (space.index() << 8)
+                }
+                Policy::Random {
+                    base_pfn, frames, ..
+                } => loop {
+                    self.rng ^= self.rng << 13;
+                    self.rng ^= self.rng >> 7;
+                    self.rng ^= self.rng << 17;
+                    let pfn = base_pfn + (self.rng % frames as u64) as u32;
+                    if self.used.insert(pfn) {
+                        break pfn;
+                    }
+                },
+            };
+            self.map.insert((space, vpn), pfn);
+            pfn
+        }
+
+        fn duplicate_space(&mut self, from: SpaceKey, to: SpaceKey) {
+            let dup: Vec<(u32, u32)> = self
+                .map
+                .iter()
+                .filter(|((s, _), _)| *s == from)
+                .map(|(&(_, vpn), &pfn)| (vpn, pfn))
+                .collect();
+            for (vpn, pfn) in dup {
+                self.map.entry((to, vpn)).or_insert(pfn);
+            }
+        }
+    }
+
+    /// Interleaved `frame` / `insert` / `duplicate_space` over the
+    /// kernel and all 256 ASIDs, under all three policies: the same
+    /// frame for every translation, the same `len` after every step,
+    /// and the same mappings at the end.
+    #[test]
+    fn the_page_table_matches_the_hash_map_it_replaced() {
+        let policies = [
+            Policy::Identity,
+            Policy::FirstFree { base_pfn: 0x2000 },
+            Policy::Random {
+                seed: 11,
+                base_pfn: 0x2000,
+                frames: 1 << 20,
+            },
+        ];
+        for policy in policies {
+            let mut pm = PageMap::new(policy.clone());
+            let mut m = Model::new(policy.clone());
+            let mut x = 0x2545_f491_4f6c_dd1d_u64;
+            // Spaces and pages drawn so that most repeat: a handful of
+            // ASIDs, the kernel, six regions and 32 pages in each,
+            // with a few draws from the whole range.
+            let mut draw = || {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let space = match x % 8 {
+                    0 => SpaceKey::Kernel,
+                    1 => SpaceKey::User((x >> 8) as u8),
+                    _ => SpaceKey::User([0, 1, 2, 255][(x >> 3) as usize % 4]),
+                };
+                let region = match (x >> 16) % 8 {
+                    6 | 7 => (x >> 20) as u32 % 1024,
+                    r => [0, 1, 5, 511, 768, 1023][r as usize],
+                };
+                (x, space, (region << 10) | ((x >> 40) as u32 % 32))
+            };
+            for i in 0..30_000 {
+                let (r, space, vpn) = draw();
+                match (r >> 56) % 128 {
+                    0 => {
+                        let (_, to, _) = draw();
+                        pm.duplicate_space(space, to);
+                        m.duplicate_space(space, to);
+                    }
+                    1..=4 => {
+                        let pfn = (r >> 12) as u32 & 0xf_ffff;
+                        pm.insert((space, vpn), pfn);
+                        m.map.insert((space, vpn), pfn);
+                    }
+                    _ => assert_eq!(
+                        pm.frame(space, vpn),
+                        m.frame(space, vpn),
+                        "{policy:?} step {i}: {space:?} {vpn:#x}"
+                    ),
+                }
+                assert_eq!(pm.len(), m.map.len(), "{policy:?} step {i}");
+            }
+            assert!(m.map.len() > 2000, "{policy:?}: {} pages", m.map.len());
+            for (&(space, vpn), &pfn) in &m.map {
+                assert_eq!(pm.get(space, vpn), Some(pfn));
+            }
+        }
+    }
+
+    /// The resource bound DESIGN.md states: a space is a directory
+    /// plus one leaf per 4 MiB region touched. One page in each of a
+    /// space's 1024 regions allocates 1024 leaves; touching those pages
+    /// again, or their neighbours, allocates nothing.
+    #[test]
+    fn a_page_map_costs_the_regions_it_touched() {
+        let leaves = |pm: &PageMap| -> Vec<usize> {
+            pm.spaces
+                .iter()
+                .flatten()
+                .map(|dir| dir.iter().flatten().count())
+                .collect()
+        };
+        let mut pm = PageMap::new(Policy::FirstFree { base_pfn: 0 });
+        assert!(leaves(&pm).is_empty(), "an empty map holds no directory");
+        for region in 0..1024 {
+            pm.frame(SpaceKey::User(9), (region << 10) | 7);
+        }
+        assert_eq!((leaves(&pm), pm.len()), (vec![1024], 1024));
+        for region in 0..1024 {
+            pm.frame(SpaceKey::User(9), (region << 10) | 7);
+        }
+        assert_eq!((leaves(&pm), pm.len()), (vec![1024], 1024));
+        for region in 0..1024 {
+            pm.frame(SpaceKey::User(9), (region << 10) | 8);
+        }
+        assert_eq!((leaves(&pm), pm.len()), (vec![1024], 2048));
     }
 }

@@ -33,6 +33,10 @@ pub enum SpaceKey {
 }
 
 impl SpaceKey {
+    /// Distinct keys: the kernel and 256 ASIDs, so [`SpaceKey::index`]
+    /// is below this.
+    pub const COUNT: usize = 257;
+
     /// Whose page map translates a mapped reference: kseg2 is the
     /// kernel's, a user reference its own space's, and a kernel
     /// reference below kseg2 (copyin/copyout) the current process's.

@@ -93,32 +93,50 @@ proptest! {
 
 proptest! {
     /// The set-associative LRU cache agrees with a naive
-    /// recently-used-list oracle on hit/miss for every access.
+    /// recently-used-list oracle on hit/miss for every access, over
+    /// direct-mapped, 2-, 4-, 8-way and fully associative geometries
+    /// and one-set caches of 1-byte lines, whose tags are whole
+    /// addresses (so no tag value can mean "empty").
     #[test]
     fn assoc_cache_matches_lru_oracle(
-        addrs in proptest::collection::vec(0u32..(1 << 14), 1..500),
-        geom in 0usize..4,
+        draws in proptest::collection::vec((0u32..(1 << 14), any::<u32>(), 0u8..8), 1..500),
     ) {
-        let (size, line, ways) = [(1024u32, 16u32, 1usize), (1024, 16, 2), (2048, 32, 4), (512, 16, 8)][geom];
-        let mut c = wrl_memsim::AssocCache::new(size, line, ways);
-        // Oracle: per set, a Vec of tags in MRU-first order.
-        let nsets = (size / line) as usize / ways;
-        let mut oracle: Vec<Vec<u32>> = vec![Vec::new(); nsets];
-        for &a in &addrs {
-            let lineno = a / line;
-            let set = (lineno as usize) % nsets;
-            let tag = lineno / nsets as u32;
-            let want_hit = oracle[set].contains(&tag);
-            if want_hit {
-                let pos = oracle[set].iter().position(|&t| t == tag).unwrap();
-                oracle[set].remove(pos);
-            } else if oracle[set].len() == ways {
-                oracle[set].pop();
+        let geoms = [(1024u32, 16u32, 1usize), (1024, 16, 2), (2048, 32, 4), (512, 16, 8),
+                     (256, 16, 16), (8, 1, 8), (1, 1, 1)];
+        for (size, line, ways) in geoms {
+            let mut c = wrl_memsim::AssocCache::new(size, line, ways);
+            // Oracle: per set, a Vec of tags in MRU-first order.
+            let nsets = (size / line) as usize / ways;
+            let mut oracle: Vec<Vec<u32>> = vec![Vec::new(); nsets];
+            let mut misses = 0u64;
+            for &(lo, wild, pick) in &draws {
+                // Mostly a pool three times the cache, so sets fill,
+                // hit at every depth and evict; now and then a wider
+                // range or any address at all.
+                let a = match pick {
+                    0 => wild,
+                    1 => lo,
+                    _ => lo % (3 * size),
+                };
+                let lineno = a / line;
+                let set = (lineno as usize) % nsets;
+                let tag = lineno / nsets as u32;
+                let want_hit = oracle[set].contains(&tag);
+                if want_hit {
+                    let pos = oracle[set].iter().position(|&t| t == tag).unwrap();
+                    oracle[set].remove(pos);
+                } else {
+                    misses += 1;
+                    if oracle[set].len() == ways {
+                        oracle[set].pop();
+                    }
+                }
+                oracle[set].insert(0, tag);
+                prop_assert_eq!(c.access(a), want_hit, "{}/{}/{} addr {:#x}", size, line, ways, a);
             }
-            oracle[set].insert(0, tag);
-            prop_assert_eq!(c.access(a), want_hit, "addr {:#x}", a);
+            prop_assert_eq!(c.accesses, draws.len() as u64);
+            prop_assert_eq!(c.misses, misses);
         }
-        prop_assert_eq!(c.accesses, addrs.len() as u64);
     }
 
     /// Increasing associativity at fixed size never increases the

@@ -16,8 +16,6 @@
 //! * [`DefenseSink`] — the §4.3 defensive checks (space/address
 //!   sanity, alignment) as a standalone watchdog.
 
-use std::collections::BTreeMap;
-
 use wrl_isa::{seg, Width};
 use wrl_memsim::{AssocCache, MemSim, PageMap, SpaceKey};
 use wrl_trace::{Space, TraceSink, Wants};
@@ -40,11 +38,19 @@ pub struct CacheSink {
 }
 
 impl CacheSink {
+    /// Line size of both caches, in bytes.
+    pub const LINE: u32 = 16;
+
     /// A study of one geometry, translating through `pagemap`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless [`AssocCache::valid_geometry`] holds for `size`,
+    /// [`CacheSink::LINE`] and `ways`.
     pub fn new(size: u32, ways: usize, pagemap: PageMap) -> CacheSink {
         CacheSink {
-            icache: AssocCache::new(size, 16, ways),
-            dcache: AssocCache::new(size, 16, ways),
+            icache: AssocCache::new(size, Self::LINE, ways),
+            dcache: AssocCache::new(size, Self::LINE, ways),
             size,
             ways,
             pagemap,
@@ -194,12 +200,14 @@ impl AnalysisSink for DilationSink {
 
 /// The §4.2 page-mapping sink: distinct virtual pages touched per
 /// address space, and the frames a mapping policy hands them. The
-/// per-space rows come back as report children, ordered by space key.
+/// rows of the spaces referenced come back as report children,
+/// ordered by space key.
 pub struct PagemapSink {
     pagemap: PageMap,
     cur_asid: u8,
-    /// Per space: (distinct pages via the map, references).
-    rows: BTreeMap<u32, (u64, u64)>,
+    /// Per space, by [`SpaceKey::index`]: (distinct pages via the map,
+    /// references).
+    rows: [(u64, u64); SpaceKey::COUNT],
     pages_before: u64,
 }
 
@@ -211,7 +219,7 @@ impl PagemapSink {
         PagemapSink {
             pagemap,
             cur_asid: 1,
-            rows: BTreeMap::new(),
+            rows: [(0, 0); SpaceKey::COUNT],
             pages_before,
         }
     }
@@ -224,7 +232,7 @@ impl PagemapSink {
         let key = SpaceKey::of(vaddr, space, self.cur_asid);
         let before = self.pagemap.len() as u64;
         self.pagemap.translate(key, vaddr);
-        let row = self.rows.entry(key.index()).or_insert((0, 0));
+        let row = &mut self.rows[key.index() as usize];
         row.0 += self.pagemap.len() as u64 - before;
         row.1 += 1;
     }
@@ -251,13 +259,14 @@ impl AnalysisSink for PagemapSink {
 
     fn finish(&mut self) -> Result<SinkReport, SinkError> {
         let mut r = SinkReport::new(self.name());
-        r.push("spaces", self.rows.len() as u64);
+        let rows = || (0u32..).zip(&self.rows).filter(|(_, row)| row.1 > 0);
+        r.push("spaces", rows().count() as u64);
         r.push(
             "pages_mapped",
             self.pagemap.len() as u64 - self.pages_before,
         );
-        r.push("mapped_refs", self.rows.values().map(|v| v.1).sum::<u64>());
-        for (key, (pages, refs)) in &self.rows {
+        r.push("mapped_refs", rows().map(|(_, v)| v.1).sum::<u64>());
+        for (key, (pages, refs)) in rows() {
             let mut child = SinkReport::new(space_label(key.checked_sub(1)));
             child.push("pages", *pages);
             child.push("refs", *refs);

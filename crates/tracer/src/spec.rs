@@ -17,7 +17,7 @@
 //! `m`/`M` (×1024²) suffixes the sampled sub-spec does, so
 //! `cache:64k:2` and `wset:16k` read as written.
 
-use wrl_memsim::{MemSim, PageMap};
+use wrl_memsim::{AssocCache, MemSim, PageMap};
 
 use crate::analyses::{CacheSink, DefenseSink, DilationSink, PagemapSink};
 use crate::driver::Stack;
@@ -101,6 +101,9 @@ pub fn build_stack(spec: &str, pagemap: &PageMap) -> Result<Stack, SinkSpecError
                     .transpose()?
                     .unwrap_or(65536);
                 let ways: usize = args.get(1).map(|a| num(item, a)).transpose()?.unwrap_or(2);
+                if !AssocCache::valid_geometry(size, CacheSink::LINE, ways) {
+                    return Err(bad_arg(item, rest.unwrap_or_default()));
+                }
                 stack.push(CacheSink::new(size, ways, pagemap.clone()));
             }
             "tlb" => {
@@ -219,6 +222,32 @@ mod tests {
             build_stack("wset:k", &pm()),
             Err(SinkSpecError::BadArg { .. })
         ));
+    }
+
+    /// A geometry the cache model cannot build is a spec error, not a
+    /// panic: too small for one 16-byte line, a way count that is not
+    /// a power of two, a size that is not, and zero ways.
+    #[test]
+    fn an_impossible_cache_geometry_is_a_bad_argument() {
+        for (spec, arg) in [
+            ("cache:1", "1"),
+            ("cache:64k:3", "64k:3"),
+            ("cache:100", "100"),
+            ("cache:64k:0", "64k:0"),
+        ] {
+            assert_eq!(
+                build_stack(spec, &pm()).unwrap_err(),
+                SinkSpecError::BadArg {
+                    item: spec.into(),
+                    arg: arg.into()
+                },
+                "{spec}"
+            );
+        }
+        assert_eq!(
+            build_stack("cache:16:1", &pm()).unwrap().names(),
+            ["cache:16:1"]
+        );
     }
 
     #[test]

@@ -7,9 +7,10 @@
 //! tumbling reference-count windows, so the same trace always yields
 //! the same report — the golden-trace tests pin exact values.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use wrl_isa::Width;
+use wrl_memsim::SpaceKey;
 use wrl_trace::{Space, TraceSink, Wants};
 
 use crate::sink::{space_label, AnalysisSink, SinkError, SinkReport};
@@ -221,13 +222,15 @@ impl AnalysisSink for SampledWindowSink {
 }
 
 /// Per-ASID working-set curves: distinct 4 KB pages touched per
-/// tumbling window of references, one row per address space (key 256
-/// is the kernel). The per-row curves come back as report children.
+/// tumbling window of references, one row per address space. The
+/// per-row curves of the spaces referenced come back as report
+/// children, the kernel's last.
 #[derive(Debug)]
 pub struct WorkingSetSink {
     /// References per tumbling window.
     window: u64,
-    rows: BTreeMap<u16, WsRow>,
+    /// Per space, by [`SpaceKey::index`].
+    rows: Vec<WsRow>,
 }
 
 /// Distinct 4 KB pages of a 32-bit address space.
@@ -300,17 +303,18 @@ impl WorkingSetSink {
     pub fn new(window: u64) -> WorkingSetSink {
         WorkingSetSink {
             window: window.max(1),
-            rows: BTreeMap::new(),
+            rows: std::iter::repeat_with(WsRow::default)
+                .take(SpaceKey::COUNT)
+                .collect(),
         }
     }
 
     fn touch(&mut self, vaddr: u32, space: Space) {
         let key = match space {
-            Space::User(a) => a as u16,
-            Space::Kernel => 256,
+            Space::User(a) => SpaceKey::User(a),
+            Space::Kernel => SpaceKey::Kernel,
         };
-        let window = self.window;
-        self.rows.entry(key).or_default().touch(vaddr >> 12, window);
+        self.rows[key.index() as usize].touch(vaddr >> 12, self.window);
     }
 }
 
@@ -332,22 +336,26 @@ impl AnalysisSink for WorkingSetSink {
     fn finish(&mut self) -> Result<SinkReport, SinkError> {
         let mut r = SinkReport::new(self.name());
         // A trailing partial window still describes a working set.
-        for row in self.rows.values_mut() {
+        for row in &mut self.rows {
             if row.cur.refs > 0 {
                 row.roll();
             }
         }
-        r.push("spaces", self.rows.len() as u64);
-        r.push("refs", self.rows.values().map(|v| v.refs).sum::<u64>());
+        // By `SpaceKey::index`, the kernel (slot 0) last.
+        let rows = || {
+            (1..SpaceKey::COUNT)
+                .chain([0])
+                .map(|key| (key, &self.rows[key]))
+                .filter(|(_, row)| row.refs > 0)
+        };
+        r.push("spaces", rows().count() as u64);
+        r.push("refs", rows().map(|(_, v)| v.refs).sum::<u64>());
         r.push(
             "pages",
-            self.rows
-                .values()
-                .map(|v| v.pages.len() as u64)
-                .sum::<u64>(),
+            rows().map(|(_, v)| v.pages.len() as u64).sum::<u64>(),
         );
-        for (key, row) in &self.rows {
-            let mut child = SinkReport::new(space_label(u8::try_from(*key).ok()));
+        for (key, row) in rows() {
+            let mut child = SinkReport::new(space_label(key.checked_sub(1)));
             child.push("windows", row.windows);
             child.push("pages", row.pages.len() as u64);
             child.push("peak", row.peak);

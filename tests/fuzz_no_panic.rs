@@ -367,9 +367,28 @@ fn arb_speclike_string(max: usize) -> impl Strategy<Value = String> {
     vec(c, 0..max).prop_map(|cs| cs.into_iter().collect())
 }
 
-/// A spec item that is *almost* one of the real sink names, or junk.
-fn arb_spec_item() -> impl Strategy<Value = String> {
+/// A number that parses: small, odd or a power of two, now and then
+/// with a `k` suffix.
+fn arb_spec_number() -> impl Strategy<Value = String> {
     (
+        prop_oneof![
+            0u32..40,
+            (0u32..1024).prop_map(|n| 2 * n + 1),
+            (0u32..24).prop_map(|s| 1 << s),
+        ],
+        prop_oneof![Just(""), Just(""), Just("k")],
+    )
+        .prop_map(|(n, k)| format!("{n}{k}"))
+}
+
+/// A spec item that is *almost* one of the real sink names, or junk —
+/// or, half the time, a `cache:<size>:<ways>` whose numbers parse, so
+/// that the geometry rule and not the number parser decides it (the
+/// character soup almost never spells a number).
+fn arb_spec_item() -> impl Strategy<Value = String> {
+    let cache = (arb_spec_number(), arb_spec_number())
+        .prop_map(|(size, ways)| format!("cache:{size}:{ways}"));
+    let soup = (
         prop_oneof![
             Just("cache"),
             Just("tlb"),
@@ -384,7 +403,8 @@ fn arb_spec_item() -> impl Strategy<Value = String> {
         ],
         arb_speclike_string(12),
     )
-        .prop_map(|(name, tail)| format!("{name}{tail}"))
+        .prop_map(|(name, tail)| format!("{name}{tail}"));
+    prop_oneof![soup, cache]
 }
 
 proptest! {
