@@ -4,18 +4,27 @@
 //! sizes and associativities — the kind of study the WRL traces fed
 //! ([7, 9, 18]).
 //!
-//! The sweep runs on the `wrl-store` replay farm: the trace is
-//! compressed into a block store once, then replayed into all fifteen
-//! cache geometries at once — decoding and parsing the trace one time
-//! instead of fifteen. The results are bit-identical to feeding each
-//! geometry its own sequential parse (`tests/store_farm.rs` pins
-//! this).
+//! The trace is compressed into a block store once, then analysed by
+//! all fifteen cache geometries in one `analyze_store` pass: the
+//! geometries are dealt over the workers (argument 2, default 4) and
+//! each worker decodes and parses the store once for its share. The
+//! results are bit-identical to feeding each geometry its own
+//! sequential parse (`tests/store_farm.rs` pins this).
+//!
+//! Usage: `cache_sweep [workload] [workers]` (default: compress, 4).
 
 use systrace::kernel::{build_system, KernelConfig};
-use systrace::store::{replay, FarmCfg, StoreObs, TraceStore, DEFAULT_BLOCK_WORDS};
-use systrace::trace::SeamHooks;
-use systrace::tracer::CacheSink;
+use systrace::store::{FarmCfg, TraceStore, DEFAULT_BLOCK_WORDS};
+use systrace::tracer::{analyze_store, CacheSink, SinkReport, Stack, Value};
 use wrl_bench::sweep_geometries;
+
+/// A ratio field of a cache sink's report.
+fn ratio(r: &SinkReport, key: &str) -> f64 {
+    match r.get(key) {
+        Some(Value::F64(v)) => *v,
+        other => panic!("{}: {key} is {other:?}", r.sink),
+    }
+}
 
 fn main() {
     let name = std::env::args().nth(1).unwrap_or_else(|| "compress".into());
@@ -40,19 +49,11 @@ fn main() {
     );
 
     let geometries = sweep_geometries();
-    let sinks: Vec<CacheSink> = geometries
-        .iter()
-        .map(|&(size, ways)| CacheSink::new(size, ways, sys.pagemap.clone()))
-        .collect();
-
-    let cfg = FarmCfg {
-        workers,
-        ..FarmCfg::default()
-    };
-    let (report, sinks) = replay(&store, sinks, cfg, &SeamHooks::default()).expect("replay");
-    let obs = StoreObs::register();
-    obs.export_store(&store);
-    obs.export_farm(&report);
+    let mut stack = Stack::new();
+    for &(size, ways) in &geometries {
+        stack.push(CacheSink::new(size, ways, sys.pagemap.clone()));
+    }
+    let report = analyze_store(&store, stack, FarmCfg { workers }).expect("store decodes");
 
     println!("Cache design sweep over one {name} system trace");
     println!(
@@ -60,13 +61,14 @@ fn main() {
         "size", "ways", "imiss ratio", "dmiss ratio"
     );
     println!("{:-<44}", "");
-    for ((size, ways), study) in geometries.into_iter().zip(&sinks) {
+    for (i, (size, ways)) in geometries.into_iter().enumerate() {
+        let study = report.ok(i).expect("a cache sink never fails");
         println!(
             "{:>4} KB {:>5} | {:>11.4}% {:>11.4}%",
             size >> 10,
             ways,
-            100.0 * study.icache.miss_ratio(),
-            100.0 * study.dcache.miss_ratio(),
+            100.0 * ratio(study, "icache_miss_ratio"),
+            100.0 * ratio(study, "dcache_miss_ratio"),
         );
     }
     println!("{:-<44}", "");

@@ -1,4 +1,4 @@
-//! store_bench: compression ratio, decode throughput and replay-farm
+//! store_bench: compression ratio, decode throughput and worker
 //! scaling for the `wrl-store` trace store.
 //!
 //! Three sections, each honest about its method:
@@ -12,12 +12,13 @@
 //! 2. **Decode throughput** — block-at-a-time decode (CRC included)
 //!    of the largest trace, best of several passes, for the v3 row
 //!    path and the v4 columnar path via the whole-file block reader.
-//! 3. **Farm scaling** — the fifteen-geometry cache sweep replayed
-//!    from the store: sequentially (each geometry decodes and parses
-//!    the store itself — the non-farm workflow) and on the farm
-//!    (one shared parse) at 1, 2 and 4 workers. Results are asserted
-//!    bit-identical to the sequential sweep; configurations are
-//!    rotated across repetitions and the minimum kept.
+//! 3. **Worker scaling** — the fifteen-geometry cache sweep run from
+//!    the store: sequentially (each geometry decodes and parses the
+//!    store itself) and as one `analyze_store` pass at 1, 2 and 4
+//!    workers (each worker decodes and parses the store once for its
+//!    share of the geometries). Results are asserted bit-identical to
+//!    the sequential sweep; configurations are rotated across
+//!    repetitions and the minimum kept.
 //!
 //! Usage: `store_bench [sweep_workload]` (default: compress).
 //! Regenerates `results/store_bench.txt` via stdout.
@@ -25,11 +26,9 @@
 use std::time::{Duration, Instant};
 
 use systrace::kernel::{build_system, KernelConfig};
-use systrace::store::{
-    drive, replay, BlockFormat, FarmCfg, StoreObs, TraceStore, DEFAULT_BLOCK_WORDS,
-};
+use systrace::store::{drive, BlockFormat, FarmCfg, StoreObs, TraceStore, DEFAULT_BLOCK_WORDS};
 use systrace::trace::{SeamHooks, TraceArchive};
-use systrace::tracer::CacheSink;
+use systrace::tracer::{analyze_store, AnalysisSink, CacheSink, SinkReport, Stack};
 use wrl_bench::sweep_geometries;
 
 fn timed<T>(mut f: impl FnMut() -> T) -> (Duration, T) {
@@ -46,43 +45,35 @@ fn trace_of(name: &str) -> (TraceArchive, systrace::memsim::PageMap) {
     (sys.archive(&run), sys.pagemap.clone())
 }
 
-/// One sequential, non-farm sweep pass: the sink decodes and parses
-/// the store for itself, geometry by geometry.
-fn sequential_sweep(store: &TraceStore, pagemap: &systrace::memsim::PageMap) -> Vec<CacheSink> {
+/// One sequential sweep: the sink decodes and parses the store for
+/// itself, geometry by geometry.
+fn sequential_sweep(store: &TraceStore, pagemap: &systrace::memsim::PageMap) -> Vec<SinkReport> {
     sweep_geometries()
         .into_iter()
         .map(|(size, ways)| {
             let study = CacheSink::new(size, ways, pagemap.clone());
-            let (_, study) = drive(store, study, &SeamHooks::default()).expect("block decodes");
-            study
+            let (_, mut study) = drive(store, study, &SeamHooks::default()).expect("block decodes");
+            study.finish().expect("a cache sink never fails")
         })
         .collect()
 }
 
-fn farm_sweep(
+/// The whole sweep as one `analyze_store` pass on `workers` workers.
+fn one_pass_sweep(
     store: &TraceStore,
     pagemap: &systrace::memsim::PageMap,
     workers: usize,
-) -> Vec<CacheSink> {
-    let sinks = sweep_geometries()
-        .into_iter()
-        .map(|(size, ways)| CacheSink::new(size, ways, pagemap.clone()))
-        .collect();
-    let cfg = FarmCfg {
-        workers,
-        ..FarmCfg::default()
-    };
-    let (_, sinks) = replay(store, sinks, cfg, &SeamHooks::default()).expect("replay");
-    sinks
-}
-
-fn assert_identical(a: &[CacheSink], b: &[CacheSink]) {
-    for (x, y) in a.iter().zip(b) {
-        assert_eq!(x.icache.accesses, y.icache.accesses);
-        assert_eq!(x.icache.misses, y.icache.misses);
-        assert_eq!(x.dcache.accesses, y.dcache.accesses);
-        assert_eq!(x.dcache.misses, y.dcache.misses);
+) -> Vec<SinkReport> {
+    let mut stack = Stack::new();
+    for (size, ways) in sweep_geometries() {
+        stack.push(CacheSink::new(size, ways, pagemap.clone()));
     }
+    let report = analyze_store(store, stack, FarmCfg { workers }).expect("block decodes");
+    report
+        .reports
+        .into_iter()
+        .map(|r| r.expect("a cache sink never fails"))
+        .collect()
 }
 
 /// The v2 store's median compression ratio across the twelve
@@ -102,7 +93,7 @@ fn main() {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let obs = StoreObs::register();
 
-    println!("wrl-store: compression and replay-farm benchmark");
+    println!("wrl-store: compression and worker-scaling benchmark");
     println!("block size {DEFAULT_BLOCK_WORDS} words; host parallelism: {cores} CPU(s)");
     println!();
 
@@ -204,22 +195,22 @@ fn main() {
     }
     println!();
 
-    // ---- 3. Farm replay scaling ----------------------------------
+    // ---- 3. Worker scaling ---------------------------------------
     const RUNS: usize = 3;
     println!("Fifteen-geometry cache sweep of the {sweep_name} trace, best of {RUNS}");
     println!("{:24} | {:>9} | {:>8}", "schedule", "time", "speedup");
     println!("{:-<47}", "");
-    // configs: None = sequential; Some(w) = farm with w workers.
+    // configs: None = sequential; Some(w) = one pass on w workers.
     let configs: [Option<usize>; 4] = [None, Some(1), Some(2), Some(4)];
     let mut best = [Duration::MAX; 4];
-    let mut results: [Option<Vec<CacheSink>>; 4] = [None, None, None, None];
+    let mut results: [Option<Vec<SinkReport>>; 4] = [None, None, None, None];
     for run in 0..RUNS {
         // Rotate the execution order so drift hits every config.
         for k in 0..configs.len() {
             let idx = (k + run) % configs.len();
             let (t, sinks) = match configs[idx] {
                 None => timed(|| sequential_sweep(&store, &pagemap)),
-                Some(w) => timed(|| farm_sweep(&store, &pagemap, w)),
+                Some(w) => timed(|| one_pass_sweep(&store, &pagemap, w)),
             };
             best[idx] = best[idx].min(t);
             results[idx] = Some(sinks);
@@ -235,18 +226,19 @@ fn main() {
     );
     for (i, cfg) in configs.iter().enumerate().skip(1) {
         let sinks = results[i].take().expect("RUNS > 0");
-        assert_identical(&sinks, &baseline); // farm == sequential, always
+        assert_eq!(sinks, baseline, "one pass == sequential, always");
         println!(
             "{:24} | {:>8.3}s | {:>7.2}x",
-            format!("farm, {} worker(s)", cfg.unwrap()),
+            format!("one pass, {} worker(s)", cfg.unwrap()),
             best[i].as_secs_f64(),
             t_seq.as_secs_f64() / best[i].as_secs_f64(),
         );
     }
     println!("{:-<47}", "");
     println!("sequential: every geometry decodes + parses the store itself.");
-    println!("farm: one decode + parse feeds all fifteen sinks, so the 1-worker");
-    println!("row is pure work amortisation and holds even on a single CPU;");
-    println!("more workers add only what the host's spare CPUs allow.");
-    println!("Farm results are asserted identical to the sequential sweep.");
+    println!("one pass: each worker decodes + parses the store once for its");
+    println!("share of the fifteen sinks, so the 1-worker row is pure work");
+    println!("amortisation and holds even on a single CPU; more workers add");
+    println!("a decode + parse each and only what the host's spare CPUs allow.");
+    println!("Results are asserted identical to the sequential sweep.");
 }

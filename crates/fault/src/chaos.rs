@@ -33,10 +33,10 @@ use crate::plan::{FaultPlan, FaultSite, Layer};
 use crate::SplitMix64;
 use wrl_fabric::{split_store, Coordinator, Manifest, PlanKind};
 use wrl_serve::{Catalog, Client, ClientCfg, ServeCfg, ServeHooks, Server, TailItem, WireFate};
-use wrl_store::{filter_stream, replay, BlockFormat, FarmCfg, Predicate, TraceStore};
+use wrl_store::{filter_stream, BlockFormat, Predicate, TraceStore};
 use wrl_trace::{
-    ChunkFate, CollectSink, DriveReport, Driver, ParseStats, Seam, SeamHooks, TraceArchive,
-    TraceSink, Wants,
+    ChunkFate, CollectSink, DriveReport, Driver, ParseStats, SeamHooks, TraceArchive, TraceSink,
+    Wants,
 };
 use wrl_tracer::{
     analyze_words, AnalysisSink, DefenseSink, DilationSink, SinkError, SinkReport, Stack,
@@ -318,7 +318,7 @@ fn run_site(input: &ChaosInput, plan: FaultPlan) -> Outcome {
             // Stall every k-th chunk at the source seam; by contract
             // this may only cost throughput.
             let every = 1 + u64::from(intensity);
-            let hooks = SeamHooks::new(move |_, seq| {
+            let hooks = SeamHooks::new(move |seq| {
                 if seq % every == 0 {
                     ChunkFate::Stall(Duration::from_micros(200))
                 } else {
@@ -343,7 +343,7 @@ fn run_site(input: &ChaosInput, plan: FaultPlan) -> Outcome {
             // stream.
             let dropped = pick_distinct(&mut rng, input.n_chunks(), u64::from(intensity));
             let n_dropped = dropped.len() as u64;
-            let hooks = SeamHooks::new(move |_, seq| {
+            let hooks = SeamHooks::new(move |seq| {
                 if dropped.contains(&seq) {
                     ChunkFate::Drop
                 } else {
@@ -362,61 +362,6 @@ fn run_site(input: &ChaosInput, plan: FaultPlan) -> Outcome {
                         report.lost_chunks
                     ),
                 }
-            }
-        }
-        FaultSite::FarmStall | FaultSite::FarmDrop => {
-            let store = TraceStore::decode_any(&input.store_bytes).expect("golden store decodes");
-            let cfg = FarmCfg {
-                workers: 2,
-                batch_events: 512,
-            };
-            let hooks = if plan.site == FaultSite::FarmStall {
-                let every = 1 + u64::from(intensity);
-                SeamHooks::new(move |seam, seq| {
-                    if seam == Seam::Worker(0) && seq % every == 0 {
-                        ChunkFate::Stall(Duration::from_micros(200))
-                    } else {
-                        ChunkFate::Deliver
-                    }
-                })
-            } else {
-                // Drop one early batch on one worker; the golden
-                // input broadcasts more than four.
-                let worker = rng.below(2) as usize;
-                let batch = rng.below(4);
-                SeamHooks::new(move |seam, seq| {
-                    if seam == Seam::Worker(worker) && seq == batch {
-                        ChunkFate::Drop
-                    } else {
-                        ChunkFate::Deliver
-                    }
-                })
-            };
-            let sinks = vec![CollectSink::default(); 2];
-            match (plan.site, replay(&store, sinks, cfg, &hooks)) {
-                (FaultSite::FarmStall, Ok((report, sinks))) => {
-                    if report.run.parse == input.baseline_stats
-                        && sinks.iter().all(|s| input.sinks_equal(s))
-                    {
-                        Outcome::Harmless
-                    } else {
-                        Outcome::Forbidden {
-                            why: "farm stalls changed results".into(),
-                        }
-                    }
-                }
-                (FaultSite::FarmStall, Err(e)) => Outcome::Forbidden {
-                    why: format!("farm stalls raised an error: {e}"),
-                },
-                (_, Err(e @ wrl_store::StoreError::FarmDesync { .. })) => Outcome::Detected {
-                    what: e.to_string(),
-                },
-                (_, Err(e)) => Outcome::Forbidden {
-                    why: format!("farm drop raised the wrong error: {e}"),
-                },
-                (_, Ok(_)) => Outcome::Forbidden {
-                    why: "farm drop went unnoticed".into(),
-                },
             }
         }
         FaultSite::WireCorrupt

@@ -1,5 +1,5 @@
 //! `wrl-fault`: seeded, deterministic fault injection and chaos
-//! campaigns for the decode/replay stack.
+//! campaigns for the decode/analysis stack.
 //!
 //! The paper's §4.3 discipline is that a tracing system must *count
 //! the dirt*: every anomaly is either detected and tallied or
@@ -8,8 +8,8 @@
 //! that discipline into an executable contract. It injects faults at
 //! every boundary of the stack — raw trace words before the parser,
 //! container bytes under the store, chunks at the driver's source
-//! seam and batches inside the replay farm, response frames on the trace
-//! service's wire — and classifies what the stack did about each one:
+//! seam, response frames on the trace service's wire — and classifies
+//! what the stack did about each one:
 //!
 //! * [`plan`] — a [`FaultPlan`] is `(site, seed, intensity)`, round-
 //!   trippable through a one-line `site:seed:intensity` spec, so any

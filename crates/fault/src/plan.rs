@@ -17,8 +17,8 @@ pub enum Layer {
     Parser,
     /// The `wrl-store` container bytes.
     Store,
-    /// The driver's source seam and the replay farm's channels.
-    Farm,
+    /// The driver's source seam.
+    Stream,
     /// The `wrl-serve` wire protocol between server and client.
     Wire,
     /// The `wrl-fabric` coordinator: shard manifests and the
@@ -61,10 +61,6 @@ pub enum FaultSite {
     /// Drop chunks at the driver's source seam (must be detected as
     /// lost chunks).
     StreamDrop,
-    /// Stall farm workers (harmless by contract).
-    FarmStall,
-    /// Drop farm items on one worker (must be detected as a desync).
-    FarmDrop,
     /// Flip one bit in an encoded `wrl-serve` response frame right
     /// before the socket write (must surface as a typed client
     /// error — the frame CRC detects any single-bit damage).
@@ -108,7 +104,7 @@ pub enum FaultSite {
 }
 
 /// Every site, in campaign round-robin order.
-pub const ALL_SITES: [FaultSite; 21] = [
+pub const ALL_SITES: [FaultSite; 19] = [
     FaultSite::ParserBitFlip,
     FaultSite::ParserTruncate,
     FaultSite::StoreBlock,
@@ -120,8 +116,6 @@ pub const ALL_SITES: [FaultSite; 21] = [
     FaultSite::StoreZonemap,
     FaultSite::StreamStall,
     FaultSite::StreamDrop,
-    FaultSite::FarmStall,
-    FaultSite::FarmDrop,
     FaultSite::WireCorrupt,
     FaultSite::WireDrop,
     FaultSite::WirePartial,
@@ -147,8 +141,6 @@ impl FaultSite {
             FaultSite::StoreZonemap => "store.zonemap",
             FaultSite::StreamStall => "stream.stall",
             FaultSite::StreamDrop => "stream.drop",
-            FaultSite::FarmStall => "farm.stall",
-            FaultSite::FarmDrop => "farm.drop",
             FaultSite::WireCorrupt => "wire.corrupt",
             FaultSite::WireDrop => "wire.drop",
             FaultSite::WirePartial => "wire.partial",
@@ -176,10 +168,7 @@ impl FaultSite {
             | FaultSite::StoreShortRead
             | FaultSite::StoreColumn
             | FaultSite::StoreZonemap => Layer::Store,
-            FaultSite::StreamStall
-            | FaultSite::StreamDrop
-            | FaultSite::FarmStall
-            | FaultSite::FarmDrop => Layer::Farm,
+            FaultSite::StreamStall | FaultSite::StreamDrop => Layer::Stream,
             FaultSite::WireCorrupt
             | FaultSite::WireDrop
             | FaultSite::WirePartial
@@ -314,12 +303,12 @@ mod tests {
 
     #[test]
     fn campaigns_are_deterministic_and_cover_all_sites() {
-        let a = campaign(1, 420);
-        assert_eq!(a, campaign(1, 420));
-        assert_ne!(a, campaign(2, 420));
+        let a = campaign(1, 380);
+        assert_eq!(a, campaign(1, 380));
+        assert_ne!(a, campaign(2, 380));
         for site in ALL_SITES {
             let hits = a.iter().filter(|p| p.site == site).count();
-            assert_eq!(hits, 420 / ALL_SITES.len(), "{site}");
+            assert_eq!(hits, 380 / ALL_SITES.len(), "{site}");
         }
         assert!(a.iter().all(|p| p.intensity >= 1 && p.intensity <= 8));
     }

@@ -32,8 +32,8 @@
 //!
 //! Both encoder and decoder run the identical model state machine, so
 //! decompression is exact. All state is per-block: every block decodes
-//! independently, which is what lets `farm` workers decode blocks
-//! concurrently and lets a seekable reader jump anywhere.
+//! independently, which is what lets parallel query workers decode
+//! blocks concurrently and lets a seekable reader jump anywhere.
 
 /// Errors from [`decompress_block`] and the columnar
 /// [`crate::column`] codec.

@@ -127,17 +127,6 @@ pub enum StoreError {
         /// CRC of the metadata bytes as read.
         got: u32,
     },
-    /// A farm replay worker fell out of step with the feeder: it
-    /// applied a different number of event batches (or decoded
-    /// blocks) than were produced, so its sinks cannot be trusted.
-    FarmDesync {
-        /// Index of the desynchronised worker.
-        worker: usize,
-        /// Items the worker actually applied.
-        applied: u64,
-        /// Items the worker was expected to apply.
-        expected: u64,
-    },
 }
 
 impl From<io::Error> for StoreError {
@@ -178,16 +167,6 @@ impl core::fmt::Display for StoreError {
                 write!(
                     f,
                     "metadata CRC mismatch (trailer {want:#010x}, computed {got:#010x})"
-                )
-            }
-            StoreError::FarmDesync {
-                worker,
-                applied,
-                expected,
-            } => {
-                write!(
-                    f,
-                    "farm worker {worker} applied {applied} of {expected} items"
                 )
             }
         }
@@ -549,8 +528,8 @@ impl TraceStore {
     }
 
     /// Decodes one block, verifying its CRC. Blocks decode
-    /// independently; this is the farm workers' entry point and is
-    /// safe to call from many threads at once.
+    /// independently, so this is safe to call from many threads at
+    /// once.
     pub fn decode_block(&self, i: usize) -> Result<Vec<u32>, StoreError> {
         let mut out = Vec::new();
         self.decode_blocks_into(i..i + 1, &mut out)?;
@@ -835,9 +814,10 @@ impl TraceStore {
         }
     }
 
-    /// Saves the store to a file.
+    /// Saves the store to a file, atomically (see
+    /// [`wrl_trace::write_atomic`]).
     pub fn save(&self, path: impl AsRef<std::path::Path>) -> io::Result<()> {
-        std::fs::write(path, self.encode())
+        wrl_trace::write_atomic(path, &self.encode())
     }
 
     /// Loads a trace from a file, accepting v1 through v4 archives.

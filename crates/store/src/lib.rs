@@ -1,5 +1,5 @@
-//! `wrl-store`: a compressed, seekable trace container and a parallel
-//! replay farm.
+//! `wrl-store`: a compressed, seekable trace container, read as one
+//! continuous stream or queried in parallel.
 //!
 //! The paper's central bind is that system traces are too large to
 //! store (§3.1–§3.2: on-the-fly analysis exists *because* raw traces
@@ -23,10 +23,10 @@
 //!   whole decoded blocks, whichever the coding. Version-1 archives
 //!   still load transparently.
 //! * [`farm`] — the store as a source for the one `wrl_trace::Driver`
-//!   ([`drive`]), and [`replay`]: one store into N analysis sinks
-//!   across worker threads behind a single shared parse, bit-identical
-//!   to a sequential parse — the schedule moves work between threads
-//!   but never reorders a sink's event stream.
+//!   ([`drive`]), bit-identical to a sequential parse, and
+//!   [`query_parallel`], the block-parallel query. A pass spread over
+//!   workers (`wrl_tracer::analyze_store`) is one `drive` per worker,
+//!   each over its own share of the sinks.
 //! * [`obs`] — `wrl-obs` wiring: store-shape gauges and §4.3-style
 //!   integrity-failure tallies (see `docs/METRICS.md`).
 
@@ -45,5 +45,5 @@ pub use container::{
     StoreError, TraceStore, DEFAULT_BLOCK_WORDS, INDEX_ENTRY_BYTES, INDEX_ENTRY_BYTES_V4,
     STORE_VERSION, STORE_VERSION_V4, TRAILER_BYTES,
 };
-pub use farm::{drive, query_parallel, replay, FarmCfg, FarmReport};
+pub use farm::{drive, query_parallel, FarmCfg};
 pub use obs::StoreObs;

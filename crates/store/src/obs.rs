@@ -1,6 +1,6 @@
 //! Observability for the trace store: once-per-run gauges describing
-//! the last store built or loaded and the last farm replay, plus
-//! rare-path counters for integrity failures.
+//! the last store built or loaded, plus rare-path counters for
+//! integrity failures.
 //!
 //! Follows the trace path's split (see `wrl-trace`'s `obs` module):
 //! sizes and ratios are exact properties of a finished store and are
@@ -10,10 +10,9 @@
 //! honest by the `metrics_doc_sync` test.
 
 use crate::container::{StoreError, TraceStore};
-use crate::farm::FarmReport;
 
 wrl_obs::metrics! {
-    /// Gauges, histograms and error tallies for the store and farm.
+    /// Gauges, histograms and error tallies for the store.
     #[derive(Clone)]
     pub struct StoreObs {
         blocks: gauge "store.blocks", "blocks", "§3.2",
@@ -28,16 +27,6 @@ wrl_obs::metrics! {
             "Blocks whose decoded words failed their index CRC.";
         codec_errors: counter "store.codec_errors", "errors", "§4.3",
             "Blocks whose compressed bytes failed to decode.";
-        farm_desyncs: counter "store.farm.desyncs", "errors", "§4.3",
-            "Farm workers that fell out of step with the driver (dropped batches).";
-        farm_workers: gauge "store.farm.workers", "workers", "§3.4",
-            "Worker threads used by the last farm replay.";
-        farm_sinks: gauge "store.farm.sinks", "sinks", "§3.4",
-            "Analysis sinks fed by the last farm replay.";
-        farm_batches: gauge "store.farm.batches", "batches", "§3.4",
-            "Event batches broadcast by the last farm replay.";
-        farm_words: gauge "store.farm.words", "words", "§3.4",
-            "Trace words replayed per pass by the last farm replay.";
     }
 }
 
@@ -54,14 +43,6 @@ impl StoreObs {
         }
     }
 
-    /// Exports one farm replay's shape.
-    pub fn export_farm(&self, r: &FarmReport) {
-        self.farm_workers.set(r.workers as i64);
-        self.farm_sinks.set(r.sinks as i64);
-        self.farm_batches.set(r.batches as i64);
-        self.farm_words.set(r.run.words as i64);
-    }
-
     /// Bumps the matching integrity counter for a detected error
     /// (framing and I/O errors have no counter — they abort loads
     /// rather than accumulating).
@@ -69,7 +50,6 @@ impl StoreObs {
         match e {
             StoreError::CrcMismatch { .. } => self.crc_errors.inc(),
             StoreError::BlockCodec { .. } => self.codec_errors.inc(),
-            StoreError::FarmDesync { .. } => self.farm_desyncs.inc(),
             _ => {}
         }
     }

@@ -17,7 +17,8 @@
 //!                         u16 n_ops { u16 index, u8 store, u8 width }* }*
 //! ```
 
-use std::io;
+use std::io::{self, Write};
+use std::path::Path;
 use std::sync::Arc;
 
 use crate::bbinfo::{BbInfo, BbTable, BbTraceFlags, MemOp};
@@ -221,13 +222,13 @@ impl TraceArchive {
         })
     }
 
-    /// Saves to a file.
-    pub fn save(&self, path: impl AsRef<std::path::Path>) -> io::Result<()> {
-        std::fs::write(path, self.encode())
+    /// Saves to a file, atomically (see [`write_atomic`]).
+    pub fn save(&self, path: impl AsRef<Path>) -> io::Result<()> {
+        write_atomic(path, &self.encode())
     }
 
     /// Loads from a file.
-    pub fn load(path: impl AsRef<std::path::Path>) -> Result<TraceArchive, ArchiveError> {
+    pub fn load(path: impl AsRef<Path>) -> Result<TraceArchive, ArchiveError> {
         TraceArchive::decode(&std::fs::read(path)?)
     }
 
@@ -235,6 +236,33 @@ impl TraceArchive {
     pub fn parser(&self) -> TraceParser {
         TraceParser::with_tables(self.kernel_table.clone(), self.user_tables.iter().cloned())
     }
+}
+
+/// Writes `bytes` to `path` so that a crash mid-save leaves the old
+/// file or the new one, never a torn one: the bytes go to a temp file
+/// beside the target, are synced to disk, and the temp file is then
+/// renamed over the target and the directory synced, so the rename
+/// itself is durable. On any failure the temp file is removed.
+pub fn write_atomic(path: impl AsRef<Path>, bytes: &[u8]) -> io::Result<()> {
+    let path = path.as_ref();
+    let mut name = path
+        .file_name()
+        .ok_or(io::ErrorKind::InvalidInput)?
+        .to_os_string();
+    name.push(".tmp");
+    let tmp = path.with_file_name(name);
+    let dir = match path.parent() {
+        Some(d) if !d.as_os_str().is_empty() => d,
+        _ => Path::new("."),
+    };
+    let saved = std::fs::File::create(&tmp)
+        .and_then(|mut f| f.write_all(bytes).and_then(|()| f.sync_all()))
+        .and_then(|()| std::fs::rename(&tmp, path))
+        .and_then(|()| std::fs::File::open(dir)?.sync_all());
+    if saved.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    saved
 }
 
 #[cfg(test)]
@@ -346,6 +374,35 @@ mod tests {
             Err(ArchiveError::UnsupportedVersion(2)) => {}
             other => panic!("expected UnsupportedVersion(2), got {other:?}"),
         }
+    }
+
+    #[test]
+    fn save_replaces_the_target_whole_or_creates_nothing() {
+        let dir = std::env::temp_dir().join(format!("wrl-trace-save-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let listing = |d: &Path| -> Vec<_> {
+            std::fs::read_dir(d)
+                .map(|it| it.map(|e| e.unwrap().file_name()).collect())
+                .unwrap_or_default()
+        };
+
+        // Over an existing archive: the file loads as the new archive
+        // and no temp file is left beside it.
+        let path = dir.join("t.w3kt");
+        let old = TraceArchive::default();
+        old.save(&path).unwrap();
+        let new = sample();
+        new.save(&path).unwrap();
+        assert_eq!(TraceArchive::load(&path).unwrap().words, new.words);
+        assert_eq!(listing(&dir), ["t.w3kt"]);
+
+        // Into a missing directory: an error, and nothing is created.
+        let missing = dir.join("absent");
+        assert!(new.save(missing.join("t.w3kt")).is_err());
+        assert!(!missing.exists());
+        assert_eq!(listing(&dir), ["t.w3kt"]);
+
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

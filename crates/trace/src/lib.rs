@@ -17,7 +17,8 @@
 //!   source → parse → sink loop every analysis rides;
 //! * [`archive`] — a bundle format for distributing traces together
 //!   with their decoding tables (the paper's traces went to the
-//!   community on tape, §3.4);
+//!   community on tape, §3.4), and [`write_atomic`], the one way a
+//!   trace file reaches disk;
 //! * [`obs`] — `wrl-obs` wiring: live §4.3 error tallies and
 //!   end-of-run parse-statistics exports (see `docs/METRICS.md`).
 
@@ -32,9 +33,9 @@ pub mod obs;
 pub mod parser;
 pub mod stream;
 
-pub use archive::{ArchiveError, TraceArchive};
+pub use archive::{write_atomic, ArchiveError, TraceArchive};
 pub use bbinfo::{BbInfo, BbTable, BbTraceFlags, MemOp};
 pub use format::{classify, ctl, is_kernel_addr, Ctl, CtlOp, TraceWord, CTL_LIMIT};
 pub use obs::{ParseStatsObs, ParserObs};
 pub use parser::{CollectSink, ParseError, ParseStats, Space, TraceParser, TraceSink, Wants};
-pub use stream::{ChunkFate, DriveReport, Driver, EventVec, RefEvent, Seam, SeamHooks};
+pub use stream::{ChunkFate, DriveReport, Driver, EventVec, RefEvent, SeamHooks};

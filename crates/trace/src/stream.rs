@@ -14,17 +14,16 @@
 //! ```
 //!
 //! A source is whoever calls [`Driver::feed`]; the sink is any
-//! [`TraceSink`] — a simulator, a `wrl-tracer` stack, a pair of both,
-//! or the replay farm's broadcast sink, which spreads sub-stacks over
-//! worker threads. `feed` returns when the words are analysed, which
-//! is the strictest backpressure there is, and what a sink observes
-//! never depends on how the stream was cut into `feed` calls: the
-//! parser is incremental and the driver adds no state of its own
-//! between chunks.
+//! [`TraceSink`] — a simulator, a `wrl-tracer` stack or a pair of
+//! both. A store pass spread over workers is one driver per worker,
+//! each with its own parser and its own share of the sinks. `feed`
+//! returns when the words are analysed, which is the strictest
+//! backpressure there is, and what a sink observes never depends on
+//! how the stream was cut into `feed` calls: the parser is incremental
+//! and the driver adds no state of its own between chunks.
 //!
-//! Fault injection has one seam type, [`SeamHooks`]: the driver
-//! consults it once per fed chunk at [`Seam::Source`], the farm's
-//! workers once per event batch at [`Seam::Worker`].
+//! Fault injection has one seam, [`SeamHooks`]: the driver consults
+//! it once per fed chunk.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -39,19 +38,18 @@ wrl_obs::metrics! {
     #[derive(Clone)]
     pub struct StreamObs {
         chunks: counter "stream.chunks", "chunks", "§3.2",
-            "Chunks fed to a driver (drained buffers, slices or store blocks).";
+            "Chunks fed to a driver (drained buffers, slices or store blocks); each worker's driver counts its own, so a 2-worker store pass counts the blocks twice.";
         words: counter "stream.words", "words", "§3.2",
-            "Raw trace words fed to a driver.";
+            "Raw trace words fed to a driver; each worker's driver counts its own, so a 2-worker store pass feeds the store's words twice.";
         chunk_words: histogram "stream.chunk.words", "words", "§3.2",
-            "Distribution of chunk sizes (words per fed chunk).";
+            "Distribution of chunk sizes (words per fed chunk, recorded by each worker's driver).";
         lost_chunks: counter "stream.chunks.lost", "chunks", "§4.3",
             "Chunks fed but never parsed (lost buffers; 0 on a healthy run).";
     }
 }
 
 /// One parsed reference event, as emitted by [`TraceParser`] into a
-/// [`TraceSink`]. Buffered by [`EventVec`], and batched across
-/// channels by the replay farm's broadcast sink.
+/// [`TraceSink`]. Buffered by [`EventVec`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RefEvent {
     /// An instruction fetch.
@@ -128,53 +126,42 @@ impl TraceSink for EventVec {
     }
 }
 
-/// Where a [`SeamHooks`] decision applies.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Seam {
-    /// The driver is about to parse a fed chunk; the sequence number
-    /// counts `feed` calls.
-    Source,
-    /// Farm worker `n` is about to apply an event batch; the sequence
-    /// number counts the batches that worker received.
-    Worker(usize),
-}
-
-/// What a [`SeamHooks`] callback decides to do with one item.
+/// What a [`SeamHooks`] callback decides to do with one fed chunk.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ChunkFate {
-    /// Process the item normally.
+    /// Parse the chunk normally.
     Deliver,
-    /// Sleep first, then process. A stall may only cost throughput.
+    /// Sleep first, then parse. A stall may only cost throughput.
     Stall(Duration),
-    /// Discard the item (a lost trace buffer). The loss must be
+    /// Discard the chunk (a lost trace buffer). The loss must be
     /// *detected*: the driver counts it in
-    /// [`DriveReport::lost_chunks`], the farm raises a desync error.
+    /// [`DriveReport::lost_chunks`].
     Drop,
 }
 
 /// Deterministic perturbation hooks for chaos-testing (see the
 /// `wrl-fault` crate). [`SeamHooks::default`] delivers everything
-/// and costs one `Option` check per item.
+/// and costs one `Option` check per chunk.
 #[derive(Clone, Default)]
 pub struct SeamHooks {
-    item: Option<Arc<dyn Fn(Seam, u64) -> ChunkFate + Send + Sync>>,
+    item: Option<Arc<dyn Fn(u64) -> ChunkFate + Send + Sync>>,
 }
 
 impl SeamHooks {
-    /// Hooks that consult `f` with (seam, item sequence number) for
-    /// every item crossing a seam.
-    pub fn new(f: impl Fn(Seam, u64) -> ChunkFate + Send + Sync + 'static) -> SeamHooks {
+    /// Hooks that consult `f` with the chunk's sequence number (its
+    /// count of earlier `feed` calls) for every fed chunk.
+    pub fn new(f: impl Fn(u64) -> ChunkFate + Send + Sync + 'static) -> SeamHooks {
         SeamHooks {
             item: Some(Arc::new(f)),
         }
     }
 
-    /// Resolves the fate of one item at one seam, sleeping out any
-    /// stall here. Returns `false` if the item is to be dropped.
-    pub fn deliver(&self, seam: Seam, seq: u64) -> bool {
+    /// Resolves the fate of chunk `seq`, sleeping out any stall here.
+    /// Returns `false` if the chunk is to be dropped.
+    pub fn deliver(&self, seq: u64) -> bool {
         match &self.item {
             None => true,
-            Some(f) => match f(seam, seq) {
+            Some(f) => match f(seq) {
                 ChunkFate::Deliver => true,
                 ChunkFate::Stall(d) => {
                     std::thread::sleep(d);
@@ -226,8 +213,8 @@ impl<S: TraceSink> Driver<S> {
         Driver::with_hooks(parser, sink, SeamHooks::default())
     }
 
-    /// Like [`Driver::new`], with fault-injection hooks consulted at
-    /// [`Seam::Source`] for every fed chunk.
+    /// Like [`Driver::new`], with fault-injection hooks consulted for
+    /// every fed chunk.
     pub fn with_hooks(parser: TraceParser, sink: S, hooks: SeamHooks) -> Driver<S> {
         Driver {
             parser,
@@ -258,7 +245,7 @@ impl<S: TraceSink> Driver<S> {
         self.obs.chunks.inc();
         self.obs.words.add(words.len() as u64);
         self.obs.chunk_words.record(words.len() as u64);
-        if !self.hooks.deliver(Seam::Source, seq) {
+        if !self.hooks.deliver(seq) {
             self.report.lost_chunks += 1;
             return;
         }
@@ -470,7 +457,7 @@ mod tests {
     #[test]
     fn stalls_degrade_throughput_never_results() {
         let (ref_stats, ref_sink) = batch_reference();
-        let hooks = SeamHooks::new(|_, seq| {
+        let hooks = SeamHooks::new(|seq| {
             if seq % 3 == 0 {
                 ChunkFate::Stall(Duration::from_micros(200))
             } else {
@@ -490,8 +477,8 @@ mod tests {
 
     #[test]
     fn dropped_chunk_is_counted_lost() {
-        let hooks = SeamHooks::new(|seam, seq| {
-            if seam == Seam::Source && seq == 1 {
+        let hooks = SeamHooks::new(|seq| {
+            if seq == 1 {
                 ChunkFate::Drop
             } else {
                 ChunkFate::Deliver

@@ -1,5 +1,5 @@
 //! The sink stack and the one-pass entry points: feed N composed
-//! sinks from a single decode+parse pass.
+//! sinks from one pass over a source.
 //!
 //! A [`Stack`] owns the sinks as *slots* and routes every parsed
 //! event to each of them. Sinks share no state and no hook can abort
@@ -14,22 +14,22 @@
 //!
 //! * **a word stream** — [`analyze_words`];
 //! * **a store** — [`analyze_store`]: the block reader feeds the
-//!   driver, whose sink is the stack itself or, when workers are
-//!   asked for and no sink wants word hooks, the replay farm's
-//!   broadcast with the slots spread over the workers;
+//!   driver, whose sink is the stack itself; with more workers, each
+//!   worker drives the store into its own round-robin share of the
+//!   slots;
 //! * **a live machine run** — the harness's `run_analyzed` feeds the
 //!   driver from the machine's drain callback.
 
+use std::thread;
+
 use wrl_isa::Width;
-use wrl_store::{drive, replay, FarmCfg, StoreError, TraceStore};
-use wrl_trace::{DriveReport, Driver, ParseStats, SeamHooks, Space, TraceParser, TraceSink, Wants};
+use wrl_store::{drive, FarmCfg, StoreError, TraceStore};
+use wrl_trace::{Driver, ParseStats, SeamHooks, Space, TraceParser, TraceSink, Wants};
 
 use crate::obs::TracerObs;
 use crate::sink::{AnalysisSink, SinkError, SinkReport};
 
-/// One boxed sink and the events applied to it. A slot is a
-/// [`TraceSink`] of its own, so the replay farm can hand slots to its
-/// workers.
+/// One boxed sink and the events applied to it.
 struct Slot {
     sink: Box<dyn AnalysisSink + Send>,
     applied: u64,
@@ -129,11 +129,6 @@ impl Stack {
         }
         report
     }
-
-    /// [`Stack::finish`] over what a driver returned for this stack.
-    fn report((run, stack): (DriveReport, Stack)) -> StackReport {
-        stack.finish(run.parse, run.words)
-    }
 }
 
 impl TraceSink for Stack {
@@ -187,12 +182,12 @@ impl TraceSink for Stack {
 
 /// What one pass over one source produced: per-slot reports (or the
 /// typed error the slot's sink latched), the parse statistics of the
-/// single shared parse, and the pass shape.
+/// pass, and the pass shape.
 #[derive(Debug)]
 pub struct StackReport {
     /// One entry per sink, in stack order.
     pub reports: Vec<Result<SinkReport, SinkError>>,
-    /// Statistics of the shared parse.
+    /// Statistics of the pass's parse (the same for every worker).
     pub parse: ParseStats,
     /// Raw trace words in the pass.
     pub words: u64,
@@ -231,30 +226,60 @@ impl StackReport {
 pub fn analyze_words(parser: TraceParser, words: &[u32], stack: Stack) -> StackReport {
     let mut driver = Driver::new(parser, stack);
     driver.feed(words);
-    Stack::report(driver.finish())
+    let (run, stack) = driver.finish();
+    stack.finish(run.parse, run.words)
 }
 
-/// One-pass analysis of a [`TraceStore`]: a single decode+parse for
-/// all N sinks.
+/// One-pass analysis of a [`TraceStore`].
 ///
-/// With one worker — or whenever a sink wants word hooks, which only
-/// the inline drive can provide — the stack is the driver's sink.
-/// With more workers and event-only sinks, the replay farm spreads
-/// the slots over threads behind the same single parse; the farm's
-/// ordering guarantee makes the two bit-identical.
+/// The slots are dealt round-robin into `cfg.workers` shares (at most
+/// one per slot). Share 0 is driven on the calling thread and every
+/// other share on a thread of its own, each through its own
+/// [`drive`]: its own block reader and its own parser over the
+/// store's shared tables. Every share sees the whole stream in order,
+/// so the spread is invisible in the reports; the slots come back in
+/// their original order. A block error is returned typed, the first
+/// in worker order.
 pub fn analyze_store(
     store: &TraceStore,
     stack: Stack,
     cfg: FarmCfg,
 ) -> Result<StackReport, StoreError> {
-    let hooks = SeamHooks::default();
-    if cfg.workers <= 1 || stack.len() <= 1 || stack.wants() == Wants::Words {
-        return Ok(Stack::report(drive(store, stack, &hooks)?));
+    let Stack { slots, obs } = stack;
+    let n = slots.len();
+    let workers = cfg.workers.clamp(1, n.max(1));
+    let mut shares: Vec<Stack> = (0..workers).map(|_| Stack::new()).collect();
+    for (i, slot) in slots.into_iter().enumerate() {
+        shares[i % workers].slots.push(slot);
     }
-    let (farm, slots) = replay(store, stack.slots, cfg, &hooks)?;
-    let stack = Stack {
-        slots,
-        obs: stack.obs,
-    };
-    Ok(Stack::report((farm.run, stack)))
+    let mut shares = shares.into_iter();
+    let first = shares.next().expect("at least one share");
+    let hooks = SeamHooks::default();
+    let runs = thread::scope(|scope| {
+        let others: Vec<_> = shares
+            .map(|share| scope.spawn(|| drive(store, share, &hooks)))
+            .collect();
+        let mut runs = vec![drive(store, first, &hooks)];
+        for h in others {
+            runs.push(h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
+        }
+        runs
+    });
+    let runs = runs.into_iter().collect::<Result<Vec<_>, _>>()?;
+    let run = runs[0].0.clone();
+    let mut shares: Vec<_> = runs
+        .into_iter()
+        .map(|(r, share)| {
+            assert_eq!(r, run, "every worker drives the same pass");
+            share.slots.into_iter()
+        })
+        .collect();
+    let slots = (0..n)
+        .map(|i| {
+            shares[i % workers]
+                .next()
+                .expect("a share returns its slots")
+        })
+        .collect();
+    Ok(Stack { slots, obs }.finish(run.parse, run.words))
 }

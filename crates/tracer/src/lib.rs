@@ -12,8 +12,8 @@
 //!   `name()` and `finish() -> Result<SinkReport, SinkError>`;
 //! * [`driver`] — the [`Stack`] of sink slots (a `TraceSink` for the
 //!   one `wrl_trace::Driver`) and the one-pass entry points
-//!   [`analyze_words`] / [`analyze_store`] (inline or spread over the
-//!   replay farm);
+//!   [`analyze_words`] / [`analyze_store`] (inline, or one driver per
+//!   worker over its share of the slots);
 //! * [`analyses`] — the five repo analyses as sinks (cache study,
 //!   full memory-system/TLB simulation — `wrl_memsim::MemSim` itself,
 //!   named `tlb` — dilation, pagemap, defensive checks);

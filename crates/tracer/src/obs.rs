@@ -15,7 +15,7 @@ wrl_obs::metrics! {
         sinks: gauge "tracer.sinks", "sinks", "§3.4",
             "Analysis sinks composed in the last pass.";
         words: gauge "tracer.words", "words", "§3.4",
-            "Trace words decoded+parsed once in the last pass.";
+            "Trace words in the last pass (each worker of a store pass reads them all).";
         applied: counter "tracer.events.applied", "events", "§3.4",
             "Event-to-sink applications routed (events x sinks, a latched sink included; differs from events x live sinks only on a pass with a failed slot).";
         sink_errors: counter "tracer.sink_errors", "errors", "§4.3",

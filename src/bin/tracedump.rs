@@ -43,10 +43,11 @@
 //! `analyze` is the `wrl-tracer` surface: a comma-separated sink
 //! spec (`cache:65536:2,tlb,dilation,pagemap,defense,sampled:64k,
 //! wset:4096,phase:4096:0.5`) builds a composed stack fed from one
-//! decode+parse pass — inline (the default, and forced when a sink
-//! wants raw-word hooks) or with the sinks spread over the replay
-//! farm's `--workers` behind the same single parse. The remote form ships only the predicate-admitted
-//! word stream from a `serve`/`fabric` node; the static basic-block
+//! decode+parse pass — inline (the default) or with the sinks dealt
+//! over `--workers`, each worker decoding and parsing the archive
+//! once for its share; the report is the same either way. The remote
+//! form ships only the predicate-admitted word stream from a
+//! `serve`/`fabric` node; the static basic-block
 //! tables are read from a locally-held archive (`--tables`), the
 //! same split as debug symbols vs a core file.
 //! The `shard` / `fabric` / `shards` trio scales that surface out
@@ -574,7 +575,7 @@ fn stack_for(spec: &str) -> systrace::tracer::Stack {
 /// Prints one pass's reports and exits nonzero if a sink failed.
 fn finish_analysis(report: &systrace::tracer::StackReport) {
     println!(
-        "  {} words decoded+parsed once for {} sink(s), {} events routed",
+        "  {} words analysed by {} sink(s), {} events routed",
         report.words,
         report.reports.len(),
         report.applied
@@ -587,10 +588,7 @@ fn finish_analysis(report: &systrace::tracer::StackReport) {
 
 fn analyze_local(path: &str, spec: &str, opts: &[String]) {
     systrace::obs::register_all();
-    let mut cfg = FarmCfg {
-        workers: 1,
-        ..FarmCfg::default()
-    };
+    let mut cfg = FarmCfg { workers: 1 };
     let mut it = opts.iter();
     while let Some(opt) = it.next() {
         match opt.as_str() {
@@ -689,7 +687,7 @@ fn shard(inp: &str, out_dir: &str, n: usize, plan: PlanKind) {
         );
     }
     let mpath = dir.join(format!("{stem}.manifest"));
-    std::fs::write(&mpath, manifest.encode()).unwrap_or_else(|e| {
+    systrace::trace::write_atomic(&mpath, &manifest.encode()).unwrap_or_else(|e| {
         eprintln!("{}: {e}", mpath.display());
         std::process::exit(1);
     });

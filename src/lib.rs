@@ -22,10 +22,11 @@
 //! * [`workloads`] — the twelve Table-1 workloads;
 //! * [`store`] — the compressed, seekable trace store (row blocks in
 //!   archive v3, columnar blocks in v4; v1 and v2 still load) and the
-//!   parallel replay farm;
+//!   block-parallel query;
 //! * [`tracer`] — the composable analysis-sink framework: N analyses
 //!   fed from one decode+parse pass over a run or an archive,
-//!   optionally spread over the replay farm's workers;
+//!   optionally spread over workers that each drive the archive into
+//!   their own share of the analyses;
 //! * [`fault`] — seeded deterministic fault injection and the chaos
 //!   campaign classifying every injected fault detected / harmless /
 //!   absorbed (never forbidden);

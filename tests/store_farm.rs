@@ -1,22 +1,25 @@
-//! Store + farm integration against the pinned golden trace:
+//! Store + worker-spread integration against the pinned golden trace:
 //!
 //! * the committed v1 archive keeps loading, both raw and through the
 //!   store layer, and v3 compression is lossless on it;
 //! * compression meets the ≥3x bar the store exists for;
-//! * a farm cache sweep at 1, 2 and 4 workers is
-//!   exactly — field-for-field — equal to fifteen sequential passes;
+//! * a fifteen-geometry cache sweep through `analyze_store` at 1, 2
+//!   and 4 workers is exactly — field-for-field — equal to fifteen
+//!   sequential passes;
 //! * a corrupted block is detected and reported as a typed CRC/codec
-//!   error, and old tooling rejects a block-store file as an
-//!   unsupported version rather than corruption.
+//!   error by a 2-worker pass, and old tooling rejects a block-store
+//!   file as an unsupported version rather than corruption.
 
 use systrace::memsim::{AssocCache, PageMap, Policy, SpaceKey};
-use systrace::store::{replay, FarmCfg, StoreError, TraceStore, DEFAULT_BLOCK_WORDS};
-use systrace::trace::{ArchiveError, SeamHooks, Space, TraceArchive, TraceSink};
+use systrace::store::{FarmCfg, StoreError, TraceStore, DEFAULT_BLOCK_WORDS};
+use systrace::trace::{ArchiveError, Space, TraceArchive, TraceSink};
+use systrace::tracer::{analyze_store, AnalysisSink, SinkError, SinkReport, Stack};
 
 const GOLDEN_PATH: &str = "tests/data/golden.w3kt";
 
-/// The `cache_sweep` sink, reproduced here so farm-vs-sequential
-/// equality is checked on the real workhorse analysis.
+/// The `cache_sweep` sink, reproduced here so spread-vs-sequential
+/// equality is checked against an independent copy of the workhorse
+/// analysis, not against `CacheSink` itself.
 #[derive(Debug)]
 struct CacheStudy {
     icache: AssocCache,
@@ -67,6 +70,21 @@ impl TraceSink for CacheStudy {
     }
 }
 
+impl AnalysisSink for CacheStudy {
+    fn name(&self) -> String {
+        "study".into()
+    }
+    fn finish(&mut self) -> Result<SinkReport, SinkError> {
+        let mut r = SinkReport::new(self.name());
+        r.push("iaccesses", self.icache.accesses);
+        r.push("imisses", self.icache.misses);
+        r.push("daccesses", self.dcache.accesses);
+        r.push("dmisses", self.dcache.misses);
+        r.push("final_asid", u64::from(self.cur_asid));
+        Ok(r)
+    }
+}
+
 /// The fifteen `cache_sweep` geometries.
 fn geometries() -> Vec<(u32, usize)> {
     [16u32 << 10, 32 << 10, 64 << 10, 128 << 10, 256 << 10]
@@ -79,33 +97,25 @@ fn golden_store() -> TraceStore {
     TraceStore::load(GOLDEN_PATH).expect("golden archive loads through the store layer")
 }
 
-/// Fifteen independent sequential passes — the pre-farm behaviour.
-fn sequential_baseline(a: &TraceArchive) -> Vec<CacheStudy> {
+/// Fifteen independent sequential passes, one parse each.
+fn sequential_baseline(a: &TraceArchive) -> Vec<SinkReport> {
     geometries()
         .into_iter()
         .map(|(size, ways)| {
             let mut study = CacheStudy::new(size, ways);
             a.parser().parse_all(&a.words, &mut study);
-            study
+            study.finish().expect("a study never fails")
         })
         .collect()
 }
 
-fn assert_identical(farmed: &[CacheStudy], baseline: &[CacheStudy]) {
-    assert_eq!(farmed.len(), baseline.len());
-    for (i, (f, b)) in farmed.iter().zip(baseline).enumerate() {
-        assert_eq!(
-            f.icache.accesses, b.icache.accesses,
-            "geometry {i} iaccesses"
-        );
-        assert_eq!(f.icache.misses, b.icache.misses, "geometry {i} imisses");
-        assert_eq!(
-            f.dcache.accesses, b.dcache.accesses,
-            "geometry {i} daccesses"
-        );
-        assert_eq!(f.dcache.misses, b.dcache.misses, "geometry {i} dmisses");
-        assert_eq!(f.cur_asid, b.cur_asid, "geometry {i} final asid");
+/// A stack of the fifteen geometries, in sweep order.
+fn sweep_stack() -> Stack {
+    let mut stack = Stack::new();
+    for (size, ways) in geometries() {
+        stack.push(CacheStudy::new(size, ways));
     }
+    stack
 }
 
 #[test]
@@ -138,22 +148,15 @@ fn farm_sweep_is_bit_identical_for_1_2_4_workers() {
     let store = golden_store();
     let baseline = sequential_baseline(&a);
     for workers in [1usize, 2, 4] {
-        let sinks = geometries()
-            .into_iter()
-            .map(|(size, ways)| CacheStudy::new(size, ways))
-            .collect();
-        let cfg = FarmCfg {
-            workers,
-            batch_events: 1000, // force many batches on 8k words
-        };
-        let (report, farmed) = replay(&store, sinks, cfg, &SeamHooks::default())
-            .unwrap_or_else(|e| panic!("replay workers={workers}: {e}"));
-        assert_identical(&farmed, &baseline);
-        assert_eq!(report.workers, workers);
-        assert_eq!(report.sinks, 15);
-        assert_eq!(report.run.words, store.n_words);
-        assert_eq!(report.run.lost_chunks, 0);
-        assert_eq!(report.run.parse.errors, 0);
+        let report = analyze_store(&store, sweep_stack(), FarmCfg { workers })
+            .unwrap_or_else(|e| panic!("workers={workers}: {e}"));
+        assert_eq!(report.reports.len(), baseline.len());
+        for (i, want) in baseline.iter().enumerate() {
+            assert_eq!(report.ok(i), Some(want), "workers={workers} geometry {i}");
+        }
+        assert_eq!(report.words, store.n_words);
+        assert_eq!(report.parse.words, store.n_words);
+        assert_eq!(report.parse.errors, 0);
     }
 }
 
@@ -169,8 +172,7 @@ fn corrupted_block_is_detected_and_reported() {
     let blocks_len = store.compressed_bytes() as usize;
     bytes[index_pos - blocks_len / 2] ^= 0x40;
     let bad = TraceStore::decode(&bytes).expect("framing is still intact");
-    let sinks = vec![CacheStudy::new(16 << 10, 1)];
-    let err = replay(&bad, sinks, FarmCfg::default(), &SeamHooks::default())
+    let err = analyze_store(&bad, sweep_stack(), FarmCfg { workers: 2 })
         .expect_err("corruption must surface");
     match err {
         StoreError::CrcMismatch { block, want, got } => {

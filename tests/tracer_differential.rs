@@ -4,8 +4,8 @@
 //! * Five ported analyses (cache study, TLB simulation, dilation,
 //!   pagemap, defensive checks) composed in one stack vs each run
 //!   alone — equal report-for-report, over the in-memory stream and
-//!   over stores at block sizes {1, 7, 4096} with 1/2/4 farm
-//!   workers (both the farm spread and the sequential fallback).
+//!   over stores at block sizes {1, 7, 4096} with the slots spread
+//!   over 1/2/4 workers, word-hook sinks included.
 //! * A real machine run through the harness: the same five-sink
 //!   stack rides the prediction's own parse (one parser a run), and
 //!   composing it leaves the prediction bit-identical.
@@ -46,8 +46,8 @@ fn five() -> Vec<Box<dyn AnalysisSink + Send>> {
     ]
 }
 
-/// The event-only subset (no word hooks), which lets `analyze_store`
-/// spread the sinks over the replay farm.
+/// The event-only subset (no word hooks): every worker's driver takes
+/// the event path.
 fn event_only() -> Vec<Box<dyn AnalysisSink + Send>> {
     vec![
         Box::new(CacheSink::new(65536, 2, pm())),
@@ -103,12 +103,10 @@ fn composed_store_passes_match_dedicated_at_every_block_size_and_worker_count() 
     for block_words in [1usize, 7, 4096] {
         let store = TraceStore::from_archive(&a, block_words);
         for workers in [1usize, 2, 4] {
-            let cfg = FarmCfg {
-                workers,
-                ..FarmCfg::default()
-            };
-            // The full five-sink stack (dilation wants word hooks, so
-            // every worker count runs the sequential one-pass drive).
+            let cfg = FarmCfg { workers };
+            // The full five-sink stack: dilation wants word hooks, so
+            // the worker that holds it drives word-at-a-time while the
+            // others take the event path.
             let mut stack = Stack::new();
             for s in five() {
                 stack.push_boxed(s);
@@ -121,9 +119,9 @@ fn composed_store_passes_match_dedicated_at_every_block_size_and_worker_count() 
                 assert_eq!(report.ok(i).unwrap(), want, "{tag}: five-stack slot {i}");
             }
 
-            // The event-only stack engages the replay farm at
-            // workers > 1; the farm's ordering guarantee must make
-            // that spread invisible in the reports.
+            // The event-only stack, spread the same way: every worker
+            // parses the whole stream in order, so the spread must be
+            // invisible in the reports.
             let mut stack = Stack::new();
             for s in event_only() {
                 stack.push_boxed(s);
@@ -356,8 +354,8 @@ impl AnalysisSink for Fussy {
 }
 
 /// A sink that latches a fault in the middle slot, on each way a
-/// stack is driven — the inline event path, the slots spread over two
-/// farm workers, and the inline word-at-a-time path: the typed error
+/// stack is driven — the inline event path, and the slots spread over
+/// two workers with and without a word-hook sink: the typed error
 /// lands in exactly that slot under the right name, both siblings
 /// equal an unfaulted pass field for field, and the failure is
 /// counted once.
@@ -365,10 +363,7 @@ impl AnalysisSink for Fussy {
 fn a_latched_failure_stays_in_its_own_slot_on_every_drive_path() {
     let a = golden();
     let store = TraceStore::from_archive(&a, 4096);
-    let farm = FarmCfg {
-        workers: 2,
-        ..FarmCfg::default()
-    };
+    let two = FarmCfg { workers: 2 };
     let stack = |words: bool, fail_at: Option<u64>| {
         let mut stack = Stack::new()
             .with(CacheSink::new(65536, 2, pm()))
@@ -382,12 +377,12 @@ fn a_latched_failure_stays_in_its_own_slot_on_every_drive_path() {
         stack
     };
     let inline = |s: Stack| analyze_words(a.parser(), &a.words, s);
-    let stored = |s: Stack| analyze_store(&store, s, farm).expect("store pass succeeds");
+    let stored = |s: Stack| analyze_store(&store, s, two).expect("store pass succeeds");
     type Run<'a> = &'a dyn Fn(Stack) -> StackReport;
     let paths: [(&str, bool, Run); 3] = [
         ("inline events", false, &inline),
-        ("2 farm workers", false, &stored),
-        ("inline words", true, &stored),
+        ("2 workers, events", false, &stored),
+        ("2 workers, words", true, &stored),
     ];
     for (tag, words, run) in paths {
         let clean = run(stack(words, None));
