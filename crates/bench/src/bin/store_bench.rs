@@ -27,7 +27,7 @@ use std::time::{Duration, Instant};
 
 use systrace::kernel::{build_system, KernelConfig};
 use systrace::store::{drive, BlockFormat, FarmCfg, StoreObs, TraceStore, DEFAULT_BLOCK_WORDS};
-use systrace::trace::{SeamHooks, TraceArchive};
+use systrace::trace::TraceArchive;
 use systrace::tracer::{analyze_store, AnalysisSink, CacheSink, SinkReport, Stack};
 use wrl_bench::sweep_geometries;
 
@@ -52,7 +52,7 @@ fn sequential_sweep(store: &TraceStore, pagemap: &systrace::memsim::PageMap) -> 
         .into_iter()
         .map(|(size, ways)| {
             let study = CacheSink::new(size, ways, pagemap.clone());
-            let (_, mut study) = drive(store, study, &SeamHooks::default()).expect("block decodes");
+            let (_, mut study) = drive(store, study).expect("block decodes");
             study.finish().expect("a cache sink never fails")
         })
         .collect()

@@ -24,12 +24,12 @@
 //! upstream with its code intact and the shard named in the message,
 //! and no failover happens.
 //!
-//! A scatter blocks on shard sockets, so it runs on the reactor's
-//! executor threads, never on an event thread. Each running request
-//! checks a set of downstream connections out of a pool and returns
-//! it afterwards; the pool therefore never holds more sets than the
-//! server has executors, and the admission gate that bounds requests
-//! in flight bounds shard connections with them.
+//! A scatter blocks on shard sockets; like every admitted request it
+//! runs on the reactor's executor threads, never on an event thread.
+//! Each running request checks a set of downstream connections out of
+//! a pool and returns it afterwards; the pool therefore never holds
+//! more sets than the server has executors, and the admission gate
+//! that bounds requests in flight bounds shard connections with them.
 
 use std::io;
 use std::net::{SocketAddr, ToSocketAddrs};
@@ -121,16 +121,7 @@ impl Coordinator {
         client: ClientCfg,
     ) -> io::Result<Server> {
         let coord = Coordinator::new(manifest, endpoints, client)?;
-        // On a one-core host the default shape executes inline on the
-        // event thread; a scatter would then block every connection
-        // of that thread on a shard socket.
-        const MIN_EXEC_WORKERS: usize = 1;
-        let cfg = ServeCfg::default();
-        let cfg = ServeCfg {
-            exec_workers: cfg.exec_workers.max(MIN_EXEC_WORKERS),
-            ..cfg
-        };
-        Server::start_backend(addr, coord, cfg, ServeHooks::default())
+        Server::start_backend(addr, coord, ServeCfg::default(), ServeHooks::default())
     }
 
     /// Runs `f` with a connection set checked out of the pool.

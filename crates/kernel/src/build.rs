@@ -35,10 +35,11 @@ pub struct KernelConfig {
     /// OS personality.
     pub variant: Variant,
     /// Instrument kernel and workloads with epoxie, and run the clock
-    /// at 1/[`layout::CLOCK_DILATION`] of its rate (§4.1).
+    /// at 1/[`layout::CLOCK_DILATION`] of its rate (§4.1). Traced
+    /// builds always use [`Mode::Modified`]: the Original (inline)
+    /// scheme's store/bump pairs are not interrupt-safe in kernel
+    /// context (see DESIGN.md).
     pub traced: bool,
-    /// Instrumentation mode.
-    pub mode: Mode,
     /// In-kernel trace buffer size.
     pub ktrace_bytes: u32,
     /// Page-mapping policy.
@@ -55,7 +56,6 @@ impl KernelConfig {
         KernelConfig {
             variant: Variant::Ultrix,
             traced: false,
-            mode: Mode::Modified,
             ktrace_bytes: layout::KTRACE_BYTES_DEFAULT,
             page_policy: Policy::FirstFree { base_pfn: 0x2000 },
             conservative_write: true,
@@ -209,7 +209,7 @@ fn build_user(objects: &[Object], cfg: &KernelConfig) -> LoadedProgram {
             objects,
             Layout::user(),
             "__start",
-            cfg.mode,
+            Mode::Modified,
             FullPolicy::Syscall,
         )
         .expect("user program instruments");
@@ -234,12 +234,6 @@ fn build_user(objects: &[Object], cfg: &KernelConfig) -> LoadedProgram {
 pub fn build_system(cfg: &KernelConfig, workloads: &[&Workload]) -> System {
     assert!(!workloads.is_empty(), "need at least one workload");
     assert!(
-        !cfg.traced || cfg.mode == Mode::Modified,
-        "full-system tracing requires Modified mode: the Original \
-         (inline) scheme's store/bump pairs are not interrupt-safe \
-         in kernel context (see DESIGN.md)"
-    );
-    assert!(
         layout::KTRACE_PHYS + cfg.ktrace_bytes <= layout::UFRAME_POOL_PHYS,
         "in-kernel trace buffer ({} MB) would overlap the user frame pool;          the static layout allows at most {} MB",
         cfg.ktrace_bytes >> 20,
@@ -252,7 +246,7 @@ pub fn build_system(cfg: &KernelConfig, workloads: &[&Workload]) -> System {
             &kobjs,
             kernel_layout(),
             "kboot",
-            cfg.mode,
+            Mode::Modified,
             FullPolicy::KernelFlag,
         )
         .expect("kernel instruments");
@@ -608,10 +602,21 @@ impl System {
         out
     }
 
-    /// Builds a trace parser sharing this system's tables, including
-    /// tables for threads spawned at run time (discovered from the
-    /// final process table: a thread shares its parent's binary, so
-    /// it shares the parent's table under its own token).
+    /// Every user context's table, by token: each process under its
+    /// ASID, and each thread spawned at run time under its own token
+    /// with its parent's table (discovered from the final process
+    /// table: a thread shares its parent's binary).
+    fn user_tables(&self) -> Vec<(u8, Arc<BbTable>)> {
+        let table_of = |asid: u8| self.procs.iter().find(|p| p.asid == asid)?.table.clone();
+        let procs = self.procs.iter().map(|p| (p.asid, p.asid));
+        procs
+            .chain(self.thread_parents())
+            .filter_map(|(token, asid)| Some((token, table_of(asid)?)))
+            .collect()
+    }
+
+    /// Builds a trace parser sharing this system's tables, threads
+    /// spawned at run time included.
     ///
     /// # Panics
     ///
@@ -621,16 +626,13 @@ impl System {
             .kernel_table
             .clone()
             .expect("parser() needs a traced build");
-        let table_of = |asid: u8| self.procs.iter().find(|p| p.asid == asid)?.table.clone();
-        let procs = self.procs.iter().map(|p| (p.asid, p.asid));
-        let users = procs
-            .chain(self.thread_parents())
-            .filter_map(|(token, asid)| Some((token, table_of(asid)?)));
-        wrl_trace::TraceParser::with_tables(kt, users)
+        wrl_trace::TraceParser::with_tables(kt, self.user_tables())
     }
 
     /// Bundles a run's trace with this system's tables for
-    /// distribution (the §3.4 "traces on tape").
+    /// distribution (the §3.4 "traces on tape"): the tables
+    /// [`System::parser`] uses, so the archive parses as the live run
+    /// does.
     ///
     /// # Panics
     ///
@@ -638,11 +640,7 @@ impl System {
     pub fn archive(&self, run: &SystemRun) -> wrl_trace::TraceArchive {
         wrl_trace::TraceArchive {
             kernel_table: self.kernel_table.clone().expect("traced build"),
-            user_tables: self
-                .procs
-                .iter()
-                .filter_map(|p| Some((p.asid, p.table.clone()?)))
-                .collect(),
+            user_tables: self.user_tables(),
             words: run.trace_words.clone(),
         }
     }

@@ -152,6 +152,29 @@ fn per_thread_trace_pages_keep_streams_separate() {
     assert_eq!(stores(2, buf_a), 0, "worker never stores to buf_a");
 }
 
+/// The §3.4 archive of a threaded run carries the spawned thread's
+/// table under its token, so it parses exactly as the live run does.
+#[test]
+fn an_archive_of_a_threaded_run_parses_as_the_live_run_does() {
+    let w = threaded_workload();
+    let mut sys = build_system(&KernelConfig::ultrix().traced(), &[&w]);
+    let run = sys.run(4_000_000_000);
+    assert_eq!(run.exit_code, 2);
+
+    let parse = |mut parser: wrl_trace::TraceParser| {
+        let mut sink = wrl_trace::CollectSink::default();
+        parser.parse_all(&run.trace_words, &mut sink);
+        (parser.stats.errors, sink)
+    };
+    let (live_errors, live) = parse(sys.parser());
+    let (archived_errors, archived) = parse(sys.archive(&run).parser());
+    assert_eq!(live_errors, 0);
+    assert_eq!(archived_errors, 0, "the archive lacks a thread's table");
+    assert_eq!(archived.irefs, live.irefs);
+    assert_eq!(archived.drefs, live.drefs);
+    assert_eq!(archived.switches, live.switches);
+}
+
 #[test]
 fn mach_per_thread_trace_pages_work_too() {
     // §3.6 describes threads as the Mach system's feature; the same

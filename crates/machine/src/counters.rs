@@ -138,13 +138,6 @@ impl RefCounter {
             .map(|(_, &c)| c)
             .sum()
     }
-
-    /// Iterates `(vaddr, count)` pairs in address order.
-    pub fn iter_sorted(&self) -> Vec<(u32, u64)> {
-        let mut v: Vec<_> = self.counts.iter().map(|(&a, &c)| (a, c)).collect();
-        v.sort_unstable();
-        v
-    }
 }
 
 #[cfg(test)]

@@ -27,9 +27,9 @@ use crate::wire::{
 };
 
 /// The answers behind a server's four admitted data opcodes. Methods
-/// run on an executor thread (or inline on an event thread when
-/// `exec_workers` is 0) with an admission slot held; an `Err` is the
-/// refusal to send instead, already typed.
+/// run on an executor thread with an admission slot held, never on an
+/// event thread, so one may block; an `Err` is the refusal to send
+/// instead, already typed.
 pub trait Backend: Send + Sync + 'static {
     /// The `service` label of the server's metrics answer.
     fn service(&self) -> &'static str;
@@ -161,9 +161,9 @@ impl Catalog {
 pub(crate) struct CatalogBackend {
     catalog: Catalog,
     /// One decoded-block cache per catalog entry (same order), sized
-    /// from `query_cache_bytes`; empty when the cache is disabled.
-    /// The lock serialises windowed queries per archive — cheap once
-    /// warm, and full-scan queries keep the parallel farm instead.
+    /// from `query_cache_bytes`, at least one block each. The lock
+    /// serialises windowed queries per archive — cheap once warm, and
+    /// full-scan queries keep the parallel farm instead.
     caches: Vec<Mutex<BlockCache>>,
     query_workers: usize,
     obs: ServeObs,
@@ -171,19 +171,15 @@ pub(crate) struct CatalogBackend {
 
 impl CatalogBackend {
     pub(crate) fn new(catalog: Catalog, cfg: &ServeCfg) -> CatalogBackend {
-        let caches = if cfg.query_cache_bytes > 0 {
-            catalog
-                .entries
-                .iter()
-                .map(|(_, s)| {
-                    let block_bytes = (s.block_words as usize).max(1) * 4;
-                    let slots = (cfg.query_cache_bytes / block_bytes).clamp(1, s.n_blocks().max(1));
-                    Mutex::new(BlockCache::new(slots))
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
+        let caches = catalog
+            .entries
+            .iter()
+            .map(|(_, s)| {
+                let block_bytes = (s.block_words as usize).max(1) * 4;
+                let slots = (cfg.query_cache_bytes / block_bytes).clamp(1, s.n_blocks().max(1));
+                Mutex::new(BlockCache::new(slots))
+            })
+            .collect();
         CatalogBackend {
             catalog,
             caches,
@@ -251,7 +247,7 @@ impl Backend for CatalogBackend {
 
     fn query(&self, archive: &str, pred: &Predicate) -> Result<QueryResult, Response> {
         let (idx, store) = self.find(archive)?;
-        let result = if pred.window.is_some() && !self.caches.is_empty() {
+        let result = if pred.window.is_some() {
             // A windowed query touches a handful of blocks and
             // served archives see the same windows repeatedly:
             // answer from the per-archive decoded-block cache

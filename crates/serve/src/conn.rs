@@ -577,11 +577,6 @@ impl<T: Transport> Conn<T> {
         }
     }
 
-    /// Immediate teardown (reactor shutdown edge cases).
-    pub fn force_close(&mut self) {
-        self.close();
-    }
-
     /// The underlying transport (the reactor needs the fd).
     pub fn transport(&self) -> &T {
         &self.t

@@ -32,13 +32,16 @@
 //! * [`server`] — the event loops on top: a few event threads
 //!   multiplex every connection, a max-inflight admission gate
 //!   answers `Busy` instead of queueing, a small executor pool runs
-//!   admitted requests, stall budgets sever wedged peers, graceful
-//!   shutdown drains in-flight requests, and the `serve.*` metric
-//!   family (now with `serve.reactor.*` and `serve.sub.*`) stays
-//!   accurate throughout. A [`LiveFeed`] is the on-the-fly half: a
-//!   producer publishes a trace as it is generated and subscribed
+//!   every admitted request, stall budgets sever wedged peers,
+//!   graceful shutdown drains in-flight requests, and the `serve.*`
+//!   metric family (with `serve.reactor.*` and `serve.sub.*`) stays
+//!   accurate throughout. Every [`ServeCfg`] value is a size — two
+//!   threads of each kind by default, on any host — and none of them
+//!   switches a mechanism off. A [`LiveFeed`] is the on-the-fly half:
+//!   a producer publishes a trace as it is generated and subscribed
 //!   clients receive the predicate-filtered tail as pushed `EVENT`
-//!   frames, with slow consumers evicted at a bounded queue depth.
+//!   frames, with slow consumers evicted at a bounded queue depth and
+//!   history kept to a bounded number of words.
 //! * [`client`] — the synchronous client library `tracedump` and the
 //!   tests use; every network failure mode is a typed [`ServeError`].
 //! * [`obs`] — the `serve.*` metrics (see `docs/METRICS.md`).

@@ -18,10 +18,10 @@
 //!   retries. This bounds memory and keeps latency honest under
 //!   overload (the `serve.inflight` high-water mark records the
 //!   deepest it got).
-//! * **Execution** — admitted requests hop to a small executor pool
-//!   (`exec_workers` threads; `0` executes inline on the event
-//!   thread), so a long query never wedges an event loop. There the
-//!   server's [`Backend`] answers them: a node's catalog backend
+//! * **Execution** — admitted requests always hop to a small executor
+//!   pool (`exec_workers` threads, at least one), so a long query
+//!   never wedges an event loop. There the server's [`Backend`]
+//!   answers them: a node's catalog backend
 //!   decodes from the store (see [`crate::backend`]), a fabric
 //!   coordinator's scatters to shard nodes; the metrics snapshot
 //!   (`wrl-obs-metrics/v1`) the server answers itself. The finished
@@ -35,8 +35,9 @@
 //!   peer is severed — no peer pins reactor state forever. Idle
 //!   connections *between* frames are never charged.
 //! * **Live tail** — a [`LiveFeed`] is a named, in-progress trace a
-//!   producer (the harness's `run_analyzed`, given a feed) appends to while
-//!   clients `SUBSCRIBE` with an ASID+window predicate. Filtering
+//!   producer (`tracedump live`, through the harness's drain tap)
+//!   appends to while clients `SUBSCRIBE` with an ASID+window
+//!   predicate. Filtering
 //!   happens server-side before fan-out: each publish is cut into
 //!   ASID runs once (the store's scanner), and every subscriber is
 //!   shipped the runs its predicate admits, each `EVENT`
@@ -81,7 +82,10 @@ use crate::obs::ServeObs;
 use crate::reactor::{AsRawFd, Interest, Poller, Ready, Waker, MAX_POLLED};
 use crate::wire::{self, err, Request, Response, MAX_FRAME};
 
-/// Server shape parameters.
+/// Server shape parameters. Every value is a size with one meaning:
+/// a zero is floored to the smallest size that still does the job
+/// (one thread, one cached block, one retained word), never a switch
+/// that turns a mechanism off.
 #[derive(Clone, Copy, Debug)]
 pub struct ServeCfg {
     /// Requests allowed to execute at once; the gate answers `Busy`
@@ -96,51 +100,44 @@ pub struct ServeCfg {
     /// Mid-frame read-stall ticks tolerated before a peer is cut off
     /// (total stall bound ≈ `max_stalls × read_timeout`).
     pub max_stalls: u32,
-    /// Worker threads for one query's parallel block decode; `1` runs
-    /// the query sequentially in place, with no per-request spawns.
+    /// Worker threads for one unwindowed query's parallel block
+    /// decode; `1` runs the query sequentially in place, with no
+    /// per-request spawns.
     pub query_workers: usize,
-    /// Event-loop threads multiplexing the connections.
+    /// Event-loop threads multiplexing the connections (floored to 1).
     pub event_threads: usize,
-    /// Executor threads running admitted requests; `0` executes
-    /// inline on the event thread that dispatched the request.
+    /// Executor threads running admitted requests (floored to 1).
     pub exec_workers: usize,
-    /// Decoded-word bytes cached per archive for windowed queries
-    /// (the slot count follows each archive's block size, capped at
-    /// its block count); `0` disables the cache and windowed queries
-    /// decode like any other.
+    /// Decoded-word bytes cached per archive for windowed queries:
+    /// the slot count is this over the archive's block bytes, clamped
+    /// to 1..=its block count, so every served archive caches at
+    /// least one block.
     pub query_cache_bytes: usize,
     /// Outgoing frames a live-tail subscriber may have queued before
     /// it is evicted as a slow consumer (floored to 1). The eviction
     /// fires the moment a push finds the queue already this deep.
     pub sub_queue: usize,
-    /// Trace words a live feed retains for late joiners; `0` keeps
-    /// everything (unbounded growth). Once a publish pushes the
-    /// buffer past this bound the oldest overflow is evicted, counted
-    /// in `serve.sub.retention_evicted`, and `from_start` subscribes
+    /// Trace words a live feed retains for late joiners (floored to
+    /// 1). Once a publish pushes the buffer past this bound the
+    /// oldest overflow is evicted, counted in
+    /// `serve.sub.retention_evicted`, and `from_start` subscribes
     /// answer a typed `RETENTION_EVICTED` error instead of a silently
     /// truncated replay.
     pub sub_retention: usize,
 }
 
 impl Default for ServeCfg {
+    /// The same shape on every host: two event threads, two
+    /// executors and two query workers, whatever the core count.
     fn default() -> ServeCfg {
-        // Topology follows the core count: on a one-core box extra
-        // threads only add context switches to every request's
-        // critical path, so everything runs inline on one event
-        // loop; with real parallelism, two event loops share the
-        // socket work and a small executor pool absorbs long
-        // queries.
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
         ServeCfg {
             max_inflight: 16,
             read_timeout: Duration::from_millis(50),
             write_timeout: Duration::from_secs(2),
             max_stalls: 100,
-            query_workers: cores.min(4),
-            event_threads: cores.min(2),
-            exec_workers: if cores <= 1 { 0 } else { cores.min(4) },
+            query_workers: 2,
+            event_threads: 2,
+            exec_workers: 2,
             query_cache_bytes: 32 << 20,
             sub_queue: 32,
             sub_retention: 1 << 22,
@@ -444,7 +441,7 @@ impl Server {
         });
         let (exec_tx, exec_rx) = mpsc::channel::<Job>();
         let exec_rx = Arc::new(Mutex::new(exec_rx));
-        let execs = (0..cfg.exec_workers)
+        let execs = (0..cfg.exec_workers.max(1))
             .map(|_| {
                 let (shared, rt, rx) = (shared.clone(), rt.clone(), exec_rx.clone());
                 std::thread::spawn(move || exec_loop(&shared, &rt, &rx))
@@ -581,9 +578,9 @@ impl LiveFeed {
     /// replayed, which is why such subscribes answer
     /// `RETENTION_EVICTED` once `base` moves.
     fn evict(&self, state: &mut SubState) {
-        let retention = self.shared.cfg.sub_retention;
+        let retention = self.shared.cfg.sub_retention.max(1);
         let f = &mut state.feeds[self.feed];
-        if retention == 0 || f.words.len() <= retention {
+        if f.words.len() <= retention {
             return;
         }
         let overflow = f.words.len() - retention;
@@ -657,8 +654,6 @@ struct Ctx<'a> {
     shared: &'a Shared,
     exec_tx: &'a mpsc::Sender<Job>,
     thread: usize,
-    /// `exec_workers == 0`: run admitted requests on this thread.
-    inline: bool,
 }
 
 fn exec_loop(shared: &Shared, rt: &Reactor, rx: &Mutex<mpsc::Receiver<Job>>) {
@@ -843,14 +838,9 @@ fn dispatch(s: &mut SlotEntry, slot: usize, cx: &Ctx<'_>) {
         req_id,
         req,
     };
-    if cx.inline {
-        let done = run_job(shared, job);
-        s.conn.enqueue(done.frame, done.shape, done.sever_after);
-    } else {
-        // Send can only fail after shutdown closed the channel, and
-        // shutdown waits for this thread — unreachable in practice.
-        let _ = cx.exec_tx.send(job);
-    }
+    // Send can only fail after shutdown closed the channel, and
+    // shutdown waits for this thread — unreachable in practice.
+    let _ = cx.exec_tx.send(job);
 }
 
 /// Attaches this connection to a live feed: ack first, then the
@@ -974,7 +964,6 @@ fn event_loop(
         shared,
         exec_tx,
         thread,
-        inline: shared.cfg.exec_workers == 0,
     };
     let mut slots: Vec<Option<SlotEntry>> = Vec::new();
     let mut free: Vec<usize> = Vec::new();

@@ -13,7 +13,7 @@
 
 use std::thread;
 
-use wrl_trace::{DriveReport, Driver, SeamHooks, TraceSink};
+use wrl_trace::{DriveReport, Driver, TraceSink};
 
 use crate::container::{BlockCache, Predicate, QueryResult, StoreError, TraceStore};
 
@@ -37,14 +37,8 @@ impl Default for FarmCfg {
 /// straddle two store blocks), every block CRC-checked as it is
 /// decoded, the reader recycling one decode buffer across the file.
 /// A decode or CRC failure aborts with the block's typed error.
-/// `hooks` is consulted once per block (production callers pass the
-/// default).
-pub fn drive<S: TraceSink>(
-    store: &TraceStore,
-    sink: S,
-    hooks: &SeamHooks,
-) -> Result<(DriveReport, S), StoreError> {
-    let mut driver = Driver::with_hooks(store.parser(), sink, hooks.clone());
+pub fn drive<S: TraceSink>(store: &TraceStore, sink: S) -> Result<(DriveReport, S), StoreError> {
+    let mut driver = Driver::new(store.parser(), sink);
     let mut reader = store.block_reader();
     while let Some(block) = reader.next_block() {
         driver.feed(block?);
@@ -127,7 +121,7 @@ mod tests {
     use std::sync::Arc;
     use wrl_isa::Width;
     use wrl_trace::bbinfo::{BbInfo, BbTraceFlags, MemOp};
-    use wrl_trace::{ctl, BbTable, ChunkFate, CollectSink, CtlOp, TraceArchive};
+    use wrl_trace::{ctl, BbTable, CollectSink, CtlOp, TraceArchive};
 
     /// A trace with kernel + user activity, context switches and
     /// nested kernel entries, so ordering bugs have something to bite.
@@ -196,28 +190,12 @@ mod tests {
     fn drive_matches_a_sequential_parse_at_any_block_size() {
         for block_words in [1, 7, 256] {
             let store = busy_store(block_words);
-            let (run, driven) =
-                drive(&store, CollectSink::default(), &SeamHooks::default()).unwrap();
+            let (run, driven) = drive(&store, CollectSink::default()).unwrap();
             assert_identical(&driven, &sequential(&store));
             assert_eq!(run.words, store.n_words);
             assert_eq!(run.chunks, store.n_blocks() as u64);
             assert!(run.parse.bb_records > 0);
         }
-    }
-
-    #[test]
-    fn a_block_dropped_at_the_source_is_reported_lost() {
-        let store = busy_store(256);
-        let hooks = SeamHooks::new(|seq| {
-            if seq == 2 {
-                ChunkFate::Drop
-            } else {
-                ChunkFate::Deliver
-            }
-        });
-        let (run, _) = drive(&store, CollectSink::default(), &hooks).unwrap();
-        assert_eq!(run.lost_chunks, 1);
-        assert_eq!(run.chunks, store.n_blocks() as u64);
     }
 
     #[test]
@@ -249,7 +227,7 @@ mod tests {
         let v3 = busy_store(64);
         let a = v3.to_archive().unwrap();
         let v4 = TraceStore::from_archive_with(&a, 64, crate::BlockFormat::Columnar);
-        let (_, driven) = drive(&v4, CollectSink::default(), &SeamHooks::default()).unwrap();
+        let (_, driven) = drive(&v4, CollectSink::default()).unwrap();
         assert_identical(&driven, &sequential(&v3));
         for pred in [
             Predicate {
@@ -294,7 +272,7 @@ mod tests {
             u64::from_le_bytes(bytes[tail_at + 4..tail_at + 12].try_into().unwrap()) as usize;
         bytes[index_pos - 1] ^= 0xff;
         let bad = TraceStore::decode(&bytes).unwrap();
-        let err = drive(&bad, CollectSink::default(), &SeamHooks::default()).unwrap_err();
+        let err = drive(&bad, CollectSink::default()).unwrap_err();
         assert!(matches!(
             err,
             StoreError::CrcMismatch { .. } | StoreError::BlockCodec { .. }

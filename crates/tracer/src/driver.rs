@@ -24,7 +24,7 @@ use std::thread;
 
 use wrl_isa::Width;
 use wrl_store::{drive, FarmCfg, StoreError, TraceStore};
-use wrl_trace::{Driver, ParseStats, SeamHooks, Space, TraceParser, TraceSink, Wants};
+use wrl_trace::{Driver, ParseStats, Space, TraceParser, TraceSink, Wants};
 
 use crate::obs::TracerObs;
 use crate::sink::{AnalysisSink, SinkError, SinkReport};
@@ -254,12 +254,11 @@ pub fn analyze_store(
     }
     let mut shares = shares.into_iter();
     let first = shares.next().expect("at least one share");
-    let hooks = SeamHooks::default();
     let runs = thread::scope(|scope| {
         let others: Vec<_> = shares
-            .map(|share| scope.spawn(|| drive(store, share, &hooks)))
+            .map(|share| scope.spawn(|| drive(store, share)))
             .collect();
-        let mut runs = vec![drive(store, first, &hooks)];
+        let mut runs = vec![drive(store, first)];
         for h in others {
             runs.push(h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
         }

@@ -474,8 +474,18 @@ fn live(addr: &str, workload: &str, os: &str) {
         arith_stalls: systrace::pixie_arith_stalls(&w),
         ..systrace::AnalyzeCfg::default()
     };
-    let p = systrace::run_analyzed(&cfg, &w, acfg, systrace::tracer::Stack::new(), Some(&feed))
-        .predicted;
+    let mut publish = |words: &[u32]| feed.publish(words);
+    let p = systrace::run_analyzed(
+        &cfg,
+        &w,
+        acfg,
+        systrace::tracer::Stack::new(),
+        Some(&mut publish),
+    )
+    .predicted;
+    // Finished only after the last buffer is analysed, so a tail that
+    // outlives the run sees the complete word stream exactly once.
+    feed.finish();
     println!(
         "machine finished: {} trace words, predicted {:.4}s, exit {}",
         p.trace_words, p.seconds, p.exit_code

@@ -31,7 +31,7 @@ wrl_obs::metrics! {
     /// Phase timers for the validation harness, one span per phase.
     /// Registered by [`run_analyzed`] when [`AnalyzeCfg::metered`] is
     /// set; an unmetered run reads no clocks at all. `parse` and
-    /// `simulate` fire in the after-the-run form only: a live feed
+    /// `simulate` fire in the after-the-run form only: a tapped run
     /// parses and simulates inside the drain callback, within `run`.
     pub struct HarnessObs {
         pub build: span "harness.phase.build", "ns", "§4.1",
@@ -213,44 +213,44 @@ fn driver_for<P: TraceSink>(
 /// **one** parse of its trace to both the §5 prediction's
 /// memory-system simulator and every composed sink in `stack`.
 ///
-/// Without a `feed` the trace is collected and parsed after the run
+/// Without a `tap` the trace is collected and parsed after the run
 /// (parser and page map wired afterwards, so runtime-spawned threads
-/// are covered). With one, every drained buffer is published to the
-/// live-tail feed and then parsed *inside the drain callback*, while
-/// the traced system is stopped (§3.2); the feed finishes only after
-/// the last buffer is analysed, so a subscriber that outlives the run
-/// sees the complete word stream exactly once. Parser and page map
-/// are then wired *before* the run, which covers workloads whose
-/// processes all exist at boot (every validation workload). The two
-/// timings predict bit-identically —
-/// `tests/streaming_differential.rs` holds that.
+/// are covered). With one, every drained buffer is handed to the tap
+/// and then parsed *inside the drain callback*, while the traced
+/// system is stopped (§3.2) — the paper's analysis program, handed
+/// each buffer as it is drained. Parser and page map are then wired
+/// *before* the run, which covers workloads whose processes all exist
+/// at boot (every validation workload). The two timings predict
+/// bit-identically — `tests/streaming_differential.rs` holds that.
+/// `tracedump live` taps the run to publish each buffer to a live-tail
+/// feed, and finishes the feed once this returns.
 ///
 /// A metered after-the-run pass parses into a buffered [`EventVec`]
 /// and replays it into the simulator, so `harness.phase.parse` and
 /// `.simulate` are timed apart (bit-identical to the fused pass — the
 /// simulator only ever sees the parser's event stream).
+#[allow(clippy::type_complexity)]
 pub fn run_analyzed(
     cfg: &KernelConfig,
     w: &Workload,
     acfg: AnalyzeCfg,
     stack: Stack,
-    feed: Option<&wrl_serve::LiveFeed>,
+    tap: Option<&mut dyn FnMut(&[u32])>,
 ) -> AnalyzedRun {
     assert!(cfg.traced, "run_analyzed wants a traced config");
     let obs = acfg.metered.then(HarnessObs::register);
     let obs = obs.as_ref();
 
     let mut sys = timed(obs.map(|o| &o.build), || build_system(cfg, &[w]));
-    let (exit_code, drive, sim, stack) = if let Some(feed) = feed {
+    let (exit_code, drive, sim, stack) = if let Some(tap) = tap {
         let mut driver = driver_for(&sys, &acfg, wrl_sim(&sys), stack);
         let run = timed(obs.map(|o| &o.run), || {
             sys.run_with(SYSTEM_BUDGET, |words| {
-                feed.publish(words);
+                tap(words);
                 driver.feed(words);
             })
         });
         let (drive, (sim, stack)) = driver.finish();
-        feed.finish();
         (run.exit_code, drive, sim, stack)
     } else {
         let run = timed(obs.map(|o| &o.run), || sys.run(SYSTEM_BUDGET));

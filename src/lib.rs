@@ -21,7 +21,8 @@
 //!   §5.1 execution-time predictor (the "predicted" side);
 //! * [`workloads`] — the twelve Table-1 workloads;
 //! * [`store`] — the compressed, seekable trace store (row blocks in
-//!   archive v3, columnar blocks in v4; v1 and v2 still load) and the
+//!   archive v3, columnar blocks in v4; the raw v1 archive still
+//!   loads, v2 is refused as `UnsupportedVersion`) and the
 //!   block-parallel query;
 //! * [`tracer`] — the composable analysis-sink framework: N analyses
 //!   fed from one decode+parse pass over a run or an archive,

@@ -13,7 +13,6 @@ use std::time::Duration;
 use systrace::fault::{
     campaign, run_campaign, run_plan, ChaosInput, FaultPlan, Layer, Outcome, ALL_SITES,
 };
-use systrace::serve::{Catalog, ServeCfg, Server};
 use systrace::trace::{ChunkFate, SeamHooks, TraceArchive};
 use systrace::tracer::Stack;
 use systrace::AnalyzeCfg;
@@ -122,11 +121,8 @@ fn hooked_harness_run_with_stalls_predicts_identically() {
         }
     });
     let hooked = AnalyzeCfg { hooks, ..acfg };
-    let server = Server::start("127.0.0.1:0", Catalog::new(), ServeCfg::default())
-        .expect("loopback server starts");
-    let feed = server.live_feed("sed");
-    let stalled = systrace::run_analyzed(&cfg, &w, hooked, Stack::new(), Some(&feed)).predicted;
-    server.shutdown();
+    let tap = &mut |_: &[u32]| {};
+    let stalled = systrace::run_analyzed(&cfg, &w, hooked, Stack::new(), Some(tap)).predicted;
     assert_eq!(stalled.prediction, batch.prediction);
     assert_eq!(stalled.trace_insts, batch.trace_insts);
     assert_eq!(stalled.trace_words, batch.trace_words);

@@ -45,50 +45,75 @@ fn windowed_queries_are_bit_identical_to_local_decode_at_every_block_size() {
             Arc::new(TraceStore::from_archive(&a, bs)),
         );
     }
-    let server =
-        Server::start("127.0.0.1:0", catalog.clone(), ServeCfg::default()).expect("server starts");
-    let mut client = Client::connect(server.addr()).expect("client connects");
+    // The default shape, and every size at zero: one executor still
+    // answers, and each archive still caches one block.
+    let zeros = ServeCfg {
+        exec_workers: 0,
+        query_cache_bytes: 0,
+        ..ServeCfg::default()
+    };
+    for cfg in [ServeCfg::default(), zeros] {
+        let server = Server::start("127.0.0.1:0", catalog.clone(), cfg).expect("server starts");
+        let mut client = Client::connect(server.addr()).expect("client connects");
 
-    let rows = client.catalog().expect("catalog answers");
-    assert_eq!(rows.len(), 3);
-    assert!(rows.windows(2).all(|w| w[0].name <= w[1].name));
-    for row in &rows {
-        assert_eq!(row.n_words, a.words.len() as u64);
-    }
+        let rows = client.catalog().expect("catalog answers");
+        assert_eq!(rows.len(), 3);
+        assert!(rows.windows(2).all(|w| w[0].name <= w[1].name));
+        for row in &rows {
+            assert_eq!(row.n_words, a.words.len() as u64);
+        }
 
-    for bs in [1usize, 7, 4096] {
-        let name = format!("golden-bs{bs}");
-        let store = catalog.get(&name).unwrap();
-        for (i, pred) in predicate_panel(a.words.len() as u64).iter().enumerate() {
-            let expected = filter_stream(&a.words, pred);
-            let q = client
-                .query(&name, pred)
-                .unwrap_or_else(|e| panic!("{name} predicate {i}: {e}"));
-            assert_eq!(
-                q.words, expected,
-                "{name} predicate {i}: wire answer differs from local filter"
-            );
-            assert_eq!(
-                (q.blocks_decoded + q.blocks_skipped) as usize,
-                store.n_blocks(),
-                "{name} predicate {i}: block accounting must cover the store"
-            );
-            // A pure window predicate at block size 1 must skip every
-            // block outside the window — the pushdown at its sharpest
-            // (an ASID filter would lawfully skip even more).
-            if bs == 1 && pred.asid.is_none() {
-                if let Some((lo, hi)) = pred.window {
-                    let in_window = hi.min(a.words.len() as u64).saturating_sub(lo);
-                    assert_eq!(
-                        u64::from(q.blocks_decoded),
-                        in_window,
-                        "{name} predicate {i}: bs=1 must decode exactly the window"
-                    );
+        for bs in [1usize, 7, 4096] {
+            let name = format!("golden-bs{bs}");
+            let store = catalog.get(&name).unwrap();
+            for (i, pred) in predicate_panel(a.words.len() as u64).iter().enumerate() {
+                let tag = format!("{cfg:?} {name} predicate {i}");
+                let expected = filter_stream(&a.words, pred);
+                let q = client
+                    .query(&name, pred)
+                    .unwrap_or_else(|e| panic!("{tag}: {e}"));
+                assert_eq!(
+                    q.words, expected,
+                    "{tag}: wire answer differs from local filter"
+                );
+                assert_eq!(
+                    (q.blocks_decoded + q.blocks_skipped) as usize,
+                    store.n_blocks(),
+                    "{tag}: block accounting must cover the store"
+                );
+                // A pure window predicate at block size 1 must skip
+                // every block outside the window — the pushdown at its
+                // sharpest (an ASID filter would lawfully skip more).
+                if bs == 1 && pred.asid.is_none() {
+                    if let Some((lo, hi)) = pred.window {
+                        let in_window = hi.min(a.words.len() as u64).saturating_sub(lo);
+                        assert_eq!(
+                            u64::from(q.blocks_decoded),
+                            in_window,
+                            "{tag}: bs=1 must decode exactly the window"
+                        );
+                    }
                 }
             }
         }
+
+        // A window inside one block, asked twice: the second answer
+        // comes from the cache, whatever its configured size.
+        let pred = Predicate {
+            window: Some((0, 100)),
+            ..Predicate::default()
+        };
+        let hits = server.obs().cache_hits.get();
+        for _ in 0..2 {
+            let q = client.query("golden-bs4096", &pred).expect("query answers");
+            assert_eq!(q.words, filter_stream(&a.words, &pred));
+        }
+        assert!(
+            server.obs().cache_hits.get() > hits,
+            "{cfg:?}: a repeated windowed query missed the cache"
+        );
+        server.shutdown();
     }
-    server.shutdown();
 }
 
 #[test]
@@ -130,9 +155,8 @@ fn sixteen_clients_against_a_four_slot_gate_all_get_intact_answers() {
     let cfg = ServeCfg {
         max_inflight: 4,
         query_workers: 1,
-        // Pinned: on a 1-core host the adaptive default would run
-        // dispatch inline on the event threads, never overlapping
-        // enough requests to exercise the 4-slot gate.
+        // Four executors, so enough requests overlap to fill the
+        // 4-slot gate.
         exec_workers: 4,
         ..ServeCfg::default()
     };
@@ -215,8 +239,8 @@ fn sixty_four_clients_on_two_event_threads_stay_bit_identical() {
         max_inflight: 8,
         query_workers: 1,
         event_threads: 2,
-        // Pinned so the executor pool size (and with it the gate
-        // behaviour) does not depend on the host's core count.
+        // Four executors against the 8-slot gate: admitted requests
+        // queue for an executor, and the gate still bounds them.
         exec_workers: 4,
         ..ServeCfg::default()
     };
@@ -243,8 +267,8 @@ fn two_hundred_fifty_six_clients_swamp_the_gate_but_never_get_wrong_answers() {
         max_inflight: 8,
         query_workers: 1,
         event_threads: 2,
-        // Pinned: 12 executor workers comfortably exceed the 8-slot
-        // gate, so the swamp must trip Busy on every host.
+        // 12 executor workers comfortably exceed the 8-slot gate, so
+        // the swamp must trip Busy on every host.
         exec_workers: 12,
         ..ServeCfg::default()
     };

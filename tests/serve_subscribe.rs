@@ -737,6 +737,27 @@ fn the_retention_bound_evicts_exactly_at_the_bound_and_refuses_stale_replays() {
         "nothing published after the from-now join"
     );
     server.shutdown();
+
+    // A zero bound is a bound of one word: the second word published
+    // evicts the first, and a from-start join is refused.
+    let cfg = ServeCfg {
+        sub_retention: 0,
+        ..ServeCfg::default()
+    };
+    let server = Server::start("127.0.0.1:0", Catalog::new(), cfg).expect("server starts");
+    let evicted_before = obs.sub_retention_evicted.get();
+    let feed = server.live_feed("bounded");
+    feed.publish(&a.words[..2]);
+    assert_eq!(obs.sub_retention_evicted.get(), evicted_before + 1);
+    let mut stale = connect_patiently(server.addr());
+    match stale.subscribe("bounded", &Predicate::default(), true) {
+        Err(ServeError::Remote { code, msg }) => {
+            assert_eq!(code, wire::err::RETENTION_EVICTED, "{msg}")
+        }
+        other => panic!("from-start under a zero bound gave {other:?}"),
+    }
+    feed.finish();
+    server.shutdown();
 }
 
 #[test]

@@ -11,7 +11,6 @@
 
 use systrace::kernel::{build_system, KernelConfig, System};
 use systrace::memsim::{MemSim, SimStats};
-use systrace::serve::{Catalog, ServeCfg, Server};
 use systrace::trace::{Driver, ParseStats};
 use systrace::tracer::Stack;
 use systrace::AnalyzeCfg;
@@ -83,8 +82,8 @@ fn streaming_matches_batch_tomcatv() {
 }
 
 /// The full harness path end to end: a run parsed on the fly, inside
-/// the drain callback of a live feed, predicts exactly what the
-/// after-the-run parse of the collected trace predicts.
+/// the drain callback, predicts exactly what the after-the-run parse
+/// of the collected trace predicts.
 #[test]
 fn streamed_harness_matches_batch_harness() {
     let w = systrace::workloads::by_name("sed").unwrap();
@@ -94,11 +93,8 @@ fn streamed_harness_matches_batch_harness() {
         ..AnalyzeCfg::default()
     };
     let batch = systrace::run_analyzed(&cfg, &w, acfg.clone(), Stack::new(), None).predicted;
-    let server = Server::start("127.0.0.1:0", Catalog::new(), ServeCfg::default())
-        .expect("loopback server starts");
-    let feed = server.live_feed("sed");
-    let streamed = systrace::run_analyzed(&cfg, &w, acfg, Stack::new(), Some(&feed)).predicted;
-    server.shutdown();
+    let tap = &mut |_: &[u32]| {};
+    let streamed = systrace::run_analyzed(&cfg, &w, acfg, Stack::new(), Some(tap)).predicted;
     assert_eq!(streamed.prediction, batch.prediction);
     assert_eq!(streamed.utlb_misses, batch.utlb_misses);
     assert_eq!(streamed.trace_insts, batch.trace_insts);

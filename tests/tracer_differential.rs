@@ -143,7 +143,6 @@ fn composed_store_passes_match_dedicated_at_every_block_size_and_worker_count() 
 #[test]
 fn harness_run_feeds_prediction_and_stack_from_one_parse() {
     use systrace::kernel::KernelConfig;
-    use systrace::serve::{Catalog, ServeCfg, Server};
     use systrace::AnalyzeCfg;
 
     let w = systrace::workloads::by_name("sed").unwrap();
@@ -156,16 +155,15 @@ fn harness_run_feeds_prediction_and_stack_from_one_parse() {
     assert_eq!(plain.stack.reports.len(), 0);
     assert_eq!(plain.stack.words, plain.predicted.trace_words);
 
-    let server = Server::start("127.0.0.1:0", Catalog::new(), ServeCfg::default())
-        .expect("loopback server starts");
-    let feed = server.live_feed("sed");
-    for feed in [None, Some(&feed)] {
+    for tapped in [false, true] {
         let mut stack = Stack::new();
         for s in five() {
             stack.push_boxed(s);
         }
-        let run = systrace::run_analyzed(&cfg, &w, acfg.clone(), stack, feed);
-        let tag = format!("live feed: {}", feed.is_some());
+        let mut noop = |_: &[u32]| {};
+        let tap = tapped.then_some(&mut noop as &mut dyn FnMut(&[u32]));
+        let run = systrace::run_analyzed(&cfg, &w, acfg.clone(), stack, tap);
+        let tag = format!("parsed in the drain callback: {tapped}");
         assert_eq!(run.predicted, plain.predicted, "{tag}");
         assert_eq!(run.stack.failed(), 0, "{tag}");
         assert_eq!(run.stack.parse, plain.stack.parse, "{tag}");
@@ -177,7 +175,6 @@ fn harness_run_feeds_prediction_and_stack_from_one_parse() {
         );
         assert_eq!(run.stack.parse.errors, run.predicted.parse_errors, "{tag}");
     }
-    server.shutdown();
 }
 
 /// The original `cache_sweep` study sink, reproduced as in
