@@ -126,18 +126,27 @@ pub(crate) fn take_varint(buf: &[u8], at: &mut usize) -> Result<u64, CodecError>
     }
 }
 
+thread_local! {
+    /// The finite-context table, reused across blocks and cleared per
+    /// block rather than allocated per block.
+    static FCM: core::cell::RefCell<Box<[u32; FCM_SIZE]>> =
+        core::cell::RefCell::new(Box::new([0; FCM_SIZE]));
+}
+
 /// Shared model state; encoder and decoder step it identically.
-struct Model {
-    fcm: Box<[u32; FCM_SIZE]>,
+struct Model<'a> {
+    fcm: &'a mut [u32; FCM_SIZE],
     prev: u32,
 }
 
-impl Model {
-    fn new() -> Model {
-        Model {
-            fcm: Box::new([0; FCM_SIZE]),
-            prev: 0,
-        }
+impl Model<'_> {
+    /// Runs `f` on a fresh model over this thread's cleared table.
+    fn with<R>(f: impl FnOnce(Model<'_>) -> R) -> R {
+        FCM.with(|t| {
+            let fcm = &mut **t.borrow_mut();
+            fcm.fill(0);
+            f(Model { fcm, prev: 0 })
+        })
     }
 
     /// The prediction for the next word, and the miss-delta base: the
@@ -165,18 +174,19 @@ impl Model {
 /// [`decompress_block`] given the exact word count.
 pub fn compress_block(words: &[u32]) -> Vec<u8> {
     let mut out = Vec::with_capacity(words.len() + 16);
-    let mut m = Model::new();
-    for &w in words {
-        let (pred, base) = m.predict();
-        if pred == w {
-            // FCM hit: one byte.
-            put_varint(&mut out, 0);
-        } else {
-            let d = i64::from(w) - i64::from(base);
-            put_varint(&mut out, zigzag(d) + 1);
+    Model::with(|mut m| {
+        for &w in words {
+            let (pred, base) = m.predict();
+            if pred == w {
+                // FCM hit: one byte.
+                put_varint(&mut out, 0);
+            } else {
+                let d = i64::from(w) - i64::from(base);
+                put_varint(&mut out, zigzag(d) + 1);
+            }
+            m.advance(w);
         }
-        m.advance(w);
-    }
+    });
     out
 }
 
@@ -201,25 +211,26 @@ pub fn decompress_block_into(
     out: &mut Vec<u32>,
 ) -> Result<(), CodecError> {
     out.reserve(n_words.min(bytes.len()));
-    let mut m = Model::new();
-    let mut at = 0usize;
-    for _ in 0..n_words {
-        let token = take_varint(bytes, &mut at)?;
-        let (pred, base) = m.predict();
-        let w = if token == 0 {
-            pred
-        } else {
-            // Wrapping on an out-of-range delta keeps decode total;
-            // the CRC catches real corruption.
-            (i64::from(base) + unzigzag(token - 1)) as u32
-        };
-        out.push(w);
-        m.advance(w);
-    }
-    if at != bytes.len() {
-        return Err(CodecError::TrailingBytes(bytes.len() - at));
-    }
-    Ok(())
+    Model::with(|mut m| {
+        let mut at = 0usize;
+        for _ in 0..n_words {
+            let token = take_varint(bytes, &mut at)?;
+            let (pred, base) = m.predict();
+            let w = if token == 0 {
+                pred
+            } else {
+                // Wrapping on an out-of-range delta keeps decode total;
+                // the CRC catches real corruption.
+                (i64::from(base) + unzigzag(token - 1)) as u32
+            };
+            out.push(w);
+            m.advance(w);
+        }
+        if at != bytes.len() {
+            return Err(CodecError::TrailingBytes(bytes.len() - at));
+        }
+        Ok(())
+    })
 }
 
 /// Compile-time slice-by-8 tables for the reflected IEEE 802.3

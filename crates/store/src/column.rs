@@ -44,6 +44,16 @@
 //! words against the index CRC as it does for a row block. Blocks are
 //! always decoded whole. All model state is per-block, so v4 blocks
 //! decode independently and in parallel exactly like v3 blocks.
+//!
+//! The decoder does the encoder's work in reverse at the same cost per
+//! word, so its loop is kept to what the model needs: each word's
+//! class is dispatched once to a step specialised for that class, each
+//! table probe reads one 12-byte `Slot` that the update then writes
+//! back without reading again, the stride-history key is updated in
+//! place rather than rehashed, and every bit column is read through a
+//! 64-bit window, so a tag or a flag code is one peek. Encoder and
+//! decoder share `predict` and `update`, which is what keeps them
+//! in lockstep.
 
 use core::cell::RefCell;
 
@@ -119,45 +129,49 @@ fn unzigzag32(z: u64) -> i32 {
     ((z >> 1) as i32) ^ -((z & 1) as i32)
 }
 
+/// One entry of an exact or coarse table: the word last seen under
+/// the slot's key and the stride it moved by then, which together make
+/// the slot a differential predictor. Valid iff `gen` is the current
+/// block's. The three fields sit together so that a probe is one read;
+/// packed at 12 bytes, one slot in eight straddles two cache lines,
+/// and aligning them to 16 bytes measured no faster.
+#[derive(Clone, Copy, Default)]
+struct Slot {
+    gen: u32,
+    val: u32,
+    stride: u32,
+}
+
 /// Generation-tagged model tables, reused across blocks: resetting
-/// between blocks is a generation bump, not a 100 KiB memset — the
+/// between blocks is a generation bump, not a 400 KiB memset — the
 /// difference between a codec that batch-decodes 64-word service
 /// blocks at full speed and one that spends its time zeroing tables.
+/// That is 16 KiB of tags, 144 KiB each for the exact and coarse
+/// slots and 96 KiB of stride history, per thread: the same bytes as
+/// keeping each slot's fields in two parallel arrays, which took a
+/// probe two reads into two cache lines.
 struct Scratch {
     /// Tag-context table; entry = `gen << 2 | tag`, valid iff the
     /// generation matches.
-    tag: Vec<u32>,
-    /// Per-class *exact* value tables, keyed on the full previous
-    /// word; entry = `gen << 32 | word`, valid iff the generation
-    /// matches.
-    eval: [Vec<u64>; 3],
-    /// Strides parallel to `eval` (valid exactly when the `eval`
-    /// entry is): the delta the slot's value moved by last time,
-    /// making each exact slot a differential predictor.
-    estride: [Vec<u32>; 3],
-    /// Per-class *coarse* value tables, keyed on `prev >> 8`; entry =
-    /// `gen << 32 | word`, valid iff the generation matches.
-    val: [Vec<u64>; 3],
-    /// Per-class stride tables, parallel to `val` (valid exactly when
-    /// the `val` entry is): the delta the slot's value moved by last
-    /// time, making each coarse slot a differential predictor.
-    stride: [Vec<u32>; 3],
+    tag: Box<[u32; TAG_SLOTS]>,
+    /// Per-class *exact* tables, keyed on the full previous word.
+    exact: Box<[[Slot; VAL_SLOTS]; 3]>,
+    /// Per-class *coarse* tables, keyed on `prev >> 8`.
+    coarse: Box<[[Slot; VAL_SLOTS]; 3]>,
     /// Per-class *stride-history* tables, keyed on a hash of the
     /// class's last four quantised strides; entry =
     /// `gen << 32 | stride`, valid iff the generation matches.
-    dstride: [Vec<u64>; 3],
+    dstride: Box<[[u64; VAL_SLOTS]; 3]>,
     gen: u32,
 }
 
 impl Scratch {
     fn new() -> Scratch {
         Scratch {
-            tag: vec![0; TAG_SLOTS],
-            eval: [vec![0; VAL_SLOTS], vec![0; VAL_SLOTS], vec![0; VAL_SLOTS]],
-            estride: [vec![0; VAL_SLOTS], vec![0; VAL_SLOTS], vec![0; VAL_SLOTS]],
-            val: [vec![0; VAL_SLOTS], vec![0; VAL_SLOTS], vec![0; VAL_SLOTS]],
-            stride: [vec![0; VAL_SLOTS], vec![0; VAL_SLOTS], vec![0; VAL_SLOTS]],
-            dstride: [vec![0; VAL_SLOTS], vec![0; VAL_SLOTS], vec![0; VAL_SLOTS]],
+            tag: Box::new([0; TAG_SLOTS]),
+            exact: Box::new([[Slot::default(); VAL_SLOTS]; 3]),
+            coarse: Box::new([[Slot::default(); VAL_SLOTS]; 3]),
+            dstride: Box::new([[0; VAL_SLOTS]; 3]),
             gen: 0,
         }
     }
@@ -169,44 +183,27 @@ impl Scratch {
         // wrap long before the packing could overflow (once per ~10^9
         // blocks) with a real reset.
         if self.gen >= 1 << 29 {
-            self.tag.iter_mut().for_each(|e| *e = 0);
-            for t in self
-                .eval
-                .iter_mut()
-                .chain(&mut self.val)
-                .chain(&mut self.dstride)
-            {
-                t.iter_mut().for_each(|e| *e = 0);
+            self.tag.fill(0);
+            for t in self.exact.iter_mut().chain(self.coarse.iter_mut()) {
+                t.fill(Slot::default());
             }
-            for t in self.stride.iter_mut().chain(&mut self.estride) {
-                t.iter_mut().for_each(|e| *e = 0);
-            }
+            self.dstride.iter_mut().for_each(|t| t.fill(0));
             self.gen = 1;
         }
     }
 
     #[inline]
     fn tag_pred(&self, hist: usize) -> Option<u8> {
-        let e = self.tag[hist];
+        let e = self.tag[hist & (TAG_SLOTS - 1)];
         (e >> 2 == self.gen).then_some((e & 3) as u8)
     }
 
+    /// Teaches the tag table that `t` followed `hist`; returns the
+    /// history with `t` shifted in.
     #[inline]
-    fn eval_pred(&self, c: usize, slot: usize) -> Option<u32> {
-        let e = self.eval[c][slot];
-        ((e >> 32) as u32 == self.gen).then_some(e as u32)
-    }
-
-    #[inline]
-    fn val_pred(&self, c: usize, slot: usize) -> Option<u32> {
-        let e = self.val[c][slot];
-        ((e >> 32) as u32 == self.gen).then_some(e as u32)
-    }
-
-    #[inline]
-    fn dstride_pred(&self, c: usize, slot: usize) -> Option<u32> {
-        let e = self.dstride[c][slot];
-        ((e >> 32) as u32 == self.gen).then_some(e as u32)
+    fn teach_tag(&mut self, hist: usize, t: u8) -> usize {
+        self.tag[hist & (TAG_SLOTS - 1)] = (self.gen << 2) | u32::from(t);
+        ((hist << 2) | t as usize) & (TAG_SLOTS - 1)
     }
 }
 
@@ -218,26 +215,21 @@ thread_local! {
 #[derive(Default)]
 struct BitWriter {
     bytes: Vec<u8>,
-    cur: u32,
+    cur: u64,
     n: u32,
 }
 
 impl BitWriter {
+    /// Appends the low `n` bits of `v` (whose higher bits are zero).
     #[inline]
-    fn push(&mut self, b: bool) {
-        self.cur |= u32::from(b) << self.n;
-        self.n += 1;
-        if self.n == 8 {
+    fn push(&mut self, v: u32, n: u32) {
+        self.cur |= u64::from(v) << self.n;
+        self.n += n;
+        while self.n >= 8 {
             self.bytes.push(self.cur as u8);
-            self.cur = 0;
-            self.n = 0;
+            self.cur >>= 8;
+            self.n -= 8;
         }
-    }
-
-    #[inline]
-    fn push2(&mut self, v: u8) {
-        self.push(v & 1 != 0);
-        self.push(v & 2 != 0);
     }
 
     fn finish(mut self) -> Vec<u8> {
@@ -248,46 +240,79 @@ impl BitWriter {
     }
 }
 
-/// LSB-first bit reader; every read is bounds-checked so decode stays
-/// total on arbitrary bytes.
-struct BitReader<'a> {
+/// LSB-first reader of one bit column through a 64-bit window that is
+/// refilled whole bytes at a time, so a tag or a flag code is one
+/// peek. Decode stays total on arbitrary bytes: consuming a bit past
+/// the column's last byte is [`CodecError::Truncated`].
+struct BitLane<'a> {
     bytes: &'a [u8],
-    at: usize,
-    cur: u32,
-    left: u32,
+    /// Bytes moved into `win` so far.
+    next: usize,
+    /// Unread bits, LSB first. Above the first `bits` it holds the
+    /// column's next bits, or zeros past its end.
+    win: u64,
+    /// Bits of `win` that are counted as read in.
+    bits: u32,
 }
 
-impl<'a> BitReader<'a> {
-    fn new(bytes: &'a [u8]) -> BitReader<'a> {
-        BitReader {
+impl<'a> BitLane<'a> {
+    fn new(bytes: &'a [u8]) -> BitLane<'a> {
+        BitLane {
             bytes,
-            at: 0,
-            cur: 0,
-            left: 0,
+            next: 0,
+            win: 0,
+            bits: 0,
         }
     }
 
+    /// The unread bits: at least three of them are valid, unless the
+    /// column has fewer left.
     #[inline]
-    fn bit(&mut self) -> Result<bool, CodecError> {
-        if self.left == 0 {
-            self.cur = u32::from(*self.bytes.get(self.at).ok_or(CodecError::Truncated)?);
-            self.at += 1;
-            self.left = 8;
+    fn peek(&mut self) -> u64 {
+        if self.bits < 3 {
+            self.refill();
         }
-        let b = self.cur & 1;
-        self.cur >>= 1;
-        self.left -= 1;
-        Ok(b != 0)
+        self.win
     }
 
+    /// Reads in the next seven bytes, or all that are left. Kept out of
+    /// line: it runs at most once per 18 codes, and inlined it slows
+    /// the word loop around it.
+    #[inline(never)]
+    fn refill(&mut self) {
+        let rest = &self.bytes[self.next..];
+        let n = rest.len().min(8);
+        let mut chunk = [0u8; 8];
+        chunk[..n].copy_from_slice(&rest[..n]);
+        self.win |= u64::from_le_bytes(chunk) << self.bits;
+        let whole = n.min(7);
+        self.next += whole;
+        self.bits += 8 * whole as u32;
+    }
+
+    /// Consumes `n` of the peeked bits.
     #[inline]
-    fn two(&mut self) -> Result<u8, CodecError> {
-        Ok(u8::from(self.bit()?) | (u8::from(self.bit()?) << 1))
+    fn skip(&mut self, n: u32) -> Result<(), CodecError> {
+        if n > self.bits {
+            return Err(CodecError::Truncated);
+        }
+        self.win >>= n;
+        self.bits -= n;
+        Ok(())
+    }
+
+    /// Reads a flag code — `1`, `01`, `001` or `000` — as the index of
+    /// the predictor it names, 3 for a miss.
+    #[inline]
+    fn flag(&mut self) -> Result<u32, CodecError> {
+        let code = self.peek().trailing_zeros().min(3);
+        self.skip((code + 1).min(3))?;
+        Ok(code)
     }
 
     /// All bytes consumed (padding bits in the final byte excepted)?
     fn done(&self) -> bool {
-        self.at == self.bytes.len()
+        self.next == self.bytes.len() && self.bits < 8
     }
 }
 
@@ -296,9 +321,13 @@ impl<'a> BitReader<'a> {
 struct ClassState {
     prev: u32,
     stride: u32,
-    /// The class's last four quantised strides, most recent first —
-    /// the stride-history key.
+    /// The class's last four quantised strides, a ring whose oldest
+    /// entry is at `oldest & 3`.
     hist: [u32; 4],
+    oldest: usize,
+    /// The stride-history key: the strides of `hist`, newest first,
+    /// the `i`th rotated left by `11 * i`, XORed together.
+    key: u32,
     /// A class is warm once it has a real previous value; the
     /// stride-history table is only taught from warm strides.
     warm: bool,
@@ -306,24 +335,17 @@ struct ClassState {
 
 impl ClassState {
     #[inline]
-    fn stride_pred(&self) -> u32 {
-        self.prev.wrapping_add(self.stride)
-    }
-
-    #[inline]
-    fn hist_slot(&self) -> usize {
-        let mut k = 0u32;
-        for (i, &h) in self.hist.iter().enumerate() {
-            k ^= h.rotate_left(11 * i as u32);
-        }
-        val_slot(k)
-    }
-
-    #[inline]
     fn advance(&mut self, w: u32) {
         let s = w.wrapping_sub(self.prev);
         if self.warm {
-            self.hist = [quant_stride(s), self.hist[0], self.hist[1], self.hist[2]];
+            // Rotating the key by 11 moves every stride one place
+            // older; the oldest lands at 44 = 12 (mod 32) and is
+            // XORed out there, and the new stride goes in unrotated.
+            let i = self.oldest & 3;
+            let q = quant_stride(s);
+            self.key = q ^ self.key.rotate_left(11) ^ self.hist[i].rotate_left(12);
+            self.hist[i] = q;
+            self.oldest = i + 1;
         }
         self.stride = s;
         self.prev = w;
@@ -331,64 +353,151 @@ impl ClassState {
     }
 }
 
-/// One word's worth of predictions: the three predictors in flag
-/// order, plus the table slots they read (so the update step writes
-/// exactly where the prediction looked).
+/// One word's worth of predictions, plus the table slots they read (so
+/// the update step writes exactly where the prediction looked, without
+/// reading again).
 struct Preds {
     e_slot: usize,
     c_slot: usize,
     d_slot: usize,
+    exact: Slot,
+    coarse: Slot,
     /// Exact-table differential prediction; `None` while the slot is
     /// cold this block.
     p1: Option<u32>,
-    /// Stride-history prediction (class running stride when cold) —
-    /// also the miss-varint base.
-    p3: u32,
     /// Coarse-table differential prediction (class running stride
     /// when cold).
     p2: u32,
 }
 
-#[inline]
-fn predict(s: &Scratch, cls: &ClassState, c: usize, key: u32) -> Preds {
+impl Preds {
+    /// The stride-history prediction (class running stride when cold)
+    /// — also the miss-varint base. Its table is read only for a word
+    /// the exact table did not settle.
+    #[inline(always)]
+    fn p3<const C: usize>(&self, s: &Scratch, cls: &ClassState) -> u32 {
+        let d = s.dstride[C][self.d_slot];
+        let stride = if (d >> 32) as u32 == s.gen {
+            d as u32
+        } else {
+            cls.stride
+        };
+        cls.prev.wrapping_add(stride)
+    }
+}
+
+/// The predictions for the next word of class `C` after the stream
+/// word `prev`. The context is `prev`, or for the control class its
+/// own previous word.
+#[inline(always)]
+fn predict<const C: usize>(s: &Scratch, cls: &ClassState, prev: u32) -> Preds {
+    let key = if C == 0 { cls.prev } else { prev };
     let e_slot = val_slot(key);
     let c_slot = val_slot(key >> 8);
-    let d_slot = cls.hist_slot();
-    let p1 = s
-        .eval_pred(c, e_slot)
-        .map(|v| v.wrapping_add(s.estride[c][e_slot]));
-    let p3 = match s.dstride_pred(c, d_slot) {
-        Some(st) => cls.prev.wrapping_add(st),
-        None => cls.stride_pred(),
-    };
-    let p2 = match s.val_pred(c, c_slot) {
-        Some(v) => v.wrapping_add(s.stride[c][c_slot]),
-        None => cls.stride_pred(),
-    };
+    let exact = s.exact[C][e_slot];
+    let coarse = s.coarse[C][c_slot];
     Preds {
         e_slot,
         c_slot,
-        d_slot,
-        p1,
-        p3,
-        p2,
+        d_slot: val_slot(cls.key),
+        exact,
+        coarse,
+        p1: (exact.gen == s.gen).then(|| exact.val.wrapping_add(exact.stride)),
+        p2: if coarse.gen == s.gen {
+            coarse.val.wrapping_add(coarse.stride)
+        } else {
+            cls.prev.wrapping_add(cls.stride)
+        },
     }
 }
 
 /// Teaches every table the observed word, in the slots [`predict`]
 /// read, then advances the class state. Encoder and decoder run this
 /// identically, which is what keeps them in lockstep.
-#[inline]
-fn update(s: &mut Scratch, cls: &mut ClassState, c: usize, p: &Preds, w: u32) {
-    let g = u64::from(s.gen) << 32;
-    s.estride[c][p.e_slot] = s.eval_pred(c, p.e_slot).map_or(0, |v| w.wrapping_sub(v));
-    s.eval[c][p.e_slot] = g | u64::from(w);
-    s.stride[c][p.c_slot] = s.val_pred(c, p.c_slot).map_or(0, |v| w.wrapping_sub(v));
-    s.val[c][p.c_slot] = g | u64::from(w);
+#[inline(always)]
+fn update<const C: usize>(s: &mut Scratch, cls: &mut ClassState, p: &Preds, w: u32) {
+    let gen = s.gen;
+    let taught = |old: Slot| Slot {
+        gen,
+        val: w,
+        stride: if old.gen == gen {
+            w.wrapping_sub(old.val)
+        } else {
+            0
+        },
+    };
+    s.exact[C][p.e_slot] = taught(p.exact);
+    s.coarse[C][p.c_slot] = taught(p.coarse);
     if cls.warm {
-        s.dstride[c][p.d_slot] = g | u64::from(w.wrapping_sub(cls.prev));
+        s.dstride[C][p.d_slot] = u64::from(gen) << 32 | u64::from(w.wrapping_sub(cls.prev));
     }
     cls.advance(w);
+}
+
+/// One class's output columns while encoding.
+#[derive(Default)]
+struct ClassOut {
+    flags: BitWriter,
+    miss: Vec<u8>,
+}
+
+/// Codes `w`, a word of class `C`, after the stream word `prev`.
+#[inline(always)]
+fn encode_word<const C: usize>(
+    s: &mut Scratch,
+    cls: &mut ClassState,
+    out: &mut ClassOut,
+    prev: u32,
+    w: u32,
+) {
+    let p = predict::<C>(s, cls, prev);
+    let code = if p.p1 == Some(w) {
+        0
+    } else {
+        let p3 = p.p3::<C>(s, cls);
+        if w == p3 {
+            1
+        } else if w == p.p2 {
+            2
+        } else {
+            put_varint(&mut out.miss, zigzag32(w.wrapping_sub(p3) as i32));
+            3
+        }
+    };
+    out.flags.push((1 << code) & 7, (code + 1).min(3));
+    update::<C>(s, cls, &p, w);
+}
+
+/// One class's input columns while decoding.
+struct ClassIn<'a> {
+    flags: BitLane<'a>,
+    miss: &'a [u8],
+    miss_at: usize,
+}
+
+/// Decodes the next word of class `C`, after the stream word `prev`.
+#[inline(always)]
+fn decode_word<const C: usize>(
+    s: &mut Scratch,
+    cls: &mut ClassState,
+    cols: &mut ClassIn,
+    prev: u32,
+) -> Result<u32, CodecError> {
+    let p = predict::<C>(s, cls, prev);
+    let w = match cols.flags.flag()? {
+        // A forged hit bit against a cold exact slot has no defined
+        // prediction; the stride-history base keeps decode total (the
+        // CRCs reject the block regardless).
+        0 => p.p1.unwrap_or_else(|| p.p3::<C>(s, cls)),
+        1 => p.p3::<C>(s, cls),
+        2 => p.p2,
+        _ => {
+            let z = take_varint(cols.miss, &mut cols.miss_at)?;
+            p.p3::<C>(s, cls).wrapping_add(unzigzag32(z) as u32)
+        }
+    };
+    update::<C>(s, cls, &p, w);
+    Ok(w)
 }
 
 /// Splits `bytes` into the seven column sections, verifying the
@@ -432,58 +541,34 @@ pub fn encode_block(words: &[u32]) -> Vec<u8> {
     SCRATCH.with(|s| {
         let s = &mut *s.borrow_mut();
         s.begin();
-        let mut tag_bits = BitWriter::default();
-        let mut flag_bits = [
-            BitWriter::default(),
-            BitWriter::default(),
-            BitWriter::default(),
-        ];
-        let mut miss: [Vec<u8>; 3] = [Vec::new(), Vec::new(), Vec::new()];
-        let mut cls = [ClassState::default(); 3];
+        let mut tags = BitWriter::default();
+        let [mut o0, mut o1, mut o2] = <[ClassOut; 3]>::default();
+        let [mut c0, mut c1, mut c2] = [ClassState::default(); 3];
         let mut hist = 0usize;
-        let mut prev_global = 0u32;
+        let mut prev = 0u32;
         for &w in words {
             let t = word_class(w);
-            match s.tag_pred(hist) {
-                Some(p) if p == t => tag_bits.push(true),
-                _ => {
-                    tag_bits.push(false);
-                    tag_bits.push2(t);
-                }
-            }
-            s.tag[hist] = (s.gen << 2) | u32::from(t);
-            hist = ((hist << 2) | t as usize) & (TAG_SLOTS - 1);
-
-            let c = t as usize;
-            let key = if c == 0 { cls[0].prev } else { prev_global };
-            let p = predict(s, &cls[c], c, key);
-            if p.p1 == Some(w) {
-                flag_bits[c].push(true);
+            if s.tag_pred(hist) == Some(t) {
+                tags.push(1, 1);
             } else {
-                flag_bits[c].push(false);
-                if w == p.p3 {
-                    flag_bits[c].push(true);
-                } else {
-                    flag_bits[c].push(false);
-                    if w == p.p2 {
-                        flag_bits[c].push(true);
-                    } else {
-                        flag_bits[c].push(false);
-                        put_varint(&mut miss[c], zigzag32(w.wrapping_sub(p.p3) as i32));
-                    }
-                }
+                tags.push(u32::from(t) << 1, 3);
             }
-            update(s, &mut cls[c], c, &p, w);
-            prev_global = w;
+            hist = s.teach_tag(hist, t);
+            match t {
+                0 => encode_word::<0>(s, &mut c0, &mut o0, prev, w),
+                1 => encode_word::<1>(s, &mut c1, &mut o1, prev, w),
+                _ => encode_word::<2>(s, &mut c2, &mut o2, prev, w),
+            }
+            prev = w;
         }
         let secs: [Vec<u8>; N_COLUMNS] = [
-            tag_bits.finish(),
-            std::mem::take(&mut flag_bits[0]).finish(),
-            std::mem::take(&mut miss[0]),
-            std::mem::take(&mut flag_bits[1]).finish(),
-            std::mem::take(&mut miss[1]),
-            std::mem::take(&mut flag_bits[2]).finish(),
-            std::mem::take(&mut miss[2]),
+            tags.finish(),
+            o0.flags.finish(),
+            o0.miss,
+            o1.flags.finish(),
+            o1.miss,
+            o2.flags.finish(),
+            o2.miss,
         ];
         let body: usize = secs.iter().map(|s| s.len() + 5).sum();
         let mut out = Vec::with_capacity(4 + body);
@@ -513,61 +598,45 @@ pub fn decode_block_into(
     SCRATCH.with(|s| {
         let s = &mut *s.borrow_mut();
         s.begin();
-        let mut tags = BitReader::new(secs[0]);
-        let mut flags = [
-            BitReader::new(secs[1]),
-            BitReader::new(secs[3]),
-            BitReader::new(secs[5]),
-        ];
-        let mut miss_at = [0usize; 3];
-        let mut cls = [ClassState::default(); 3];
+        let mut tags = BitLane::new(secs[0]);
+        let [mut k0, mut k1, mut k2] = [1, 3, 5].map(|i| ClassIn {
+            flags: BitLane::new(secs[i]),
+            miss: secs[i + 1],
+            miss_at: 0,
+        });
+        let [mut c0, mut c1, mut c2] = [ClassState::default(); 3];
         let mut hist = 0usize;
-        let mut prev_global = 0u32;
+        let mut prev = 0u32;
         for _ in 0..n_words {
-            let t = if tags.bit()? {
+            let bits = tags.peek();
+            let t = if bits & 1 != 0 {
+                tags.skip(1)?;
                 // A forged hit bit against a cold slot has no defined
                 // prediction; class 0 keeps decode total (the CRCs
                 // reject it long before results are trusted).
                 s.tag_pred(hist).unwrap_or(0)
             } else {
-                let t = tags.two()?;
-                if t > 2 {
-                    return Err(CodecError::Overlong);
+                tags.skip(3)?;
+                match (bits >> 1) & 3 {
+                    3 => return Err(CodecError::Overlong),
+                    t => t as u8,
                 }
-                t
             };
-            s.tag[hist] = (s.gen << 2) | u32::from(t);
-            hist = ((hist << 2) | t as usize) & (TAG_SLOTS - 1);
-
-            let c = t as usize;
-            let key = if c == 0 { cls[0].prev } else { prev_global };
-            let p = predict(s, &cls[c], c, key);
-            let w = if flags[c].bit()? {
-                // A forged hit bit against a cold exact slot has no
-                // defined prediction; the stride-history base keeps
-                // decode total (the CRCs reject the block regardless).
-                p.p1.unwrap_or(p.p3)
-            } else if flags[c].bit()? {
-                p.p3
-            } else if flags[c].bit()? {
-                p.p2
-            } else {
-                let sec = secs[2 * c + 2];
-                let z = take_varint(sec, &mut miss_at[c])?;
-                p.p3.wrapping_add(unzigzag32(z) as u32)
+            hist = s.teach_tag(hist, t);
+            prev = match t {
+                0 => decode_word::<0>(s, &mut c0, &mut k0, prev)?,
+                1 => decode_word::<1>(s, &mut c1, &mut k1, prev)?,
+                _ => decode_word::<2>(s, &mut c2, &mut k2, prev)?,
             };
-            out.push(w);
-            update(s, &mut cls[c], c, &p, w);
-            prev_global = w;
+            out.push(prev);
         }
-        if !tags.done() || flags.iter().any(|f| !f.done()) {
+        let cols = [&k0, &k1, &k2];
+        if !tags.done() || cols.iter().any(|k| !k.flags.done()) {
             return Err(CodecError::TrailingBytes(1));
         }
-        for c in 0..3 {
-            if miss_at[c] != secs[2 * c + 2].len() {
-                return Err(CodecError::TrailingBytes(
-                    secs[2 * c + 2].len() - miss_at[c],
-                ));
+        for k in cols {
+            if k.miss_at != k.miss.len() {
+                return Err(CodecError::TrailingBytes(k.miss.len() - k.miss_at));
             }
         }
         Ok(())
@@ -704,6 +773,136 @@ mod tests {
         // The loop's data addresses land in the user columns, the
         // bb-ids in the kernel columns; both flag columns are bits.
         assert!(lens[5] > 0 && lens[0] > 0);
+    }
+
+    /// A CRC-valid block from hand-written sections, in
+    /// [`COLUMN_NAMES`] order.
+    fn seal(secs: [&[u8]; N_COLUMNS]) -> Vec<u8> {
+        let mut out = vec![0; 4];
+        for sec in secs {
+            put_varint(&mut out, sec.len() as u64);
+            out.extend_from_slice(sec);
+        }
+        let crc = crc32_bytes(&out[4..]);
+        out[..4].copy_from_slice(&crc.to_le_bytes());
+        out
+    }
+
+    /// Control-class sections: the tag lane, then the class's flag
+    /// and miss lanes; the address classes stay empty.
+    fn ctl_block(tag: &[u8], flag: &[u8], miss: &[u8]) -> Vec<u8> {
+        seal([tag, flag, miss, &[], &[], &[], &[]])
+    }
+
+    #[test]
+    fn lane_errors_are_typed_and_exact() {
+        use CodecError::*;
+        // Tag bits are LSB first: `1` is a hit (a cold first slot
+        // reads as class 0, and class 0 then predicts itself), `0`
+        // is followed by an explicit 2-bit tag. Flag codes are
+        // 1 / 01 / 001 / 000, the last taking a miss varint.
+        let cases: [(&str, Vec<u8>, usize, CodecError); 13] = [
+            (
+                "tag lane ends before a word",
+                ctl_block(&[], &[], &[]),
+                1,
+                Truncated,
+            ),
+            // Two explicit class-0 tags (6 bits), then `0` and one
+            // bit of the third word's tag.
+            (
+                "tag lane ends mid-word",
+                ctl_block(&[0], &[0xff], &[]),
+                3,
+                Truncated,
+            ),
+            ("explicit tag 3", ctl_block(&[0b110], &[], &[]), 1, Overlong),
+            // Two misses (6 bits), then `00` of a third code.
+            (
+                "flag lane ends mid-code",
+                ctl_block(&[0xff], &[0], &[0, 0]),
+                3,
+                Truncated,
+            ),
+            (
+                "miss varint of six groups",
+                ctl_block(&[0xff], &[0], &[0x80, 0x80, 0x80, 0x80, 0x80, 0]),
+                1,
+                Overlong,
+            ),
+            (
+                "cut miss varint",
+                ctl_block(&[0xff], &[0], &[0x80]),
+                1,
+                Truncated,
+            ),
+            (
+                "unconsumed tag byte",
+                ctl_block(&[0xff, 0], &[0xff], &[]),
+                1,
+                TrailingBytes(1),
+            ),
+            (
+                "unconsumed flag byte",
+                ctl_block(&[0xff], &[0xff, 0], &[]),
+                1,
+                TrailingBytes(1),
+            ),
+            // Eight words read the first byte whole: the next one is
+            // unconsumed even though no bit of it was peeked at.
+            (
+                "unconsumed tag byte after a whole one",
+                ctl_block(&[0xff, 0], &[0xff], &[]),
+                8,
+                TrailingBytes(1),
+            ),
+            (
+                "unconsumed flag byte after a whole one",
+                ctl_block(&[0xff], &[0xff, 0], &[]),
+                8,
+                TrailingBytes(1),
+            ),
+            (
+                "unconsumed miss bytes",
+                ctl_block(&[0xff], &[0], &[5, 7, 7]),
+                1,
+                TrailingBytes(2),
+            ),
+            (
+                "unconsumed address-class lane",
+                seal([&[0xff], &[0xff], &[], &[], &[], &[0], &[]]),
+                1,
+                TrailingBytes(1),
+            ),
+            (
+                "no words, one tag byte",
+                ctl_block(&[0xff], &[], &[]),
+                0,
+                TrailingBytes(1),
+            ),
+        ];
+        for (what, block, n_words, want) in cases {
+            assert_eq!(decode_block(&block, n_words), Err(want), "{what}");
+        }
+        // A well-formed hand-built block, for contrast: a cold hit
+        // decodes as class 0, whose cold exact slot falls back to the
+        // running stride (0 + 0), then one miss of +5.
+        let ok = ctl_block(&[0b11], &[0b0001], &[10]);
+        assert_eq!(decode_block(&ok, 2), Ok(vec![0, 5]));
+    }
+
+    #[test]
+    fn a_miscounted_block_is_a_typed_error() {
+        let words = loopy(100);
+        let good = encode_block(&words);
+        assert_eq!(
+            decode_block(&good, words.len() - 1),
+            Err(CodecError::TrailingBytes(1))
+        );
+        assert_eq!(
+            decode_block(&good, words.len() + 1),
+            Err(CodecError::Truncated)
+        );
     }
 
     #[test]

@@ -6,8 +6,8 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 use wrl_store::{
-    compress_block, crc32_words, decompress_block, filter_stream, BlockCache, BlockFormat,
-    Predicate, QueryResult, TraceStore, STORE_VERSION_V4,
+    compress_block, crc32_bytes, crc32_words, decompress_block, filter_stream, BlockCache,
+    BlockFormat, Predicate, QueryResult, TraceStore, STORE_VERSION_V4,
 };
 use wrl_trace::{ctl, CtlOp, TraceArchive};
 
@@ -72,6 +72,41 @@ fn query_cold_then_warm(store: &TraceStore, pred: &Predicate) -> QueryResult {
         "warm pass decoded"
     );
     cold
+}
+
+fn put_varint(out: &mut Vec<u8>, mut v: usize) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+/// A v4 block's column sections, split at the lengths it declares.
+fn columnar_sections(block: &[u8]) -> Vec<Vec<u8>> {
+    let lens = wrl_store::column::section_lens(block).expect("own encoding splits");
+    let mut at = 4;
+    let mut prefix = Vec::new();
+    lens.iter()
+        .map(|&len| {
+            prefix.clear();
+            put_varint(&mut prefix, len);
+            at += prefix.len() + len;
+            block[at - len..at].to_vec()
+        })
+        .collect()
+}
+
+/// Lays `secs` out as a v4 block behind a freshly computed CRC.
+fn seal_columnar(secs: &[Vec<u8>]) -> Vec<u8> {
+    let mut out = vec![0; 4];
+    for sec in secs {
+        put_varint(&mut out, sec.len());
+        out.extend_from_slice(sec);
+    }
+    let crc = crc32_bytes(&out[4..]);
+    out[..4].copy_from_slice(&crc.to_le_bytes());
+    out
 }
 
 proptest! {
@@ -253,6 +288,38 @@ proptest! {
             match store.words() {
                 Err(_) => {}
                 Ok(w) => prop_assert_eq!(w, a.words.clone(), "flip silently absorbed"),
+            }
+        }
+    }
+
+    #[test]
+    fn columnar_lane_damage_behind_a_resealed_crc_never_panics(
+        words in vec(word_strategy(), 0..300),
+        at in any::<usize>(),
+        bit in 0u32..8,
+        extra in vec(any::<u8>(), 1..12),
+    ) {
+        // Arbitrary bytes never get past the leading CRC, so damage
+        // one section of a valid block at a time — a bit flipped, a
+        // cut, an extension — and re-seal the CRC: every lane reader
+        // then runs on bytes no encoder wrote, ending anywhere.
+        let secs = columnar_sections(&wrl_store::column::encode_block(&words));
+        for (s, sec) in secs.iter().enumerate() {
+            for how in 0..3 {
+                let mut bad = secs.clone();
+                let len = sec.len();
+                match how {
+                    0 if len > 0 => bad[s][at % len] ^= 1 << bit,
+                    1 => bad[s].truncate(at % (len + 1)),
+                    _ => bad[s].extend_from_slice(&extra),
+                }
+                let block = seal_columnar(&bad);
+                prop_assert!(wrl_store::column::section_lens(&block).is_ok());
+                for n_words in [words.len().saturating_sub(1), words.len(), words.len() + 1] {
+                    if let Ok(got) = wrl_store::column::decode_block(&block, n_words) {
+                        prop_assert_eq!(got.len(), n_words, "section {} how {}", s, how);
+                    }
+                }
             }
         }
     }

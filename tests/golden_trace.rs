@@ -16,6 +16,7 @@
 //!
 //! then update the pinned constants below with the printed values.
 
+use systrace::store::{crc32_bytes, BlockFormat, TraceStore};
 use systrace::trace::{CollectSink, ParseStats, Space, TraceArchive, CTL_LIMIT};
 
 const GOLDEN_PATH: &str = "tests/data/golden.w3kt";
@@ -166,6 +167,30 @@ fn damaged_golden_traces_parse_to_a_pinned_digest() {
         PINNED_DAMAGED_DIGEST,
         "events, statistics or errors changed on a damaged stream"
     );
+}
+
+/// `(format, block words, encoded length, crc32_bytes)` of
+/// `TraceStore::encode()` over the golden archive. Nothing else holds
+/// the stored bytes: `bytes_per_word` is checked only to 1%, and a
+/// round trip passes for an encoder and decoder that drift together.
+const PINNED_STORE_BYTES: [(BlockFormat, usize, usize, u32); 4] = [
+    (BlockFormat::Row, 4096, 15049, 0x6fbd_3407),
+    (BlockFormat::Row, 64, 20704, 0x0d5a_62fa),
+    (BlockFormat::Columnar, 4096, 7619, 0xac8a_fc90),
+    (BlockFormat::Columnar, 64, 17247, 0xa3fd_f50f),
+];
+
+#[test]
+fn golden_words_encode_to_pinned_store_bytes() {
+    let archive = TraceArchive::load(GOLDEN_PATH).expect("golden archive must load");
+    for (format, block_words, len, crc) in PINNED_STORE_BYTES {
+        let bytes = TraceStore::from_archive_with(&archive, block_words, format).encode();
+        assert_eq!(
+            (bytes.len(), crc32_bytes(&bytes)),
+            (len, crc),
+            "{format:?} store at {block_words}-word blocks changed its bytes"
+        );
+    }
 }
 
 /// Regenerates `tests/data/golden.w3kt` and prints the constants to
