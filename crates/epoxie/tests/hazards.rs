@@ -23,8 +23,8 @@ enum R {
 
 struct Sink(Vec<R>);
 impl TraceSink for Sink {
-    fn iref(&mut self, v: u32, _s: Space, _i: bool) {
-        self.0.push(R::I(v));
+    fn irefs(&mut self, v: u32, n: u32, _s: Space, _i: bool) {
+        self.0.extend((0..n).map(|i| R::I(v + 4 * i)));
     }
     fn dref(&mut self, v: u32, st: bool, _w: wrl_isa::Width, _s: Space) {
         self.0.push(if st { R::S(v) } else { R::L(v) });

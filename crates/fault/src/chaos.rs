@@ -379,29 +379,32 @@ fn run_site(input: &ChaosInput, plan: FaultPlan) -> Outcome {
 /// reports the typed [`SinkError`] from `finish` — the `tracer.sink`
 /// injector. `seen` reaching `at` is the latch.
 struct FailingSink {
-    /// Which callback fails: 0 `iref`, 1 `dref`, 2 `ctx_switch`,
+    /// Which callback fails: 0 `irefs`, 1 `dref`, 2 `ctx_switch`,
     /// 3 `before_word`.
     hook: u8,
-    /// Fail on the `at`-th invocation of that callback (1-based).
+    /// Fail on the `at`-th reference or invocation of that callback
+    /// (1-based; a run of fetches is one reference per fetch).
     at: u64,
     seen: u64,
 }
 
 impl FailingSink {
-    fn tick(&mut self, hook: u8) {
-        self.seen += u64::from(hook == self.hook);
+    fn tick(&mut self, hook: u8, n: u32) {
+        if hook == self.hook {
+            self.seen += u64::from(n);
+        }
     }
 }
 
 impl TraceSink for FailingSink {
-    fn iref(&mut self, _v: u32, _s: wrl_trace::Space, _i: bool) {
-        self.tick(0);
+    fn irefs(&mut self, _v: u32, n: u32, _s: wrl_trace::Space, _i: bool) {
+        self.tick(0, n);
     }
     fn dref(&mut self, _v: u32, _st: bool, _w: wrl_isa::Width, _s: wrl_trace::Space) {
-        self.tick(1);
+        self.tick(1, 1);
     }
     fn ctx_switch(&mut self, _a: u8) {
-        self.tick(2);
+        self.tick(2, 1);
     }
     fn wants(&self) -> Wants {
         if self.hook == 3 {
@@ -411,7 +414,7 @@ impl TraceSink for FailingSink {
         }
     }
     fn before_word(&mut self, _pos: u64, _word: u32) {
-        self.tick(3);
+        self.tick(3, 1);
     }
 }
 

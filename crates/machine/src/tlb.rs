@@ -147,6 +147,16 @@ impl Tlb {
         };
     }
 
+    /// Advances the Random register `n` times: `n` calls of
+    /// [`Tlb::tick`], as arithmetic over its cycle of
+    /// `TLB_ENTRIES - TLB_WIRED` values.
+    #[inline]
+    pub fn tick_by(&mut self, n: u32) {
+        let span = TLB_ENTRIES - TLB_WIRED;
+        let below_top = TLB_ENTRIES - 1 - self.random + n as usize % span;
+        self.random = TLB_ENTRIES - 1 - below_top % span;
+    }
+
     /// Current Random register value.
     pub fn random(&self) -> usize {
         self.random
@@ -278,6 +288,23 @@ mod tests {
                         prop_assert_eq!(t.lookup(page(p) << 12, a), t.scan(page(p) << 12, a));
                     }
                 }
+            }
+        }
+    }
+
+    proptest! {
+        /// `tick_by(n)` is `n` ticks from every value Random can hold,
+        /// for counts that wrap its 56-value cycle up to three times.
+        #[test]
+        fn tick_by_is_n_ticks(n in 0u32..200) {
+            for start in TLB_WIRED..TLB_ENTRIES {
+                let (mut by, mut one) = (Tlb::new(), Tlb::new());
+                (by.random, one.random) = (start, start);
+                by.tick_by(n);
+                for _ in 0..n {
+                    one.tick();
+                }
+                prop_assert_eq!(by.random(), one.random(), "from {} by {}", start, n);
             }
         }
     }

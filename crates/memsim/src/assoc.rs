@@ -7,6 +7,22 @@
 //! direct-mapped like the DECstation, but trace-driven exploration
 //! wants associativity — this LRU model provides it.
 
+/// The `line`-byte lines that `n` word accesses at `paddr`,
+/// `paddr + 4`, ... touch: per line, the first access's address and
+/// how many of the `n` fall on it.
+pub(crate) fn line_spans(paddr: u32, n: u32, line: u32) -> impl Iterator<Item = (u32, u32)> {
+    let (mut pa, mut left) = (paddr, n);
+    std::iter::from_fn(move || {
+        (left > 0).then(|| {
+            let on_line = (line - pa % line).div_ceil(4).min(left);
+            let span = (pa, on_line);
+            pa = pa.wrapping_add(4 * on_line);
+            left -= on_line;
+            span
+        })
+    })
+}
+
 /// A set-associative, LRU, tag-only cache.
 #[derive(Clone, Debug)]
 pub struct AssocCache {
@@ -77,6 +93,16 @@ impl AssocCache {
         ways[0] = tag;
         self.misses += 1;
         false
+    }
+
+    /// `k` word accesses at `paddr`, `paddr + 4`, ...: one lookup per
+    /// line they touch, and the rest of each line a hit on the line
+    /// that lookup just made most recent.
+    pub fn access_run(&mut self, paddr: u32, k: u32) {
+        for (pa, on_line) in line_spans(paddr, k, 1 << self.line_shift) {
+            self.access(pa);
+            self.accesses += u64::from(on_line - 1);
+        }
     }
 
     /// Miss ratio so far.

@@ -21,6 +21,7 @@ use wrl_machine::dec5000;
 use wrl_machine::tlb::{Tlb, TlbEntry, TlbLookup};
 use wrl_trace::parser::{Space, TraceSink};
 
+use crate::assoc::line_spans;
 use crate::pagemap::PageMap;
 
 /// Identifies an address space for page mapping.
@@ -271,36 +272,47 @@ impl MemSim {
 }
 
 impl TraceSink for MemSim {
-    fn iref(&mut self, vaddr: u32, space: Space, idle: bool) {
+    fn irefs(&mut self, vaddr: u32, n: u32, space: Space, idle: bool) {
         let t0 = self.cycles;
         self.synth_delta = 0;
+        let k = u64::from(n);
         // §4.3 sanity check: kernel instruction addresses must be in
-        // the kernel instruction address space.
+        // the kernel instruction address space. A run's page never
+        // straddles 0x8000_0000, so one check holds for all of it.
         let is_kaddr = vaddr >= 0x8000_0000;
         if matches!(space, Space::Kernel) != is_kaddr {
-            self.stats.sanity_violations += 1;
+            self.stats.sanity_violations += k;
         }
-        self.cycles += 1;
+        // One cycle and one Random step per instruction; the first
+        // fetch steps Random before it translates.
+        self.cycles += k;
         self.tlb.tick();
         if idle {
-            self.stats.idle_insts += 1;
+            self.stats.idle_insts += k;
         }
         match space {
-            Space::Kernel => self.stats.kernel_irefs += 1,
-            Space::User(_) => self.stats.user_irefs += 1,
+            Space::Kernel => self.stats.kernel_irefs += k,
+            Space::User(_) => self.stats.user_irefs += k,
         }
+        // Only the first fetch can miss the TLB: it leaves the run's
+        // page there, and the others hit it.
         let (paddr, cached) = self.translate(vaddr, space);
+        self.tlb.tick_by(n - 1);
         if cached {
-            if !self.icache.access(paddr) {
-                self.stats.imisses += 1;
-                if matches!(space, Space::Kernel) {
-                    self.stats.imisses_kernel += 1;
+            // One I-cache access per line; the rest of a line hits the
+            // line its first fetch just filled.
+            for (pa, _) in line_spans(paddr, n, self.icache.cfg().line) {
+                if !self.icache.access(pa) {
+                    self.stats.imisses += 1;
+                    if matches!(space, Space::Kernel) {
+                        self.stats.imisses_kernel += 1;
+                    }
+                    self.cycles += dec5000::IMISS_PENALTY;
                 }
-                self.cycles += dec5000::IMISS_PENALTY;
             }
         } else {
-            self.stats.uncached += 1;
-            self.cycles += dec5000::UNCACHED_PENALTY;
+            self.stats.uncached += k;
+            self.cycles += k * dec5000::UNCACHED_PENALTY;
         }
         let own = self.cycles - t0 - self.synth_delta;
         match space {

@@ -139,6 +139,30 @@ proptest! {
         }
     }
 
+    /// A run of `k` word accesses is `k` accesses, one at a time: the
+    /// same hits and misses on every access after it, at 1, 2 and 4
+    /// ways, for runs from any byte offset that cross up to ten lines.
+    #[test]
+    fn assoc_cache_run_is_k_accesses(
+        ops in proptest::collection::vec((0u32..(1 << 12), 1u32..40, any::<bool>()), 1..300),
+    ) {
+        for ways in [1usize, 2, 4] {
+            let mut run = wrl_memsim::AssocCache::new(256, 16, ways);
+            let mut one = wrl_memsim::AssocCache::new(256, 16, ways);
+            for &(pa, k, single) in &ops {
+                if single {
+                    prop_assert_eq!(run.access(pa), one.access(pa), "{} ways at {:#x}", ways, pa);
+                } else {
+                    run.access_run(pa, k);
+                    for i in 0..k {
+                        one.access(pa + 4 * i);
+                    }
+                }
+                prop_assert_eq!((run.accesses, run.misses), (one.accesses, one.misses));
+            }
+        }
+    }
+
     /// Increasing associativity at fixed size never increases the
     /// miss count for these workload-like streams (LRU inclusion
     /// holds per set only in the fully-associative limit, but for

@@ -380,7 +380,7 @@ pub struct TraceStore {
 struct NullSink;
 
 impl wrl_trace::TraceSink for NullSink {
-    fn iref(&mut self, _vaddr: u32, _space: wrl_trace::Space, _idle: bool) {}
+    fn irefs(&mut self, _vaddr: u32, _n: u32, _space: wrl_trace::Space, _idle: bool) {}
     fn dref(
         &mut self,
         _vaddr: u32,

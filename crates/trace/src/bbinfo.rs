@@ -10,6 +10,7 @@
 //! behaviours: idle-loop counter flags and hand-traced markers.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use wrl_isa::Width;
 
 /// One load or store within a basic block.
@@ -59,6 +60,32 @@ impl BbInfo {
     }
 }
 
+/// Hashes a block id with one multiply. Ids are word-aligned, so the
+/// product's low bits never change; the map's bucket bits are taken
+/// from its high half. A table read from a file can crowd a bucket and
+/// slow a lookup, never change its answer.
+#[derive(Clone, Copy, Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(ID_MUL);
+        }
+    }
+
+    fn write_u32(&mut self, id: u32) {
+        self.0 = u64::from(id).wrapping_mul(ID_MUL);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(32)
+    }
+}
+
+/// An odd multiplier, 2^64 over the golden ratio.
+const ID_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+
 /// The basic-block lookup table for one binary.
 ///
 /// Keys are *basic-block ids*: the return address that `jal bbtrace`
@@ -69,7 +96,7 @@ impl BbInfo {
 #[derive(Clone, Debug, Default)]
 pub struct BbTable {
     blocks: Vec<(u32, BbInfo)>,
-    index: HashMap<u32, u32>,
+    index: HashMap<u32, u32, BuildHasherDefault<IdHasher>>,
 }
 
 impl BbTable {

@@ -39,11 +39,26 @@ pub enum Wants {
     Words,
 }
 
+/// Bytes in a page: a run of instruction fetches never crosses one.
+const PAGE_BYTES: u32 = 4096;
+
 /// Consumer of the parsed reference stream (typically a memory-system
 /// simulator).
+///
+/// Instruction fetches arrive as *runs*: the trace writes one word
+/// per basic block, and the fetches between two memory operations are
+/// implied by the block's table entry (§3.5), so the parser hands them
+/// over as one call rather than one call each.
 pub trait TraceSink {
-    /// An instruction fetch at `vaddr` (uninstrumented address).
-    fn iref(&mut self, vaddr: u32, space: Space, idle: bool);
+    /// `n >= 1` instruction fetches at `vaddr`, `vaddr + 4`, ...
+    /// (uninstrumented addresses), all on one 4 KB page, in one space
+    /// and one idle state.
+    fn irefs(&mut self, vaddr: u32, n: u32, space: Space, idle: bool);
+    /// One instruction fetch: shorthand for
+    /// `irefs(vaddr, 1, space, idle)`.
+    fn iref(&mut self, vaddr: u32, space: Space, idle: bool) {
+        self.irefs(vaddr, 1, space, idle);
+    }
     /// A data reference at `vaddr`.
     fn dref(&mut self, vaddr: u32, store: bool, width: Width, space: Space);
     /// The base context switched to the given ASID.
@@ -66,9 +81,9 @@ pub trait TraceSink {
 /// A pair of sinks is a sink: every callback goes to both, in order —
 /// the tee that lets one parse feed two consumers.
 impl<A: TraceSink, B: TraceSink> TraceSink for (A, B) {
-    fn iref(&mut self, vaddr: u32, space: Space, idle: bool) {
-        self.0.iref(vaddr, space, idle);
-        self.1.iref(vaddr, space, idle);
+    fn irefs(&mut self, vaddr: u32, n: u32, space: Space, idle: bool) {
+        self.0.irefs(vaddr, n, space, idle);
+        self.1.irefs(vaddr, n, space, idle);
     }
     fn dref(&mut self, vaddr: u32, store: bool, width: Width, space: Space) {
         self.0.dref(vaddr, store, width, space);
@@ -217,7 +232,7 @@ pub struct TraceParser {
 }
 
 /// Emits I-refs for instructions `[p.emitted, upto)` of `p`'s block,
-/// which `info` describes.
+/// which `info` describes: one run per page they touch.
 fn emit_irefs(
     stats: &mut ParseStats,
     idle: bool,
@@ -228,15 +243,24 @@ fn emit_irefs(
     sink: &mut dyn TraceSink,
 ) {
     let upto = upto.min(info.n_insts);
-    for i in p.emitted..upto {
+    let mut i = p.emitted;
+    while i < upto {
         // A table read from a file may put a block anywhere; the
-        // address space wraps rather than the arithmetic.
-        sink.iref(info.orig_vaddr.wrapping_add(u32::from(i) * 4), space, idle);
-        match space {
-            Space::Kernel => stats.kernel_irefs += 1,
-            Space::User(_) => stats.user_irefs += 1,
-        }
-        stats.idle_insts += u64::from(idle);
+        // address space wraps rather than the arithmetic, and address
+        // 0 starts a page like any other.
+        let vaddr = info.orig_vaddr.wrapping_add(u32::from(i) * 4);
+        let on_page = (PAGE_BYTES - vaddr % PAGE_BYTES).div_ceil(4);
+        let n = on_page.min(u32::from(upto - i));
+        sink.irefs(vaddr, n, space, idle);
+        i += n as u16;
+    }
+    let n = u64::from(upto.saturating_sub(p.emitted));
+    match space {
+        Space::Kernel => stats.kernel_irefs += n,
+        Space::User(_) => stats.user_irefs += n,
+    }
+    if idle {
+        stats.idle_insts += n;
     }
     p.emitted = p.emitted.max(upto);
 }
@@ -491,8 +515,9 @@ pub struct CollectSink {
 }
 
 impl TraceSink for CollectSink {
-    fn iref(&mut self, vaddr: u32, space: Space, idle: bool) {
-        self.irefs.push((vaddr, space, idle));
+    fn irefs(&mut self, vaddr: u32, n: u32, space: Space, idle: bool) {
+        self.irefs
+            .extend((0..n).map(|i| (vaddr + 4 * i, space, idle)));
     }
 
     fn dref(&mut self, vaddr: u32, store: bool, _width: Width, space: Space) {
@@ -566,6 +591,54 @@ mod tests {
             vec![
                 (0x0100_0040, false, Space::User(3)),
                 (0x0100_0080, true, Space::User(3)),
+            ]
+        );
+    }
+
+    /// Records each run of fetches as `(vaddr, n)`.
+    #[derive(Default)]
+    struct Runs(Vec<(u32, u32)>);
+
+    impl TraceSink for Runs {
+        fn irefs(&mut self, vaddr: u32, n: u32, _space: Space, _idle: bool) {
+            self.0.push((vaddr, n));
+        }
+        fn dref(&mut self, _vaddr: u32, _store: bool, _width: Width, _space: Space) {}
+    }
+
+    #[test]
+    fn fetches_arrive_in_runs_cut_at_memory_ops_and_pages() {
+        let ut = table(vec![
+            // Across a page, a load at 3.
+            (0x50_0000, bb(0x40_0ff8, 6, vec![ld(3)])),
+            // Wraps at 2^32: address 0 starts a page.
+            (0x50_0010, bb(0xffff_fff8, 4, vec![])),
+            // 1024 fetches fill a page.
+            (0x50_0020, bb(0x41_0000, 2000, vec![])),
+        ]);
+        let mut p = TraceParser::new(table(vec![]));
+        p.set_user_table(3, ut);
+        let words = [
+            ctl(CtlOp::CtxSwitch, 3),
+            0x50_0000,
+            0x0100_0040,
+            0x50_0010,
+            0x50_0020,
+        ];
+        let mut sink = Runs::default();
+        p.parse_all(&words, &mut sink);
+        assert_eq!(p.stats.errors, 0, "{:?}", p.errors);
+        assert_eq!(p.stats.user_irefs, 6 + 4 + 2000);
+        assert_eq!(
+            sink.0,
+            [
+                (0x40_0ff8, 2),
+                (0x40_1000, 2),
+                (0x40_1008, 2),
+                (0xffff_fff8, 2),
+                (0, 2),
+                (0x41_0000, 1024),
+                (0x41_1000, 976),
             ]
         );
     }

@@ -52,10 +52,12 @@ wrl_obs::metrics! {
 /// [`TraceSink`]. Buffered by [`EventVec`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RefEvent {
-    /// An instruction fetch.
+    /// A run of instruction fetches ([`TraceSink::irefs`]).
     Iref {
-        /// Uninstrumented virtual address.
+        /// Uninstrumented virtual address of the first.
         vaddr: u32,
+        /// Fetches in the run, at `vaddr`, `vaddr + 4`, ...
+        n: u32,
         /// Owning address space.
         space: Space,
         /// Whether the block is idle-marked.
@@ -82,7 +84,12 @@ impl RefEvent {
     /// Replays this event into a sink.
     pub fn apply(self, sink: &mut dyn TraceSink) {
         match self {
-            RefEvent::Iref { vaddr, space, idle } => sink.iref(vaddr, space, idle),
+            RefEvent::Iref {
+                vaddr,
+                n,
+                space,
+                idle,
+            } => sink.irefs(vaddr, n, space, idle),
             RefEvent::Dref {
                 vaddr,
                 store,
@@ -104,8 +111,13 @@ impl RefEvent {
 pub struct EventVec(pub Vec<RefEvent>);
 
 impl TraceSink for EventVec {
-    fn iref(&mut self, vaddr: u32, space: Space, idle: bool) {
-        self.0.push(RefEvent::Iref { vaddr, space, idle });
+    fn irefs(&mut self, vaddr: u32, n: u32, space: Space, idle: bool) {
+        self.0.push(RefEvent::Iref {
+            vaddr,
+            n,
+            space,
+            idle,
+        });
     }
 
     fn dref(&mut self, vaddr: u32, store: bool, width: Width, space: Space) {
@@ -406,8 +418,8 @@ mod tests {
     }
 
     impl TraceSink for WordLog {
-        fn iref(&mut self, _v: u32, _s: Space, _i: bool) {
-            self.log.push(('i', 0));
+        fn irefs(&mut self, _v: u32, n: u32, _s: Space, _i: bool) {
+            self.log.push(('i', n.into()));
         }
         fn dref(&mut self, _v: u32, _st: bool, _w: Width, _s: Space) {}
         fn wants(&self) -> Wants {
@@ -434,14 +446,17 @@ mod tests {
                 ..WordLog::default()
             },
         );
-        // The user block's three I-refs: one up to its load when the
-        // address word arrives, two when the stream ends.
+        // The user block's three I-refs: a run of two up to its load
+        // when the address word arrives, a run of one when the stream
+        // ends.
         d.feed(&[USER_BB]);
         d.feed(&[0x7000_0000]);
         let (report, sink) = d.finish();
         assert_eq!(report.parse.user_irefs, 3);
-        let i = ('i', 0);
-        assert_eq!(sink.log, [('b', 0), ('a', 0), ('b', 1), i, i, ('a', 1), i]);
+        assert_eq!(
+            sink.log,
+            [('b', 0), ('a', 0), ('b', 1), ('i', 2), ('a', 1), ('i', 1)]
+        );
     }
 
     #[test]

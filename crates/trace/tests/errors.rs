@@ -264,24 +264,20 @@ fn end_of_stream_flushes_kernel_activations_then_users_in_asid_order() {
     ];
     let mut sink = EventVec::default();
     p.parse_all(&words, &mut sink);
-    let iref = |vaddr, space| RefEvent::Iref {
+    let irefs = |vaddr, n, space| RefEvent::Iref {
         vaddr,
+        n,
         space,
         idle: false,
     };
     let tail = [
         // Innermost activation, then the one it interrupted.
-        iref(0x8004_0000, Space::Kernel),
-        iref(0x8004_0004, Space::Kernel),
-        iref(0x8004_0008, Space::Kernel),
-        iref(0x8003_0000, Space::Kernel),
-        iref(0x8003_0004, Space::Kernel),
+        irefs(0x8004_0000, 3, Space::Kernel),
+        irefs(0x8003_0000, 2, Space::Kernel),
         // Then the user spaces by ASID, not by arrival.
-        iref(0x0042_0004, Space::User(2)),
-        iref(0x0042_0008, Space::User(2)),
-        iref(0x0049_0000, Space::User(9)),
-        iref(0x0049_0004, Space::User(9)),
-        iref(0x004c_0000, Space::User(200)),
+        irefs(0x0042_0004, 2, Space::User(2)),
+        irefs(0x0049_0000, 2, Space::User(9)),
+        irefs(0x004c_0000, 1, Space::User(200)),
     ];
     assert_eq!(sink.0[sink.0.len() - tail.len()..], tail);
     let truncated = |bb_id, missing| ParseError::Truncated { bb_id, missing };

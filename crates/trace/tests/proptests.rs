@@ -10,7 +10,8 @@ use wrl_trace::format::{ctl, CtlOp};
 use wrl_trace::{CollectSink, Space, TraceParser, TraceSink};
 
 /// Counts references (a block of 65535 instructions is too many to
-/// collect six hundred times a case).
+/// collect six hundred times a case), and holds every run of fetches
+/// to the hook's contract: at least one, all on one page.
 #[derive(Default)]
 struct Counts {
     irefs: u64,
@@ -18,8 +19,13 @@ struct Counts {
 }
 
 impl TraceSink for Counts {
-    fn iref(&mut self, _: u32, _: Space, _: bool) {
-        self.irefs += 1;
+    fn irefs(&mut self, vaddr: u32, n: u32, _: Space, _: bool) {
+        assert!(n >= 1, "an empty run");
+        assert!(
+            vaddr % 4096 + 4 * (n - 1) < 4096,
+            "{n} fetches at {vaddr:#x}"
+        );
+        self.irefs += u64::from(n);
     }
     fn dref(&mut self, _: u32, _: bool, _: Width, _: Space) {
         self.drefs += 1;

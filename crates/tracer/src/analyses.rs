@@ -68,9 +68,9 @@ impl CacheSink {
 }
 
 impl TraceSink for CacheSink {
-    fn iref(&mut self, vaddr: u32, space: Space, _idle: bool) {
+    fn irefs(&mut self, vaddr: u32, n: u32, space: Space, _idle: bool) {
         let pa = self.translate(vaddr, space);
-        self.icache.access(pa);
+        self.icache.access_run(pa, n);
     }
 
     fn dref(&mut self, vaddr: u32, _store: bool, _w: Width, space: Space) {
@@ -150,8 +150,8 @@ pub struct DilationSink {
 }
 
 impl TraceSink for DilationSink {
-    fn iref(&mut self, _v: u32, _s: Space, _i: bool) {
-        self.irefs += 1;
+    fn irefs(&mut self, _v: u32, n: u32, _s: Space, _i: bool) {
+        self.irefs += u64::from(n);
     }
 
     fn dref(&mut self, _v: u32, _st: bool, _w: Width, _s: Space) {
@@ -224,7 +224,8 @@ impl PagemapSink {
         }
     }
 
-    fn touch(&mut self, vaddr: u32, space: Space) {
+    /// Counts `n` references to `vaddr`'s page.
+    fn touch(&mut self, vaddr: u32, n: u32, space: Space) {
         // kseg0/kseg1 are unmapped segments: no page map involved.
         if seg::unmapped(vaddr).is_some() {
             return;
@@ -234,17 +235,17 @@ impl PagemapSink {
         self.pagemap.translate(key, vaddr);
         let row = &mut self.rows[key.index() as usize];
         row.0 += self.pagemap.len() as u64 - before;
-        row.1 += 1;
+        row.1 += u64::from(n);
     }
 }
 
 impl TraceSink for PagemapSink {
-    fn iref(&mut self, vaddr: u32, space: Space, _idle: bool) {
-        self.touch(vaddr, space);
+    fn irefs(&mut self, vaddr: u32, n: u32, space: Space, _idle: bool) {
+        self.touch(vaddr, n, space);
     }
 
     fn dref(&mut self, vaddr: u32, _store: bool, _w: Width, space: Space) {
-        self.touch(vaddr, space);
+        self.touch(vaddr, 1, space);
     }
 
     fn ctx_switch(&mut self, asid: u8) {
@@ -292,13 +293,13 @@ pub struct DefenseSink {
 }
 
 impl TraceSink for DefenseSink {
-    fn iref(&mut self, vaddr: u32, space: Space, _idle: bool) {
-        self.irefs += 1;
+    fn irefs(&mut self, vaddr: u32, n: u32, space: Space, _idle: bool) {
+        self.irefs += u64::from(n);
         // The same check MemSim applies (§4.3): kernel instruction
         // addresses must be in the kernel instruction address space.
         let is_kaddr = vaddr >= 0x8000_0000;
         if matches!(space, Space::Kernel) != is_kaddr {
-            self.sanity_violations += 1;
+            self.sanity_violations += u64::from(n);
         }
     }
 

@@ -29,16 +29,17 @@ use wrl_trace::{Driver, ParseStats, Space, TraceParser, TraceSink, Wants};
 use crate::obs::TracerObs;
 use crate::sink::{AnalysisSink, SinkError, SinkReport};
 
-/// One boxed sink and the events applied to it.
+/// One boxed sink and the events applied to it, a run of fetches
+/// counting one per fetch.
 struct Slot {
     sink: Box<dyn AnalysisSink + Send>,
     applied: u64,
 }
 
 impl TraceSink for Slot {
-    fn iref(&mut self, vaddr: u32, space: Space, idle: bool) {
-        self.applied += 1;
-        self.sink.iref(vaddr, space, idle);
+    fn irefs(&mut self, vaddr: u32, n: u32, space: Space, idle: bool) {
+        self.applied += u64::from(n);
+        self.sink.irefs(vaddr, n, space, idle);
     }
     fn dref(&mut self, vaddr: u32, store: bool, width: Width, space: Space) {
         self.applied += 1;
@@ -132,9 +133,9 @@ impl Stack {
 }
 
 impl TraceSink for Stack {
-    fn iref(&mut self, vaddr: u32, space: Space, idle: bool) {
+    fn irefs(&mut self, vaddr: u32, n: u32, space: Space, idle: bool) {
         for s in &mut self.slots {
-            s.iref(vaddr, space, idle);
+            s.irefs(vaddr, n, space, idle);
         }
     }
 
@@ -191,7 +192,8 @@ pub struct StackReport {
     pub parse: ParseStats,
     /// Raw trace words in the pass.
     pub words: u64,
-    /// Event×sink applications routed (events × sinks).
+    /// Event×sink applications routed (references × sinks: a run of
+    /// fetches counts once per fetch).
     pub applied: u64,
 }
 

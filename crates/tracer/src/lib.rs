@@ -8,7 +8,9 @@
 //! each owning its own pipeline.
 //!
 //! * [`sink`] — the [`AnalysisSink`] trait: a `wrl_trace::TraceSink`
-//!   (whose event and word hooks are the only ones there are) plus
+//!   (whose event and word hooks are the only ones there are; its one
+//!   instruction hook, `irefs`, takes a run of fetches on one page, and
+//!   each sink here does per run what it would do per fetch) plus
 //!   `name()` and `finish() -> Result<SinkReport, SinkError>`;
 //! * [`driver`] — the [`Stack`] of sink slots (a `TraceSink` for the
 //!   one `wrl_trace::Driver`) and the one-pass entry points

@@ -17,7 +17,7 @@ wrl_obs::metrics! {
         words: gauge "tracer.words", "words", "§3.4",
             "Trace words in the last pass (each worker of a store pass reads them all).";
         applied: counter "tracer.events.applied", "events", "§3.4",
-            "Event-to-sink applications routed (events x sinks, a latched sink included; differs from events x live sinks only on a pass with a failed slot).";
+            "Event-to-sink applications routed (references x sinks: a run of fetches counts once per fetch; a latched sink included, so it differs from references x live sinks only on a pass with a failed slot).";
         sink_errors: counter "tracer.sink_errors", "errors", "§4.3",
             "Sinks that latched a typed error mid-pass and reported it (siblings unaffected).";
     }
@@ -48,9 +48,10 @@ mod tests {
             words: 17,
             applied: 5,
         };
-        let before = obs.passes.get();
+        let (before, applied) = (obs.passes.get(), obs.applied.get());
         obs.record(&report, 3);
         assert_eq!(obs.passes.get(), before + 1);
+        assert_eq!(obs.applied.get(), applied + 5);
         assert_eq!(obs.sink_errors.get(), 1);
     }
 }

@@ -162,9 +162,9 @@ impl SampledWindowSink {
 }
 
 impl TraceSink for SampledWindowSink {
-    fn iref(&mut self, _v: u32, _s: Space, _i: bool) {
+    fn irefs(&mut self, _v: u32, n: u32, _s: Space, _i: bool) {
         if self.active {
-            self.sampled_irefs += 1;
+            self.sampled_irefs += u64::from(n);
         }
     }
 
@@ -246,8 +246,10 @@ struct PageWindow {
 }
 
 impl PageWindow {
-    /// Counts a reference to `page`; true when it fills the window.
-    fn touch(&mut self, page: u32, window: u64) -> bool {
+    /// Counts up to `n` references to `page`, as many as the window
+    /// has room for: how many it counted. The window is full when
+    /// `refs` reaches `window`.
+    fn touch_n(&mut self, page: u32, n: u64, window: u64) -> u64 {
         if self.touched.last() != Some(&page) {
             // A window longer than the address space has pages
             // compacts in place: at most 8 MB, however long it is.
@@ -257,8 +259,9 @@ impl PageWindow {
             }
             self.touched.push(page);
         }
-        self.refs += 1;
-        self.refs == window
+        let took = n.min(window - self.refs);
+        self.refs += took;
+        took
     }
 
     /// Ends the window: its distinct pages, sorted.
@@ -281,10 +284,15 @@ struct WsRow {
 }
 
 impl WsRow {
-    fn touch(&mut self, page: u32, window: u64) {
-        self.refs += 1;
-        if self.cur.touch(page, window) {
-            self.roll();
+    /// Counts `n` references to `page`, rolling each window they fill.
+    fn touch(&mut self, page: u32, n: u64, window: u64) {
+        self.refs += n;
+        let mut left = n;
+        while left > 0 {
+            left -= self.cur.touch_n(page, left, window);
+            if self.cur.refs == window {
+                self.roll();
+            }
         }
     }
 
@@ -309,22 +317,22 @@ impl WorkingSetSink {
         }
     }
 
-    fn touch(&mut self, vaddr: u32, space: Space) {
+    fn touch(&mut self, vaddr: u32, n: u32, space: Space) {
         let key = match space {
             Space::User(a) => SpaceKey::User(a),
             Space::Kernel => SpaceKey::Kernel,
         };
-        self.rows[key.index() as usize].touch(vaddr >> 12, self.window);
+        self.rows[key.index() as usize].touch(vaddr >> 12, n.into(), self.window);
     }
 }
 
 impl TraceSink for WorkingSetSink {
-    fn iref(&mut self, vaddr: u32, space: Space, _idle: bool) {
-        self.touch(vaddr, space);
+    fn irefs(&mut self, vaddr: u32, n: u32, space: Space, _idle: bool) {
+        self.touch(vaddr, n, space);
     }
 
     fn dref(&mut self, vaddr: u32, _store: bool, _w: Width, space: Space) {
-        self.touch(vaddr, space);
+        self.touch(vaddr, 1, space);
     }
 }
 
@@ -408,9 +416,15 @@ impl PhaseSink {
         }
     }
 
-    fn touch(&mut self, vaddr: u32) {
-        if self.cur.touch(vaddr >> 12, self.window) {
-            self.roll();
+    /// Counts `n` references to `vaddr`'s page, rolling each window
+    /// they fill.
+    fn touch(&mut self, vaddr: u32, n: u32) {
+        let mut left = u64::from(n);
+        while left > 0 {
+            left -= self.cur.touch_n(vaddr >> 12, left, self.window);
+            if self.cur.refs == self.window {
+                self.roll();
+            }
         }
     }
 
@@ -438,12 +452,12 @@ impl PhaseSink {
 }
 
 impl TraceSink for PhaseSink {
-    fn iref(&mut self, vaddr: u32, _space: Space, _idle: bool) {
-        self.touch(vaddr);
+    fn irefs(&mut self, vaddr: u32, n: u32, _space: Space, _idle: bool) {
+        self.touch(vaddr, n);
     }
 
     fn dref(&mut self, vaddr: u32, _store: bool, _w: Width, _s: Space) {
-        self.touch(vaddr);
+        self.touch(vaddr, 1);
     }
 }
 
@@ -473,6 +487,7 @@ impl AnalysisSink for PhaseSink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn sampled_cfg_parses_suffixes_and_defaults() {
@@ -564,12 +579,48 @@ mod tests {
     fn a_page_window_is_a_bounded_set() {
         let mut w = PageWindow::default();
         for i in 0..2 * PAGES as u32 + 10 {
-            assert!(!w.touch(7 - (i & 1) * 4, u64::MAX));
+            assert_eq!(w.touch_n(7 - (i & 1) * 4, 1, u64::MAX), 1);
         }
         assert!(w.touched.len() <= 12, "compacted at 2 * PAGES");
-        assert!(w.touch(5, w.refs + 1), "the window's last reference");
+        let full = w.refs + 1;
+        assert_eq!(w.touch_n(5, 3, full), 1, "the window's last reference");
         assert_eq!(w.close(), [3, 5, 7]);
         assert_eq!((w.refs, w.touched.len()), (0, 0));
+    }
+
+    proptest! {
+        /// `touch_n` is `n` references counted one at a time: against
+        /// a window kept as a set, the same windows close with the
+        /// same pages, for runs that cross window ends.
+        #[test]
+        fn touch_n_is_n_touches(
+            window in 1u64..12,
+            runs in proptest::collection::vec((0u32..6, 1u64..30), 1..60),
+        ) {
+            let mut w = PageWindow::default();
+            let (mut closed, mut model_closed) = (Vec::new(), Vec::new());
+            let (mut model, mut model_refs) = (BTreeSet::new(), 0u64);
+            for &(page, n) in &runs {
+                let mut left = n;
+                while left > 0 {
+                    left -= w.touch_n(page, left, window);
+                    if w.refs == window {
+                        closed.push(w.close());
+                    }
+                }
+                for _ in 0..n {
+                    model.insert(page);
+                    model_refs += 1;
+                    if model_refs == window {
+                        model_closed.push(Vec::from_iter(std::mem::take(&mut model)));
+                        model_refs = 0;
+                    }
+                }
+            }
+            prop_assert_eq!(closed, model_closed);
+            prop_assert_eq!(w.refs, model_refs);
+            prop_assert_eq!(w.close(), Vec::from_iter(model));
+        }
     }
 
     #[test]

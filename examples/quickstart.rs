@@ -71,9 +71,11 @@ fn main() {
     // 4. Parse the trace back into the interleaved reference stream.
     struct Merged(Vec<String>, u64, u64);
     impl systrace::trace::TraceSink for Merged {
-        fn iref(&mut self, va: u32, _s: Space, _idle: bool) {
-            self.0.push(format!("I {va:#010x}"));
-            self.1 += 1;
+        fn irefs(&mut self, va: u32, n: u32, _s: Space, _idle: bool) {
+            for i in 0..n {
+                self.0.push(format!("I {:#010x}", va + 4 * i));
+            }
+            self.1 += u64::from(n);
         }
         fn dref(&mut self, va: u32, store: bool, _w: systrace::isa::Width, _s: Space) {
             self.0

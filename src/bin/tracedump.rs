@@ -274,10 +274,11 @@ fn refs(path: &str, n: usize) {
         left: usize,
     }
     impl TraceSink for Printer {
-        fn iref(&mut self, va: u32, space: Space, idle: bool) {
-            if self.left > 0 {
+        fn irefs(&mut self, va: u32, n: u32, space: Space, idle: bool) {
+            for i in (0..n).take(self.left) {
                 println!(
-                    "I {va:#010x} {}{}",
+                    "I {:#010x} {}{}",
+                    va + 4 * i,
                     match space {
                         Space::Kernel => "kernel".into(),
                         Space::User(a) => format!("user:{a}"),

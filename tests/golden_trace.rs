@@ -137,10 +137,11 @@ fn damaged(words: &[u32], seed: u64) -> Vec<u32> {
 
 /// FNV-1a over what the parser makes of 64 damaged copies of the
 /// golden trace: every event *in emitted order* (so the I/D
-/// interleaving is pinned, which [`digest`] does not do), then the
-/// statistics and the error list of each parse.
+/// interleaving is pinned, which [`digest`] does not do), a run of
+/// fetches one fetch at a time, then the statistics and the error
+/// list of each parse.
 fn damaged_digest() -> u64 {
-    use systrace::trace::EventVec;
+    use systrace::trace::{EventVec, RefEvent};
     let archive = TraceArchive::load(GOLDEN_PATH).expect("golden archive must load");
     let mut h = FNV_OFFSET;
     for seed in 0..64 {
@@ -148,7 +149,22 @@ fn damaged_digest() -> u64 {
         let mut sink = EventVec::default();
         parser.parse_all(&damaged(&archive.words, seed), &mut sink);
         for ev in &sink.0 {
-            fnv(&mut h, format!("{ev:?}").as_bytes());
+            match *ev {
+                RefEvent::Iref {
+                    vaddr,
+                    n,
+                    space,
+                    idle,
+                } => {
+                    for i in 0..n {
+                        let vaddr = vaddr + 4 * i;
+                        let one =
+                            format!("Iref {{ vaddr: {vaddr}, space: {space:?}, idle: {idle} }}");
+                        fnv(&mut h, one.as_bytes());
+                    }
+                }
+                _ => fnv(&mut h, format!("{ev:?}").as_bytes()),
+            }
         }
         fnv(
             &mut h,

@@ -23,8 +23,10 @@ use systrace::trace::{Space, TraceParser, TraceSink};
 struct Histogram(HashMap<u32, u64>);
 
 impl TraceSink for Histogram {
-    fn iref(&mut self, vaddr: u32, _s: Space, _idle: bool) {
-        *self.0.entry(vaddr).or_insert(0) += 1;
+    fn irefs(&mut self, vaddr: u32, n: u32, _s: Space, _idle: bool) {
+        for i in 0..n {
+            *self.0.entry(vaddr + 4 * i).or_insert(0) += 1;
+        }
     }
     fn dref(&mut self, _v: u32, _s: bool, _w: systrace::isa::Width, _sp: Space) {}
 }

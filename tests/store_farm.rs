@@ -57,9 +57,11 @@ impl CacheStudy {
 }
 
 impl TraceSink for CacheStudy {
-    fn iref(&mut self, vaddr: u32, space: Space, _idle: bool) {
-        let pa = self.translate(vaddr, space);
-        self.icache.access(pa);
+    fn irefs(&mut self, vaddr: u32, n: u32, space: Space, _idle: bool) {
+        for i in 0..n {
+            let pa = self.translate(vaddr + 4 * i, space);
+            self.icache.access(pa);
+        }
     }
     fn dref(&mut self, vaddr: u32, _store: bool, _w: systrace::isa::Width, space: Space) {
         let pa = self.translate(vaddr, space);

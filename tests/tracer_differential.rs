@@ -217,9 +217,11 @@ impl CacheStudy {
 }
 
 impl TraceSink for CacheStudy {
-    fn iref(&mut self, vaddr: u32, space: Space, _idle: bool) {
-        let pa = self.translate(vaddr, space);
-        self.icache.access(pa);
+    fn irefs(&mut self, vaddr: u32, n: u32, space: Space, _idle: bool) {
+        for i in 0..n {
+            let pa = self.translate(vaddr + 4 * i, space);
+            self.icache.access(pa);
+        }
     }
     fn dref(&mut self, vaddr: u32, _store: bool, _w: systrace::isa::Width, space: Space) {
         let pa = self.translate(vaddr, space);
@@ -302,9 +304,10 @@ fn tlb_sink_matches_a_dedicated_memsim_pass_field_for_field() {
     }
 }
 
-/// The one failing test double: counts parsed events (and raw words,
-/// when it is built to want them) and, once `fail_at` events have
-/// passed, has latched a fault that `finish` reports typed.
+/// The one failing test double: counts parsed events, a run of
+/// fetches one per fetch (and raw words, when it is built to want
+/// them) and, once `fail_at` events have passed, has latched a fault
+/// that `finish` reports typed.
 struct Fussy {
     events: u64,
     words: Option<u64>,
@@ -312,8 +315,8 @@ struct Fussy {
 }
 
 impl TraceSink for Fussy {
-    fn iref(&mut self, _v: u32, _s: Space, _i: bool) {
-        self.events += 1;
+    fn irefs(&mut self, _v: u32, n: u32, _s: Space, _i: bool) {
+        self.events += u64::from(n);
     }
     fn dref(&mut self, _v: u32, _st: bool, _w: systrace::isa::Width, _s: Space) {
         self.events += 1;
