@@ -380,7 +380,7 @@ fn run_site(input: &ChaosInput, plan: FaultPlan) -> Outcome {
 /// injector. `seen` reaching `at` is the latch.
 struct FailingSink {
     /// Which callback fails: 0 `irefs`, 1 `dref`, 2 `ctx_switch`,
-    /// 3 `before_word`.
+    /// 3 `word`.
     hook: u8,
     /// Fail on the `at`-th reference or invocation of that callback
     /// (1-based; a run of fetches is one reference per fetch).
@@ -413,7 +413,7 @@ impl TraceSink for FailingSink {
             Wants::Events
         }
     }
-    fn before_word(&mut self, _pos: u64, _word: u32) {
+    fn word(&mut self, _pos: u64) {
         self.tick(3, 1);
     }
 }
@@ -432,7 +432,7 @@ impl AnalysisSink for FailingSink {
 
 /// `tracer.sink`: one analysis sink faults mid-pass inside a composed
 /// stack. The stack's isolation contract: the error surfaces *typed*
-/// on exactly that slot (detected), the pass never panics, and the
+/// in exactly that sink's entry (detected), the pass never panics, and the
 /// sibling sinks' reports stay bit-identical to an unfaulted pass of
 /// the same stream. A seeded ordinal past the stream's events fires
 /// nothing — then the faulty sink must be indistinguishable from a

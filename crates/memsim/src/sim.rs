@@ -375,7 +375,7 @@ mod tests {
     #[test]
     fn kseg0_needs_no_tlb() {
         let mut s = sim();
-        s.iref(0x8003_0000, Space::Kernel, false);
+        s.irefs(0x8003_0000, 1, Space::Kernel, false);
         assert_eq!(s.stats.utlb_misses, 0);
         assert_eq!(s.stats.kernel_irefs, 1);
         assert_eq!(s.stats.imisses, 1);
@@ -384,7 +384,7 @@ mod tests {
     #[test]
     fn user_ref_synthesizes_utlb_handler() {
         let mut s = sim();
-        s.iref(0x0040_0000, Space::User(1), false);
+        s.irefs(0x0040_0000, 1, Space::User(1), false);
         // One UTLB miss, nine synthesized handler irefs + our iref.
         assert_eq!(s.stats.utlb_misses, 1);
         assert_eq!(s.stats.synth_irefs, 9);
@@ -392,14 +392,14 @@ mod tests {
         assert_eq!(s.stats.user_irefs, 1);
         assert_eq!(s.stats.kernel_drefs, 1); // the PTE load
                                              // Second touch of the same page: no miss.
-        s.iref(0x0040_0004, Space::User(1), false);
+        s.irefs(0x0040_0004, 1, Space::User(1), false);
         assert_eq!(s.stats.utlb_misses, 1);
     }
 
     #[test]
     fn utlb_synthesis_can_be_disabled() {
         let mut s = MemSim::new(PageMap::new(Policy::Identity)).without_utlb_synthesis();
-        s.iref(0x0040_0000, Space::User(1), false);
+        s.irefs(0x0040_0000, 1, Space::User(1), false);
         assert_eq!(s.stats.utlb_misses, 1);
         assert_eq!(s.stats.synth_irefs, 0);
     }
@@ -411,7 +411,7 @@ mod tests {
     #[test]
     fn a_user_miss_in_context_zero_synthesizes_without_panicking() {
         let mut s = sim();
-        s.iref(0x0040_0000, Space::User(0), false);
+        s.irefs(0x0040_0000, 1, Space::User(0), false);
         s.dref(0x1000_0000, false, Width::Word, Space::Kernel);
         assert_eq!(s.stats.utlb_misses, 2);
         assert_eq!(s.stats.synth_irefs, 18);
@@ -441,7 +441,7 @@ mod tests {
     #[test]
     fn sanity_check_flags_wrong_space() {
         let mut s = sim();
-        s.iref(0x0040_0000, Space::Kernel, false);
+        s.irefs(0x0040_0000, 1, Space::Kernel, false);
         assert_eq!(s.stats.sanity_violations, 1);
     }
 

@@ -58,7 +58,7 @@ proptest! {
         let mut last_cycles = 0;
         for (va, is_iref, store) in refs {
             if is_iref {
-                sim.iref(va, Space::User(1), false);
+                sim.irefs(va, 1, Space::User(1), false);
                 want_i += 1;
             } else {
                 sim.dref(va, store, Width::Word, Space::User(1));

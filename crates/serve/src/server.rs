@@ -644,7 +644,7 @@ impl LiveFeed {
 /// One registered connection on an event thread. The generation
 /// guards completions against slot reuse: a job finishing after its
 /// connection died (and the slot was re-issued) is dropped.
-struct SlotEntry {
+struct ConnEntry {
     conn: Conn<TcpStream>,
     gen: u64,
 }
@@ -736,7 +736,7 @@ fn fated(shared: &Shared, req_id: u64, resp: &Response) -> (Vec<u8>, WriteShape,
 /// Drives one connection as far as it can go right now: flush
 /// whatever is writable, dispatch any completed request frame, and
 /// repeat until it blocks or goes quiescent.
-fn advance(s: &mut SlotEntry, slot: usize, cx: &Ctx<'_>, tally: &mut IoTally) {
+fn advance(s: &mut ConnEntry, slot: usize, cx: &Ctx<'_>, tally: &mut IoTally) {
     loop {
         if s.conn.wants_write() {
             let n = s.conn.on_writable(tally);
@@ -754,7 +754,7 @@ fn advance(s: &mut SlotEntry, slot: usize, cx: &Ctx<'_>, tally: &mut IoTally) {
 
 /// The one reply path of the event thread: `resp` through the fault
 /// seam, queued on the connection.
-fn reply(s: &mut SlotEntry, cx: &Ctx<'_>, req_id: u64, resp: &Response) {
+fn reply(s: &mut ConnEntry, cx: &Ctx<'_>, req_id: u64, resp: &Response) {
     let (frame, shape, sever) = fated(cx.shared, req_id, resp);
     s.conn.enqueue(frame, shape, sever);
 }
@@ -762,7 +762,7 @@ fn reply(s: &mut SlotEntry, cx: &Ctx<'_>, req_id: u64, resp: &Response) {
 /// Takes one completed request frame off the connection, runs it
 /// through decode + admission, and either hands it to the executors
 /// or enqueues the immediate (Busy / wire-error) answer.
-fn dispatch(s: &mut SlotEntry, slot: usize, cx: &Ctx<'_>) {
+fn dispatch(s: &mut ConnEntry, slot: usize, cx: &Ctx<'_>) {
     let Some(body) = s.conn.take_frame() else {
         return;
     };
@@ -851,7 +851,7 @@ fn dispatch(s: &mut SlotEntry, slot: usize, cx: &Ctx<'_>) {
 /// bound — it is one bounded replay of history, not an unread
 /// backlog; the bound governs the publish path.
 fn subscribe_inline(
-    s: &mut SlotEntry,
+    s: &mut ConnEntry,
     slot: usize,
     cx: &Ctx<'_>,
     req_id: u64,
@@ -937,7 +937,7 @@ fn subscribe_inline(
 /// request/response service. Pushes already queued still flush ahead
 /// of the ack; the client discards `EVENT` frames until it sees the
 /// `Unsubscribed` ack.
-fn unsubscribe_inline(s: &mut SlotEntry, slot: usize, cx: &Ctx<'_>, req_id: u64) {
+fn unsubscribe_inline(s: &mut ConnEntry, slot: usize, cx: &Ctx<'_>, req_id: u64) {
     let shared = cx.shared;
     if s.conn.state() != ConnState::Subscribed {
         reply(s, cx, req_id, &bad_request("not subscribed"));
@@ -965,7 +965,7 @@ fn event_loop(
         exec_tx,
         thread,
     };
-    let mut slots: Vec<Option<SlotEntry>> = Vec::new();
+    let mut slots: Vec<Option<ConnEntry>> = Vec::new();
     let mut free: Vec<usize> = Vec::new();
     let mut gen = 0u64;
     let mut ready: Vec<Ready> = Vec::new();
@@ -1167,7 +1167,7 @@ fn accept_ready(
     listener: Option<&TcpListener>,
     rt: &Reactor,
     thread: usize,
-    slots: &mut Vec<Option<SlotEntry>>,
+    slots: &mut Vec<Option<ConnEntry>>,
     free: &mut Vec<usize>,
     gen: &mut u64,
     shared: &Shared,
@@ -1194,7 +1194,7 @@ fn accept_ready(
 
 /// Registers one accepted connection on this event thread.
 fn register(
-    slots: &mut Vec<Option<SlotEntry>>,
+    slots: &mut Vec<Option<ConnEntry>>,
     free: &mut Vec<usize>,
     gen: &mut u64,
     stream: TcpStream,
@@ -1210,7 +1210,7 @@ fn register(
     let _ = stream.set_nodelay(true);
     shared.obs.connections.inc();
     *gen += 1;
-    let entry = SlotEntry {
+    let entry = ConnEntry {
         conn: Conn::new(stream, shared.cfg.max_stalls, write_budget),
         gen: *gen,
     };

@@ -48,7 +48,7 @@
 //! The decoder does the encoder's work in reverse at the same cost per
 //! word, so its loop is kept to what the model needs: each word's
 //! class is dispatched once to a step specialised for that class, each
-//! table probe reads one 12-byte `Slot` that the update then writes
+//! table probe reads one 12-byte `PredSlot` that the update then writes
 //! back without reading again, the stride-history key is updated in
 //! place rather than rehashed, and every bit column is read through a
 //! 64-bit window, so a tag or a flag code is one peek. Encoder and
@@ -136,7 +136,7 @@ fn unzigzag32(z: u64) -> i32 {
 /// packed at 12 bytes, one slot in eight straddles two cache lines,
 /// and aligning them to 16 bytes measured no faster.
 #[derive(Clone, Copy, Default)]
-struct Slot {
+struct PredSlot {
     gen: u32,
     val: u32,
     stride: u32,
@@ -155,9 +155,9 @@ struct Scratch {
     /// generation matches.
     tag: Box<[u32; TAG_SLOTS]>,
     /// Per-class *exact* tables, keyed on the full previous word.
-    exact: Box<[[Slot; VAL_SLOTS]; 3]>,
+    exact: Box<[[PredSlot; VAL_SLOTS]; 3]>,
     /// Per-class *coarse* tables, keyed on `prev >> 8`.
-    coarse: Box<[[Slot; VAL_SLOTS]; 3]>,
+    coarse: Box<[[PredSlot; VAL_SLOTS]; 3]>,
     /// Per-class *stride-history* tables, keyed on a hash of the
     /// class's last four quantised strides; entry =
     /// `gen << 32 | stride`, valid iff the generation matches.
@@ -169,8 +169,8 @@ impl Scratch {
     fn new() -> Scratch {
         Scratch {
             tag: Box::new([0; TAG_SLOTS]),
-            exact: Box::new([[Slot::default(); VAL_SLOTS]; 3]),
-            coarse: Box::new([[Slot::default(); VAL_SLOTS]; 3]),
+            exact: Box::new([[PredSlot::default(); VAL_SLOTS]; 3]),
+            coarse: Box::new([[PredSlot::default(); VAL_SLOTS]; 3]),
             dstride: Box::new([[0; VAL_SLOTS]; 3]),
             gen: 0,
         }
@@ -185,7 +185,7 @@ impl Scratch {
         if self.gen >= 1 << 29 {
             self.tag.fill(0);
             for t in self.exact.iter_mut().chain(self.coarse.iter_mut()) {
-                t.fill(Slot::default());
+                t.fill(PredSlot::default());
             }
             self.dstride.iter_mut().for_each(|t| t.fill(0));
             self.gen = 1;
@@ -360,8 +360,8 @@ struct Preds {
     e_slot: usize,
     c_slot: usize,
     d_slot: usize,
-    exact: Slot,
-    coarse: Slot,
+    exact: PredSlot,
+    coarse: PredSlot,
     /// Exact-table differential prediction; `None` while the slot is
     /// cold this block.
     p1: Option<u32>,
@@ -417,7 +417,7 @@ fn predict<const C: usize>(s: &Scratch, cls: &ClassState, prev: u32) -> Preds {
 #[inline(always)]
 fn update<const C: usize>(s: &mut Scratch, cls: &mut ClassState, p: &Preds, w: u32) {
     let gen = s.gen;
-    let taught = |old: Slot| Slot {
+    let taught = |old: PredSlot| PredSlot {
         gen,
         val: w,
         stride: if old.gen == gen {

@@ -1025,14 +1025,14 @@ impl BlockReader<'_> {
 /// cut into runs under another archive's entering context.
 #[derive(Debug)]
 pub struct BlockCache {
-    slots: Vec<Slot>,
+    slots: Vec<CachedBlock>,
     hits: u64,
     misses: u64,
 }
 
 /// One cached block. `key` is `None` while the slot is empty.
 #[derive(Clone, Debug, Default)]
-struct Slot {
+struct CachedBlock {
     key: Option<(usize, u32, u8)>,
     words: Vec<u32>,
     runs: Vec<AsidRun>,
@@ -1047,7 +1047,7 @@ impl BlockCache {
     pub fn new(slots: usize) -> BlockCache {
         assert!(slots > 0, "a zero-slot cache cannot hold a block");
         BlockCache {
-            slots: vec![Slot::default(); slots],
+            slots: vec![CachedBlock::default(); slots],
             hits: 0,
             misses: 0,
         }

@@ -12,10 +12,13 @@
 //!   epoxie-generated code and the kernels must agree on;
 //! * [`parser`] — the trace-parsing library, including the nested
 //!   interrupt handling of §3.3 and the defensive redundancy checks
-//!   of §4.3, and [`TraceSink`], what it feeds: instruction fetches
+//!   of §4.3, and [`TraceSink`], what it feeds: four event hooks,
+//!   [`TraceSink::wants`] and one word hook. Instruction fetches
 //!   arrive as runs, [`TraceSink::irefs`] once per straight-line run
 //!   between two memory operations on one 4 KB page, since the trace
 //!   holds one word per block and the table implies the rest (§3.5);
+//!   a sink whose unit is the raw word asks for [`Wants::Words`] and
+//!   gets [`TraceSink::word`] before each word is parsed;
 //! * [`stream`] — the [`Driver`]: the one incremental
 //!   source → parse → sink loop every analysis rides;
 //! * [`archive`] — a bundle format for distributing traces together

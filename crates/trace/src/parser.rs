@@ -34,8 +34,8 @@ pub enum Wants {
     Nothing,
     /// The parsed reference events.
     Events,
-    /// The events, with every raw word bracketed by
-    /// [`TraceSink::before_word`] / [`TraceSink::after_word`].
+    /// The events, with [`TraceSink::word`] called before every raw
+    /// word is parsed.
     Words,
 }
 
@@ -45,20 +45,18 @@ const PAGE_BYTES: u32 = 4096;
 /// Consumer of the parsed reference stream (typically a memory-system
 /// simulator).
 ///
-/// Instruction fetches arrive as *runs*: the trace writes one word
-/// per basic block, and the fetches between two memory operations are
-/// implied by the block's table entry (§3.5), so the parser hands them
-/// over as one call rather than one call each.
+/// Six methods, one per job: the four event hooks, [`TraceSink::wants`]
+/// and the word hook [`TraceSink::word`]. Only `irefs` and `dref` are
+/// required. Instruction fetches arrive as *runs*: the trace writes
+/// one word per basic block, and the fetches between two memory
+/// operations are implied by the block's table entry (§3.5), so the
+/// parser hands them over as one call rather than one call each; a
+/// single fetch is a run of one.
 pub trait TraceSink {
     /// `n >= 1` instruction fetches at `vaddr`, `vaddr + 4`, ...
     /// (uninstrumented addresses), all on one 4 KB page, in one space
     /// and one idle state.
     fn irefs(&mut self, vaddr: u32, n: u32, space: Space, idle: bool);
-    /// One instruction fetch: shorthand for
-    /// `irefs(vaddr, 1, space, idle)`.
-    fn iref(&mut self, vaddr: u32, space: Space, idle: bool) {
-        self.irefs(vaddr, 1, space, idle);
-    }
     /// A data reference at `vaddr`.
     fn dref(&mut self, vaddr: u32, store: bool, width: Width, space: Space);
     /// The base context switched to the given ASID.
@@ -70,12 +68,10 @@ pub trait TraceSink {
     fn wants(&self) -> Wants {
         Wants::Events
     }
-    /// Called before raw word `word` at stream position `pos` is
-    /// parsed (only for a sink that [`Wants::Words`]).
-    fn before_word(&mut self, _pos: u64, _word: u32) {}
-    /// Called after raw word `word` at stream position `pos` was
-    /// parsed (only for a sink that [`Wants::Words`]).
-    fn after_word(&mut self, _pos: u64, _word: u32) {}
+    /// Called before the raw word at stream position `pos` is parsed
+    /// (only for a sink that [`Wants::Words`]): the events that word
+    /// yields follow.
+    fn word(&mut self, _pos: u64) {}
 }
 
 /// A pair of sinks is a sink: every callback goes to both, in order —
@@ -100,13 +96,9 @@ impl<A: TraceSink, B: TraceSink> TraceSink for (A, B) {
     fn wants(&self) -> Wants {
         self.0.wants().max(self.1.wants())
     }
-    fn before_word(&mut self, pos: u64, word: u32) {
-        self.0.before_word(pos, word);
-        self.1.before_word(pos, word);
-    }
-    fn after_word(&mut self, pos: u64, word: u32) {
-        self.0.after_word(pos, word);
-        self.1.after_word(pos, word);
+    fn word(&mut self, pos: u64) {
+        self.0.word(pos);
+        self.1.word(pos);
     }
 }
 

@@ -266,9 +266,8 @@ impl<S: TraceSink> Driver<S> {
             Wants::Events => self.parser.push_words(words, &mut self.sink),
             Wants::Words => {
                 for (at, &w) in (pos..).zip(words) {
-                    self.sink.before_word(at, w);
+                    self.sink.word(at);
                     self.parser.push_word(w, &mut self.sink);
-                    self.sink.after_word(at, w);
                 }
             }
         }
@@ -410,7 +409,7 @@ mod tests {
         assert_eq!(replayed.switches, direct.switches);
     }
 
-    /// Records the word hooks and where events land between them.
+    /// Records the word hook and where events land after it.
     #[derive(Default)]
     struct WordLog {
         wants_words: bool,
@@ -429,16 +428,13 @@ mod tests {
                 Wants::Nothing
             }
         }
-        fn before_word(&mut self, pos: u64, _w: u32) {
-            self.log.push(('b', pos));
-        }
-        fn after_word(&mut self, pos: u64, _w: u32) {
-            self.log.push(('a', pos));
+        fn word(&mut self, pos: u64) {
+            self.log.push(('w', pos));
         }
     }
 
     #[test]
-    fn word_hooks_bracket_each_word_across_chunks() {
+    fn the_word_hook_precedes_each_word_across_chunks() {
         let mut d = Driver::new(
             fresh_parser(),
             WordLog {
@@ -453,10 +449,7 @@ mod tests {
         d.feed(&[0x7000_0000]);
         let (report, sink) = d.finish();
         assert_eq!(report.parse.user_irefs, 3);
-        assert_eq!(
-            sink.log,
-            [('b', 0), ('a', 0), ('b', 1), ('i', 2), ('a', 1), ('i', 1)]
-        );
+        assert_eq!(sink.log, [('w', 0), ('w', 1), ('i', 2), ('i', 1)]);
     }
 
     #[test]

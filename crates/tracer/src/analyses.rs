@@ -138,8 +138,7 @@ impl AnalysisSink for MemSim {
 /// The §4.1 trace-expansion sink: how many trace words and memory
 /// references the traced system emits per original instruction — the
 /// denominator side of the paper's "factor of 10–25" dilation claim.
-/// Wants word hooks (it counts raw words), so it forces the
-/// sequential one-pass drive.
+/// Wants the word hook (it counts raw words).
 #[derive(Debug, Default)]
 pub struct DilationSink {
     words: u64,
@@ -170,7 +169,7 @@ impl TraceSink for DilationSink {
         Wants::Words
     }
 
-    fn after_word(&mut self, _pos: u64, _word: u32) {
+    fn word(&mut self, _pos: u64) {
         self.words += 1;
     }
 }
@@ -345,8 +344,8 @@ mod tests {
     #[test]
     fn defense_flags_wrong_space_and_misalignment() {
         let mut d = DefenseSink::default();
-        d.iref(0x0040_0000, Space::Kernel, false);
-        d.iref(0x8003_0000, Space::Kernel, false);
+        d.irefs(0x0040_0000, 1, Space::Kernel, false);
+        d.irefs(0x8003_0000, 1, Space::Kernel, false);
         d.dref(0x8000_0001, false, Width::Word, Space::User(1));
         let r = d.finish().unwrap();
         assert_eq!(r.get_u64("sanity_violations"), Some(1));
@@ -357,11 +356,11 @@ mod tests {
     #[test]
     fn pagemap_rows_count_distinct_pages_per_space() {
         let mut p = PagemapSink::new(PageMap::new(Policy::FirstFree { base_pfn: 0x100 }));
-        p.iref(0x0040_0000, Space::User(1), false);
-        p.iref(0x0040_0004, Space::User(1), false); // same page
-        p.iref(0x0040_1000, Space::User(1), false); // next page
+        p.irefs(0x0040_0000, 1, Space::User(1), false);
+        p.irefs(0x0040_0004, 1, Space::User(1), false); // same page
+        p.irefs(0x0040_1000, 1, Space::User(1), false); // next page
         p.dref(0xc000_0000, false, Width::Word, Space::Kernel);
-        p.iref(0x8003_0000, Space::Kernel, false); // kseg0: unmapped
+        p.irefs(0x8003_0000, 1, Space::Kernel, false); // kseg0: unmapped
         let r = p.finish().unwrap();
         assert_eq!(r.get_u64("spaces"), Some(2));
         assert_eq!(r.get_u64("pages_mapped"), Some(3));
@@ -377,10 +376,10 @@ mod tests {
         let mut d = DilationSink::default();
         assert_eq!(d.wants(), Wants::Words);
         for i in 0..10 {
-            d.after_word(i, 0);
+            d.word(i);
         }
-        d.iref(0x8000_0000, Space::Kernel, false);
-        d.iref(0x8000_0004, Space::Kernel, false);
+        d.irefs(0x8000_0000, 1, Space::Kernel, false);
+        d.irefs(0x8000_0004, 1, Space::Kernel, false);
         let r = d.finish().unwrap();
         assert_eq!(r.get_u64("words"), Some(10));
         assert_eq!(r.get("words_per_inst"), Some(&crate::Value::F64(5.0)));

@@ -1,13 +1,13 @@
 //! The sink stack and the one-pass entry points: feed N composed
 //! sinks from one pass over a source.
 //!
-//! A [`Stack`] owns the sinks as *slots* and routes every parsed
-//! event to each of them. Sinks share no state and no hook can abort
-//! the pass, so a sink that latches a fault (its
+//! A [`Stack`] holds the sinks and routes every parsed event to each
+//! of them, counting the event once. Sinks share no state and no hook
+//! can abort the pass, so a sink that latches a fault (its
 //! [`AnalysisSink::finish`] returns the [`SinkError`], which becomes
-//! its slot's report) can never corrupt or abort its siblings. The
-//! `tracer.sink` chaos site holds that contract under seeded injected
-//! failures.
+//! its entry in the report) can never corrupt or abort its siblings.
+//! The `tracer.sink` chaos site holds that contract under seeded
+//! injected failures.
 //!
 //! A stack is a [`TraceSink`], so it rides the one
 //! [`wrl_trace::Driver`] like any other sink, whatever the source:
@@ -16,7 +16,7 @@
 //! * **a store** — [`analyze_store`]: the block reader feeds the
 //!   driver, whose sink is the stack itself; with more workers, each
 //!   worker drives the store into its own round-robin share of the
-//!   slots;
+//!   sinks;
 //! * **a live machine run** — the harness's `run_analyzed` feeds the
 //!   driver from the machine's drain callback.
 
@@ -29,38 +29,15 @@ use wrl_trace::{Driver, ParseStats, Space, TraceParser, TraceSink, Wants};
 use crate::obs::TracerObs;
 use crate::sink::{AnalysisSink, SinkError, SinkReport};
 
-/// One boxed sink and the events applied to it, a run of fetches
-/// counting one per fetch.
-struct Slot {
-    sink: Box<dyn AnalysisSink + Send>,
-    applied: u64,
-}
-
-impl TraceSink for Slot {
-    fn irefs(&mut self, vaddr: u32, n: u32, space: Space, idle: bool) {
-        self.applied += u64::from(n);
-        self.sink.irefs(vaddr, n, space, idle);
-    }
-    fn dref(&mut self, vaddr: u32, store: bool, width: Width, space: Space) {
-        self.applied += 1;
-        self.sink.dref(vaddr, store, width, space);
-    }
-    fn ctx_switch(&mut self, asid: u8) {
-        self.applied += 1;
-        self.sink.ctx_switch(asid);
-    }
-    fn mode_transition(&mut self, generating: bool) {
-        self.applied += 1;
-        self.sink.mode_transition(generating);
-    }
-}
-
 /// An ordered set of analysis sinks, fed together from one parse.
 /// Implements [`TraceSink`], so a stack rides anything that feeds
 /// one — the driver, `parse_all`, a tee beside a simulator.
 #[derive(Default)]
 pub struct Stack {
-    slots: Vec<Slot>,
+    sinks: Vec<Box<dyn AnalysisSink + Send>>,
+    /// Events routed to every sink, a run of fetches counting one per
+    /// fetch.
+    events: u64,
     obs: Option<TracerObs>,
 }
 
@@ -78,21 +55,20 @@ impl Stack {
         Stack::default()
     }
 
-    /// Appends a sink as its own slot and returns the stack (builder
-    /// style).
+    /// Appends a sink and returns the stack (builder style).
     pub fn with(mut self, sink: impl AnalysisSink + Send + 'static) -> Stack {
         self.push(sink);
         self
     }
 
-    /// Appends a sink as its own slot.
+    /// Appends a sink.
     pub fn push(&mut self, sink: impl AnalysisSink + Send + 'static) {
         self.push_boxed(Box::new(sink));
     }
 
-    /// Appends an already-boxed sink as its own slot.
+    /// Appends an already-boxed sink.
     pub fn push_boxed(&mut self, sink: Box<dyn AnalysisSink + Send>) {
-        self.slots.push(Slot { sink, applied: 0 });
+        self.sinks.push(sink);
     }
 
     /// Attaches the `tracer.*` metrics, recorded when a pass
@@ -103,30 +79,30 @@ impl Stack {
 
     /// Number of sinks.
     pub fn len(&self) -> usize {
-        self.slots.len()
+        self.sinks.len()
     }
 
     /// `true` if the stack holds no sinks.
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.sinks.is_empty()
     }
 
-    /// The sinks' display names, in slot order.
+    /// The sinks' display names, in stack order.
     pub fn names(&self) -> Vec<String> {
-        self.slots.iter().map(|s| s.sink.name()).collect()
+        self.sinks.iter().map(|s| s.name()).collect()
     }
 
-    /// Finalises every slot into the pass report. A sink that latched
+    /// Finalises every sink into the pass report. A sink that latched
     /// a fault mid-pass reports its typed error instead of a result.
     pub fn finish(mut self, parse: ParseStats, words: u64) -> StackReport {
         let report = StackReport {
-            reports: self.slots.iter_mut().map(|s| s.sink.finish()).collect(),
+            reports: self.sinks.iter_mut().map(|s| s.finish()).collect(),
             parse,
             words,
-            applied: self.slots.iter().map(|s| s.applied).sum(),
+            applied: self.events * self.sinks.len() as u64,
         };
         if let Some(obs) = &self.obs {
-            obs.record(&report, self.slots.len());
+            obs.record(&report, self.sinks.len());
         }
         report
     }
@@ -134,56 +110,54 @@ impl Stack {
 
 impl TraceSink for Stack {
     fn irefs(&mut self, vaddr: u32, n: u32, space: Space, idle: bool) {
-        for s in &mut self.slots {
+        self.events += u64::from(n);
+        for s in &mut self.sinks {
             s.irefs(vaddr, n, space, idle);
         }
     }
 
     fn dref(&mut self, vaddr: u32, store: bool, width: Width, space: Space) {
-        for s in &mut self.slots {
+        self.events += 1;
+        for s in &mut self.sinks {
             s.dref(vaddr, store, width, space);
         }
     }
 
     fn ctx_switch(&mut self, asid: u8) {
-        for s in &mut self.slots {
+        self.events += 1;
+        for s in &mut self.sinks {
             s.ctx_switch(asid);
         }
     }
 
     fn mode_transition(&mut self, generating: bool) {
-        for s in &mut self.slots {
+        self.events += 1;
+        for s in &mut self.sinks {
             s.mode_transition(generating);
         }
     }
 
     /// The most any sink wants: nothing for an empty stack (the
-    /// driver then skips the parse), words if any sink wants the
-    /// per-word hooks.
+    /// driver then skips the parse), words if any sink wants the word
+    /// hook.
     fn wants(&self) -> Wants {
-        self.slots
+        self.sinks
             .iter()
-            .map(|s| s.sink.wants())
+            .map(|s| s.wants())
             .max()
             .unwrap_or(Wants::Nothing)
     }
 
-    fn before_word(&mut self, pos: u64, word: u32) {
-        for s in &mut self.slots {
-            s.sink.before_word(pos, word);
-        }
-    }
-
-    fn after_word(&mut self, pos: u64, word: u32) {
-        for s in &mut self.slots {
-            s.sink.after_word(pos, word);
+    fn word(&mut self, pos: u64) {
+        for s in &mut self.sinks {
+            s.word(pos);
         }
     }
 }
 
-/// What one pass over one source produced: per-slot reports (or the
-/// typed error the slot's sink latched), the parse statistics of the
-/// pass, and the pass shape.
+/// What one pass over one source produced: per-sink reports (or the
+/// typed error the sink latched), the parse statistics of the pass,
+/// and the pass shape.
 #[derive(Debug)]
 pub struct StackReport {
     /// One entry per sink, in stack order.
@@ -192,25 +166,25 @@ pub struct StackReport {
     pub parse: ParseStats,
     /// Raw trace words in the pass.
     pub words: u64,
-    /// Event×sink applications routed (references × sinks: a run of
-    /// fetches counts once per fetch).
+    /// Event×sink applications routed: the events of the pass (a run
+    /// of fetches counting once per fetch) × sinks.
     pub applied: u64,
 }
 
 impl StackReport {
-    /// Slots that surfaced a typed error.
+    /// Sinks that surfaced a typed error.
     pub fn failed(&self) -> usize {
         self.reports.iter().filter(|r| r.is_err()).count()
     }
 
-    /// The successful report of slot `i`, if any.
+    /// The successful report of sink `i`, if any.
     pub fn ok(&self, i: usize) -> Option<&SinkReport> {
         self.reports.get(i).and_then(|r| r.as_ref().ok())
     }
 
-    /// Renders every slot deterministically: each sink's
+    /// Renders every sink deterministically: its
     /// [`SinkReport::render`] block, or one `sink <name> FAILED: ...`
-    /// line for a slot whose sink latched a typed error.
+    /// line if it latched a typed error.
     pub fn render(&self) -> String {
         let mut out = String::new();
         for r in &self.reports {
@@ -234,25 +208,25 @@ pub fn analyze_words(parser: TraceParser, words: &[u32], stack: Stack) -> StackR
 
 /// One-pass analysis of a [`TraceStore`].
 ///
-/// The slots are dealt round-robin into `cfg.workers` shares (at most
-/// one per slot). Share 0 is driven on the calling thread and every
+/// The sinks are dealt round-robin into `cfg.workers` shares (at most
+/// one per sink). Share 0 is driven on the calling thread and every
 /// other share on a thread of its own, each through its own
 /// [`drive`]: its own block reader and its own parser over the
 /// store's shared tables. Every share sees the whole stream in order,
-/// so the spread is invisible in the reports; the slots come back in
-/// their original order. A block error is returned typed, the first
-/// in worker order.
+/// so the spread is invisible in the reports and every share counts
+/// the same events; the sinks come back in their original order. A
+/// block error is returned typed, the first in worker order.
 pub fn analyze_store(
     store: &TraceStore,
     stack: Stack,
     cfg: FarmCfg,
 ) -> Result<StackReport, StoreError> {
-    let Stack { slots, obs } = stack;
-    let n = slots.len();
+    let Stack { sinks, events, obs } = stack;
+    let n = sinks.len();
     let workers = cfg.workers.clamp(1, n.max(1));
     let mut shares: Vec<Stack> = (0..workers).map(|_| Stack::new()).collect();
-    for (i, slot) in slots.into_iter().enumerate() {
-        shares[i % workers].slots.push(slot);
+    for (i, sink) in sinks.into_iter().enumerate() {
+        shares[i % workers].sinks.push(sink);
     }
     let mut shares = shares.into_iter();
     let first = shares.next().expect("at least one share");
@@ -267,20 +241,26 @@ pub fn analyze_store(
         runs
     });
     let runs = runs.into_iter().collect::<Result<Vec<_>, _>>()?;
-    let run = runs[0].0.clone();
+    let (run, passed) = (runs[0].0.clone(), runs[0].1.events);
     let mut shares: Vec<_> = runs
         .into_iter()
         .map(|(r, share)| {
             assert_eq!(r, run, "every worker drives the same pass");
-            share.slots.into_iter()
+            assert_eq!(share.events, passed, "every worker counts the same events");
+            share.sinks.into_iter()
         })
         .collect();
-    let slots = (0..n)
+    let sinks = (0..n)
         .map(|i| {
             shares[i % workers]
                 .next()
-                .expect("a share returns its slots")
+                .expect("a share returns its sinks")
         })
         .collect();
-    Ok(Stack { slots, obs }.finish(run.parse, run.words))
+    let stack = Stack {
+        sinks,
+        events: events + passed,
+        obs,
+    };
+    Ok(stack.finish(run.parse, run.words))
 }

@@ -8,14 +8,14 @@
 //! each owning its own pipeline.
 //!
 //! * [`sink`] — the [`AnalysisSink`] trait: a `wrl_trace::TraceSink`
-//!   (whose event and word hooks are the only ones there are; its one
-//!   instruction hook, `irefs`, takes a run of fetches on one page, and
-//!   each sink here does per run what it would do per fetch) plus
+//!   (six methods: four event hooks, `wants` and one word hook; its
+//!   one instruction hook, `irefs`, takes a run of fetches on one page,
+//!   and each sink here does per run what it would do per fetch) plus
 //!   `name()` and `finish() -> Result<SinkReport, SinkError>`;
-//! * [`driver`] — the [`Stack`] of sink slots (a `TraceSink` for the
-//!   one `wrl_trace::Driver`) and the one-pass entry points
-//!   [`analyze_words`] / [`analyze_store`] (inline, or one driver per
-//!   worker over its share of the slots);
+//! * [`driver`] — the [`Stack`] of boxed sinks, counting each event
+//!   once (a `TraceSink` for the one `wrl_trace::Driver`), and the
+//!   one-pass entry points [`analyze_words`] / [`analyze_store`]
+//!   (inline, or one driver per worker over its share of the sinks);
 //! * [`analyses`] — the five repo analyses as sinks (cache study,
 //!   full memory-system/TLB simulation — `wrl_memsim::MemSim` itself,
 //!   named `tlb` — dilation, pagemap, defensive checks);
@@ -23,12 +23,12 @@
 //!   sampled tracing windows, per-ASID working-set curves, and a
 //!   phase detector;
 //! * [`spec`] — the `cache:65536:2,wset,phase` stack-spec grammar
-//!   behind `tracedump analyze`;
+//!   behind `tracedump analyze`, and [`build_stack`], its one parser;
 //! * [`obs`] — the `tracer.*` metrics.
 //!
-//! Error handling is per-slot. No hook can fail, so no sink can abort
+//! Error handling is per sink. No hook can fail, so no sink can abort
 //! a pass: a sink that hits a fault latches it and returns the typed
-//! [`SinkError`] from `finish`, which lands in its slot of the
+//! [`SinkError`] from `finish`, which lands in its own entry of the
 //! [`StackReport`]. Sinks share no state, so sibling sinks see the
 //! full event stream and their reports are unaffected (the
 //! `tracer.sink` chaos site holds this under seeded fault injection).
@@ -48,4 +48,4 @@ pub use driver::{analyze_store, analyze_words, Stack, StackReport};
 pub use obs::TracerObs;
 pub use sink::{AnalysisSink, SinkError, SinkReport, Value};
 pub use spec::{build_stack, SinkSpecError};
-pub use windows::{PhaseSink, SampledCfg, SampledCfgError, SampledWindowSink, WorkingSetSink};
+pub use windows::{PhaseSink, SampledCfg, SampledWindowSink, WorkingSetSink};

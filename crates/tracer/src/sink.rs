@@ -3,9 +3,9 @@
 //! An analysis sink is a [`wrl_trace::TraceSink`] with a name that
 //! ends in a structured [`SinkReport`] — or, having latched a fault
 //! mid-pass, in a typed [`SinkError`] instead of a panic. Sinks
-//! compose in one way: pushed into a [`crate::Stack`], each in its own
-//! slot, so a whole analysis suite rides one decode+parse pass as a
-//! single value.
+//! compose in one way: pushed into a [`crate::Stack`], which feeds
+//! each the same events, so a whole analysis suite rides one
+//! decode+parse pass as a single value.
 
 use core::fmt;
 
@@ -13,7 +13,7 @@ use wrl_trace::TraceSink;
 
 /// A typed mid-pass analysis failure. One *never* aborts the pass:
 /// no hook can return it, so the failing sink latches it and returns
-/// it from [`AnalysisSink::finish`] into its own report slot, and
+/// it from [`AnalysisSink::finish`] into its own report entry, and
 /// every sibling sink's stream stays intact
 /// (`tests/tracer_differential.rs` and the `tracer.sink` chaos site
 /// hold that contract).
@@ -188,9 +188,8 @@ impl SinkReport {
 /// needs *word positions* (duty cycles, offsets into the raw stream)
 /// answers [`Wants::Words`](wrl_trace::Wants) from
 /// [`TraceSink::wants`]; the driver then feeds the parser
-/// word-at-a-time and brackets each word with
-/// [`TraceSink::before_word`]/[`TraceSink::after_word`], so events
-/// parsed from a word land between its two hooks. A sink that hits a
+/// word-at-a-time and calls [`TraceSink::word`] before each word, so
+/// the events parsed from a word follow its hook. A sink that hits a
 /// fault mid-pass latches it itself and returns it from
 /// [`AnalysisSink::finish`].
 pub trait AnalysisSink: TraceSink {

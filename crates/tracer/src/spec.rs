@@ -13,17 +13,17 @@
 //! phase[:window[:threshold]]   phase detector (default 4096:0.5)
 //! ```
 //!
-//! Every size/window argument takes the same `k`/`K` (×1024) and
-//! `m`/`M` (×1024²) suffixes the sampled sub-spec does, so
-//! `cache:64k:2` and `wset:16k` read as written.
+//! This is the one grammar: every item, `sampled` included, is parsed
+//! here into its sink's configuration, and every rejection is a
+//! [`SinkSpecError`]. Every size/window argument takes the same
+//! `k`/`K` (×1024) and `m`/`M` (×1024²) suffixes, so `cache:64k:2`,
+//! `wset:16k` and `sampled:64k:448k` read as written.
 
 use wrl_memsim::{AssocCache, MemSim, PageMap};
 
 use crate::analyses::{CacheSink, DefenseSink, DilationSink, PagemapSink};
 use crate::driver::Stack;
-use crate::windows::{
-    self, PhaseSink, SampledCfg, SampledCfgError, SampledWindowSink, WorkingSetSink,
-};
+use crate::windows::{PhaseSink, SampledCfg, SampledWindowSink, WorkingSetSink};
 
 /// Errors from [`build_stack`].
 #[derive(Clone, Debug, PartialEq)]
@@ -39,8 +39,6 @@ pub enum SinkSpecError {
     },
     /// Too many `:` arguments for the item.
     TooManyArgs(String),
-    /// The sampled-window sub-spec was rejected.
-    Sampled(SampledCfgError),
     /// The spec was empty (an empty stack analyzes nothing).
     Empty,
 }
@@ -51,7 +49,6 @@ impl std::fmt::Display for SinkSpecError {
             SinkSpecError::UnknownSink(s) => write!(f, "unknown sink {s:?}"),
             SinkSpecError::BadArg { item, arg } => write!(f, "bad argument {arg:?} in {item:?}"),
             SinkSpecError::TooManyArgs(s) => write!(f, "too many arguments in {s:?}"),
-            SinkSpecError::Sampled(e) => write!(f, "sampled: {e}"),
             SinkSpecError::Empty => write!(f, "empty sink spec"),
         }
     }
@@ -70,10 +67,19 @@ fn num<T: std::str::FromStr>(item: &str, arg: &str) -> Result<T, SinkSpecError> 
     arg.parse().map_err(|_| bad_arg(item, arg))
 }
 
-/// A size/window argument through the grammar's one suffix parser,
-/// rejected if it does not fit the field's type.
+/// A size/window argument with an optional `k`/`K` (×1024) or
+/// `m`/`M` (×1024²) suffix, rejected on a bad digit string, an
+/// overflow, or a value that does not fit the field's type.
 fn scaled<T: TryFrom<u64>>(item: &str, arg: &str) -> Result<T, SinkSpecError> {
-    windows::scaled(arg)
+    let (digits, scale) = match arg.chars().last() {
+        Some('k' | 'K') => (&arg[..arg.len() - 1], 1024u64),
+        Some('m' | 'M') => (&arg[..arg.len() - 1], 1024 * 1024),
+        _ => (arg, 1),
+    };
+    digits
+        .parse::<u64>()
+        .ok()
+        .and_then(|n| n.checked_mul(scale))
         .and_then(|n| T::try_from(n).ok())
         .ok_or_else(|| bad_arg(item, arg))
 }
@@ -131,11 +137,30 @@ pub fn build_stack(spec: &str, pagemap: &PageMap) -> Result<Stack, SinkSpecError
                 stack.push(DefenseSink::default());
             }
             "sampled" => {
-                let cfg = match rest {
-                    Some(r) => SampledCfg::parse(r).map_err(SinkSpecError::Sampled)?,
-                    None => SampledCfg::default(),
-                };
-                stack.push(SampledWindowSink::new(cfg));
+                if args.len() > 3 {
+                    return Err(SinkSpecError::TooManyArgs(item.to_string()));
+                }
+                let on: u64 = args
+                    .first()
+                    .map(|a| scaled(item, a))
+                    .transpose()?
+                    .unwrap_or(SampledCfg::default().on);
+                // A 1-in-8 duty cycle; `7·on` saturates, so its
+                // overflow fails the period check below.
+                let off: u64 = args
+                    .get(1)
+                    .map(|a| scaled(item, a))
+                    .transpose()?
+                    .unwrap_or(on.saturating_mul(7));
+                let seed: u64 = args
+                    .get(2)
+                    .map(|a| scaled(item, a))
+                    .transpose()?
+                    .unwrap_or(0);
+                if on == 0 || on.checked_add(off).is_none() {
+                    return Err(bad_arg(item, rest.unwrap_or_default()));
+                }
+                stack.push(SampledWindowSink::new(SampledCfg { on, off, seed }));
             }
             "wset" => {
                 if args.len() > 1 {
@@ -203,7 +228,7 @@ mod tests {
                 "phase:64",
             ]
         );
-        assert_eq!(stack.wants(), Wants::Words, "sampled wants word hooks");
+        assert_eq!(stack.wants(), Wants::Words, "sampled wants the word hook");
     }
 
     #[test]
@@ -250,6 +275,33 @@ mod tests {
         );
     }
 
+    /// The `sampled` item accepts exactly these shapes and builds
+    /// exactly these sinks: `off` defaults to `7·on`, `seed` to 0.
+    #[test]
+    fn sampled_specs_build_exactly_these_sinks() {
+        for (spec, name) in [
+            ("sampled", "sampled:65536:458752:0"),
+            ("sampled:256", "sampled:256:1792:0"),
+            ("sampled:1k:3k:9", "sampled:1024:3072:9"),
+            ("sampled:4:0", "sampled:4:0:0"),
+        ] {
+            assert_eq!(build_stack(spec, &pm()).unwrap().names(), [name], "{spec}");
+        }
+        // A dead window, an empty field, a fourth field, a bad digit,
+        // `7·on` overflowing and `on + off` overflowing.
+        for spec in [
+            "sampled:0",
+            "sampled:0:5",
+            "sampled:64k::3",
+            "sampled:1:2:3:4",
+            "sampled:x",
+            "sampled:3074457345618258603",
+            "sampled:18446744073709551615:1",
+        ] {
+            assert!(build_stack(spec, &pm()).is_err(), "{spec}");
+        }
+    }
+
     #[test]
     fn defaults_and_errors() {
         let stack = build_stack("cache,wset,phase", &pm()).unwrap();
@@ -271,9 +323,12 @@ mod tests {
             build_stack("cache:x", &pm()),
             Err(SinkSpecError::BadArg { .. })
         ));
-        assert!(matches!(
-            build_stack("sampled:0", &pm()),
-            Err(SinkSpecError::Sampled(SampledCfgError::ZeroOn))
-        ));
+        assert_eq!(
+            build_stack("sampled:0", &pm()).unwrap_err(),
+            SinkSpecError::BadArg {
+                item: "sampled:0".into(),
+                arg: "0".into()
+            }
+        );
     }
 }

@@ -25,32 +25,6 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Errors from [`SampledCfg::parse`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum SampledCfgError {
-    /// A numeric field failed to parse or overflowed.
-    BadNumber(String),
-    /// The on-window was zero (nothing would ever be sampled).
-    ZeroOn,
-    /// `on + off` overflowed u64.
-    PeriodOverflow,
-    /// Wrong number of `:`-separated fields.
-    BadShape(String),
-}
-
-impl std::fmt::Display for SampledCfgError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SampledCfgError::BadNumber(s) => write!(f, "bad number {s:?}"),
-            SampledCfgError::ZeroOn => write!(f, "on-window must be nonzero"),
-            SampledCfgError::PeriodOverflow => write!(f, "on + off overflows"),
-            SampledCfgError::BadShape(s) => write!(f, "want on[:off[:seed]], got {s:?}"),
-        }
-    }
-}
-
-impl std::error::Error for SampledCfgError {}
-
 /// Deterministic on/off duty-cycle configuration for
 /// [`SampledWindowSink`], in trace words.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -73,47 +47,7 @@ impl Default for SampledCfg {
     }
 }
 
-/// Parses one size/window number with an optional `k`/`K` (×1024) or
-/// `m`/`M` (×1024²) suffix; `None` on a bad digit string or overflow.
-/// The one suffix parser of the spec grammar: callers map `None` to
-/// their own error.
-pub(crate) fn scaled(s: &str) -> Option<u64> {
-    let (digits, scale) = match s.chars().last() {
-        Some('k') | Some('K') => (&s[..s.len() - 1], 1024u64),
-        Some('m') | Some('M') => (&s[..s.len() - 1], 1024 * 1024),
-        _ => (s, 1),
-    };
-    digits.parse::<u64>().ok()?.checked_mul(scale)
-}
-
 impl SampledCfg {
-    /// Parses `on[:off[:seed]]` with `k`/`m` suffixes, e.g.
-    /// `64k:448k:7`. Omitted `off` defaults to `7*on` (a 1-in-8 duty
-    /// cycle), omitted `seed` to 0.
-    pub fn parse(spec: &str) -> Result<SampledCfg, SampledCfgError> {
-        let parts: Vec<&str> = spec.split(':').collect();
-        if parts.is_empty() || parts.len() > 3 || parts.iter().any(|p| p.is_empty()) {
-            return Err(SampledCfgError::BadShape(spec.to_string()));
-        }
-        let field = |p: &str| scaled(p).ok_or_else(|| SampledCfgError::BadNumber(p.to_string()));
-        let on = field(parts[0])?;
-        if on == 0 {
-            return Err(SampledCfgError::ZeroOn);
-        }
-        let off = match parts.get(1) {
-            Some(p) => field(p)?,
-            None => on.checked_mul(7).ok_or(SampledCfgError::PeriodOverflow)?,
-        };
-        let seed = match parts.get(2) {
-            Some(p) => field(p)?,
-            None => 0,
-        };
-        if on.checked_add(off).is_none() {
-            return Err(SampledCfgError::PeriodOverflow);
-        }
-        Ok(SampledCfg { on, off, seed })
-    }
-
     /// The full duty-cycle period in words.
     pub fn period(&self) -> u64 {
         self.on + self.off
@@ -131,8 +65,8 @@ impl SampledCfg {
 /// Sampled tracing windows (Metz & Lencevicius-style duty-cycle
 /// profiling): the sink observes only the events inside deterministic
 /// on-windows of the word stream and scales its counts up by the duty
-/// cycle. Wants word hooks — the duty cycle is defined over raw trace
-/// words, the paper's unit of trace volume.
+/// cycle. Wants the word hook — the duty cycle is defined over raw
+/// trace words, the paper's unit of trace volume.
 #[derive(Debug)]
 pub struct SampledWindowSink {
     cfg: SampledCfg,
@@ -178,17 +112,16 @@ impl TraceSink for SampledWindowSink {
         Wants::Words
     }
 
-    fn before_word(&mut self, pos: u64, _word: u32) {
+    /// Opens or closes the window at `pos`; the events the word
+    /// yields are then counted in or out by the state it leaves.
+    fn word(&mut self, pos: u64) {
         let now = (pos + self.phase) % self.cfg.period() < self.cfg.on;
         if now && !self.active {
             self.windows += 1;
         }
         self.active = now;
-    }
-
-    fn after_word(&mut self, _pos: u64, _word: u32) {
         self.words += 1;
-        if self.active {
+        if now {
             self.sampled_words += 1;
         }
     }
@@ -490,39 +423,6 @@ mod tests {
     use proptest::prelude::*;
 
     #[test]
-    fn sampled_cfg_parses_suffixes_and_defaults() {
-        assert_eq!(
-            SampledCfg::parse("64k").unwrap(),
-            SampledCfg {
-                on: 65536,
-                off: 7 * 65536,
-                seed: 0
-            }
-        );
-        assert_eq!(
-            SampledCfg::parse("1k:3k:9").unwrap(),
-            SampledCfg {
-                on: 1024,
-                off: 3072,
-                seed: 9
-            }
-        );
-        assert_eq!(SampledCfg::parse("0:5"), Err(SampledCfgError::ZeroOn));
-        assert!(matches!(
-            SampledCfg::parse("a:b"),
-            Err(SampledCfgError::BadNumber(_))
-        ));
-        assert!(matches!(
-            SampledCfg::parse("1:2:3:4"),
-            Err(SampledCfgError::BadShape(_))
-        ));
-        assert!(matches!(
-            SampledCfg::parse(&format!("{}", u64::MAX)),
-            Err(SampledCfgError::PeriodOverflow)
-        ));
-    }
-
-    #[test]
     fn sampler_duty_cycle_is_exact_and_seeded() {
         let cfg = SampledCfg {
             on: 4,
@@ -531,9 +431,8 @@ mod tests {
         };
         let mut s = SampledWindowSink::new(cfg);
         for pos in 0..64u64 {
-            s.before_word(pos, 0);
-            s.iref(0x8000_0000, Space::Kernel, false);
-            s.after_word(pos, 0);
+            s.word(pos);
+            s.irefs(0x8000_0000, 1, Space::Kernel, false);
         }
         let r = s.finish().unwrap();
         // Exactly half the words are inside on-windows.
@@ -544,8 +443,7 @@ mod tests {
         // A different seed shifts the phase, not the coverage.
         let mut s2 = SampledWindowSink::new(SampledCfg { seed: 1, ..cfg });
         for pos in 0..64u64 {
-            s2.before_word(pos, 0);
-            s2.after_word(pos, 0);
+            s2.word(pos);
         }
         assert_eq!(s2.finish().unwrap().get_u64("sampled_words"), Some(32));
     }
@@ -555,10 +453,10 @@ mod tests {
         let mut w = WorkingSetSink::new(4);
         // Window 1: pages 0,1 (4 refs). Window 2: page 2 only.
         for va in [0x0000u32, 0x0004, 0x1000, 0x1004] {
-            w.iref(va, Space::User(1), false);
+            w.irefs(va, 1, Space::User(1), false);
         }
         for va in [0x2000u32, 0x2004, 0x2008, 0x200c] {
-            w.iref(va, Space::User(1), false);
+            w.irefs(va, 1, Space::User(1), false);
         }
         w.dref(0x8000_0000, false, Width::Word, Space::Kernel);
         let r = w.finish().unwrap();
@@ -629,11 +527,11 @@ mod tests {
         // Two identical windows on pages {0,1}, then a jump to {8,9}.
         for _ in 0..2 {
             for va in [0x0000u32, 0x0100, 0x1000, 0x1100] {
-                p.iref(va, Space::User(1), false);
+                p.irefs(va, 1, Space::User(1), false);
             }
         }
         for va in [0x8000u32, 0x8100, 0x9000, 0x9100] {
-            p.iref(va, Space::User(1), false);
+            p.irefs(va, 1, Space::User(1), false);
         }
         let r = p.finish().unwrap();
         assert_eq!(r.get_u64("windows"), Some(3));

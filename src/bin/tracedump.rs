@@ -409,7 +409,14 @@ fn catalog(addr: &str) {
     }
 }
 
-fn fetch(addr: &str, archive: &str, opts: &[String]) {
+/// Parses the predicate flags `--asid A` and `--window LO..HI` out of
+/// `opts`. Any other flag goes to `extra` with the rest of the
+/// arguments, to take its value from; `extra` exits with [`usage`] on
+/// a flag its subcommand does not know.
+fn predicate<'a>(
+    opts: &'a [String],
+    mut extra: impl FnMut(&str, &mut std::slice::Iter<'a, String>),
+) -> Predicate {
     let mut pred = Predicate::default();
     let mut it = opts.iter();
     while let Some(opt) = it.next() {
@@ -425,9 +432,14 @@ fn fetch(addr: &str, archive: &str, opts: &[String]) {
                 });
                 pred.window = Some(w.unwrap_or_else(|| usage()));
             }
-            _ => usage(),
+            flag => extra(flag, &mut it),
         }
     }
+    pred
+}
+
+fn fetch(addr: &str, archive: &str, opts: &[String]) {
+    let pred = predicate(opts, |_, _| usage());
     let mut client = connect(addr);
     let q = client.query(archive, &pred).unwrap_or_else(|e| {
         eprintln!("fetch: {e}");
@@ -500,26 +512,11 @@ fn live(addr: &str, workload: &str, os: &str) {
 /// until the end-of-feed marker, then exits 0. `--from-start` replays
 /// the feed's history first; the default watches from now on.
 fn tail(addr: &str, feed: &str, opts: &[String]) {
-    let mut pred = Predicate::default();
     let mut from_start = false;
-    let mut it = opts.iter();
-    while let Some(opt) = it.next() {
-        match opt.as_str() {
-            "--asid" => {
-                let a = it.next().and_then(|s| s.parse().ok());
-                pred.asid = Some(a.unwrap_or_else(|| usage()));
-            }
-            "--window" => {
-                let w = it.next().and_then(|s| {
-                    let (lo, hi) = s.split_once("..")?;
-                    Some((lo.parse().ok()?, hi.parse().ok()?))
-                });
-                pred.window = Some(w.unwrap_or_else(|| usage()));
-            }
-            "--from-start" => from_start = true,
-            _ => usage(),
-        }
-    }
+    let pred = predicate(opts, |flag, _| match flag {
+        "--from-start" => from_start = true,
+        _ => usage(),
+    });
     // A machine run pauses the feed for as long as it computes
     // between drains; give the tail a much larger stall budget than
     // a query client would use.
@@ -628,26 +625,11 @@ fn analyze_local(path: &str, spec: &str, opts: &[String]) {
 /// held archive of the same trace.
 fn analyze_remote(addr: &str, archive: &str, spec: &str, opts: &[String]) {
     systrace::obs::register_all();
-    let mut pred = Predicate::default();
     let mut tables: Option<&str> = None;
-    let mut it = opts.iter();
-    while let Some(opt) = it.next() {
-        match opt.as_str() {
-            "--tables" => tables = Some(it.next().unwrap_or_else(|| usage())),
-            "--asid" => {
-                let a = it.next().and_then(|s| s.parse().ok());
-                pred.asid = Some(a.unwrap_or_else(|| usage()));
-            }
-            "--window" => {
-                let w = it.next().and_then(|s| {
-                    let (lo, hi) = s.split_once("..")?;
-                    Some((lo.parse().ok()?, hi.parse().ok()?))
-                });
-                pred.window = Some(w.unwrap_or_else(|| usage()));
-            }
-            _ => usage(),
-        }
-    }
+    let pred = predicate(opts, |flag, it| match flag {
+        "--tables" => tables = Some(it.next().unwrap_or_else(|| usage())),
+        _ => usage(),
+    });
     let tables = tables.unwrap_or_else(|| usage());
     let parser = load_store(tables).parser();
     let stack = stack_for(spec);

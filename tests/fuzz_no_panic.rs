@@ -408,21 +408,30 @@ fn arb_spec_item() -> impl Strategy<Value = String> {
 }
 
 proptest! {
-    /// The sampled-window duty-cycle parser is total: any input gets a
-    /// typed `SampledCfgError` or a config whose invariants hold (a
-    /// live `on` phase, no period overflow, a phase inside the
-    /// period) — never a panic. Parsing is deterministic.
+    /// The `sampled` item of the sink-spec grammar is total: any
+    /// argument string builds a stack or surfaces a typed
+    /// `SinkSpecError`, never a panic, and the same one twice. Every
+    /// sampled sink built has a live `on` window, a period that does
+    /// not overflow and a phase inside it, and its name rebuilds the
+    /// same sink.
     #[test]
     fn sampled_window_config_parsing_never_panics(s in arb_speclike_string(32)) {
-        use systrace::tracer::SampledCfg;
-        let a = SampledCfg::parse(&s);
-        prop_assert_eq!(&a, &SampledCfg::parse(&s));
-        if let Ok(cfg) = a {
-            prop_assert!(cfg.on >= 1);
-            prop_assert!(cfg.period() >= cfg.on);
-            if cfg.period() > 0 {
+        use systrace::memsim::{PageMap, Policy};
+        use systrace::tracer::{build_stack, SampledCfg};
+        let pagemap = PageMap::new(Policy::Identity);
+        let build = |spec: &str| build_stack(spec, &pagemap).map(|stack| stack.names());
+        let spec = format!("sampled:{s}");
+        let names = build(&spec);
+        prop_assert_eq!(&names, &build(&spec));
+        if let Ok(names) = names {
+            for name in names.iter().filter_map(|n| n.strip_prefix("sampled:")) {
+                let f: Vec<u64> = name.split(':').map(|x| x.parse().unwrap()).collect();
+                let cfg = SampledCfg { on: f[0], off: f[1], seed: f[2] };
+                prop_assert!(cfg.on >= 1);
+                prop_assert!(cfg.on.checked_add(cfg.off).is_some());
                 prop_assert!(cfg.phase() < cfg.period());
             }
+            prop_assert_eq!(build(&names.join(",")), Ok(names));
         }
     }
 
@@ -476,9 +485,9 @@ proptest! {
         let mut stack = build_stack(spec, &PageMap::new(Policy::Identity)).expect("spec builds");
         for (pos, &(kind, vaddr, asid, user, flag)) in events.iter().enumerate() {
             let space = if user { Space::User(asid) } else { Space::Kernel };
-            stack.before_word(pos as u64, vaddr);
+            stack.word(pos as u64);
             match kind {
-                0..=2 => stack.iref(vaddr, space, flag),
+                0..=2 => stack.irefs(vaddr, 1, space, flag),
                 3..=5 => {
                     let width = [Width::Byte, Width::Half, Width::Word][kind as usize - 3];
                     stack.dref(vaddr, flag, width, space);
@@ -486,7 +495,6 @@ proptest! {
                 6 => stack.ctx_switch(asid),
                 _ => stack.mode_transition(flag),
             }
-            stack.after_word(pos as u64, vaddr);
         }
         let report = stack.finish(ParseStats::default(), events.len() as u64);
         prop_assert_eq!(report.reports.len(), 8);

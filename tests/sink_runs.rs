@@ -180,11 +180,8 @@ impl<S: TraceSink> TraceSink for Singles<S> {
     fn wants(&self) -> Wants {
         self.0.wants()
     }
-    fn before_word(&mut self, pos: u64, word: u32) {
-        self.0.before_word(pos, word);
-    }
-    fn after_word(&mut self, pos: u64, word: u32) {
-        self.0.after_word(pos, word);
+    fn word(&mut self, pos: u64) {
+        self.0.word(pos);
     }
 }
 

@@ -4,8 +4,9 @@
 //! * Five ported analyses (cache study, TLB simulation, dilation,
 //!   pagemap, defensive checks) composed in one stack vs each run
 //!   alone — equal report-for-report, over the in-memory stream and
-//!   over stores at block sizes {1, 7, 4096} with the slots spread
-//!   over 1/2/4 workers, word-hook sinks included.
+//!   over stores at block sizes {1, 7, 4096} with the sinks spread
+//!   over 1/2/3/4 workers, word-hook sinks included, each pass
+//!   routing exactly events × sinks applications.
 //! * A real machine run through the harness: the same five-sink
 //!   stack rides the prediction's own parse (one parser a run), and
 //!   composing it leaves the prediction bit-identical.
@@ -20,7 +21,7 @@
 
 use systrace::memsim::{AssocCache, MemSim, PageMap, Policy, SpaceKey};
 use systrace::store::{FarmCfg, TraceStore};
-use systrace::trace::{Space, TraceArchive, TraceSink, Wants};
+use systrace::trace::{EventVec, RefEvent, Space, TraceArchive, TraceSink, Wants};
 use systrace::tracer::{
     analyze_store, analyze_words, build_stack, AnalysisSink, CacheSink, DefenseSink, DilationSink,
     PagemapSink, SinkError, SinkReport, Stack, StackReport, TracerObs,
@@ -46,7 +47,7 @@ fn five() -> Vec<Box<dyn AnalysisSink + Send>> {
     ]
 }
 
-/// The event-only subset (no word hooks): every worker's driver takes
+/// The event-only subset (no word hook): every worker's driver takes
 /// the event path.
 fn event_only() -> Vec<Box<dyn AnalysisSink + Send>> {
     vec![
@@ -94,17 +95,33 @@ fn composed_one_pass_is_bit_identical_to_dedicated_passes() {
     }
 }
 
+/// Events in `a`'s stream from a parse that shares no code with the
+/// `Stack`: every buffered event counts one, a run of fetches one per
+/// fetch.
+fn events_in(a: &TraceArchive) -> u64 {
+    let mut buf = EventVec::default();
+    a.parser().parse_all(&a.words, &mut buf);
+    buf.0
+        .iter()
+        .map(|e| match e {
+            RefEvent::Iref { n, .. } => u64::from(*n),
+            _ => 1,
+        })
+        .sum()
+}
+
 #[test]
 fn composed_store_passes_match_dedicated_at_every_block_size_and_worker_count() {
     let a = golden();
     let expected_five = dedicated(&a, five);
     let expected_events = dedicated(&a, event_only);
+    let events = events_in(&a);
 
     for block_words in [1usize, 7, 4096] {
         let store = TraceStore::from_archive(&a, block_words);
-        for workers in [1usize, 2, 4] {
+        for workers in [1usize, 2, 3, 4] {
             let cfg = FarmCfg { workers };
-            // The full five-sink stack: dilation wants word hooks, so
+            // The full five-sink stack: dilation wants the word hook, so
             // the worker that holds it drives word-at-a-time while the
             // others take the event path.
             let mut stack = Stack::new();
@@ -115,6 +132,11 @@ fn composed_store_passes_match_dedicated_at_every_block_size_and_worker_count() 
             let tag = format!("block={block_words} workers={workers}");
             assert_eq!(report.failed(), 0, "{tag}");
             assert_eq!(report.words, a.words.len() as u64, "{tag}");
+            assert_eq!(
+                report.applied,
+                expected_five.len() as u64 * events,
+                "{tag}: five-stack applied"
+            );
             for (i, want) in expected_five.iter().enumerate() {
                 assert_eq!(report.ok(i).unwrap(), want, "{tag}: five-stack slot {i}");
             }
@@ -128,6 +150,11 @@ fn composed_store_passes_match_dedicated_at_every_block_size_and_worker_count() 
             }
             let report = analyze_store(&store, stack, cfg).expect("store pass succeeds");
             assert_eq!(report.failed(), 0, "{tag}");
+            assert_eq!(
+                report.applied,
+                expected_events.len() as u64 * events,
+                "{tag}: event-stack applied"
+            );
             for (i, want) in expected_events.iter().enumerate() {
                 assert_eq!(report.ok(i).unwrap(), want, "{tag}: event-stack slot {i}");
             }
@@ -137,7 +164,7 @@ fn composed_store_passes_match_dedicated_at_every_block_size_and_worker_count() 
 
 /// The harness feeds the prediction's simulator and the composed
 /// stack from one parse: the stack's report carries that parse's
-/// statistics, and composing five sinks (dilation wants word hooks, so
+/// statistics, and composing five sinks (dilation wants the word hook, so
 /// the whole tee takes the word-at-a-time path) changes nothing the
 /// prediction sees.
 #[test]
@@ -333,7 +360,7 @@ impl TraceSink for Fussy {
             None => Wants::Events,
         }
     }
-    fn after_word(&mut self, _pos: u64, _word: u32) {
+    fn word(&mut self, _pos: u64) {
         self.words = self.words.map(|w| w + 1);
     }
 }
