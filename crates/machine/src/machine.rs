@@ -18,7 +18,7 @@ use crate::dev::{irq, DevAction, Devices, DISK_BLOCK_SIZE};
 use crate::mem::Mem;
 use crate::tlb::{Tlb, TlbLookup};
 use wrl_isa::reg::RA;
-use wrl_isa::{seg, Executable, FReg, Inst};
+use wrl_isa::{seg, Executable, FReg, Inst, Reg};
 
 /// Machine configuration: what differs between the runs of one
 /// DECstation. Everything the hardware fixes is a constant of
@@ -173,17 +173,37 @@ pub struct Machine {
     hilo: Ready,
     /// True if the instruction about to execute sits in a delay slot.
     next_is_delay: bool,
-    /// Idle-loop PC range for idle accounting, if configured.
-    idle_range: Option<(u32, u32)>,
+    /// The idle-loop PC range `[lo, hi)` as `(lo, hi - lo)`: a PC is
+    /// in it if `pc - lo < len`. `(0, 0)` when unset.
+    idle: (u32, u32),
     /// Optional reference tracer.
     tracer: Option<RefTracer>,
     halted: Option<StopEvent>,
+    /// A stop for the host, returned before anything else happens.
+    stop: Option<StopEvent>,
     fetching: FetchPage,
+    /// The cycle at which `run` next looks past the instruction: 0
+    /// while an enabled interrupt is pending, else the next device
+    /// event. Whatever can move either sets it to 0 ([`Machine::moved`]),
+    /// and [`Machine::settle`] derives it again.
+    horizon: u64,
+    /// User mode, as of the last [`Machine::settle`]: the mode the
+    /// instructions since `mode_from` were fetched in.
+    user: bool,
+    /// Instructions retired: `counters.insts()` plus those retired
+    /// since the run began.
+    retired: u64,
+    /// `retired` when the mode was last settled.
+    mode_from: u64,
+    /// Fetches that did not retire: Random ticks on those too.
+    unretired: u64,
+    /// `retired + unretired` when Random was last brought up to date.
+    ticked: u64,
 }
 
-/// The page `step` is fetching from: what the last full resolution of
-/// a PC learned, good for the next fetch if `vpage`, `ctx` and
-/// `tlb_generation` still compare equal — nothing has to flush it.
+/// The page the machine is fetching from: what the last full resolution of
+/// a PC learned, good for the next fetch while `vpage` compares equal.
+/// [`Machine::settle`] drops it when `ctx` or `tlb_generation` moved.
 #[derive(Clone, Copy)]
 struct FetchPage {
     /// `pc & FETCH_PAGE` of an aligned PC in the page, so one compare
@@ -196,12 +216,39 @@ struct FetchPage {
     tlb_generation: u64,
     /// Physical base of the page, all of it inside memory.
     pbase: u32,
+    /// Which of the page's instructions the idle range holds.
+    idle: Idle,
     /// Fetches go through the I-cache (cacheable page, IsC clear).
     through_cache: bool,
     /// Physical number of the I-cache line the last fetch touched —
     /// still resident, since only a fetch or a `cache` op touches the
     /// I-cache — or `u32::MAX` after a `cache` op or a new page.
     line: u32,
+}
+
+/// Which of a fetch page's instructions the idle range holds.
+#[derive(Clone, Copy)]
+enum Idle {
+    /// None of them.
+    None,
+    /// All of them.
+    All,
+    /// Some: test each PC.
+    Some,
+}
+
+/// The [`Idle`] class of the page at `vbase`, for the idle range
+/// `(lo, len)`.
+fn idle_class((lo, len): (u32, u32), vbase: u32) -> Idle {
+    let (lo, hi) = (u64::from(lo), u64::from(lo) + u64::from(len));
+    let (base, end) = (u64::from(vbase), u64::from(vbase) + 0x1000);
+    if hi <= base || end <= lo {
+        Idle::None
+    } else if lo <= base && end <= hi {
+        Idle::All
+    } else {
+        Idle::Some
+    }
 }
 
 /// The bits of a PC that name its page and its alignment.
@@ -244,17 +291,25 @@ impl Machine {
             fcc: Ready::default(),
             hilo: Ready::default(),
             next_is_delay: false,
-            idle_range: None,
+            idle: (0, 0),
             tracer: None,
             halted: None,
+            stop: None,
             fetching: FetchPage {
                 vpage: u32::MAX,
                 ctx: 0,
                 tlb_generation: 0,
                 pbase: 0,
+                idle: Idle::None,
                 through_cache: false,
                 line: u32::MAX,
             },
+            horizon: 0,
+            user: false,
+            retired: 0,
+            mode_from: 0,
+            unretired: 0,
+            ticked: 0,
         }
     }
 
@@ -273,7 +328,8 @@ impl Machine {
     /// Configures the idle-loop PC range `[lo, hi)` for idle-time
     /// accounting (the "measured idle" side of §5.1).
     pub fn set_idle_range(&mut self, range: Option<(u32, u32)>) {
-        self.idle_range = range;
+        self.idle = range.map_or((0, 0), |(lo, hi)| (lo, hi.saturating_sub(lo)));
+        self.fetching.vpage = u32::MAX;
     }
 
     /// Installs a reference tracer receiving every I/D reference (the
@@ -343,16 +399,116 @@ impl Machine {
         if let Some(e) = self.halted {
             return e;
         }
-        let target = self.counters.insts() + max_insts;
-        while self.counters.insts() < target {
-            if let Some(e) = self.step() {
-                if matches!(e, StopEvent::Halted(_)) {
-                    self.halted = Some(e);
-                }
-                return e;
+        self.enter();
+        let target = self.retired + max_insts;
+        while self.retired < target {
+            if self.counters.cycles >= self.horizon && self.edge() {
+                break;
             }
+            self.instruction();
         }
-        StopEvent::Budget
+        self.leave();
+        let e = self.stop.take().unwrap_or(StopEvent::Budget);
+        if matches!(e, StopEvent::Halted(_)) {
+            self.halted = Some(e);
+        }
+        e
+    }
+
+    /// Executes one instruction; returns a stop event if the machine
+    /// should hand control to the host.
+    pub fn step(&mut self) -> Option<StopEvent> {
+        self.enter();
+        if !(self.counters.cycles >= self.horizon && self.edge()) {
+            self.instruction();
+        }
+        self.leave();
+        self.stop.take()
+    }
+
+    /// Takes up whatever the host changed since the last run:
+    /// `counters`, `cp0`, `tlb` and `dev` are `pub`.
+    fn enter(&mut self) {
+        self.retired = self.counters.insts();
+        self.mode_from = self.retired;
+        self.ticked = self.retired + self.unretired;
+        self.settle();
+    }
+
+    /// Leaves `counters` and Random as a step at a time would have.
+    fn leave(&mut self) {
+        self.split_modes();
+        self.sync_random(0);
+    }
+
+    /// Counts the instructions since the last split in the mode they
+    /// were fetched in.
+    fn split_modes(&mut self) {
+        let n = self.retired - self.mode_from;
+        if self.user {
+            self.counters.user_insts += n;
+        } else {
+            self.counters.kernel_insts += n;
+        }
+        self.mode_from = self.retired;
+    }
+
+    /// Brings Random up to date: it ticks once per fetch, and
+    /// `in_flight` fetches have neither retired nor failed yet.
+    fn sync_random(&mut self, in_flight: u64) {
+        let fetched = self.retired + self.unretired + in_flight;
+        self.tlb.tick_by(fetched - self.ticked);
+        self.ticked = fetched;
+    }
+
+    /// Something [`Machine::settle`] reads has moved — the interrupt
+    /// lines or mask, a device deadline, the mode, the fetch context
+    /// or the TLB — so the next step looks before it fetches.
+    #[inline]
+    fn moved(&mut self) {
+        self.horizon = 0;
+    }
+
+    /// Re-derives what the per-instruction path takes as given: the
+    /// mode, the held fetch page, the horizon.
+    fn settle(&mut self) {
+        self.split_modes();
+        self.user = self.cp0.user_mode();
+        let f = &mut self.fetching;
+        if f.ctx != self.cp0.fetch_ctx() || f.tlb_generation != self.tlb.generation() {
+            f.vpage = u32::MAX;
+        }
+        self.horizon = if self.cp0.interrupts_enabled() && self.cp0.pending_interrupts() != 0 {
+            0
+        } else {
+            self.dev.next_event()
+        };
+    }
+
+    /// The step's work that is not every instruction's, due once the
+    /// clock reaches the horizon: a pending stop, device progress,
+    /// interrupt dispatch, then [`Machine::settle`]. Returns true if
+    /// a stop is pending.
+    #[cold]
+    #[inline(never)]
+    fn edge(&mut self) -> bool {
+        if self.stop.is_some() {
+            return true;
+        }
+        let now = self.counters.cycles;
+        if now >= self.dev.next_event() {
+            if let Some(op) = self.dev.tick(now) {
+                self.dma(op);
+            }
+            self.sync_irq_lines();
+        }
+        // Interrupt dispatch (before the instruction at pc is fetched).
+        if self.cp0.interrupts_enabled() && self.cp0.pending_interrupts() != 0 {
+            let (pc, in_delay) = (self.cpu.pc, self.next_is_delay);
+            self.take_exception(Exception::plain(ExcCode::Int), pc, in_delay);
+        }
+        self.settle();
+        false
     }
 
     /// Translates for an access, raising the architectural exception
@@ -364,7 +520,7 @@ impl Machine {
             }
             return self.translate_mapped(vaddr, access, true);
         }
-        if self.cp0.user_mode() {
+        if self.user {
             let code = match access {
                 Access::Store => ExcCode::AdES,
                 _ => ExcCode::AdEL,
@@ -394,36 +550,39 @@ impl Machine {
                 }
                 Ok(((pfn << 12) | (vaddr & 0xfff), !noncacheable))
             }
-            TlbLookup::Miss => {
-                if user_segment {
-                    self.counters.utlb_misses += 1;
-                } else {
-                    self.counters.ktlb_misses += 1;
+            // A miss in kuseg takes the refill vector; an invalid
+            // entry, or any kseg2 fault, the general one.
+            found => {
+                let missed = found == TlbLookup::Miss;
+                match (missed, user_segment) {
+                    (true, true) => self.counters.utlb_misses += 1,
+                    (true, false) => self.counters.ktlb_misses += 1,
+                    _ => {}
                 }
                 let code = match access {
                     Access::Store => ExcCode::TlbS,
                     _ => ExcCode::TlbL,
                 };
-                Err(Exception::addr(code, vaddr, user_segment))
-            }
-            TlbLookup::Invalid => {
-                let code = match access {
-                    Access::Store => ExcCode::TlbS,
-                    _ => ExcCode::TlbL,
-                };
-                Err(Exception::addr(code, vaddr, false))
+                Err(Exception::addr(code, vaddr, missed && user_segment))
             }
         }
     }
 
     /// The one fault exit: a bare machine has no handler and stops,
     /// any other vectors to its kernel.
-    fn raise(&mut self, exc: Exception, epc_inst: u32, in_delay: bool) -> Option<StopEvent> {
+    fn raise(&mut self, exc: Exception, epc_inst: u32, in_delay: bool) {
         if self.bare {
-            return Some(StopEvent::UnhandledException(exc.code as u8));
+            self.stop_with(StopEvent::UnhandledException(exc.code as u8));
+        } else {
+            self.take_exception(exc, epc_inst, in_delay);
         }
-        self.take_exception(exc, epc_inst, in_delay);
-        None
+    }
+
+    /// Hands control to the host once the current instruction is done.
+    #[cold]
+    fn stop_with(&mut self, e: StopEvent) {
+        self.stop = Some(e);
+        self.moved();
     }
 
     fn take_exception(&mut self, exc: Exception, epc_inst: u32, in_delay: bool) {
@@ -442,6 +601,7 @@ impl Machine {
         self.cpu.pc = vector;
         self.cpu.next_pc = vector + 4;
         self.next_is_delay = false;
+        self.moved();
     }
 
     fn sync_irq_lines(&mut self) {
@@ -474,7 +634,7 @@ impl Machine {
     /// before it is a TLB miss — and keeps what it learned in
     /// `fetching`. Returns the physical address of the instruction.
     #[inline(never)]
-    fn resolve_fetch(&mut self, ipc: u32, ctx: u32) -> Result<u32, Exception> {
+    fn resolve_fetch(&mut self, ipc: u32) -> Result<u32, Exception> {
         if ipc & 3 != 0 {
             return Err(Exception::addr(ExcCode::AdEL, ipc, false));
         }
@@ -487,57 +647,35 @@ impl Machine {
         let whole = self.mem.in_range(pbase, 0x1000);
         self.fetching = FetchPage {
             vpage: if whole { ipc & FETCH_PAGE } else { u32::MAX },
-            ctx,
+            ctx: self.cp0.fetch_ctx(),
             tlb_generation: self.tlb.generation(),
             pbase,
+            idle: idle_class(self.idle, ipc & !0xfff),
             through_cache: cached && !self.cp0.cache_isolated(),
             line: u32::MAX,
         };
         Ok(paddr)
     }
 
-    /// Executes one instruction; returns a stop event if the machine
-    /// should hand control to the host.
+    /// The per-instruction path: fetch, execute, retire. What it takes
+    /// as given between edges — the mode, the held page's context, no
+    /// interrupt or device due — [`Machine::edge`] has settled.
     #[inline]
-    pub fn step(&mut self) -> Option<StopEvent> {
-        let now = self.counters.cycles;
-
-        // Device progress and interrupt lines.
-        if now >= self.dev.next_event() {
-            if let Some(op) = self.dev.tick(now) {
-                self.dma(op);
-            }
-            self.sync_irq_lines();
-        }
-
-        // Interrupt dispatch (before the instruction at pc issues).
-        if self.cp0.interrupts_enabled() && self.cp0.pending_interrupts() != 0 {
-            let pc = self.cpu.pc;
-            let in_delay = self.next_is_delay;
-            self.take_exception(Exception::plain(ExcCode::Int), pc, in_delay);
-        }
-
+    fn instruction(&mut self) {
         let ipc = self.cpu.pc;
         let in_delay = self.next_is_delay;
-        let user = self.cp0.user_mode();
 
-        // Fetch: from the page of the last fetch if nothing it stood
-        // on has moved, through the full resolution otherwise.
-        let ctx = self.cp0.fetch_ctx();
-        let f = self.fetching;
-        let paddr = if ipc & FETCH_PAGE == f.vpage
-            && ctx == f.ctx
-            && self.tlb.generation() == f.tlb_generation
-        {
-            f.pbase | (ipc & 0xfff)
+        // Fetch: from the held page, through the full resolution
+        // otherwise.
+        let paddr = if ipc & FETCH_PAGE == self.fetching.vpage {
+            self.fetching.pbase | (ipc & 0xfff)
         } else {
-            match self.resolve_fetch(ipc, ctx) {
+            match self.resolve_fetch(ipc) {
                 Ok(paddr) => paddr,
                 Err(e) => return self.raise(e, ipc, in_delay),
             }
         };
         self.counters.cycles += 1;
-        self.tlb.tick();
         if self.fetching.through_cache {
             // Inside the line of the last fetch this is a hit, and a
             // hit changes nothing.
@@ -554,10 +692,14 @@ impl Machine {
             self.counters.cycles += dec5000::UNCACHED_PENALTY;
         }
         if let Some(t) = self.tracer.as_mut() {
-            t(RefEvent::Ifetch { vaddr: ipc, user });
+            t(RefEvent::Ifetch {
+                vaddr: ipc,
+                user: self.user,
+            });
         }
 
         let Ok(inst) = self.mem.fetch(paddr) else {
+            self.unretired += 1;
             return self.raise(Exception::plain(ExcCode::RI), ipc, in_delay);
         };
 
@@ -565,46 +707,34 @@ impl Machine {
         self.cpu.pc = self.cpu.next_pc;
         self.cpu.next_pc = self.cpu.pc.wrapping_add(4);
 
-        // Execute.
-        let stop = match self.exec(inst, ipc, in_delay, user) {
-            Ok(stop) => {
-                self.next_is_delay = inst.has_delay_slot();
-                stop
-            }
+        match self.exec(inst, ipc, in_delay) {
+            Ok(()) => self.next_is_delay = inst.has_delay_slot(),
             // A faulting instruction retires into its handler; a bare
             // machine stops on it, unretired.
-            Err(e) => {
-                if let Some(stop) = self.raise(e, ipc, in_delay) {
-                    return Some(stop);
-                }
-                None
+            Err(e) if self.bare => {
+                self.unretired += 1;
+                return self.raise(e, ipc, in_delay);
             }
-        };
-        self.retire(ipc, user);
-        stop
-    }
-
-    #[inline]
-    fn retire(&mut self, ipc: u32, user: bool) {
-        if user {
-            self.counters.user_insts += 1;
-        } else {
-            self.counters.kernel_insts += 1;
+            Err(e) => self.take_exception(e, ipc, in_delay),
         }
-        if let Some((lo, hi)) = self.idle_range {
-            if ipc >= lo && ipc < hi {
-                self.counters.idle_insts += 1;
+        self.retired += 1;
+        match self.fetching.idle {
+            Idle::None => {}
+            Idle::All => self.counters.idle_insts += 1,
+            Idle::Some => {
+                let (lo, len) = self.idle;
+                self.counters.idle_insts += u64::from(ipc.wrapping_sub(lo) < len);
             }
         }
     }
 
     #[inline]
-    fn rd(&self, r: wrl_isa::Reg) -> u32 {
+    fn rd(&self, r: Reg) -> u32 {
         self.cpu.regs[r.idx()]
     }
 
     #[inline]
-    fn wr(&mut self, r: wrl_isa::Reg, v: u32) {
+    fn wr(&mut self, r: Reg, v: u32) {
         if r.idx() != 0 {
             self.cpu.regs[r.idx()] = v;
         }
@@ -626,7 +756,7 @@ impl Machine {
 
     #[inline]
     fn ideal_cycle(&self) -> u64 {
-        self.counters.insts() + self.counters.fp_stall_ideal
+        self.retired + self.counters.fp_stall_ideal
     }
 
     /// The cell of a result issued now that takes `lat` cycles.
@@ -640,21 +770,30 @@ impl Machine {
 
     /// Counts and traces a store that translated.
     #[inline]
-    fn count_store(&mut self, vaddr: u32, user: bool) {
+    fn count_store(&mut self, vaddr: u32) {
         self.counters.stores += 1;
         if let Some(t) = self.tracer.as_mut() {
-            t(RefEvent::Store { vaddr, user });
+            t(RefEvent::Store {
+                vaddr,
+                user: self.user,
+            });
         }
     }
 
-    fn load(&mut self, vaddr: u32, width: u32, user: bool) -> Result<u32, Exception> {
-        if !vaddr.is_multiple_of(width) {
+    /// Loads `width` (1, 2 or 4) bytes: aligned is `vaddr & (width -
+    /// 1) == 0`, a mask, not a division.
+    #[inline]
+    fn load(&mut self, vaddr: u32, width: u32) -> Result<u32, Exception> {
+        if vaddr & (width - 1) != 0 {
             return Err(Exception::addr(ExcCode::AdEL, vaddr, false));
         }
         let (paddr, cached) = self.translate(vaddr, Access::Load)?;
         self.counters.loads += 1;
         if let Some(t) = self.tracer.as_mut() {
-            t(RefEvent::Load { vaddr, user });
+            t(RefEvent::Load {
+                vaddr,
+                user: self.user,
+            });
         }
         if Devices::owns(paddr) {
             self.counters.uncached_data += 1;
@@ -680,38 +819,21 @@ impl Machine {
         })
     }
 
-    /// Stores `v`; a word store to HALT or the doorbell stops the
-    /// machine. The device's answer is the only way to a stop, and the
-    /// architectural translate the only way to the device.
-    fn store(
-        &mut self,
-        vaddr: u32,
-        v: u32,
-        width: u32,
-        user: bool,
-    ) -> Result<Option<StopEvent>, Exception> {
-        if !vaddr.is_multiple_of(width) {
+    /// Stores `v` (`width` as for [`Machine::load`]); a word store to
+    /// HALT or the doorbell stops the machine. The device's answer is
+    /// the only way to a stop, and the architectural translate the
+    /// only way to the device.
+    #[inline]
+    fn store(&mut self, vaddr: u32, v: u32, width: u32) -> Result<(), Exception> {
+        if vaddr & (width - 1) != 0 {
             return Err(Exception::addr(ExcCode::AdES, vaddr, false));
         }
         let (paddr, cached) = self.translate(vaddr, Access::Store)?;
         if Devices::owns(paddr) {
-            // The register is written at the cycle the uncached store
-            // lands. HALT stops the machine with the store neither
-            // counted, traced nor charged; narrower stores are plain
-            // register writes.
-            let lands = self.counters.cycles + dec5000::UNCACHED_PENALTY;
-            let stop = match (self.dev.write(paddr, v, lands), width) {
-                (DevAction::Halt(code), 4) => return Ok(Some(StopEvent::Halted(code))),
-                (DevAction::TraceRequest(w), 4) => Some(StopEvent::TraceRequest(w)),
-                _ => None,
-            };
-            self.count_store(vaddr, user);
-            self.counters.uncached_data += 1;
-            self.counters.cycles = lands;
-            self.sync_irq_lines();
-            return Ok(stop);
+            self.dev_store(paddr, vaddr, v, width);
+            return Ok(());
         }
-        self.count_store(vaddr, user);
+        self.count_store(vaddr);
         if !self.mem.in_range(paddr, width) {
             return Err(Exception::addr(ExcCode::AdES, vaddr, false));
         }
@@ -731,18 +853,39 @@ impl Machine {
             2 => self.mem.write_half(paddr, v as u16),
             _ => self.mem.write_word(paddr, v),
         }
-        Ok(None)
+        Ok(())
     }
 
-    fn exec(
-        &mut self,
-        inst: Inst,
-        ipc: u32,
-        in_delay: bool,
-        user: bool,
-    ) -> Result<Option<StopEvent>, Exception> {
+    /// A store that translated to the device page. The register is
+    /// written at the cycle the uncached store lands. HALT stops the
+    /// machine with the store neither counted, traced nor charged;
+    /// narrower stores are plain register writes.
+    #[cold]
+    #[inline(never)]
+    fn dev_store(&mut self, paddr: u32, vaddr: u32, v: u32, width: u32) {
+        let lands = self.counters.cycles + dec5000::UNCACHED_PENALTY;
+        match (self.dev.write(paddr, v, lands), width) {
+            (DevAction::Halt(code), 4) => return self.stop_with(StopEvent::Halted(code)),
+            (DevAction::TraceRequest(w), 4) => self.stop_with(StopEvent::TraceRequest(w)),
+            _ => {}
+        }
+        self.count_store(vaddr);
+        self.counters.uncached_data += 1;
+        self.counters.cycles = lands;
+        self.sync_irq_lines();
+        self.moved();
+    }
+
+    /// Executes `inst`; a fault is the `Err`. A stop for the host
+    /// leaves through [`Machine::stop_with`].
+    fn exec(&mut self, inst: Inst, ipc: u32, in_delay: bool) -> Result<(), Exception> {
         use Inst::*;
         match inst {
+            Mfc0 { .. } | Mtc0 { .. } | Tlbr | Tlbwi | Tlbwr | Tlbp | Rfe | Cache { .. }
+                if self.user =>
+            {
+                return Err(Exception::plain(ExcCode::CpU));
+            }
             Sll { rd, rt, sh } => self.wr(rd, self.rd(rt) << sh),
             Srl { rd, rt, sh } => self.wr(rd, self.rd(rt) >> sh),
             Sra { rd, rt, sh } => self.wr(rd, ((self.rd(rt) as i32) >> sh) as u32),
@@ -761,19 +904,14 @@ impl Machine {
             Sltu { rd, rs, rt } => self.wr(rd, u32::from(self.rd(rs) < self.rd(rt))),
             Mult { rs, rt } => {
                 let p = (self.rd(rs) as i32 as i64) * (self.rd(rt) as i32 as i64);
-                self.cpu.lo = p as u32;
-                self.cpu.hi = (p >> 32) as u32;
-                self.hilo = self.ready_in(lat::INT_MUL);
+                self.set_hilo(p as u64, lat::INT_MUL);
             }
             Multu { rs, rt } => {
                 let p = (self.rd(rs) as u64) * (self.rd(rt) as u64);
-                self.cpu.lo = p as u32;
-                self.cpu.hi = (p >> 32) as u32;
-                self.hilo = self.ready_in(lat::INT_MUL);
+                self.set_hilo(p, lat::INT_MUL);
             }
             Div { rs, rt } => {
-                let a = self.rd(rs) as i32;
-                let b = self.rd(rt) as i32;
+                let (a, b) = (self.rd(rs) as i32, self.rd(rt) as i32);
                 if b != 0 {
                     self.cpu.lo = a.wrapping_div(b) as u32;
                     self.cpu.hi = a.wrapping_rem(b) as u32;
@@ -781,8 +919,7 @@ impl Machine {
                 self.hilo = self.ready_in(lat::INT_DIV);
             }
             Divu { rs, rt } => {
-                let a = self.rd(rs);
-                let b = self.rd(rt);
+                let (a, b) = (self.rd(rs), self.rd(rt));
                 // Division by zero leaves HI/LO unchanged (undefined
                 // on the real part; we pick the stable behaviour).
                 if let Some(q) = a.checked_div(b) {
@@ -809,85 +946,33 @@ impl Machine {
             Xori { rt, rs, imm } => self.wr(rt, self.rd(rs) ^ imm as u32),
             Lui { rt, imm } => self.wr(rt, (imm as u32) << 16),
             Lb { rt, base, off } => {
-                let a = self.rd(base).wrapping_add(off as u32);
-                let v = self.load(a, 1, user)? as i8 as i32 as u32;
-                self.wr(rt, v);
+                self.load_reg(rt, ea(self, base, off), 1, |v| v as i8 as u32)?
             }
-            Lbu { rt, base, off } => {
-                let a = self.rd(base).wrapping_add(off as u32);
-                let v = self.load(a, 1, user)?;
-                self.wr(rt, v);
-            }
+            Lbu { rt, base, off } => self.load_reg(rt, ea(self, base, off), 1, |v| v)?,
             Lh { rt, base, off } => {
-                let a = self.rd(base).wrapping_add(off as u32);
-                let v = self.load(a, 2, user)? as i16 as i32 as u32;
-                self.wr(rt, v);
+                self.load_reg(rt, ea(self, base, off), 2, |v| v as i16 as u32)?
             }
-            Lhu { rt, base, off } => {
-                let a = self.rd(base).wrapping_add(off as u32);
-                let v = self.load(a, 2, user)?;
-                self.wr(rt, v);
-            }
-            Lw { rt, base, off } => {
-                let a = self.rd(base).wrapping_add(off as u32);
-                let v = self.load(a, 4, user)?;
-                self.wr(rt, v);
-            }
-            Sb { rt, base, off } => {
-                let a = self.rd(base).wrapping_add(off as u32);
-                return self.store(a, self.rd(rt), 1, user);
-            }
-            Sh { rt, base, off } => {
-                let a = self.rd(base).wrapping_add(off as u32);
-                return self.store(a, self.rd(rt), 2, user);
-            }
-            Sw { rt, base, off } => {
-                let a = self.rd(base).wrapping_add(off as u32);
-                return self.store(a, self.rd(rt), 4, user);
-            }
+            Lhu { rt, base, off } => self.load_reg(rt, ea(self, base, off), 2, |v| v)?,
+            Lw { rt, base, off } => self.load_reg(rt, ea(self, base, off), 4, |v| v)?,
+            Sb { rt, base, off } => return self.store(ea(self, base, off), self.rd(rt), 1),
+            Sh { rt, base, off } => return self.store(ea(self, base, off), self.rd(rt), 2),
+            Sw { rt, base, off } => return self.store(ea(self, base, off), self.rd(rt), 4),
             Lwc1 { ft, base, off } => {
-                let a = self.rd(base).wrapping_add(off as u32);
-                let v = self.load(a, 4, user)?;
-                self.cpu.fregs[ft.idx()] = v;
+                self.cpu.fregs[ft.idx()] = self.load(ea(self, base, off), 4)?;
                 // Loading either half makes the pair "written".
                 let r = &mut self.fp[pair(ft)];
                 r.real = r.real.max(self.counters.cycles);
             }
             Swc1 { ft, base, off } => {
                 self.wait(self.fp[pair(ft)]);
-                let a = self.rd(base).wrapping_add(off as u32);
-                return self.store(a, self.cpu.fregs[ft.idx()], 4, user);
+                return self.store(ea(self, base, off), self.cpu.fregs[ft.idx()], 4);
             }
-            Beq { rs, rt, off } => {
-                if self.rd(rs) == self.rd(rt) {
-                    self.cpu.next_pc = branch_target(ipc, off);
-                }
-            }
-            Bne { rs, rt, off } => {
-                if self.rd(rs) != self.rd(rt) {
-                    self.cpu.next_pc = branch_target(ipc, off);
-                }
-            }
-            Blez { rs, off } => {
-                if (self.rd(rs) as i32) <= 0 {
-                    self.cpu.next_pc = branch_target(ipc, off);
-                }
-            }
-            Bgtz { rs, off } => {
-                if (self.rd(rs) as i32) > 0 {
-                    self.cpu.next_pc = branch_target(ipc, off);
-                }
-            }
-            Bltz { rs, off } => {
-                if (self.rd(rs) as i32) < 0 {
-                    self.cpu.next_pc = branch_target(ipc, off);
-                }
-            }
-            Bgez { rs, off } => {
-                if (self.rd(rs) as i32) >= 0 {
-                    self.cpu.next_pc = branch_target(ipc, off);
-                }
-            }
+            Beq { rs, rt, off } => self.branch(self.rd(rs) == self.rd(rt), ipc, off),
+            Bne { rs, rt, off } => self.branch(self.rd(rs) != self.rd(rt), ipc, off),
+            Blez { rs, off } => self.branch(self.rd(rs) as i32 <= 0, ipc, off),
+            Bgtz { rs, off } => self.branch(self.rd(rs) as i32 > 0, ipc, off),
+            Bltz { rs, off } => self.branch((self.rd(rs) as i32) < 0, ipc, off),
+            Bgez { rs, off } => self.branch(self.rd(rs) as i32 >= 0, ipc, off),
             J { target } => {
                 self.cpu.next_pc = (ipc.wrapping_add(4) & 0xf000_0000) | (target << 2);
             }
@@ -895,85 +980,65 @@ impl Machine {
                 self.wr(RA, ipc.wrapping_add(8));
                 self.cpu.next_pc = (ipc.wrapping_add(4) & 0xf000_0000) | (target << 2);
             }
-            Jr { rs } => {
-                self.cpu.next_pc = self.rd(rs);
-            }
+            Jr { rs } => self.cpu.next_pc = self.rd(rs),
             Jalr { rd, rs } => {
                 let t = self.rd(rs);
                 self.wr(rd, ipc.wrapping_add(8));
                 self.cpu.next_pc = t;
             }
             Syscall { code } => {
-                if self.bare {
-                    // The host services the call; resume after it.
-                    debug_assert!(!in_delay, "syscall in a delay slot");
-                    return Ok(Some(StopEvent::Syscall(code)));
+                if !self.bare {
+                    return Err(Exception::plain(ExcCode::Sys));
                 }
-                return Err(Exception::plain(ExcCode::Sys));
+                // The host services the call; resume after it.
+                debug_assert!(!in_delay, "syscall in a delay slot");
+                self.stop_with(StopEvent::Syscall(code));
             }
             Break { code } => {
-                if self.bare {
-                    return Ok(Some(StopEvent::Break(code)));
+                if !self.bare {
+                    return Err(Exception::plain(ExcCode::Bp));
                 }
-                return Err(Exception::plain(ExcCode::Bp));
+                self.stop_with(StopEvent::Break(code));
             }
             Mfc0 { rt, rd } => {
-                if user {
-                    return Err(Exception::plain(ExcCode::CpU));
-                }
+                self.sync_random(1);
                 let v = self.cp0.read(rd, self.tlb.random() as u32);
                 self.wr(rt, v);
             }
             Mtc0 { rt, rd } => {
-                if user {
-                    return Err(Exception::plain(ExcCode::CpU));
-                }
                 self.cp0.write(rd, self.rd(rt));
+                self.moved();
             }
             Tlbr => {
-                if user {
-                    return Err(Exception::plain(ExcCode::CpU));
-                }
                 let e = self.tlb.read_indexed((self.cp0.index >> 8) as usize);
                 self.cp0.entryhi = e.entry_hi();
                 self.cp0.entrylo = e.entry_lo();
+                self.moved();
             }
             Tlbwi => {
-                if user {
-                    return Err(Exception::plain(ExcCode::CpU));
-                }
                 let e = crate::tlb::TlbEntry::from_regs(self.cp0.entryhi, self.cp0.entrylo);
                 self.tlb.write_indexed((self.cp0.index >> 8) as usize, e);
+                self.moved();
             }
             Tlbwr => {
-                if user {
-                    return Err(Exception::plain(ExcCode::CpU));
-                }
                 let e = crate::tlb::TlbEntry::from_regs(self.cp0.entryhi, self.cp0.entrylo);
+                self.sync_random(1);
                 self.tlb.write_random(e);
+                self.moved();
             }
             Tlbp => {
-                if user {
-                    return Err(Exception::plain(ExcCode::CpU));
-                }
                 self.cp0.index = match self.tlb.probe(self.cp0.entryhi) {
                     Some(i) => (i as u32) << 8,
                     None => 0x8000_0000,
                 };
             }
             Rfe => {
-                if user {
-                    return Err(Exception::plain(ExcCode::CpU));
-                }
                 self.cp0.rfe();
                 self.counters.cycles += dec5000::RFE_CYCLES;
+                self.moved();
             }
             Cache { op, base, off } => {
-                if user {
-                    return Err(Exception::plain(ExcCode::CpU));
-                }
-                let vaddr = self.rd(base).wrapping_add(off as u32);
-                if let Some(paddr) = self.probe_translate(vaddr) {
+                if let Some(paddr) = self.probe_translate(ea(self, base, off)) {
                     if op == 0 {
                         self.icache.invalidate_line(paddr);
                         self.fetching.line = u32::MAX;
@@ -991,52 +1056,13 @@ impl Machine {
                 let r = &mut self.fp[pair(fs)];
                 r.real = r.real.max(self.counters.cycles);
             }
-            AddD { fd, fs, ft } => {
-                self.wait(self.fp[pair(fs)]);
-                self.wait(self.fp[pair(ft)]);
-                let v = self.cpu.get_d(fs.0) + self.cpu.get_d(ft.0);
-                self.cpu.set_d(fd.0, v);
-                self.fp[pair(fd)] = self.ready_in(lat::FP_ADD);
-            }
-            SubD { fd, fs, ft } => {
-                self.wait(self.fp[pair(fs)]);
-                self.wait(self.fp[pair(ft)]);
-                let v = self.cpu.get_d(fs.0) - self.cpu.get_d(ft.0);
-                self.cpu.set_d(fd.0, v);
-                self.fp[pair(fd)] = self.ready_in(lat::FP_ADD);
-            }
-            MulD { fd, fs, ft } => {
-                self.wait(self.fp[pair(fs)]);
-                self.wait(self.fp[pair(ft)]);
-                let v = self.cpu.get_d(fs.0) * self.cpu.get_d(ft.0);
-                self.cpu.set_d(fd.0, v);
-                self.fp[pair(fd)] = self.ready_in(lat::FP_MUL);
-            }
-            DivD { fd, fs, ft } => {
-                self.wait(self.fp[pair(fs)]);
-                self.wait(self.fp[pair(ft)]);
-                let v = self.cpu.get_d(fs.0) / self.cpu.get_d(ft.0);
-                self.cpu.set_d(fd.0, v);
-                self.fp[pair(fd)] = self.ready_in(lat::FP_DIV);
-            }
-            AbsD { fd, fs } => {
-                self.wait(self.fp[pair(fs)]);
-                let v = self.cpu.get_d(fs.0).abs();
-                self.cpu.set_d(fd.0, v);
-                self.fp[pair(fd)] = self.ready_in(lat::FP_ADD);
-            }
-            MovD { fd, fs } => {
-                self.wait(self.fp[pair(fs)]);
-                let v = self.cpu.get_d(fs.0);
-                self.cpu.set_d(fd.0, v);
-                self.fp[pair(fd)] = self.ready_in(1);
-            }
-            NegD { fd, fs } => {
-                self.wait(self.fp[pair(fs)]);
-                let v = -self.cpu.get_d(fs.0);
-                self.cpu.set_d(fd.0, v);
-                self.fp[pair(fd)] = self.ready_in(lat::FP_ADD);
-            }
+            AddD { fd, fs, ft } => self.fp_op(fd, fs, Some(ft), lat::FP_ADD, |a, b| a + b),
+            SubD { fd, fs, ft } => self.fp_op(fd, fs, Some(ft), lat::FP_ADD, |a, b| a - b),
+            MulD { fd, fs, ft } => self.fp_op(fd, fs, Some(ft), lat::FP_MUL, |a, b| a * b),
+            DivD { fd, fs, ft } => self.fp_op(fd, fs, Some(ft), lat::FP_DIV, |a, b| a / b),
+            AbsD { fd, fs } => self.fp_op(fd, fs, None, lat::FP_ADD, |a, _| a.abs()),
+            MovD { fd, fs } => self.fp_op(fd, fs, None, 1, |a, _| a),
+            NegD { fd, fs } => self.fp_op(fd, fs, None, lat::FP_ADD, |a, _| -a),
             CvtDW { fd, fs } => {
                 self.wait(self.fp[pair(fs)]);
                 let w = self.cpu.fregs[fs.idx()] as i32;
@@ -1049,39 +1075,76 @@ impl Machine {
                 self.cpu.fregs[fd.idx()] = v as i32 as u32;
                 self.fp[pair(fd)] = self.ready_in(lat::FP_CVT);
             }
-            CEqD { fs, ft } => {
-                self.wait(self.fp[pair(fs)]);
-                self.wait(self.fp[pair(ft)]);
-                self.cpu.fcc = self.cpu.get_d(fs.0) == self.cpu.get_d(ft.0);
-                self.fcc = self.ready_in(lat::FP_CMP);
-            }
-            CLtD { fs, ft } => {
-                self.wait(self.fp[pair(fs)]);
-                self.wait(self.fp[pair(ft)]);
-                self.cpu.fcc = self.cpu.get_d(fs.0) < self.cpu.get_d(ft.0);
-                self.fcc = self.ready_in(lat::FP_CMP);
-            }
-            CLeD { fs, ft } => {
-                self.wait(self.fp[pair(fs)]);
-                self.wait(self.fp[pair(ft)]);
-                self.cpu.fcc = self.cpu.get_d(fs.0) <= self.cpu.get_d(ft.0);
-                self.fcc = self.ready_in(lat::FP_CMP);
-            }
+            CEqD { fs, ft } => self.fp_cmp(fs, ft, |a, b| a == b),
+            CLtD { fs, ft } => self.fp_cmp(fs, ft, |a, b| a < b),
+            CLeD { fs, ft } => self.fp_cmp(fs, ft, |a, b| a <= b),
             Bc1t { off } => {
                 self.wait(self.fcc);
-                if self.cpu.fcc {
-                    self.cpu.next_pc = branch_target(ipc, off);
-                }
+                self.branch(self.cpu.fcc, ipc, off);
             }
             Bc1f { off } => {
                 self.wait(self.fcc);
-                if !self.cpu.fcc {
-                    self.cpu.next_pc = branch_target(ipc, off);
-                }
+                self.branch(!self.cpu.fcc, ipc, off);
             }
         }
-        Ok(None)
+        Ok(())
     }
+
+    /// `rt = extend(load(vaddr))`.
+    #[inline]
+    fn load_reg(
+        &mut self,
+        rt: Reg,
+        vaddr: u32,
+        width: u32,
+        extend: fn(u32) -> u32,
+    ) -> Result<(), Exception> {
+        let v = self.load(vaddr, width)?;
+        self.wr(rt, extend(v));
+        Ok(())
+    }
+
+    /// Takes the branch to `ipc + 4 + off * 4` if `taken`.
+    #[inline]
+    fn branch(&mut self, taken: bool, ipc: u32, off: i16) {
+        if taken {
+            self.cpu.next_pc = ipc.wrapping_add(4).wrapping_add(((off as i32) << 2) as u32);
+        }
+    }
+
+    /// HI/LO from a 64-bit product, ready in `lat` cycles.
+    fn set_hilo(&mut self, p: u64, lat: u64) {
+        self.cpu.lo = p as u32;
+        self.cpu.hi = (p >> 32) as u32;
+        self.hilo = self.ready_in(lat);
+    }
+
+    /// A double-precision `fd = f(fs, ft)`, `ft` unread (and `f`'s
+    /// second operand 0) for a one-operand instruction.
+    fn fp_op(&mut self, fd: FReg, fs: FReg, ft: Option<FReg>, lat: u64, f: fn(f64, f64) -> f64) {
+        self.wait(self.fp[pair(fs)]);
+        let b = ft.map_or(0.0, |ft| {
+            self.wait(self.fp[pair(ft)]);
+            self.cpu.get_d(ft.0)
+        });
+        let v = f(self.cpu.get_d(fs.0), b);
+        self.cpu.set_d(fd.0, v);
+        self.fp[pair(fd)] = self.ready_in(lat);
+    }
+
+    /// A double-precision compare into the FP condition bit.
+    fn fp_cmp(&mut self, fs: FReg, ft: FReg, f: fn(f64, f64) -> bool) {
+        self.wait(self.fp[pair(fs)]);
+        self.wait(self.fp[pair(ft)]);
+        self.cpu.fcc = f(self.cpu.get_d(fs.0), self.cpu.get_d(ft.0));
+        self.fcc = self.ready_in(lat::FP_CMP);
+    }
+}
+
+/// The effective address `base + off` of a load, store or `cache` op.
+#[inline]
+fn ea(m: &Machine, base: Reg, off: i16) -> u32 {
+    m.rd(base).wrapping_add(off as u32)
 }
 
 /// Scoreboard index of the even/odd pair holding FP register `f`.
@@ -1090,7 +1153,39 @@ fn pair(f: FReg) -> usize {
     f.idx() & 30
 }
 
-#[inline]
-fn branch_target(ipc: u32, off: i16) -> u32 {
-    ipc.wrapping_add(4).wrapping_add(((off as i32) << 2) as u32)
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A page's class says of each of its PCs what the range test
+    /// does, for ranges that start, end, hold or miss the page, at
+    /// both ends of the address space.
+    #[test]
+    fn an_idle_class_answers_for_every_pc_of_its_page() {
+        let edges = |b: u32| {
+            [
+                b,
+                b + 4,
+                b + 0xffc,
+                b.wrapping_add(0x1000),
+                b.wrapping_sub(4),
+            ]
+        };
+        for vbase in [0u32, 0x8000_1000, 0xffff_f000] {
+            for lo in edges(vbase) {
+                for hi in edges(vbase).into_iter().chain([0, u32::MAX]) {
+                    let idle = (lo, hi.saturating_sub(lo));
+                    let class = idle_class(idle, vbase);
+                    for pc in (vbase..=vbase + 0xffc).step_by(4) {
+                        let held = match class {
+                            Idle::None => false,
+                            Idle::All => true,
+                            Idle::Some => pc.wrapping_sub(idle.0) < idle.1,
+                        };
+                        assert_eq!(held, lo <= pc && pc < hi, "{lo:#x}..{hi:#x} at {pc:#x}");
+                    }
+                }
+            }
+        }
+    }
 }

@@ -79,27 +79,37 @@ pub enum TlbLookup {
     Invalid,
 }
 
-/// One remembered hit: `key` is `vpn << 8 | asid`, `hit` what the
-/// scan answered for it.
+/// One remembered hit: `key` is `vpn << 8 | asid`, `lo` the EntryLo
+/// image of the entry the scan found for it.
 #[derive(Clone, Copy)]
 struct Memo {
     key: u32,
-    hit: TlbLookup,
+    lo: u32,
 }
 
 /// A key no lookup forms (a vpn has 20 bits, the `u8` ASID 8).
 const NO_MEMO: Memo = Memo {
     key: u32::MAX,
-    hit: TlbLookup::Miss,
+    lo: 0,
 };
+
+/// The memo slot of `vpn`: the top six bits of a multiplicative hash
+/// (Fibonacci hashing), so that pages a power of two apart — kseg2's
+/// page tables at vpn `0xc0000`, user text at `0x400`, data at
+/// `0x10000` — do not share a slot as they do mod 64. Any slot is
+/// exact: a write to the entries clears every slot.
+#[inline]
+fn memo_slot(vpn: u32) -> usize {
+    (vpn.wrapping_mul(0x9e37_79b9) >> 26) as usize
+}
 
 /// The TLB array plus the Random replacement register.
 pub struct Tlb {
     entries: [TlbEntry; TLB_ENTRIES],
     /// The Random register value (TLB_WIRED..TLB_ENTRIES).
     random: usize,
-    /// Hits of [`Tlb::lookup`], direct-mapped by vpn, true as long as
-    /// `entries` is unchanged: [`Tlb::forget`] clears them.
+    /// Hits of [`Tlb::lookup`], one slot per [`memo_slot`], true as
+    /// long as `entries` is unchanged: [`Tlb::forget`] clears them.
     memo: [Memo; TLB_ENTRIES],
     /// Counts the writes to `entries`.
     generation: u64,
@@ -151,9 +161,9 @@ impl Tlb {
     /// [`Tlb::tick`], as arithmetic over its cycle of
     /// `TLB_ENTRIES - TLB_WIRED` values.
     #[inline]
-    pub fn tick_by(&mut self, n: u32) {
+    pub fn tick_by(&mut self, n: u64) {
         let span = TLB_ENTRIES - TLB_WIRED;
-        let below_top = TLB_ENTRIES - 1 - self.random + n as usize % span;
+        let below_top = TLB_ENTRIES - 1 - self.random + (n % span as u64) as usize;
         self.random = TLB_ENTRIES - 1 - below_top % span;
     }
 
@@ -168,13 +178,33 @@ impl Tlb {
     pub fn lookup(&mut self, vaddr: u32, asid: u8) -> TlbLookup {
         let vpn = vaddr >> 12;
         let key = (vpn << 8) | asid as u32;
-        let slot = vpn as usize % TLB_ENTRIES;
-        if self.memo[slot].key == key {
-            return self.memo[slot].hit;
+        let m = self.memo[memo_slot(vpn)];
+        if m.key != key {
+            return self.remember(vaddr, asid);
         }
+        TlbLookup::Hit {
+            pfn: m.lo >> 12,
+            dirty: m.lo & (1 << 10) != 0,
+            noncacheable: m.lo & (1 << 11) != 0,
+        }
+    }
+
+    /// [`Tlb::lookup`] of a key the memo does not hold: the scan, kept
+    /// if it hit.
+    #[inline(never)]
+    fn remember(&mut self, vaddr: u32, asid: u8) -> TlbLookup {
         let hit = self.scan(vaddr, asid);
-        if matches!(hit, TlbLookup::Hit { .. }) {
-            self.memo[slot] = Memo { key, hit };
+        if let TlbLookup::Hit {
+            pfn,
+            dirty,
+            noncacheable,
+        } = hit
+        {
+            let vpn = vaddr >> 12;
+            self.memo[memo_slot(vpn)] = Memo {
+                key: (vpn << 8) | asid as u32,
+                lo: (pfn << 12) | (u32::from(noncacheable) << 11) | (u32::from(dirty) << 10),
+            };
         }
         hit
     }
@@ -252,13 +282,13 @@ mod tests {
     proptest! {
         /// What `lookup` remembers it forgets on time: after every
         /// write, flush and tick it answers as the scan does, for
-        /// pages that share a memo slot, under duplicate, global and
+        /// pages that share a slot mod 64, under duplicate, global and
         /// invalid entries and any ASID.
         #[test]
         fn memoised_lookup_equals_the_scan(ops in proptest::collection::vec(
             (0u8..8, any::<u32>(), 0u8..64, 0u8..8), 1..300))
         {
-            // Nine pages, three to a memo slot.
+            // Nine pages, three to a slot mod 64.
             let page = |x: u32| 0x400 + x % 3 + 64 * (x / 3 % 3);
             let mut t = Tlb::new();
             t.flush();
@@ -296,7 +326,7 @@ mod tests {
         /// `tick_by(n)` is `n` ticks from every value Random can hold,
         /// for counts that wrap its 56-value cycle up to three times.
         #[test]
-        fn tick_by_is_n_ticks(n in 0u32..200) {
+        fn tick_by_is_n_ticks(n in 0u64..200) {
             for start in TLB_WIRED..TLB_ENTRIES {
                 let (mut by, mut one) = (Tlb::new(), Tlb::new());
                 (by.random, one.random) = (start, start);

@@ -2,11 +2,13 @@
 //! machine, and check architectural behaviour (delay slots, linkage,
 //! exceptions, TLB refill, timing counters).
 
+use std::cell::RefCell;
+use std::rc::Rc;
 use wrl_isa::asm::Asm;
 use wrl_isa::link::{link, Layout};
 use wrl_isa::reg::*;
 use wrl_machine::dev::{regs, DEV_BASE_K1};
-use wrl_machine::{dec5000, Config, Machine, StopEvent};
+use wrl_machine::{dec5000, Config, ExcCode, Machine, RefEvent, StopEvent};
 
 /// Assembles, links and loads a bare-mode program; returns the machine
 /// ready to run from the entry point.
@@ -238,10 +240,6 @@ fn budget_stop_event() {
 
 #[test]
 fn reference_tracer_sees_all_refs() {
-    use std::cell::RefCell;
-    use std::rc::Rc;
-    use wrl_machine::RefEvent;
-
     let mut a = Asm::new("trc");
     a.global_label("main");
     a.la(T0, "buf");
@@ -430,6 +428,118 @@ fn misaligned_word_access_faults() {
         m.run(100),
         StopEvent::UnhandledException(wrl_machine::ExcCode::AdEL as u8)
     );
+
+    // Every halfword and word access at every offset of two words, in
+    // kernel mode (kseg0 data) and in user mode (mapped data): a
+    // misaligned one is an AdEL or AdES with BadVAddr at the address,
+    // retires into the general vector and loads, stores, counts and
+    // traces nothing; an aligned one completes.
+    use wrl_isa::{FReg, Inst};
+    type Op = fn(i16) -> Inst;
+    let ops: [(&str, u32, bool, Op); 7] = [
+        ("lh", 2, false, |off| Inst::Lh {
+            rt: T1,
+            base: T0,
+            off,
+        }),
+        ("lhu", 2, false, |off| Inst::Lhu {
+            rt: T1,
+            base: T0,
+            off,
+        }),
+        ("lw", 4, false, |off| Inst::Lw {
+            rt: T1,
+            base: T0,
+            off,
+        }),
+        ("lwc1", 4, false, |off| Inst::Lwc1 {
+            ft: FReg(2),
+            base: T0,
+            off,
+        }),
+        ("sh", 2, true, |off| Inst::Sh {
+            rt: T1,
+            base: T0,
+            off,
+        }),
+        ("sw", 4, true, |off| Inst::Sw {
+            rt: T1,
+            base: T0,
+            off,
+        }),
+        ("swc1", 4, true, |off| Inst::Swc1 {
+            ft: FReg(2),
+            base: T0,
+            off,
+        }),
+    ];
+    for user in [false, true] {
+        for (name, width, store, op) in ops {
+            for off in 0..8i16 {
+                let (m, refs, pc, data) = one_access(op(off), user);
+                let vaddr = data + off as u32;
+                let at = format!("{name} at {vaddr:#x}, user {user}");
+                let data_ref = if store {
+                    RefEvent::Store { vaddr, user }
+                } else {
+                    RefEvent::Load { vaddr, user }
+                };
+                let fetch = RefEvent::Ifetch { vaddr: pc, user };
+                assert_eq!(m.counters.insts(), 1, "{at}");
+                if vaddr.is_multiple_of(width) {
+                    assert_eq!(m.cpu.pc, pc + 4, "{at}");
+                    assert_eq!(m.counters.exceptions, [0; 16], "{at}");
+                    assert_eq!(m.counters.loads + m.counters.stores, 1, "{at}");
+                    assert_eq!(refs, [fetch, data_ref], "{at}");
+                } else {
+                    let code = if store { ExcCode::AdES } else { ExcCode::AdEL };
+                    assert_eq!(m.cpu.pc, 0x8000_0080, "{at}");
+                    assert_eq!((m.cp0.cause >> 2) & 31, code as u32, "{at}");
+                    assert_eq!((m.cp0.badvaddr, m.cp0.epc), (vaddr, pc), "{at}");
+                    assert_eq!(m.counters.exceptions[code as usize], 1, "{at}");
+                    assert_eq!((m.counters.loads, m.counters.stores), (0, 0), "{at}");
+                    assert_eq!(refs, [fetch], "{at}");
+                }
+            }
+        }
+    }
+}
+
+/// One step of `inst` with `T0` pointing at a data page, under a
+/// reference tracer: in kernel mode from kseg0, in user mode from a
+/// text page and a writable data page mapped through the TLB. Returns
+/// the machine, the references traced, the PC and the data address.
+fn one_access(inst: wrl_isa::Inst, user: bool) -> (Machine, Vec<RefEvent>, u32, u32) {
+    use wrl_machine::TlbEntry;
+    let (pc, data) = if user {
+        (0x0040_0000, 0x1000_0000)
+    } else {
+        (0x8000_0400, 0x8000_2000)
+    };
+    let mut m = kseg0_machine(1 << 20, 0x8000_0400, &[inst]);
+    if user {
+        m.mem.write_word(0x60 << 12, wrl_isa::encode(inst));
+        for (i, vpn, pfn) in [(0, pc >> 12, 0x60), (1, data >> 12, 0x61)] {
+            let e = TlbEntry {
+                vpn,
+                pfn,
+                valid: true,
+                dirty: true,
+                ..TlbEntry::default()
+            };
+            m.tlb.write_indexed(i, e);
+        }
+        m.cp0.status = 0b10; // KUc
+        m.set_pc(pc);
+    }
+    m.cpu.regs[T0.idx()] = data;
+    let refs = Rc::new(RefCell::new(Vec::new()));
+    let log = Rc::clone(&refs);
+    m.set_tracer(Some(Box::new(move |e| log.borrow_mut().push(e))));
+    assert_eq!(m.step(), None);
+    m.set_tracer(None);
+    let refs = refs.borrow().clone();
+    (m, refs, pc, data)
 }
 
 #[test]
@@ -783,4 +893,73 @@ fn the_last_word_of_memory_fetches_and_the_next_faults() {
             2 + dec5000::IMISS_PENALTY + dec5000::EXC_ENTRY_CYCLES
         );
     }
+}
+
+/// Random ticks once per fetch that got past translation — retired or
+/// not: `mfc0` reads it as of its own fetch, and `run` and `step`
+/// leave it current. Counted from 63, the value at reset.
+#[test]
+fn random_counts_every_fetch_retired_or_not() {
+    use wrl_isa::Inst;
+    // Bare: two nops, `mfc0 $t0, Random` (third fetch), `break`.
+    let mut a = Asm::new("rnd");
+    a.global_label("main");
+    a.nop();
+    a.nop();
+    a.mfc0(T0, 1);
+    a.break_(0);
+    let mut m = boot(a);
+    assert_eq!(m.run(100), StopEvent::Break(0));
+    assert_eq!(m.cpu.regs[T0.idx()], 60 << 8);
+    assert_eq!(m.tlb.random(), 59);
+
+    // A reserved word and a misaligned load each stop a bare machine
+    // unretired, and a kernel takes the RI unretired: each fetch
+    // still ticks.
+    let reserved = |bare: bool| {
+        let mut m = Machine::new(
+            Config {
+                bare,
+                ..Config::default()
+            },
+            vec![],
+        );
+        m.mem.write_word(0x400, 0xffff_ffff);
+        m.set_pc(0x8000_0400);
+        m
+    };
+    let mut m = reserved(true);
+    assert_eq!(m.run(10), StopEvent::UnhandledException(ExcCode::RI as u8));
+    assert_eq!((m.counters.insts(), m.tlb.random()), (0, 62));
+    let mut m = reserved(false);
+    assert_eq!(m.step(), None);
+    assert_eq!(m.cp0.cause >> 2 & 31, ExcCode::RI as u32);
+    assert_eq!((m.counters.insts(), m.tlb.random()), (0, 62));
+    let lw = Inst::Lw {
+        rt: T1,
+        base: T0,
+        off: 2,
+    };
+    let mut m = kseg0_machine(1 << 20, 0x8000_0400, &[lw]);
+    let mut bare = Machine::new(Config::bare(), vec![]);
+    std::mem::swap(&mut bare.mem, &mut m.mem);
+    bare.set_pc(0x8000_0400);
+    assert_eq!(
+        bare.run(10),
+        StopEvent::UnhandledException(ExcCode::AdEL as u8)
+    );
+    assert_eq!((bare.counters.insts(), bare.tlb.random()), (0, 62));
+}
+
+/// An interrupt that is pending and enabled when a run begins is taken
+/// before its first instruction, however the host got it there.
+#[test]
+fn a_pending_interrupt_is_taken_as_a_run_begins() {
+    let mut m = kseg0_machine(1 << 20, 0x8000_0400, &[]);
+    m.cp0.set_hw_interrupt(3, true); // IP5
+    m.cp0.status = 1 | 1 << 13; // IEc, IM5
+    assert_eq!(m.run(1), StopEvent::Budget);
+    assert_eq!(m.counters.interrupts, 1);
+    assert_eq!(m.cp0.epc, 0x8000_0400);
+    assert_eq!(m.cpu.pc, 0x8000_0084, "the vector's first instruction ran");
 }

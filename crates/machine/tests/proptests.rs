@@ -79,6 +79,53 @@ proptest! {
         }
     }
 
+    /// `lookup` answers as `scan` does over any sequence of writes and
+    /// lookups: every page a multiple of 64 — user text at `0x400`,
+    /// data at `0x10000`, kseg2's page tables at `0xc0000` among them —
+    /// so all share a slot mod 64, and more pages than the memo has
+    /// slots, so some share one under any slot function; the ASID
+    /// changes between lookups, and entries are global, invalid or
+    /// duplicates.
+    #[test]
+    fn tlb_lookup_equals_scan(ops in proptest::collection::vec(
+        (0u8..4, 0u32..131, 0u8..64, 0u8..8), 1..400))
+    {
+        let page = |x: u32| match x {
+            128 => 0x400,
+            129 => 0x10000,
+            130 => 0xc0000,
+            x => 0x40 * x,
+        };
+        let mut t = Tlb::new();
+        t.flush();
+        let mut asid = 0u8;
+        for (kind, x, a, flags) in ops {
+            let e = TlbEntry {
+                vpn: page(x), asid: a % 8, pfn: x * 8 + u32::from(flags),
+                valid: flags != 0, global: flags & 2 != 0, dirty: flags & 4 != 0,
+                noncacheable: x & 1 != 0,
+            };
+            match kind {
+                0 => {
+                    t.tick();
+                    t.write_random(e);
+                }
+                1 => t.write_indexed(usize::from(a), e),
+                _ => asid = a % 8,
+            }
+            for p in x.saturating_sub(2)..(x + 3).min(131) {
+                let vaddr = (page(p) << 12) | 0xabc;
+                prop_assert_eq!(t.lookup(vaddr, asid), t.scan(vaddr, asid), "page {:#x}", page(p));
+            }
+        }
+        for a in 0..8 {
+            for p in 0..131 {
+                let vaddr = page(p) << 12;
+                prop_assert_eq!(t.lookup(vaddr, a), t.scan(vaddr, a), "page {:#x}", page(p));
+            }
+        }
+    }
+
     /// TLB: after a random write, looking up that page hits; wired
     /// entries survive any number of random writes.
     #[test]
@@ -286,8 +333,9 @@ mod exec_oracle {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
-        /// `step` remembers the page it fetches from; nothing tells it
-        /// when the page moves. Whatever re-points the page between
+        /// The machine remembers the page it fetches from, and learns
+        /// that the page moved only from the instructions and the run
+        /// entries that can move it. Whatever re-points the page between
         /// two fetches from it — an instruction in the page itself or
         /// the host's hand on the `pub` fields — the next fetch comes
         /// from the frame `probe_translate` names, or is the miss it
@@ -346,17 +394,20 @@ mod exec_oracle {
                     None
                 }
             };
+            // An instruction runs with the next fetch in one `run`, so
+            // that nothing but the instruction tells the machine.
             let mut pc = pc + 4;
+            let mut insts = 1;
             if let Some(inst) = by {
                 m.mem.write_word((a << 12) + (pc & 0xfff), wrl_isa::encode(inst));
-                prop_assert_eq!(m.step(), None);
                 pc += 4;
+                insts = 2;
             }
-
-            let names = m.probe_translate(pc);
             let faults = m.counters.exceptions.iter().sum::<u64>();
             m.cpu.regs[T0.idx()] = 0;
-            prop_assert_eq!(m.step(), None);
+            prop_assert_eq!(m.run(insts), StopEvent::Budget);
+            // A miss vectors to a `nop`, which the budget retires.
+            let names = m.probe_translate(pc);
             match names {
                 Some(paddr) => {
                     prop_assert_eq!(m.cpu.regs[T0.idx()], paddr >> 12, "how {}", how);

@@ -9,12 +9,15 @@
 
 /// The `line`-byte lines that `n` word accesses at `paddr`,
 /// `paddr + 4`, ... touch: per line, the first access's address and
-/// how many of the `n` fall on it.
+/// how many of the `n` fall on it. `line` is a power of two, as every
+/// cache here asserts, so the offset in a line is a mask, not a
+/// division.
 pub(crate) fn line_spans(paddr: u32, n: u32, line: u32) -> impl Iterator<Item = (u32, u32)> {
+    debug_assert!(line.is_power_of_two());
     let (mut pa, mut left) = (paddr, n);
     std::iter::from_fn(move || {
         (left > 0).then(|| {
-            let on_line = (line - pa % line).div_ceil(4).min(left);
+            let on_line = (line - (pa & (line - 1))).div_ceil(4).min(left);
             let span = (pa, on_line);
             pa = pa.wrapping_add(4 * on_line);
             left -= on_line;

@@ -297,7 +297,7 @@ impl TraceSink for MemSim {
         // Only the first fetch can miss the TLB: it leaves the run's
         // page there, and the others hit it.
         let (paddr, cached) = self.translate(vaddr, space);
-        self.tlb.tick_by(n - 1);
+        self.tlb.tick_by(u64::from(n - 1));
         if cached {
             // One I-cache access per line; the rest of a line hits the
             // line its first fetch just filled.

@@ -69,6 +69,19 @@ use systrace::store::{BlockFormat, FarmCfg, Predicate, StoreObs, TraceStore, DEF
 use systrace::trace::{Space, TraceArchive, TraceSink};
 use systrace::tracer::{analyze_store, analyze_words, build_stack, TracerObs};
 
+/// `tracedump refs … | head -1` closes the pipe after one line: the
+/// next print to it is the end of output, exit 0, not a panic.
+fn end_output_on_closed_stdout() {
+    let report = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        let msg = info.payload_as_str().unwrap_or("");
+        if msg.starts_with("failed printing to stdout") && msg.contains("Broken pipe") {
+            std::process::exit(0);
+        }
+        report(info);
+    }));
+}
+
 fn usage() -> ! {
     eprintln!("usage: tracedump record <workload> <ultrix|mach> <out.w3kt>");
     eprintln!("       tracedump info <file.w3kt>");
@@ -92,6 +105,7 @@ fn usage() -> ! {
 }
 
 fn main() {
+    end_output_on_closed_stdout();
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("record") if args.len() == 4 => record(&args[1], &args[2], &args[3]),
