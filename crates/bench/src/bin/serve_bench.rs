@@ -1,7 +1,7 @@
 //! serve_bench: throughput, latency and predicate-pushdown
 //! effectiveness for the `wrl-serve` trace-query service (E22).
 //!
-//! Three sections, each honest about its method:
+//! Five sections, each honest about its method:
 //!
 //! 1. **Differential** — every Table-1 workload's Ultrix system trace
 //!    is served over a loopback socket and queried with a predicate
@@ -28,16 +28,6 @@
 //!    `results/serve_bench.txt` before the columnar format landed).
 //!    The v4 path must hold a ≥5x improvement on that pin, the
 //!    figure the columnar layout was aimed at.
-//! 6. **Fabric vs single node** — the same windowed-query workload
-//!    against a `wrl-fabric` coordinator fronting two block-range
-//!    shards on loopback, after asserting the coordinator's panel
-//!    answers bit-identical to the single node's. The coordinator
-//!    adds one scatter hop per query, so this section reports the
-//!    overhead factor honestly rather than claiming a speedup — on
-//!    one machine the fabric buys address space and replica
-//!    failover, not latency; the bound asserted is that the hop
-//!    stays under 20x on p50 (catastrophic regressions like a
-//!    reconnect-per-query would blow far past it).
 //!
 //! Usage: `serve_bench`. Regenerates `results/serve_bench.txt` via
 //! stdout.
@@ -45,9 +35,8 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use systrace::fabric::{split_store, Coordinator, PlanKind};
 use systrace::kernel::{build_system, KernelConfig};
-use systrace::serve::{Catalog, Client, ClientCfg, ServeCfg, Server};
+use systrace::serve::{Catalog, Client, ServeCfg, Server};
 use systrace::store::{filter_stream, BlockFormat, Predicate, TraceStore};
 use systrace::trace::TraceArchive;
 use wrl_trace::format::{classify, CtlOp, TraceWord};
@@ -136,11 +125,6 @@ const V3_QUERY_P50_US_16C: f64 = 1849.8;
 /// 16-client windowed-query p50 must beat the pinned v3 p50 by at
 /// least this factor.
 const V4_QUERY_P50_MIN_SPEEDUP: f64 = 5.0;
-
-/// Ceiling on the fabric's windowed-query p50 overhead versus the
-/// single node it fronts: a generous bound that a pathological
-/// coordinator (reconnecting or re-fetching per query) cannot meet.
-const FABRIC_P50_MAX_OVERHEAD: f64 = 20.0;
 
 fn main() {
     systrace::obs::register_all();
@@ -370,7 +354,6 @@ fn main() {
     println!("{:-<52}", "");
     let v3 = sed_store.expect("sed is among the twelve workloads");
     let v4 = sed_store_v4.expect("sed is among the twelve workloads");
-    let fabric_store = Arc::clone(&v4);
     let mut v4_speedup = 0.0;
     for (tag, s) in [("v3 row", v3), ("v4 columnar", v4)] {
         let n_words = s.n_words;
@@ -434,111 +417,4 @@ fn main() {
         "v4 windowed-query p50 at 16 clients must be >= {V4_QUERY_P50_MIN_SPEEDUP}x better than \
          the pinned v3 p50 (got {v4_speedup:.1}x)"
     );
-    println!();
-
-    // ---- 6. Fabric coordinator vs the single node it fronts -------
-    println!("Fabric (2 block-range shards) vs single node, same windowed load");
-    let (manifest, shard_stores) =
-        split_store(&fabric_store, "sed", 2, PlanKind::BlockRange).expect("sed store splits");
-    let mut shard_servers = Vec::new();
-    let mut endpoints = Vec::new();
-    for (entry, shard) in manifest.shards.iter().zip(shard_stores) {
-        let mut c = Catalog::new();
-        c.add(entry.name.clone(), Arc::new(shard));
-        let srv = Server::start("127.0.0.1:0", c, ServeCfg::default()).expect("shard starts");
-        endpoints.push(vec![srv.addr()]);
-        shard_servers.push(srv);
-    }
-    let coord = Coordinator::start("127.0.0.1:0", manifest, endpoints, ClientCfg::default())
-        .expect("coordinator starts");
-    let mut single_catalog = Catalog::new();
-    single_catalog.add("sed", Arc::clone(&fabric_store));
-    let single =
-        Server::start("127.0.0.1:0", single_catalog, ServeCfg::default()).expect("server starts");
-
-    // Correctness before clocks: the coordinator must answer the
-    // whole predicate panel bit-identically to the single node.
-    {
-        let mut cf = Client::connect(coord.addr()).expect("client connects");
-        let mut cs = Client::connect(single.addr()).expect("client connects");
-        let asids: Vec<(u8, u64)> = (0..4).map(|a| (a, 0)).collect();
-        for (i, pred) in panel(fabric_store.n_words, &asids).iter().enumerate() {
-            let f = cf.query("sed", pred).expect("fabric query");
-            let s = cs.query("sed", pred).expect("single query");
-            assert_eq!(
-                f.words, s.words,
-                "predicate {i}: fabric differs from single node"
-            );
-            assert_eq!(
-                f.blocks_decoded, s.blocks_decoded,
-                "predicate {i}: pruning differs"
-            );
-        }
-    }
-
-    println!(
-        "{:12} | {:>9} | {:>9} | {:>12}",
-        "topology", "p50 us", "p99 us", "p50 overhead"
-    );
-    println!("{:-<52}", "");
-    let mut p50s = Vec::new();
-    for (tag, addr) in [("single", single.addr()), ("fabric 2x", coord.addr())] {
-        let n_words = fabric_store.n_words;
-        let (mut best_p50, mut best_p99) = (f64::MAX, f64::MAX);
-        for _ in 0..3 {
-            let lat: Vec<u64> = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..16)
-                    .map(|c: usize| {
-                        scope.spawn(move || {
-                            let mut client = Client::connect(addr).expect("client connects");
-                            let mut lat = Vec::with_capacity(REQS_PER_CLIENT);
-                            for i in 0..REQS_PER_CLIENT {
-                                let lo = (c * REQS_PER_CLIENT + i) as u64 * 997 % n_words;
-                                let pred = Predicate {
-                                    window: Some((lo, lo + 4096)),
-                                    ..Predicate::default()
-                                };
-                                let t = Instant::now();
-                                client.query_retry("sed", &pred, 100).expect("query");
-                                lat.push(t.elapsed().as_nanos() as u64);
-                            }
-                            lat
-                        })
-                    })
-                    .collect();
-                let mut all = Vec::new();
-                for h in handles {
-                    all.extend(h.join().expect("bench client panicked"));
-                }
-                all
-            });
-            let mut sorted = lat;
-            sorted.sort_unstable();
-            best_p50 = best_p50.min(percentile(&sorted, 50.0));
-            best_p99 = best_p99.min(percentile(&sorted, 99.0));
-        }
-        p50s.push(best_p50);
-        let overhead = best_p50 / p50s[0];
-        println!("{tag:12} | {best_p50:>9.1} | {best_p99:>9.1} | {overhead:>11.1}x");
-    }
-    println!("{:-<52}", "");
-    let overhead = p50s[1] / p50s[0];
-    println!(
-        "fabric p50 overhead {overhead:.1}x (ceiling {FABRIC_P50_MAX_OVERHEAD:.0}x): every query \
-         pays one extra"
-    );
-    println!("network hop plus a manifest prune, and windowed queries that cross");
-    println!("the shard seam fan out to both nodes; what the fabric buys is not");
-    println!("single-machine latency but horizontal address space — each shard");
-    println!("holds half the blocks — and mid-query replica failover.");
-    assert!(
-        overhead <= FABRIC_P50_MAX_OVERHEAD,
-        "fabric windowed-query p50 overhead must stay <= {FABRIC_P50_MAX_OVERHEAD}x the single \
-         node (got {overhead:.1}x)"
-    );
-    coord.shutdown();
-    single.shutdown();
-    for srv in shard_servers {
-        srv.shutdown();
-    }
 }

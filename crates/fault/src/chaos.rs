@@ -31,7 +31,6 @@ use crate::inject::{
 };
 use crate::plan::{FaultPlan, FaultSite, Layer};
 use crate::SplitMix64;
-use wrl_fabric::{split_store, Coordinator, Manifest, PlanKind};
 use wrl_serve::{Catalog, Client, ClientCfg, ServeCfg, ServeHooks, Server, TailItem, WireFate};
 use wrl_store::{filter_stream, BlockFormat, Predicate, TraceStore};
 use wrl_trace::{
@@ -369,8 +368,6 @@ fn run_site(input: &ChaosInput, plan: FaultPlan) -> Outcome {
         | FaultSite::WirePartial
         | FaultSite::WireStall => run_wire(input, plan, &mut rng),
         FaultSite::WireSubStall => run_sub_stall(input, &mut rng),
-        FaultSite::FabricScatter => run_fabric_scatter(input, intensity, &mut rng),
-        FaultSite::FabricNodeLoss => run_fabric_node_loss(input, &mut rng),
         FaultSite::TracerSink => run_tracer_sink(input, intensity, &mut rng),
     }
 }
@@ -475,204 +472,6 @@ fn run_tracer_sink(input: &ChaosInput, intensity: u32, rng: &mut SplitMix64) -> 
         // and the pass proved unperturbed above.
         Ok(_) => Outcome::Harmless,
     }
-}
-
-/// `fabric.scatter`: flip bits in an encoded shard manifest before a
-/// coordinator would trust it. The manifest carries pruning proofs —
-/// a damaged zonemap or word offset would make the coordinator
-/// silently skip blocks with matching words — so *every* flip must be
-/// detected (magic/version rejection or the trailing CRC) before any
-/// field is believed. A manifest that decodes cleanly to a different
-/// plan is a silent wrong answer, forbidden.
-fn run_fabric_scatter(input: &ChaosInput, intensity: u32, rng: &mut SplitMix64) -> Outcome {
-    let store = TraceStore::decode_any(&input.store_bytes_v4).expect("golden v4 store decodes");
-    let kind = if rng.chance(1, 2) {
-        PlanKind::BlockRange
-    } else {
-        PlanKind::AsidHash
-    };
-    let (manifest, _) = split_store(&store, "golden", 2, kind).expect("golden store splits");
-    let mut bytes = manifest.encode();
-    let n_bits = bytes.len() as u64 * 8;
-    for bit in pick_distinct(rng, n_bits, u64::from(intensity)) {
-        bytes[(bit / 8) as usize] ^= 1 << (bit % 8);
-    }
-    match Manifest::decode(&bytes) {
-        Err(e) => Outcome::Detected {
-            what: e.to_string(),
-        },
-        Ok(back) if back == manifest => Outcome::Harmless,
-        Ok(_) => Outcome::Forbidden {
-            why: "damaged manifest decoded cleanly to a different plan".into(),
-        },
-    }
-}
-
-/// `fabric.node_loss`: kill a shard node behind a coordinator. Half
-/// the plans list a replica: the coordinator must fail the lost
-/// sub-query over and the merged answer must stay bit-identical — a
-/// duplicated or dropped row is exactly the silent corruption the
-/// whole-unit retry exists to prevent. The other half leave the shard
-/// unreplicated: the only lawful answer is the typed `unavailable`
-/// error naming the shard, never a partial result.
-fn run_fabric_node_loss(input: &ChaosInput, rng: &mut SplitMix64) -> Outcome {
-    let store = TraceStore::decode_any(&input.store_bytes).expect("golden store decodes");
-    let kind = if rng.chance(1, 2) {
-        PlanKind::BlockRange
-    } else {
-        PlanKind::AsidHash
-    };
-    let (manifest, shard_stores) =
-        split_store(&store, "golden", 2, kind).expect("golden store splits");
-    let with_replica = rng.chance(1, 2);
-    // Kill the primary of the first shard that owns blocks: either a
-    // mid-response cut (the node dies while answering) or an endpoint
-    // nothing listens on (the node died before the query).
-    let victim = manifest
-        .shards
-        .iter()
-        .position(|s| s.n_blocks > 0)
-        .expect("golden store has blocks");
-    let dead_primary = !with_replica && rng.chance(1, 2);
-    let cut_at = rng.next_u64();
-    let cfg = ServeCfg {
-        read_timeout: Duration::from_millis(5),
-        max_stalls: 60,
-        ..ServeCfg::default()
-    };
-    let ccfg = ClientCfg {
-        read_timeout: Duration::from_millis(5),
-        max_stalls: 60,
-        ..ClientCfg::default()
-    };
-    let stores: Vec<Arc<TraceStore>> = shard_stores.into_iter().map(Arc::new).collect();
-    let catalog_of = |s: usize| {
-        let mut c = Catalog::new();
-        c.add(manifest.shards[s].name.clone(), Arc::clone(&stores[s]));
-        c
-    };
-    let mut servers = Vec::new();
-    let mut endpoints = Vec::new();
-    for s in 0..manifest.n_shards() {
-        let mut eps = Vec::new();
-        if manifest.shards[s].n_blocks > 0 {
-            if s == victim {
-                if dead_primary {
-                    let l = std::net::TcpListener::bind("127.0.0.1:0")
-                        .expect("loopback bind for a dead endpoint");
-                    eps.push(l.local_addr().expect("bound address"));
-                } else {
-                    let hooks = ServeHooks::on_response(move |seq| match seq {
-                        0 => WireFate::CutAfter { at: cut_at },
-                        _ => WireFate::Deliver,
-                    });
-                    let srv =
-                        match Server::start_with_hooks("127.0.0.1:0", catalog_of(s), cfg, hooks) {
-                            Ok(srv) => srv,
-                            Err(e) => {
-                                return Outcome::Forbidden {
-                                    why: format!("victim shard server failed to start: {e}"),
-                                }
-                            }
-                        };
-                    eps.push(srv.addr());
-                    servers.push(srv);
-                }
-                if with_replica {
-                    match Server::start("127.0.0.1:0", catalog_of(s), cfg) {
-                        Ok(srv) => {
-                            eps.push(srv.addr());
-                            servers.push(srv);
-                        }
-                        Err(e) => {
-                            return Outcome::Forbidden {
-                                why: format!("replica server failed to start: {e}"),
-                            }
-                        }
-                    }
-                }
-            } else {
-                match Server::start("127.0.0.1:0", catalog_of(s), cfg) {
-                    Ok(srv) => {
-                        eps.push(srv.addr());
-                        servers.push(srv);
-                    }
-                    Err(e) => {
-                        return Outcome::Forbidden {
-                            why: format!("shard server failed to start: {e}"),
-                        }
-                    }
-                }
-            }
-        }
-        endpoints.push(eps);
-    }
-    let coord = match Coordinator::start("127.0.0.1:0", manifest, endpoints, ccfg) {
-        Ok(c) => c,
-        Err(e) => {
-            return Outcome::Forbidden {
-                why: format!("coordinator failed to start: {e}"),
-            }
-        }
-    };
-    // Generous upstream stall budget: the coordinator's failover
-    // (downstream reconnects, stall budgets) runs inside this wait.
-    let up = ClientCfg {
-        read_timeout: Duration::from_millis(5),
-        max_stalls: 400,
-        ..ClientCfg::default()
-    };
-    let everything = Predicate::default();
-    let damaged = Client::connect_cfg(coord.addr(), up)
-        .map_err(wrl_serve::ServeError::Io)
-        .and_then(|mut c| c.query("golden", &everything));
-    let outcome = if with_replica {
-        match damaged {
-            Ok(q) if q.words == input.archive.words => {
-                // The loss is absorbed; the fabric must also still
-                // answer a fresh connection perfectly.
-                let probe = Client::connect_cfg(coord.addr(), up)
-                    .map_err(wrl_serve::ServeError::Io)
-                    .and_then(|mut c| c.query("golden", &everything));
-                match probe {
-                    Ok(p) if p.words == input.archive.words => Outcome::Harmless,
-                    Ok(_) => Outcome::Forbidden {
-                        why: "fabric answered the recovery probe wrongly".into(),
-                    },
-                    Err(e) => Outcome::Forbidden {
-                        why: format!("fabric did not recover after failover: {e}"),
-                    },
-                }
-            }
-            Ok(_) => Outcome::Forbidden {
-                why: "failover duplicated or dropped rows".into(),
-            },
-            Err(e) => Outcome::Forbidden {
-                why: format!("a replicated shard loss surfaced as an error: {e}"),
-            },
-        }
-    } else {
-        match damaged {
-            Ok(_) => Outcome::Forbidden {
-                why: "unreplicated node loss went unnoticed".into(),
-            },
-            Err(wrl_serve::ServeError::Remote { code, msg })
-                if code == wrl_serve::wire::err::UNAVAILABLE && msg.contains("shard") =>
-            {
-                Outcome::Detected {
-                    what: format!("typed unavailable: {msg}"),
-                }
-            }
-            Err(e) => Outcome::Forbidden {
-                why: format!("wrong error for an unreplicated node loss: {e}"),
-            },
-        }
-    };
-    coord.shutdown();
-    for s in servers {
-        s.shutdown();
-    }
-    outcome
 }
 
 /// Runs one wire-layer plan: serve the golden store on a loopback

@@ -2,16 +2,11 @@
 //!
 //! [`crate::server`] owns everything about a `wrl-wire/v1` connection
 //! — framing, admission, stall budgets, drain, the fault seam, the
-//! live tail — and hands each admitted catalog / fetch / query /
-//! shards request to a [`Backend`]. Two exist: the [`Catalog`]-backed
-//! one a node runs (this module), and `wrl-fabric`'s coordinator,
-//! which scatters the same requests to shard nodes. Because both sit
-//! under the one server, a coordinator cannot answer a damaged frame,
-//! an overload or a subscribe differently from a node.
+//! live tail — and hands each admitted catalog / fetch / query
+//! request to the archives of a [`Catalog`], held in memory.
 //!
-//! The request checks every backend must make the same way are
-//! written here once: [`no_such_archive`], [`bad_request`] and
-//! [`fetch_range`].
+//! The checks on what a request asks are written here once:
+//! [`no_such_archive`], [`bad_request`] and [`fetch_range`].
 
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
@@ -22,40 +17,7 @@ use wrl_store::{
 
 use crate::obs::ServeObs;
 use crate::server::ServeCfg;
-use crate::wire::{
-    err, CatalogEntry, RawBlock, Response, ShardStatus, MAX_FRAME, RAW_BLOCK_HEADER_BYTES,
-};
-
-/// The answers behind a server's four admitted data opcodes. Methods
-/// run on an executor thread with an admission slot held, never on an
-/// event thread, so one may block; an `Err` is the refusal to send
-/// instead, already typed.
-pub trait Backend: Send + Sync + 'static {
-    /// The `service` label of the server's metrics answer.
-    fn service(&self) -> &'static str;
-
-    /// The rows of a catalog answer, sorted by name.
-    fn catalog(&self) -> Vec<CatalogEntry>;
-
-    /// Blocks `first_block .. first_block + n_blocks` of `archive`,
-    /// raw, for the client to decompress and verify.
-    fn fetch(
-        &self,
-        archive: &str,
-        first_block: u32,
-        n_blocks: u32,
-    ) -> Result<Vec<RawBlock>, Response>;
-
-    /// The words of `archive` that `pred` admits, in stream order,
-    /// with the pushdown's block accounting.
-    fn query(&self, archive: &str, pred: &Predicate) -> Result<QueryResult, Response>;
-
-    /// The shard table, for a backend that fronts shards; `None`
-    /// makes the server refuse the opcode as a single node does.
-    fn shards(&self) -> Option<Vec<ShardStatus>> {
-        None
-    }
-}
+use crate::wire::{err, CatalogEntry, RawBlock, Response, MAX_FRAME, RAW_BLOCK_HEADER_BYTES};
 
 /// The typed refusal for a request the frame decoded but the server
 /// cannot serve.
@@ -67,7 +29,7 @@ pub fn bad_request(msg: &str) -> Response {
 }
 
 /// The typed refusal for a fetch or query naming an archive the
-/// backend does not hold.
+/// catalog does not hold.
 pub fn no_such_archive(name: &str) -> Response {
     Response::Error {
         code: err::NO_SUCH_ARCHIVE,
@@ -134,7 +96,7 @@ impl Catalog {
     }
 
     /// Looks an archive up by name, also returning its catalog slot
-    /// (the backend's per-archive block-cache index).
+    /// (the server's per-archive block-cache index).
     fn get_indexed(&self, name: &str) -> Option<(usize, &Arc<TraceStore>)> {
         self.entries
             .binary_search_by(|(n, _)| n.as_str().cmp(name))
@@ -157,7 +119,10 @@ impl Catalog {
     }
 }
 
-/// A node's backend: the archives of a [`Catalog`], held in memory.
+/// What a server answers admitted requests from: the archives of a
+/// [`Catalog`], held in memory. Methods run on an executor thread with
+/// an admission slot held, never on an event thread, so one may block;
+/// an `Err` is the refusal to send instead, already typed.
 pub(crate) struct CatalogBackend {
     catalog: Catalog,
     /// One decoded-block cache per catalog entry (same order), sized
@@ -205,18 +170,15 @@ impl CatalogBackend {
             msg: e.to_string(),
         }
     }
-}
 
-impl Backend for CatalogBackend {
-    fn service(&self) -> &'static str {
-        "wrl-serve"
-    }
-
-    fn catalog(&self) -> Vec<CatalogEntry> {
+    /// The rows of a catalog answer, sorted by name.
+    pub(crate) fn catalog(&self) -> Vec<CatalogEntry> {
         self.catalog.rows()
     }
 
-    fn fetch(
+    /// Blocks `first_block .. first_block + n_blocks` of `archive`,
+    /// raw, for the client to decompress and verify.
+    pub(crate) fn fetch(
         &self,
         archive: &str,
         first_block: u32,
@@ -245,7 +207,9 @@ impl Backend for CatalogBackend {
         Ok(blocks)
     }
 
-    fn query(&self, archive: &str, pred: &Predicate) -> Result<QueryResult, Response> {
+    /// The words of `archive` that `pred` admits, in stream order,
+    /// with the pushdown's block accounting.
+    pub(crate) fn query(&self, archive: &str, pred: &Predicate) -> Result<QueryResult, Response> {
         let (idx, store) = self.find(archive)?;
         let result = if pred.window.is_some() {
             // A windowed query touches a handful of blocks and

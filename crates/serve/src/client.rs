@@ -257,15 +257,6 @@ impl Client {
         }
     }
 
-    /// Lists the shards behind a fabric coordinator. A single-node
-    /// server answers this with a typed `bad_request` error.
-    pub fn shards(&mut self) -> Result<Vec<wire::ShardStatus>, ServeError> {
-        match self.call(&Request::Shards)? {
-            Response::Shards(rows) => Ok(rows),
-            _ => Err(ServeError::BadReply("shards answered with wrong kind")),
-        }
-    }
-
     /// Attaches to the live feed named `archive`, filtered by `pred`
     /// server-side. `from_start` replays the feed's history first;
     /// otherwise events begin at the feed head (with `seq` continuing

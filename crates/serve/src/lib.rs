@@ -25,10 +25,8 @@
 //!   condvar-paced scan fallback elsewhere, and a cross-thread
 //!   [`Waker`].
 //! * [`backend`] — what admitted requests are answered from: the
-//!   [`Backend`] seam, the [`Catalog`]-backed implementation a node
-//!   runs, and the request checks every backend shares. `wrl-fabric`'s
-//!   coordinator is the other implementation, so one server speaks
-//!   the protocol for both.
+//!   [`Catalog`] of stores a server holds, and the checks on what a
+//!   request asks.
 //! * [`server`] — the event loops on top: a few event threads
 //!   multiplex every connection, a max-inflight admission gate
 //!   answers `Busy` instead of queueing, a small executor pool runs
@@ -63,7 +61,7 @@ pub mod reactor;
 pub mod server;
 pub mod wire;
 
-pub use backend::{Backend, Catalog};
+pub use backend::Catalog;
 pub use client::{Client, ClientCfg, ServeError, TailItem};
 pub use conn::{
     Conn, ConnState, FrameDecoder, IoTally, ReadEvent, TickVerdict, Transport, WriteShape,
@@ -71,6 +69,4 @@ pub use conn::{
 pub use obs::ServeObs;
 pub use reactor::{Interest, Poller, Ready, Waker};
 pub use server::{LiveFeed, ServeCfg, ServeHooks, Server, WireFate};
-pub use wire::{
-    CatalogEntry, RawBlock, Request, Response, ShardStatus, WireError, MAX_FRAME, WIRE_SCHEMA,
-};
+pub use wire::{CatalogEntry, RawBlock, Request, Response, WireError, MAX_FRAME, WIRE_SCHEMA};

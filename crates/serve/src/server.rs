@@ -20,10 +20,8 @@
 //!   deepest it got).
 //! * **Execution** — admitted requests always hop to a small executor
 //!   pool (`exec_workers` threads, at least one), so a long query
-//!   never wedges an event loop. There the server's [`Backend`]
-//!   answers them: a node's catalog backend
-//!   decodes from the store (see [`crate::backend`]), a fabric
-//!   coordinator's scatters to shard nodes; the metrics snapshot
+//!   never wedges an event loop. There the catalog's stores answer
+//!   them (see [`crate::backend`]); the metrics snapshot
 //!   (`wrl-obs-metrics/v1`) the server answers itself. The finished
 //!   response frame is handed back to the owning event thread through
 //!   its completion inbox and a waker.
@@ -67,7 +65,7 @@
 //! deliver bit-identical answers.
 
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -76,7 +74,7 @@ use std::time::{Duration, Instant};
 
 use wrl_store::{admitted_spans, asid_runs, AsidRun, Predicate};
 
-use crate::backend::{bad_request, Backend, Catalog, CatalogBackend};
+use crate::backend::{bad_request, Catalog, CatalogBackend};
 use crate::conn::{Conn, ConnState, IoTally, ReadEvent, TickVerdict, WriteShape};
 use crate::obs::ServeObs;
 use crate::reactor::{AsRawFd, Interest, Poller, Ready, Waker, MAX_POLLED};
@@ -209,7 +207,7 @@ impl ServeHooks {
 }
 
 struct Shared {
-    backend: Box<dyn Backend>,
+    backend: CatalogBackend,
     cfg: ServeCfg,
     obs: ServeObs,
     hooks: ServeHooks,
@@ -399,23 +397,11 @@ impl Server {
         cfg: ServeCfg,
         hooks: ServeHooks,
     ) -> io::Result<Server> {
-        Server::start_backend(addr, CatalogBackend::new(catalog, &cfg), cfg, hooks)
-    }
-
-    /// Binds `addr` and serves whatever `backend` answers: the entry
-    /// under [`Server::start`] (a [`Catalog`] held in memory) and
-    /// under `wrl-fabric`'s coordinator (shards behind a manifest).
-    pub fn start_backend(
-        addr: impl ToSocketAddrs,
-        backend: impl Backend,
-        cfg: ServeCfg,
-        hooks: ServeHooks,
-    ) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
-            backend: Box::new(backend),
+            backend: CatalogBackend::new(catalog, &cfg),
             cfg,
             obs: ServeObs::register(),
             hooks,
@@ -680,7 +666,7 @@ fn exec_loop(shared: &Shared, rt: &Reactor, rx: &Mutex<mpsc::Receiver<Job>>) {
 /// Executes one admitted request and shapes its response frame.
 fn run_job(shared: &Shared, job: Job) -> Completion {
     let t0 = Instant::now();
-    let resp = answer(shared.backend.as_ref(), &job.req);
+    let resp = answer(&shared.backend, &job.req);
     let opcode = job.req.opcode();
     shared
         .obs
@@ -1220,21 +1206,16 @@ fn register(
     }
 }
 
-/// Answers one admitted request from the backend. The checks here
-/// are the ones no backend may spell differently: what a server
-/// without shards says to `shards`, and the frame cap on a query
-/// answer.
-fn answer(backend: &dyn Backend, req: &Request) -> Response {
+/// Answers one admitted request from the catalog, refusing a query
+/// answer over the frame cap.
+fn answer(backend: &CatalogBackend, req: &Request) -> Response {
     match req {
         Request::Catalog => Response::Catalog(backend.catalog()),
-        Request::Metrics => Response::Metrics(wrl_obs::global().snapshot().to_json(&[
-            ("service", backend.service()),
-            ("schema_wire", wire::WIRE_SCHEMA),
-        ])),
-        Request::Shards => match backend.shards() {
-            Some(rows) => Response::Shards(rows),
-            None => bad_request("not a fabric coordinator"),
-        },
+        Request::Metrics => Response::Metrics(
+            wrl_obs::global()
+                .snapshot()
+                .to_json(&[("service", "wrl-serve"), ("schema_wire", wire::WIRE_SCHEMA)]),
+        ),
         Request::Fetch {
             archive,
             first_block,

@@ -14,7 +14,6 @@
 //!           | 0x03 query    { archive: string, asid: opt<u8>,
 //!                             window: opt<{ lo: u64, hi: u64 }> }
 //!           | 0x04 metrics  {}
-//!           | 0x05 shards   {}
 //!           | 0x06 subscribe   { archive: string, asid: opt<u8>,
 //!                                window: opt<{ lo: u64, hi: u64 }>,
 //!                                from_start: u8 0|1 }
@@ -24,7 +23,6 @@
 //!           | 0x83 query    { blocks_decoded: u32, blocks_skipped: u32,
 //!                             u64 n_words, u32 word × n_words }
 //!           | 0x84 metrics  { json: string32 }      (wrl-obs-metrics/v1)
-//!           | 0x85 shards   { u32 n, shard_status × n }
 //!           | 0x86 subscribed   {}
 //!           | 0x87 unsubscribed {}
 //!           | 0x7d event    { seq: u64, u32 n_words, u32 word × n_words }
@@ -61,7 +59,7 @@ pub const MIN_BODY: usize = 8 + 1 + 4;
 
 /// Bytes of a fetch response's `raw_block` ahead of the compressed
 /// bytes: the index-entry summary plus the `u32 comp_len`. What a
-/// backend budgets per block against [`MAX_FRAME`].
+/// fetch answer budgets per block against [`MAX_FRAME`].
 pub const RAW_BLOCK_HEADER_BYTES: usize = 4 + 4 + 1 + 1 + 1 + 8 + 4 + 4 + 4;
 
 /// Request opcodes (responses are `opcode | 0x80`).
@@ -74,10 +72,8 @@ pub mod op {
     pub const QUERY: u8 = 0x03;
     /// `wrl-obs-metrics/v1` JSON snapshot of the server's registry.
     pub const METRICS: u8 = 0x04;
-    /// The shard table behind a fabric coordinator (per-shard block
-    /// counts, zonemaps and endpoint health). Non-coordinator servers
-    /// answer `error(bad_request)`.
-    pub const SHARDS: u8 = 0x05;
+    // 0x05 (`shards`) is retired, never reassigned: a server answers
+    // it as any unknown opcode.
     /// Attach this connection to the server's live feed: every word
     /// the feed publishes that the request's predicate admits is
     /// pushed back in `EVENT` frames until the feed ends or the
@@ -110,10 +106,7 @@ pub mod err {
     pub const STORE: u16 = 3;
     /// The request frame itself was malformed or failed its CRC.
     pub const WIRE: u16 = 4;
-    /// A fabric shard and every replica of it are unreachable — the
-    /// coordinator's typed answer when failover runs out of
-    /// endpoints, distinct from a severed upstream connection.
-    pub const UNAVAILABLE: u16 = 5;
+    // 5 (`unavailable`) is retired, never reassigned.
     /// A subscriber fell further behind the live feed than the
     /// server's per-subscriber queue bound allows; the server sends
     /// this typed disconnect and drains the connection instead of
@@ -150,8 +143,6 @@ pub enum Request {
     },
     /// Snapshot the server's metrics registry.
     Metrics,
-    /// List the shards behind a fabric coordinator.
-    Shards,
     /// Attach to the server's live feed, receiving `EVENT` pushes for
     /// every published word the predicate admits.
     Subscribe {
@@ -176,29 +167,10 @@ impl Request {
             Request::Fetch { .. } => op::FETCH,
             Request::Query { .. } => op::QUERY,
             Request::Metrics => op::METRICS,
-            Request::Shards => op::SHARDS,
             Request::Subscribe { .. } => op::SUBSCRIBE,
             Request::Unsubscribe => op::UNSUBSCRIBE,
         }
     }
-}
-
-/// One shard's row in a coordinator's shards response.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ShardStatus {
-    /// Downstream catalog name of the shard archive.
-    pub name: String,
-    /// Endpoints configured for the shard (primary + replicas).
-    pub endpoints: u16,
-    /// Bitmap of endpoints currently believed reachable (bit i =
-    /// endpoint i; updated by failover outcomes).
-    pub alive: u16,
-    /// Blocks the shard owns.
-    pub n_blocks: u32,
-    /// Words across the shard's blocks.
-    pub n_words: u64,
-    /// OR of the shard's per-block ASID zonemaps (0 = unknown).
-    pub asid_mask: u64,
 }
 
 /// One archive's row in a catalog response.
@@ -274,8 +246,6 @@ pub enum Response {
     Query(QueryResult),
     /// `wrl-obs-metrics/v1` JSON.
     Metrics(String),
-    /// The coordinator's shard table, in manifest order.
-    Shards(Vec<ShardStatus>),
     /// Subscription accepted; `EVENT` pushes follow on this
     /// connection until the feed ends or the client unsubscribes.
     Subscribed,
@@ -311,7 +281,6 @@ impl Response {
             Response::Fetch(_) => op::FETCH | op::RESPONSE,
             Response::Query(_) => op::QUERY | op::RESPONSE,
             Response::Metrics(_) => op::METRICS | op::RESPONSE,
-            Response::Shards(_) => op::SHARDS | op::RESPONSE,
             Response::Subscribed => op::SUBSCRIBE | op::RESPONSE,
             Response::Unsubscribed => op::UNSUBSCRIBE | op::RESPONSE,
             Response::Event { .. } => op::EVENT,
@@ -447,7 +416,7 @@ fn get_pred(c: &mut Cursor) -> Result<Predicate, WireError> {
 pub fn encode_request(req_id: u64, req: &Request) -> Vec<u8> {
     let mut p = Vec::new();
     match req {
-        Request::Catalog | Request::Metrics | Request::Shards | Request::Unsubscribe => {}
+        Request::Catalog | Request::Metrics | Request::Unsubscribe => {}
         Request::Fetch {
             archive,
             first_block,
@@ -482,7 +451,6 @@ pub fn decode_request(body: &[u8]) -> Result<(u64, Request), WireError> {
     let req = match opcode {
         op::CATALOG => Request::Catalog,
         op::METRICS => Request::Metrics,
-        op::SHARDS => Request::Shards,
         op::FETCH => Request::Fetch {
             archive: c.str16()?,
             first_block: c.u32()?,
@@ -554,17 +522,6 @@ pub fn encode_response(req_id: u64, resp: &Response) -> Vec<u8> {
             put_words(&mut p, &q.words);
         }
         Response::Metrics(json) => put_str32(&mut p, json),
-        Response::Shards(rows) => {
-            put_u32(&mut p, rows.len() as u32);
-            for s in rows {
-                put_str16(&mut p, &s.name);
-                put_u16(&mut p, s.endpoints);
-                put_u16(&mut p, s.alive);
-                put_u32(&mut p, s.n_blocks);
-                put_u64(&mut p, s.n_words);
-                put_u64(&mut p, s.asid_mask);
-            }
-        }
     }
     encode_frame(req_id, resp.opcode(), &p)
 }
@@ -654,24 +611,6 @@ pub fn decode_response(body: &[u8]) -> Result<(u64, Response), WireError> {
         }),
         o if o == op::SUBSCRIBE | op::RESPONSE => Response::Subscribed,
         o if o == op::UNSUBSCRIBE | op::RESPONSE => Response::Unsubscribed,
-        o if o == op::SHARDS | op::RESPONSE => {
-            let n = c.u32()? as usize;
-            if n > payload.len() / 4 {
-                return Err(WireError::Malformed("shard count exceeds payload"));
-            }
-            let mut rows = Vec::with_capacity(n);
-            for _ in 0..n {
-                rows.push(ShardStatus {
-                    name: c.str16()?,
-                    endpoints: c.u16()?,
-                    alive: c.u16()?,
-                    n_blocks: c.u32()?,
-                    n_words: c.u64()?,
-                    asid_mask: c.u64()?,
-                });
-            }
-            Response::Shards(rows)
-        }
         other => return Err(WireError::UnknownOpcode(other)),
     };
     done(&c)?;
@@ -775,7 +714,6 @@ mod tests {
     fn requests_round_trip() {
         roundtrip_request(Request::Catalog);
         roundtrip_request(Request::Metrics);
-        roundtrip_request(Request::Shards);
         roundtrip_request(Request::Fetch {
             archive: "sed".into(),
             first_block: 3,
@@ -846,24 +784,6 @@ mod tests {
                 seq: 99,
                 words: vec![],
             },
-            Response::Shards(vec![
-                ShardStatus {
-                    name: "golden.s0".into(),
-                    endpoints: 2,
-                    alive: 0b01,
-                    n_blocks: 17,
-                    n_words: 4352,
-                    asid_mask: 0b1011,
-                },
-                ShardStatus {
-                    name: "golden.s1".into(),
-                    endpoints: 1,
-                    alive: 0b1,
-                    n_blocks: 16,
-                    n_words: 4096,
-                    asid_mask: 0,
-                },
-            ]),
         ] {
             let frame = encode_response(99, &resp);
             let (id, back) = decode_response(&frame[4..]).unwrap();

@@ -246,88 +246,9 @@ impl BlockMeta {
     /// the single ASID context `first_asid`. Requires write-time
     /// summaries; a block without them conservatively answers `None`.
     pub fn single_asid(&self) -> Option<u8> {
-        self.prune_row().single_asid()
-    }
-
-    /// The facts [`matching_rows`] prunes this block from.
-    pub fn prune_row(&self) -> PruneRow {
-        PruneRow {
-            first_word: self.first_word,
-            words: self.words,
-            first_asid: self.first_asid,
-            flags: self.flags,
-            asid_mask: self.asid_mask,
-        }
-    }
-}
-
-/// What an index row offers block pruning: the word range and the
-/// ASID proofs. A store's own [`BlockMeta`] rows and `wrl-fabric`'s
-/// manifest rows both reduce to this, so [`matching_rows`] is the one
-/// prune predicate and a coordinator prunes precisely the blocks a
-/// single node would.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PruneRow {
-    /// Global word offset of the block's first word.
-    pub first_word: u64,
-    /// Decoded word count.
-    pub words: u32,
-    /// ASID context in effect at the block's first word.
-    pub first_asid: u8,
-    /// Summary flags ([`BlockMeta::FLAG_SUMMARY`] and friends).
-    pub flags: u8,
-    /// Per-ASID zonemap, valid under [`BlockMeta::FLAG_COLUMNAR`].
-    pub asid_mask: u64,
-}
-
-impl PruneRow {
-    /// The single ASID context the flags prove every word of the
-    /// block sits in, if they prove one.
-    pub fn single_asid(&self) -> Option<u8> {
-        (self.flags & BlockMeta::FLAG_SUMMARY != 0 && self.flags & BlockMeta::FLAG_CTX_SWITCH == 0)
+        (self.flags & Self::FLAG_SUMMARY != 0 && self.flags & Self::FLAG_CTX_SWITCH == 0)
             .then_some(self.first_asid)
     }
-}
-
-/// The rows a predicate cannot prove irrelevant, in stream order —
-/// the pushdown step. A row is skipped only when its facts alone
-/// prove no word of its block matches: the word range misses the
-/// window, a write-time summary shows every word sits in a single
-/// non-matching ASID, or (v4) the ASID zonemap proves the ASID never
-/// occurs. Never decodes anything.
-///
-/// The window filter binary-searches `rows` rather than scanning
-/// them: decoders enforce that `first_word` offsets tile the stream,
-/// so rows intersecting `lo..hi` form one contiguous run.
-pub fn matching_rows<T>(rows: &[T], row: impl Fn(&T) -> PruneRow, pred: &Predicate) -> Vec<usize> {
-    let range = match pred.window {
-        None => 0..rows.len(),
-        Some((lo, hi)) => {
-            if lo >= hi {
-                return Vec::new();
-            }
-            // First row whose range reaches past `lo`, then first
-            // row starting at or past `hi`.
-            let start = rows.partition_point(|r| {
-                let r = row(r);
-                r.first_word + u64::from(r.words) <= lo
-            });
-            let end = rows.partition_point(|r| row(r).first_word < hi);
-            start..end
-        }
-    };
-    range
-        .filter(|&i| {
-            let Some(a) = pred.asid else { return true };
-            let r = row(&rows[i]);
-            // The zonemap's clear bit proves absence (exact below
-            // ASID 64, sound above — distinct ASIDs can share a bit,
-            // never lose one).
-            let zonemap_misses =
-                r.flags & BlockMeta::FLAG_COLUMNAR != 0 && r.asid_mask & (1u64 << (a & 63)) == 0;
-            r.single_asid().is_none_or(|only| only == a) && !zonemap_misses
-        })
-        .collect()
 }
 
 /// How a store's blocks are coded on disk and in memory.
@@ -825,55 +746,44 @@ impl TraceStore {
         TraceStore::decode_any(&std::fs::read(path)?)
     }
 
-    /// A new store holding only the named blocks (strictly ascending
-    /// global ids) — the shard-extraction primitive of `wrl-fabric`.
-    ///
-    /// Compressed bytes, CRCs, ASID summaries and zonemaps are copied
-    /// verbatim, so every per-block proof the index carries stays
-    /// valid; the `first_word` offsets are re-tiled to shard-local
-    /// coordinates (the decoder insists offsets tile the stream) and
-    /// a fabric coordinator translates query windows between global
-    /// and shard-local positions from its manifest. Critically,
-    /// `first_asid` keeps the *global* entry context, so a shard
-    /// filters ASIDs exactly as the whole store would.
-    pub fn subset(&self, ids: &[usize]) -> Result<TraceStore, StoreError> {
-        let mut index = Vec::with_capacity(ids.len());
-        let mut blocks = Vec::new();
-        let mut n_words = 0u64;
-        let mut prev: Option<usize> = None;
-        for &i in ids {
-            if prev.is_some_and(|p| p >= i) {
-                return Err(StoreError::Malformed("subset ids must strictly ascend"));
-            }
-            prev = Some(i);
-            let m = *self
-                .index
-                .get(i)
-                .ok_or(StoreError::Malformed("subset id out of range"))?;
-            let comp = self.block_bytes(i)?;
-            index.push(BlockMeta {
-                offset: blocks.len() as u64,
-                first_word: n_words,
-                ..m
-            });
-            blocks.extend_from_slice(comp);
-            n_words += u64::from(m.words);
-        }
-        Ok(TraceStore {
-            kernel_table: self.kernel_table.clone(),
-            user_tables: self.user_tables.clone(),
-            n_words,
-            block_words: self.block_words,
-            index,
-            blocks: Arc::new(blocks),
-            format: self.format,
-        })
-    }
-
     /// The blocks a predicate cannot prove irrelevant, in stream
-    /// order: [`matching_rows`] over this store's index.
+    /// order — the pushdown step. A block is skipped only when its
+    /// index entry alone proves no word of it matches: the word range
+    /// misses the window, a write-time summary shows every word sits
+    /// in a single non-matching ASID, or (v4) the ASID zonemap proves
+    /// the ASID never occurs. Never decodes anything.
+    ///
+    /// The window filter binary-searches the index rather than
+    /// scanning it: decoders enforce that `first_word` offsets tile
+    /// the stream, so entries intersecting `lo..hi` form one
+    /// contiguous run.
     pub fn matching_blocks(&self, pred: &Predicate) -> Vec<usize> {
-        matching_rows(&self.index, BlockMeta::prune_row, pred)
+        let index = &self.index;
+        let range = match pred.window {
+            None => 0..index.len(),
+            Some((lo, hi)) => {
+                if lo >= hi {
+                    return Vec::new();
+                }
+                // First block whose range reaches past `lo`, then
+                // first block starting at or past `hi`.
+                let start = index.partition_point(|m| m.first_word + u64::from(m.words) <= lo);
+                let end = index.partition_point(|m| m.first_word < hi);
+                start..end
+            }
+        };
+        range
+            .filter(|&i| {
+                let Some(a) = pred.asid else { return true };
+                let m = &index[i];
+                // The zonemap's clear bit proves absence (exact below
+                // ASID 64, sound above — distinct ASIDs can share a
+                // bit, never lose one).
+                let zonemap_misses = m.flags & BlockMeta::FLAG_COLUMNAR != 0
+                    && m.asid_mask & (1u64 << (a & 63)) == 0;
+                m.single_asid().is_none_or(|only| only == a) && !zonemap_misses
+            })
+            .collect()
     }
 
     /// Decodes and filters the words block `i` selects under `pred`,
@@ -1288,40 +1198,6 @@ mod tests {
     }
 
     #[test]
-    fn subset_keeps_proofs_and_retiles_offsets() {
-        let a = sample_archive(1000);
-        for format in [BlockFormat::Row, BlockFormat::Columnar] {
-            let store = TraceStore::from_archive_with(&a, 64, format);
-            let ids = [1usize, 2, 5, store.n_blocks() - 1];
-            let sub = store.subset(&ids).unwrap();
-            // The subset round-trips through the on-disk format.
-            let back = TraceStore::decode(&sub.encode()).unwrap();
-            assert_eq!(back.n_blocks(), ids.len());
-            let mut local = 0u64;
-            for (j, &i) in ids.iter().enumerate() {
-                let (m, s) = (back.block_meta(j), store.block_meta(i));
-                // Global context and proofs survive verbatim...
-                assert_eq!(
-                    (m.first_asid, m.last_asid, m.flags, m.crc, m.asid_mask),
-                    (s.first_asid, s.last_asid, s.flags, s.crc, s.asid_mask)
-                );
-                // ...while word offsets re-tile to local coordinates.
-                assert_eq!(m.first_word, local);
-                local += u64::from(m.words);
-                assert_eq!(
-                    back.decode_block(j).unwrap(),
-                    store.decode_block(i).unwrap()
-                );
-            }
-            assert_eq!(back.n_words, local);
-            // Bad id lists are typed errors.
-            assert!(store.subset(&[0, 0]).is_err());
-            assert!(store.subset(&[2, 1]).is_err());
-            assert!(store.subset(&[store.n_blocks()]).is_err());
-        }
-    }
-
-    #[test]
     fn v1_loads_transparently() {
         let a = sample_archive(500);
         let store = TraceStore::decode_any(&a.encode()).unwrap();
@@ -1713,43 +1589,39 @@ mod tests {
         }
 
         // The key includes the entering ASID too: a slot's runs are
-        // cut under it. Two shards whose block 0 holds the same words
+        // cut under it. Two stores whose block 1 holds the same words
         // (same index, same CRC) entered in contexts 3 and 5 must not
         // answer from each other's runs.
-        let shard = |entering: u8| {
+        let store = |entering: u8| {
             // Block 1 is words 64..120: sixteen in the entering
             // context, then the switch to 9.
             let a = trace_of(&[(entering, 80), (9, 40)]);
-            let sub = TraceStore::from_archive(&a, 64).subset(&[1]).unwrap();
-            (a, sub)
+            let s = TraceStore::from_archive(&a, 64);
+            (a, s)
         };
-        let (a3, s3) = shard(3);
-        let (a5, s5) = shard(5);
+        let (a3, s3) = store(3);
+        let (a5, s5) = store(5);
         assert_eq!(
-            s3.decode_block(0).unwrap(),
-            s5.decode_block(0).unwrap(),
-            "the shards' words must be equal for the case to bite"
+            s3.decode_block(1).unwrap(),
+            s5.decode_block(1).unwrap(),
+            "the stores' block 1 words must be equal for the case to bite"
         );
         assert_eq!(
-            (s3.block_meta(0).first_asid, s5.block_meta(0).first_asid),
+            (s3.block_meta(1).first_asid, s5.block_meta(1).first_asid),
             (3, 5)
         );
         let mut cache = BlockCache::new(4);
         for _ in 0..2 {
             for asid in [3, 5, 9] {
+                // The window is block 1, and only block 1.
                 let pred = Predicate {
                     asid: Some(asid),
-                    window: None,
-                };
-                // A shard's block 0 is its archive's words 64..128.
-                let in_block_1 = Predicate {
                     window: Some((64, 128)),
-                    ..pred
                 };
                 for (a, s) in [(&a3, &s3), (&a5, &s5)] {
                     assert_eq!(
                         s.query_cached(&pred, &mut cache).unwrap().words,
-                        filter_stream(&a.words, &in_block_1),
+                        filter_stream(&a.words, &pred),
                         "asid {asid}"
                     );
                 }

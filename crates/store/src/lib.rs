@@ -40,10 +40,10 @@ pub mod obs;
 
 pub use codec::{compress_block, crc32_bytes, crc32_words, decompress_block, CodecError, Crc32};
 pub use container::{
-    admitted_spans, asid_runs, decode_block_bytes, filter_stream, matching_rows, AsidRun,
-    BlockCache, BlockFormat, BlockMeta, BlockReader, ColumnStats, Predicate, PruneRow, QueryResult,
-    StoreError, TraceStore, DEFAULT_BLOCK_WORDS, INDEX_ENTRY_BYTES, INDEX_ENTRY_BYTES_V4,
-    STORE_VERSION, STORE_VERSION_V4, TRAILER_BYTES,
+    admitted_spans, asid_runs, decode_block_bytes, filter_stream, AsidRun, BlockCache, BlockFormat,
+    BlockMeta, BlockReader, ColumnStats, Predicate, QueryResult, StoreError, TraceStore,
+    DEFAULT_BLOCK_WORDS, INDEX_ENTRY_BYTES, INDEX_ENTRY_BYTES_V4, STORE_VERSION, STORE_VERSION_V4,
+    TRAILER_BYTES,
 };
 pub use farm::{drive, query_parallel, FarmCfg};
 pub use obs::StoreObs;

@@ -37,7 +37,6 @@
 #![forbid(unsafe_code)]
 
 pub use wrl_epoxie as epoxie;
-pub use wrl_fabric as fabric;
 pub use wrl_fault as fault;
 pub use wrl_isa as isa;
 pub use wrl_kernel as kernel;

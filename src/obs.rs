@@ -22,7 +22,6 @@ pub fn register_all() {
     wrl_store::StoreObs::register();
     wrl_tracer::TracerObs::register();
     wrl_serve::ServeObs::register();
-    wrl_fabric::FabricObs::register();
     wrl_fault::FaultObs::register();
 }
 
@@ -43,7 +42,6 @@ mod tests {
             "store.blocks",
             "tracer.passes",
             "serve.requests.query",
-            "fabric.failover",
             "fault.forbidden",
         ] {
             assert!(names.contains(&expect), "{expect} missing from registry");

@@ -1,8 +1,7 @@
-//! What the loopback suites (`serve_loopback`, `serve_subscribe`,
-//! `fabric_loopback`) and `tracer_differential` share: the golden
-//! archive, the counter read, the predicate panel, and the client
-//! herd that checks every answer against [`filter_stream`] — so a
-//! node and a coordinator are stressed by the same code.
+//! What the loopback suites (`serve_loopback`, `serve_subscribe`) and
+//! `tracer_differential` share: the golden archive, the counter read,
+//! the predicate panel, and the client herd that checks every answer
+//! against [`filter_stream`].
 
 // Each suite is its own crate and uses its own subset.
 #![allow(dead_code)]

@@ -8,8 +8,6 @@
 
 use std::collections::BTreeMap;
 
-use wrl_fabric::coord::MAX_ENDPOINTS;
-use wrl_fabric::{PlanKind, MANIFEST_BLOCK_ENTRY_BYTES, MANIFEST_VERSION, MAX_SHARDS};
 use wrl_serve::wire::{err, op, MAX_FRAME, MIN_BODY};
 use wrl_store::column::{N_COLUMNS, TAG_SLOTS, VAL_SLOTS};
 use wrl_store::{
@@ -82,7 +80,6 @@ fn code_constants() -> BTreeMap<String, u64> {
         ("wire.op.fetch", u64::from(op::FETCH)),
         ("wire.op.query", u64::from(op::QUERY)),
         ("wire.op.metrics", u64::from(op::METRICS)),
-        ("wire.op.shards", u64::from(op::SHARDS)),
         ("wire.op.subscribe", u64::from(op::SUBSCRIBE)),
         ("wire.op.unsubscribe", u64::from(op::UNSUBSCRIBE)),
         ("wire.op.response", u64::from(op::RESPONSE)),
@@ -94,27 +91,11 @@ fn code_constants() -> BTreeMap<String, u64> {
         ("wire.err.bad_request", u64::from(err::BAD_REQUEST)),
         ("wire.err.store", u64::from(err::STORE)),
         ("wire.err.wire", u64::from(err::WIRE)),
-        ("wire.err.unavailable", u64::from(err::UNAVAILABLE)),
         ("wire.err.slow_consumer", u64::from(err::SLOW_CONSUMER)),
         (
             "wire.err.retention_evicted",
             u64::from(err::RETENTION_EVICTED),
         ),
-        ("manifest.version", u64::from(MANIFEST_VERSION)),
-        (
-            "manifest.block_entry_bytes",
-            MANIFEST_BLOCK_ENTRY_BYTES as u64,
-        ),
-        ("manifest.max_shards", MAX_SHARDS as u64),
-        (
-            "manifest.plan.block_range",
-            u64::from(PlanKind::BlockRange.code()),
-        ),
-        (
-            "manifest.plan.asid_hash",
-            u64::from(PlanKind::AsidHash.code()),
-        ),
-        ("fabric.max_endpoints", MAX_ENDPOINTS as u64),
     ];
     pairs.iter().map(|(n, v)| (n.to_string(), *v)).collect()
 }
@@ -167,8 +148,6 @@ fn magic_strings_and_versions_appear_in_the_spec_prose() {
     assert!(md.contains("\"W3KSIDX\\0\""), "tail magic missing");
     assert_eq!(wrl_serve::wire::WIRE_SCHEMA, "wrl-wire/v1");
     assert!(md.contains("wrl-wire/v1"), "wire schema name missing");
-    assert_eq!(wrl_fabric::MANIFEST_MAGIC, b"W3KSHARD");
-    assert!(md.contains("\"W3KSHARD\""), "manifest magic missing");
     // Every decodable container version is spelled out in prose.
     for v in ["v1", "v3", "v4"] {
         assert!(md.contains(v), "version {v} never mentioned");
