@@ -41,11 +41,6 @@ impl SplitMix64 {
         debug_assert!(n > 0);
         ((u128::from(self.next_u64()) * u128::from(n)) >> 64) as u64
     }
-
-    /// True with probability `num`/`den`.
-    pub fn chance(&mut self, num: u64, den: u64) -> bool {
-        self.below(den) < num
-    }
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! The one little-endian byte writer and bounds-checked cursor under
 //! every on-disk and on-wire format in the stack (the v1 archive
-//! here, the store container, `wrl-wire/v1`, the shard manifest).
+//! here, the store container, `wrl-wire/v1`).
 //!
 //! Reads fail with one error, [`ReadError`]; each format's error type
 //! converts from it into its own typed variant, so `?` works at every
