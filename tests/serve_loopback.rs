@@ -21,6 +21,10 @@
 //!   them.
 //! * A block damaged at rest answers a typed `store` error and moves
 //!   `store.crc_errors` by exactly one.
+//! * Every kind of answer a node sends — windowed, ASID-filtered,
+//!   empty and unwindowed queries, fetches, the catalog — is, byte for
+//!   byte, the frame `encode_response` makes of the answer computed
+//!   locally, over v3 and v4 stores alike.
 //! * One scripted byte sequence over raw TCP — good requests, refused
 //!   ones, a damaged body, an oversized length prefix — draws pinned
 //!   answers (request id, response kind, error code) and a pinned
@@ -39,9 +43,10 @@ use std::time::Duration;
 
 use common::{connect_patiently, counter, golden, metrics_lock, panel_stress, predicate_panel};
 use systrace::serve::wire::{
-    decode_response, encode_request, err, op, read_frame, FrameRead, Request, Response, MAX_FRAME,
+    decode_response, encode_request, encode_response, err, op, read_frame, FrameRead, Request,
+    Response, MAX_FRAME,
 };
-use systrace::serve::{Catalog, Client, ClientCfg, ServeCfg, ServeError, Server};
+use systrace::serve::{Catalog, Client, ClientCfg, RawBlock, ServeCfg, ServeError, Server};
 use systrace::store::{crc32_bytes, filter_stream, BlockFormat, Predicate, StoreError, TraceStore};
 
 #[test]
@@ -569,6 +574,113 @@ fn a_retired_opcode_is_answered_as_an_unassigned_one() {
             )
         );
         assert_eq!(fate, Fate::Closed, "opcode {opcode:#04x} must close");
+    }
+    node.shutdown();
+}
+
+/// Block `i` of `store` as a fetch answer carries it.
+fn raw_block(store: &TraceStore, i: usize) -> RawBlock {
+    let m = *store.block_meta(i);
+    RawBlock {
+        words: m.words,
+        crc: m.crc,
+        first_asid: m.first_asid,
+        last_asid: m.last_asid,
+        flags: m.flags,
+        first_word: m.first_word,
+        min_daddr: m.min_daddr,
+        max_daddr: m.max_daddr,
+        comp: store.block_bytes(i).expect("a stored block").to_vec(),
+    }
+}
+
+#[test]
+fn served_frames_are_the_local_answers_byte_for_byte() {
+    let _guard = metrics_lock();
+    let a = golden();
+    let n = a.words.len() as u64;
+    let block_words = 4096;
+    let mut catalog = Catalog::new();
+    for (name, format) in [
+        ("golden-v3", BlockFormat::Row),
+        ("golden-v4", BlockFormat::Columnar),
+    ] {
+        let store = TraceStore::from_archive_with(&a, block_words, format);
+        assert_eq!(store.n_blocks(), 2, "the golden trace fills two blocks");
+        catalog.add(name, Arc::new(store));
+    }
+    let node =
+        Server::start("127.0.0.1:0", catalog.clone(), ServeCfg::default()).expect("node starts");
+
+    let edge = block_words as u64;
+    let preds = [
+        // A plain window straddling the block edge.
+        Predicate {
+            window: Some((edge - 300, edge + 200)),
+            ..Predicate::default()
+        },
+        // An ASID filter inside a window.
+        Predicate {
+            asid: Some(1),
+            window: Some((edge / 2, n - 100)),
+        },
+        // A window past the end of the trace: no words.
+        Predicate {
+            window: Some((n + 100, n + 200)),
+            ..Predicate::default()
+        },
+        // No window: the parallel query's path.
+        Predicate::default(),
+    ];
+    let mut script = Vec::new();
+    let mut want = Vec::new();
+    let mut ask = |req: Request, local: Response| {
+        let id = script.len() as u64 + 1;
+        script.push(encode_request(id, &req));
+        want.push(encode_response(id, &local)[4..].to_vec());
+    };
+    ask(Request::Catalog, Response::Catalog(catalog.rows()));
+    for name in ["golden-v3", "golden-v4"] {
+        let store = catalog.get(name).unwrap();
+        let answers: Vec<_> = preds.iter().map(|p| store.query(p).unwrap()).collect();
+        assert_eq!(
+            answers[0].blocks_decoded, 2,
+            "the window straddles the edge"
+        );
+        assert!(!answers[1].words.is_empty(), "the ASID window admits words");
+        assert!(answers[2].words.is_empty(), "the late window admits none");
+        assert_eq!(answers[3].words, a.words, "no predicate admits everything");
+        for (pred, q) in preds.iter().zip(answers) {
+            let req = Request::Query {
+                archive: name.into(),
+                pred: *pred,
+            };
+            ask(req, Response::Query(q));
+        }
+        for (first_block, n_blocks) in [(1u32, 1u32), (0, 2)] {
+            let req = Request::Fetch {
+                archive: name.into(),
+                first_block,
+                n_blocks,
+            };
+            let blocks = (first_block..first_block + n_blocks)
+                .map(|i| raw_block(store, i as usize))
+                .collect();
+            ask(req, Response::Fetch(blocks));
+        }
+    }
+    let (answers, fate) = drive(node.addr(), &script);
+    assert_eq!(fate, Fate::Kept);
+    assert_eq!(answers.len(), want.len());
+    for (i, (got, want)) in answers.iter().zip(&want).enumerate() {
+        assert!(
+            got == want,
+            "frame {i}: served {} bytes, local {} bytes; answers {:?} vs {:?}",
+            got.len(),
+            want.len(),
+            pin(got),
+            pin(want)
+        );
     }
     node.shutdown();
 }
