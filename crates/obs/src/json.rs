@@ -11,21 +11,34 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// Escapes a string for embedding in a JSON string literal.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// A string as the body of a JSON string literal, escaped as it is
+/// written: runs that need no escape go out as they are, so writing
+/// one allocates nothing.
+pub(crate) struct Escaped<'a>(pub(crate) &'a str);
+
+impl fmt::Display for Escaped<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let s = self.0;
+        let mut clean = 0;
+        // Every byte that needs an escape is ASCII, and no byte of a
+        // multi-byte character is, so scanning bytes cuts `s` only at
+        // character boundaries.
+        for (i, &b) in s.as_bytes().iter().enumerate() {
+            if b >= b' ' && b != b'"' && b != b'\\' {
+                continue;
+            }
+            f.write_str(&s[clean..i])?;
+            match b {
+                b'\n' => f.write_str("\\n")?,
+                b'\r' => f.write_str("\\r")?,
+                b'\t' => f.write_str("\\t")?,
+                b'"' | b'\\' => write!(f, "\\{}", b as char)?,
+                b => write!(f, "\\u{b:04x}")?,
+            }
+            clean = i + 1;
         }
+        f.write_str(&s[clean..])
     }
-    out
 }
 
 /// A parsed JSON value.
@@ -307,7 +320,7 @@ mod tests {
     #[test]
     fn escape_round_trips_through_parse() {
         let nasty = "a\"b\\c\nd\te\u{1}f — §4.1";
-        let js = format!("\"{}\"", escape(nasty));
+        let js = format!("\"{}\"", Escaped(nasty));
         assert_eq!(parse(&js).unwrap(), JsonValue::Str(nasty.to_string()));
     }
 

@@ -236,13 +236,12 @@ pub struct HistSnap {
 impl HistSnap {
     /// `(exclusive upper bound, count)` for each non-empty bucket, in
     /// ascending bound order — the export form.
-    pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
+    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         self.buckets
             .iter()
             .enumerate()
             .filter(|(_, &n)| n > 0)
             .map(|(i, &n)| (bucket_bound(i), n))
-            .collect()
     }
 }
 
@@ -357,7 +356,7 @@ mod tests {
         assert_eq!(s.min, 0);
         assert_eq!(s.max, 4096);
         assert_eq!(
-            s.nonzero_buckets(),
+            s.nonzero_buckets().collect::<Vec<_>>(),
             vec![(1, 1), (2, 2), (8, 1), (8192, 1)],
             "0→[0,1); 1,1→[1,2); 5→[4,8); 4096→[4096,8192)"
         );

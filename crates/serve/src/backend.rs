@@ -11,13 +11,13 @@
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
-use wrl_store::{
-    query_parallel, BlockCache, Predicate, QueryResult, StoreError, StoreObs, TraceStore,
-};
+use wrl_store::{query_parallel_spans, BlockCache, Predicate, StoreError, StoreObs, TraceStore};
 
 use crate::obs::ServeObs;
 use crate::server::ServeCfg;
-use crate::wire::{err, CatalogEntry, RawBlock, Response, MAX_FRAME, RAW_BLOCK_HEADER_BYTES};
+use crate::wire::{
+    err, CatalogEntry, QueryFrame, RawBlock, Response, MAX_FRAME, RAW_BLOCK_HEADER_BYTES,
+};
 
 /// The typed refusal for a request the frame decoded but the server
 /// cannot serve.
@@ -207,29 +207,48 @@ impl CatalogBackend {
         Ok(blocks)
     }
 
-    /// The words of `archive` that `pred` admits, in stream order,
-    /// with the pushdown's block accounting.
-    pub(crate) fn query(&self, archive: &str, pred: &Predicate) -> Result<QueryResult, Response> {
+    /// The answer to request `req_id` for the words of `archive` that
+    /// `pred` admits, in stream order, with the pushdown's block
+    /// accounting — written straight into its sealed frame: each
+    /// admitted span goes from the block's cache slot (windowed) or
+    /// from the parallel query's ordered per-block parts (unwindowed)
+    /// into the frame, and nothing else holds the words. An answer
+    /// past the frame cap `cap` ([`MAX_FRAME`] when served) stops
+    /// being copied there and is refused.
+    pub(crate) fn query(
+        &self,
+        req_id: u64,
+        archive: &str,
+        pred: &Predicate,
+        cap: usize,
+    ) -> Result<Vec<u8>, Response> {
         let (idx, store) = self.find(archive)?;
-        let result = if pred.window.is_some() {
+        // Room for every word the window spans.
+        let room = pred.window.map_or(0, |(lo, hi)| {
+            hi.min(store.n_words).saturating_sub(lo) as usize
+        });
+        let mut frame = QueryFrame::new(req_id, cap, room);
+        let counts = if pred.window.is_some() {
             // A windowed query touches a handful of blocks and
             // served archives see the same windows repeatedly:
             // answer from the per-archive decoded-block cache
             // instead of spinning the farm up.
             let mut cache = self.caches[idx].lock().expect("cache lock poisoned");
             let (h, m) = (cache.hits(), cache.misses());
-            let r = store.query_cached(pred, &mut cache);
+            let r = store.query_spans(pred, &mut cache, |span| frame.push(span));
             self.obs.cache_hits.add(cache.hits() - h);
             self.obs.cache_misses.add(cache.misses() - m);
             r
         } else {
             // Runs in place at one worker or under eight blocks,
             // where a scoped-thread spawn would dwarf the query.
-            query_parallel(store, pred, self.query_workers)
+            query_parallel_spans(store, pred, self.query_workers, |part| frame.push(part))
         };
-        let q = result.map_err(|e| Self::store_error(&e))?;
-        self.obs.blocks_decoded.add(u64::from(q.blocks_decoded));
-        self.obs.blocks_skipped.add(u64::from(q.blocks_skipped));
-        Ok(q)
+        let (decoded, skipped) = counts.map_err(|e| Self::store_error(&e))?;
+        self.obs.blocks_decoded.add(u64::from(decoded));
+        self.obs.blocks_skipped.add(u64::from(skipped));
+        frame
+            .seal(decoded, skipped)
+            .ok_or_else(|| bad_request("query result exceeds the frame cap; narrow the window"))
     }
 }

@@ -31,13 +31,13 @@ wrl_obs::metrics! {
         requests_metrics: counter "serve.requests.metrics", "requests", "§3.4",
             "Metrics-snapshot requests served.";
         latency_catalog: histogram "serve.latency.catalog", "ns", "§4.2",
-            "Catalog request service time.";
+            "Catalog request service time, ending at the sealed frame.";
         latency_fetch: histogram "serve.latency.fetch", "ns", "§4.2",
-            "Raw block-range fetch service time.";
+            "Raw block-range fetch service time, ending at the sealed frame.";
         latency_query: histogram "serve.latency.query", "ns", "§4.2",
-            "Windowed query service time (decode + filter).";
+            "Query service time (prune + decode + filter + frame), ending at the sealed frame.";
         latency_metrics: histogram "serve.latency.metrics", "ns", "§4.2",
-            "Metrics-snapshot service time.";
+            "Metrics-snapshot service time, ending at the sealed frame.";
         pub bytes_in: counter "serve.bytes.in", "bytes", "§3.4",
             "Frame bytes read from clients.";
         pub bytes_out: counter "serve.bytes.out", "bytes", "§3.4",

@@ -57,10 +57,11 @@
 //! Reading is one path whatever the block coding: a block the index
 //! cannot rule out is decoded whole and CRC-checked
 //! ([`decode_block_bytes`]), its words are cut into ASID runs by one
-//! scanner ([`asid_runs`]), and a query copies the runs its predicate
-//! admits ([`TraceStore::filter_block_into`]).
+//! scanner ([`asid_runs`]), and a query hands on the runs its
+//! predicate admits ([`TraceStore::filter_block_spans`]).
 
 use std::io;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 use crate::codec::{compress_block, crc32_words, decompress_block_into, CodecError, Crc32};
@@ -787,20 +788,9 @@ impl TraceStore {
     }
 
     /// Decodes and filters the words block `i` selects under `pred`,
-    /// appending them onto `out`. ASID context entering the block
-    /// comes from the index (`first_asid`), so blocks filter
-    /// independently — the unit of work for the parallel query in
-    /// [`crate::farm`]. The block is materialised through `cache`: a
-    /// block whose decoded words are already there costs a row-range
-    /// copy instead of a CRC-checked decode, and a one-slot cache is
-    /// the reused decode buffer of an uncached query.
-    ///
-    /// One body for every block coding and every predicate: the
-    /// window is resolved to block-local rows from the index alone,
-    /// the block comes out of its cache slot as verified words cut
-    /// into ASID runs, and the rows copied are the window's overlap
-    /// with the runs the predicate admits. Nothing is answered — or
-    /// dismissed — from bytes that have not passed the block's CRCs.
+    /// appending them onto `out` — [`TraceStore::filter_block_spans`]
+    /// collected, the unit of work for the parallel query in
+    /// [`crate::farm`].
     pub fn filter_block_into(
         &self,
         i: usize,
@@ -808,6 +798,35 @@ impl TraceStore {
         out: &mut Vec<u32>,
         cache: &mut BlockCache,
     ) -> Result<(), StoreError> {
+        self.filter_block_spans(i, pred, cache, &mut |span| {
+            out.extend_from_slice(span);
+            ControlFlow::Continue(())
+        })
+        .map(drop)
+    }
+
+    /// Hands `emit` the spans of block `i` that `pred` admits, in
+    /// order, each borrowed straight from the block's `cache` slot;
+    /// stops early, returning `Break`, once `emit` does. ASID context
+    /// entering the block comes from the index (`first_asid`), so
+    /// blocks filter independently. A block whose decoded words are
+    /// already cached costs no decode, and a one-slot cache is the
+    /// reused decode buffer of an uncached query.
+    ///
+    /// One body for every block coding and every predicate: the
+    /// window is resolved to block-local rows from the index alone,
+    /// the block comes out of its cache slot as verified words cut
+    /// into ASID runs, and the rows handed over are the window's
+    /// overlap with the runs the predicate admits. Nothing is
+    /// answered — or dismissed — from bytes that have not passed the
+    /// block's CRCs.
+    pub fn filter_block_spans(
+        &self,
+        i: usize,
+        pred: &Predicate,
+        cache: &mut BlockCache,
+        emit: &mut impl FnMut(&[u32]) -> ControlFlow<()>,
+    ) -> Result<ControlFlow<()>, StoreError> {
         let m = *self
             .index
             .get(i)
@@ -820,16 +839,18 @@ impl TraceStore {
                 let lo = lo.max(r.start) - r.start;
                 let hi = hi.min(r.end).saturating_sub(r.start);
                 if lo >= hi {
-                    return Ok(());
+                    return Ok(ControlFlow::Continue(()));
                 }
                 (lo, hi)
             }
         };
         let (words, runs) = cache.block(self, i)?;
         for rows in admitted_spans(runs, pred.asid, row_lo, row_hi) {
-            out.extend_from_slice(&words[rows.start as usize..rows.end as usize]);
+            if emit(&words[rows.start as usize..rows.end as usize]).is_break() {
+                return Ok(ControlFlow::Break(()));
+            }
         }
-        Ok(())
+        Ok(ControlFlow::Continue(()))
     }
 
     /// Runs a windowed, filtered query: decodes only the blocks the
@@ -842,29 +863,63 @@ impl TraceStore {
     }
 
     /// [`TraceStore::query`] with block materialisation served by a
-    /// caller-kept [`BlockCache`]: the result is identical, but a
-    /// block whose decoded words are already cached costs a row-range
-    /// copy instead of a CRC-checked decode. This is the windowed-query
-    /// hot path of the trace service — a served archive sees the
-    /// same few thousand-word windows over and over, and re-decoding
-    /// a 4096-word block to ship a slice of it dominates the request
-    /// otherwise. `blocks_decoded` keeps its pushdown meaning (blocks
-    /// the index could not rule out), cached or not.
+    /// caller-kept [`BlockCache`]: [`TraceStore::query_spans`]
+    /// collected into one vector.
     pub fn query_cached(
         &self,
         pred: &Predicate,
         cache: &mut BlockCache,
     ) -> Result<QueryResult, StoreError> {
-        let picked = self.matching_blocks(pred);
         let mut words = Vec::new();
-        for &i in &picked {
-            self.filter_block_into(i, pred, &mut words, cache)?;
-        }
+        let (blocks_decoded, blocks_skipped) = self.query_spans(pred, cache, |span| {
+            words.extend_from_slice(span);
+            ControlFlow::Continue(())
+        })?;
         Ok(QueryResult {
-            blocks_decoded: picked.len() as u32,
-            blocks_skipped: (self.n_blocks() - picked.len()) as u32,
+            blocks_decoded,
+            blocks_skipped,
             words,
         })
+    }
+
+    /// The query's one filter loop: hands `emit` every span of
+    /// matching words in stream order, each borrowed from its block's
+    /// slot in the caller-kept `cache`, and returns the pushdown's
+    /// `(blocks_decoded, blocks_skipped)`. Once `emit` returns `Break`
+    /// no further span is produced and no further block decoded — how
+    /// the trace service stops copying an answer that outgrows its
+    /// frame.
+    ///
+    /// A block whose decoded words are already cached costs a
+    /// row-range hand-over instead of a CRC-checked decode. This is
+    /// the windowed-query hot path of the trace service — a served
+    /// archive sees the same few thousand-word windows over and over,
+    /// and re-decoding a 4096-word block to ship a slice of it
+    /// dominates the request otherwise. `blocks_decoded` keeps its
+    /// pushdown meaning (blocks the index could not rule out), cached
+    /// or not.
+    pub fn query_spans(
+        &self,
+        pred: &Predicate,
+        cache: &mut BlockCache,
+        mut emit: impl FnMut(&[u32]) -> ControlFlow<()>,
+    ) -> Result<(u32, u32), StoreError> {
+        let picked = self.matching_blocks(pred);
+        for &i in &picked {
+            if self
+                .filter_block_spans(i, pred, cache, &mut emit)?
+                .is_break()
+            {
+                break;
+            }
+        }
+        Ok(self.pushdown(&picked))
+    }
+
+    /// `(blocks_decoded, blocks_skipped)` of a query that picked
+    /// `picked` out of this store's blocks.
+    pub(crate) fn pushdown(&self, picked: &[usize]) -> (u32, u32) {
+        (picked.len() as u32, (self.n_blocks() - picked.len()) as u32)
     }
 }
 
@@ -919,7 +974,7 @@ impl BlockReader<'_> {
 /// A bounded, direct-mapped cache of decoded blocks — the
 /// [`BlockReader`]'s random-access sibling, through which every
 /// query materialises its blocks
-/// ([`TraceStore::filter_block_into`]). Capacity is fixed at
+/// ([`TraceStore::filter_block_spans`]). Capacity is fixed at
 /// construction and block `i` maps to slot `i % slots`, so a
 /// scan-shaped workload degrades to plain per-block decode, never to
 /// unbounded memory. A slot holds its block's verified words and,
@@ -1427,6 +1482,45 @@ mod tests {
                 assert_eq!(q.blocks_decoded, 35);
             }
         }
+    }
+
+    #[test]
+    fn query_spans_stop_at_the_first_break() {
+        let a = sample_archive(1003);
+        let store = TraceStore::from_archive(&a, 7);
+        let pred = Predicate {
+            window: Some((5, 400)),
+            asid: None,
+        };
+        let mut cache = BlockCache::new(4);
+        let mut spans = Vec::new();
+        let counts = store
+            .query_spans(&pred, &mut cache, |s| {
+                spans.push(s.to_vec());
+                ControlFlow::Continue(())
+            })
+            .unwrap();
+        assert_eq!(spans.concat(), filter_stream(&a.words, &pred));
+        let q = store.query(&pred).unwrap();
+        assert_eq!(counts, (q.blocks_decoded, q.blocks_skipped));
+        assert!(spans.len() > 3, "the window spans several blocks");
+        // Breaking at the third span: no fourth is produced, and the
+        // blocks past it are never decoded.
+        let mut cache = BlockCache::new(1000);
+        let mut seen = 0;
+        let stopped = store
+            .query_spans(&pred, &mut cache, |_| {
+                seen += 1;
+                if seen == 3 {
+                    ControlFlow::Break(())
+                } else {
+                    ControlFlow::Continue(())
+                }
+            })
+            .unwrap();
+        assert_eq!(seen, 3);
+        assert_eq!(stopped, counts, "the pushdown counts stand");
+        assert_eq!(cache.misses(), 3, "one block decoded per span");
     }
 
     #[test]

@@ -45,5 +45,5 @@ pub use container::{
     DEFAULT_BLOCK_WORDS, INDEX_ENTRY_BYTES, INDEX_ENTRY_BYTES_V4, STORE_VERSION, STORE_VERSION_V4,
     TRAILER_BYTES,
 };
-pub use farm::{drive, query_parallel, FarmCfg};
+pub use farm::{drive, query_parallel, query_parallel_spans, FarmCfg};
 pub use obs::StoreObs;
