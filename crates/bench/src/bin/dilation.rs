@@ -19,7 +19,7 @@ fn main() {
     for w in wrl_bench::selected_workloads() {
         let m = systrace::run_measured(&KernelConfig::ultrix(), &w);
         let mut tsys = build_system(&KernelConfig::ultrix().traced(), &[&w]);
-        let trun = tsys.run(6_000_000_000);
+        let trun = tsys.run(systrace::SYSTEM_BUDGET);
         assert_eq!(trun.exit_code, m.exit_code);
         let t = &tsys.machine.counters;
         println!(
@@ -44,7 +44,7 @@ fn main() {
     // Synthesis ablation: predicted time with and without synthesis.
     let w = systrace::workloads::by_name("compress").unwrap();
     let mut sys = build_system(&KernelConfig::ultrix().traced(), &[&w]);
-    let run = sys.run(6_000_000_000);
+    let run = sys.run(systrace::SYSTEM_BUDGET);
     let sim = || MemSim::new(sys.pagemap.clone());
     for (label, mut sim) in [
         ("with synthesis", sim()),

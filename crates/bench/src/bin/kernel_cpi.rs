@@ -15,7 +15,7 @@ fn main() {
     println!("{:-<50}", "");
     for w in wrl_bench::selected_workloads() {
         let mut sys = build_system(&KernelConfig::ultrix().traced(), &[&w]);
-        let run = sys.run(8_000_000_000);
+        let run = sys.run(systrace::SYSTEM_BUDGET);
         let mut parser = sys.parser();
         let mut sim = MemSim::new(sys.pagemap.clone());
         parser.parse_all(&run.trace_words, &mut sim);

@@ -53,5 +53,5 @@ pub mod obs;
 
 pub use harness::{
     pixie_arith_stalls, run_analyzed, run_measured, validate, AnalyzeCfg, AnalyzedRun, HarnessObs,
-    Measured, Predicted, ValidationRow,
+    Measured, Predicted, ValidationRow, SYSTEM_BUDGET,
 };
