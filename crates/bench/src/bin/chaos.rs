@@ -3,7 +3,7 @@
 //!
 //! Usage: `chaos [n_plans] [base_seed] [out_path] [trace_path]`
 //!
-//! Defaults: 340 plans, the CI smoke seed, stdout only, and the
+//! Defaults: 320 plans, the CI smoke seed, stdout only, and the
 //! committed `tests/data/golden.w3kt`. The campaign is fully
 //! deterministic — `(base_seed, n_plans)` is the whole spec, and any
 //! single plan reruns from the `site:seed:intensity` line printed on
@@ -29,7 +29,7 @@ fn parse_seed(s: &str) -> u64 {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().collect();
-    let n_plans: usize = args.get(1).map_or(340, |s| s.parse().expect("bad n_plans"));
+    let n_plans: usize = args.get(1).map_or(320, |s| s.parse().expect("bad n_plans"));
     let base_seed = args.get(2).map_or(DEFAULT_SEED, |s| parse_seed(s));
     let out_path = args.get(3).filter(|s| *s != "-");
     let trace_path = args.get(4).map_or("tests/data/golden.w3kt", |s| s.as_str());

@@ -31,7 +31,7 @@ use crate::inject::{
 };
 use crate::plan::{FaultPlan, FaultSite, Layer};
 use crate::SplitMix64;
-use wrl_serve::{Catalog, Client, ClientCfg, ServeCfg, ServeHooks, Server, TailItem, WireFate};
+use wrl_serve::{Catalog, Client, ClientCfg, ServeCfg, ServeHooks, Server, WireFate};
 use wrl_store::{filter_stream, BlockFormat, Predicate, TraceStore};
 use wrl_trace::{
     ChunkFate, CollectSink, DriveReport, Driver, ParseStats, SeamHooks, TraceArchive, TraceSink,
@@ -367,7 +367,6 @@ fn run_site(input: &ChaosInput, plan: FaultPlan) -> Outcome {
         | FaultSite::WireDrop
         | FaultSite::WirePartial
         | FaultSite::WireStall => run_wire(input, plan, &mut rng),
-        FaultSite::WireSubStall => run_sub_stall(input, &mut rng),
         FaultSite::TracerSink => run_tracer_sink(input, intensity, &mut rng),
     }
 }
@@ -574,159 +573,6 @@ fn run_wire(input: &ChaosInput, plan: FaultPlan, rng: &mut SplitMix64) -> Outcom
         (true, Err(e)) => Outcome::Forbidden {
             why: format!("a merely-slow wire fault surfaced as an error: {e}"),
         },
-    };
-    server.shutdown();
-    outcome
-}
-
-/// Drains a live tail to its end-of-feed marker, concatenating the
-/// pushed words. `Ok(None)` means an `EVENT` carried a `seq` offset
-/// disagreeing with the words already delivered — a wrong tail by
-/// construction, whatever the words say.
-fn collect_tail(c: &mut Client) -> Result<Option<Vec<u32>>, wrl_serve::ServeError> {
-    let mut words: Vec<u32> = Vec::new();
-    loop {
-        match c.next_event()? {
-            TailItem::Event { seq, words: w } => {
-                if seq != words.len() as u64 {
-                    return Ok(None);
-                }
-                words.extend(w);
-            }
-            TailItem::End => return Ok(Some(words)),
-        }
-    }
-}
-
-/// Runs one `wire.sub_stall` plan: publish the whole golden stream
-/// into a live feed and *finish it before anyone subscribes*, so the
-/// response sequence is deterministic across replays — response 0 is
-/// the `Subscribed` ack and response 1 is the first catch-up `EVENT`,
-/// the frame every variant attacks. Three seeded variants:
-///
-/// * **cut** — sever the connection inside that `EVENT`: the client
-///   must surface a typed error (detected), never a short tail that
-///   reads as complete;
-/// * **stall** — pause mid-frame within both stall budgets: the tail
-///   must still arrive bit-identical to [`filter_stream`] (harmless);
-/// * **walk away** — the subscriber stops reading and severs right
-///   after the ack: nothing to detect on a connection nobody is
-///   reading, but the server must shed it (harmless).
-///
-/// Every variant ends with a fresh subscriber proving the server
-/// still pushes the exact filtered stream.
-fn run_sub_stall(input: &ChaosInput, rng: &mut SplitMix64) -> Outcome {
-    let variant = rng.below(3);
-    let fate = match variant {
-        0 => WireFate::CutAfter { at: rng.next_u64() },
-        1 => WireFate::StallMid {
-            at: rng.next_u64(),
-            // Same bound as `wire.stall`: ≤ 40 ms at the 5 ms tick,
-            // far inside the client's 60-tick stall budget.
-            ticks: 1 + rng.below(8) as u32,
-        },
-        _ => WireFate::Deliver,
-    };
-    // A seeded predicate, re-aimed at match-everything when it admits
-    // nothing: the attacked catch-up EVENT must exist, and a nonempty
-    // tail is what makes a cut impossible to mistake for completion.
-    let mut pred = match rng.below(3) {
-        0 => Predicate::default(),
-        1 => Predicate {
-            window: Some((0, (input.archive.words.len() as u64 / 2).max(1))),
-            ..Predicate::default()
-        },
-        _ => Predicate {
-            asid: Some(0),
-            ..Predicate::default()
-        },
-    };
-    let mut expected = filter_stream(&input.archive.words, &pred);
-    if expected.is_empty() {
-        pred = Predicate::default();
-        expected = filter_stream(&input.archive.words, &pred);
-    }
-    let hooks = ServeHooks::on_response(move |seq| match seq {
-        1 => fate,
-        _ => WireFate::Deliver,
-    });
-    let cfg = ServeCfg {
-        read_timeout: Duration::from_millis(5),
-        max_stalls: 60,
-        ..ServeCfg::default()
-    };
-    let ccfg = ClientCfg {
-        read_timeout: Duration::from_millis(5),
-        max_stalls: 60,
-        ..ClientCfg::default()
-    };
-    let server = match Server::start_with_hooks("127.0.0.1:0", Catalog::new(), cfg, hooks) {
-        Ok(s) => s,
-        Err(e) => {
-            return Outcome::Forbidden {
-                why: format!("loopback server failed to start: {e}"),
-            }
-        }
-    };
-    let feed = server.live_feed("golden");
-    feed.publish(&input.archive.words);
-    feed.finish();
-    // Whatever the shaped push did, a fresh subscriber must still
-    // receive the exact filtered stream, start to end marker.
-    let probe = |on_ok: Outcome| {
-        let clean = Client::connect_cfg(server.addr(), ccfg)
-            .map_err(wrl_serve::ServeError::Io)
-            .and_then(|mut c| {
-                c.subscribe("golden", &pred, true)?;
-                collect_tail(&mut c)
-            });
-        match clean {
-            Ok(Some(t)) if t == expected => on_ok,
-            Ok(_) => Outcome::Forbidden {
-                why: "server pushed a wrong tail to the recovery probe".into(),
-            },
-            Err(e) => Outcome::Forbidden {
-                why: format!("server did not recover after the subscriber fault: {e}"),
-            },
-        }
-    };
-    let outcome = if variant == 2 {
-        let walker = Client::connect_cfg(server.addr(), ccfg)
-            .map_err(wrl_serve::ServeError::Io)
-            .and_then(|mut c| c.subscribe("golden", &pred, true).map(|()| c));
-        match walker {
-            Ok(c) => {
-                // Walk away mid-push: sever without reading a single
-                // EVENT frame.
-                drop(c);
-                probe(Outcome::Harmless)
-            }
-            Err(e) => Outcome::Forbidden {
-                why: format!("an undamaged subscribe failed: {e}"),
-            },
-        }
-    } else {
-        let damaged = Client::connect_cfg(server.addr(), ccfg)
-            .map_err(wrl_serve::ServeError::Io)
-            .and_then(|mut c| {
-                c.subscribe("golden", &pred, true)?;
-                collect_tail(&mut c)
-            });
-        match (variant, damaged) {
-            (0, Err(e)) => probe(Outcome::Detected {
-                what: format!("client error: {e}"),
-            }),
-            (0, Ok(_)) => Outcome::Forbidden {
-                why: "a severed tail completed without an error".into(),
-            },
-            (_, Ok(Some(t))) if t == expected => probe(Outcome::Harmless),
-            (_, Ok(_)) => Outcome::Forbidden {
-                why: "a stalled tail arrived with wrong words".into(),
-            },
-            (_, Err(e)) => Outcome::Forbidden {
-                why: format!("a merely-slow push surfaced as an error: {e}"),
-            },
-        }
     };
     server.shutdown();
     outcome

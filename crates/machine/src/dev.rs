@@ -176,7 +176,7 @@ impl Devices {
     }
 
     /// Earliest cycle at which a device event is due.
-    pub fn next_event(&self) -> u64 {
+    pub fn next_due(&self) -> u64 {
         let disk = self.disk_op.map_or(u64::MAX, |op| op.done_at);
         self.clock_next.min(disk)
     }
@@ -212,7 +212,7 @@ mod tests {
     fn clock_fires_and_acks() {
         let mut d = Devices::new(vec![], 100);
         d.write(DEV_BASE + regs::CLOCK_INTERVAL, 50, 0);
-        assert_eq!(d.next_event(), 50);
+        assert_eq!(d.next_due(), 50);
         assert!(d.tick(49).is_none());
         assert!(!d.clock_pending);
         d.tick(50);
@@ -220,7 +220,7 @@ mod tests {
         assert_eq!(d.clock_ticks, 1);
         d.write(DEV_BASE + regs::CLOCK_ACK, 0, 55);
         assert!(!d.clock_pending);
-        assert_eq!(d.next_event(), 100);
+        assert_eq!(d.next_due(), 100);
     }
 
     #[test]

@@ -481,7 +481,7 @@ impl Machine {
         self.horizon = if self.cp0.interrupts_enabled() && self.cp0.pending_interrupts() != 0 {
             0
         } else {
-            self.dev.next_event()
+            self.dev.next_due()
         };
     }
 
@@ -496,7 +496,7 @@ impl Machine {
             return true;
         }
         let now = self.counters.cycles;
-        if now >= self.dev.next_event() {
+        if now >= self.dev.next_due() {
             if let Some(op) = self.dev.tick(now) {
                 self.dma(op);
             }

@@ -1,9 +1,9 @@
 //! What the reactor answers admitted requests *from*.
 //!
 //! [`crate::server`] owns everything about a `wrl-wire/v1` connection
-//! — framing, admission, stall budgets, drain, the fault seam, the
-//! live tail — and hands each admitted catalog / fetch / query
-//! request to the archives of a [`Catalog`], held in memory.
+//! — framing, admission, stall budgets, drain, the fault seam — and
+//! hands each admitted catalog / fetch / query request to the
+//! archives of a [`Catalog`], held in memory.
 //!
 //! The checks on what a request asks are written here once:
 //! [`no_such_archive`], [`bad_request`] and [`fetch_range`].

@@ -9,12 +9,6 @@
 //! and a response's request id must echo the request's. `Busy` is its
 //! own variant so callers can implement retry policy (the stress test
 //! and `serve_bench` retry; `tracedump` reports it).
-//!
-//! A live-tail subscription ([`Client::subscribe`]) inverts the flow:
-//! after the ack, the server pushes `EVENT` frames (echoing the
-//! subscribe request id) that [`Client::next_event`] yields as
-//! [`TailItem`]s until the zero-word end-of-feed marker — or a typed
-//! eviction error if this client reads too slowly.
 
 use std::io::{self, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -105,30 +99,11 @@ impl core::fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
-/// One delivery from a live-tail subscription.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum TailItem {
-    /// A batch of predicate-filtered trace words; `seq` is the
-    /// filtered-stream offset of the first one, so concatenating
-    /// batches in order reproduces `filter_stream` exactly.
-    Event {
-        /// Offset of `words[0]` in the filtered stream.
-        seq: u64,
-        /// The admitted words, in stream order (never empty).
-        words: Vec<u32>,
-    },
-    /// The feed finished; no further events will arrive.
-    End,
-}
-
 /// A connected trace-service client.
 pub struct Client {
     stream: TcpStream,
     next_id: u64,
     max_stalls: u32,
-    /// The in-force subscription's request id — pushed `EVENT`
-    /// frames echo it.
-    sub_id: Option<u64>,
 }
 
 impl Client {
@@ -147,7 +122,6 @@ impl Client {
             stream,
             next_id: 1,
             max_stalls: cfg.max_stalls,
-            sub_id: None,
         })
     }
 
@@ -158,24 +132,10 @@ impl Client {
         let id = self.next_id;
         self.next_id += 1;
         self.stream.write_all(&wire::encode_request(id, req))?;
-        let body = self.read_reply()?;
-        let (rid, resp) = wire::decode_response(&body)?;
-        if rid != id {
-            return Err(ServeError::BadReply("response answers a different request"));
-        }
-        match resp {
-            Response::Busy => Err(ServeError::Busy),
-            Response::Error { code, msg } => Err(ServeError::Remote { code, msg }),
-            other => Ok(other),
-        }
-    }
-
-    /// Reads one response frame, honouring the stall budget.
-    fn read_reply(&mut self) -> Result<Vec<u8>, ServeError> {
         let mut idles = 0u32;
-        loop {
+        let body = loop {
             match read_frame(&mut self.stream, self.max_stalls)? {
-                FrameRead::Frame(b) => return Ok(b),
+                FrameRead::Frame(b) => break b,
                 FrameRead::Eof => return Err(ServeError::Io(io::ErrorKind::UnexpectedEof.into())),
                 FrameRead::Idle => {
                     idles += 1;
@@ -184,6 +144,15 @@ impl Client {
                     }
                 }
             }
+        };
+        let (rid, resp) = wire::decode_response(&body)?;
+        if rid != id {
+            return Err(ServeError::BadReply("response answers a different request"));
+        }
+        match resp {
+            Response::Busy => Err(ServeError::Busy),
+            Response::Error { code, msg } => Err(ServeError::Remote { code, msg }),
+            other => Ok(other),
         }
     }
 
@@ -254,101 +223,6 @@ impl Client {
         match self.call(&Request::Metrics)? {
             Response::Metrics(json) => Ok(json),
             _ => Err(ServeError::BadReply("metrics answered with wrong kind")),
-        }
-    }
-
-    /// Attaches to the live feed named `archive`, filtered by `pred`
-    /// server-side. `from_start` replays the feed's history first;
-    /// otherwise events begin at the feed head (with `seq` continuing
-    /// the filtered-stream offset, so the suffix lines up against a
-    /// full `filter_stream`). Read events with [`Client::next_event`].
-    pub fn subscribe(
-        &mut self,
-        archive: &str,
-        pred: &Predicate,
-        from_start: bool,
-    ) -> Result<(), ServeError> {
-        if self.sub_id.is_some() {
-            return Err(ServeError::BadReply("already subscribed"));
-        }
-        let id = self.next_id;
-        self.next_id += 1;
-        let req = Request::Subscribe {
-            archive: archive.to_string(),
-            pred: *pred,
-            from_start,
-        };
-        self.stream.write_all(&wire::encode_request(id, &req))?;
-        let body = self.read_reply()?;
-        let (rid, resp) = wire::decode_response(&body)?;
-        if rid != id {
-            return Err(ServeError::BadReply("response answers a different request"));
-        }
-        match resp {
-            Response::Subscribed => {
-                self.sub_id = Some(id);
-                Ok(())
-            }
-            Response::Error { code, msg } => Err(ServeError::Remote { code, msg }),
-            _ => Err(ServeError::BadReply("subscribe answered with wrong kind")),
-        }
-    }
-
-    /// Blocks (within the stall budget) for the next pushed delivery
-    /// of the in-force subscription. A `SLOW_CONSUMER` eviction — or
-    /// any other server error — surfaces as [`ServeError::Remote`]
-    /// and ends the subscription.
-    pub fn next_event(&mut self) -> Result<TailItem, ServeError> {
-        let sub = self.sub_id.ok_or(ServeError::BadReply("not subscribed"))?;
-        let body = self.read_reply()?;
-        let (rid, resp) = wire::decode_response(&body)?;
-        match resp {
-            Response::Event { seq, words } => {
-                if rid != sub {
-                    return Err(ServeError::BadReply(
-                        "event answers a different subscription",
-                    ));
-                }
-                if words.is_empty() {
-                    Ok(TailItem::End)
-                } else {
-                    Ok(TailItem::Event { seq, words })
-                }
-            }
-            Response::Error { code, msg } => {
-                self.sub_id = None;
-                Err(ServeError::Remote { code, msg })
-            }
-            _ => Err(ServeError::BadReply("subscription pushed wrong kind")),
-        }
-    }
-
-    /// Ends the in-force subscription, returning the connection to
-    /// ordinary request/response service. Events already in flight
-    /// race the ack and are discarded here.
-    pub fn unsubscribe(&mut self) -> Result<(), ServeError> {
-        if self.sub_id.is_none() {
-            return Err(ServeError::BadReply("not subscribed"));
-        }
-        let id = self.next_id;
-        self.next_id += 1;
-        self.stream
-            .write_all(&wire::encode_request(id, &Request::Unsubscribe))?;
-        loop {
-            let body = self.read_reply()?;
-            let (rid, resp) = wire::decode_response(&body)?;
-            match resp {
-                Response::Event { .. } => continue,
-                Response::Unsubscribed if rid == id => {
-                    self.sub_id = None;
-                    return Ok(());
-                }
-                Response::Error { code, msg } => {
-                    self.sub_id = None;
-                    return Err(ServeError::Remote { code, msg });
-                }
-                _ => return Err(ServeError::BadReply("unsubscribe answered with wrong kind")),
-            }
         }
     }
 }

@@ -7,25 +7,14 @@
 //! ```text
 //!             frame complete, admitted        response enqueued
 //!   Reading ───────────────────────▶ Dispatching ─────────▶ Writing
-//!      ▲                                │                      │
+//!      ▲                                                       │
 //!      │                  response flushed                     │
-//!      └───────────────────────────────┼───────────────────────┘
-//!                                      │ subscribe / unsubscribe
-//!                                      ▼
-//!                                 Subscribed
+//!      └───────────────────────────────────────────────────────┘
 //!                                │
-//!        shutdown / wire error / │ sever-after-write / eviction
+//!        shutdown / wire error / │ sever-after-write
 //!                                ▼
 //!                            Draining ──▶ Closed
 //! ```
-//!
-//! `Subscribed` is the live-tail state: the connection keeps its read
-//! interest (an `UNSUBSCRIBE` or EOF may arrive at any time) while
-//! server-pushed `EVENT` frames flush through the same outgoing queue
-//! and [`WriteShape`] machinery as ordinary responses — pushes
-//! interleave with request handling instead of replacing it, and the
-//! write-stall budget applies to a wedged subscriber exactly as it
-//! does to a wedged response reader.
 //!
 //! Everything here is *nonblocking and byte-boundary honest*: reads
 //! arrive in arbitrary fragments (a length prefix split across two
@@ -156,11 +145,6 @@ pub enum ConnState {
     Dispatching,
     /// Flushing a response; back to `Reading` when the queue drains.
     Writing,
-    /// Attached to the live feed: pushed `EVENT` frames flush through
-    /// the outgoing queue while the read side stays open for an
-    /// `UNSUBSCRIBE` (or a goodbye EOF). An empty queue parks here —
-    /// it does not fall back to `Reading`.
-    Subscribed,
     /// Flushing final frames, then closing — no further reads.
     Draining,
     /// Done; the reactor reaps the connection.
@@ -276,20 +260,17 @@ impl<T: Transport> Conn<T> {
     }
 
     /// Whether the reactor should poll this connection for
-    /// readability: only while awaiting a request (or subscribed —
-    /// an unsubscribe may arrive at any time), and only until one is
-    /// buffered (one request is in flight per connection at a time).
+    /// readability: only while awaiting a request, and only until one
+    /// is buffered (one request is in flight per connection at a time).
     pub fn wants_read(&self) -> bool {
-        matches!(self.state, ConnState::Reading | ConnState::Subscribed) && self.ready.is_empty()
+        self.state == ConnState::Reading && self.ready.is_empty()
     }
 
     /// Whether the reactor should poll for writability: there are
     /// bytes to flush and no injected pause in force.
     pub fn wants_write(&self) -> bool {
-        matches!(
-            self.state,
-            ConnState::Writing | ConnState::Subscribed | ConnState::Draining
-        ) && !self.out.is_empty()
+        matches!(self.state, ConnState::Writing | ConnState::Draining)
+            && !self.out.is_empty()
             && self.pause_ticks == 0
     }
 
@@ -297,7 +278,7 @@ impl<T: Transport> Conn<T> {
     /// blocks, EOF, or a frame completes. Buffered request bodies are
     /// retrieved with [`Conn::take_frame`].
     pub fn on_readable(&mut self, tally: &mut IoTally) -> ReadEvent {
-        if !matches!(self.state, ConnState::Reading | ConnState::Subscribed) {
+        if self.state != ConnState::Reading {
             return ReadEvent::Open;
         }
         let mut buf = [0u8; 4096];
@@ -347,26 +328,20 @@ impl<T: Transport> Conn<T> {
 
     /// Takes the next buffered complete request body, moving the
     /// machine to `Dispatching`. Returns `None` when no full frame is
-    /// buffered (or the connection is past reading). A subscribed
-    /// connection stays `Subscribed` — its frames are handled inline
-    /// on the event thread without parking the push path.
+    /// buffered (or the connection is past reading).
     pub fn take_frame(&mut self) -> Option<Vec<u8>> {
-        match self.state {
-            ConnState::Reading => {
-                let body = self.ready.pop_front()?;
-                self.state = ConnState::Dispatching;
-                Some(body)
-            }
-            ConnState::Subscribed => self.ready.pop_front(),
-            _ => None,
+        if self.state != ConnState::Reading {
+            return None;
         }
+        let body = self.ready.pop_front()?;
+        self.state = ConnState::Dispatching;
+        Some(body)
     }
 
     /// Enqueues one encoded response frame for writing. `sever_after`
     /// cuts the connection as soon as the (possibly truncated) buffer
     /// is out — the `CutAfter` fault. Moves `Dispatching`/`Reading`
-    /// to `Writing`; draining and subscribed connections keep their
-    /// state (pushes interleave, drains stick).
+    /// to `Writing`; a draining connection stays draining.
     pub fn enqueue(&mut self, buf: Vec<u8>, shape: WriteShape, sever_after: bool) {
         if self.state == ConnState::Closed {
             return;
@@ -378,51 +353,8 @@ impl<T: Transport> Conn<T> {
             stalled: false,
             sever_after,
         });
-        if !matches!(self.state, ConnState::Draining | ConnState::Subscribed) {
+        if self.state != ConnState::Draining {
             self.state = ConnState::Writing;
-        }
-    }
-
-    /// Enqueues one live-feed push frame on a subscribed connection,
-    /// unless the subscriber already has `bound` frames queued — then
-    /// nothing is enqueued and `false` is returned, and the caller
-    /// evicts the slow consumer (typed disconnect). Must only be
-    /// called while [`ConnState::Subscribed`].
-    pub fn try_push(&mut self, buf: Vec<u8>, shape: WriteShape, bound: usize) -> bool {
-        debug_assert_eq!(self.state, ConnState::Subscribed);
-        if self.out.len() >= bound.max(1) {
-            return false;
-        }
-        self.enqueue(buf, shape, false);
-        true
-    }
-
-    /// Queued outgoing frames not yet fully flushed — the depth the
-    /// per-subscriber queue bound is measured against.
-    pub fn out_depth(&self) -> usize {
-        self.out.len()
-    }
-
-    /// Marks the connection subscribed (from inline dispatch of a
-    /// `SUBSCRIBE` request). Pending output keeps flushing; the read
-    /// side stays open.
-    pub fn mark_subscribed(&mut self) {
-        if !matches!(self.state, ConnState::Closed | ConnState::Draining) {
-            self.state = ConnState::Subscribed;
-        }
-    }
-
-    /// Returns a subscribed connection to ordinary request/response
-    /// service (inline dispatch of `UNSUBSCRIBE`): pending pushes
-    /// still flush, then the machine reads the next request.
-    pub fn mark_unsubscribed(&mut self) {
-        if self.state == ConnState::Subscribed {
-            self.state = if self.out.is_empty() {
-                ConnState::Reading
-            } else {
-                ConnState::Writing
-            };
-            self.read_stalls = 0;
         }
     }
 
@@ -508,8 +440,6 @@ impl<T: Transport> Conn<T> {
                     self.read_stalls = 0;
                 }
                 ConnState::Draining => self.close(),
-                // Subscribed parks on an empty queue: the next push
-                // (or the unsubscribe ack) re-arms write interest.
                 _ => {}
             }
         }
@@ -530,10 +460,7 @@ impl<T: Transport> Conn<T> {
             return TickVerdict::Ok;
         }
         let mut cut = false;
-        if matches!(self.state, ConnState::Reading | ConnState::Subscribed)
-            && self.dec.mid_frame()
-            && !self.read_progress
-        {
+        if self.state == ConnState::Reading && self.dec.mid_frame() && !self.read_progress {
             self.read_stalls += 1;
             cut |= self.read_stalls > self.max_read_stalls;
         }
@@ -565,7 +492,7 @@ impl<T: Transport> Conn<T> {
 
     /// Whether any buffered request body is ready for dispatch.
     pub fn has_frame(&self) -> bool {
-        matches!(self.state, ConnState::Reading | ConnState::Subscribed) && !self.ready.is_empty()
+        self.state == ConnState::Reading && !self.ready.is_empty()
     }
 
     fn close(&mut self) {

@@ -32,14 +32,12 @@
 //!   answers `Busy` instead of queueing, a small executor pool runs
 //!   every admitted request, stall budgets sever wedged peers,
 //!   graceful shutdown drains in-flight requests, and the `serve.*`
-//!   metric family (with `serve.reactor.*` and `serve.sub.*`) stays
-//!   accurate throughout. Every [`ServeCfg`] value is a size — two
-//!   threads of each kind by default, on any host — and none of them
-//!   switches a mechanism off. A [`LiveFeed`] is the on-the-fly half:
-//!   a producer publishes a trace as it is generated and subscribed
-//!   clients receive the predicate-filtered tail as pushed `EVENT`
-//!   frames, with slow consumers evicted at a bounded queue depth and
-//!   history kept to a bounded number of words.
+//!   metric family (with `serve.reactor.*`) stays accurate
+//!   throughout. Every [`ServeCfg`] value is a size — two threads of
+//!   each kind by default, on any host — and none of them switches a
+//!   mechanism off. The server answers requests and sends nothing
+//!   unasked; on-the-fly analysis of a running machine happens in
+//!   the harness's drain callback, not over the wire.
 //! * [`client`] — the synchronous client library `tracedump` and the
 //!   tests use; every network failure mode is a typed [`ServeError`].
 //! * [`obs`] — the `serve.*` metrics (see `docs/METRICS.md`).
@@ -62,11 +60,11 @@ pub mod server;
 pub mod wire;
 
 pub use backend::Catalog;
-pub use client::{Client, ClientCfg, ServeError, TailItem};
+pub use client::{Client, ClientCfg, ServeError};
 pub use conn::{
     Conn, ConnState, FrameDecoder, IoTally, ReadEvent, TickVerdict, Transport, WriteShape,
 };
 pub use obs::ServeObs;
 pub use reactor::{Interest, Poller, Ready, Waker};
-pub use server::{LiveFeed, ServeCfg, ServeHooks, Server, WireFate};
+pub use server::{ServeCfg, ServeHooks, Server, WireFate};
 pub use wire::{CatalogEntry, RawBlock, Request, Response, WireError, MAX_FRAME, WIRE_SCHEMA};

@@ -8,11 +8,8 @@
 //! server under load the way §4.2 characterises the tracer's time
 //! cost. `serve.blocks.decoded`/`.skipped` measure the predicate
 //! pushdown: skipped blocks were proven irrelevant from the index
-//! alone and never decoded or shipped. The `serve.sub.*` family
-//! watches the live tail: subscriptions, pushed events and words, and
-//! `serve.sub.evicted` — slow consumers cut at the bounded-queue
-//! limit, the push path's analogue of `serve.reject.busy`. Rows in
-//! `docs/METRICS.md` are kept honest by the `metrics_doc_sync` test.
+//! alone and never decoded or shipped. Rows in `docs/METRICS.md` are
+//! kept honest by the `metrics_doc_sync` test.
 
 use crate::wire::op;
 
@@ -66,20 +63,6 @@ wrl_obs::metrics! {
             "Writability passes that flushed only part of a pending response frame.";
         pub reactor_stalls_cut: counter "serve.reactor.stalls.cut", "connections", "§3.4",
             "Connections severed for exhausting a mid-frame read or write stall budget.";
-        pub sub_subscribes: counter "serve.sub.subscribes", "requests", "§3.3",
-            "Live-tail subscriptions accepted.";
-        pub sub_unsubscribes: counter "serve.sub.unsubscribes", "requests", "§3.3",
-            "Clean unsubscribes returning the connection to request service.";
-        pub sub_active: gauge "serve.sub.active", "subscribers", "§3.3",
-            "Subscribers attached to live feeds right now.";
-        pub sub_events: counter "serve.sub.events", "events", "§3.3",
-            "EVENT frames pushed to live-tail subscribers (end-of-feed markers included).";
-        pub sub_words: counter "serve.sub.words", "words", "§3.3",
-            "Predicate-filtered trace words pushed to live-tail subscribers.";
-        pub sub_evicted: counter "serve.sub.evicted", "subscribers", "§3.3",
-            "Slow consumers evicted for falling a full sub_queue of frames behind.";
-        pub sub_retention_evicted: counter "serve.sub.retention_evicted", "words", "§3.3",
-            "Live-feed words evicted from the buffer front under the sub_retention bound.";
     }
 }
 

@@ -32,24 +32,6 @@
 //!   (`max_stalls` reads; `write_timeout / read_timeout` writes) the
 //!   peer is severed — no peer pins reactor state forever. Idle
 //!   connections *between* frames are never charged.
-//! * **Live tail** — a [`LiveFeed`] is a named, in-progress trace a
-//!   producer (`tracedump live`, through the harness's drain tap)
-//!   appends to while clients `SUBSCRIBE` with an ASID+window
-//!   predicate. Filtering
-//!   happens server-side before fan-out: each publish is cut into
-//!   ASID runs once (the store's scanner), and every subscriber is
-//!   shipped the runs its predicate admits, each `EVENT`
-//!   frame carrying the filtered-stream offset of its first word so
-//!   the concatenation any subscriber receives is bit-identical to
-//!   [`wrl_store::filter_stream`] over the same trace and predicate.
-//!   Subscribe/unsubscribe are handled inline on the event thread
-//!   (they bypass the admission gate — no store work to bound);
-//!   pushes ride the ordinary `Writing` machinery via
-//!   [`crate::conn::ConnState::Subscribed`]. A subscriber whose
-//!   outgoing queue reaches `sub_queue` frames is *evicted*: a typed
-//!   `SLOW_CONSUMER` error, a drain, and a `serve.sub.evicted` count
-//!   — the same never-queue-unboundedly rule the admission gate
-//!   enforces for requests.
 //! * **Graceful shutdown** — [`Server::shutdown`] wakes every event
 //!   loop; reading connections drain and close, dispatching ones get
 //!   their response executed, enqueued and flushed, and the threads
@@ -66,15 +48,12 @@
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use wrl_store::{admitted_spans, asid_runs, AsidRun, Predicate};
-
-use crate::backend::{bad_request, Catalog, CatalogBackend};
+use crate::backend::{Catalog, CatalogBackend};
 use crate::conn::{Conn, ConnState, IoTally, ReadEvent, TickVerdict, WriteShape};
 use crate::obs::ServeObs;
 use crate::reactor::{AsRawFd, Interest, Poller, Ready, Waker, MAX_POLLED};
@@ -82,8 +61,8 @@ use crate::wire::{self, err, Request, Response, MAX_FRAME};
 
 /// Server shape parameters. Every value is a size with one meaning:
 /// a zero is floored to the smallest size that still does the job
-/// (one thread, one cached block, one retained word), never a switch
-/// that turns a mechanism off.
+/// (one thread, one cached block), never a switch that turns a
+/// mechanism off.
 #[derive(Clone, Copy, Debug)]
 pub struct ServeCfg {
     /// Requests allowed to execute at once; the gate answers `Busy`
@@ -111,17 +90,6 @@ pub struct ServeCfg {
     /// to 1..=its block count, so every served archive caches at
     /// least one block.
     pub query_cache_bytes: usize,
-    /// Outgoing frames a live-tail subscriber may have queued before
-    /// it is evicted as a slow consumer (floored to 1). The eviction
-    /// fires the moment a push finds the queue already this deep.
-    pub sub_queue: usize,
-    /// Trace words a live feed retains for late joiners (floored to
-    /// 1). Once a publish pushes the buffer past this bound the
-    /// oldest overflow is evicted, counted in
-    /// `serve.sub.retention_evicted`, and `from_start` subscribes
-    /// answer a typed `RETENTION_EVICTED` error instead of a silently
-    /// truncated replay.
-    pub sub_retention: usize,
 }
 
 impl Default for ServeCfg {
@@ -137,8 +105,6 @@ impl Default for ServeCfg {
             event_threads: 2,
             exec_workers: 2,
             query_cache_bytes: 32 << 20,
-            sub_queue: 32,
-            sub_retention: 1 << 22,
         }
     }
 }
@@ -216,133 +182,15 @@ struct Shared {
     inflight: AtomicUsize,
     resp_seq: AtomicU64,
     shutdown: AtomicBool,
-    /// Live feeds and their subscribers. Locked by publishers
-    /// appending words and by event threads handling subscribe /
-    /// unsubscribe / close — never while holding a completion inbox.
-    subs: Mutex<SubState>,
 }
 
-/// Words per pushed `EVENT` frame at most — bounds one frame's size
-/// (and the catch-up burst granularity) well under `MAX_FRAME`.
-/// Pinned in docs/FORMATS.md as `wire.sub_chunk_words`.
-pub const SUB_CHUNK: usize = 8192;
-
-/// Every live feed and every subscription, under one lock.
-#[derive(Default)]
-struct SubState {
-    feeds: Vec<Feed>,
-    entries: Vec<SubEntry>,
-}
-
-/// One named in-progress trace: the words published so far, the
-/// ASID runs they make (the store's one scanner, so attribution is
-/// exactly [`wrl_store::filter_stream`]'s — a switch word belongs to
-/// the ASID it switches to), and whether the producer finished.
-struct Feed {
-    name: String,
-    words: Vec<u32>,
-    /// The retained words' runs, in absolute stream positions; the
-    /// last one's ASID is the context the next publish enters in.
-    /// After an eviction the first may still start before `base`.
-    runs: Vec<AsidRun>,
-    /// Absolute stream position of `words[0]` — nonzero once the
-    /// retention bound has evicted history. Predicate windows are
-    /// judged against `base + index` so admission is stable across
-    /// evictions.
-    base: u64,
-    finished: bool,
-}
-
-impl Feed {
-    /// The index ranges of `words[from..]` that `pred` admits: its
-    /// window judged against absolute positions, its ASID by run.
-    fn admitted(&self, pred: &Predicate, from: usize) -> impl Iterator<Item = Range<usize>> + '_ {
-        let (lo, hi) = pred.window.unwrap_or((0, u64::MAX));
-        let lo = lo.max(self.base + from as u64);
-        let hi = hi.min(self.base + self.words.len() as u64);
-        admitted_spans(&self.runs, pred.asid, lo, hi)
-            .map(move |s| (s.start - self.base) as usize..(s.end - self.base) as usize)
-    }
-}
-
-/// One subscriber's cursor into a feed.
-struct SubEntry {
-    /// Event thread owning the connection.
-    thread: usize,
-    /// Slot + generation identifying the connection (generation
-    /// guards against slot reuse, as for [`Completion`]s).
-    slot: usize,
-    gen: u64,
-    /// Index into [`SubState::feeds`].
-    feed: usize,
-    pred: Predicate,
-    /// Raw feed words consumed (filtered or not).
-    pos: usize,
-    /// Filtered-stream offset of the next admitted word — the `seq`
-    /// the next `EVENT` frame carries.
-    seq: u64,
-    /// The subscribe request id every pushed frame echoes.
-    req_id: u64,
-    /// End-of-feed marker already delivered.
-    ended: bool,
-}
-
-/// Admits feed words `e.pos..` under the entry's predicate, advancing
-/// the cursor and yielding chunked `EVENT` responses — plus the
-/// zero-word end-of-feed marker once the feed is finished. Shared by
-/// the subscribe-time catch-up and the publish-time pump, so both
-/// paths produce the same filtered stream.
-fn pump_entry(feed: &Feed, e: &mut SubEntry) -> Vec<Response> {
-    let mut admitted = Vec::new();
-    for span in feed.admitted(&e.pred, e.pos) {
-        admitted.extend_from_slice(&feed.words[span]);
-    }
-    e.pos = feed.words.len();
-    let mut out = Vec::new();
-    for words in admitted.chunks(SUB_CHUNK) {
-        out.push(Response::Event {
-            seq: e.seq,
-            words: words.to_vec(),
-        });
-        e.seq += words.len() as u64;
-    }
-    if feed.finished && !e.ended {
-        e.ended = true;
-        out.push(Response::Event {
-            seq: e.seq,
-            words: Vec::new(),
-        });
-    }
-    out
-}
-
-/// Unregisters the subscription for `(thread, slot, gen)`, if any,
-/// maintaining the `serve.sub.active` gauge. Callers: unsubscribe,
-/// eviction, and the reap loop (a subscriber that vanished without
-/// unsubscribing).
-fn remove_entry(shared: &Shared, thread: usize, slot: usize, gen: u64) -> Option<SubEntry> {
-    let mut subs = shared.subs.lock().expect("subs lock");
-    let i = subs
-        .entries
-        .iter()
-        .position(|e| e.thread == thread && e.slot == slot && e.gen == gen)?;
-    shared.obs.sub_active.add(-1);
-    Some(subs.entries.remove(i))
-}
-
-/// One finished request — or one live-feed push — on its way back to
-/// the owning event thread.
+/// One finished request on its way back to the owning event thread.
 struct Completion {
     slot: usize,
     gen: u64,
     frame: Vec<u8>,
     shape: WriteShape,
     sever_after: bool,
-    /// A live-feed `EVENT` push rather than a request's response:
-    /// delivered through [`Conn::try_push`] against the `sub_queue`
-    /// bound (eviction on overflow), and dropped silently if the
-    /// connection left `Subscribed` since the publish.
-    push: bool,
 }
 
 /// An admitted request on its way to the executor pool.
@@ -408,7 +256,6 @@ impl Server {
             inflight: AtomicUsize::new(0),
             resp_seq: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
-            subs: Mutex::new(SubState::default()),
         });
         let n_ev = cfg.event_threads.max(1);
         let mut pollers = Vec::with_capacity(n_ev);
@@ -463,33 +310,6 @@ impl Server {
         &self.shared.obs
     }
 
-    /// Registers (or reopens the handle to) the live feed named
-    /// `name` and returns its publisher handle. Clients reach the
-    /// feed with `SUBSCRIBE name`; a name colliding with a catalog
-    /// archive is legal (the namespaces are separate — queries hit
-    /// the catalog, subscriptions hit the feeds).
-    pub fn live_feed(&self, name: &str) -> LiveFeed {
-        let mut subs = self.shared.subs.lock().expect("subs lock");
-        let feed = match subs.feeds.iter().position(|f| f.name == name) {
-            Some(i) => i,
-            None => {
-                subs.feeds.push(Feed {
-                    name: name.to_string(),
-                    words: Vec::new(),
-                    runs: Vec::new(),
-                    base: 0,
-                    finished: false,
-                });
-                subs.feeds.len() - 1
-            }
-        };
-        LiveFeed {
-            shared: self.shared.clone(),
-            rt: self.rt.clone(),
-            feed,
-        }
-    }
-
     /// Stops accepting, drains every in-flight request, joins all
     /// threads. Idempotent via [`Drop`].
     pub fn shutdown(mut self) {
@@ -520,111 +340,6 @@ impl Server {
 impl Drop for Server {
     fn drop(&mut self) {
         self.stop();
-    }
-}
-
-/// The producing end of a live tail: a handle onto one named feed of
-/// a running [`Server`]. The producer appends words with
-/// [`LiveFeed::publish`] as the simulated machine drains them and
-/// calls [`LiveFeed::finish`] once — subscribers then receive a
-/// zero-word end-of-feed `EVENT` and `tracedump tail` exits.
-///
-/// Each publish scans the new words into ASID runs once, copies each
-/// subscriber the runs its predicate admits, and hands the resulting
-/// `EVENT` frames to the owning event threads as push completions;
-/// the publisher never touches a socket. Publishing after `finish`
-/// is ignored.
-pub struct LiveFeed {
-    shared: Arc<Shared>,
-    rt: Arc<Reactor>,
-    feed: usize,
-}
-
-impl LiveFeed {
-    /// Appends `words` to the feed and pumps every subscriber.
-    pub fn publish(&self, words: &[u32]) {
-        let mut subs = self.shared.subs.lock().expect("subs lock");
-        let state = &mut *subs;
-        let f = &mut state.feeds[self.feed];
-        if f.finished {
-            return;
-        }
-        let at = f.base + f.words.len() as u64;
-        let entering = f.runs.last().map_or(0, |r| r.asid);
-        asid_runs(words, at, entering, &mut f.runs);
-        f.words.extend_from_slice(words);
-        self.pump(state);
-        self.evict(state);
-    }
-
-    /// Applies the retention bound after a pump: every attached
-    /// cursor sits at the feed head, so dropping the overflow from
-    /// the front loses nothing a subscriber still needs — only
-    /// history a *future* `from_start` subscriber would have
-    /// replayed, which is why such subscribes answer
-    /// `RETENTION_EVICTED` once `base` moves.
-    fn evict(&self, state: &mut SubState) {
-        let retention = self.shared.cfg.sub_retention.max(1);
-        let f = &mut state.feeds[self.feed];
-        if f.words.len() <= retention {
-            return;
-        }
-        let overflow = f.words.len() - retention;
-        f.words.drain(..overflow);
-        f.base += overflow as u64;
-        f.runs.retain(|r| r.end > f.base);
-        for e in state.entries.iter_mut().filter(|e| e.feed == self.feed) {
-            // pump() just ran under this same lock, so pos == old len
-            // >= overflow; keep the cursor on the same absolute word.
-            e.pos -= overflow;
-        }
-        self.shared.obs.sub_retention_evicted.add(overflow as u64);
-    }
-
-    /// Marks the feed complete and delivers each subscriber its
-    /// remaining words plus the zero-word end-of-feed marker.
-    /// Idempotent.
-    pub fn finish(&self) {
-        let mut subs = self.shared.subs.lock().expect("subs lock");
-        let state = &mut *subs;
-        state.feeds[self.feed].finished = true;
-        self.pump(state);
-    }
-
-    /// Drains every subscriber's cursor up to the feed head, shipping
-    /// the filtered words as push completions to the event threads.
-    fn pump(&self, state: &mut SubState) {
-        let SubState { feeds, entries } = state;
-        let feed = &feeds[self.feed];
-        let mut woken = vec![false; self.rt.inboxes.len()];
-        for e in entries.iter_mut().filter(|e| e.feed == self.feed) {
-            for ev in pump_entry(feed, e) {
-                if let Response::Event { ref words, .. } = ev {
-                    self.shared.obs.sub_events.inc();
-                    self.shared.obs.sub_words.add(words.len() as u64);
-                }
-                let frame = wire::encode_response(e.req_id, &ev);
-                let (frame, shape, sever_after) = fated(&self.shared, frame);
-                self.rt.inboxes[e.thread]
-                    .done
-                    .lock()
-                    .expect("done lock")
-                    .push(Completion {
-                        slot: e.slot,
-                        gen: e.gen,
-                        frame,
-                        shape,
-                        sever_after,
-                        push: true,
-                    });
-                woken[e.thread] = true;
-            }
-        }
-        for (t, w) in woken.into_iter().enumerate() {
-            if w {
-                self.rt.wakers[t].wake();
-            }
-        }
     }
 }
 
@@ -680,7 +395,6 @@ fn run_job(shared: &Shared, job: Job) -> Completion {
         frame,
         shape,
         sever_after,
-        push: false,
     }
 }
 
@@ -774,34 +488,6 @@ fn dispatch(s: &mut ConnEntry, slot: usize, cx: &Ctx<'_>) {
             return;
         }
     };
-    // Live-tail control frames are handled inline on the event
-    // thread — no store work to bound, so they bypass the admission
-    // gate — and a subscribed connection accepts nothing else (its
-    // response stream is the push feed).
-    if s.conn.state() == ConnState::Subscribed && !matches!(req, Request::Unsubscribe) {
-        reply(
-            s,
-            cx,
-            req_id,
-            &bad_request("subscribed: only unsubscribe is accepted here"),
-        );
-        return;
-    }
-    match req {
-        Request::Subscribe {
-            ref archive,
-            pred,
-            from_start,
-        } => {
-            subscribe_inline(s, slot, cx, req_id, archive, pred, from_start);
-            return;
-        }
-        Request::Unsubscribe => {
-            unsubscribe_inline(s, slot, cx, req_id);
-            return;
-        }
-        _ => {}
-    }
     // The admission gate: reserve a slot or answer Busy now — never
     // queue unboundedly.
     let admitted = shared
@@ -826,112 +512,6 @@ fn dispatch(s: &mut ConnEntry, slot: usize, cx: &Ctx<'_>) {
     // Send can only fail after shutdown closed the channel, and
     // shutdown waits for this thread — unreachable in practice.
     let _ = cx.exec_tx.send(job);
-}
-
-/// Attaches this connection to a live feed: ack first, then the
-/// catch-up burst (`from_start`) or a cursor at the feed head
-/// (from-now, with `seq` pre-advanced past the filtered history so
-/// late joiners still emit suffix-exact offsets). Runs inline on the
-/// event thread. The catch-up burst is exempt from the `sub_queue`
-/// bound — it is one bounded replay of history, not an unread
-/// backlog; the bound governs the publish path.
-fn subscribe_inline(
-    s: &mut ConnEntry,
-    slot: usize,
-    cx: &Ctx<'_>,
-    req_id: u64,
-    name: &str,
-    pred: Predicate,
-    from_start: bool,
-) {
-    let shared = cx.shared;
-    let mut subs = shared.subs.lock().expect("subs lock");
-    let Some(feed_idx) = subs.feeds.iter().position(|f| f.name == name) else {
-        drop(subs);
-        reply(
-            s,
-            cx,
-            req_id,
-            &Response::Error {
-                code: err::NO_SUCH_ARCHIVE,
-                msg: format!("no live feed named {name:?}"),
-            },
-        );
-        return;
-    };
-    if from_start && subs.feeds[feed_idx].base > 0 {
-        // The retention bound already evicted history this replay
-        // would need; a truncated stream pretending to be complete is
-        // worse than a typed refusal.
-        let base = subs.feeds[feed_idx].base;
-        drop(subs);
-        reply(
-            s,
-            cx,
-            req_id,
-            &Response::Error {
-                code: err::RETENTION_EVICTED,
-                msg: format!(
-                    "feed {name:?} evicted its first {base} words under the \
-                     retention bound; subscribe from-now instead"
-                ),
-            },
-        );
-        return;
-    }
-    shared.obs.sub_subscribes.inc();
-    shared.obs.sub_active.add(1);
-    s.conn.mark_subscribed();
-    reply(s, cx, req_id, &Response::Subscribed);
-    let feed = &subs.feeds[feed_idx];
-    let (pos, seq) = if from_start {
-        (0, 0)
-    } else {
-        // From-now: skip the history but keep the filtered-stream
-        // offset honest — count what the predicate would have
-        // admitted so far (positions judged absolutely, so a feed
-        // whose front was evicted still reports suffix-exact seqs
-        // for the retained words).
-        let admitted = feed.admitted(&pred, 0).map(|s| s.len() as u64).sum();
-        (feed.words.len(), admitted)
-    };
-    let mut entry = SubEntry {
-        thread: cx.thread,
-        slot,
-        gen: s.gen,
-        feed: feed_idx,
-        pred,
-        pos,
-        seq,
-        req_id,
-        ended: false,
-    };
-    let events = pump_entry(feed, &mut entry);
-    subs.entries.push(entry);
-    drop(subs);
-    for ev in events {
-        if let Response::Event { ref words, .. } = ev {
-            shared.obs.sub_events.inc();
-            shared.obs.sub_words.add(words.len() as u64);
-        }
-        reply(s, cx, req_id, &ev);
-    }
-}
-
-/// Detaches a subscribed connection and returns it to ordinary
-/// request/response service. Pushes already queued still flush ahead
-/// of the ack; the client discards `EVENT` frames until it sees the
-/// `Unsubscribed` ack.
-fn unsubscribe_inline(s: &mut ConnEntry, slot: usize, cx: &Ctx<'_>, req_id: u64) {
-    let shared = cx.shared;
-    if s.conn.state() != ConnState::Subscribed {
-        reply(s, cx, req_id, &bad_request("not subscribed"));
-        return;
-    }
-    remove_entry(shared, cx.thread, slot, s.gen);
-    shared.obs.sub_unsubscribes.inc();
-    reply(s, cx, req_id, &Response::Unsubscribed);
-    s.conn.mark_unsubscribed();
 }
 
 fn event_loop(
@@ -1012,46 +592,13 @@ fn event_loop(
             );
         }
 
-        // Responses the executors finished, and live-feed pushes the
-        // publishers handed over.
+        // Responses the executors finished.
         let done = std::mem::take(&mut *rt.inboxes[thread].done.lock().expect("done lock"));
         for c in done {
             let Some(s) = slots.get_mut(c.slot).and_then(|o| o.as_mut()) else {
                 continue;
             };
             if s.gen != c.gen {
-                continue;
-            }
-            if c.push {
-                if s.conn.state() != ConnState::Subscribed {
-                    // Unsubscribed or draining since the publish —
-                    // the push is stale, drop it.
-                    continue;
-                }
-                if c.sever_after {
-                    // The fault seam cut this push mid-frame: deliver
-                    // the truncated buffer and sever, bound or not.
-                    s.conn.enqueue(c.frame, c.shape, true);
-                } else if !s.conn.try_push(c.frame, c.shape, shared.cfg.sub_queue) {
-                    // Slow consumer: the queue is at its documented
-                    // bound. Typed disconnect, never unbounded memory.
-                    obs.sub_evicted.inc();
-                    let rid = remove_entry(shared, thread, c.slot, s.gen).map_or(0, |e| e.req_id);
-                    let frame = wire::encode_response(
-                        rid,
-                        &Response::Error {
-                            code: err::SLOW_CONSUMER,
-                            msg: format!(
-                                "evicted: {} frames queued at bound {}",
-                                s.conn.out_depth(),
-                                shared.cfg.sub_queue
-                            ),
-                        },
-                    );
-                    s.conn.enqueue(frame, WriteShape::default(), false);
-                    s.conn.begin_drain();
-                }
-                advance(s, c.slot, &cx, &mut tally);
                 continue;
             }
             s.conn.enqueue(c.frame, c.shape, c.sever_after);
@@ -1108,25 +655,22 @@ fn event_loop(
             }
         }
 
-        // Shutdown: no new reads; everything reading (or parked on a
-        // subscription) drains away, everything dispatching finishes
-        // through the normal path.
+        // Shutdown: no new reads; everything reading drains away,
+        // everything dispatching finishes through the normal path.
         if shutting {
             for s in slots.iter_mut().flatten() {
-                if matches!(s.conn.state(), ConnState::Reading | ConnState::Subscribed) {
+                if s.conn.state() == ConnState::Reading {
                     s.conn.begin_drain();
                 }
             }
         }
 
-        // Reap and account. A reaped subscriber (evicted, severed, or
-        // gone without unsubscribing) also leaves the registry here.
+        // Reap and account.
         for (i, slot) in slots.iter_mut().enumerate() {
-            let closed_gen = slot
+            if slot
                 .as_ref()
-                .and_then(|s| (s.conn.state() == ConnState::Closed).then_some(s.gen));
-            if let Some(g) = closed_gen {
-                remove_entry(shared, thread, i, g);
+                .is_some_and(|s| s.conn.state() == ConnState::Closed)
+            {
                 *slot = None;
                 free.push(i);
             }
@@ -1229,9 +773,6 @@ fn answer(backend: &CatalogBackend, req_id: u64, req: &Request, cap: usize) -> V
             Ok(frame) => return frame,
             Err(refusal) => refusal,
         },
-        Request::Subscribe { .. } | Request::Unsubscribe => {
-            unreachable!("dispatch answers live-tail control frames on the event loop")
-        }
     };
     wire::encode_response(req_id, &resp)
 }
@@ -1239,7 +780,8 @@ fn answer(backend: &CatalogBackend, req_id: u64, req: &Request, cap: usize) -> V
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wrl_store::TraceStore;
+    use crate::backend::bad_request;
+    use wrl_store::{Predicate, TraceStore};
     use wrl_trace::TraceArchive;
 
     #[test]

@@ -14,27 +14,17 @@
 //!           | 0x03 query    { archive: string, asid: opt<u8>,
 //!                             window: opt<{ lo: u64, hi: u64 }> }
 //!           | 0x04 metrics  {}
-//!           | 0x06 subscribe   { archive: string, asid: opt<u8>,
-//!                                window: opt<{ lo: u64, hi: u64 }>,
-//!                                from_start: u8 0|1 }
-//!           | 0x07 unsubscribe {}
 //! response := 0x81 catalog  { u32 n, entry × n }
 //!           | 0x82 fetch    { u32 n, raw_block × n }
 //!           | 0x83 query    { blocks_decoded: u32, blocks_skipped: u32,
 //!                             u64 n_words, u32 word × n_words }
 //!           | 0x84 metrics  { json: string32 }      (wrl-obs-metrics/v1)
-//!           | 0x86 subscribed   {}
-//!           | 0x87 unsubscribed {}
-//!           | 0x7d event    { seq: u64, u32 n_words, u32 word × n_words }
 //!           | 0x7e busy     {}
 //!           | 0x7f error    { code: u16, msg: string }
 //! ```
 //!
-//! `event` frames are server-initiated pushes on a subscribed
-//! connection: their request id echoes the *subscribe* request's id,
-//! `seq` is the offset of the frame's first word within the
-//! predicate-filtered stream, and a zero-word event marks the end of
-//! the live feed.
+//! Every response answers one request and echoes its id; the server
+//! sends nothing unasked.
 //!
 //! All integers are little-endian, matching the store container. The
 //! CRC-32 (the store codec's polynomial) covers the request id, the
@@ -74,20 +64,10 @@ pub mod op {
     pub const QUERY: u8 = 0x03;
     /// `wrl-obs-metrics/v1` JSON snapshot of the server's registry.
     pub const METRICS: u8 = 0x04;
-    // 0x05 (`shards`) is retired, never reassigned: a server answers
-    // it as any unknown opcode.
-    /// Attach this connection to the server's live feed: every word
-    /// the feed publishes that the request's predicate admits is
-    /// pushed back in `EVENT` frames until the feed ends or the
-    /// client unsubscribes.
-    pub const SUBSCRIBE: u8 = 0x06;
-    /// Detach from the live feed; the connection returns to ordinary
-    /// request/response service.
-    pub const UNSUBSCRIBE: u8 = 0x07;
-    /// Server-initiated push on a subscribed connection: a batch of
-    /// predicate-filtered live words. A zero-word event marks the end
-    /// of the feed. Never sent as a reply to a request frame.
-    pub const EVENT: u8 = 0x7d;
+    // 0x05 (`shards`), 0x06 (`subscribe`) and 0x07 (`unsubscribe`)
+    // are retired, never reassigned: a server answers each as any
+    // unknown opcode. So are their responses 0x86 and 0x87, and the
+    // pushed `event` 0x7d: a client decodes none of them.
     /// Response bit: a response's opcode is the request's, ORed in.
     pub const RESPONSE: u8 = 0x80;
     /// The admission gate refused the request; retry later.
@@ -108,17 +88,8 @@ pub mod err {
     pub const STORE: u16 = 3;
     /// The request frame itself was malformed or failed its CRC.
     pub const WIRE: u16 = 4;
-    // 5 (`unavailable`) is retired, never reassigned.
-    /// A subscriber fell further behind the live feed than the
-    /// server's per-subscriber queue bound allows; the server sends
-    /// this typed disconnect and drains the connection instead of
-    /// buffering without limit.
-    pub const SLOW_CONSUMER: u16 = 6;
-    /// A `from_start` subscribe reached a live feed whose oldest
-    /// words the retention bound already evicted — the complete
-    /// replay the client asked for no longer exists, so the server
-    /// refuses rather than ship a silently truncated stream.
-    pub const RETENTION_EVICTED: u16 = 7;
+    // 5 (`unavailable`), 6 (`slow_consumer`) and 7
+    // (`retention_evicted`) are retired, never reassigned.
 }
 
 /// A decoded request.
@@ -145,20 +116,6 @@ pub enum Request {
     },
     /// Snapshot the server's metrics registry.
     Metrics,
-    /// Attach to the server's live feed, receiving `EVENT` pushes for
-    /// every published word the predicate admits.
-    Subscribe {
-        /// Name of the live feed (the archive being traced).
-        archive: String,
-        /// The word filter applied server-side before fan-out.
-        pred: Predicate,
-        /// `true` replays the feed from its first word (catch-up
-        /// before live pushes); `false` starts at the next word the
-        /// feed publishes.
-        from_start: bool,
-    },
-    /// Detach from the live feed.
-    Unsubscribe,
 }
 
 impl Request {
@@ -169,8 +126,6 @@ impl Request {
             Request::Fetch { .. } => op::FETCH,
             Request::Query { .. } => op::QUERY,
             Request::Metrics => op::METRICS,
-            Request::Subscribe { .. } => op::SUBSCRIBE,
-            Request::Unsubscribe => op::UNSUBSCRIBE,
         }
     }
 }
@@ -248,22 +203,6 @@ pub enum Response {
     Query(QueryResult),
     /// `wrl-obs-metrics/v1` JSON.
     Metrics(String),
-    /// Subscription accepted; `EVENT` pushes follow on this
-    /// connection until the feed ends or the client unsubscribes.
-    Subscribed,
-    /// Unsubscribed; the connection is back in request/response
-    /// service.
-    Unsubscribed,
-    /// A live-feed push: a batch of predicate-filtered words. The
-    /// frame's request id echoes the subscribe request's id.
-    Event {
-        /// Offset of this batch's first word within the
-        /// predicate-filtered stream.
-        seq: u64,
-        /// The admitted words, in feed order. Empty marks the end of
-        /// the feed.
-        words: Vec<u32>,
-    },
     /// Admission gate full; retry later.
     Busy,
     /// The request failed with a typed code.
@@ -283,9 +222,6 @@ impl Response {
             Response::Fetch(_) => op::FETCH | op::RESPONSE,
             Response::Query(_) => op::QUERY | op::RESPONSE,
             Response::Metrics(_) => op::METRICS | op::RESPONSE,
-            Response::Subscribed => op::SUBSCRIBE | op::RESPONSE,
-            Response::Unsubscribed => op::UNSUBSCRIBE | op::RESPONSE,
-            Response::Event { .. } => op::EVENT,
             Response::Busy => op::BUSY,
             Response::Error { .. } => op::ERROR,
         }
@@ -494,7 +430,7 @@ fn get_pred(c: &mut Cursor) -> Result<Predicate, WireError> {
 pub fn encode_request(req_id: u64, req: &Request) -> Vec<u8> {
     let mut p = open_frame(req_id, req.opcode(), 64);
     match req {
-        Request::Catalog | Request::Metrics | Request::Unsubscribe => {}
+        Request::Catalog | Request::Metrics => {}
         Request::Fetch {
             archive,
             first_block,
@@ -507,15 +443,6 @@ pub fn encode_request(req_id: u64, req: &Request) -> Vec<u8> {
         Request::Query { archive, pred } => {
             put_str16(&mut p, archive);
             put_pred(&mut p, pred);
-        }
-        Request::Subscribe {
-            archive,
-            pred,
-            from_start,
-        } => {
-            put_str16(&mut p, archive);
-            put_pred(&mut p, pred);
-            p.push(u8::from(*from_start));
         }
     }
     seal_frame(p)
@@ -538,16 +465,6 @@ pub fn decode_request(body: &[u8]) -> Result<(u64, Request), WireError> {
             archive: c.str16()?,
             pred: get_pred(&mut c)?,
         },
-        op::SUBSCRIBE => Request::Subscribe {
-            archive: c.str16()?,
-            pred: get_pred(&mut c)?,
-            from_start: match c.u8()? {
-                0 => false,
-                1 => true,
-                _ => return Err(WireError::Malformed("bad bool tag")),
-            },
-        },
-        op::UNSUBSCRIBE => Request::Unsubscribe,
         other => return Err(WireError::UnknownOpcode(other)),
     };
     done(&c)?;
@@ -564,7 +481,6 @@ pub fn encode_response(req_id: u64, resp: &Response) -> Vec<u8> {
                 .seal(q.blocks_decoded, q.blocks_skipped)
                 .expect("an uncapped frame holds any answer");
         }
-        Response::Event { words, .. } => 4 * words.len(),
         Response::Fetch(blocks) => blocks
             .iter()
             .map(|b| RAW_BLOCK_HEADER_BYTES + b.comp.len())
@@ -574,12 +490,7 @@ pub fn encode_response(req_id: u64, resp: &Response) -> Vec<u8> {
     };
     let mut p = open_frame(req_id, resp.opcode(), 64 + bulk);
     match resp {
-        Response::Busy | Response::Subscribed | Response::Unsubscribed | Response::Query(_) => {}
-        Response::Event { seq, words } => {
-            put_u64(&mut p, *seq);
-            put_u32(&mut p, words.len() as u32);
-            put_words(&mut p, words);
-        }
+        Response::Busy | Response::Query(_) => {}
         Response::Error { code, msg } => {
             put_u16(&mut p, *code);
             put_str16(&mut p, msg);
@@ -625,17 +536,6 @@ pub fn decode_response(body: &[u8]) -> Result<(u64, Response), WireError> {
             code: c.u16()?,
             msg: c.str16()?,
         },
-        op::EVENT => {
-            let seq = c.u64()?;
-            let n = c.u32()? as usize;
-            if n != c.remaining() / 4 {
-                return Err(WireError::Malformed("word count disagrees with payload"));
-            }
-            Response::Event {
-                seq,
-                words: c.words(n)?,
-            }
-        }
         o if o == op::CATALOG | op::RESPONSE => {
             let n = c.u32()? as usize;
             if n > payload.len() / 4 {
@@ -697,8 +597,6 @@ pub fn decode_response(body: &[u8]) -> Result<(u64, Response), WireError> {
             let n = c.u32()? as usize;
             c.utf8(n)?
         }),
-        o if o == op::SUBSCRIBE | op::RESPONSE => Response::Subscribed,
-        o if o == op::UNSUBSCRIBE | op::RESPONSE => Response::Unsubscribed,
         other => return Err(WireError::UnknownOpcode(other)),
     };
     done(&c)?;
@@ -816,20 +714,6 @@ mod tests {
                 window: Some((100, 2000)),
             },
         });
-        roundtrip_request(Request::Subscribe {
-            archive: "sed".into(),
-            pred: Predicate {
-                asid: Some(2),
-                window: Some((0, 4096)),
-            },
-            from_start: true,
-        });
-        roundtrip_request(Request::Subscribe {
-            archive: "sed".into(),
-            pred: Predicate::default(),
-            from_start: false,
-        });
-        roundtrip_request(Request::Unsubscribe);
     }
 
     #[test]
@@ -864,21 +748,31 @@ mod tests {
                 words: vec![0x8003_0100, 0x102, 0x8003_0104],
             }),
             Response::Metrics("{\"schema\": \"wrl-obs-metrics/v1\"}".into()),
-            Response::Subscribed,
-            Response::Unsubscribed,
-            Response::Event {
-                seq: 12345,
-                words: vec![0x8003_0100, 0x102, 0x8003_0104],
-            },
-            Response::Event {
-                seq: 99,
-                words: vec![],
-            },
         ] {
             let frame = encode_response(99, &resp);
             let (id, back) = decode_response(&frame[4..]).unwrap();
             assert_eq!(id, 99);
             assert_eq!(back, resp);
+        }
+    }
+
+    #[test]
+    fn retired_push_and_ack_opcodes_decode_as_unknown() {
+        // The retired `event` push and the two retired acks: a sealed
+        // body under any of them, empty or shaped like an end-of-feed
+        // event (seq, zero words), is no answer at all.
+        for opcode in [0x7d, 0x86, 0x87] {
+            for payload in [&[][..], &[0; 12]] {
+                let mut frame = open_frame(3, opcode, payload.len());
+                frame.extend_from_slice(payload);
+                let frame = seal_frame(frame);
+                assert_eq!(
+                    decode_response(&frame[4..]),
+                    Err(WireError::UnknownOpcode(opcode)),
+                    "{opcode:#04x}, {} payload bytes",
+                    payload.len()
+                );
+            }
         }
     }
 
@@ -968,10 +862,11 @@ mod tests {
     fn sample_frame() -> Vec<u8> {
         encode_response(
             5,
-            &Response::Event {
-                seq: 3,
+            &Response::Query(QueryResult {
+                blocks_decoded: 1,
+                blocks_skipped: 3,
                 words: (0..40).collect(),
-            },
+            }),
         )
     }
 

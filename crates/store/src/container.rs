@@ -57,7 +57,7 @@
 //! Reading is one path whatever the block coding: a block the index
 //! cannot rule out is decoded whole and CRC-checked
 //! ([`decode_block_bytes`]), its words are cut into ASID runs by one
-//! scanner ([`asid_runs`]), and a query hands on the runs its
+//! scanner (`asid_runs`), and a query hands on the runs its
 //! predicate admits ([`TraceStore::filter_block_spans`]).
 
 use std::io;
@@ -978,7 +978,7 @@ impl BlockReader<'_> {
 /// construction and block `i` maps to slot `i % slots`, so a
 /// scan-shaped workload degrades to plain per-block decode, never to
 /// unbounded memory. A slot holds its block's verified words and,
-/// beside them, the [`asid_runs`] those words make — scanned once
+/// beside them, the ASID runs those words make — scanned once
 /// where the block is decoded, so an ASID filter over a warm slot is
 /// run copies and nothing else (memory bound ≈ `slots ×
 /// (block_words × 4 + runs × 24)` bytes; a block has one run more
@@ -1044,7 +1044,7 @@ impl BlockCache {
             slot.words.clear();
             slot.runs.clear();
             store.decode_blocks_into(i..i + 1, &mut slot.words)?;
-            asid_runs(&slot.words, 0, m.first_asid, &mut slot.runs);
+            asid_runs(&slot.words, m.first_asid, &mut slot.runs);
             slot.key = key;
             self.misses += 1;
         }
@@ -1105,37 +1105,28 @@ pub fn filter_stream(words: &[u32], pred: &Predicate) -> Vec<u32> {
     out
 }
 
-/// A maximal run of consecutive words sharing one ASID context:
-/// the words at positions `start..end` (block-local rows in a
-/// [`BlockCache`] slot, stream positions in a live feed).
+/// A maximal run of consecutive words sharing one ASID context: the
+/// block-local rows `start..end` of a [`BlockCache`] slot.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct AsidRun {
-    /// Position of the run's first word.
-    pub start: u64,
-    /// Position one past the run's last word.
-    pub end: u64,
+struct AsidRun {
+    /// Row of the run's first word.
+    start: u64,
+    /// Row one past the run's last word.
+    end: u64,
     /// The ASID context of every word in the run.
-    pub asid: u8,
+    asid: u8,
 }
 
-/// The one ASID scanner over decoded words: cuts `words`, which sit
-/// at positions `at..` and are entered in context `entering`, into
-/// runs appended onto `runs`. Attribution is [`filter_stream`]'s: a
-/// word belongs to the context in force *after* it (a switch word
-/// opens its target's run), and a switch to the context already in
-/// force splits nothing. A first run that carries on where `runs`
-/// left off — same context, adjacent position — extends the last run
-/// instead of starting one, so a stream scanned in pieces (the live
-/// feed) gets the runs it would have got whole.
-pub fn asid_runs(words: &[u32], at: u64, entering: u8, runs: &mut Vec<AsidRun>) {
+/// The one ASID scanner over decoded words: cuts `words`, entered in
+/// context `entering`, into runs appended onto `runs`. Attribution is
+/// [`filter_stream`]'s: a word belongs to the context in force
+/// *after* it (a switch word opens its target's run), and a switch to
+/// the context already in force splits nothing.
+fn asid_runs(words: &[u32], entering: u8, runs: &mut Vec<AsidRun>) {
     let mut close = |start: usize, end: usize, asid: u8| {
-        let (start, end) = (at + start as u64, at + end as u64);
-        if start == end {
-            return;
-        }
-        match runs.last_mut() {
-            Some(last) if last.asid == asid && last.end == start => last.end = end,
-            _ => runs.push(AsidRun { start, end, asid }),
+        if start < end {
+            let (start, end) = (start as u64, end as u64);
+            runs.push(AsidRun { start, end, asid });
         }
     };
     let (mut start, mut asid) = (0, entering);
@@ -1148,11 +1139,10 @@ pub fn asid_runs(words: &[u32], at: u64, entering: u8, runs: &mut Vec<AsidRun>) 
     close(start, words.len(), asid);
 }
 
-/// The parts of positions `lo..hi` an ASID filter admits, in order:
-/// all of it when there is no filter, else its overlap with each of
-/// `runs` in that context. What a query copies out of a block and
-/// what a live feed ships a subscriber are both these spans.
-pub fn admitted_spans(
+/// The parts of rows `lo..hi` an ASID filter admits, in order: all
+/// of it when there is no filter, else its overlap with each of
+/// `runs` in that context. What a query copies out of a block.
+fn admitted_spans(
     runs: &[AsidRun],
     asid: Option<u8>,
     lo: u64,
@@ -1911,13 +1901,13 @@ mod tests {
     }
 
     #[test]
-    fn runs_scanned_in_pieces_equal_runs_scanned_whole_and_the_per_word_walk() {
+    fn runs_equal_the_per_word_walk() {
         // Rotates through contexts 0..5; its first switch, to 0 while
         // 0 is in force, is one that splits nothing.
         let a = multi_asid_archive(400);
         let n = a.words.len() as u64;
         let mut whole = Vec::new();
-        asid_runs(&a.words, 0, 0, &mut whole);
+        asid_runs(&a.words, 0, &mut whole);
         // Membership in a run is `filter_stream`'s attribution.
         for asid in 0..6 {
             let mut got = Vec::new();
@@ -1935,16 +1925,6 @@ mod tests {
         for pair in whole.windows(2) {
             assert_ne!(pair[0].asid, pair[1].asid);
             assert_eq!(pair[0].end, pair[1].start);
-        }
-        // Scanned in pieces, each entered in the context the last one
-        // left (as a live feed's publishes are): the same runs.
-        for piece in [1, 7, 37, 64] {
-            let mut runs: Vec<AsidRun> = Vec::new();
-            for (k, chunk) in a.words.chunks(piece).enumerate() {
-                let entering = runs.last().map_or(0, |r| r.asid);
-                asid_runs(chunk, (k * piece) as u64, entering, &mut runs);
-            }
-            assert_eq!(runs, whole, "pieces of {piece}");
         }
         // No filter admits the whole span whatever the runs say.
         let mut unfiltered = admitted_spans(&whole, None, 5, 9);
@@ -2005,7 +1985,7 @@ mod tests {
         // block 1) and at 32 (row 0 of block 2); 7 takes over at 48.
         let a = trace_of(&[(3, 20), (3, 12), (3, 16), (7, 16)]);
         let mut runs = Vec::new();
-        asid_runs(&a.words, 0, 0, &mut runs);
+        asid_runs(&a.words, 0, &mut runs);
         let run = |start, end, asid| AsidRun { start, end, asid };
         assert_eq!(runs, [run(0, 48, 3), run(48, 64, 7)]);
         // `FLAG_CTX_SWITCH` means "a switch word occurs", which is not

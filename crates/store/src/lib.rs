@@ -40,10 +40,9 @@ pub mod obs;
 
 pub use codec::{compress_block, crc32_bytes, crc32_words, decompress_block, CodecError, Crc32};
 pub use container::{
-    admitted_spans, asid_runs, decode_block_bytes, filter_stream, AsidRun, BlockCache, BlockFormat,
-    BlockMeta, BlockReader, ColumnStats, Predicate, QueryResult, StoreError, TraceStore,
-    DEFAULT_BLOCK_WORDS, INDEX_ENTRY_BYTES, INDEX_ENTRY_BYTES_V4, STORE_VERSION, STORE_VERSION_V4,
-    TRAILER_BYTES,
+    decode_block_bytes, filter_stream, BlockCache, BlockFormat, BlockMeta, BlockReader,
+    ColumnStats, Predicate, QueryResult, StoreError, TraceStore, DEFAULT_BLOCK_WORDS,
+    INDEX_ENTRY_BYTES, INDEX_ENTRY_BYTES_V4, STORE_VERSION, STORE_VERSION_V4, TRAILER_BYTES,
 };
 pub use farm::{drive, query_parallel, query_parallel_spans, FarmCfg};
 pub use obs::StoreObs;

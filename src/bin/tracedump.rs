@@ -12,9 +12,6 @@
 //! tracedump catalog <addr>                               list a server's archives
 //! tracedump fetch  <addr> <archive> [--asid A] [--window LO..HI]
 //!                                                        run a windowed query server-side
-//! tracedump live   <addr> <workload> <ultrix|mach>       run a traced machine, serving its live feed
-//! tracedump tail   <addr> <feed> [--asid A] [--window LO..HI] [--from-start]
-//!                                                        follow a live feed's filtered tail
 //! tracedump analyze <file.w3kt> <sinks> [--workers N]
 //!                                                        run a composed sink stack in one pass
 //! tracedump analyze <addr> <archive> <sinks> --tables <file.w3kt> [--asid A] [--window LO..HI]
@@ -30,12 +27,6 @@
 //! and server surface: `serve` publishes archives (named by file
 //! stem) on a TCP address, and `fetch` ships only the trace words the
 //! predicate admits — blocks the index rules out are never decoded.
-//! The `live` / `tail` pair is the on-the-fly half: `live` runs the
-//! traced machine *while serving*, publishing each drained trace
-//! buffer to a live feed named after the workload (and keeps serving
-//! after the run so late tails replay the whole feed); `tail`
-//! subscribes with the same predicate flags as `fetch` and streams
-//! the filtered events until the end-of-feed marker, exiting 0.
 //! `analyze` is the `wrl-tracer` surface: a comma-separated sink
 //! spec (`cache:65536:2,tlb,dilation,pagemap,defense,sampled:64k,
 //! wset:4096,phase:4096:0.5`) builds a composed stack fed from one
@@ -50,7 +41,7 @@
 use std::sync::Arc;
 use systrace::kernel::{build_system, KernelConfig};
 use systrace::memsim::{MemSim, PageMap, Policy};
-use systrace::serve::{Catalog, Client, ClientCfg, ServeCfg, Server, TailItem};
+use systrace::serve::{Catalog, Client, ServeCfg, Server};
 use systrace::store::{BlockFormat, FarmCfg, Predicate, StoreObs, TraceStore, DEFAULT_BLOCK_WORDS};
 use systrace::trace::{Space, TraceArchive, TraceSink};
 use systrace::tracer::{analyze_store, analyze_words, build_stack, TracerObs};
@@ -78,8 +69,6 @@ fn usage() -> ! {
     eprintln!("       tracedump serve <addr> <file.w3kt>...");
     eprintln!("       tracedump catalog <addr>");
     eprintln!("       tracedump fetch <addr> <archive> [--asid A] [--window LO..HI]");
-    eprintln!("       tracedump live <addr> <workload> <ultrix|mach>");
-    eprintln!("       tracedump tail <addr> <feed> [--asid A] [--window LO..HI] [--from-start]");
     eprintln!("       tracedump analyze <file.w3kt> <sinks> [--workers N]");
     eprintln!(
         "       tracedump analyze <addr> <archive> <sinks> --tables <file.w3kt> [--asid A] [--window LO..HI]"
@@ -122,8 +111,6 @@ fn main() {
         Some("serve") if args.len() >= 3 => serve(&args[1], &args[2..]),
         Some("catalog") if args.len() == 2 => catalog(&args[1]),
         Some("fetch") if args.len() >= 3 => fetch(&args[1], &args[2], &args[3..]),
-        Some("live") if args.len() == 4 => live(&args[1], &args[2], &args[3]),
-        Some("tail") if args.len() >= 3 => tail(&args[1], &args[2], &args[3..]),
         Some("analyze") if args.len() >= 3 => analyze(&args[1..]),
         _ => usage(),
     }
@@ -426,98 +413,6 @@ fn fetch(addr: &str, archive: &str, opts: &[String]) {
         q.blocks_skipped,
         100.0 * f64::from(q.blocks_skipped) / f64::from(touched.max(1)),
     );
-}
-
-/// Runs the traced system for `workload` while serving its trace as
-/// the live feed named after the workload on `addr`. After the run
-/// the prediction is printed and the server keeps running (feed
-/// finished), so tails arriving late still replay the whole stream.
-fn live(addr: &str, workload: &str, os: &str) {
-    systrace::obs::register_all();
-    let w = systrace::workloads::by_name(workload).unwrap_or_else(|| {
-        eprintln!("unknown workload {workload}");
-        std::process::exit(2);
-    });
-    let cfg = match os {
-        "mach" => KernelConfig::mach().traced(),
-        "ultrix" => KernelConfig::ultrix().traced(),
-        _ => usage(),
-    };
-    let server = Server::start(addr, Catalog::new(), ServeCfg::default()).unwrap_or_else(|e| {
-        eprintln!("{addr}: {e}");
-        std::process::exit(1);
-    });
-    let feed = server.live_feed(workload);
-    println!("live feed \"{workload}\" on {}", server.addr());
-    let acfg = systrace::AnalyzeCfg {
-        arith_stalls: systrace::pixie_arith_stalls(&w),
-        ..systrace::AnalyzeCfg::default()
-    };
-    let mut publish = |words: &[u32]| feed.publish(words);
-    let p = systrace::run_analyzed(
-        &cfg,
-        &w,
-        acfg,
-        systrace::tracer::Stack::new(),
-        Some(&mut publish),
-    )
-    .predicted;
-    // Finished only after the last buffer is analysed, so a tail that
-    // outlives the run sees the complete word stream exactly once.
-    feed.finish();
-    println!(
-        "machine finished: {} trace words, predicted {:.4}s, exit {}",
-        p.trace_words, p.seconds, p.exit_code
-    );
-    loop {
-        std::thread::park();
-    }
-}
-
-/// Subscribes to a live feed and follows its predicate-filtered tail
-/// until the end-of-feed marker, then exits 0. `--from-start` replays
-/// the feed's history first; the default watches from now on.
-fn tail(addr: &str, feed: &str, opts: &[String]) {
-    let mut from_start = false;
-    let pred = predicate(opts, |flag, _| match flag {
-        "--from-start" => from_start = true,
-        _ => usage(),
-    });
-    // A machine run pauses the feed for as long as it computes
-    // between drains; give the tail a much larger stall budget than
-    // a query client would use.
-    let cfg = ClientCfg {
-        max_stalls: 2400,
-        ..ClientCfg::default()
-    };
-    let mut client = Client::connect_cfg(addr, cfg).unwrap_or_else(|e| {
-        eprintln!("{addr}: {e}");
-        std::process::exit(1);
-    });
-    client
-        .subscribe(feed, &pred, from_start)
-        .unwrap_or_else(|e| {
-            eprintln!("subscribe: {e}");
-            std::process::exit(1);
-        });
-    let (mut events, mut words) = (0u64, 0u64);
-    loop {
-        match client.next_event() {
-            Ok(TailItem::Event { seq, words: w }) => {
-                events += 1;
-                words += w.len() as u64;
-                println!("event seq={seq}: {} words", w.len());
-            }
-            Ok(TailItem::End) => {
-                println!("feed ended: {events} event(s), {words} word(s)");
-                return;
-            }
-            Err(e) => {
-                eprintln!("tail: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
 }
 
 /// Runs a composed sink stack in one decode+parse pass, locally over

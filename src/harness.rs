@@ -223,8 +223,10 @@ fn driver_for<P: TraceSink>(
 /// *before* the run, which covers workloads whose processes all exist
 /// at boot (every validation workload). The two timings predict
 /// bit-identically — `tests/streaming_differential.rs` holds that.
-/// `tracedump live` taps the run to publish each buffer to a live-tail
-/// feed, and finishes the feed once this returns.
+/// The tap's callers are that test, `tests/tracer_differential.rs`
+/// (a composed sink stack fed inside the drain callback) and
+/// `tests/chaos_campaign.rs` (the same with the driver stalled at its
+/// source seam).
 ///
 /// A metered after-the-run pass parses into a buffered [`EventVec`]
 /// and replays it into the simulator, so `harness.phase.parse` and

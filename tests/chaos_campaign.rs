@@ -21,14 +21,14 @@ const GOLDEN_PATH: &str = "tests/data/golden.w3kt";
 /// The campaign's fixed base seed; `(BASE_SEED, N_PLANS)` is the
 /// entire campaign spec and replays identically anywhere.
 const BASE_SEED: u64 = 0x5752_4c94_0600_c4a0;
-const N_PLANS: usize = 340;
+const N_PLANS: usize = 320;
 
 fn golden_input() -> ChaosInput {
     ChaosInput::new(TraceArchive::load(GOLDEN_PATH).expect("golden archive must load"))
 }
 
 #[test]
-fn campaign_of_340_seeded_plans_never_reaches_a_forbidden_outcome() {
+fn campaign_of_320_seeded_plans_never_reaches_a_forbidden_outcome() {
     let input = golden_input();
     let plans = campaign(BASE_SEED, N_PLANS);
     assert!(plans.len() >= 200, "campaign must be at least 200 plans");

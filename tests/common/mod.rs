@@ -1,7 +1,6 @@
-//! What the loopback suites (`serve_loopback`, `serve_subscribe`) and
-//! `tracer_differential` share: the golden archive, the counter read,
-//! the predicate panel, and the client herd that checks every answer
-//! against [`filter_stream`].
+//! What `serve_loopback` and `tracer_differential` share: the golden
+//! archive, the counter read, the predicate panel, and the client herd
+//! that checks every answer against [`filter_stream`].
 
 // Each suite is its own crate and uses its own subset.
 #![allow(dead_code)]

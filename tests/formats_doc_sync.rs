@@ -8,7 +8,7 @@
 
 use std::collections::BTreeMap;
 
-use wrl_serve::wire::{err, op, MAX_FRAME, MIN_BODY};
+use wrl_serve::wire::{err, op, MAX_FRAME, MIN_BODY, RAW_BLOCK_HEADER_BYTES};
 use wrl_store::column::{N_COLUMNS, TAG_SLOTS, VAL_SLOTS};
 use wrl_store::{
     BlockMeta, DEFAULT_BLOCK_WORDS, INDEX_ENTRY_BYTES, INDEX_ENTRY_BYTES_V4, STORE_VERSION,
@@ -80,22 +80,14 @@ fn code_constants() -> BTreeMap<String, u64> {
         ("wire.op.fetch", u64::from(op::FETCH)),
         ("wire.op.query", u64::from(op::QUERY)),
         ("wire.op.metrics", u64::from(op::METRICS)),
-        ("wire.op.subscribe", u64::from(op::SUBSCRIBE)),
-        ("wire.op.unsubscribe", u64::from(op::UNSUBSCRIBE)),
         ("wire.op.response", u64::from(op::RESPONSE)),
-        ("wire.op.event", u64::from(op::EVENT)),
         ("wire.op.busy", u64::from(op::BUSY)),
         ("wire.op.error", u64::from(op::ERROR)),
-        ("wire.sub_chunk_words", wrl_serve::server::SUB_CHUNK as u64),
+        ("wire.raw_block_header_bytes", RAW_BLOCK_HEADER_BYTES as u64),
         ("wire.err.no_such_archive", u64::from(err::NO_SUCH_ARCHIVE)),
         ("wire.err.bad_request", u64::from(err::BAD_REQUEST)),
         ("wire.err.store", u64::from(err::STORE)),
         ("wire.err.wire", u64::from(err::WIRE)),
-        ("wire.err.slow_consumer", u64::from(err::SLOW_CONSUMER)),
-        (
-            "wire.err.retention_evicted",
-            u64::from(err::RETENTION_EVICTED),
-        ),
     ];
     pairs.iter().map(|(n, v)| (n.to_string(), *v)).collect()
 }

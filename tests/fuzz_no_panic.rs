@@ -253,94 +253,6 @@ proptest! {
     }
 }
 
-/// A plausible live-tail push stream: the `Subscribed` ack, then a
-/// run of `EVENT` batches with contiguous filtered-stream offsets,
-/// ending in the zero-word end-of-feed marker — exactly what a
-/// subscriber's socket carries.
-fn arb_event_stream() -> impl Strategy<Value = Vec<systrace::serve::Response>> {
-    use systrace::serve::Response;
-    (vec(vec(any::<u32>(), 1..48), 0..6), any::<u64>()).prop_map(|(batches, seq0)| {
-        let mut seq = seq0 & 0x00ff_ffff; // headroom so seq never wraps
-        let mut pushes = vec![Response::Subscribed];
-        for words in batches {
-            let n = words.len() as u64;
-            pushes.push(Response::Event { seq, words });
-            seq += n;
-        }
-        pushes.push(Response::Event {
-            seq,
-            words: Vec::new(),
-        });
-        pushes
-    })
-}
-
-fn encode_push_stream(sub_id: u64, pushes: &[systrace::serve::Response]) -> Vec<u8> {
-    let mut stream = Vec::new();
-    for p in pushes {
-        stream.extend_from_slice(&wire::encode_response(sub_id, p));
-    }
-    stream
-}
-
-proptest! {
-    /// Subscriber-frame fuzz, valid half: any chunking of an EVENT
-    /// push stream — the ack, word batches, the zero-word end marker —
-    /// reassembles through the client's incremental decoder to exactly
-    /// the frames the blocking reader sees, and every body decodes
-    /// back to the push that encoded it (same subscription id, same
-    /// seq, same words).
-    #[test]
-    fn any_chunking_of_an_event_push_stream_reassembles_identically(
-        pushes in arb_event_stream(),
-        sub_id in any::<u64>(),
-        sizes in vec(1usize..64, 1..16),
-    ) {
-        let stream = encode_push_stream(sub_id, &pushes);
-        let (oneshot, end) = one_shot_frames(&stream);
-        prop_assert_eq!(end, StreamEnd::Clean);
-        let (chunked, cend) = reassembled_frames(&stream, &sizes);
-        prop_assert_eq!(cend, StreamEnd::Clean);
-        prop_assert_eq!(&chunked, &oneshot);
-        prop_assert_eq!(chunked.len(), pushes.len());
-        for (body, sent) in chunked.iter().zip(&pushes) {
-            let (rid, back) = wire::decode_response(body).expect("valid pushes decode");
-            prop_assert_eq!(rid, sub_id);
-            prop_assert_eq!(&back, sent);
-        }
-    }
-
-    /// Subscriber-frame fuzz, mutated half: bit-flipped and truncated
-    /// EVENT push streams through any chunking never panic the client
-    /// decoder, and the incremental path agrees with the blocking
-    /// reader on both the surviving frames and how the stream ended —
-    /// a severed or corrupted push surfaces as the same typed
-    /// condition either way.
-    #[test]
-    fn mutated_event_push_streams_agree_with_the_blocking_reader(
-        pushes in arb_event_stream(),
-        sub_id in any::<u64>(),
-        sizes in vec(1usize..32, 1..16),
-        flips in vec((any::<usize>(), any::<u8>()), 0..4),
-        cut in prop_oneof![Just(None), any::<usize>().prop_map(Some)],
-    ) {
-        let mut stream = encode_push_stream(sub_id, &pushes);
-        mutate(&mut stream, &flips, cut);
-        let (oneshot, oend) = one_shot_frames(&stream);
-        let (chunked, cend) = reassembled_frames(&stream, &sizes);
-        prop_assert_eq!(cend, oend);
-        prop_assert_eq!(&chunked, &oneshot);
-        // Decode is total over whatever bodies survived framing: a
-        // typed result, never a panic — the event payload's own
-        // word-count-vs-length check and the frame CRC above it decide
-        // wrong from right content.
-        for body in &chunked {
-            let _ = wire::decode_response(body);
-            let _ = wire::decode_request(body);
-        }
-    }
-}
-
 /// Characters a sink-spec or duty-cycle string plausibly contains —
 /// digits with suffixes, separators, and a little junk, so the fuzz
 /// walks both the accept and reject paths of the grammars.

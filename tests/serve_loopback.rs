@@ -492,12 +492,6 @@ fn a_node_answers_one_byte_script_with_pinned_frames_and_fates() {
             archive: "nope".into(),
             pred: Predicate::default(),
         },
-        Request::Subscribe {
-            archive: "golden".into(), // an archive, but no live feed
-            pred: Predicate::default(),
-            from_start: true,
-        },
-        Request::Unsubscribe, // while not subscribed
     ];
     let mut script: Vec<Vec<u8>> = requests
         .iter()
@@ -524,8 +518,6 @@ fn a_node_answers_one_byte_script_with_pinned_frames_and_fates() {
             refused(4, err::BAD_REQUEST),
             ok(5, op::QUERY),
             refused(6, err::NO_SUCH_ARCHIVE),
-            refused(7, err::NO_SUCH_ARCHIVE),
-            refused(8, err::BAD_REQUEST),
             refused(0x1122_3344_5566_7788, err::WIRE),
         ]
     );
@@ -558,9 +550,10 @@ fn a_retired_opcode_is_answered_as_an_unassigned_one() {
         f[crc_at..].copy_from_slice(&crc.to_le_bytes());
         f
     };
-    // 0x05 was `shards`, retired and never reassigned; 0x08 was never
-    // assigned. Each gets a `wire` error echoing the id, then a close.
-    for opcode in [0x05u8, 0x08] {
+    // 0x05 (`shards`), 0x06 (`subscribe`) and 0x07 (`unsubscribe`)
+    // are retired and never reassigned; 0x08 was never assigned. Each
+    // gets a `wire` error echoing the id, then a close.
+    for opcode in [0x05u8, 0x06, 0x07, 0x08] {
         let (answers, fate) = drive(node.addr(), &[frame(opcode)]);
         let (id, resp) = decode_response(&answers[0]).expect("the answer decodes");
         assert_eq!(
