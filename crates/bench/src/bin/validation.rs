@@ -1,9 +1,11 @@
-//! The §5 validation panel and its five views: Table 1, Table 2,
-//! Table 3, Figure 3 and the §5.1 idle-scale ablation.
+//! The §5 validation panel and its seven views: Table 1, Table 2,
+//! Table 3, Figure 3, the §5.1 idle-scale ablation, the §4.1 dilation
+//! table and the §3.4 kernel-vs-user CPI split.
 //!
 //! `validation DIR [WORKLOAD...]` validates each workload (all twelve
 //! by default) once on Mach and once on Ultrix, and writes every view
-//! of that one panel to `DIR/<view>.txt`.
+//! of that one panel to `DIR/<view>.txt`. `dilation.txt` also gets the
+//! §4.1 UTLB-synthesis ablation, the one run outside the panel.
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -14,7 +16,11 @@ fn main() {
     let workloads = wrl_bench::workloads_named(args);
     let panel = wrl_bench::validate_panel(&workloads);
     for (name, render) in wrl_bench::VIEWS {
+        let mut text = render(&panel);
+        if name == "dilation" {
+            text += &wrl_bench::utlb_synthesis_ablation();
+        }
         let path = format!("{dir}/{name}.txt");
-        std::fs::write(&path, render(&panel)).unwrap_or_else(|e| panic!("writing {path}: {e}"));
+        std::fs::write(&path, text).unwrap_or_else(|e| panic!("writing {path}: {e}"));
     }
 }

@@ -4,15 +4,16 @@
 //! figures of the paper (see DESIGN.md's experiment index). The
 //! helpers here keep their output formats consistent.
 //!
-//! Table 1, Table 2, Table 3, Figure 3 and the §5.1 idle ablation are
-//! views of one set of runs (§5.1–5.2): [`validate_panel`] validates
-//! every workload once per operating system, and each view in
-//! [`VIEWS`] renders from that panel.
+//! Table 1, Table 2, Table 3, Figure 3, the §5.1 idle ablation, the
+//! §4.1 dilation table and the §3.4 kernel-vs-user CPI split are seven
+//! views of one set of runs: [`validate_panel`] validates every
+//! workload once per operating system, and each view in [`VIEWS`]
+//! renders from that panel.
 
 #![forbid(unsafe_code)]
 
-use systrace::kernel::{layout::CLOCK_DILATION, KernelConfig};
-use systrace::memsim::{percent_error, Prediction, IDLE_DILATION};
+use systrace::kernel::{build_system, layout::CLOCK_DILATION, KernelConfig};
+use systrace::memsim::{percent_error, MemSim, Prediction, IDLE_DILATION};
 use systrace::workloads::{by_name, Workload};
 use systrace::ValidationRow;
 
@@ -73,12 +74,14 @@ pub type View = fn(&Panel) -> String;
 
 /// Every view of the panel with the name of the file it is written
 /// to, `<name>.txt`.
-pub const VIEWS: [(&str, View); 5] = [
+pub const VIEWS: [(&str, View); 7] = [
     ("table1", table1),
     ("table2", table2),
     ("table3", table3),
     ("figure3", figure3),
     ("idle_scale", idle_scale),
+    ("dilation", dilation),
+    ("kernel_cpi", kernel_cpi),
 ];
 
 /// The body of a view: a rule `width` dashes long, one line per entry
@@ -137,7 +140,7 @@ pub fn table2(panel: &Panel) -> String {
 /// simulation, for both systems.
 pub fn table3(panel: &Panel) -> String {
     let os = |r: &ValidationRow| {
-        let (measured, predicted) = (r.measured.utlb_misses, r.predicted.utlb_misses);
+        let (measured, predicted) = (r.measured.utlb_misses, r.predicted.stats.utlb_misses);
         format!("{measured:>10} {predicted:>10}")
     };
     let body = ruled(panel, 58, mach_then_ultrix(os));
@@ -188,8 +191,8 @@ pub fn idle_scale(panel: &Panel) -> String {
     let [worst_7_5, worst_12, worst_15] =
         [0, 1, 2].map(|k| errs.iter().map(|e| e[k]).fold(0.0, f64::max));
     let body = ruled(panel, 58, |e| {
-        let p = &e.ultrix.predicted;
-        let idle_pct = 100.0 * p.idle_insts as f64 / p.trace_insts.max(1) as f64;
+        let s = &e.ultrix.predicted.stats;
+        let idle_pct = 100.0 * s.idle_insts as f64 / s.insts().max(1) as f64;
         let [at_7_5, at_12, at_15] = idle_scale_errors(&e.ultrix);
         format!("| {idle_pct:>5.1}% | {at_7_5:>7.2}% | {at_12:>7.2}% | {at_15:>7.2}%")
     });
@@ -205,13 +208,88 @@ pub fn idle_scale(panel: &Panel) -> String {
 /// A row's predicted-time error at each of [`SCALES`].
 fn idle_scale_errors(row: &ValidationRow) -> [f64; 3] {
     SCALES.map(|scale| {
-        let io_stall_cycles = row.predicted.idle_insts as f64 * scale;
+        let io_stall_cycles = row.predicted.stats.idle_insts as f64 * scale;
         let predicted = Prediction {
             io_stall_cycles,
             ..row.predicted.prediction
         };
         percent_error(predicted.seconds(), row.measured.seconds)
     })
+}
+
+/// §4.1: time and memory dilation (Ultrix) — the traced machine's
+/// slowdown, its clock ticks against the untraced run's (the 1/12-rate
+/// clock keeps ticks per unit of work at parity) and its TLB misses,
+/// which differ because instrumented text is ~2x: why the UTLB
+/// handler is synthesized rather than traced.
+pub fn dilation(panel: &Panel) -> String {
+    let body = ruled(panel, 80, |e| {
+        let (m, t) = (&e.ultrix.measured, &e.ultrix.predicted.traced);
+        format!(
+            "| {:>7.1}x | {:>9} {:>9} | {:>7} {:>7} | {:>5} {:>5}",
+            t.cycles as f64 / m.cycles.max(1) as f64,
+            m.clock_ticks,
+            t.clock_ticks,
+            m.utlb_misses,
+            t.utlb_misses,
+            m.ktlb_misses,
+            t.ktlb_misses,
+        )
+    });
+    format!(
+        "Time dilation and clock scaling (Ultrix)\n          \
+         | slowdown |  unt tick  trc tick | unt TLB trc TLB | uKTLB tKTLB\n{body}\
+         KTLB misses stay in the same band traced vs untraced: text growth never\n\
+         changes the number of page-table pages (each maps 4 MB), the §4.1 argument.\n\
+         trc ticks ~ unt ticks x slowdown/12 (the divisor compensates per-work tick rate);\n\
+         trc TLB differs from unt TLB because instrumented text is ~2x — hence §4.1's\n\
+         UTLB-miss *synthesis* in the simulator instead of tracing the real handler.\n"
+    )
+}
+
+/// §4.1's UTLB-synthesis ablation, the one traced run outside the
+/// panel: compress on Ultrix, its trace parsed once into a simulator
+/// that synthesizes the refill handler and once into one that does
+/// not. `validation` appends these two lines to the [`dilation`] view.
+pub fn utlb_synthesis_ablation() -> String {
+    let w = by_name("compress").expect("compress is a Table 1 workload");
+    let mut sys = build_system(&KernelConfig::ultrix().traced(), &[&w]);
+    let run = sys.run(systrace::SYSTEM_BUDGET);
+    let sim = || MemSim::new(sys.pagemap.clone());
+    [
+        ("with synthesis", sim()),
+        ("without", sim().without_utlb_synthesis()),
+    ]
+    .map(|(label, mut sim)| {
+        let mut parser = sys.parser();
+        parser.parse_all(&run.trace_words, &mut sim);
+        format!(
+            "compress {label:>16}: predicted UTLB misses = {:>7}, synthesized handler irefs = {}\n",
+            sim.stats.utlb_misses, sim.stats.synth_irefs
+        )
+    })
+    .concat()
+}
+
+/// §3.4: the Tunix result — "kernel cycles per instruction (CPI) were
+/// three times user CPI, and had a significant effect on overall
+/// CPI" — from the trace-driven cache simulation of each Ultrix run,
+/// split by address space.
+pub fn kernel_cpi(panel: &Panel) -> String {
+    let body = ruled(panel, 50, |e| {
+        let s = &e.ultrix.predicted.stats;
+        let (user, kernel) = (s.user_cpi(), s.kernel_cpi());
+        format!(
+            "| {user:>8.2} {kernel:>8.2} {:>6.2}x | {:>5.1}%",
+            kernel / user.max(0.01),
+            100.0 * s.kernel_irefs as f64 / s.insts().max(1) as f64,
+        )
+    });
+    format!(
+        "Kernel vs user CPI from trace-driven simulation (Ultrix)\n          \
+         | user CPI kern CPI   ratio |  kern%\n{body}\
+         Tunix (paper): kernel CPI ~ 3x user CPI\n"
+    )
 }
 
 /// Formats seconds like the paper's tables (3 significant-ish digits).
@@ -252,8 +330,8 @@ mod tests {
 
     #[test]
     fn workload_selection_defaults_to_all() {
-        // argv in tests contains the test binary name only.
-        assert_eq!(selected_workloads().len(), 12);
+        assert_eq!(workloads_named(Vec::new()).len(), 12);
+        assert_eq!(workloads_named(["--quiet".to_string()]).len(), 12);
     }
 
     #[test]
@@ -274,12 +352,18 @@ mod tests {
     }
 
     /// A row whose prediction comes out of the model as the harness's
-    /// does: `insts` traced instructions, `idle` of them in the idle
+    /// does: `insts` traced instructions, a fifth of them kernel ones
+    /// at CPI 2.5 against the user's 1.25, `idle` of them in the idle
     /// loop, no stalls.
     fn row(measured_s: f64, utlb: [u64; 2], insts: u64, idle: u64) -> ValidationRow {
+        let kernel = insts / 5;
         let stats = SimStats {
-            user_irefs: insts,
+            user_irefs: insts - kernel,
+            kernel_irefs: kernel,
+            user_cycles: (insts - kernel) * 5 / 4,
+            kernel_cycles: kernel * 5 / 2,
             idle_insts: idle,
+            utlb_misses: utlb[1],
             ..SimStats::default()
         };
         let prediction = predict(&stats, 0);
@@ -294,29 +378,21 @@ mod tests {
             predicted: Predicted {
                 prediction,
                 seconds: prediction.seconds(),
-                utlb_misses: utlb[1],
-                trace_insts: insts,
-                kernel_insts: 0,
-                idle_insts: idle,
-                traced_machine_insts: 0,
-                trace_words: 0,
-                mode_transitions: 0,
-                parse_errors: 0,
-                sanity_violations: 0,
-                exit_code: 0,
+                stats,
+                ..Predicted::default()
             },
         }
     }
 
     /// Two workloads: `alpha` runs 10–20 s with 20M idle instructions
-    /// of 300M on Ultrix; `beta` has an empty Ultrix trace and a 0 s
-    /// measurement.
+    /// of 300M on Ultrix, and its traced Ultrix run is 6x slower;
+    /// `beta` has an empty Ultrix trace and a 0 s, 0-cycle measurement.
     fn with_panel(check: impl FnOnce(&Panel)) {
         let workloads = [
             workload("alpha", "Two  lines\n of   text."),
             workload("beta", "Second."),
         ];
-        let panel = [
+        let mut panel = [
             PanelEntry {
                 workload: &workloads[0],
                 mach: row(12.5, [35, 37], 250_000_000, 0),
@@ -328,6 +404,22 @@ mod tests {
                 ultrix: row(0.0, [1_234_567, 7_654_321], 0, 0),
             },
         ];
+        let alpha = &mut panel[0].ultrix;
+        alpha.measured.cycles = 250_000_000;
+        alpha.measured.clock_ticks = 600;
+        alpha.measured.ktlb_misses = 2;
+        alpha.predicted.traced = Measured {
+            cycles: 1_500_000_000,
+            clock_ticks: 300,
+            utlb_misses: 45,
+            ktlb_misses: 4,
+            ..Measured::default()
+        };
+        panel[1].ultrix.predicted.traced = Measured {
+            cycles: 7,
+            clock_ticks: 1,
+            ..Measured::default()
+        };
         check(&panel);
     }
 
@@ -437,6 +529,48 @@ mod tests {
                     "worst-case error: 72.0% @7.5, 108.0% @12, 132.0% @15",
                     "the paper's own sed error (12%) is this mechanism: an idle scale",
                     "calibrated on average code, applied to the idle loop (§5.1)",
+                ])
+            )
+        });
+    }
+
+    #[test]
+    fn dilation_prints_traced_against_untraced_counters_and_reads_zero_cycles_as_one() {
+        let rule = "-".repeat(80);
+        with_panel(|panel| {
+            assert_eq!(
+                dilation(panel),
+                text(&[
+                    "Time dilation and clock scaling (Ultrix)",
+                    "          | slowdown |  unt tick  trc tick | unt TLB trc TLB | uKTLB tKTLB",
+                    &rule,
+                    "alpha     |     6.0x |       600       300 |      13      45 |     2     4",
+                    "beta      |     7.0x |         0         1 | 1234567       0 |     0     0",
+                    &rule,
+                    "KTLB misses stay in the same band traced vs untraced: text growth never",
+                    "changes the number of page-table pages (each maps 4 MB), the §4.1 argument.",
+                    "trc ticks ~ unt ticks x slowdown/12 (the divisor compensates per-work tick rate);",
+                    "trc TLB differs from unt TLB because instrumented text is ~2x — hence §4.1's",
+                    "UTLB-miss *synthesis* in the simulator instead of tracing the real handler.",
+                ])
+            )
+        });
+    }
+
+    #[test]
+    fn kernel_cpi_splits_by_space_and_reads_an_empty_trace_as_zeros() {
+        let rule = "-".repeat(50);
+        with_panel(|panel| {
+            assert_eq!(
+                kernel_cpi(panel),
+                text(&[
+                    "Kernel vs user CPI from trace-driven simulation (Ultrix)",
+                    "          | user CPI kern CPI   ratio |  kern%",
+                    &rule,
+                    "alpha     |     1.25     2.50   2.00x |  20.0%",
+                    "beta      |     0.00     0.00   0.00x |   0.0%",
+                    &rule,
+                    "Tunix (paper): kernel CPI ~ 3x user CPI",
                 ])
             )
         });

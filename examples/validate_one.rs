@@ -31,18 +31,18 @@ fn main() {
     println!("time error : {:>9.2} %", row.time_error_pct());
     println!(
         "utlb misses: measured {} predicted {}",
-        m.utlb_misses, p.utlb_misses
+        m.utlb_misses, p.stats.utlb_misses
     );
     println!(
         "trace      : {} words, {} insts, dilation x{:.1}, {} transitions, {} parse errors",
         p.trace_words,
-        p.trace_insts,
-        p.traced_machine_insts as f64 / p.trace_insts.max(1) as f64,
+        p.stats.insts(),
+        p.traced_machine_insts as f64 / p.stats.insts().max(1) as f64,
         p.mode_transitions,
         p.parse_errors
     );
     println!(
         "idle       : measured {} insts, trace {} insts",
-        m.idle_insts, p.idle_insts
+        m.idle_insts, p.stats.idle_insts
     );
 }

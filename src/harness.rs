@@ -21,7 +21,7 @@ use std::sync::Arc;
 
 use wrl_kernel::{build_system, KernelConfig, System};
 use wrl_machine::dec5000;
-use wrl_memsim::{predict, MemSim, Prediction, SpaceKey};
+use wrl_memsim::{predict, MemSim, Prediction, SimStats, SpaceKey};
 use wrl_obs::Span;
 use wrl_trace::{DriveReport, Driver, EventVec, SeamHooks, TraceSink};
 use wrl_tracer::{Stack, StackReport};
@@ -47,8 +47,10 @@ wrl_obs::metrics! {
     }
 }
 
-/// The measurements taken from an uninstrumented run.
-#[derive(Clone, Debug, Default)]
+/// The hardware counters of one run, read as the paper reads them:
+/// the untraced run's are Tables 1–3's measurements, the traced run's
+/// give §4.1's dilation.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Measured {
     /// Machine cycles (the high-resolution timer).
     pub cycles: u64,
@@ -75,22 +77,21 @@ pub struct Measured {
 }
 
 /// The outcome of the traced run + trace-driven simulation.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Predicted {
     /// The four-component §5.1 prediction.
     pub prediction: Prediction,
     /// Predicted run time in seconds.
     pub seconds: f64,
-    /// Predicted user-TLB misses (trace-driven TLB simulation).
-    pub utlb_misses: u64,
-    /// Instructions in the trace (original-binary instruction stream).
-    pub trace_insts: u64,
-    /// Kernel instructions in the trace.
-    pub kernel_insts: u64,
-    /// Idle-loop instructions observed in the trace.
-    pub idle_insts: u64,
+    /// The simulator's totals from the one parse: the predicted
+    /// user-TLB misses (Table 3), the trace's instructions by space
+    /// and in the idle loop, and the §3.4 CPI split.
+    pub stats: SimStats,
+    /// The *instrumented* machine's counters, read as
+    /// [`run_measured`] reads the untraced one (§4.1 dilation).
+    pub traced: Measured,
     /// Instructions the *instrumented* system actually executed (for
-    /// the §4.1 time-dilation factor).
+    /// the §4.1 time-dilation factor); equal to `traced.insts`.
     pub traced_machine_insts: u64,
     /// Trace words collected.
     pub trace_words: u64,
@@ -131,6 +132,11 @@ pub fn run_measured(cfg: &KernelConfig, w: &Workload) -> Measured {
     assert!(!cfg.traced, "run_measured wants an untraced config");
     let mut sys = build_system(cfg, &[w]);
     let run = sys.run(SYSTEM_BUDGET);
+    measured(&sys, run.exit_code)
+}
+
+/// A run's counters, read once it has ended with `exit_code`.
+fn measured(sys: &System, exit_code: u32) -> Measured {
     let c = &sys.machine.counters;
     Measured {
         cycles: c.cycles,
@@ -143,7 +149,7 @@ pub fn run_measured(cfg: &KernelConfig, w: &Workload) -> Measured {
         clock_ticks: sys.machine.dev.clock_ticks,
         disk_ops: sys.machine.dev.disk_ops,
         uncached_ifetches: c.uncached_ifetches,
-        exit_code: run.exit_code,
+        exit_code,
     }
 }
 
@@ -286,7 +292,7 @@ pub fn run_analyzed(
         sim.stats.export_obs();
     }
     AnalyzedRun {
-        predicted: predicted(&sys, exit_code, &drive, &sim, prediction),
+        predicted: predicted(&sys, exit_code, &drive, sim.stats, prediction),
         stack: stack.finish(drive.parse, drive.words),
     }
 }
@@ -296,21 +302,19 @@ fn predicted(
     sys: &System,
     exit_code: u32,
     drive: &DriveReport,
-    sim: &MemSim,
+    stats: SimStats,
     prediction: Prediction,
 ) -> Predicted {
     Predicted {
         seconds: prediction.seconds(),
         prediction,
-        utlb_misses: sim.stats.utlb_misses,
-        trace_insts: sim.stats.insts(),
-        kernel_insts: sim.stats.kernel_irefs,
-        idle_insts: sim.stats.idle_insts,
+        sanity_violations: stats.sanity_violations,
+        stats,
+        traced: measured(sys, exit_code),
         traced_machine_insts: sys.machine.counters.insts(),
         trace_words: drive.words,
         mode_transitions: drive.parse.mode_transitions,
         parse_errors: drive.parse.errors,
-        sanity_violations: sim.stats.sanity_violations,
         exit_code,
     }
 }
@@ -350,23 +354,8 @@ mod tests {
                 ..Measured::default()
             },
             predicted: Predicted {
-                prediction: Prediction {
-                    cpu_cycles: 0.0,
-                    mem_stall_cycles: 0.0,
-                    arith_stall_cycles: 0.0,
-                    io_stall_cycles: 0.0,
-                },
                 seconds: 1.8,
-                utlb_misses: 0,
-                trace_insts: 0,
-                kernel_insts: 0,
-                idle_insts: 0,
-                traced_machine_insts: 0,
-                trace_words: 0,
-                mode_transitions: 0,
-                parse_errors: 0,
-                sanity_violations: 0,
-                exit_code: 0,
+                ..Predicted::default()
             },
         };
         assert!((row.time_error_pct() - 10.0).abs() < 1e-9);

@@ -122,9 +122,5 @@ fn hooked_harness_run_with_stalls_predicts_identically() {
     let hooked = AnalyzeCfg { hooks, ..acfg };
     let tap = &mut |_: &[u32]| {};
     let stalled = systrace::run_analyzed(&cfg, &w, hooked, Stack::new(), Some(tap)).predicted;
-    assert_eq!(stalled.prediction, batch.prediction);
-    assert_eq!(stalled.trace_insts, batch.trace_insts);
-    assert_eq!(stalled.trace_words, batch.trace_words);
-    assert_eq!(stalled.parse_errors, batch.parse_errors);
-    assert_eq!(stalled.exit_code, batch.exit_code);
+    assert_eq!(stalled, batch);
 }

@@ -20,7 +20,7 @@ fn check_validation(cfg: KernelConfig, workload: &str, max_err_pct: f64) {
     // TLB prediction within 25% or 30 misses, whichever is larger
     // (random replacement + invisible explicit fills, §5.2).
     let m = row.measured.utlb_misses as f64;
-    let p = row.predicted.utlb_misses as f64;
+    let p = row.predicted.stats.utlb_misses as f64;
     assert!(
         (m - p).abs() <= (0.25 * m).max(30.0),
         "{workload}: TLB measured {m} predicted {p}"

@@ -95,14 +95,5 @@ fn streamed_harness_matches_batch_harness() {
     let batch = systrace::run_analyzed(&cfg, &w, acfg.clone(), Stack::new(), None).predicted;
     let tap = &mut |_: &[u32]| {};
     let streamed = systrace::run_analyzed(&cfg, &w, acfg, Stack::new(), Some(tap)).predicted;
-    assert_eq!(streamed.prediction, batch.prediction);
-    assert_eq!(streamed.utlb_misses, batch.utlb_misses);
-    assert_eq!(streamed.trace_insts, batch.trace_insts);
-    assert_eq!(streamed.kernel_insts, batch.kernel_insts);
-    assert_eq!(streamed.idle_insts, batch.idle_insts);
-    assert_eq!(streamed.trace_words, batch.trace_words);
-    assert_eq!(streamed.mode_transitions, batch.mode_transitions);
-    assert_eq!(streamed.parse_errors, batch.parse_errors);
-    assert_eq!(streamed.sanity_violations, batch.sanity_violations);
-    assert_eq!(streamed.exit_code, batch.exit_code);
+    assert_eq!(streamed, batch);
 }
