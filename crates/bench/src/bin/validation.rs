@@ -1,6 +1,6 @@
-//! The §5 validation panel and its seven views: Table 1, Table 2,
+//! The §5 validation panel and its eight views: Table 1, Table 2,
 //! Table 3, Figure 3, the §5.1 idle-scale ablation, the §4.1 dilation
-//! table and the §3.4 kernel-vs-user CPI split.
+//! table, the §3.4 kernel-vs-user CPI split and Table 2 to the cycle.
 //!
 //! `validation DIR [WORKLOAD...]` validates each workload (all twelve
 //! by default) once on Mach and once on Ultrix, and writes every view

@@ -5,10 +5,10 @@
 //! helpers here keep their output formats consistent.
 //!
 //! Table 1, Table 2, Table 3, Figure 3, the §5.1 idle ablation, the
-//! §4.1 dilation table and the §3.4 kernel-vs-user CPI split are seven
-//! views of one set of runs: [`validate_panel`] validates every
-//! workload once per operating system, and each view in [`VIEWS`]
-//! renders from that panel.
+//! §4.1 dilation table, the §3.4 kernel-vs-user CPI split and Table 2
+//! to the cycle are eight views of one set of runs: [`validate_panel`]
+//! validates every workload once per operating system, and each view
+//! in [`VIEWS`] renders from that panel.
 
 #![forbid(unsafe_code)]
 
@@ -74,7 +74,7 @@ pub type View = fn(&Panel) -> String;
 
 /// Every view of the panel with the name of the file it is written
 /// to, `<name>.txt`.
-pub const VIEWS: [(&str, View); 7] = [
+pub const VIEWS: [(&str, View); 8] = [
     ("table1", table1),
     ("table2", table2),
     ("table3", table3),
@@ -82,6 +82,7 @@ pub const VIEWS: [(&str, View); 7] = [
     ("idle_scale", idle_scale),
     ("dilation", dilation),
     ("kernel_cpi", kernel_cpi),
+    ("cycles", cycles),
 ];
 
 /// The body of a view: a rule `width` dashes long, one line per entry
@@ -289,6 +290,27 @@ pub fn kernel_cpi(panel: &Panel) -> String {
         "Kernel vs user CPI from trace-driven simulation (Ultrix)\n          \
          | user CPI kern CPI   ratio |  kern%\n{body}\
          Tunix (paper): kernel CPI ~ 3x user CPI\n"
+    )
+}
+
+/// Table 2 to the cycle: each run's measured cycle count and its
+/// predicted `total_cycles()`, printed exactly (the shortest form that
+/// reads back as the same `f64`). Table 2 and Figure 3 print time to
+/// the millisecond, 25,000 cycles, so a predictor change below that
+/// moves a byte here and nowhere else.
+pub fn cycles(panel: &Panel) -> String {
+    let os = |r: &ValidationRow| {
+        let (measured, predicted) = (r.measured.cycles, r.predicted.prediction.total_cycles());
+        format!("{measured:>10} {predicted:>12}")
+    };
+    let body = ruled(panel, 60, mach_then_ultrix(os));
+    let head = |os| format!("{:>10} {:>12}", format!("{os} meas"), format!("{os} pred"));
+    format!(
+        "Cycles, measured and predicted (Table 2's run times, exact)\n          \
+         | {} | {}\n{body}\
+         measured = the untraced machine's cycle counter; predicted = Table 2's sum\n",
+        head("Mach"),
+        head("Ultx"),
     )
 }
 
@@ -552,6 +574,25 @@ mod tests {
                     "trc ticks ~ unt ticks x slowdown/12 (the divisor compensates per-work tick rate);",
                     "trc TLB differs from unt TLB because instrumented text is ~2x — hence §4.1's",
                     "UTLB-miss *synthesis* in the simulator instead of tracing the real handler.",
+                ])
+            )
+        });
+    }
+
+    #[test]
+    fn cycles_prints_measured_and_predicted_cycles_exactly() {
+        let rule = "-".repeat(60);
+        with_panel(|panel| {
+            assert_eq!(
+                cycles(panel),
+                text(&[
+                    "Cycles, measured and predicted (Table 2's run times, exact)",
+                    "          |  Mach meas    Mach pred |  Ultx meas    Ultx pred",
+                    &rule,
+                    "alpha     |          0    250000000 |  250000000    430000000",
+                    "beta      |          0      2500000 |          0            0",
+                    &rule,
+                    "measured = the untraced machine's cycle counter; predicted = Table 2's sum",
                 ])
             )
         });

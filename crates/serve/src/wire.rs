@@ -163,9 +163,13 @@ pub struct RawBlock {
     pub flags: u8,
     /// Global word offset of the block's first word.
     pub first_word: u64,
-    /// Minimum data address (when the summary flag says so).
+    /// Reserved: the index entry's lower data-address bound, read
+    /// only under [`wrl_store::BlockMeta::FLAG_DADDR`]; zero from
+    /// today's writer.
     pub min_daddr: u32,
-    /// Maximum data address (when the summary flag says so).
+    /// Reserved: the index entry's upper data-address bound, read
+    /// only under [`wrl_store::BlockMeta::FLAG_DADDR`]; zero from
+    /// today's writer.
     pub max_daddr: u32,
     /// The compressed block bytes, exactly as stored.
     pub comp: Vec<u8>,

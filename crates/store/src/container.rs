@@ -35,14 +35,18 @@
 //! events, the one outcome the §4.3 discipline forbids).
 //!
 //! Version 3 widens each index entry with query summaries, computed
-//! at write time by running the real parser over the stream: the
-//! block's global word offset (`first_word`), whether the block
-//! contains any context-switch control word, and the min/max data
-//! address among the words the parser consumed as memory records.
-//! These let a [`Predicate`] prove most blocks irrelevant *from the
-//! index alone* — the predicate-pushdown behind [`TraceStore::query`]
-//! and the `wrl-serve` trace service. (Version 2, the same container
-//! with 22-byte entries and no summaries, is no longer read: nothing
+//! at write time from the raw words alone: the block's global word
+//! offset (`first_word`) and whether the block contains any
+//! context-switch control word. These let a [`Predicate`] prove most
+//! blocks irrelevant *from the index alone* — the predicate-pushdown
+//! behind [`TraceStore::query`] and the `wrl-serve` trace service.
+//! The entry also keeps two reserved data-address bounds
+//! (`min_daddr`/`max_daddr`, meaningful only under
+//! [`BlockMeta::FLAG_DADDR`]): this writer leaves them zero with the
+//! flag clear, since no predicate reads them and only a parse can
+//! tell a data word from a block id; readers still accept entries
+//! that carry them ordered. (Version 2, the same container with
+//! 22-byte entries and no summaries, is no longer read: nothing
 //! writes it and no file of it exists.)
 //!
 //! Version 4 keeps the container framing and widens each entry once
@@ -196,11 +200,11 @@ pub struct BlockMeta {
     /// Global word offset of the block's first word — the block
     /// covers trace-word offsets `first_word .. first_word + words`.
     pub first_word: u64,
-    /// Minimum data address among the block's memory-record words
-    /// (meaningful only when [`BlockMeta::FLAG_DADDR`] is set).
+    /// Reserved: a lower bound on the block's data addresses, read
+    /// only under [`BlockMeta::FLAG_DADDR`]. This writer stores zero.
     pub min_daddr: u32,
-    /// Maximum data address among the block's memory-record words
-    /// (meaningful only when [`BlockMeta::FLAG_DADDR`] is set).
+    /// Reserved: an upper bound on the block's data addresses, read
+    /// only under [`BlockMeta::FLAG_DADDR`]. This writer stores zero.
     pub max_daddr: u32,
     /// Per-ASID zonemap (v4 entries only; zero otherwise): bit
     /// `a & 63` is set for every ASID context `a` of some word in the
@@ -216,8 +220,9 @@ impl BlockMeta {
     /// The block contains at least one context-switch control word,
     /// so its words may belong to more than one ASID.
     pub const FLAG_CTX_SWITCH: u8 = 1 << 1;
-    /// The block contains at least one memory-record word, and
-    /// `min_daddr`/`max_daddr` bound them.
+    /// `min_daddr`/`max_daddr` bound the block's data addresses.
+    /// Optional, and never set by this writer; a reader accepts it
+    /// with ordered bounds and rejects it with inverted ones.
     pub const FLAG_DADDR: u8 = 1 << 2;
     /// The block's bytes are the columnar [`crate::column`] layout
     /// (v4), and `asid_mask` is a valid zonemap. v4 writers set this
@@ -235,12 +240,6 @@ impl BlockMeta {
     /// covers.
     pub fn word_range(&self) -> core::ops::Range<u64> {
         self.first_word..self.first_word + u64::from(self.words)
-    }
-
-    /// The inclusive data-address bounds of the block's memory
-    /// records, if summaries recorded any.
-    pub fn daddr_range(&self) -> Option<(u32, u32)> {
-        (self.flags & Self::FLAG_DADDR != 0).then_some((self.min_daddr, self.max_daddr))
     }
 
     /// `true` when the index *proves* every word in this block sits in
@@ -295,37 +294,14 @@ pub struct TraceStore {
     format: BlockFormat,
 }
 
-/// A [`wrl_trace::TraceSink`] that discards every event — the summary
-/// scan in [`TraceStore::from_archive`] only wants the parser's
-/// *positional* judgement (which words are memory records), not the
-/// references themselves.
-struct NullSink;
-
-impl wrl_trace::TraceSink for NullSink {
-    fn irefs(&mut self, _vaddr: u32, _n: u32, _space: wrl_trace::Space, _idle: bool) {}
-    fn dref(
-        &mut self,
-        _vaddr: u32,
-        _store: bool,
-        _width: wrl_isa::Width,
-        _space: wrl_trace::Space,
-    ) {
-    }
-}
-
 impl TraceStore {
     /// Compresses an archive's word stream into a store, chunking at
     /// `block_words` (clamped to ≥ 1) words per block.
     ///
     /// Besides compressing, this computes each block's index
-    /// summaries by running the real parser over the stream with a
-    /// discarding sink: whether a word is a basic-block id or a data
-    /// address is *positional* (§3.3 — data words follow their bb-id
-    /// according to the static tables), so the only sound way to
-    /// bound a block's data addresses is to let the parser consume
-    /// the words. A word is a memory record exactly when the parse
-    /// advances `mem_records`, and its raw value *is* the data
-    /// address the parser hands to the sink.
+    /// summaries from the words alone — CRC, word offset and the ASID
+    /// context scanned from context-switch control words. It parses
+    /// nothing, so the reserved data-address bounds stay zero.
     pub fn from_archive(a: &TraceArchive, block_words: usize) -> TraceStore {
         TraceStore::from_archive_with(a, block_words, BlockFormat::Row)
     }
@@ -343,13 +319,9 @@ impl TraceStore {
         let mut blocks = Vec::new();
         let mut asid = 0u8;
         let mut first_word = 0u64;
-        let mut parser = a.parser();
-        let mut mem_seen = parser.stats.mem_records;
         for chunk in a.words.chunks(block_words) {
             let first_asid = asid;
             let mut flags = BlockMeta::FLAG_SUMMARY;
-            let mut min_daddr = 0u32;
-            let mut max_daddr = 0u32;
             let mut asid_mask = 0u64;
             for &w in chunk {
                 if let Some(to) = ctx_switch(w) {
@@ -360,17 +332,6 @@ impl TraceStore {
                 // (the switch word belongs to its target ASID), so the
                 // zonemap ORs the post-word context per word.
                 asid_mask |= 1 << (asid & 63);
-                parser.push_word(w, &mut NullSink);
-                if parser.stats.mem_records != mem_seen {
-                    mem_seen = parser.stats.mem_records;
-                    if flags & BlockMeta::FLAG_DADDR == 0 {
-                        (min_daddr, max_daddr) = (w, w);
-                        flags |= BlockMeta::FLAG_DADDR;
-                    } else {
-                        min_daddr = min_daddr.min(w);
-                        max_daddr = max_daddr.max(w);
-                    }
-                }
             }
             let comp = match format {
                 BlockFormat::Row => compress_block(chunk),
@@ -388,8 +349,8 @@ impl TraceStore {
                 last_asid: asid,
                 flags,
                 first_word,
-                min_daddr,
-                max_daddr,
+                min_daddr: 0,
+                max_daddr: 0,
                 asid_mask: if format == BlockFormat::Columnar {
                     asid_mask
                 } else {
@@ -666,7 +627,7 @@ impl TraceStore {
                     "index word offsets do not tile the stream",
                 ));
             }
-            if m.daddr_range().is_some_and(|(lo, hi)| lo > hi) {
+            if m.flags & BlockMeta::FLAG_DADDR != 0 && m.min_daddr > m.max_daddr {
                 return Err(StoreError::Malformed("inverted data-address summary"));
             }
             // Version-specific flag discipline: a v3 entry carrying
@@ -963,12 +924,6 @@ impl BlockReader<'_> {
             Err(e) => Some(Err(e)),
         }
     }
-
-    /// Index of the block the next [`BlockReader::next_block`] call
-    /// will decode.
-    pub fn position(&self) -> usize {
-        self.next
-    }
 }
 
 /// A bounded, direct-mapped cache of decoded blocks — the
@@ -1215,6 +1170,24 @@ mod tests {
         }
     }
 
+    /// Where the index of `bytes`, a store encoding, starts.
+    fn index_pos(bytes: &[u8]) -> usize {
+        let tail_at = bytes.len() - TRAILER_BYTES;
+        u64::from_le_bytes(bytes[tail_at + 4..tail_at + 12].try_into().unwrap()) as usize
+    }
+
+    /// Re-seals the metadata CRC of `bytes`, an encoding of `store`
+    /// whose index was patched, so only the entry checks can object.
+    fn reseal(bytes: &mut [u8], store: &TraceStore) {
+        let (tail_at, index_pos) = (bytes.len() - TRAILER_BYTES, index_pos(bytes));
+        let blocks_at = index_pos - store.compressed_bytes() as usize;
+        let mut crc = Crc32::new();
+        crc.update(&bytes[..blocks_at])
+            .update(&bytes[index_pos..tail_at + 12]);
+        let fresh = crc.finish();
+        bytes[tail_at + 12..tail_at + 16].copy_from_slice(&fresh.to_le_bytes());
+    }
+
     #[test]
     fn v2_round_trips_and_is_seekable() {
         let a = sample_archive(1000);
@@ -1258,9 +1231,7 @@ mod tests {
         // Flip the last byte of the block area (located through the
         // trailer, like a real reader); decoding the block it lands in
         // must fail with a typed codec or CRC error.
-        let tail_at = bytes.len() - TRAILER_BYTES;
-        let index_pos =
-            u64::from_le_bytes(bytes[tail_at + 4..tail_at + 12].try_into().unwrap()) as usize;
+        let index_pos = index_pos(&bytes);
         bytes[index_pos - 1] ^= 0x55;
         let back = TraceStore::decode(&bytes).expect("framing is intact");
         let err = (0..back.n_blocks())
@@ -1277,9 +1248,7 @@ mod tests {
         let a = sample_archive(1000);
         let store = TraceStore::from_archive(&a, 64);
         let bytes = store.encode();
-        let tail_at = bytes.len() - TRAILER_BYTES;
-        let index_pos =
-            u64::from_le_bytes(bytes[tail_at + 4..tail_at + 12].try_into().unwrap()) as usize;
+        let index_pos = index_pos(&bytes);
         // A flip anywhere outside the block area — table section,
         // word-count header, index entries — must surface as a typed
         // error, never as silently different decode results.
@@ -1342,9 +1311,7 @@ mod tests {
         let a = sample_archive(1000);
         let store = TraceStore::from_archive(&a, 64);
         let v3 = store.encode();
-        let tail_at = v3.len() - TRAILER_BYTES;
-        let index_pos =
-            u64::from_le_bytes(v3[tail_at + 4..tail_at + 12].try_into().unwrap()) as usize;
+        let index_pos = index_pos(&v3);
         let mut v2 = v3[..index_pos].to_vec();
         v2[8..12].copy_from_slice(&2u32.to_le_bytes());
         for i in 0..store.n_blocks() {
@@ -1366,8 +1333,11 @@ mod tests {
         }
     }
 
-    #[test]
-    fn index_summaries_are_exact() {
+    /// bb-id, data word pairs in the kernel, entered and left: the data
+    /// words are 0x9000_0000 + 0x100 × i — positionally data, even
+    /// though they look like addresses — and every word below
+    /// 0x9000_0000 is not one.
+    fn data_archive() -> TraceArchive {
         use wrl_isa::Width;
         use wrl_trace::bbinfo::MemOp;
         let mut kt = BbTable::new();
@@ -1384,48 +1354,89 @@ mod tests {
                 flags: BbTraceFlags::default(),
             },
         );
-        // bb-id, data word pairs: the data words are 0x9000_0000+i —
-        // positionally data, even though they look like addresses.
         let mut words = vec![ctl(CtlOp::KEnter, 0)];
         for i in 0..20u32 {
             words.push(0x8003_0100);
             words.push(0x9000_0000 + i * 0x100);
         }
         words.push(ctl(CtlOp::KExit, 0));
-        let a = TraceArchive {
+        TraceArchive {
             kernel_table: Arc::new(kt),
             user_tables: vec![],
             words,
-        };
-        let store = TraceStore::from_archive(&a, 8);
-        let mut first_word = 0u64;
-        for i in 0..store.n_blocks() {
-            let m = store.block_meta(i);
-            assert!(m.has_summary());
-            assert_eq!(m.first_word, first_word);
-            first_word += u64::from(m.words);
-            // Recompute the block's data-address bounds from the raw
-            // words: in this trace a word is a data word exactly when
-            // it is ≥ 0x9000_0000.
-            let block = &a.words[m.word_range().start as usize..m.word_range().end as usize];
-            let daddrs: Vec<u32> = block
-                .iter()
-                .copied()
-                .filter(|&w| w >= 0x9000_0000)
-                .collect();
-            assert_eq!(
-                m.daddr_range(),
-                daddrs
-                    .iter()
-                    .min()
-                    .map(|&lo| (lo, *daddrs.iter().max().unwrap())),
-                "block {i}"
-            );
         }
-        // The summaries round-trip through encode/decode.
-        let back = TraceStore::decode(&store.encode()).unwrap();
-        for i in 0..store.n_blocks() {
-            assert_eq!(back.block_meta(i), store.block_meta(i));
+    }
+
+    #[test]
+    fn index_summaries_are_exact() {
+        let a = data_archive();
+        // Memory records in every block, yet no entry of either format
+        // bounds them: the writer parses nothing.
+        for format in [BlockFormat::Row, BlockFormat::Columnar] {
+            let store = TraceStore::from_archive_with(&a, 8, format);
+            let mut first_word = 0u64;
+            for i in 0..store.n_blocks() {
+                let m = store.block_meta(i);
+                assert!(m.has_summary());
+                assert_eq!(m.first_word, first_word);
+                first_word += u64::from(m.words);
+                assert_eq!(m.flags & BlockMeta::FLAG_DADDR, 0, "{format:?} block {i}");
+                assert_eq!((m.min_daddr, m.max_daddr), (0, 0), "{format:?} block {i}");
+            }
+            assert_eq!(first_word, a.words.len() as u64);
+            // The summaries round-trip through encode/decode.
+            let back = TraceStore::decode(&store.encode()).unwrap();
+            for i in 0..store.n_blocks() {
+                assert_eq!(back.block_meta(i), store.block_meta(i));
+            }
+        }
+    }
+
+    #[test]
+    fn entries_carrying_data_address_bounds_still_read() {
+        // A parsing writer set FLAG_DADDR and stored each block's least
+        // and greatest data word; a reader still takes such a file,
+        // unless a pair of bounds is inverted.
+        let a = data_archive();
+        let preds = panel(&[0, 4], &[None, Some((3, 30)), Some((17, 18))]);
+        let formats = [
+            (BlockFormat::Row, INDEX_ENTRY_BYTES),
+            (BlockFormat::Columnar, INDEX_ENTRY_BYTES_V4),
+        ];
+        for (format, entry_bytes) in formats {
+            let store = TraceStore::from_archive_with(&a, 8, format);
+            let with_bounds = |inverted: bool| {
+                let mut bytes = store.encode();
+                let index_pos = index_pos(&bytes);
+                for i in 0..store.n_blocks() {
+                    let r = store.block_meta(i).word_range();
+                    let block = &a.words[r.start as usize..r.end as usize];
+                    let data = || block.iter().filter(|&&w| w >= 0x9000_0000).copied();
+                    let (lo, hi) = (data().min().unwrap(), data().max().unwrap());
+                    let (lo, hi) = if inverted { (hi, lo) } else { (lo, hi) };
+                    let at = index_pos + i * entry_bytes;
+                    bytes[at + 22] |= BlockMeta::FLAG_DADDR;
+                    bytes[at + 31..at + 35].copy_from_slice(&lo.to_le_bytes());
+                    bytes[at + 35..at + 39].copy_from_slice(&hi.to_le_bytes());
+                }
+                reseal(&mut bytes, &store);
+                TraceStore::decode(&bytes)
+            };
+            let old = with_bounds(false).expect("ordered bounds read");
+            for i in 0..old.n_blocks() {
+                assert_ne!(old.block_meta(i).flags & BlockMeta::FLAG_DADDR, 0);
+            }
+            for pred in &preds {
+                let got = old.query(pred).unwrap().words;
+                assert_eq!(got, filter_stream(&a.words, pred), "{format:?}/{pred:?}");
+            }
+            assert!(
+                matches!(
+                    with_bounds(true),
+                    Err(StoreError::Malformed("inverted data-address summary"))
+                ),
+                "{format:?}"
+            );
         }
     }
 
@@ -1758,9 +1769,7 @@ mod tests {
         let a = multi_asid_archive(900);
         let store = TraceStore::from_archive_with(&a, 128, BlockFormat::Columnar);
         let mut bytes = store.encode();
-        let tail_at = bytes.len() - TRAILER_BYTES;
-        let index_pos =
-            u64::from_le_bytes(bytes[tail_at + 4..tail_at + 12].try_into().unwrap()) as usize;
+        let index_pos = index_pos(&bytes);
         // Flip a byte in the middle of the block area — inside some
         // column section — and require a typed error from every read
         // path that reaches the damaged block.
@@ -1795,18 +1804,9 @@ mod tests {
         let a = sample_archive(200);
         let store = TraceStore::from_archive(&a, 64);
         let mut bytes = store.encode();
-        let tail_at = bytes.len() - TRAILER_BYTES;
-        let index_pos =
-            u64::from_le_bytes(bytes[tail_at + 4..tail_at + 12].try_into().unwrap()) as usize;
-        bytes[index_pos + 22] |= BlockMeta::FLAG_COLUMNAR;
-        // Re-seal the metadata CRC so only the flag discipline can
-        // object.
-        let blocks_at = index_pos - store.compressed_bytes() as usize;
-        let mut crc = Crc32::new();
-        crc.update(&bytes[..blocks_at])
-            .update(&bytes[index_pos..tail_at + 12]);
-        let fresh = crc.finish();
-        bytes[tail_at + 12..tail_at + 16].copy_from_slice(&fresh.to_le_bytes());
+        let at = index_pos(&bytes) + 22;
+        bytes[at] |= BlockMeta::FLAG_COLUMNAR;
+        reseal(&mut bytes, &store);
         assert!(matches!(
             TraceStore::decode(&bytes),
             Err(StoreError::Malformed("unknown flag bits in pre-v4 entry"))
@@ -1824,7 +1824,6 @@ mod tests {
                 all.extend_from_slice(block.unwrap());
             }
             assert_eq!(all, a.words, "{format:?}");
-            assert_eq!(reader.position(), store.n_blocks());
         }
     }
 

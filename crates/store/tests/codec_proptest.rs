@@ -7,7 +7,7 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use wrl_store::{
     compress_block, crc32_bytes, crc32_words, decompress_block, filter_stream, BlockCache,
-    BlockFormat, Predicate, QueryResult, TraceStore, STORE_VERSION_V4,
+    BlockFormat, BlockMeta, Predicate, QueryResult, TraceStore, STORE_VERSION_V4,
 };
 use wrl_trace::{ctl, CtlOp, TraceArchive};
 
@@ -152,8 +152,8 @@ proptest! {
                 prop_assert_eq!(m.first_word, first_word);
                 first_word += u64::from(m.words);
                 // Soundness against the raw words: a block the index
-                // declares switch-free must contain no CtxSwitch, and
-                // the daddr bounds must be ordered.
+                // declares switch-free must contain no CtxSwitch. The
+                // writer parses nothing, so it bounds no data address.
                 let r = m.word_range();
                 let block = &a.words[r.start as usize..r.end as usize];
                 let has_switch = block.iter().any(|&w| {
@@ -163,9 +163,8 @@ proptest! {
                 if m.single_asid().is_some() {
                     prop_assert!(!has_switch, "block {} at bs {}", i, bs);
                 }
-                if let Some((lo, hi)) = m.daddr_range() {
-                    prop_assert!(lo <= hi);
-                }
+                prop_assert_eq!(m.flags & BlockMeta::FLAG_DADDR, 0);
+                prop_assert_eq!((m.min_daddr, m.max_daddr), (0, 0));
             }
             prop_assert_eq!(first_word, a.words.len() as u64);
         }

@@ -34,11 +34,10 @@ fn main() {
         m.utlb_misses, p.stats.utlb_misses
     );
     println!(
-        "trace      : {} words, {} insts, dilation x{:.1}, {} transitions, {} parse errors",
+        "trace      : {} words, {} insts, dilation x{:.1}, {} parse errors",
         p.trace_words,
         p.stats.insts(),
         p.traced_machine_insts as f64 / p.stats.insts().max(1) as f64,
-        p.mode_transitions,
         p.parse_errors
     );
     println!(

@@ -95,8 +95,6 @@ pub struct Predicted {
     pub traced_machine_insts: u64,
     /// Trace words collected.
     pub trace_words: u64,
-    /// Generation→analysis transitions ("dirt" events, §4.3).
-    pub mode_transitions: u64,
     /// Trace parse errors (defensive checks; 0 on a healthy system).
     pub parse_errors: u64,
     /// Simulator sanity-check violations (§4.3).
@@ -313,7 +311,6 @@ fn predicted(
         traced: measured(sys, exit_code),
         traced_machine_insts: sys.machine.counters.insts(),
         trace_words: drive.words,
-        mode_transitions: drive.parse.mode_transitions,
         parse_errors: drive.parse.errors,
         exit_code,
     }

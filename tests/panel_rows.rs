@@ -1,7 +1,8 @@
 //! The §5 validation panel pinned in tier-1: the sub-panel
-//! {sed, yacc} × {Mach, Ultrix} renders, in each of the seven views,
+//! {sed, yacc} × {Mach, Ultrix} renders, in each of the eight views,
 //! the rows committed under `results/`, byte for byte, and its
-//! validations meet the paper's quality bars.
+//! validations meet the paper's quality bars. The `cycles` view pins
+//! each prediction to the cycle.
 
 use systrace::ValidationRow;
 
@@ -38,11 +39,6 @@ fn sed_and_yacc_rows_of_every_view_are_the_committed_ones() {
     check_validation("yacc on Ultrix", &yacc.ultrix, 8.0);
     // Table 2's committed Mach yacc error is 8.5%.
     check_validation("yacc on Mach", &yacc.mach, 9.0);
-    // The views print a predicted time to the millisecond; the four
-    // predictions are pinned here to the cycle.
-    let cycles = [&sed.mach, &sed.ultrix, &yacc.mach, &yacc.ultrix]
-        .map(|r| r.predicted.prediction.total_cycles());
-    assert_eq!(cycles, [3_451_750.5, 2_342_428.0, 1_729_112.5, 1_288_324.5]);
 
     for (name, render) in wrl_bench::VIEWS {
         let path = format!("{}/results/{name}.txt", env!("CARGO_MANIFEST_DIR"));

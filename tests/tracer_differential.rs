@@ -196,10 +196,6 @@ fn harness_run_feeds_prediction_and_stack_from_one_parse() {
         assert_eq!(run.stack.parse, plain.stack.parse, "{tag}");
         assert_eq!(run.stack.words, run.predicted.trace_words, "{tag}");
         assert_eq!(run.stack.parse.words, run.predicted.trace_words, "{tag}");
-        assert_eq!(
-            run.stack.parse.mode_transitions, run.predicted.mode_transitions,
-            "{tag}"
-        );
         assert_eq!(run.stack.parse.errors, run.predicted.parse_errors, "{tag}");
     }
 }
