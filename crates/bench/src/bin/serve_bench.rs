@@ -101,7 +101,7 @@ fn percentile(sorted_ns: &[u64], p: f64) -> f64 {
 /// The thread-per-connection pool baseline: 16-client p99 per opcode
 /// in microseconds, from the `results/serve_bench.txt` committed with
 /// the bounded-pool server (one blocking thread per connection, one
-/// `query_parallel` thread spawn per query). The reactor is measured
+/// block-parallel query's thread spawn per query). The reactor is measured
 /// against these pins.
 const POOL_P99_US_16C: [(&str, f64); 4] = [
     ("catalog", 750.4),

@@ -544,4 +544,35 @@ mod tests {
         ));
         assert!(out.is_empty());
     }
+
+    #[test]
+    fn decoder_holds_the_exact_frame_bounds() {
+        let prefixed = |len: usize, body: usize| {
+            let mut f = (len as u32).to_le_bytes().to_vec();
+            f.resize(4 + body, 0xa5);
+            f
+        };
+        // One past either end: a typed error, and not one body byte
+        // taken in or reserved, though body bytes came with the prefix.
+        let refuse = |len: usize| {
+            let (mut dec, mut out) = (FrameDecoder::new(), Vec::new());
+            let err = dec.feed(&prefixed(len, 32), &mut out).unwrap_err();
+            assert!(out.is_empty() && dec.body.capacity() == 0, "len {len}");
+            err
+        };
+        assert!(matches!(refuse(MIN_BODY - 1), WireError::Malformed(_)));
+        let n = MAX_FRAME as u32 + 1;
+        assert!(matches!(refuse(n as usize), WireError::TooLarge(got) if got == n));
+        // Exactly `MIN_BODY`: the smallest frame completes.
+        let (mut dec, mut out) = (FrameDecoder::new(), Vec::new());
+        dec.feed(&prefixed(MIN_BODY, MIN_BODY), &mut out).unwrap();
+        assert_eq!(out, vec![vec![0xa5; MIN_BODY]]);
+        assert!(!dec.mid_frame());
+        // Exactly `MAX_FRAME`: accepted and mid-frame, with at most
+        // 64 KiB reserved before any body byte arrives.
+        let (mut dec, mut out) = (FrameDecoder::new(), Vec::new());
+        dec.feed(&prefixed(MAX_FRAME, 0), &mut out).unwrap();
+        assert!(out.is_empty() && dec.mid_frame());
+        assert!(dec.body.is_empty() && dec.body.capacity() <= 1 << 16);
+    }
 }

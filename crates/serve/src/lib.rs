@@ -21,9 +21,8 @@
 //!   transports; the reactor drives it with nonblocking sockets —
 //!   the same code either way.
 //! * [`reactor`] — the readiness layer: `poll(2)` over nonblocking
-//!   sockets on unix (declared `extern "C"`, no `libc` crate), a
-//!   condvar-paced scan fallback elsewhere, and a cross-thread
-//!   [`Waker`].
+//!   sockets (declared `extern "C"`, no `libc` crate) and a
+//!   cross-thread [`Waker`]. The crate builds only on unix.
 //! * [`backend`] — what admitted requests are answered from: the
 //!   [`Catalog`] of stores a server holds, and the checks on what a
 //!   request asks.

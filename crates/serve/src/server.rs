@@ -52,6 +52,7 @@
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
@@ -60,7 +61,7 @@ use std::time::{Duration, Instant};
 use crate::backend::{Catalog, CatalogBackend};
 use crate::conn::{Conn, ConnState, IoTally, ReadEvent, TickVerdict, WriteShape};
 use crate::obs::ServeObs;
-use crate::reactor::{AsRawFd, Interest, Poller, Ready, Waker, MAX_POLLED};
+use crate::reactor::{Interest, Poller, Ready, Waker, MAX_POLLED};
 use crate::wire::{self, err, Request, Response, MAX_FRAME};
 
 /// Server shape parameters. Every value is a size with one meaning:

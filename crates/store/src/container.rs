@@ -231,11 +231,6 @@ impl BlockMeta {
     /// zonemap of zero prune every block).
     pub const FLAG_COLUMNAR: u8 = 1 << 3;
 
-    /// Whether write-time summaries are present.
-    pub fn has_summary(&self) -> bool {
-        self.flags & Self::FLAG_SUMMARY != 0
-    }
-
     /// The half-open range of global trace-word offsets this block
     /// covers.
     pub fn word_range(&self) -> core::ops::Range<u64> {
@@ -746,24 +741,6 @@ impl TraceStore {
                 m.single_asid().is_none_or(|only| only == a) && !zonemap_misses
             })
             .collect()
-    }
-
-    /// Decodes and filters the words block `i` selects under `pred`,
-    /// appending them onto `out` — [`TraceStore::filter_block_spans`]
-    /// collected, the unit of work for the parallel query in
-    /// [`crate::farm`].
-    pub fn filter_block_into(
-        &self,
-        i: usize,
-        pred: &Predicate,
-        out: &mut Vec<u32>,
-        cache: &mut BlockCache,
-    ) -> Result<(), StoreError> {
-        self.filter_block_spans(i, pred, cache, &mut |span| {
-            out.extend_from_slice(span);
-            ControlFlow::Continue(())
-        })
-        .map(drop)
     }
 
     /// Hands `emit` the spans of block `i` that `pred` admits, in
@@ -1282,11 +1259,14 @@ mod tests {
         ));
         let mut out = Vec::new();
         assert!(matches!(
-            store.filter_block_into(
+            store.filter_block_spans(
                 store.n_blocks(),
                 &Predicate::default(),
-                &mut out,
-                &mut BlockCache::new(1)
+                &mut BlockCache::new(1),
+                &mut |span| {
+                    out.extend_from_slice(span);
+                    ControlFlow::Continue(())
+                }
             ),
             Err(StoreError::Malformed("block index out of range"))
         ));
@@ -1377,7 +1357,7 @@ mod tests {
             let mut first_word = 0u64;
             for i in 0..store.n_blocks() {
                 let m = store.block_meta(i);
-                assert!(m.has_summary());
+                assert_ne!(m.flags & BlockMeta::FLAG_SUMMARY, 0);
                 assert_eq!(m.first_word, first_word);
                 first_word += u64::from(m.words);
                 assert_eq!(m.flags & BlockMeta::FLAG_DADDR, 0, "{format:?} block {i}");

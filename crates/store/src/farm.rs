@@ -16,7 +16,7 @@ use std::thread;
 
 use wrl_trace::{DriveReport, Driver, TraceSink};
 
-use crate::container::{BlockCache, Predicate, QueryResult, StoreError, TraceStore};
+use crate::container::{BlockCache, Predicate, StoreError, TraceStore};
 
 /// How many workers a store pass may use.
 #[derive(Clone, Copy, Debug)]
@@ -45,26 +45,6 @@ pub fn drive<S: TraceSink>(store: &TraceStore, sink: S) -> Result<(DriveReport, 
         driver.feed(block?);
     }
     Ok(driver.finish())
-}
-
-/// Runs [`TraceStore::query`] with the block work spread over
-/// `workers` threads: [`query_parallel_spans`] collected into one
-/// vector.
-pub fn query_parallel(
-    store: &TraceStore,
-    pred: &Predicate,
-    workers: usize,
-) -> Result<QueryResult, StoreError> {
-    let mut words = Vec::new();
-    let (blocks_decoded, blocks_skipped) = query_parallel_spans(store, pred, workers, |part| {
-        words.extend_from_slice(part);
-        ControlFlow::Continue(())
-    })?;
-    Ok(QueryResult {
-        blocks_decoded,
-        blocks_skipped,
-        words,
-    })
 }
 
 /// [`TraceStore::query_spans`] with the block work spread over
@@ -106,7 +86,11 @@ pub fn query_parallel_spans(
                             return Ok(mine);
                         };
                         let mut out = Vec::new();
-                        store.filter_block_into(block, pred, &mut out, &mut cache)?;
+                        // Never `Break`: the part is collected whole.
+                        let _ = store.filter_block_spans(block, pred, &mut cache, &mut |span| {
+                            out.extend_from_slice(span);
+                            ControlFlow::Continue(())
+                        })?;
                         mine.push((at, out));
                     }
                 })
@@ -138,6 +122,7 @@ pub fn query_parallel_spans(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::container::QueryResult;
     use std::sync::Arc;
     use wrl_isa::Width;
     use wrl_trace::bbinfo::{BbInfo, BbTraceFlags, MemOp};
@@ -198,6 +183,25 @@ mod tests {
         let mut sink = CollectSink::default();
         store.parser().parse_all(&store.words().unwrap(), &mut sink);
         sink
+    }
+
+    /// [`query_parallel_spans`] collected into one answer.
+    fn query_parallel(
+        store: &TraceStore,
+        pred: &Predicate,
+        workers: usize,
+    ) -> Result<QueryResult, StoreError> {
+        let mut words = Vec::new();
+        let (blocks_decoded, blocks_skipped) =
+            query_parallel_spans(store, pred, workers, |part| {
+                words.extend_from_slice(part);
+                ControlFlow::Continue(())
+            })?;
+        Ok(QueryResult {
+            blocks_decoded,
+            blocks_skipped,
+            words,
+        })
     }
 
     fn assert_identical(driven: &CollectSink, baseline: &CollectSink) {

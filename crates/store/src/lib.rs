@@ -24,9 +24,9 @@
 //!   still load transparently.
 //! * [`farm`] — the store as a source for the one `wrl_trace::Driver`
 //!   ([`drive`]), bit-identical to a sequential parse, and
-//!   [`query_parallel`], the block-parallel query. A pass spread over
-//!   workers (`wrl_tracer::analyze_store`) is one `drive` per worker,
-//!   each over its own share of the sinks.
+//!   [`query_parallel_spans`], the block-parallel query. A pass
+//!   spread over workers (`wrl_tracer::analyze_store`) is one `drive`
+//!   per worker, each over its own share of the sinks.
 //! * [`obs`] — `wrl-obs` wiring: store-shape gauges and §4.3-style
 //!   integrity-failure tallies (see `docs/METRICS.md`).
 
@@ -44,5 +44,5 @@ pub use container::{
     ColumnStats, Predicate, QueryResult, StoreError, TraceStore, DEFAULT_BLOCK_WORDS,
     INDEX_ENTRY_BYTES, INDEX_ENTRY_BYTES_V4, STORE_VERSION, STORE_VERSION_V4, TRAILER_BYTES,
 };
-pub use farm::{drive, query_parallel, query_parallel_spans, FarmCfg};
+pub use farm::{drive, query_parallel_spans, FarmCfg};
 pub use obs::StoreObs;

@@ -148,7 +148,7 @@ proptest! {
                 // Summaries survive the encode/decode round trip
                 // bit-for-bit.
                 prop_assert_eq!(m, d, "block {} at bs {}", i, bs);
-                prop_assert!(m.has_summary());
+                prop_assert_ne!(m.flags & BlockMeta::FLAG_SUMMARY, 0);
                 prop_assert_eq!(m.first_word, first_word);
                 first_word += u64::from(m.words);
                 // Soundness against the raw words: a block the index

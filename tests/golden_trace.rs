@@ -185,26 +185,39 @@ fn damaged_golden_traces_parse_to_a_pinned_digest() {
     );
 }
 
-/// `(format, block words, encoded length, crc32_bytes)` of
-/// `TraceStore::encode()` over the golden archive. Nothing else holds
-/// the stored bytes: `bytes_per_word` is checked only to 1%, and a
-/// round trip passes for an encoder and decoder that drift together.
-const PINNED_STORE_BYTES: [(BlockFormat, usize, usize, u32); 4] = [
-    (BlockFormat::Row, 4096, 15049, 0x6fbd_3407),
-    (BlockFormat::Row, 64, 20704, 0x0d5a_62fa),
-    (BlockFormat::Columnar, 4096, 7619, 0xac8a_fc90),
-    (BlockFormat::Columnar, 64, 17247, 0xa3fd_f50f),
+/// `(format, block words, encoded length, crc32_bytes, crc32_bytes
+/// ahead of meta_crc)` of `TraceStore::encode()` over the golden
+/// archive. Nothing else holds the stored bytes: `bytes_per_word` is
+/// checked only to 1%, and a round trip passes for an encoder and
+/// decoder that drift together. The whole-file CRC ends in the
+/// resealed `meta_crc`, which makes it blind to the header, tables,
+/// index and trailer; the last column covers those bytes.
+const PINNED_STORE_BYTES: [(BlockFormat, usize, usize, u32, u32); 4] = [
+    (BlockFormat::Row, 4096, 15049, 0x6fbd_3407, 0xc700_2f2e),
+    (BlockFormat::Row, 64, 20704, 0x0d5a_62fa, 0x3110_eb53),
+    (BlockFormat::Columnar, 4096, 7619, 0xac8a_fc90, 0x4f65_8d74),
+    (BlockFormat::Columnar, 64, 17247, 0xa3fd_f50f, 0xf784_5ab0),
 ];
+
+/// The trailer's `meta_crc` and tail magic: what the last pin column
+/// leaves out.
+const SEAL_BYTES: usize = 4 + 8;
 
 #[test]
 fn golden_words_encode_to_pinned_store_bytes() {
     let archive = TraceArchive::load(GOLDEN_PATH).expect("golden archive must load");
-    for (format, block_words, len, crc) in PINNED_STORE_BYTES {
+    for (format, block_words, len, crc, head_crc) in PINNED_STORE_BYTES {
         let bytes = TraceStore::from_archive_with(&archive, block_words, format).encode();
         assert_eq!(
             (bytes.len(), crc32_bytes(&bytes)),
             (len, crc),
             "{format:?} store at {block_words}-word blocks changed its bytes"
+        );
+        let head = crc32_bytes(&bytes[..bytes.len() - SEAL_BYTES]);
+        assert_eq!(
+            head, head_crc,
+            "{format:?} store at {block_words}-word blocks changed its header, tables, \
+             index or trailer ({head:#010x})"
         );
     }
 }
