@@ -105,7 +105,7 @@ pub const ST_IM_SHIFT: u32 = 8;
 pub const CAUSE_BD: u32 = 1 << 31;
 
 /// The CP0 register file.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Cp0 {
     /// Status register.
     pub status: u32,
