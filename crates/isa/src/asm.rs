@@ -310,11 +310,6 @@ impl Asm {
         self.beq(ZERO, ZERO, label);
     }
 
-    /// Subtract immediate: `addiu rt, rs, -imm`.
-    pub fn subiu(&mut self, rt: Reg, rs: Reg, imm: i16) {
-        self.inst(Inst::Addiu { rt, rs, imm: -imm });
-    }
-
     // ---- branches and jumps (label-relative, relocated) ----
 
     /// `beq rs, rt, label`.

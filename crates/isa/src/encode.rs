@@ -107,38 +107,6 @@ fn itype(op: u32, rs: u32, rt: u32, imm: u32) -> u32 {
     (op << 26) | (rs << 21) | (rt << 16) | (imm & 0xffff)
 }
 
-/// Extracts the `rs`/base field (bits 25:21) of an encoded instruction.
-#[inline]
-pub fn field_rs(word: u32) -> u8 {
-    ((word >> 21) & 31) as u8
-}
-
-/// Extracts the `rt` field (bits 20:16) of an encoded instruction.
-#[inline]
-pub fn field_rt(word: u32) -> u8 {
-    ((word >> 16) & 31) as u8
-}
-
-/// Extracts the sign-extended 16-bit immediate of an encoded instruction.
-#[inline]
-pub fn field_imm(word: u32) -> i16 {
-    word as u16 as i16
-}
-
-/// Extracts the major opcode (bits 31:26).
-#[inline]
-pub fn field_op(word: u32) -> u8 {
-    (word >> 26) as u8
-}
-
-/// Returns true if the encoded word is a store instruction.
-///
-/// This is the partial decode that the `memtrace` runtime performs on
-/// the instruction in its caller's delay slot.
-pub fn encoded_is_store(word: u32) -> bool {
-    matches!(field_op(word) as u32, OP_SB | OP_SH | OP_SW | OP_SWC1)
-}
-
 /// Encodes an instruction to its 32-bit binary form.
 pub fn encode(inst: Inst) -> u32 {
     use Inst::*;
@@ -409,32 +377,11 @@ pub fn decode(word: u32) -> Result<Inst, DecodeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reg::*;
 
     #[test]
     fn nop_encodes_to_zero() {
         assert_eq!(encode(Inst::nop()), 0);
         assert_eq!(decode(0).unwrap(), Inst::nop());
-    }
-
-    #[test]
-    fn store_partial_decode() {
-        let w = encode(Inst::Sw {
-            rt: RA,
-            base: SP,
-            off: 20,
-        });
-        assert!(encoded_is_store(w));
-        assert_eq!(field_rs(w), SP.0);
-        assert_eq!(field_imm(w), 20);
-        let l = encode(Inst::Lw {
-            rt: T0,
-            base: GP,
-            off: -8,
-        });
-        assert!(!encoded_is_store(l));
-        assert_eq!(field_rs(l), GP.0);
-        assert_eq!(field_imm(l), -8);
     }
 
     #[test]

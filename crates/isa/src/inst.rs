@@ -411,15 +411,6 @@ impl Inst {
         let ([a, b], ()) = self.reads_gprs();
         a == Some(r) || b == Some(r)
     }
-
-    /// Returns true if this instruction is privileged (CP0).
-    pub fn is_privileged(&self) -> bool {
-        use Inst::*;
-        matches!(
-            self,
-            Mfc0 { .. } | Mtc0 { .. } | Tlbr | Tlbwi | Tlbwr | Tlbp | Rfe | Cache { .. }
-        )
-    }
 }
 
 #[cfg(test)]

@@ -93,11 +93,6 @@ impl Cache {
         self.tags[idx] = INVALID;
     }
 
-    /// Invalidates the whole cache.
-    pub fn invalidate_all(&mut self) {
-        self.tags.fill(INVALID);
-    }
-
     /// The configuration this cache was built with.
     pub fn cfg(&self) -> CacheCfg {
         self.cfg
@@ -293,7 +288,7 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_line_and_all() {
+    fn invalidate_line() {
         let mut c = Cache::new(CacheCfg {
             size: 1024,
             line: 16,
@@ -301,9 +296,6 @@ mod tests {
         c.access(128);
         c.invalidate_line(128);
         assert!(!c.access(128));
-        c.access(256);
-        c.invalidate_all();
-        assert!(!c.access(256));
     }
 
     #[test]

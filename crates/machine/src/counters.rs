@@ -89,15 +89,6 @@ impl Counters {
         let traps = exceptions.iter().sum::<u64>() + interrupts;
         stalls + misses + uncached + traps + loads + stores
     }
-
-    /// Machine cycles per instruction.
-    pub fn cpi(&self) -> f64 {
-        if self.insts() == 0 {
-            0.0
-        } else {
-            self.cycles as f64 / self.insts() as f64
-        }
-    }
 }
 
 wrl_obs::metrics! {
@@ -158,15 +149,6 @@ impl RefCounter {
     pub fn count(&self, vaddr: u32) -> u64 {
         self.counts.get(&vaddr).copied().unwrap_or(0)
     }
-
-    /// Total executions in the half-open range `[lo, hi)`.
-    pub fn count_range(&self, lo: u32, hi: u32) -> u64 {
-        self.counts
-            .iter()
-            .filter(|(&a, _)| a >= lo && a < hi)
-            .map(|(_, &c)| c)
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -182,7 +164,6 @@ mod tests {
             ..Counters::default()
         };
         assert_eq!(c.insts(), 100);
-        assert!((c.cpi() - 2.5).abs() < 1e-12);
     }
 
     #[test]
@@ -194,8 +175,6 @@ mod tests {
         r.bump(0x104);
         r.bump(0x200);
         assert_eq!(r.count(0x100), 3);
-        assert_eq!(r.count_range(0x100, 0x108), 4);
-        assert_eq!(r.count_range(0x0, 0x1000), 5);
         assert_eq!(r.count(0x300), 0);
     }
 }

@@ -450,14 +450,22 @@ impl Machine {
 
     /// Executes one instruction; returns a stop event if the machine
     /// should hand control to the host. The reference for
-    /// [`Machine::run`]: it never skips an idle iteration.
+    /// [`Machine::run`]: it never skips an idle iteration. Like `run`,
+    /// once halted it executes nothing and returns the halt again.
     pub fn step(&mut self) -> Option<StopEvent> {
+        if self.halted.is_some() {
+            return self.halted;
+        }
         self.enter();
         if !(self.counters.cycles >= self.horizon && self.edge()) {
             self.instruction();
         }
         self.leave();
-        self.stop.take()
+        let e = self.stop.take();
+        if matches!(e, Some(StopEvent::Halted(_))) {
+            self.halted = e;
+        }
+        e
     }
 
     /// Takes up whatever the host changed since the last run:

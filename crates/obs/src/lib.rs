@@ -16,10 +16,10 @@
 //!   atomic add on the hot path);
 //! * [`Gauge`] — a sampled value with a high-water mark (queue
 //!   depths, end-of-run exports of hardware counters);
-//! * [`Histogram`] — a power-of-two-bucketed value distribution that
-//!   supports exact merging;
+//! * [`Histogram`] — a power-of-two-bucketed value distribution with
+//!   exact count, sum, min and max;
 //! * [`Span`] — a phase timer accumulating call count and total
-//!   nanoseconds (see [`Span::start`] and the [`time!`] macro).
+//!   nanoseconds (see [`Span::start`]).
 //!
 //! Registration is **constructor-time, not record-time**: each
 //! subsystem registers its full metric set up front (e.g. when a
@@ -36,14 +36,12 @@
 //!
 //! # Overhead
 //!
-//! Recording has one gate, [`set_recording`]: a single relaxed atomic
-//! load guards each recording call, which lets one binary measure its
-//! own metrics overhead by interleaving recording-on and
-//! recording-off runs (see `crates/bench/src/bin/obs_overhead.rs`
-//! and EXPERIMENTS.md).
-//!
-//! Exports ([`Registry::snapshot`]) always work regardless of the
-//! gate; a process that never records simply exports zeros.
+//! Recording is always on. What bounds its cost is where the
+//! recording sites sit —
+//! no per-word or per-reference path touches a live metric; hot
+//! loops keep plain locals and fold them in once per batch or at the
+//! end of a run (EXPERIMENTS.md E19). Exports
+//! ([`Registry::snapshot`]) read whatever has been recorded so far.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -56,32 +54,11 @@ pub use json::{parse as parse_json, JsonError, JsonValue};
 pub use metric::{Counter, Gauge, HistSnap, Histogram, Kind, Span, SpanTimer, HIST_BUCKETS};
 pub use registry::{Desc, MetricSnap, Registry, Snapshot, ValueSnap};
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
 /// JSON schema identifier written by [`Snapshot::to_json`]; bumped on
 /// any incompatible change to the export format.
 pub const SCHEMA: &str = "wrl-obs-metrics/v1";
-
-static RECORDING: AtomicBool = AtomicBool::new(true);
-
-/// Whether recording is currently enabled. Recording sites check
-/// this; when it returns `false` they do no atomic writes and read no
-/// clocks.
-#[inline]
-pub fn recording() -> bool {
-    RECORDING.load(Ordering::Relaxed)
-}
-
-/// Runtime kill-switch for all recording. Registration and export
-/// are unaffected. Intended for overhead measurement (interleave
-/// on/off runs in one process) and for callers that want a quiet
-/// registry; not meant to be toggled while recording sites are
-/// mid-flight (a gauge inc/dec pair straddling the toggle can leave
-/// a small residue, which [`Registry::reset`] clears).
-pub fn set_recording(on: bool) {
-    RECORDING.store(on, Ordering::Relaxed);
-}
 
 /// The process-global registry almost all instrumentation uses.
 pub fn global() -> &'static Registry {
@@ -108,7 +85,8 @@ pub fn global() -> &'static Registry {
 /// }
 /// let obs = DocObs::register();
 /// obs.seen.inc();
-/// assert_eq!(wrl_obs::time!(obs.phase, 1 + 1), 2);
+/// drop(obs.phase.start());
+/// assert_eq!(obs.phase.count(), 1);
 /// ```
 ///
 /// `struct Name mirrors Stats` declares an end-of-run mirror of a
@@ -200,54 +178,13 @@ macro_rules! metrics {
     (@read $s:ident $field:ident $read:expr) => { ($read)($s) };
 }
 
-/// Times an expression into a [`Span`]: reads the clock only when
-/// [`recording`] is on, records the elapsed nanoseconds when the
-/// expression finishes (even via `?`/early return inside a closure —
-/// the timer records on drop).
-///
-/// ```
-/// let s = wrl_obs::Span::default();
-/// let x = wrl_obs::time!(s, 1 + 1);
-/// assert_eq!(x, 2);
-/// assert_eq!(s.count(), 1);
-/// ```
-#[macro_export]
-macro_rules! time {
-    ($span:expr, $body:expr) => {{
-        let _wrl_obs_timer = $span.start();
-        $body
-    }};
-}
-
-/// Held by every unit test that records or flips the gate: the gate
-/// is process-global and the tests of one binary run in parallel, so
-/// a count taken while `recording_switch_gates_counters` has the gate
-/// off would come up short.
-#[cfg(test)]
-pub(crate) fn gate_lock() -> std::sync::MutexGuard<'static, ()> {
-    static GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    GATE.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::Arc;
 
     #[test]
-    fn recording_switch_gates_counters() {
-        let _gate = gate_lock();
-        let c = Counter::default();
-        c.add(3);
-        set_recording(false);
-        c.add(5);
-        set_recording(true);
-        assert_eq!(c.get(), 3);
-    }
-
-    #[test]
     fn concurrent_counter_increments_are_exact() {
-        let _gate = gate_lock();
         let c = Arc::new(Counter::default());
         let threads: Vec<_> = (0..8)
             .map(|_| {
@@ -277,7 +214,6 @@ mod tests {
 
     #[test]
     fn a_table_registers_every_row_with_its_kind_and_site() {
-        let _gate = gate_lock();
         let a = TableObs::register();
         let b = TableObs::register();
         a.count.add(2);

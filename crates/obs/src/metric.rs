@@ -1,9 +1,7 @@
 //! The four metric types and their recording primitives.
 //!
 //! All recording uses relaxed atomics — these are statistics, not
-//! synchronization — and every recording method is gated on
-//! [`crate::recording`], so a process with recording switched off
-//! pays one predictable branch per call site.
+//! synchronization.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering::Relaxed};
 use std::time::Instant;
@@ -43,9 +41,7 @@ impl Counter {
     /// Adds `n` events.
     #[inline]
     pub fn add(&self, n: u64) {
-        if crate::recording() {
-            self.v.fetch_add(n, Relaxed);
-        }
+        self.v.fetch_add(n, Relaxed);
     }
 
     /// Adds one event.
@@ -78,20 +74,16 @@ impl Gauge {
     /// Sets the value (and raises the high-water mark).
     #[inline]
     pub fn set(&self, v: i64) {
-        if crate::recording() {
-            self.v.store(v, Relaxed);
-            self.hi.fetch_max(v, Relaxed);
-        }
+        self.v.store(v, Relaxed);
+        self.hi.fetch_max(v, Relaxed);
     }
 
     /// Adds `d` (use a negative delta to decrement) and raises the
     /// high-water mark past the new value if needed.
     #[inline]
     pub fn add(&self, d: i64) {
-        if crate::recording() {
-            let now = self.v.fetch_add(d, Relaxed) + d;
-            self.hi.fetch_max(now, Relaxed);
-        }
+        let now = self.v.fetch_add(d, Relaxed) + d;
+        self.hi.fetch_max(now, Relaxed);
     }
 
     /// Current value.
@@ -117,10 +109,7 @@ pub const HIST_BUCKETS: usize = 65;
 
 /// A power-of-two-bucketed histogram of `u64` samples.
 ///
-/// Bucketing is exact-by-construction mergeable: two histograms over
-/// disjoint sample sets merge field-wise into the histogram of the
-/// union ([`Histogram::merge_snap`]). `sum`, `min` and `max` are kept
-/// exactly alongside the buckets.
+/// `sum`, `min` and `max` are kept exactly alongside the buckets.
 #[derive(Debug)]
 pub struct Histogram {
     buckets: [AtomicU64; HIST_BUCKETS],
@@ -166,13 +155,11 @@ impl Histogram {
     /// Records one sample.
     #[inline]
     pub fn record(&self, v: u64) {
-        if crate::recording() {
-            self.buckets[bucket_of(v)].fetch_add(1, Relaxed);
-            self.count.fetch_add(1, Relaxed);
-            self.sum.fetch_add(v, Relaxed);
-            self.min.fetch_min(v, Relaxed);
-            self.max.fetch_max(v, Relaxed);
-        }
+        self.buckets[bucket_of(v)].fetch_add(1, Relaxed);
+        self.count.fetch_add(1, Relaxed);
+        self.sum.fetch_add(v, Relaxed);
+        self.min.fetch_min(v, Relaxed);
+        self.max.fetch_max(v, Relaxed);
     }
 
     /// Consistent-enough point-in-time copy (fields are read
@@ -185,20 +172,6 @@ impl Histogram {
             min: self.min.load(Relaxed),
             max: self.max.load(Relaxed),
         }
-    }
-
-    /// Folds another histogram's snapshot into this one. Exact:
-    /// buckets, count and sum add; min/max combine.
-    pub fn merge_snap(&self, other: &HistSnap) {
-        for (i, &n) in other.buckets.iter().enumerate() {
-            if n > 0 {
-                self.buckets[i].fetch_add(n, Relaxed);
-            }
-        }
-        self.count.fetch_add(other.count, Relaxed);
-        self.sum.fetch_add(other.sum, Relaxed);
-        self.min.fetch_min(other.min, Relaxed);
-        self.max.fetch_max(other.max, Relaxed);
     }
 
     /// Number of samples recorded.
@@ -256,24 +229,22 @@ pub struct Span {
 
 impl Span {
     /// Starts timing one execution of the phase; the returned guard
-    /// records on drop. When recording is off no clock is read.
+    /// records on drop.
     #[inline]
     pub fn start(&self) -> SpanTimer<'_> {
         SpanTimer {
             span: self,
-            t0: crate::recording().then(Instant::now),
+            t0: Instant::now(),
         }
     }
 
     /// Records one phase execution of `ns` nanoseconds directly.
     #[inline]
     pub fn record_ns(&self, ns: u64) {
-        if crate::recording() {
-            self.count.fetch_add(1, Relaxed);
-            self.total_ns.fetch_add(ns, Relaxed);
-            self.last_ns.store(ns, Relaxed);
-            self.max_ns.fetch_max(ns, Relaxed);
-        }
+        self.count.fetch_add(1, Relaxed);
+        self.total_ns.fetch_add(ns, Relaxed);
+        self.last_ns.store(ns, Relaxed);
+        self.max_ns.fetch_max(ns, Relaxed);
     }
 
     /// Executions recorded.
@@ -308,14 +279,12 @@ impl Span {
 /// Drop guard returned by [`Span::start`].
 pub struct SpanTimer<'a> {
     span: &'a Span,
-    t0: Option<Instant>,
+    t0: Instant,
 }
 
 impl Drop for SpanTimer<'_> {
     fn drop(&mut self) {
-        if let Some(t0) = self.t0 {
-            self.span.record_ns(t0.elapsed().as_nanos() as u64);
-        }
+        self.span.record_ns(self.t0.elapsed().as_nanos() as u64);
     }
 }
 
@@ -345,7 +314,6 @@ mod tests {
 
     #[test]
     fn histogram_records_and_snapshots() {
-        let _gate = crate::gate_lock();
         let h = Histogram::default();
         for v in [0u64, 1, 1, 5, 4096] {
             h.record(v);
@@ -363,26 +331,7 @@ mod tests {
     }
 
     #[test]
-    fn histogram_merge_equals_union() {
-        let _gate = crate::gate_lock();
-        let a = Histogram::default();
-        let b = Histogram::default();
-        let all = Histogram::default();
-        for v in [3u64, 9, 100, 0] {
-            a.record(v);
-            all.record(v);
-        }
-        for v in [7u64, 9, 1 << 30] {
-            b.record(v);
-            all.record(v);
-        }
-        a.merge_snap(&b.snap());
-        assert_eq!(a.snap(), all.snap(), "merge must equal the union");
-    }
-
-    #[test]
     fn concurrent_histogram_is_exact() {
-        let _gate = crate::gate_lock();
         let h = std::sync::Arc::new(Histogram::default());
         let threads: Vec<_> = (0..4)
             .map(|t| {
@@ -402,7 +351,6 @@ mod tests {
 
     #[test]
     fn gauge_tracks_high_water() {
-        let _gate = crate::gate_lock();
         let g = Gauge::default();
         g.add(1);
         g.add(1);
@@ -418,7 +366,6 @@ mod tests {
 
     #[test]
     fn span_accumulates() {
-        let _gate = crate::gate_lock();
         let s = Span::default();
         s.record_ns(10);
         s.record_ns(30);

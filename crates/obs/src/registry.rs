@@ -323,7 +323,6 @@ mod tests {
 
     #[test]
     fn registration_is_idempotent_and_sorted() {
-        let _gate = crate::gate_lock();
         let r = Registry::new();
         let a = r.counter(desc("b.count"));
         let b = r.counter(desc("b.count"));
@@ -346,7 +345,6 @@ mod tests {
 
     #[test]
     fn reset_zeroes_but_keeps_registrations() {
-        let _gate = crate::gate_lock();
         let r = Registry::new();
         let c = r.counter(desc("c"));
         let h = r.histogram(desc("h"));
@@ -360,7 +358,6 @@ mod tests {
 
     #[test]
     fn json_export_parses_and_round_trips_values() {
-        let _gate = crate::gate_lock();
         let r = Registry::new();
         // Every string field a snapshot carries, with each character
         // class the escaper treats: quote, backslash, newline, another

@@ -151,11 +151,6 @@ impl BbTable {
         self.blocks.iter().map(|(id, info)| (id, info))
     }
 
-    /// Total original instructions across all blocks (static count).
-    pub fn static_insts(&self) -> u64 {
-        self.iter().map(|(_, b)| b.n_insts as u64).sum()
-    }
-
     /// Merges another table into this one (kernel = epoxie-rewritten
     /// objects + hand-traced entries).
     pub fn merge(&mut self, other: BbTable) {
@@ -208,7 +203,6 @@ mod tests {
         t.merge(u);
         assert_eq!(t.len(), 2);
         assert_eq!(t.get(0x500000).unwrap().orig_vaddr, 0x400000);
-        assert_eq!(t.static_insts(), 5);
         assert!(t.get(0xdead).is_none());
     }
 }

@@ -47,11 +47,6 @@ pub mod bk {
     pub const XREG3_SHADOW: i16 = 136;
     /// Size of the bookkeeping area in bytes.
     pub const SIZE: u32 = 160;
-
-    /// Shadow slot for stolen register `i` (0..3).
-    pub const fn xreg_shadow(i: usize) -> i16 {
-        XREG1_SHADOW + (i as i16) * 4
-    }
 }
 
 /// Fixed user-space virtual addresses of the tracing area.
@@ -132,9 +127,8 @@ mod tests {
 
     #[test]
     fn shadow_slots_are_consecutive() {
-        assert_eq!(bk::xreg_shadow(0), bk::XREG1_SHADOW);
-        assert_eq!(bk::xreg_shadow(1), bk::XREG2_SHADOW);
-        assert_eq!(bk::xreg_shadow(2), bk::XREG3_SHADOW);
+        assert_eq!(bk::XREG2_SHADOW, bk::XREG1_SHADOW + 4);
+        assert_eq!(bk::XREG3_SHADOW, bk::XREG2_SHADOW + 4);
         assert!(bk::XREG3_SHADOW as u32 + 4 <= bk::SIZE);
     }
 

@@ -177,17 +177,15 @@ fn each_defensive_check_tallies_its_counter_exactly_once() {
         p.attach_obs(obs.clone());
         p.parse_all(&words, &mut CollectSink::default());
         assert!(p.stats.errors >= 1, "{name}: corruption must be reported");
-        if wrl_obs::recording() {
-            let after = counters();
-            for (i, tally) in all.iter().enumerate() {
-                let want = u64::from(*tally == name);
-                assert_eq!(
-                    after[i] - before[i],
-                    want,
-                    "{name}: tally {tally} moved by {} (want {want})",
-                    after[i] - before[i]
-                );
-            }
+        let after = counters();
+        for (i, tally) in all.iter().enumerate() {
+            let want = u64::from(*tally == name);
+            assert_eq!(
+                after[i] - before[i],
+                want,
+                "{name}: tally {tally} moved by {} (want {want})",
+                after[i] - before[i]
+            );
         }
     }
 }

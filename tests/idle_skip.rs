@@ -5,7 +5,8 @@
 //! compress under Ultrix (23%) — a whole run, and a run sliced into
 //! budgets that end inside the spin, must leave what a `step` loop
 //! leaves: every counter, Random, the 64 TLB entries, the PC and the
-//! registers.
+//! registers. Once either has halted, both answer the halt again and
+//! execute nothing.
 
 use std::cell::Cell;
 use std::rc::Rc;
@@ -121,4 +122,24 @@ fn a_reference_tracer_sees_every_fetch_through_run() {
     let (by_run, by_step) = (fetches(false), fetches(true));
     assert_eq!(by_run, by_step);
     assert!(by_run.1 > 1_000_000, "sed-Ultrix idles: {by_run:?}");
+}
+
+/// A halt latches through `step` as through `run`: once `step` has
+/// returned it, every later `step` or `run` returns the same event
+/// and leaves the machine as the halt did.
+#[test]
+fn a_halt_reached_by_step_latches() {
+    let mut sys = boot("yacc");
+    let m = &mut sys.machine;
+    let halt = loop {
+        if let Some(e @ StopEvent::Halted(_)) = m.step() {
+            break e;
+        }
+    };
+    let at_halt = seen(m);
+    for _ in 0..3 {
+        assert_eq!(m.step(), Some(halt));
+        assert_eq!(m.run(1_000), halt);
+    }
+    assert_eq!(seen(m), at_halt, "nothing ran after the halt");
 }
