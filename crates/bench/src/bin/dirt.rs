@@ -22,8 +22,7 @@ fn main() {
         let mut sys = build_system(&cfg, &[&w]);
         let run = sys.run(8_000_000_000);
         let mut parser = sys.parser();
-        let mut sink = systrace::trace::CollectSink::default();
-        parser.parse_all(&run.trace_words, &mut sink);
+        parser.parse_all(&run.trace_words, &mut ());
         assert_eq!(parser.stats.errors, 0);
         let insts = parser.stats.user_irefs + parser.stats.kernel_irefs;
         println!(

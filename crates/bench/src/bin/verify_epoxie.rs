@@ -5,33 +5,19 @@
 //! Runs every workload both ways on the bare machine — uninstrumented
 //! under the machine's reference tracer, once, and instrumented under
 //! each epoxie scheme with the trace parsed back — and compares the
-//! interleaved reference streams reference-for-reference.
+//! interleaved reference streams reference-for-reference
+//! (`wrl_epoxie::check_trace`).
 
-use std::sync::Arc;
-use systrace::epoxie::{build_traced, run_traced, FullPolicy, Mode};
+use systrace::epoxie::{
+    build_traced, check_trace, reference_run, run_traced, FullPolicy, Mode, Ref,
+};
 use systrace::isa::link::{link, Layout};
-use systrace::isa::Executable;
-use systrace::machine::{Config, Machine, RefEvent, StopEvent};
+use systrace::machine::{Machine, StopEvent};
 use systrace::trace::layout::trapcode;
-use systrace::trace::{Space, TraceParser, TraceSink};
-use systrace::workloads::Workload;
+use systrace::workloads::{HostEnv, Workload};
 
-#[derive(PartialEq, Clone, Copy)]
-enum R {
-    I(u32),
-    L(u32),
-    S(u32),
-}
-
-struct Sink(Vec<R>);
-impl TraceSink for Sink {
-    fn irefs(&mut self, v: u32, n: u32, _s: Space, _i: bool) {
-        self.0.extend((0..n).map(|i| R::I(v + 4 * i)));
-    }
-    fn dref(&mut self, v: u32, st: bool, _w: systrace::isa::Width, _s: Space) {
-        self.0.push(if st { R::S(v) } else { R::L(v) });
-    }
-}
+/// How every run ends: the program's exit syscall.
+const EXIT: StopEvent = StopEvent::Syscall(trapcode::SYSCALL_ABI);
 
 fn main() {
     println!("epoxie trace vs independent CPU-simulator trace (bare runs)");
@@ -41,7 +27,8 @@ fn main() {
         // The reference depends only on the original executable and
         // the workload's files, so one run serves both schemes.
         let orig = link(&w.objects, Layout::user(), "__start").expect("a workload links");
-        let reference = reference_refs(&w, &orig.exe);
+        let (reference, stop) = reference_run(&orig.exe, 2_000_000_000, host(&w, orig.exe.brk()));
+        assert_eq!(stop, EXIT, "{}", w.name);
         for (mode, rows) in modes.iter().zip(&mut rows) {
             *rows += &check(&w, *mode, &reference);
         }
@@ -51,31 +38,20 @@ fn main() {
     }
 }
 
-/// The uninstrumented run of `exe` under the machine tracer: every
-/// reference it makes, in order.
-fn reference_refs(w: &Workload, exe: &Executable) -> Vec<R> {
-    let mut m = Machine::new(Config::bare(), vec![]);
-    m.load_executable(exe);
-    m.set_pc(exe.entry);
-    let refs = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
-    let sink = refs.clone();
-    m.set_tracer(Some(Box::new(move |e| {
-        sink.borrow_mut().push(match e {
-            RefEvent::Ifetch { vaddr, .. } => R::I(vaddr),
-            RefEvent::Load { vaddr, .. } => R::L(vaddr),
-            RefEvent::Store { vaddr, .. } => R::S(vaddr),
-        })
-    })));
-    let mut env = systrace::workloads::HostEnv::new(w.files.iter().cloned());
-    env.brk = exe.brk();
-    run_to_exit(&mut m, &mut env);
-    m.set_tracer(None);
-    refs.take()
+/// Services `w`'s syscalls from a fresh copy of its files, the heap
+/// starting at `brk`; `false` once the program has exited.
+fn host(w: &Workload, brk: u32) -> impl FnMut(&mut Machine, u32) -> bool + '_ {
+    let mut env = HostEnv::new(w.files.iter().cloned());
+    env.brk = brk;
+    move |m, code| {
+        assert_eq!(code, trapcode::SYSCALL_ABI, "{}: syscall code", w.name);
+        env.handle(m)
+    }
 }
 
-/// Runs `w` instrumented under `mode`, parses the trace back and
-/// compares it with `reference`, returning the result row.
-fn check(w: &Workload, mode: Mode, reference: &[R]) -> String {
+/// Runs `w` instrumented under `mode` and checks its parsed trace
+/// against `reference`, returning the result row.
+fn check(w: &Workload, mode: Mode, reference: &[Ref]) -> String {
     let prog = build_traced(
         &w.objects,
         Layout::user(),
@@ -84,38 +60,10 @@ fn check(w: &Workload, mode: Mode, reference: &[R]) -> String {
         FullPolicy::Syscall,
     )
     .unwrap();
-    let mut env = systrace::workloads::HostEnv::new(w.files.iter().cloned());
-    env.brk = prog.orig.exe.brk();
-    let run = run_traced(&prog, 2_000_000_000, |m, code| {
-        assert_eq!(code, trapcode::SYSCALL_ABI, "{}: syscall code", w.name);
-        env.handle(m)
-    });
-    assert_eq!(
-        run.stop,
-        StopEvent::Syscall(trapcode::SYSCALL_ABI),
-        "{}",
-        w.name
-    );
-    let words = run.words;
-
-    let mut parser = TraceParser::new(Arc::new(systrace::trace::BbTable::new()));
-    parser.set_user_table(0, Arc::new(prog.table));
-    let mut parsed = Sink(Vec::new());
-    parser.parse_all(&words, &mut parsed);
-    let exact = parser.stats.errors == 0 && parsed.0 == reference;
-    assert!(exact, "{} diverged under {mode:?}", w.name);
-    format!("  {:9} {:>9} refs  EXACT MATCH\n", w.name, reference.len())
-}
-
-fn run_to_exit(m: &mut Machine, env: &mut systrace::workloads::HostEnv) {
-    loop {
-        match m.run(2_000_000_000) {
-            StopEvent::Syscall(0) => {
-                if !env.handle(m) {
-                    break;
-                }
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+    let run = run_traced(&prog, 2_000_000_000, host(w, prog.orig.exe.brk()));
+    assert_eq!(run.stop, EXIT, "{}", w.name);
+    if let Err(m) = check_trace(&prog, &run.words, reference) {
+        panic!("{} diverged under {mode:?}: {m:?}", w.name);
     }
+    format!("  {:9} {:>9} refs  EXACT MATCH\n", w.name, reference.len())
 }

@@ -22,7 +22,9 @@ pub mod subst;
 
 pub use bbscan::{scan, BbRange};
 pub use build::{build_traced, BuildError, TracedProgram};
-pub use harness::{drain_buffer, init_trace_regs, prepare_machine, run_traced, TracedRun};
+pub use harness::{
+    check_trace, parse_trace, reference_run, refs, run_traced, Mismatch, Ref, TracedRun,
+};
 pub use instrument::{
     instrument_object, BbRecord, Expansion, InstrumentError, InstrumentedObject, Mode, RuntimeSyms,
 };

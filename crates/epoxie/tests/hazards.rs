@@ -2,34 +2,15 @@
 //! Figure-2 special case is instrumented, executed, and its parsed
 //! trace compared against the machine's reference trace.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-use std::sync::Arc;
-
-use wrl_epoxie::{build_traced, instrument_object, run_traced, FullPolicy, Mode, RuntimeSyms};
+use wrl_epoxie::{
+    build_traced, check_trace, instrument_object, reference_run, run_traced, FullPolicy, Mode,
+    RuntimeSyms,
+};
 use wrl_isa::asm::Asm;
 use wrl_isa::link::Layout;
 use wrl_isa::reg::*;
 use wrl_isa::{decode, Inst};
-use wrl_machine::{Config, Machine, RefEvent, StopEvent};
-use wrl_trace::parser::{Space, TraceParser, TraceSink};
-
-#[derive(Clone, Copy, PartialEq, Debug)]
-enum R {
-    I(u32),
-    L(u32),
-    S(u32),
-}
-
-struct Sink(Vec<R>);
-impl TraceSink for Sink {
-    fn irefs(&mut self, v: u32, n: u32, _s: Space, _i: bool) {
-        self.0.extend((0..n).map(|i| R::I(v + 4 * i)));
-    }
-    fn dref(&mut self, v: u32, st: bool, _w: wrl_isa::Width, _s: Space) {
-        self.0.push(if st { R::S(v) } else { R::L(v) });
-    }
-}
+use wrl_machine::StopEvent;
 
 /// Builds, runs both ways, and asserts stream equality.
 fn roundtrip(body: impl FnOnce(&mut Asm)) {
@@ -54,29 +35,11 @@ fn roundtrip(body: impl FnOnce(&mut Asm)) {
     )
     .expect("instruments");
 
-    let mut m = Machine::new(Config::bare(), vec![]);
-    m.load_executable(&prog.orig.exe);
-    m.set_pc(prog.orig.exe.entry);
-    let refs: Rc<RefCell<Vec<R>>> = Rc::new(RefCell::new(Vec::new()));
-    let s = refs.clone();
-    m.set_tracer(Some(Box::new(move |e| {
-        s.borrow_mut().push(match e {
-            RefEvent::Ifetch { vaddr, .. } => R::I(vaddr),
-            RefEvent::Load { vaddr, .. } => R::L(vaddr),
-            RefEvent::Store { vaddr, .. } => R::S(vaddr),
-        })
-    })));
-    assert!(matches!(m.run(1_000_000), StopEvent::Break(_)));
-    let reference = refs.borrow().clone();
-
+    let (reference, stop) = reference_run(&prog.orig.exe, 1_000_000, |_, _| false);
+    assert!(matches!(stop, StopEvent::Break(_)));
     let run = run_traced(&prog, 100_000_000, |_, _| false);
     assert!(matches!(run.stop, StopEvent::Break(_)));
-    let mut parser = TraceParser::new(Arc::new(wrl_trace::BbTable::new()));
-    parser.set_user_table(0, Arc::new(prog.table.clone()));
-    let mut parsed = Sink(Vec::new());
-    parser.parse_all(&run.words, &mut parsed);
-    assert_eq!(parser.stats.errors, 0, "{:?}", parser.errors);
-    assert_eq!(parsed.0, reference);
+    assert_eq!(check_trace(&prog, &run.words, &reference), Ok(()));
 }
 
 #[test]

@@ -4,75 +4,29 @@
 //! deterministic user programs to trace from a CPU simulator."
 //!
 //! We run the *uninstrumented* binary under the machine's reference
-//! tracer, run the *instrumented* binary with the trace runtime, parse
-//! the collected trace words through the bb table, and require the two
-//! interleaved reference streams to be identical.
+//! tracer, run the *instrumented* binary with the trace runtime, and
+//! require `wrl_epoxie::check_trace` to find the trace words, parsed
+//! through the bb table, identical to that interleaved reference
+//! stream.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-use std::sync::Arc;
-
-use wrl_epoxie::{build_traced, run_traced, FullPolicy, Mode, TracedProgram};
+use wrl_epoxie::{
+    build_traced, check_trace, reference_run, run_traced, FullPolicy, Mismatch, Mode, Ref,
+    TracedProgram,
+};
 use wrl_isa::asm::Asm;
 use wrl_isa::link::Layout;
 use wrl_isa::reg::*;
-use wrl_isa::Width;
-use wrl_machine::{Config, Machine, RefEvent, StopEvent};
-use wrl_trace::parser::{Space, TraceParser, TraceSink};
+use wrl_machine::StopEvent;
 
-/// One reference in the merged I/D stream.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Ref {
-    I(u32),
-    L(u32),
-    S(u32),
-}
-
-/// Collects the merged stream from the trace parser.
-#[derive(Default)]
-struct MergedSink(Vec<Ref>);
-
-impl TraceSink for MergedSink {
-    fn irefs(&mut self, vaddr: u32, n: u32, _space: Space, _idle: bool) {
-        self.0.extend((0..n).map(|i| Ref::I(vaddr + 4 * i)));
-    }
-    fn dref(&mut self, vaddr: u32, store: bool, _width: Width, _space: Space) {
-        self.0
-            .push(if store { Ref::S(vaddr) } else { Ref::L(vaddr) });
-    }
-}
-
-/// Runs the uninstrumented binary under the reference tracer.
+/// Runs the uninstrumented binary under the reference tracer, to its
+/// `break`.
 fn reference_stream(prog: &TracedProgram, max: u64) -> Vec<Ref> {
-    let mut m = Machine::new(Config::bare(), vec![]);
-    m.load_executable(&prog.orig.exe);
-    m.set_pc(prog.orig.exe.entry);
-    let refs: Rc<RefCell<Vec<Ref>>> = Rc::new(RefCell::new(Vec::new()));
-    let sink = refs.clone();
-    m.set_tracer(Some(Box::new(move |e| {
-        sink.borrow_mut().push(match e {
-            RefEvent::Ifetch { vaddr, .. } => Ref::I(vaddr),
-            RefEvent::Load { vaddr, .. } => Ref::L(vaddr),
-            RefEvent::Store { vaddr, .. } => Ref::S(vaddr),
-        });
-    })));
-    let stop = m.run(max);
+    let (refs, stop) = reference_run(&prog.orig.exe, max, |_, _| false);
     assert!(
         matches!(stop, StopEvent::Break(_)),
         "reference run ended with {stop:?}"
     );
-    let v = refs.borrow().clone();
-    v
-}
-
-/// Parses the trace words of a traced run into the merged stream.
-fn parsed_stream(prog: &TracedProgram, words: &[u32]) -> Vec<Ref> {
-    let mut parser = TraceParser::new(Arc::new(wrl_trace::BbTable::new()));
-    parser.set_user_table(0, Arc::new(prog.table.clone()));
-    let mut sink = MergedSink::default();
-    parser.parse_all(words, &mut sink);
-    assert_eq!(parser.stats.errors, 0, "parse errors: {:?}", parser.errors);
-    sink.0
+    refs
 }
 
 fn check_roundtrip(objs: Vec<wrl_isa::Object>, mode: Mode) -> (TracedProgram, u64, u64) {
@@ -85,15 +39,11 @@ fn check_roundtrip(objs: Vec<wrl_isa::Object>, mode: Mode) -> (TracedProgram, u6
         "traced run ended with {:?}",
         run.stop
     );
-    let parsed = parsed_stream(&prog, &run.words);
     assert_eq!(
-        reference.len(),
-        parsed.len(),
-        "stream lengths differ (mode {mode:?})"
+        check_trace(&prog, &run.words, &reference),
+        Ok(()),
+        "mode {mode:?}"
     );
-    for (k, (r, p)) in reference.iter().zip(parsed.iter()).enumerate() {
-        assert_eq!(r, p, "streams diverge at reference #{k} (mode {mode:?})");
-    }
     let traced_insts = run.machine.counters.insts();
     let orig_insts = reference.iter().filter(|r| matches!(r, Ref::I(_))).count() as u64;
     (prog, traced_insts, orig_insts)
@@ -190,6 +140,57 @@ fn original_epoxie_trace_matches_cpu_simulator() {
     assert!(traced > 2 * orig);
 }
 
+/// The negative control: the check is not vacuous. Dropping any one
+/// trace word, or moving one data address, makes the parsed stream
+/// differ from the reference run.
+#[test]
+fn one_damaged_trace_word_fails_the_check() {
+    let prog = build_traced(
+        &torture_program(),
+        Layout::user(),
+        "main",
+        Mode::Modified,
+        FullPolicy::Syscall,
+    )
+    .expect("build_traced");
+    let reference = reference_stream(&prog, 5_000_000);
+    let words = run_traced(&prog, 200_000_000, |_, _| false).words;
+    assert_eq!(check_trace(&prog, &words, &reference), Ok(()));
+    for k in 0..words.len() {
+        let mut dropped = words.clone();
+        dropped.remove(k);
+        assert!(
+            check_trace(&prog, &dropped, &reference).is_err(),
+            "dropping word {k} of {} went unseen",
+            words.len()
+        );
+    }
+    // The first store's address word, moved to the next word: the
+    // streams differ at that store and nowhere before it.
+    let (at, addr) = reference
+        .iter()
+        .enumerate()
+        .find_map(|(at, r)| match *r {
+            Ref::S(addr) => Some((at, addr)),
+            _ => None,
+        })
+        .expect("the program stores");
+    let mut moved = words.clone();
+    let k = moved
+        .iter()
+        .position(|&w| w == addr)
+        .expect("its trace word");
+    moved[k] ^= 4;
+    assert_eq!(
+        check_trace(&prog, &moved, &reference),
+        Err(Mismatch::Diverged {
+            at,
+            reference: Some(Ref::S(addr)),
+            parsed: Some(Ref::S(addr ^ 4)),
+        })
+    );
+}
+
 #[test]
 fn flush_traps_preserve_trace_contents() {
     // A long loop guarantees multiple buffer flushes.
@@ -222,8 +223,7 @@ fn flush_traps_preserve_trace_contents() {
         "expected multiple flushes, got {}",
         run.flushes
     );
-    let parsed = parsed_stream(&prog, &run.words);
-    assert_eq!(reference, parsed);
+    assert_eq!(check_trace(&prog, &run.words, &reference), Ok(()));
 }
 
 #[test]

@@ -34,8 +34,7 @@ use crate::SplitMix64;
 use wrl_serve::{Catalog, Client, ClientCfg, ServeCfg, ServeHooks, Server, WireFate};
 use wrl_store::{filter_stream, BlockFormat, Predicate, TraceStore};
 use wrl_trace::{
-    ChunkFate, CollectSink, DriveReport, Driver, ParseStats, SeamHooks, TraceArchive, TraceSink,
-    Wants,
+    ChunkFate, DriveReport, Driver, EventVec, ParseStats, SeamHooks, TraceArchive, TraceSink, Wants,
 };
 use wrl_tracer::{
     analyze_words, AnalysisSink, DefenseSink, DilationSink, SinkError, SinkReport, Stack,
@@ -80,8 +79,8 @@ impl Outcome {
 pub struct ChaosInput {
     /// The pristine trace (tables + words).
     pub archive: TraceArchive,
-    /// Baseline sink state from a sequential batch parse.
-    pub baseline: CollectSink,
+    /// Baseline events from a sequential batch parse.
+    pub baseline: EventVec,
     /// Baseline statistics from the same parse.
     pub baseline_stats: ParseStats,
     /// The archive encoded as a block store (block size
@@ -105,7 +104,7 @@ impl ChaosInput {
     /// Prepares a campaign input from a pristine archive.
     pub fn new(archive: TraceArchive) -> ChaosInput {
         let mut parser = archive.parser();
-        let mut baseline = CollectSink::default();
+        let mut baseline = EventVec::default();
         parser.parse_all(&archive.words, &mut baseline);
         let baseline_stats = parser.stats.clone();
         let store_bytes = TraceStore::from_archive(&archive, Self::BLOCK_WORDS).encode();
@@ -126,26 +125,20 @@ impl ChaosInput {
     pub fn n_chunks(&self) -> u64 {
         self.archive.words.len().div_ceil(Self::CHUNK_WORDS) as u64
     }
-
-    fn sinks_equal(&self, sink: &CollectSink) -> bool {
-        sink.irefs == self.baseline.irefs
-            && sink.drefs == self.baseline.drefs
-            && sink.switches == self.baseline.switches
-    }
 }
 
 /// Batch-parses `words` with the input's tables.
-fn batch(input: &ChaosInput, words: &[u32]) -> (ParseStats, CollectSink) {
+fn batch(input: &ChaosInput, words: &[u32]) -> (ParseStats, EventVec) {
     let mut parser = input.archive.parser();
-    let mut sink = CollectSink::default();
+    let mut sink = EventVec::default();
     parser.parse_all(words, &mut sink);
     (parser.stats, sink)
 }
 
 /// Feeds `words` to a hooked driver in [`ChaosInput::CHUNK_WORDS`]
 /// chunks, returning the report and sink.
-fn stream(input: &ChaosInput, words: &[u32], hooks: SeamHooks) -> (DriveReport, CollectSink) {
-    let mut driver = Driver::with_hooks(input.archive.parser(), CollectSink::default(), hooks);
+fn stream(input: &ChaosInput, words: &[u32], hooks: SeamHooks) -> (DriveReport, EventVec) {
+    let mut driver = Driver::with_hooks(input.archive.parser(), EventVec::default(), hooks);
     for chunk in words.chunks(ChaosInput::CHUNK_WORDS) {
         driver.feed(chunk);
     }
@@ -164,16 +157,11 @@ fn classify_words(input: &ChaosInput, words: &[u32]) -> Outcome {
             what: format!("trace.parse.error tallies ({} errors)", stats.errors),
         };
     }
-    if stats == input.baseline_stats && input.sinks_equal(&sink) {
+    if stats == input.baseline_stats && sink == input.baseline {
         return Outcome::Harmless;
     }
     let (report, ssink) = stream(input, words, SeamHooks::default());
-    if report.parse == stats
-        && report.lost_chunks == 0
-        && ssink.irefs == sink.irefs
-        && ssink.drefs == sink.drefs
-        && ssink.switches == sink.switches
-    {
+    if report.parse == stats && report.lost_chunks == 0 && ssink == sink {
         Outcome::Absorbed
     } else {
         Outcome::Forbidden {
@@ -327,7 +315,7 @@ fn run_site(input: &ChaosInput, plan: FaultPlan) -> Outcome {
             let (report, sink) = stream(input, &input.archive.words, hooks);
             if report.lost_chunks == 0
                 && report.parse == input.baseline_stats
-                && input.sinks_equal(&sink)
+                && sink == input.baseline
             {
                 Outcome::Harmless
             } else {

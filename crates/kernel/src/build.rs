@@ -23,8 +23,8 @@ use wrl_trace::layout::{bk, user as utrace};
 use wrl_workloads::Workload;
 
 use crate::kdata::{dir_off, proc_off};
-use crate::kdataobj::{self, KdataCfg};
-use crate::kmain::{self, KmainCfg, Variant};
+use crate::kdataobj;
+use crate::kmain::{self, Variant};
 use crate::layout::{self, pte, uvm};
 use crate::server;
 use crate::vectors;
@@ -137,26 +137,7 @@ pub struct SystemRun {
 }
 
 fn kernel_objects(cfg: &KernelConfig) -> Vec<Object> {
-    // §4.1: the traced system's clock ticks at 1/Nth the rate.
-    let dilation = if cfg.traced {
-        layout::CLOCK_DILATION
-    } else {
-        1
-    };
-    let kd = KdataCfg {
-        trace_on: cfg.traced,
-        ktrace_bytes: cfg.ktrace_bytes,
-        clock_interval: layout::CLOCK_INTERVAL * dilation,
-    };
-    vec![
-        vectors::object(),
-        kmain::object(&KmainCfg {
-            variant: cfg.variant,
-            conservative_write: cfg.conservative_write,
-            icache_flush_bug: cfg.icache_flush_bug,
-        }),
-        kdataobj::object(&kd),
-    ]
+    vec![vectors::object(), kmain::object(cfg), kdataobj::object(cfg)]
 }
 
 fn kernel_layout() -> Layout {

@@ -8,22 +8,12 @@ use wrl_isa::asm::Asm;
 use wrl_isa::Object;
 use wrl_trace::layout::bk;
 
+use crate::build::KernelConfig;
 use crate::kdata::{bc_off, dir_off, fd_off, frame_off, proc_off};
 use crate::layout;
 
-/// Data-segment configuration.
-#[derive(Clone, Copy, Debug)]
-pub struct KdataCfg {
-    /// Trace generation enabled from boot.
-    pub trace_on: bool,
-    /// In-kernel trace buffer size in bytes.
-    pub ktrace_bytes: u32,
-    /// Clock interval in cycles (already dilation-scaled).
-    pub clock_interval: u32,
-}
-
 /// Builds the kernel data object.
-pub fn object(cfg: &KdataCfg) -> Object {
+pub fn object(cfg: &KernelConfig) -> Object {
     let mut a = Asm::new("kdata");
     a.data();
     a.align4();
@@ -54,7 +44,7 @@ pub fn object(cfg: &KdataCfg) -> Object {
     a.space(bk::SIZE);
     a.global_label("k_ktrace_regs");
     // Initial kernel xreg1: main buffer or bit bucket.
-    if cfg.trace_on {
+    if cfg.traced {
         a.word(layout::KTRACE_BUF);
     } else {
         a.word_sym("k_bitbucket", 0);
@@ -62,7 +52,7 @@ pub fn object(cfg: &KdataCfg) -> Object {
     a.word(0);
     a.word(0);
     a.global_label("k_trace_on");
-    a.word(u32::from(cfg.trace_on));
+    a.word(u32::from(cfg.traced));
     a.global_label("k_cfg_buf_base");
     a.word(layout::KTRACE_BUF);
     a.global_label("k_cfg_soft_end");
@@ -70,7 +60,13 @@ pub fn object(cfg: &KdataCfg) -> Object {
     a.global_label("k_cfg_hard_end");
     a.word(layout::KTRACE_BUF + cfg.ktrace_bytes);
     a.global_label("k_cfg_clock");
-    a.word(cfg.clock_interval);
+    // §4.1: the traced system's clock ticks at 1/Nth the rate.
+    let dilation = if cfg.traced {
+        layout::CLOCK_DILATION
+    } else {
+        1
+    };
+    a.word(layout::CLOCK_INTERVAL * dilation);
     a.global_label("k_bb_base");
     a.word_sym("k_bitbucket", 0);
     a.global_label("k_bb_soft");
@@ -146,11 +142,7 @@ mod tests {
 
     #[test]
     fn data_object_defines_the_kernel_globals() {
-        let o = object(&KdataCfg {
-            trace_on: true,
-            ktrace_bytes: 1 << 20,
-            clock_interval: 100_000,
-        });
+        let o = object(&KernelConfig::ultrix().traced());
         for s in ["k_cur_proc", "k_proc", "k_bcache", "k_fs_dir", "k_ipcq"] {
             assert!(o.symbol(s).is_some(), "missing {s}");
         }

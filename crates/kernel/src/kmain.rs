@@ -15,6 +15,7 @@ use wrl_machine::cp0::reg as c0;
 use wrl_machine::dev::{regs as devregs, DEV_BASE_K1};
 use wrl_trace::layout::{sys, trapcode};
 
+use crate::build::KernelConfig;
 use crate::kdata::{bc_off, dir_off, fd_off, msg_off, proc_off};
 use crate::layout::{self, uvm};
 
@@ -26,21 +27,6 @@ pub enum Variant {
     /// Microkernel: file services in the user-level UNIX server,
     /// reached through IPC.
     Mach,
-}
-
-/// Build-time options for the kernel body.
-#[derive(Clone, Copy, Debug)]
-pub struct KmainCfg {
-    /// OS personality.
-    pub variant: Variant,
-    /// Conservative (write-through) file writes: each write blocks
-    /// until the disk acknowledges — the Ultrix policy whose inflated
-    /// I/O delays §4.4 calls out.
-    pub conservative_write: bool,
-    /// Plant the §4.4 Mach I-cache-flush bug: the flush routine
-    /// isolates the cache and forgets to de-isolate it, causing "an
-    /// excessive number of uncached instruction references".
-    pub icache_flush_bug: bool,
 }
 
 /// End of the fixed user trace-buffer window.
@@ -67,12 +53,12 @@ fn emit_proc_base(a: &mut Asm, dst: Reg, idx: Reg, scratch: Reg) {
 }
 
 /// Builds the kernel body object.
-pub fn object(cfg: &KmainCfg) -> Object {
+pub fn object(cfg: &KernelConfig) -> Object {
     let mut a = Asm::new("kmain");
 
     emit_dispatch(&mut a);
     emit_interrupts(&mut a);
-    emit_sched_idle(&mut a, cfg);
+    emit_sched_idle(&mut a);
     emit_syscalls(&mut a, cfg);
     match cfg.variant {
         Variant::Ultrix => emit_fs(&mut a, cfg),
@@ -325,7 +311,7 @@ fn emit_interrupts(a: &mut Asm) {
 // =====================================================================
 // Scheduler and idle loop
 // =====================================================================
-fn emit_sched_idle(a: &mut Asm, _cfg: &KmainCfg) {
+fn emit_sched_idle(a: &mut Asm) {
     a.global_label("sched_entry");
     a.la(T0, "k_cur_proc");
     a.lw(T1, 0, T0);
@@ -433,7 +419,7 @@ fn emit_sched_idle(a: &mut Asm, _cfg: &KmainCfg) {
 // =====================================================================
 // System calls
 // =====================================================================
-fn emit_syscalls(a: &mut Asm, cfg: &KmainCfg) {
+fn emit_syscalls(a: &mut Asm, cfg: &KernelConfig) {
     a.global_label("h_syscall");
     a.la(S0, "k_cur_save");
     a.lw(S0, 0, S0);
@@ -757,7 +743,7 @@ fn emit_syscalls(a: &mut Asm, cfg: &KmainCfg) {
 // =====================================================================
 // The Ultrix in-kernel file system
 // =====================================================================
-fn emit_fs(a: &mut Asm, cfg: &KmainCfg) {
+fn emit_fs(a: &mut Asm, cfg: &KernelConfig) {
     // dir_find(a0 = user path ptr) -> v0 = dir entry base or 0.
     a.global_label("dir_find");
     a.li(T9, 0); // index
@@ -1451,7 +1437,7 @@ fn emit_blockio(a: &mut Asm) {
 // =====================================================================
 // Utilities: kcopy, cross-space copy, console output, I-cache flush
 // =====================================================================
-fn emit_util(a: &mut Asm, cfg: &KmainCfg) {
+fn emit_util(a: &mut Asm, cfg: &KernelConfig) {
     // kcopy(a0 = dst, a1 = src, a2 = n): word loop when everything is
     // aligned, byte loop otherwise.
     a.global_label("kcopy");

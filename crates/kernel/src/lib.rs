@@ -21,4 +21,4 @@ pub mod server;
 pub mod vectors;
 
 pub use build::{build_system, KernelConfig, ProcMeta, System, SystemRun};
-pub use kmain::{KmainCfg, Variant};
+pub use kmain::Variant;

@@ -36,8 +36,7 @@ fn ultrix_traced_sed_trace_parses_cleanly() {
     assert!(!run.trace_words.is_empty(), "no trace collected");
 
     let mut parser = sys.parser();
-    let mut sink = wrl_trace::CollectSink::default();
-    parser.parse_all(&run.trace_words, &mut sink);
+    parser.parse_all(&run.trace_words, &mut ());
     assert_eq!(
         parser.stats.errors,
         0,
@@ -73,7 +72,7 @@ fn mach_traced_sed_trace_parses_cleanly() {
     let lines = input.iter().filter(|&&b| b == b'\n').count() as u32;
     assert_eq!(run.exit_code, lines);
     let mut parser = sys.parser();
-    let mut sink = wrl_trace::CollectSink::default();
+    let mut sink = wrl_trace::EventVec::default();
     parser.parse_all(&run.trace_words, &mut sink);
     assert_eq!(
         parser.stats.errors,
@@ -83,8 +82,7 @@ fn mach_traced_sed_trace_parses_cleanly() {
     );
     // Both user address spaces (workload + server) appear.
     let asids: std::collections::HashSet<u8> = sink
-        .irefs
-        .iter()
+        .fetches()
         .filter_map(|r| match r.1 {
             wrl_trace::Space::User(a) => Some(a),
             _ => None,
@@ -116,7 +114,7 @@ fn two_traced_processes_interleave_in_one_trace() {
     let mut sys = build_system(&KernelConfig::ultrix().traced(), &[&a, &b]);
     let run = sys.run(6_000_000_000);
     let mut parser = sys.parser();
-    let mut sink = wrl_trace::CollectSink::default();
+    let mut sink = wrl_trace::EventVec::default();
     parser.parse_all(&run.trace_words, &mut sink);
     assert_eq!(
         parser.stats.errors,
@@ -128,8 +126,7 @@ fn two_traced_processes_interleave_in_one_trace() {
     // the base context actually alternates (preemptive interleaving,
     // not just back-to-back runs).
     let seq: Vec<u8> = sink
-        .irefs
-        .iter()
+        .fetches()
         .filter_map(|r| match r.1 {
             wrl_trace::Space::User(a) => Some(a),
             _ => None,
@@ -204,7 +201,7 @@ fn trace_ctl_syscall_starts_and_stops_tracing() {
     let run = sys.run(400_000_000);
     assert_eq!(run.exit_code, 0);
     let mut parser = sys.parser();
-    let mut sink = wrl_trace::CollectSink::default();
+    let mut sink = wrl_trace::EventVec::default();
     parser.parse_all(&run.trace_words, &mut sink);
     assert_eq!(
         parser.stats.errors,
@@ -216,7 +213,10 @@ fn trace_ctl_syscall_starts_and_stops_tracing() {
     // present.
     let quiet = sys.procs[0].orig.exe.sym("quiet").unwrap();
     let loud = sys.procs[0].orig.exe.sym("loud").unwrap();
-    let stores_at = |va: u32| sink.drefs.iter().filter(|d| d.0 == va && d.1).count();
+    let stores_at = |va: u32| {
+        let at = |e: &&wrl_trace::RefEvent| matches!(**e, wrl_trace::RefEvent::Dref { vaddr, store: true, .. } if vaddr == va);
+        sink.0.iter().filter(at).count()
+    };
     assert_eq!(stores_at(quiet), 0, "traced while off");
     assert!(stores_at(loud) >= 200, "on-phase stores missing");
 }
@@ -230,7 +230,7 @@ fn mach_serves_two_clients_concurrently() {
     let mut sys = build_system(&KernelConfig::mach().traced(), &[&a, &b]);
     let run = sys.run(6_000_000_000);
     let mut parser = sys.parser();
-    let mut sink = wrl_trace::CollectSink::default();
+    let mut sink = wrl_trace::EventVec::default();
     parser.parse_all(&run.trace_words, &mut sink);
     assert_eq!(
         parser.stats.errors,
@@ -240,8 +240,7 @@ fn mach_serves_two_clients_concurrently() {
     );
     // Three user address spaces: sed, egrep, server.
     let mut tokens: Vec<u8> = sink
-        .irefs
-        .iter()
+        .fetches()
         .filter_map(|r| match r.1 {
             wrl_trace::Space::User(t) => Some(t),
             _ => None,

@@ -11,7 +11,7 @@
 use wrl_isa::asm::Asm;
 use wrl_isa::reg::*;
 use wrl_kernel::{build_system, KernelConfig};
-use wrl_trace::Space;
+use wrl_trace::{EventVec, RefEvent, Space};
 
 fn threaded_workload() -> wrl_workloads::Workload {
     let mut a = Asm::new("threads");
@@ -108,7 +108,7 @@ fn per_thread_trace_pages_keep_streams_separate() {
     assert_eq!(run.exit_code, 2);
 
     let mut parser = sys.parser();
-    let mut sink = wrl_trace::CollectSink::default();
+    let mut sink = EventVec::default();
     parser.parse_all(&run.trace_words, &mut sink);
     assert_eq!(
         parser.stats.errors,
@@ -118,12 +118,7 @@ fn per_thread_trace_pages_keep_streams_separate() {
     );
 
     // Both tokens contribute user instruction streams.
-    let count = |tok: u8| {
-        sink.irefs
-            .iter()
-            .filter(|r| r.1 == Space::User(tok))
-            .count()
-    };
+    let count = |tok: u8| sink.fetches().filter(|r| r.1 == Space::User(tok)).count();
     assert!(count(1) > 20_000, "main thread: {}", count(1));
     assert!(count(2) > 10_000, "worker thread: {}", count(2));
 
@@ -133,10 +128,11 @@ fn per_thread_trace_pages_keep_streams_separate() {
     let buf_a = sys.procs[0].orig.exe.sym("buf_a").unwrap();
     let buf_b = sys.procs[0].orig.exe.sym("buf_b").unwrap();
     let stores = |tok: u8, va: u32| {
-        sink.drefs
-            .iter()
-            .filter(|d| d.0 == va && d.1 && d.2 == Space::User(tok))
-            .count()
+        let at = |e: &&RefEvent| {
+            matches!(**e, RefEvent::Dref { vaddr, store: true, space, .. }
+                if vaddr == va && space == Space::User(tok))
+        };
+        sink.0.iter().filter(at).count()
     };
     assert!(
         stores(1, buf_a) >= 6000,
@@ -162,7 +158,7 @@ fn an_archive_of_a_threaded_run_parses_as_the_live_run_does() {
     assert_eq!(run.exit_code, 2);
 
     let parse = |mut parser: wrl_trace::TraceParser| {
-        let mut sink = wrl_trace::CollectSink::default();
+        let mut sink = EventVec::default();
         parser.parse_all(&run.trace_words, &mut sink);
         (parser.stats.errors, sink)
     };
@@ -170,9 +166,13 @@ fn an_archive_of_a_threaded_run_parses_as_the_live_run_does() {
     let (archived_errors, archived) = parse(sys.archive(&run).parser());
     assert_eq!(live_errors, 0);
     assert_eq!(archived_errors, 0, "the archive lacks a thread's table");
-    assert_eq!(archived.irefs, live.irefs);
-    assert_eq!(archived.drefs, live.drefs);
-    assert_eq!(archived.switches, live.switches);
+    let first_diff = archived.0.iter().zip(&live.0).position(|(a, l)| a != l);
+    assert!(
+        archived == live,
+        "archived and live events differ (first at {first_diff:?}, lengths {} and {})",
+        archived.0.len(),
+        live.0.len()
+    );
 }
 
 #[test]
@@ -188,7 +188,7 @@ fn mach_per_thread_trace_pages_work_too() {
     assert_eq!(run.exit_code, 3);
 
     let mut parser = sys.parser();
-    let mut sink = wrl_trace::CollectSink::default();
+    let mut sink = EventVec::default();
     parser.parse_all(&run.trace_words, &mut sink);
     assert_eq!(
         parser.stats.errors,
@@ -198,12 +198,7 @@ fn mach_per_thread_trace_pages_work_too() {
     );
     // Main thread (token 1), server (2), worker thread (3) all
     // contribute user streams under distinct tokens.
-    let count = |tok: u8| {
-        sink.irefs
-            .iter()
-            .filter(|r| r.1 == Space::User(tok))
-            .count()
-    };
+    let count = |tok: u8| sink.fetches().filter(|r| r.1 == Space::User(tok)).count();
     assert!(count(1) > 10_000, "main: {}", count(1));
     // The workload does no file I/O, so the server only runs its
     // startup path before blocking in recv — but that still traces.

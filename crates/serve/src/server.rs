@@ -182,8 +182,10 @@ struct Shared {
     cfg: ServeCfg,
     obs: ServeObs,
     hooks: ServeHooks,
-    /// The admission gate proper — a plain atomic, not the obs gauge,
-    /// so admission works identically in no-record builds.
+    /// The admission gate proper — a plain atomic per server, not the
+    /// obs gauge: `ServeObs::register` is idempotent on the
+    /// process-global registry, so every server in a process shares
+    /// one `serve.inflight` gauge.
     inflight: AtomicUsize,
     resp_seq: AtomicU64,
     shutdown: AtomicBool,

@@ -1124,7 +1124,7 @@ pub fn decode_block_bytes(
 mod tests {
     use super::*;
     use wrl_trace::bbinfo::{BbInfo, BbTraceFlags};
-    use wrl_trace::{ctl, CollectSink, CtlOp};
+    use wrl_trace::{ctl, CtlOp, EventVec};
 
     fn sample_archive(n_words: u32) -> TraceArchive {
         let mut kt = BbTable::new();
@@ -1525,14 +1525,13 @@ mod tests {
     fn store_parses_identically_to_archive() {
         let a = sample_archive(300);
         let store = TraceStore::from_archive(&a, 32);
-        let mut direct = CollectSink::default();
+        let mut direct = EventVec::default();
         a.parser().parse_all(&a.words, &mut direct);
-        let mut via_store = CollectSink::default();
+        let mut via_store = EventVec::default();
         store
             .parser()
             .parse_all(&store.words().unwrap(), &mut via_store);
-        assert_eq!(via_store.irefs, direct.irefs);
-        assert_eq!(via_store.drefs, direct.drefs);
+        assert_eq!(via_store, direct);
     }
 
     /// A multi-ASID archive: rotates context switches through several

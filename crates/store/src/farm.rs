@@ -126,7 +126,7 @@ mod tests {
     use std::sync::Arc;
     use wrl_isa::Width;
     use wrl_trace::bbinfo::{BbInfo, BbTraceFlags, MemOp};
-    use wrl_trace::{ctl, BbTable, CollectSink, CtlOp, TraceArchive};
+    use wrl_trace::{ctl, BbTable, CtlOp, EventVec, TraceArchive};
 
     /// A trace with kernel + user activity, context switches and
     /// nested kernel entries, so ordering bugs have something to bite.
@@ -179,8 +179,8 @@ mod tests {
         TraceStore::from_archive(&a, block_words)
     }
 
-    fn sequential(store: &TraceStore) -> CollectSink {
-        let mut sink = CollectSink::default();
+    fn sequential(store: &TraceStore) -> EventVec {
+        let mut sink = EventVec::default();
         store.parser().parse_all(&store.words().unwrap(), &mut sink);
         sink
     }
@@ -204,18 +204,12 @@ mod tests {
         })
     }
 
-    fn assert_identical(driven: &CollectSink, baseline: &CollectSink) {
-        assert_eq!(driven.irefs, baseline.irefs);
-        assert_eq!(driven.drefs, baseline.drefs);
-        assert_eq!(driven.switches, baseline.switches);
-    }
-
     #[test]
     fn drive_matches_a_sequential_parse_at_any_block_size() {
         for block_words in [1, 7, 256] {
             let store = busy_store(block_words);
-            let (run, driven) = drive(&store, CollectSink::default()).unwrap();
-            assert_identical(&driven, &sequential(&store));
+            let (run, driven) = drive(&store, EventVec::default()).unwrap();
+            assert_eq!(driven, sequential(&store));
             assert_eq!(run.words, store.n_words);
             assert_eq!(run.chunks, store.n_blocks() as u64);
             assert!(run.parse.bb_records > 0);
@@ -251,8 +245,8 @@ mod tests {
         let v3 = busy_store(64);
         let a = v3.to_archive().unwrap();
         let v4 = TraceStore::from_archive_with(&a, 64, crate::BlockFormat::Columnar);
-        let (_, driven) = drive(&v4, CollectSink::default()).unwrap();
-        assert_identical(&driven, &sequential(&v3));
+        let (_, driven) = drive(&v4, EventVec::default()).unwrap();
+        assert_eq!(driven, sequential(&v3));
         for pred in [
             Predicate {
                 asid: Some(5),
@@ -296,7 +290,7 @@ mod tests {
             u64::from_le_bytes(bytes[tail_at + 4..tail_at + 12].try_into().unwrap()) as usize;
         bytes[index_pos - 1] ^= 0xff;
         let bad = TraceStore::decode(&bytes).unwrap();
-        let err = drive(&bad, CollectSink::default()).unwrap_err();
+        let err = drive(&bad, EventVec::default()).unwrap_err();
         assert!(matches!(
             err,
             StoreError::CrcMismatch { .. } | StoreError::BlockCodec { .. }

@@ -269,7 +269,7 @@ pub fn write_atomic(path: impl AsRef<Path>, bytes: &[u8]) -> io::Result<()> {
 mod tests {
     use super::*;
     use crate::format::{ctl, CtlOp};
-    use crate::parser::CollectSink;
+    use crate::stream::{EventVec, RefEvent};
 
     fn sample() -> TraceArchive {
         let mut kt = BbTable::new();
@@ -339,11 +339,12 @@ mod tests {
         let a = sample();
         let b = TraceArchive::decode(&a.encode()).unwrap();
         let mut p = b.parser();
-        let mut sink = CollectSink::default();
+        let mut sink = EventVec::default();
         p.parse_all(&b.words, &mut sink);
         assert_eq!(p.stats.errors, 0, "{:?}", p.errors);
-        assert_eq!(sink.irefs.len(), 6);
-        assert_eq!(sink.drefs.len(), 2);
+        assert_eq!(sink.fetches().count(), 6);
+        let drefs = sink.0.iter().filter(|e| matches!(e, RefEvent::Dref { .. }));
+        assert_eq!(drefs.count(), 2);
         // 4 kernel idle insts + the user block's trailing iref, which
         // is flushed lazily after the idle flag was raised.
         assert_eq!(p.stats.idle_insts, 5);

@@ -43,5 +43,5 @@ pub use archive::{write_atomic, ArchiveError, TraceArchive};
 pub use bbinfo::{BbInfo, BbTable, BbTraceFlags, MemOp};
 pub use format::{classify, ctl, is_kernel_addr, Ctl, CtlOp, TraceWord, CTL_LIMIT};
 pub use obs::{ParseStatsObs, ParserObs};
-pub use parser::{CollectSink, ParseError, ParseStats, Space, TraceParser, TraceSink, Wants};
+pub use parser::{ParseError, ParseStats, Space, TraceParser, TraceSink, Wants};
 pub use stream::{ChunkFate, DriveReport, Driver, EventVec, RefEvent, SeamHooks};

@@ -71,7 +71,7 @@ wrl_obs::metrics! {
 mod tests {
     use super::*;
     use crate::bbinfo::BbTable;
-    use crate::parser::{CollectSink, TraceParser};
+    use crate::parser::TraceParser;
     use std::sync::Arc;
 
     #[test]
@@ -81,9 +81,8 @@ mod tests {
         let mut p = TraceParser::new(Arc::new(BbTable::new()));
         p.set_user_table(0, Arc::new(BbTable::new()));
         p.attach_obs(obs.clone());
-        let mut sink = CollectSink::default();
         // An unknown user block id and a kernel address in user context.
-        p.parse_all(&[0x0066_0000, 0x8003_0000], &mut sink);
+        p.parse_all(&[0x0066_0000, 0x8003_0000], &mut ());
         assert_eq!(p.stats.errors, 2);
         assert_eq!(obs.unknown_bb.get(), before + 1);
     }

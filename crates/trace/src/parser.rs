@@ -102,6 +102,13 @@ impl<A: TraceSink, B: TraceSink> TraceSink for (A, B) {
     }
 }
 
+/// The unit sink discards every event: for a parse whose only output
+/// is [`TraceParser::stats`] and [`TraceParser::errors`].
+impl TraceSink for () {
+    fn irefs(&mut self, _vaddr: u32, _n: u32, _space: Space, _idle: bool) {}
+    fn dref(&mut self, _vaddr: u32, _store: bool, _width: Width, _space: Space) {}
+}
+
 /// Parse-time error, recorded with the word position.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ParseError {
@@ -495,37 +502,12 @@ impl TraceParser {
     }
 }
 
-/// A sink that collects every reference (for tests and small tools).
-#[derive(Clone, Debug, Default)]
-pub struct CollectSink {
-    /// `(vaddr, space, idle)` per instruction reference.
-    pub irefs: Vec<(u32, Space, bool)>,
-    /// `(vaddr, store, space)` per data reference.
-    pub drefs: Vec<(u32, bool, Space)>,
-    /// ASIDs in context-switch order.
-    pub switches: Vec<u8>,
-}
-
-impl TraceSink for CollectSink {
-    fn irefs(&mut self, vaddr: u32, n: u32, space: Space, idle: bool) {
-        self.irefs
-            .extend((0..n).map(|i| (vaddr + 4 * i, space, idle)));
-    }
-
-    fn dref(&mut self, vaddr: u32, store: bool, _width: Width, space: Space) {
-        self.drefs.push((vaddr, store, space));
-    }
-
-    fn ctx_switch(&mut self, asid: u8) {
-        self.switches.push(asid);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bbinfo::{BbInfo, BbTraceFlags, MemOp};
     use crate::format::{ctl, CtlOp};
+    use crate::stream::{EventVec, RefEvent};
 
     fn table(entries: Vec<(u32, BbInfo)>) -> Arc<BbTable> {
         let mut t = BbTable::new();
@@ -560,6 +542,22 @@ mod tests {
         }
     }
 
+    /// The data references of a parse as `(vaddr, store, space)`.
+    fn drefs(sink: &EventVec) -> Vec<(u32, bool, Space)> {
+        sink.0
+            .iter()
+            .filter_map(|e| match *e {
+                RefEvent::Dref {
+                    vaddr,
+                    store,
+                    space,
+                    ..
+                } => Some((vaddr, store, space)),
+                _ => None,
+            })
+            .collect()
+    }
+
     #[test]
     fn single_user_bb_interleaves_refs() {
         // bb at id 0x500000: orig 0x400000, 4 insts, load at 1, store at 2.
@@ -572,17 +570,33 @@ mod tests {
             0x0100_0040, // load addr
             0x0100_0080, // store addr
         ];
-        let mut sink = CollectSink::default();
+        let mut sink = EventVec::default();
         p.parse_all(&words, &mut sink);
         assert_eq!(p.stats.errors, 0, "{:?}", p.errors);
-        // I I D I D I pattern by addresses:
-        let i: Vec<u32> = sink.irefs.iter().map(|r| r.0).collect();
-        assert_eq!(i, vec![0x40_0000, 0x40_0004, 0x40_0008, 0x40_000c]);
+        // The I I D I D I pattern, the fetches in runs cut at each
+        // memory operation.
+        let space = Space::User(3);
+        let i = |vaddr, n| RefEvent::Iref {
+            vaddr,
+            n,
+            space,
+            idle: false,
+        };
+        let d = |vaddr, store| RefEvent::Dref {
+            vaddr,
+            store,
+            width: Width::Word,
+            space,
+        };
         assert_eq!(
-            sink.drefs,
-            vec![
-                (0x0100_0040, false, Space::User(3)),
-                (0x0100_0080, true, Space::User(3)),
+            sink.0,
+            [
+                RefEvent::CtxSwitch(3),
+                i(0x40_0000, 2),
+                d(0x0100_0040, false),
+                i(0x40_0008, 1),
+                d(0x0100_0080, true),
+                i(0x40_000c, 1),
             ]
         );
     }
@@ -651,27 +665,24 @@ mod tests {
             ctl(CtlOp::KExit, 0),
             0x0100_0004, // second user load resumes the same bb
         ];
-        let mut sink = CollectSink::default();
+        let mut sink = EventVec::default();
         p.parse_all(&words, &mut sink);
         assert_eq!(p.stats.errors, 0, "{:?}", p.errors);
         assert_eq!(p.stats.kernel_entries, 1);
         // User irefs are all four instructions of the user bb.
-        let user_i: Vec<u32> = sink
-            .irefs
-            .iter()
-            .filter(|r| r.1 == Space::User(1))
-            .map(|r| r.0)
-            .collect();
-        assert_eq!(user_i, vec![0x40_0000, 0x40_0004, 0x40_0008, 0x40_000c]);
-        let kern_i: Vec<u32> = sink
-            .irefs
-            .iter()
-            .filter(|r| r.1 == Space::Kernel)
-            .map(|r| r.0)
-            .collect();
-        assert_eq!(kern_i, vec![0x8003_0000, 0x8003_0004]);
+        let fetches_in = |space| -> Vec<u32> {
+            sink.fetches()
+                .filter(|r| r.1 == space)
+                .map(|r| r.0)
+                .collect()
+        };
+        assert_eq!(
+            fetches_in(Space::User(1)),
+            [0x40_0000, 0x40_0004, 0x40_0008, 0x40_000c]
+        );
+        assert_eq!(fetches_in(Space::Kernel), [0x8003_0000, 0x8003_0004]);
         // Kernel dref sits between the two user drefs in stream order.
-        assert_eq!(sink.drefs[1].2, Space::Kernel);
+        assert_eq!(drefs(&sink)[1].2, Space::Kernel);
     }
 
     #[test]
@@ -692,11 +703,11 @@ mod tests {
             0x8030_0004, // second load of the outer bb
             ctl(CtlOp::KExit, 0),
         ];
-        let mut sink = CollectSink::default();
+        let mut sink = EventVec::default();
         p.parse_all(&words, &mut sink);
         assert_eq!(p.stats.errors, 0, "{:?}", p.errors);
-        assert_eq!(sink.drefs.len(), 2);
-        assert_eq!(sink.irefs.len(), 4);
+        assert_eq!(drefs(&sink).len(), 2);
+        assert_eq!(sink.fetches().count(), 4);
     }
 
     #[test]
@@ -704,8 +715,7 @@ mod tests {
         let ut = table(vec![(0x50_0000, bb(0x40_0000, 1, vec![]))]);
         let mut p = TraceParser::new(table(vec![]));
         p.set_user_table(0, ut);
-        let mut sink = CollectSink::default();
-        p.parse_all(&[0x66_0000], &mut sink);
+        p.parse_all(&[0x66_0000], &mut ());
         assert_eq!(p.stats.errors, 1);
         assert!(matches!(p.errors[0], ParseError::UnknownBb { .. }));
     }
@@ -714,8 +724,7 @@ mod tests {
     fn kernel_addr_in_user_context_is_wrong_space() {
         let mut p = TraceParser::new(table(vec![]));
         p.set_user_table(0, table(vec![]));
-        let mut sink = CollectSink::default();
-        p.parse_all(&[0x8003_0000], &mut sink);
+        p.parse_all(&[0x8003_0000], &mut ());
         assert!(matches!(p.errors[0], ParseError::WrongSpace { .. }));
     }
 
@@ -724,11 +733,7 @@ mod tests {
         let ut = table(vec![(0x50_0000, bb(0x40_0000, 2, vec![ld(0), ld(1)]))]);
         let mut p = TraceParser::new(table(vec![]));
         p.set_user_table(0, ut);
-        let mut sink = CollectSink::default();
-        p.parse_all(
-            &[ctl(CtlOp::CtxSwitch, 0), 0x50_0000, 0x0100_0000],
-            &mut sink,
-        );
+        p.parse_all(&[ctl(CtlOp::CtxSwitch, 0), 0x50_0000, 0x0100_0000], &mut ());
         assert!(p
             .errors
             .iter()
@@ -750,8 +755,7 @@ mod tests {
             0x8005_0110,
             ctl(CtlOp::KExit, 0),
         ];
-        let mut sink = CollectSink::default();
-        p.parse_all(&words, &mut sink);
+        p.parse_all(&words, &mut ());
         assert_eq!(p.stats.errors, 0, "{:?}", p.errors);
         // Two idle bbs of 3 insts each; the stop bb is not idle.
         assert_eq!(p.stats.idle_insts, 6);
@@ -760,7 +764,7 @@ mod tests {
     #[test]
     fn mode_transitions_counted() {
         let mut p = TraceParser::new(table(vec![]));
-        let mut sink = CollectSink::default();
+        let mut sink = EventVec::default();
         p.parse_all(
             &[
                 ctl(CtlOp::TraceOff, 0),
@@ -770,6 +774,8 @@ mod tests {
             &mut sink,
         );
         assert_eq!(p.stats.mode_transitions, 2);
+        let mode = RefEvent::ModeTransition;
+        assert_eq!(sink.0, [mode(false), mode(true), mode(false)]);
     }
 
     #[test]
@@ -793,10 +799,10 @@ mod tests {
             ctl(CtlOp::KExit, 0),
             0x0100_0000,
         ];
-        let mut sink = CollectSink::default();
+        let mut sink = EventVec::default();
         p.parse_all(&words, &mut sink);
         assert_eq!(p.stats.errors, 0, "{:?}", p.errors);
-        assert_eq!(sink.drefs, vec![(0x0100_0000, false, Space::User(1))]);
+        assert_eq!(drefs(&sink), [(0x0100_0000, false, Space::User(1))]);
         assert_eq!(p.stats.ctx_switches, 3);
     }
 }

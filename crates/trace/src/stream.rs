@@ -102,13 +102,34 @@ impl RefEvent {
     }
 }
 
-/// A [`TraceSink`] that simply buffers every event in order, for
-/// later replay with [`RefEvent::apply`]. Lets a caller separate the
-/// *parse* and *simulate* phases of a batch analysis (the metered
-/// harness times them individually) without changing what the
-/// downstream sink observes.
-#[derive(Clone, Debug, Default)]
+/// A [`TraceSink`] that buffers every event in order, exactly: the
+/// one collector of a parse. Replayed with [`RefEvent::apply`], it
+/// lets a caller separate the *parse* and *simulate* phases of a
+/// batch analysis (the metered harness times them individually)
+/// without changing what the downstream sink observes; compared with
+/// `==`, two parses agree in every run, width, idle flag, switch and
+/// mode transition.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct EventVec(pub Vec<RefEvent>);
+
+impl EventVec {
+    /// Every instruction fetch in emitted order, one `(vaddr, space,
+    /// idle)` per fetch: each run expanded.
+    pub fn fetches(&self) -> impl Iterator<Item = (u32, Space, bool)> + '_ {
+        self.0.iter().flat_map(|e| {
+            let (vaddr, n, space, idle) = match *e {
+                RefEvent::Iref {
+                    vaddr,
+                    n,
+                    space,
+                    idle,
+                } => (vaddr, n, space, idle),
+                _ => (0, 0, Space::Kernel, false),
+            };
+            (0..n).map(move |i| (vaddr.wrapping_add(4 * i), space, idle))
+        })
+    }
+}
 
 impl TraceSink for EventVec {
     fn irefs(&mut self, vaddr: u32, n: u32, space: Space, idle: bool) {
@@ -291,7 +312,6 @@ mod tests {
     use super::*;
     use crate::bbinfo::{BbInfo, BbTable, BbTraceFlags, MemOp};
     use crate::format::{ctl, CtlOp};
-    use crate::parser::CollectSink;
     use std::sync::Arc;
 
     const USER_BB: u32 = 0x0040_0000;
@@ -355,9 +375,9 @@ mod tests {
         p
     }
 
-    fn batch_reference() -> (ParseStats, CollectSink) {
+    fn batch_reference() -> (ParseStats, EventVec) {
         let mut p = fresh_parser();
-        let mut sink = CollectSink::default();
+        let mut sink = EventVec::default();
         p.parse_all(&words(), &mut sink);
         (p.stats.clone(), sink)
     }
@@ -367,15 +387,13 @@ mod tests {
         let (ref_stats, ref_sink) = batch_reference();
         let w = words();
         for feed_len in [1usize, 3, 17, 64, 4096] {
-            let mut d = Driver::new(fresh_parser(), CollectSink::default());
+            let mut d = Driver::new(fresh_parser(), EventVec::default());
             for piece in w.chunks(feed_len) {
                 d.feed(piece);
             }
             let (report, sink) = d.finish();
             assert_eq!(report.parse, ref_stats, "chunk={feed_len}");
-            assert_eq!(sink.irefs, ref_sink.irefs, "chunk={feed_len}");
-            assert_eq!(sink.drefs, ref_sink.drefs);
-            assert_eq!(sink.switches, ref_sink.switches);
+            assert_eq!(sink, ref_sink, "chunk={feed_len}");
             assert_eq!(report.words, w.len() as u64);
             assert_eq!(report.chunks, w.len().div_ceil(feed_len) as u64);
             assert_eq!(report.lost_chunks, 0);
@@ -384,29 +402,23 @@ mod tests {
 
     #[test]
     fn empty_stream_finishes_clean() {
-        let (report, sink) = Driver::new(fresh_parser(), CollectSink::default()).finish();
+        let (report, sink) = Driver::new(fresh_parser(), EventVec::default()).finish();
         assert_eq!(report, DriveReport::default());
-        assert!(sink.irefs.is_empty());
+        assert_eq!(sink, EventVec::default());
     }
 
     #[test]
     fn event_vec_replay_matches_direct_parse() {
-        // Parsing into an EventVec and replaying must equal parsing
-        // straight into the sink — the metered harness depends on it.
-        let mut direct = CollectSink::default();
-        let mut p = fresh_parser();
-        p.parse_all(&words(), &mut direct);
-
-        let mut buf = EventVec::default();
-        let mut p2 = fresh_parser();
-        p2.parse_all(&words(), &mut buf);
-        let mut replayed = CollectSink::default();
-        for ev in buf.0 {
+        // Replaying a buffered parse must hand a sink exactly what
+        // parsing straight into it does — the metered harness depends
+        // on it.
+        let mut direct = EventVec::default();
+        fresh_parser().parse_all(&words(), &mut direct);
+        let mut replayed = EventVec::default();
+        for &ev in &direct.0 {
             ev.apply(&mut replayed);
         }
-        assert_eq!(replayed.irefs, direct.irefs);
-        assert_eq!(replayed.drefs, direct.drefs);
-        assert_eq!(replayed.switches, direct.switches);
+        assert_eq!(replayed, direct);
     }
 
     /// Records the word hook and where events land after it.
@@ -472,15 +484,14 @@ mod tests {
                 ChunkFate::Deliver
             }
         });
-        let mut d = Driver::with_hooks(fresh_parser(), CollectSink::default(), hooks);
+        let mut d = Driver::with_hooks(fresh_parser(), EventVec::default(), hooks);
         for piece in words().chunks(16) {
             d.feed(piece);
         }
         let (report, sink) = d.finish();
         assert_eq!(report.parse, ref_stats);
         assert_eq!(report.lost_chunks, 0);
-        assert_eq!(sink.irefs, ref_sink.irefs);
-        assert_eq!(sink.drefs, ref_sink.drefs);
+        assert_eq!(sink, ref_sink);
     }
 
     #[test]
@@ -492,7 +503,7 @@ mod tests {
                 ChunkFate::Deliver
             }
         });
-        let mut d = Driver::with_hooks(fresh_parser(), CollectSink::default(), hooks);
+        let mut d = Driver::with_hooks(fresh_parser(), EventVec::default(), hooks);
         for piece in words().chunks(16) {
             d.feed(piece);
         }
@@ -503,7 +514,7 @@ mod tests {
 
     #[test]
     fn parse_errors_are_reported() {
-        let mut d = Driver::new(fresh_parser(), CollectSink::default());
+        let mut d = Driver::new(fresh_parser(), EventVec::default());
         // 0x0050_0000: a user address with no table entry.
         d.feed(&[USER_BB, 0x7000_0000, 0x0050_0000]);
         let (report, _) = d.finish();

@@ -8,7 +8,7 @@ use wrl_isa::Width;
 use wrl_trace::bbinfo::{BbInfo, BbTable, BbTraceFlags, MemOp};
 use wrl_trace::format::{ctl, CtlOp};
 use wrl_trace::parser::ParseError;
-use wrl_trace::{CollectSink, TraceParser};
+use wrl_trace::{EventVec, RefEvent, TraceParser};
 
 const UBB: u32 = 0x0050_0000;
 const KBB: u32 = 0x8003_0000;
@@ -41,13 +41,19 @@ fn tables() -> (Arc<BbTable>, Arc<BbTable>) {
     (Arc::new(kt), Arc::new(ut))
 }
 
-fn parse(words: &[u32]) -> (TraceParser, CollectSink) {
+fn parse(words: &[u32]) -> (TraceParser, EventVec) {
     let (kt, ut) = tables();
     let mut p = TraceParser::new(kt);
     p.set_user_table(7, ut);
-    let mut sink = CollectSink::default();
+    let mut sink = EventVec::default();
     p.parse_all(words, &mut sink);
     (p, sink)
+}
+
+/// Data references in a parse.
+fn drefs(sink: &EventVec) -> usize {
+    let is_dref = |e: &&RefEvent| matches!(e, RefEvent::Dref { .. });
+    sink.0.iter().filter(is_dref).count()
 }
 
 #[test]
@@ -63,7 +69,7 @@ fn unknown_block_id_is_reported_and_parsing_continues() {
             ..
         }
     ));
-    assert_eq!(sink.irefs.len(), 3, "the healthy block still parses");
+    assert_eq!(sink.fetches().count(), 3, "the healthy block still parses");
 }
 
 #[test]
@@ -97,7 +103,7 @@ fn stream_ending_mid_block_is_truncation() {
         ParseError::Truncated { bb_id, missing: 1 } if *bb_id == UBB
     )));
     // The block's instructions before the missing op were still usable.
-    assert!(!sink.irefs.is_empty());
+    assert!(sink.fetches().next().is_some());
 }
 
 #[test]
@@ -175,7 +181,7 @@ fn each_defensive_check_tallies_its_counter_exactly_once() {
         let mut p = TraceParser::new(kt);
         p.set_user_table(7, ut);
         p.attach_obs(obs.clone());
-        p.parse_all(&words, &mut CollectSink::default());
+        p.parse_all(&words, &mut ());
         assert!(p.stats.errors >= 1, "{name}: corruption must be reported");
         let after = counters();
         for (i, tally) in all.iter().enumerate() {
@@ -208,8 +214,8 @@ fn damage_in_one_process_does_not_poison_another() {
     ];
     let (p, sink) = parse(&words);
     assert!(p.stats.errors > 0);
-    assert_eq!(sink.irefs.len(), 6, "both healthy blocks parse fully");
-    assert_eq!(sink.drefs.len(), 2);
+    assert_eq!(sink.fetches().count(), 6, "both healthy blocks parse fully");
+    assert_eq!(drefs(&sink), 2);
 }
 
 fn bb(orig_vaddr: u32, n_insts: u16, indices: &[u16]) -> BbInfo {
@@ -236,7 +242,7 @@ fn one_block(id: u32, info: BbInfo) -> Arc<BbTable> {
 
 #[test]
 fn end_of_stream_flushes_kernel_activations_then_users_in_asid_order() {
-    use wrl_trace::{EventVec, RefEvent, Space};
+    use wrl_trace::Space;
     // Every block owes a memory word when the stream ends: three user
     // address spaces, switched to in the order 9, 2, 200, and two
     // nested kernel activations.
@@ -299,22 +305,22 @@ fn end_of_stream_flushes_kernel_activations_then_users_in_asid_order() {
 fn op_index_at_u16_max_does_not_overflow() {
     let mut p = TraceParser::new(Arc::new(BbTable::new()));
     p.set_user_table(7, one_block(UBB, bb(0x0040_0000, 3, &[u16::MAX])));
-    let mut sink = CollectSink::default();
+    let mut sink = EventVec::default();
     p.parse_all(&[ctl(CtlOp::CtxSwitch, 7), UBB, 0x0100_0000], &mut sink);
     assert_eq!(p.stats.errors, 0, "{:?}", p.errors);
     // The op sits past the block's end: every instruction precedes it.
-    assert_eq!(sink.irefs.len(), 3);
-    assert_eq!(sink.drefs.len(), 1);
+    assert_eq!(sink.fetches().count(), 3);
+    assert_eq!(drefs(&sink), 1);
 }
 
 #[test]
 fn block_at_the_top_of_the_address_space_wraps() {
     let mut p = TraceParser::new(Arc::new(BbTable::new()));
     p.set_user_table(7, one_block(UBB, bb(0xffff_fffc, 3, &[])));
-    let mut sink = CollectSink::default();
+    let mut sink = EventVec::default();
     p.parse_all(&[ctl(CtlOp::CtxSwitch, 7), UBB], &mut sink);
     assert_eq!(p.stats.errors, 0, "{:?}", p.errors);
-    let vaddrs: Vec<u32> = sink.irefs.iter().map(|r| r.0).collect();
+    let vaddrs: Vec<u32> = sink.fetches().map(|r| r.0).collect();
     assert_eq!(vaddrs, [0xffff_fffc, 0, 4]);
 }
 
@@ -330,14 +336,14 @@ fn replacing_a_table_mid_stream_abandons_the_open_block() {
     old.insert(UBB, bb(0x0040_0000, 3, &[1])); // position 1
     let mut p = TraceParser::new(Arc::new(BbTable::new()));
     p.set_user_table(7, Arc::new(old));
-    let mut sink = CollectSink::default();
+    let mut sink = EventVec::default();
     p.push_words(&[ctl(CtlOp::CtxSwitch, 7), UBB], &mut sink);
     // The new table has no position 1.
     p.set_user_table(7, one_block(0x0060_0000, bb(0x0044_0000, 2, &[])));
     p.push_words(&[0x0060_0000], &mut sink);
     p.finish(&mut sink);
     assert_eq!(p.stats.errors, 0, "{:?}", p.errors);
-    let vaddrs: Vec<u32> = sink.irefs.iter().map(|r| r.0).collect();
+    let vaddrs: Vec<u32> = sink.fetches().map(|r| r.0).collect();
     assert_eq!(vaddrs, [0x0044_0000, 0x0044_0004]);
-    assert!(sink.drefs.is_empty());
+    assert_eq!(drefs(&sink), 0);
 }

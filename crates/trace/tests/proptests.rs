@@ -7,7 +7,7 @@ use std::sync::Arc;
 use wrl_isa::Width;
 use wrl_trace::bbinfo::{BbInfo, BbTable, BbTraceFlags, MemOp};
 use wrl_trace::format::{ctl, CtlOp};
-use wrl_trace::{CollectSink, Space, TraceParser, TraceSink};
+use wrl_trace::{EventVec, RefEvent, Space, TraceParser, TraceSink};
 
 /// Counts references (a block of 65535 instructions is too many to
 /// collect six hundred times a case), and holds every run of fetches
@@ -144,11 +144,12 @@ proptest! {
         }
         let mut p = TraceParser::new(table(&[]));
         p.set_user_table(7, ut);
-        let mut sink = CollectSink::default();
+        let mut sink = EventVec::default();
         p.parse_all(&words, &mut sink);
         prop_assert_eq!(p.stats.errors, 0, "errors: {:?}", p.errors);
-        prop_assert_eq!(sink.irefs.len() as u64, want_i);
-        prop_assert_eq!(sink.drefs.len() as u64, want_d);
+        prop_assert_eq!(sink.fetches().count() as u64, want_i);
+        let drefs = sink.0.iter().filter(|e| matches!(e, RefEvent::Dref { .. }));
+        prop_assert_eq!(drefs.count() as u64, want_d);
     }
 
     /// Interposing balanced kernel entries at arbitrary points never
@@ -177,12 +178,13 @@ proptest! {
         }
         let mut p = TraceParser::new(kt);
         p.set_user_table(1, ut);
-        let mut sink = CollectSink::default();
+        let mut sink = EventVec::default();
         p.parse_all(&words, &mut sink);
         prop_assert_eq!(p.stats.errors, 0, "errors: {:?}", p.errors);
-        let user_i = sink.irefs.iter().filter(|r| matches!(r.1, wrl_trace::Space::User(1))).count();
+        let user_i = sink.fetches().filter(|r| r.1 == Space::User(1)).count();
         prop_assert_eq!(user_i, 15);
-        prop_assert_eq!(sink.drefs.iter().filter(|d| matches!(d.2, wrl_trace::Space::User(1))).count(), 6);
+        let user_d = sink.0.iter().filter(|e| matches!(e, RefEvent::Dref { space: Space::User(1), .. }));
+        prop_assert_eq!(user_d.count(), 6);
     }
 }
 
@@ -269,12 +271,12 @@ proptest! {
             }
         }
 
-        let mut one = CollectSink::default();
+        let mut one = EventVec::default();
         let mut p1 = TraceParser::new(table(&[]));
         p1.set_user_table(7, table(&shapes));
         p1.parse_all(&words, &mut one);
 
-        let mut many = CollectSink::default();
+        let mut many = EventVec::default();
         let mut p2 = TraceParser::new(table(&[]));
         p2.set_user_table(7, table(&shapes));
         let mut bounds: Vec<usize> =
@@ -289,7 +291,6 @@ proptest! {
 
         prop_assert_eq!(p1.stats.errors, 0);
         prop_assert_eq!(p2.stats.errors, 0);
-        prop_assert_eq!(one.irefs, many.irefs);
-        prop_assert_eq!(one.drefs, many.drefs);
+        prop_assert_eq!(one, many);
     }
 }

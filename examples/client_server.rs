@@ -24,13 +24,13 @@ fn main() {
     println!("processes: {asids:?}");
 
     let mut parser = sys.parser();
-    let mut sink = systrace::trace::CollectSink::default();
+    let mut sink = systrace::trace::EventVec::default();
     parser.parse_all(&run.trace_words, &mut sink);
     assert_eq!(parser.stats.errors, 0);
 
     let client = asids["sed"];
     let server = asids["uxserver"];
-    let count = |a: u8| sink.irefs.iter().filter(|r| r.1 == Space::User(a)).count();
+    let count = |a: u8| sink.fetches().filter(|r| r.1 == Space::User(a)).count();
     println!("instruction references by activity stream:");
     println!("  client (sed)      : {:>9}", count(client));
     println!("  UNIX server       : {:>9}", count(server));

@@ -8,13 +8,12 @@
 //! interleaved instruction/data reference stream from the one-word
 //! trace entries.
 
-use std::sync::Arc;
-
-use systrace::epoxie::{build_traced, run_traced, FullPolicy, Mode};
+use systrace::epoxie::{
+    build_traced, check_trace, parse_trace, reference_run, refs, run_traced, FullPolicy, Mode, Ref,
+};
 use systrace::isa::asm::Asm;
 use systrace::isa::link::Layout;
 use systrace::isa::reg::*;
-use systrace::trace::{BbTable, CollectSink, Space, TraceParser};
 
 fn main() {
     // 1. A small program: sum a table, store the running sums back.
@@ -69,34 +68,26 @@ fn main() {
     );
 
     // 4. Parse the trace back into the interleaved reference stream.
-    struct Merged(Vec<String>, u64, u64);
-    impl systrace::trace::TraceSink for Merged {
-        fn irefs(&mut self, va: u32, n: u32, _s: Space, _idle: bool) {
-            for i in 0..n {
-                self.0.push(format!("I {:#010x}", va + 4 * i));
-            }
-            self.1 += u64::from(n);
-        }
-        fn dref(&mut self, va: u32, store: bool, _w: systrace::isa::Width, _s: Space) {
-            self.0
-                .push(format!("{} {va:#010x}", if store { "S" } else { "L" }));
-            self.2 += 1;
-        }
-    }
-    let mut parser = TraceParser::new(Arc::new(BbTable::new()));
-    parser.set_user_table(0, Arc::new(prog.table));
-    let mut sink = Merged(Vec::new(), 0, 0);
-    parser.parse_all(&run.words, &mut sink);
-    assert_eq!(parser.stats.errors, 0);
-
+    let events = parse_trace(&prog, &run.words).expect("a clean parse");
     println!("first sixteen references of the reconstructed, interleaved stream:");
-    for line in sink.0.iter().take(16) {
-        println!("  {line}");
+    for r in refs(&events).take(16) {
+        match r {
+            Ref::I(va) => println!("  I {va:#010x}"),
+            Ref::L(va) => println!("  L {va:#010x}"),
+            Ref::S(va) => println!("  S {va:#010x}"),
+        }
     }
+    let fetches = refs(&events).filter(|r| matches!(r, Ref::I(_))).count();
     println!(
         "total: {} instruction refs, {} data refs — all mapped to the \
          uninstrumented binary's addresses",
-        sink.1, sink.2
+        fetches,
+        refs(&events).count() - fetches
     );
-    let _ = CollectSink::default();
+
+    // 5. §4.3's check: the same stream from the uninstrumented binary
+    //    under the CPU simulator's reference tracer.
+    let (reference, _) = reference_run(&prog.orig.exe, 10_000_000, |_, _| false);
+    check_trace(&prog, &run.words, &reference).expect("trace matches the CPU simulator");
+    println!("matches the CPU simulator's trace, reference for reference");
 }

@@ -69,8 +69,7 @@ fn main() {
 
     // Parse the whole trace and summarise.
     let mut parser = sys.parser();
-    let mut sink = systrace::trace::CollectSink::default();
-    parser.parse_all(&run.trace_words, &mut sink);
+    parser.parse_all(&run.trace_words, &mut ());
     let s = &parser.stats;
     println!("\nwhole-trace summary:");
     println!(

@@ -210,8 +210,7 @@ fn info(path: &str) {
         println!("  user table  : asid {asid}, {} blocks", t.len());
     }
     let mut parser = a.parser();
-    let mut sink = systrace::trace::CollectSink::default();
-    parser.parse_all(&a.words, &mut sink);
+    parser.parse_all(&a.words, &mut ());
     let s = &parser.stats;
     println!("  kernel refs : {} I, {} D", s.kernel_irefs, s.kernel_drefs);
     println!("  user refs   : {} I, {} D", s.user_irefs, s.user_drefs);

@@ -73,8 +73,7 @@ fn trace_streams_are_complete() {
     let mut sys = build_system(&KernelConfig::mach().traced(), &[&w]);
     let run = sys.run(6_000_000_000);
     let mut parser = sys.parser();
-    let mut sink = systrace::trace::CollectSink::default();
-    parser.parse_all(&run.trace_words, &mut sink);
+    parser.parse_all(&run.trace_words, &mut ());
     assert_eq!(parser.stats.errors, 0);
     assert!(parser.stats.kernel_irefs > 0);
     assert!(parser.stats.user_irefs > 0);
@@ -126,14 +125,13 @@ fn trace_archives_round_trip_through_disk() {
     std::fs::remove_file(&dir).ok();
 
     let mut p1 = sys.parser();
-    let mut s1 = systrace::trace::CollectSink::default();
+    let mut s1 = systrace::trace::EventVec::default();
     p1.parse_all(&run.trace_words, &mut s1);
     let mut p2 = loaded.parser();
-    let mut s2 = systrace::trace::CollectSink::default();
+    let mut s2 = systrace::trace::EventVec::default();
     p2.parse_all(&loaded.words, &mut s2);
     assert_eq!(p2.stats, p1.stats);
-    assert_eq!(s2.irefs, s1.irefs);
-    assert_eq!(s2.drefs, s1.drefs);
+    assert!(s2 == s1, "the loaded archive parses to different events");
 }
 
 /// Online analysis (§3.3): feeding each buffer drain through
@@ -149,7 +147,7 @@ fn online_analysis_matches_offline() {
     };
 
     let mut sys = build_system(&cfg, &[&w]);
-    let mut online = systrace::trace::CollectSink::default();
+    let mut online = systrace::trace::EventVec::default();
     let mut parser = sys.parser();
     let mut words = Vec::new();
     let run = sys.run_with(2_000_000_000, |chunk| {
@@ -160,11 +158,9 @@ fn online_analysis_matches_offline() {
     assert!(run.drains > 3, "want several drains, got {}", run.drains);
     assert_eq!(parser.stats.errors, 0);
 
-    let mut offline = systrace::trace::CollectSink::default();
+    let mut offline = systrace::trace::EventVec::default();
     let mut p2 = sys.parser();
     p2.parse_all(&words, &mut offline);
     assert_eq!(p2.stats.errors, 0);
-    assert_eq!(online.irefs, offline.irefs);
-    assert_eq!(online.drefs, offline.drefs);
-    assert_eq!(online.switches, offline.switches);
+    assert!(online == offline, "online and offline parses differ");
 }

@@ -17,7 +17,7 @@
 //! then update the pinned constants below with the printed values.
 
 use systrace::store::{crc32_bytes, BlockFormat, TraceStore};
-use systrace::trace::{CollectSink, ParseStats, Space, TraceArchive, CTL_LIMIT};
+use systrace::trace::{EventVec, ParseStats, RefEvent, Space, TraceArchive, CTL_LIMIT};
 
 const GOLDEN_PATH: &str = "tests/data/golden.w3kt";
 /// Trace words kept in the golden archive.
@@ -34,32 +34,43 @@ fn fnv(h: &mut u64, bytes: &[u8]) {
 }
 
 /// FNV-1a over the parsed reference stream: order-sensitive, so any
-/// reordering or dropped reference changes it.
-fn digest(sink: &CollectSink) -> u64 {
+/// reordering or dropped reference changes it. It eats every fetch,
+/// then every data reference, then every switch.
+fn digest(sink: &EventVec) -> u64 {
     let mut h = FNV_OFFSET;
     let mut eat = |bytes: &[u8]| fnv(&mut h, bytes);
     let space_byte = |s: Space| match s {
         Space::Kernel => 0xffu8,
         Space::User(a) => a,
     };
-    for &(vaddr, space, idle) in &sink.irefs {
+    for (vaddr, space, idle) in sink.fetches() {
         eat(&[1, space_byte(space), idle as u8]);
         eat(&vaddr.to_le_bytes());
     }
-    for &(vaddr, store, space) in &sink.drefs {
-        eat(&[2, space_byte(space), store as u8]);
-        eat(&vaddr.to_le_bytes());
+    for ev in &sink.0 {
+        if let RefEvent::Dref {
+            vaddr,
+            store,
+            space,
+            ..
+        } = *ev
+        {
+            eat(&[2, space_byte(space), store as u8]);
+            eat(&vaddr.to_le_bytes());
+        }
     }
-    for &asid in &sink.switches {
-        eat(&[3, asid]);
+    for ev in &sink.0 {
+        if let RefEvent::CtxSwitch(asid) = *ev {
+            eat(&[3, asid]);
+        }
     }
     h
 }
 
-fn parse_golden() -> (ParseStats, CollectSink) {
+fn parse_golden() -> (ParseStats, EventVec) {
     let archive = TraceArchive::load(GOLDEN_PATH).expect("golden archive must load");
     let mut parser = archive.parser();
-    let mut sink = CollectSink::default();
+    let mut sink = EventVec::default();
     parser.parse_all(&archive.words, &mut sink);
     (parser.stats.clone(), sink)
 }
@@ -99,7 +110,7 @@ fn golden_trace_streams_to_pinned_stats() {
     // Fed to the driver in chunks, the trace must reproduce the same
     // pinned digest.
     let archive = TraceArchive::load(GOLDEN_PATH).expect("golden archive must load");
-    let mut driver = systrace::trace::Driver::new(archive.parser(), CollectSink::default());
+    let mut driver = systrace::trace::Driver::new(archive.parser(), EventVec::default());
     for chunk in archive.words.chunks(512) {
         driver.feed(chunk);
     }
@@ -141,7 +152,6 @@ fn damaged(words: &[u32], seed: u64) -> Vec<u32> {
 /// fetches one fetch at a time, then the statistics and the error
 /// list of each parse.
 fn damaged_digest() -> u64 {
-    use systrace::trace::{EventVec, RefEvent};
     let archive = TraceArchive::load(GOLDEN_PATH).expect("golden archive must load");
     let mut h = FNV_OFFSET;
     for seed in 0..64 {

@@ -1,5 +1,6 @@
-//! `tracedump` writes to pipes that close early (`… | head -1`): the
-//! closed pipe is the end of its output, never a panic.
+//! `tracedump` at the command line: it writes to pipes that close
+//! early (`… | head -1`), where the closed pipe is the end of its
+//! output, never a panic; and `info` reports a parse's statistics.
 
 use std::io::{BufRead, BufReader};
 use std::os::unix::process::ExitStatusExt;
@@ -27,4 +28,24 @@ fn a_closed_stdout_ends_the_output_without_a_panic() {
         done.status.signal()
     );
     assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+/// `tracedump info` on the golden archive prints the statistics that
+/// `tests/golden_trace.rs` pins, and its idle-instruction count.
+#[test]
+fn info_prints_the_golden_statistics() {
+    let out = Command::new(env!("CARGO_BIN_EXE_tracedump"))
+        .args(["info", "tests/data/golden.w3kt"])
+        .output()
+        .expect("tracedump runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "exit {:?}: {stdout}", out.status);
+    for line in [
+        "  trace words : 8192",
+        "  kernel refs : 31917 I, 635 D",
+        "  user refs   : 44 I, 11 D",
+        "  8 kernel entries, 6 context switches, 8149 idle insts, 0 errors",
+    ] {
+        assert!(stdout.lines().any(|l| l == line), "no {line:?} in {stdout}");
+    }
 }
