@@ -172,7 +172,7 @@ pub fn parse_trace(prog: &TracedProgram, words: &[u32]) -> Result<EventVec, Vec<
 /// The references of parsed `events` in the order the program made
 /// them: each run of fetches expanded, switches and mode transitions
 /// left out.
-pub fn refs(events: &EventVec) -> impl Iterator<Item = Ref> + '_ {
+fn refs(events: &EventVec) -> impl Iterator<Item = Ref> + '_ {
     events.0.iter().flat_map(|e| {
         let (vaddr, n, kind): (_, _, fn(u32) -> Ref) = match *e {
             RefEvent::Iref { vaddr, n, .. } => (vaddr, n, Ref::I),

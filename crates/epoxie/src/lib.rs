@@ -22,9 +22,7 @@ pub mod subst;
 
 pub use bbscan::{scan, BbRange};
 pub use build::{build_traced, BuildError, TracedProgram};
-pub use harness::{
-    check_trace, parse_trace, reference_run, refs, run_traced, Mismatch, Ref, TracedRun,
-};
+pub use harness::{check_trace, parse_trace, reference_run, run_traced, Mismatch, Ref, TracedRun};
 pub use instrument::{
     instrument_object, BbRecord, Expansion, InstrumentError, InstrumentedObject, Mode, RuntimeSyms,
 };

@@ -9,11 +9,12 @@
 //! trace entries.
 
 use systrace::epoxie::{
-    build_traced, check_trace, parse_trace, reference_run, refs, run_traced, FullPolicy, Mode, Ref,
+    build_traced, check_trace, parse_trace, reference_run, run_traced, FullPolicy, Mode,
 };
 use systrace::isa::asm::Asm;
 use systrace::isa::link::Layout;
 use systrace::isa::reg::*;
+use systrace::trace::RefEvent;
 
 fn main() {
     // 1. A small program: sum a table, store the running sums back.
@@ -67,22 +68,28 @@ fn main() {
         run.flushes
     );
 
-    // 4. Parse the trace back into the interleaved reference stream.
+    // 4. Parse the trace back: runs of fetches and data references,
+    //    interleaved in the order the original binary made them.
     let events = parse_trace(&prog, &run.words).expect("a clean parse");
-    println!("first sixteen references of the reconstructed, interleaved stream:");
-    for r in refs(&events).take(16) {
-        match r {
-            Ref::I(va) => println!("  I {va:#010x}"),
-            Ref::L(va) => println!("  L {va:#010x}"),
-            Ref::S(va) => println!("  S {va:#010x}"),
+    println!("first eight events of the reconstructed, interleaved stream:");
+    for e in events.0.iter().take(8) {
+        match *e {
+            RefEvent::Iref { vaddr, n, .. } => println!("  I {vaddr:#010x} x{n}"),
+            RefEvent::Dref { vaddr, store, .. } => {
+                println!("  {} {vaddr:#010x}", if store { 'S' } else { 'L' })
+            }
+            other => println!("  {other:?}"),
         }
     }
-    let fetches = refs(&events).filter(|r| matches!(r, Ref::I(_))).count();
+    let drefs = events
+        .0
+        .iter()
+        .filter(|e| matches!(e, RefEvent::Dref { .. }));
     println!(
         "total: {} instruction refs, {} data refs — all mapped to the \
          uninstrumented binary's addresses",
-        fetches,
-        refs(&events).count() - fetches
+        events.fetches().count(),
+        drefs.count()
     );
 
     // 5. §4.3's check: the same stream from the uninstrumented binary

@@ -14,7 +14,7 @@
 use std::collections::HashMap;
 
 use systrace::epoxie::{
-    build_traced, parse_trace, reference_run, refs, run_traced, FullPolicy, Mode, Ref,
+    build_traced, parse_trace, reference_run, run_traced, FullPolicy, Mode, Ref,
 };
 use systrace::isa::link::Layout;
 use systrace::machine::{RefCounter, StopEvent};
@@ -34,7 +34,10 @@ fn per_instruction_counts_match_reference_counter() {
     let host = || {
         let mut env = systrace::workloads::HostEnv::new(w.files.iter().cloned());
         env.brk = prog.orig.exe.brk();
-        move |m: &mut _, _| env.handle(m)
+        move |m: &mut _, code| {
+            assert_eq!(code, trapcode::SYSCALL_ABI, "syscall code");
+            env.handle(m)
+        }
     };
 
     // Reference counts from the uninstrumented run.
@@ -51,10 +54,8 @@ fn per_instruction_counts_match_reference_counter() {
     let run = run_traced(&prog, 2_000_000_000, host());
     let events = parse_trace(&prog, &run.words).expect("a clean parse");
     let mut hist = HashMap::new();
-    for r in refs(&events) {
-        if let Ref::I(vaddr) = r {
-            *hist.entry(vaddr).or_insert(0u64) += 1;
-        }
+    for (vaddr, _, _) in events.fetches() {
+        *hist.entry(vaddr).or_insert(0u64) += 1;
     }
 
     // Exact per-instruction agreement across the whole text segment.
